@@ -19,6 +19,12 @@ RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo bench -q --offline -p bench --no-run
 
+# The repository benchmark is a workspace of its own (perfbench/) that
+# calls the library's public functions, so the workspace build above does
+# not compile it. Build and test it here: a library signature change that
+# breaks the benchmark fails CI instead of the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # bench-smoke: exercise the analyzer old-vs-new harness end to end in its
 # short mode. Regenerates BENCH_analyzer.json at the repo root and asserts
 # (inside the binary) that the fused, multipass, and streaming profiles

@@ -13,10 +13,12 @@
 //! most [`RING_SLOTS`] uncompressed chunk buffers exist (the capture slot
 //! and the decode slot) regardless of how many records the run emits.
 //!
-//! Every uncompressed chunk buffer (and its codec scratch) is charged
-//! against the process-wide [`trace_gauge`], and [`resident_bound`] states
-//! the contract: peak gauge bytes never exceed the per-slot budget times
-//! the slot count. `bench_analyzer` and CI assert it.
+//! Sealing encodes each column straight from its native-width slice, so
+//! a slot is just its ten column vectors: there is no codec scratch. Every
+//! uncompressed chunk buffer is charged against the process-wide
+//! [`trace_gauge`], and [`resident_bound`] states the contract: peak gauge
+//! bytes never exceed the per-slot budget times the slot count.
+//! `bench_analyzer` and CI assert it.
 //!
 //! Each sealed chunk carries a [`ChunkMeta`] — the same layer-presence /
 //! id-space-bounds / per-layer file sets the analyzer's interface prescan
@@ -40,9 +42,9 @@ pub const DEFAULT_CHUNK_ROWS: usize = 65536;
 pub const RING_SLOTS: usize = 2;
 
 /// Upper bound on peak [`trace_gauge`] bytes for a pipeline running with
-/// `slots` live chunk buffers of `chunk_rows` rows. Each slot charges the
-/// ten column vectors (48 bytes/row) plus one `u64` codec scratch vector
-/// (8 bytes/row); the budget rounds the 56 up to 64 for headroom.
+/// `slots` live chunk buffers of `chunk_rows` rows. Each slot charges its
+/// ten column vectors (48 bytes/row) and nothing else, since sealing needs
+/// no codec scratch; the budget stays at 64 bytes/row for headroom.
 pub fn resident_bound(chunk_rows: usize, slots: usize) -> u64 {
     (slots as u64) * (chunk_rows as u64) * 64
 }
@@ -214,6 +216,55 @@ impl ChunkMeta {
         }
     }
 
+    /// The statistics of rows `range` of `c`, folded column by column:
+    /// equal to [`absorb`](Self::absorb)ing each row in turn, which the
+    /// decode-side recomputes (loaders, deep verification) still do.
+    pub(crate) fn of_rows(c: &ColumnarTrace, range: std::ops::Range<usize>) -> ChunkMeta {
+        let mut meta = ChunkMeta {
+            rows: range.len(),
+            n_ranks: c.rank[range.clone()]
+                .iter()
+                .max()
+                .map_or(0, |&v| v as usize + 1),
+            n_apps: c.app[range.clone()]
+                .iter()
+                .max()
+                .map_or(0, |&v| v as usize + 1),
+            // `NO_FILE` is `u32::MAX`, so `file + 1` wraps it to zero.
+            n_files: c.file[range.clone()]
+                .iter()
+                .map(|&f| f.wrapping_add(1))
+                .max()
+                .unwrap_or(0) as usize,
+            ..ChunkMeta::default()
+        };
+        let mut words: [Vec<u64>; 6] = Default::default();
+        let n_words = meta.n_files.div_ceil(64);
+        let rows = c.layer[range.clone()]
+            .iter()
+            .zip(&c.op[range.clone()])
+            .zip(&c.file[range]);
+        for ((&layer, &op), &file) in rows {
+            let l = layer.code() as usize;
+            meta.present[l] = true;
+            if file != NO_FILE && op.is_io() {
+                let w = &mut words[l];
+                if w.is_empty() {
+                    w.resize(n_words, 0);
+                }
+                w[file as usize / 64] |= 1u64 << (file % 64);
+            }
+        }
+        for (bits, mut w) in meta.layer_files.iter_mut().zip(words) {
+            // `BitWords::insert` grows to the highest set word only.
+            while w.last() == Some(&0) {
+                w.pop();
+            }
+            *bits = BitWords::from_words(w);
+        }
+        meta
+    }
+
     /// Merge another chunk's statistics (bitwise OR / max — associative and
     /// commutative, so merge order never matters).
     pub fn merge(&mut self, other: &ChunkMeta) {
@@ -241,54 +292,42 @@ pub struct CompressedChunk {
 }
 
 impl CompressedChunk {
-    /// Seal rows `range` of `c` into a compressed chunk. `scratch` is the
-    /// caller's recycled `u64` staging vector (grown to the range length at
-    /// most once, then reused across seals).
+    /// Seal rows `range` of `c` into a compressed chunk. `_scratch` is
+    /// unused: sealing encodes each column from its native-width slice and
+    /// needs no `u64` staging vector any more. The parameter stays so
+    /// callers written against the staging design still compile.
     pub fn seal(
         c: &ColumnarTrace,
         range: std::ops::Range<usize>,
-        scratch: &mut Vec<u64>,
+        _scratch: &mut Vec<u64>,
     ) -> CompressedChunk {
+        CompressedChunk::seal_rows(c, range)
+    }
+
+    /// [`seal`](Self::seal) without the unused scratch parameter.
+    pub(crate) fn seal_rows(c: &ColumnarTrace, range: std::ops::Range<usize>) -> CompressedChunk {
         let rows = range.len();
-        let mut meta = ChunkMeta::default();
-        for i in range.clone() {
-            meta.absorb(c.rank[i], c.app[i], c.layer[i], c.op[i], c.file[i]);
+        let meta = ChunkMeta::of_rows(c, range.clone());
+        fn encode<T: codec::ColumnValue>(col: &[T], idx: usize, name: &str) -> Vec<u8> {
+            debug_assert_eq!(COLUMN_WIDTHS[idx], (name, T::WIDTH), "column order");
+            codec::encode_values(col)
         }
-        let mut encode = |fill: &mut dyn FnMut(&mut Vec<u64>), width: u8| {
-            scratch.clear();
-            fill(scratch);
-            codec::encode_column(scratch, width)
-        };
-        let r = range;
+        macro_rules! enc {
+            ($idx:expr, $col:ident) => {
+                encode(&c.$col[range.clone()], $idx, stringify!($col))
+            };
+        }
         let cols = [
-            encode(
-                &mut |s| s.extend(c.rank[r.clone()].iter().map(|&v| v as u64)),
-                4,
-            ),
-            encode(
-                &mut |s| s.extend(c.node[r.clone()].iter().map(|&v| v as u64)),
-                4,
-            ),
-            encode(
-                &mut |s| s.extend(c.app[r.clone()].iter().map(|&v| v as u64)),
-                2,
-            ),
-            encode(
-                &mut |s| s.extend(c.layer[r.clone()].iter().map(|&v| v.code() as u64)),
-                1,
-            ),
-            encode(
-                &mut |s| s.extend(c.op[r.clone()].iter().map(|&v| v.code() as u64)),
-                1,
-            ),
-            encode(&mut |s| s.extend_from_slice(&c.start[r.clone()]), 8),
-            encode(&mut |s| s.extend_from_slice(&c.end[r.clone()]), 8),
-            encode(
-                &mut |s| s.extend(c.file[r.clone()].iter().map(|&v| v as u64)),
-                4,
-            ),
-            encode(&mut |s| s.extend_from_slice(&c.offset[r.clone()]), 8),
-            encode(&mut |s| s.extend_from_slice(&c.bytes[r.clone()]), 8),
+            enc!(0, rank),
+            enc!(1, node),
+            enc!(2, app),
+            enc!(3, layer),
+            enc!(4, op),
+            enc!(5, start),
+            enc!(6, end),
+            enc!(7, file),
+            enc!(8, offset),
+            enc!(9, bytes),
         ];
         CompressedChunk { rows, meta, cols }
     }
@@ -417,13 +456,11 @@ impl ChunkedTrace {
     /// through `Tracer::enable_chunked`.
     pub fn from_columnar(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let mut scratch = Vec::with_capacity(chunk_rows.min(c.len()));
-        let _charge = GaugeCharge::new((scratch.capacity() * 8) as u64);
         let mut chunks = Vec::with_capacity(c.len().div_ceil(chunk_rows));
         let mut at = 0usize;
         while at < c.len() {
             let end = (at + chunk_rows).min(c.len());
-            chunks.push(CompressedChunk::seal(c, at..end, &mut scratch));
+            chunks.push(CompressedChunk::seal_rows(c, at..end));
             at = end;
         }
         ChunkedTrace {
@@ -541,6 +578,33 @@ mod tests {
         assert!(merged.present[Layer::Posix.code() as usize]);
         assert!(merged.present[Layer::Stdio.code() as usize]);
         assert!(!merged.present[Layer::MpiIo.code() as usize]);
+    }
+
+    #[test]
+    fn of_rows_equals_absorbing_each_row() {
+        let c = synthetic(1000);
+        for range in [0..0, 0..1, 3..70, 64..128, 0..1000, 999..1000] {
+            let mut want = ChunkMeta::default();
+            for i in range.clone() {
+                want.absorb(c.rank[i], c.app[i], c.layer[i], c.op[i], c.file[i]);
+            }
+            assert_eq!(ChunkMeta::of_rows(&c, range.clone()), want, "{range:?}");
+        }
+        // Rows without a file, and a file id in a later bitset word.
+        let mut c = ColumnarTrace::default();
+        for (rank, app, layer, op, file) in [
+            (0, 0, Layer::Posix, OpKind::Open, None),
+            (7, 2, Layer::MpiIo, OpKind::Compute, Some(FileId(200))),
+            (1, 1, Layer::Stdio, OpKind::Read, Some(FileId(130))),
+        ] {
+            let (t0, t1) = (SimTime(0), SimTime(1));
+            c.push_row(rank, 0, AppId(app), layer, op, t0, t1, file, 0, 8);
+        }
+        let mut want = ChunkMeta::default();
+        for i in 0..c.len() {
+            want.absorb(c.rank[i], c.app[i], c.layer[i], c.op[i], c.file[i]);
+        }
+        assert_eq!(ChunkMeta::of_rows(&c, 0..c.len()), want);
     }
 
     #[test]

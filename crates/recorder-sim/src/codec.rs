@@ -8,10 +8,12 @@
 //! op, layer, file id) collapse under RLE, and adversarial columns fall back
 //! to raw at exactly `width` bytes per value plus the tag.
 //!
-//! Values travel as `u64` regardless of the column's native width; `width`
-//! (1/2/4/8 bytes) bounds the raw representation and is validated on decode
-//! so a corrupt byte can't smuggle an oversized value past the checksum
-//! into a narrowing cast.
+//! The encoder sizes all three schemes in one pass over the column's
+//! native-width slice (see `encode_values`) and then writes only the
+//! winner. Decoded values travel as `u64` regardless of the column's native
+//! width; `width` (1/2/4/8 bytes) bounds the raw representation and is
+//! validated on decode so a corrupt byte can't smuggle an oversized value
+//! past the checksum into a narrowing cast.
 //!
 //! The byte layout is part of the version-2 row-group persistence format
 //! (see `persist.rs`) — changes must bump that version.
@@ -23,6 +25,8 @@
 //! - `2` DELTA: first value as 8-byte LE, a delta width byte
 //!   `w ∈ {0,1,2,4,8}`, then `n-1` zigzag-encoded wrapping deltas of `w`
 //!   bytes each (`w = 0` means every delta is zero — a constant column).
+
+use crate::record::{Layer, OpKind};
 
 /// Encoding scheme tags (the first byte of every encoded column).
 const TAG_RAW: u8 = 0;
@@ -78,24 +82,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Append `v` as a LEB128 varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Encoded length of `v` as a LEB128 varint, without materializing it.
-fn varint_len(v: u64) -> usize {
-    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
-}
-
 /// Read one LEB128 varint starting at `*pos`, advancing it.
 fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v = 0u64;
@@ -114,14 +100,95 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
-/// Minimal delta byte width in `{0, 1, 2, 4, 8}` that represents every
-/// zigzagged delta of `values`.
-fn delta_width(values: &[u64]) -> u8 {
-    let mut max = 0u64;
-    for w in values.windows(2) {
-        max = max.max(zigzag((w[1].wrapping_sub(w[0])) as i64));
+/// Write `v` as a LEB128 varint at `out[pos..]`; returns the position
+/// after it. The caller sized `out` to leave room, so there are no
+/// capacity checks.
+#[inline]
+fn put_varint_at(out: &mut [u8], mut pos: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[pos] = v as u8 | 0x80;
+        v >>= 7;
+        pos += 1;
     }
-    match max {
+    out[pos] = v as u8;
+    pos + 1
+}
+
+/// A column element the encoder reads at its native width: the unsigned
+/// integer columns, and the [`Layer`] / [`OpKind`] columns as their
+/// one-byte codes (whose order is the code order). Sealing encodes each
+/// column straight from its own slice, with no `u64` staging copy.
+pub(crate) trait ColumnValue: Copy + Ord {
+    /// Native width in bytes (1, 2, 4 or 8): the RAW scheme's bytes per
+    /// value and the width the decoder validates against.
+    const WIDTH: u8;
+    /// The value in the codec's `u64` domain.
+    fn to_u64(self) -> u64;
+}
+
+macro_rules! int_column_value {
+    ($($t:ty),*) => {$(
+        impl ColumnValue for $t {
+            const WIDTH: u8 = std::mem::size_of::<$t>() as u8;
+            #[inline(always)]
+            fn to_u64(self) -> u64 {
+                self as u64
+            }
+        }
+    )*};
+}
+int_column_value!(u8, u16, u32, u64);
+
+impl ColumnValue for Layer {
+    const WIDTH: u8 = 1;
+    #[inline(always)]
+    fn to_u64(self) -> u64 {
+        self.code() as u64
+    }
+}
+
+impl ColumnValue for OpKind {
+    const WIDTH: u8 = 1;
+    #[inline(always)]
+    fn to_u64(self) -> u64 {
+        self.code() as u64
+    }
+}
+
+/// Store `values` back to back, `width` bytes (1, 2, 4 or 8) each, little
+/// endian; width 0 stores nothing. The caller guarantees every value fits.
+#[inline(always)]
+fn put_width(out: &mut [u8], width: u8, values: impl Iterator<Item = u64>) {
+    // Constant-width stores: one move per value instead of a
+    // variable-length copy.
+    macro_rules! store_loop {
+        ($t:ty) => {
+            for (o, v) in out.chunks_exact_mut(std::mem::size_of::<$t>()).zip(values) {
+                o.copy_from_slice(&(v as $t).to_le_bytes());
+            }
+        };
+    }
+    match width {
+        0 => {}
+        1 => store_loop!(u8),
+        2 => store_loop!(u16),
+        4 => store_loop!(u32),
+        _ => store_loop!(u64),
+    }
+}
+
+/// The zigzagged wrapping delta from `a` to `b`, as the DELTA scheme
+/// stores it. Zero exactly when `a == b`, so it also marks run boundaries.
+#[inline(always)]
+fn zdelta<T: ColumnValue>(a: T, b: T) -> u64 {
+    zigzag(b.to_u64().wrapping_sub(a.to_u64()) as i64)
+}
+
+/// Smallest delta byte width in `{0, 1, 2, 4, 8}` holding every delta
+/// whose bits are OR-ed into `bits` (an OR has the same highest set bit
+/// as the maximum).
+fn delta_width(bits: u64) -> u8 {
+    match bits {
         0 => 0,
         v if v <= 0xff => 1,
         v if v <= 0xffff => 2,
@@ -130,24 +197,115 @@ fn delta_width(values: &[u64]) -> u8 {
     }
 }
 
-/// Byte length the RLE scheme would need (tag included).
-fn rle_len(values: &[u64]) -> usize {
-    let mut len = 1usize;
-    let mut i = 0usize;
-    while i < values.len() {
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == values[i] {
-            run += 1;
-        }
-        len += varint_len(values[i]) + varint_len(run as u64);
-        i += run;
-    }
-    len
+/// Encoded length of `v` as a LEB128 varint, without materializing it:
+/// `ceil(bits / 7)` as a multiply-shift, exact for every bit count 1..=64.
+fn varint_len(v: u64) -> usize {
+    ((70 - (v | 1).leading_zeros() as usize) * 37) >> 8
 }
 
-/// Encode one column of `values` whose native width is `width` bytes
-/// (1, 2, 4, or 8). Returns the smallest of the three schemes; ties prefer
-/// delta, then RLE, then raw, so the choice is deterministic.
+/// Longest LEB128 varint of a `u64`.
+const MAX_VARINT: usize = 10;
+
+/// The RLE scheme of `values` (`runs` runs, each at least `run_floor`
+/// bytes), or `None` once it is sure to exceed `limit` bytes. Written
+/// speculatively in one pass: when RLE wins this is the only walk over the
+/// runs. When it loses, the walk stops as soon as the bytes written plus
+/// the floor of every run still to come pass `limit`.
+fn write_rle<T: ColumnValue>(
+    values: &[T],
+    runs: usize,
+    run_floor: usize,
+    limit: usize,
+) -> Option<Vec<u8>> {
+    let (&first, tail) = values.split_first()?;
+    // Room for one more (value, run) pair past `limit` before the check.
+    let mut out = vec![0u8; limit + 2 * MAX_VARINT];
+    out[0] = TAG_RLE;
+    let mut pos = 1;
+    let mut runs_left = runs;
+    let mut run_value = first;
+    let mut run_start = 0usize;
+    for (i, &v) in (1..).zip(tail) {
+        if v != run_value {
+            pos = put_varint_at(&mut out, pos, run_value.to_u64());
+            pos = put_varint_at(&mut out, pos, (i - run_start) as u64);
+            runs_left -= 1;
+            if pos + run_floor * runs_left > limit {
+                return None;
+            }
+            run_value = v;
+            run_start = i;
+        }
+    }
+    pos = put_varint_at(&mut out, pos, run_value.to_u64());
+    pos = put_varint_at(&mut out, pos, (values.len() - run_start) as u64);
+    if pos > limit {
+        return None;
+    }
+    out.truncate(pos);
+    out.shrink_to_fit();
+    Some(out)
+}
+
+/// Encode one column from its native-width slice. Returns the smallest of
+/// the three schemes; ties prefer delta, then RLE, then raw, so the choice
+/// is deterministic.
+///
+/// One stats pass finds the widest zigzag delta, the number of runs and
+/// the smallest value. That sizes delta and raw exactly and bounds RLE
+/// from below: each run costs at least one length byte plus the varint
+/// bytes of the smallest value. RLE is attempted only when that floor could win,
+/// and the chosen scheme is written once into a buffer sized for it.
+pub(crate) fn encode_values<T: ColumnValue>(values: &[T]) -> Vec<u8> {
+    let Some((&first, tail)) = values.split_first() else {
+        return vec![TAG_RAW];
+    };
+    // A run starts exactly where the zigzag delta is nonzero. OR-ing the
+    // deltas keeps the highest set bit of their maximum, which is all the
+    // delta width needs.
+    let mut bits = 0u64;
+    let mut boundaries = 0usize;
+    let mut min = first;
+    for (&a, &b) in values.iter().zip(tail) {
+        let z = zdelta(a, b);
+        bits |= z;
+        boundaries += (z != 0) as usize;
+        min = min.min(b);
+    }
+    let n = values.len();
+    let dw = delta_width(bits);
+    let raw = 1 + T::WIDTH as usize * n;
+    let delta = 10 + dw as usize * (n - 1);
+
+    // RLE wins only strictly below delta and at or below raw.
+    let rle_limit = (delta - 1).min(raw);
+    let runs = boundaries + 1;
+    let run_floor = 1 + varint_len(min.to_u64());
+    let rle_floor = 1 + run_floor * runs;
+    if rle_floor <= rle_limit {
+        if let Some(out) = write_rle(values, runs, run_floor, rle_limit) {
+            return out;
+        }
+    }
+    if delta <= raw {
+        let mut out = vec![0u8; delta];
+        out[0] = TAG_DELTA;
+        out[1..9].copy_from_slice(&first.to_u64().to_le_bytes());
+        out[9] = dw;
+        let deltas = values.iter().zip(tail).map(|(&a, &b)| zdelta(a, b));
+        put_width(&mut out[10..], dw, deltas);
+        out
+    } else {
+        let mut out = vec![0u8; raw];
+        out[0] = TAG_RAW;
+        put_width(&mut out[1..], T::WIDTH, values.iter().map(|&v| v.to_u64()));
+        out
+    }
+}
+
+/// Encode one column of `u64` values whose native width is `width` bytes
+/// (1, 2, 4, or 8): the native-width encoder over the values narrowed to
+/// that width, so the bytes equal those of the native column.
 pub fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
     assert!(
         matches!(width, 1 | 2 | 4 | 8),
@@ -157,45 +315,14 @@ pub fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
         width == 8 || values.iter().all(|&v| v >> (width * 8) == 0),
         "value exceeds declared column width"
     );
-    if values.is_empty() {
-        return vec![TAG_RAW];
+    fn narrow<T: ColumnValue>(values: &[u64], cast: impl Fn(u64) -> T) -> Vec<u8> {
+        encode_values(&values.iter().map(|&v| cast(v)).collect::<Vec<T>>())
     }
-    let raw = 1 + width as usize * values.len();
-    let rle = rle_len(values);
-    let dw = delta_width(values);
-    let delta = 1 + 8 + 1 + dw as usize * (values.len() - 1);
-
-    if delta <= rle && delta <= raw {
-        let mut out = Vec::with_capacity(delta);
-        out.push(TAG_DELTA);
-        out.extend_from_slice(&values[0].to_le_bytes());
-        out.push(dw);
-        for w in values.windows(2) {
-            let z = zigzag((w[1].wrapping_sub(w[0])) as i64);
-            out.extend_from_slice(&z.to_le_bytes()[..dw as usize]);
-        }
-        out
-    } else if rle <= raw {
-        let mut out = Vec::with_capacity(rle);
-        out.push(TAG_RLE);
-        let mut i = 0usize;
-        while i < values.len() {
-            let mut run = 1usize;
-            while i + run < values.len() && values[i + run] == values[i] {
-                run += 1;
-            }
-            put_varint(&mut out, values[i]);
-            put_varint(&mut out, run as u64);
-            i += run;
-        }
-        out
-    } else {
-        let mut out = Vec::with_capacity(raw);
-        out.push(TAG_RAW);
-        for &v in values {
-            out.extend_from_slice(&v.to_le_bytes()[..width as usize]);
-        }
-        out
+    match width {
+        1 => narrow(values, |v| v as u8),
+        2 => narrow(values, |v| v as u16),
+        4 => narrow(values, |v| v as u32),
+        _ => encode_values(values),
     }
 }
 
@@ -384,8 +511,110 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// The original three-pass encoder, kept as the byte-identity oracle for
+/// [`encode_values`]: it widens to `u64`, sizes RLE and delta in separate
+/// passes, then writes the chosen scheme value by value.
+#[cfg(test)]
+mod oracle {
+    use super::{zigzag, TAG_DELTA, TAG_RAW, TAG_RLE};
+
+    /// Encoded length of `v` as a LEB128 varint.
+    pub fn varint_len(v: u64) -> usize {
+        (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
+    }
+
+    /// Append `v` as a LEB128 varint.
+    pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// Minimal delta byte width in `{0, 1, 2, 4, 8}` that represents
+    /// every zigzagged delta of `values`.
+    pub fn delta_width(values: &[u64]) -> u8 {
+        let mut max = 0u64;
+        for w in values.windows(2) {
+            max = max.max(zigzag((w[1].wrapping_sub(w[0])) as i64));
+        }
+        match max {
+            0 => 0,
+            v if v <= 0xff => 1,
+            v if v <= 0xffff => 2,
+            v if v <= 0xffff_ffff => 4,
+            _ => 8,
+        }
+    }
+
+    /// Byte length the RLE scheme would need (tag included).
+    pub fn rle_len(values: &[u64]) -> usize {
+        let mut len = 1usize;
+        let mut i = 0usize;
+        while i < values.len() {
+            let mut run = 1usize;
+            while i + run < values.len() && values[i + run] == values[i] {
+                run += 1;
+            }
+            len += varint_len(values[i]) + varint_len(run as u64);
+            i += run;
+        }
+        len
+    }
+
+    /// Encode one column of `values` whose native width is `width` bytes.
+    pub fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
+        if values.is_empty() {
+            return vec![TAG_RAW];
+        }
+        let raw = 1 + width as usize * values.len();
+        let rle = rle_len(values);
+        let dw = delta_width(values);
+        let delta = 1 + 8 + 1 + dw as usize * (values.len() - 1);
+
+        if delta <= rle && delta <= raw {
+            let mut out = Vec::with_capacity(delta);
+            out.push(TAG_DELTA);
+            out.extend_from_slice(&values[0].to_le_bytes());
+            out.push(dw);
+            for w in values.windows(2) {
+                let z = zigzag((w[1].wrapping_sub(w[0])) as i64);
+                out.extend_from_slice(&z.to_le_bytes()[..dw as usize]);
+            }
+            out
+        } else if rle <= raw {
+            let mut out = Vec::with_capacity(rle);
+            out.push(TAG_RLE);
+            let mut i = 0usize;
+            while i < values.len() {
+                let mut run = 1usize;
+                while i + run < values.len() && values[i + run] == values[i] {
+                    run += 1;
+                }
+                put_varint(&mut out, values[i]);
+                put_varint(&mut out, run as u64);
+                i += run;
+            }
+            out
+        } else {
+            let mut out = Vec::with_capacity(raw);
+            out.push(TAG_RAW);
+            for &v in values {
+                out.extend_from_slice(&v.to_le_bytes()[..width as usize]);
+            }
+            out
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::put_varint;
     use super::*;
 
     fn round_trip(values: &[u64], width: u8) -> Vec<u8> {
@@ -515,6 +744,21 @@ mod tests {
             assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
+        // Every bit length: the multiply-shift length and the slice writer
+        // agree with the byte-at-a-time oracle.
+        for bits in 0..=64u32 {
+            for v in [
+                u64::MAX >> (64 - bits.max(1)),
+                if bits == 0 { 0 } else { 1u64 << (bits - 1) },
+            ] {
+                let mut want = Vec::new();
+                put_varint(&mut want, v);
+                assert_eq!(varint_len(v), want.len(), "{v:#x}");
+                let mut out = [0xaau8; 1 + MAX_VARINT];
+                assert_eq!(put_varint_at(&mut out, 1, v), 1 + want.len());
+                assert_eq!(&out[1..1 + want.len()], &want[..], "{v:#x}");
+            }
+        }
         // An 11-byte varint can't fit in 64 bits.
         let over = [0xffu8; 10];
         let mut pos = 0;
@@ -583,6 +827,156 @@ mod tests {
                         .collect();
                     round_trip(&values, width);
                 }
+            }
+        }
+    }
+
+    /// The seeded byte-identity gate: the native-width encoder emits
+    /// exactly the oracle's bytes at every width and on the enum code
+    /// columns, so sealed chunks and spill logs never move.
+    #[test]
+    fn native_encoder_matches_the_three_pass_oracle() {
+        fn mask(width: u8) -> u64 {
+            if width == 8 {
+                u64::MAX
+            } else {
+                (1u64 << (width * 8)) - 1
+            }
+        }
+        // Encode `values` (already fitting `width`) both ways and compare;
+        // returns the oracle's (delta, rle, raw) sizes for tie coverage.
+        // `encode_column` narrows to the native type of `width`, so this
+        // runs the encoder on u8, u16, u32 and u64 slices.
+        fn check(values: &[u64], width: u8, label: &str) -> (usize, usize, usize) {
+            let want = oracle::encode_column(values, width);
+            assert_eq!(
+                encode_column(values, width),
+                want,
+                "{label}: width {width} values {values:?}"
+            );
+            let delta = if values.is_empty() {
+                usize::MAX
+            } else {
+                10 + oracle::delta_width(values) as usize * (values.len() - 1)
+            };
+            (
+                delta,
+                oracle::rle_len(values),
+                1 + width as usize * values.len(),
+            )
+        }
+
+        let mut state = 0x5eed_c0de_1234_abcdu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Tie coverage: (delta == rle, delta == raw, rle == raw) cases hit.
+        let mut ties = [0usize; 3];
+        for width in [1u8, 2, 4, 8] {
+            let m = mask(width);
+            let mut cases: Vec<(&str, Vec<u64>)> = vec![
+                ("empty", vec![]),
+                ("single zero", vec![0]),
+                ("single max", vec![m]),
+                ("single mid", vec![m / 3]),
+                ("constant", vec![m / 2; 1000]),
+                ("constant max", vec![m; 37]),
+                ("constant zero", vec![0; 9]),
+                ("wrap", vec![0, m, 0, m, 1, m - 1]),
+                (
+                    "descending",
+                    (0..300u64).map(|i| m.wrapping_sub(i * 3) & m).collect(),
+                ),
+                // Exact ties: eight distinct small values tie all three
+                // schemes at width 2; value pairs tie RLE with raw at width 1.
+                ("three-way tie", (0..8u64).collect()),
+                (
+                    "pairs",
+                    (0..40u64).map(|i| (i / 2) % 100).collect::<Vec<_>>(),
+                ),
+                ("rle-delta tie", vec![0, 1, 2, 3, 4, 4, 5, 6, 6, 7, 8, 9]),
+            ];
+            // Runs and values straddling varint length boundaries.
+            for run in [127u64, 128, 16_383, 16_384] {
+                let value = (run & m).max(1);
+                let mut v = vec![value; run as usize];
+                v.extend(std::iter::repeat_n(value - 1, run as usize + 1));
+                v.push(0);
+                cases.push(("varint boundary runs", v));
+            }
+            for value in [127u64, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+                cases.push(("varint boundary values", vec![value & m; 5]));
+                cases.push((
+                    "varint boundary steps",
+                    (0..64u64)
+                        .map(|i| (value & m).wrapping_sub(i / 8) & m)
+                        .collect(),
+                ));
+            }
+            // Seeded shapes: low cardinality, runs, ramps with jitter
+            // (including deltas at each width boundary), random.
+            for len in [2usize, 3, 8, 9, 17, 100, 1000, 4097] {
+                for shape in 0..6 {
+                    let mut acc = next() & m;
+                    let step = [1u64, 0x7f, 0x80, 0x7fff, 0x8000, 0x7fff_ffff][shape];
+                    let values: Vec<u64> = (0..len)
+                        .map(|i| match shape {
+                            0 => next() % 3,
+                            1 => ((i as u64) / (1 + next() % 50)) & m,
+                            2 => next() & m,
+                            3 => {
+                                acc = acc.wrapping_add(next() % 16) & m;
+                                acc
+                            }
+                            _ => {
+                                acc = acc.wrapping_add(step) & m;
+                                acc
+                            }
+                        })
+                        .collect();
+                    cases.push(("seeded", values));
+                }
+            }
+            // Every short column over a tiny alphabet hits exact ties.
+            for len in 1..=12usize {
+                for _ in 0..64 {
+                    let values: Vec<u64> = (0..len).map(|_| (next() % 4) * (m / 3)).collect();
+                    cases.push(("short", values));
+                }
+            }
+            for (label, values) in &cases {
+                let (delta, rle, raw) = check(values, width, label);
+                ties[0] += (delta == rle) as usize;
+                ties[1] += (delta == raw) as usize;
+                ties[2] += (rle == raw) as usize;
+            }
+        }
+        assert!(ties.iter().all(|&t| t > 0), "tie coverage {ties:?}");
+
+        // The enum code columns encode by code at width 1.
+        let layers = [
+            Layer::App,
+            Layer::HighLevel,
+            Layer::MpiIo,
+            Layer::Stdio,
+            Layer::Posix,
+            Layer::Middleware,
+        ];
+        for len in [0usize, 1, 2, 9, 300, 5000] {
+            for runs in [1u64, 4, 200] {
+                let picks: Vec<u64> = (0..len).map(|i| next() % 6 + i as u64 / runs).collect();
+                let col: Vec<Layer> = picks.iter().map(|&p| layers[p as usize % 6]).collect();
+                let codes: Vec<u64> = col.iter().map(|l| l.code() as u64).collect();
+                assert_eq!(encode_values(&col), oracle::encode_column(&codes, 1));
+                let ops: Vec<OpKind> = picks
+                    .iter()
+                    .filter_map(|&p| OpKind::from_code((p % 19) as u8))
+                    .collect();
+                let codes: Vec<u64> = ops.iter().map(|o| o.code() as u64).collect();
+                assert_eq!(encode_values(&ops), oracle::encode_column(&codes, 1));
             }
         }
     }

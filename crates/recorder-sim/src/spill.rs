@@ -363,7 +363,8 @@ pub struct SpillWriter {
     files_persisted: usize,
     apps_persisted: usize,
     fsync_points: u64,
-    staging: Vec<u8>,
+    /// The frame being assembled: head, payload, then checksum, built in
+    /// place and reused across frames.
     frame: Vec<u8>,
     charge: GaugeCharge,
     fault: SpillFaultPlan,
@@ -397,7 +398,6 @@ impl SpillWriter {
             files_persisted: 0,
             apps_persisted: 0,
             fsync_points: 0,
-            staging: Vec::new(),
             frame: Vec::new(),
             charge: GaugeCharge::default(),
             fault,
@@ -414,34 +414,30 @@ impl SpillWriter {
         Ok(w)
     }
 
-    fn resync_charge(&mut self) {
-        self.charge
-            .resync((self.staging.capacity() + self.frame.capacity()) as u64);
-    }
-
-    /// Assemble and append one frame from `self.staging`. `flip` corrupts
-    /// one payload byte after checksumming (latent fault); `cut` writes
-    /// only a prefix of the frame (torn write).
-    fn write_frame(
-        &mut self,
-        kind: u8,
-        flip: Option<usize>,
-        cut: Option<usize>,
-    ) -> Result<(), SpillError> {
-        let sum = fnv1a(&self.staging);
-        if let Some(i) = flip {
-            if !self.staging.is_empty() {
-                let at = i % self.staging.len();
-                self.staging[at] ^= 0x40;
-            }
-        }
+    /// Start a frame of `kind` in the reused frame buffer: the head with a
+    /// placeholder length; the caller appends the payload after it.
+    fn begin_frame(&mut self, kind: u8) {
         self.frame.clear();
         self.frame.push(kind);
-        self.frame
-            .extend_from_slice(&(self.staging.len() as u64).to_le_bytes());
-        self.frame.extend_from_slice(&self.staging);
+        self.frame.extend_from_slice(&[0; FRAME_HEAD as usize - 1]);
+    }
+
+    /// Finish and append the frame begun by [`begin_frame`](Self::begin_frame):
+    /// patch its length, checksum the payload, append the checksum. `flip`
+    /// corrupts one payload byte after checksumming (latent fault); `cut`
+    /// writes only a prefix of the frame (torn write).
+    fn write_frame(&mut self, flip: Option<usize>, cut: Option<usize>) -> Result<(), SpillError> {
+        let head = FRAME_HEAD as usize;
+        let len = self.frame.len() - head;
+        self.frame[1..head].copy_from_slice(&(len as u64).to_le_bytes());
+        let sum = fnv1a(&self.frame[head..]);
+        if let Some(i) = flip {
+            if len > 0 {
+                self.frame[head + i % len] ^= 0x40;
+            }
+        }
         self.frame.extend_from_slice(&sum.to_le_bytes());
-        self.resync_charge();
+        self.charge.resync(self.frame.capacity() as u64);
         let n = cut.unwrap_or(self.frame.len()).min(self.frame.len());
         self.file
             .as_mut()
@@ -452,16 +448,16 @@ impl SpillWriter {
     }
 
     fn commit(&mut self) -> Result<(), SpillError> {
-        self.staging.clear();
+        self.begin_frame(FRAME_COMMIT);
         for v in [
             self.chunks_appended,
             self.records_appended,
             self.files_persisted as u64,
             self.apps_persisted as u64,
         ] {
-            self.staging.extend_from_slice(&v.to_le_bytes());
+            self.frame.extend_from_slice(&v.to_le_bytes());
         }
-        self.write_frame(FRAME_COMMIT, None, None)?;
+        self.write_frame(None, None)?;
         self.file.as_ref().expect("writer is open").sync_data()?;
         self.fsync_points += 1;
         Ok(())
@@ -479,17 +475,17 @@ impl SpillWriter {
         if file_paths.len() <= self.files_persisted && app_names.len() <= self.apps_persisted {
             return Ok(());
         }
-        self.staging.clear();
-        let stage_delta = |staging: &mut Vec<u8>, all: &[String], from: usize| {
-            staging.extend_from_slice(&((all.len() - from) as u64).to_le_bytes());
+        self.begin_frame(FRAME_INTERN);
+        let stage_delta = |frame: &mut Vec<u8>, all: &[String], from: usize| {
+            frame.extend_from_slice(&((all.len() - from) as u64).to_le_bytes());
             for s in &all[from..] {
-                staging.extend_from_slice(&(s.len() as u64).to_le_bytes());
-                staging.extend_from_slice(s.as_bytes());
+                frame.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                frame.extend_from_slice(s.as_bytes());
             }
         };
-        stage_delta(&mut self.staging, file_paths, self.files_persisted);
-        stage_delta(&mut self.staging, app_names, self.apps_persisted);
-        self.write_frame(FRAME_INTERN, None, None)?;
+        stage_delta(&mut self.frame, file_paths, self.files_persisted);
+        stage_delta(&mut self.frame, app_names, self.apps_persisted);
+        self.write_frame(None, None)?;
         self.files_persisted = file_paths.len();
         self.apps_persisted = app_names.len();
         Ok(())
@@ -512,32 +508,35 @@ impl SpillWriter {
             });
         }
         self.intern(file_paths, app_names)?;
-        self.staging.clear();
-        self.staging
-            .extend_from_slice(&(chunk.rows as u64).to_le_bytes());
-        let mut meta = Vec::new();
-        stage_meta(&mut meta, &chunk.meta);
-        self.staging
-            .extend_from_slice(&(meta.len() as u64).to_le_bytes());
-        self.staging.extend_from_slice(&meta);
+        self.begin_frame(FRAME_CHUNK);
+        let f = &mut self.frame;
+        // Reserve the exact frame size (see `stage_meta` for the meta's),
+        // so the one buffer never holds more than the largest frame.
+        let meta_words: usize = chunk.meta.layer_files.iter().map(|b| b.words().len()).sum();
+        let meta_len = 8 + 6 + 3 * 8 + 6 * 8 + 8 * meta_words;
+        f.reserve_exact(16 + meta_len + 10 * 8 + chunk.encoded_bytes() + FRAME_SUM as usize);
+        f.extend_from_slice(&(chunk.rows as u64).to_le_bytes());
+        f.extend_from_slice(&(meta_len as u64).to_le_bytes());
+        let meta_at = f.len();
+        stage_meta(f, &chunk.meta);
+        debug_assert_eq!(f.len() - meta_at, meta_len, "stage_meta layout");
         for c in 0..10 {
-            self.staging
-                .extend_from_slice(&(chunk.column(c).len() as u64).to_le_bytes());
+            f.extend_from_slice(&(chunk.column(c).len() as u64).to_le_bytes());
         }
         for c in 0..10 {
-            self.staging.extend_from_slice(chunk.column(c));
+            f.extend_from_slice(chunk.column(c));
         }
         let flip = self
             .fault
             .fires_at(SpillFaultKind::BitFlip, idx)
             .map(|seed| scramble(seed ^ 0xb17f) as usize);
         if let Some(seed) = self.fault.fires_at(SpillFaultKind::PartialAppend, idx) {
-            let frame_len = FRAME_HEAD + self.staging.len() as u64 + FRAME_SUM;
+            let frame_len = self.frame.len() as u64 + FRAME_SUM;
             let cut = 1 + (scramble(seed ^ 0x7ea2) % (frame_len - 1)) as usize;
-            self.write_frame(FRAME_CHUNK, None, Some(cut))?;
+            self.write_frame(None, Some(cut))?;
             return Err(self.crash(SpillFaultKind::PartialAppend));
         }
-        self.write_frame(FRAME_CHUNK, flip, None)?;
+        self.write_frame(flip, None)?;
         self.chunks_appended += 1;
         self.records_appended += chunk.rows as u64;
         if self
@@ -570,7 +569,7 @@ impl SpillWriter {
     /// Write the footer, fsync, and rename `<path>.tmp` to its final
     /// name. Only after this returns is the log sealed.
     pub fn finish(mut self) -> Result<SpillSummary, SpillError> {
-        self.staging.clear();
+        self.begin_frame(FRAME_FOOTER);
         for v in [
             self.chunks_appended,
             self.records_appended,
@@ -578,19 +577,19 @@ impl SpillWriter {
             self.files_persisted as u64,
             self.apps_persisted as u64,
         ] {
-            self.staging.extend_from_slice(&v.to_le_bytes());
+            self.frame.extend_from_slice(&v.to_le_bytes());
         }
         if let Some(seed) = self
             .fault
             .armed
             .and_then(|(k, seed, _)| (k == SpillFaultKind::TornFinalWrite).then_some(seed))
         {
-            let frame_len = FRAME_HEAD + self.staging.len() as u64 + FRAME_SUM;
+            let frame_len = self.frame.len() as u64 + FRAME_SUM;
             let cut = 1 + (scramble(seed ^ 0xf007) % (frame_len - 1)) as usize;
-            self.write_frame(FRAME_FOOTER, None, Some(cut))?;
+            self.write_frame(None, Some(cut))?;
             return Err(self.crash(SpillFaultKind::TornFinalWrite));
         }
-        self.write_frame(FRAME_FOOTER, None, None)?;
+        self.write_frame(None, None)?;
         let file = self.file.take().expect("writer is open");
         file.sync_data()?;
         drop(file);
@@ -627,13 +626,11 @@ pub fn spill_columnar(
     fault: SpillFaultPlan,
 ) -> Result<SpillSummary, SpillError> {
     let mut w = SpillWriter::create(path, chunk_rows, fault)?;
-    let mut scratch: Vec<u64> = Vec::with_capacity(chunk_rows.min(c.len()));
-    let _charge = GaugeCharge::new((scratch.capacity() * 8) as u64);
     w.intern(&c.file_paths, &c.app_names)?;
     let mut at = 0usize;
     while at < c.len() {
         let end = (at + chunk_rows).min(c.len());
-        let chunk = CompressedChunk::seal(c, at..end, &mut scratch);
+        let chunk = CompressedChunk::seal_rows(c, at..end);
         w.append(&chunk, &c.file_paths, &c.app_names)?;
         at = end;
     }
@@ -1522,8 +1519,7 @@ mod tests {
         let c = synthetic(100);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut w = SpillWriter::create(&path, 64, SpillFaultPlan::none()).expect("creates");
-            let mut scratch = Vec::new();
-            let chunk = CompressedChunk::seal(&c, 0..64, &mut scratch);
+            let chunk = CompressedChunk::seal_rows(&c, 0..64);
             w.append(&chunk, &c.file_paths, &c.app_names)
                 .expect("appends");
             panic!("simulated capture panic");

@@ -102,15 +102,14 @@ impl AdaptiveSampler {
     }
 }
 
-/// Chunked-capture state: sealed chunks so far, the recycled codec scratch,
-/// and the gauge charge covering the live buffer + scratch. With a spill
-/// writer attached, sealed chunks stream to disk instead of accumulating
-/// in `chunks` — the larger-than-RAM capture path.
+/// Chunked-capture state: sealed chunks so far and the gauge charge
+/// covering the live buffer. With a spill writer attached, sealed chunks
+/// stream to disk instead of accumulating in `chunks` — the larger-than-RAM
+/// capture path.
 #[derive(Debug)]
 struct ChunkState {
     chunk_rows: usize,
     chunks: Vec<CompressedChunk>,
-    scratch: Vec<u64>,
     charge: GaugeCharge,
     writer: Option<SpillWriter>,
     /// First spill failure, surfaced at [`Tracer::into_spill`] — `record`
@@ -128,7 +127,6 @@ impl Clone for ChunkState {
         ChunkState {
             chunk_rows: self.chunk_rows,
             chunks: self.chunks.clone(),
-            scratch: self.scratch.clone(),
             charge: self.charge.clone(),
             writer: None,
             spill_error: None,
@@ -215,13 +213,10 @@ impl Tracer {
             return;
         }
         self.cols.reserve(chunk_rows);
-        let scratch = Vec::with_capacity(chunk_rows);
-        let bytes = columnar_capacity_bytes(&self.cols) + (scratch.capacity() * 8) as u64;
         self.chunked = Some(ChunkState {
             chunk_rows,
             chunks: Vec::new(),
-            scratch,
-            charge: GaugeCharge::new(bytes),
+            charge: GaugeCharge::new(columnar_capacity_bytes(&self.cols)),
             writer: None,
             spill_error: None,
         });
@@ -266,7 +261,7 @@ impl Tracer {
         let mut writer = cs.writer.take().expect("into_spill requires enable_spill");
         writer.intern(&self.cols.file_paths, &self.cols.app_names)?;
         if !self.cols.is_empty() {
-            let chunk = CompressedChunk::seal(&self.cols, 0..self.cols.len(), &mut cs.scratch);
+            let chunk = CompressedChunk::seal_rows(&self.cols, 0..self.cols.len());
             writer.append(&chunk, &self.cols.file_paths, &self.cols.app_names)?;
         }
         writer.finish()
@@ -312,11 +307,8 @@ impl Tracer {
             .take()
             .expect("into_chunked requires enable_chunked");
         if !self.cols.is_empty() {
-            cs.chunks.push(CompressedChunk::seal(
-                &self.cols,
-                0..self.cols.len(),
-                &mut cs.scratch,
-            ));
+            cs.chunks
+                .push(CompressedChunk::seal_rows(&self.cols, 0..self.cols.len()));
         }
         ChunkedTrace {
             chunk_rows: cs.chunk_rows,
@@ -340,8 +332,7 @@ impl Tracer {
         };
         self.cols.reserve(additional);
         if let Some(cs) = &mut self.chunked {
-            let bytes = columnar_capacity_bytes(&self.cols) + (cs.scratch.capacity() * 8) as u64;
-            cs.charge.resync(bytes);
+            cs.charge.resync(columnar_capacity_bytes(&self.cols));
         }
     }
 
@@ -427,7 +418,7 @@ impl Tracer {
             .push_row(rank, node, app, layer, op, start, end, file, offset, bytes);
         if let Some(cs) = &mut self.chunked {
             if self.cols.len() >= cs.chunk_rows {
-                let chunk = CompressedChunk::seal(&self.cols, 0..self.cols.len(), &mut cs.scratch);
+                let chunk = CompressedChunk::seal_rows(&self.cols, 0..self.cols.len());
                 match &mut cs.writer {
                     Some(w) => {
                         if let Err(e) =

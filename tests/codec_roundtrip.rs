@@ -242,3 +242,71 @@ fn chunked_trace_is_lossless_at_every_chunk_size() {
         );
     }
 }
+
+/// FNV-1a 64 over raw bytes, for pinning sealed output.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a 64 over every encoded column of every chunk, in order.
+fn sealed_fnv(t: &ChunkedTrace) -> u64 {
+    let mut cols = Vec::new();
+    for ch in &t.chunks {
+        for i in 0..COLUMN_WIDTHS.len() {
+            cols.extend_from_slice(ch.column(i));
+        }
+    }
+    fnv1a64(&cols)
+}
+
+/// Golden pin on sealed bytes: the encoder's scheme choice, tie order and
+/// payload layout are part of the v2 row-group and v3 spill formats, so a
+/// seeded workload trace must seal and spill to exactly these bytes. A
+/// change here is a format change and needs a version bump, not a re-pin.
+#[test]
+fn sealed_bytes_and_spill_log_are_pinned() {
+    use vani_suite::recorder::spill::{spill_columnar, SpillFaultPlan};
+    use vani_suite::workloads as wl;
+
+    const CHUNK_ROWS: usize = 32;
+    let c = wl::hacc::run(0.01, 5).columnar();
+    let chunked = ChunkedTrace::from_columnar(&c, CHUNK_ROWS);
+
+    let dir = std::env::temp_dir().join(format!("vani_codec_golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("hacc.vsp3");
+    let summary =
+        spill_columnar(&c, CHUNK_ROWS, &path, SpillFaultPlan::none()).expect("spill seals");
+    let log = std::fs::read(&path).expect("read sealed log");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+
+    // The synthetic trace mixes every scheme across chunk sizes.
+    let synth = synthetic_trace(5000, 9);
+    let synth_pins: Vec<(usize, u64)> = [64usize, 1000, 4096]
+        .iter()
+        .map(|&rows| {
+            let t = ChunkedTrace::from_columnar(&synth, rows);
+            (t.compressed_bytes(), sealed_fnv(&t))
+        })
+        .collect();
+
+    assert_eq!((c.len(), chunked.chunks.len()), (292, 10));
+    assert_eq!(chunked.compressed_bytes(), 4050);
+    assert_eq!(sealed_fnv(&chunked), 0xf45d_fdbc_edf2_a90f);
+    assert_eq!(summary.bytes, log.len() as u64);
+    assert_eq!(log.len(), 6894);
+    assert_eq!(fnv1a64(&log), 0x4a1c_c731_80dd_0750);
+    assert_eq!(
+        synth_pins,
+        vec![
+            (107_396, 0x2512_7298_bf5a_9e03),
+            (104_194, 0x05cb_41aa_4957_e96c),
+            (104_063, 0xa18d_e6b3_3a13_6ed4),
+        ]
+    );
+}

@@ -20,7 +20,7 @@
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use vani_suite::recorder::chunk::ChunkedTrace;
 use vani_suite::recorder::spill::{
@@ -32,10 +32,15 @@ use vani_suite::sim::Dur;
 use vani_suite::vani::analyzer::TraceProfile;
 use vani_suite::workloads as wl;
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("vani_spill_torture");
+/// A fresh temp directory per test (test name plus pid): the tests run in
+/// parallel and write logs with the same file names, so a shared
+/// directory would let one test delete a log another is still reading.
+fn tmp_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("vani_spill_torture")
+        .join(format!("{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir.join(name)
+    dir
 }
 
 /// One capture shared by every fault case: a real workload trace sealed
@@ -51,13 +56,14 @@ fn capture() -> (ColumnarTrace, Dur, usize) {
 /// number of chunks recovery must commit. Asserts the capture-side
 /// contract of each class (typed error vs sealed file) on the way.
 fn tortured_log(
+    dir: &Path,
     c: &ColumnarTrace,
     chunk_rows: usize,
     n_chunks: u64,
     kind: SpillFaultKind,
     target: u64,
 ) -> (PathBuf, u64) {
-    let path = tmp(&format!("{}-{target}.vsp3", kind.name()));
+    let path = dir.join(format!("{}-{target}.vsp3", kind.name()));
     let plan = SpillFaultPlan::at_chunk(kind, 0x7042_0000 ^ target, target);
     match spill_columnar(c, chunk_rows, &path, plan) {
         // Latent fault: the write path never notices a bit flip.
@@ -92,6 +98,7 @@ fn tortured_log(
 /// and 8 workers.
 #[test]
 fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts() {
+    let dir = tmp_dir("every_fault_class");
     let (c, rt, chunk_rows) = capture();
     let mem = ChunkedTrace::from_columnar(&c, chunk_rows);
     let n_chunks = mem.chunks.len() as u64;
@@ -115,7 +122,7 @@ fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts(
     // worker count against the in-memory truncation oracle.
     let mut recovered: Vec<(String, SpillSource, ChunkedTrace)> = Vec::new();
     for &(kind, target) in &cases {
-        let (path, committed) = tortured_log(&c, chunk_rows, n_chunks, kind, target);
+        let (path, committed) = tortured_log(&dir, &c, chunk_rows, n_chunks, kind, target);
         let src = SpillSource::open_salvaged(&path)
             .unwrap_or_else(|e| panic!("{kind}@{target}: recovery must not fail: {e}"));
         assert_eq!(
@@ -162,6 +169,7 @@ fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts(
     for (_, src, _) in &recovered {
         std::fs::remove_file(src.path()).expect("remove tortured log");
     }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 /// Each fault class quarantines with the reason that names it: torn
@@ -170,6 +178,7 @@ fn every_fault_class_recovers_the_longest_committed_prefix_at_all_worker_counts(
 /// of them.
 #[test]
 fn fsck_diagnostics_name_the_fault_class() {
+    let dir = tmp_dir("fsck_diagnostics");
     let (c, _, chunk_rows) = capture();
     let mem = ChunkedTrace::from_columnar(&c, chunk_rows);
     let n_chunks = mem.chunks.len() as u64;
@@ -181,7 +190,7 @@ fn fsck_diagnostics_name_the_fault_class() {
         SpillFaultKind::CrashBeforeCommit,
         SpillFaultKind::BitFlip,
     ] {
-        let (path, _) = tortured_log(&c, chunk_rows, n_chunks, kind, target);
+        let (path, _) = tortured_log(&dir, &c, chunk_rows, n_chunks, kind, target);
         let report = fsck(&path).unwrap_or_else(|e| panic!("{kind}: fsck must not fail: {e}"));
         assert!(!report.sealed, "{kind}: a tortured log never reads sealed");
         let q = report
@@ -204,6 +213,7 @@ fn fsck_diagnostics_name_the_fault_class() {
         }
         std::fs::remove_file(&path).expect("remove tortured log");
     }
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
 /// ENOSPC is an environmental error, not a crash: the writer surfaces a
@@ -211,8 +221,9 @@ fn fsck_diagnostics_name_the_fault_class() {
 /// temp nor the final log exists afterwards.
 #[test]
 fn enospc_is_typed_and_leaves_no_files_behind() {
+    let dir = tmp_dir("enospc");
     let (c, _, chunk_rows) = capture();
-    let path = tmp("enospc-case.vsp3");
+    let path = dir.join("enospc-case.vsp3");
     let plan = SpillFaultPlan::at_chunk(SpillFaultKind::Enospc, 1, 2);
     match spill_columnar(&c, chunk_rows, &path, plan) {
         Err(SpillError::Enospc { at_bytes }) => {
@@ -227,4 +238,5 @@ fn enospc_is_typed_and_leaves_no_files_behind() {
         !PathBuf::from(tmp_name).exists(),
         "the RAII guard removes the temp file"
     );
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
