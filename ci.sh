@@ -25,6 +25,17 @@ cargo bench -q --offline -p bench --no-run
 # breaks the benchmark fails CI instead of the benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Pinned paper-six render: the benchmark's paper-six workload compares the
+# rendered tables and YAML of seed 7 against a pinned digest and reports
+# `"correct": true` on its last line only when they match, so any change
+# to the paper's rendered output fails CI.
+paper_six="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload paper-six --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+case "$paper_six" in
+    *'"correct": true'*) ;;
+    *) echo "ci: paper-six render digest mismatch: $paper_six" >&2; exit 1 ;;
+esac
+
 # bench-smoke: exercise the analyzer old-vs-new harness end to end in its
 # short mode. Regenerates BENCH_analyzer.json at the repo root and asserts
 # (inside the binary) that the fused, multipass, and streaming profiles

@@ -637,20 +637,4 @@ mod tests {
             assert_eq!(stream.access_pattern, "Seq");
         }
     }
-
-    #[test]
-    fn streaming_holds_at_most_one_decoded_chunk() {
-        use recorder_sim::chunk::{resident_bound, trace_gauge};
-        let c = synthetic(20_000, 77);
-        let chunk_rows = 1024usize;
-        let t = ChunkedTrace::from_columnar(&c, chunk_rows);
-        trace_gauge().reset();
-        let _ = TraceProfile::streaming(&t, Dur::from_secs(120));
-        let peak = trace_gauge().peak();
-        assert!(
-            peak <= resident_bound(chunk_rows, 2),
-            "peak resident {peak} exceeds bound {}",
-            resident_bound(chunk_rows, 2)
-        );
-    }
 }

@@ -410,10 +410,10 @@ pub fn open(
     };
     let (res, t_sb) =
         crate::resilience::with_retries(w, rank, Some(path_id), 0, SUPERBLOCK, t, |w, t| {
-            w.storage.read_data(node, handle, 0, SUPERBLOCK, t)
+            w.storage.read_view(node, handle, 0, SUPERBLOCK, t)
         });
     let (sb, t) = match res {
-        Ok(sb) => (sb, t_sb),
+        Ok(sb) => (sb.to_vec(), t_sb),
         Err(e) => return (Err(e), t_sb),
     };
     let t = w.trace_io(
@@ -444,11 +444,11 @@ pub fn open(
         t,
         |w, t| {
             w.storage
-                .read_data(node, handle, header_offset, header_len, t)
+                .read_view(node, handle, header_offset, header_len, t)
         },
     );
     let (hjson, t2) = match res {
-        Ok(h) => (h, t_hdr),
+        Ok(h) => (h.to_vec(), t_hdr),
         Err(e) => return (Err(e), t_hdr),
     };
     let t = w.trace_io(

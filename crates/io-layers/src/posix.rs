@@ -404,9 +404,9 @@ pub fn read_data(
     };
     let (res, t_settle) =
         crate::resilience::with_retries(w, rank, Some(path_id), pos, len, now, |w, t| {
-            w.storage.read_data(node, handle, pos, len, t)
+            w.storage.read_view(node, handle, pos, len, t)
         });
-    match res.map(|d| (d, t_settle)) {
+    match res.map(|view| (view.to_vec(), t_settle)) {
         Ok((data, t)) => {
             let n = data.len() as u64;
             w.procs[rank.0 as usize].fds[fd.0 as usize]

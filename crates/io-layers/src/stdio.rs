@@ -6,7 +6,9 @@
 //! sizes differ from the POSIX-level ones in the multi-level trace.
 //!
 //! Buffer hits cost a memcpy; misses flush/fill through [`crate::posix`],
-//! whose records appear beneath the `Stdio` records in the trace.
+//! whose records appear beneath the `Stdio` records in the trace. The read
+//! buffer is a zero-copy [`ContentView`] of the file, so only the bytes a
+//! materializing `fread_data` takes are ever copied.
 
 use crate::posix::{self, Fd, OpenFlags, Whence};
 use crate::world::IoWorld;
@@ -14,7 +16,7 @@ use hpc_cluster::topology::RankId;
 use recorder_sim::record::{Layer, OpKind};
 use sim_core::units::GIB;
 use sim_core::{Dur, SimTime};
-use storage_sim::file::pattern_byte;
+use storage_sim::file::{pattern_byte, ContentView};
 use storage_sim::IoErr;
 
 /// Default stream buffer size (glibc's `BUFSIZ`).
@@ -40,9 +42,13 @@ pub struct Stream {
     /// Pending write buffer: file offset of its first byte + contents.
     wbuf_start: u64,
     wbuf: Vec<u8>,
-    /// Read cache: file offset of its first byte + contents.
+    /// Read cache: file offset of its first byte + the view of the file
+    /// taken at refill. Segments are immutable, so the view keeps the
+    /// bytes of refill time even if another rank overwrites the file,
+    /// exactly like a copied buffer; writes and seeks on this stream drop
+    /// it.
     rbuf_start: u64,
-    rbuf: Vec<u8>,
+    rbuf: ContentView,
 }
 
 /// Per-process stream tables live in the world, keyed by rank.
@@ -126,7 +132,7 @@ pub fn fopen_buffered(
         wbuf_start: 0,
         wbuf: Vec::new(),
         rbuf_start: 0,
-        rbuf: Vec::new(),
+        rbuf: ContentView::default(),
     };
     let h = tables(w)[rank.0 as usize].alloc(stream);
     let op = if matches!(mode, "w" | "w+" | "a" | "a+") {
@@ -232,7 +238,7 @@ pub fn fwrite_pattern(
         Ok(n) => {
             let s = tables(w)[rank.0 as usize].get(h).expect("stream exists");
             s.pos += n;
-            s.rbuf.clear();
+            s.rbuf = ContentView::default();
             let end = w.trace_io(
                 rank,
                 Layer::Stdio,
@@ -297,11 +303,7 @@ fn fwrite_inner(
         t = t + memcpy_cost(take as u64);
     }
     // Invalidate the read cache on writes.
-    tables(w)[rank.0 as usize]
-        .get(h)
-        .expect("checked")
-        .rbuf
-        .clear();
+    tables(w)[rank.0 as usize].get(h).expect("checked").rbuf = ContentView::default();
     let end = w.trace_io(
         rank,
         Layer::Stdio,
@@ -373,21 +375,21 @@ fn fread_impl(
     while remaining > 0 {
         let (fd, pos, bufsize, hit) = {
             let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-            let rb_end = s.rbuf_start + s.rbuf.len() as u64;
+            let rb_end = s.rbuf_start + s.rbuf.len();
             let hit = s.pos >= s.rbuf_start && s.pos < rb_end;
             (s.fd, s.pos, s.bufsize, hit)
         };
         if hit {
             let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-            let off_in = (s.pos - s.rbuf_start) as usize;
-            let take = ((s.rbuf.len() - off_in) as u64).min(remaining) as usize;
+            let off_in = s.pos - s.rbuf_start;
+            let take = (s.rbuf.len() - off_in).min(remaining);
             if materialize {
-                out.extend_from_slice(&s.rbuf[off_in..off_in + take]);
+                append_view(&mut out, &s.rbuf, off_in, take);
             }
-            count += take as u64;
-            s.pos += take as u64;
-            remaining -= take as u64;
-            t = t + memcpy_cost(take as u64);
+            count += take;
+            s.pos += take;
+            remaining -= take;
+            t = t + memcpy_cost(take);
             continue;
         }
         if remaining >= bufsize && !materialize {
@@ -418,15 +420,15 @@ fn fread_impl(
         }
         if remaining >= bufsize && materialize {
             // Large materializing read: fetch the exact range.
-            let (res, t2) = read_fill_exact(w, rank, fd, pos, remaining, t);
+            let (res, t2) = pread_view(w, rank, fd, pos, remaining, t);
             match res {
-                Ok(data) => {
-                    if data.is_empty() {
+                Ok(view) => {
+                    if view.is_empty() {
                         t = t2;
                         break;
                     }
-                    let n = data.len() as u64;
-                    out.extend_from_slice(&data);
+                    let n = view.len();
+                    append_view(&mut out, &view, 0, n);
                     count += n;
                     let s = tables(w)[rank.0 as usize].get(h).expect("checked");
                     s.pos += n;
@@ -441,20 +443,20 @@ fn fread_impl(
             continue;
         }
         // Fill the read cache with one buffer-sized POSIX read.
-        let (data, t2) = {
-            let (res, t2) = read_fill(w, rank, fd, pos, bufsize, t);
+        let (view, t2) = {
+            let (res, t2) = pread_view(w, rank, fd, pos, bufsize, t);
             match res {
-                Ok(d) => (d, t2),
+                Ok(v) => (v, t2),
                 Err(e) => return (Err(e), t2),
             }
         };
         t = t2;
-        if data.is_empty() {
+        if view.is_empty() {
             break; // EOF
         }
         let s = tables(w)[rank.0 as usize].get(h).expect("checked");
         s.rbuf_start = pos;
-        s.rbuf = data;
+        s.rbuf = view;
     }
     let end = w.trace_io(
         rank,
@@ -469,15 +471,24 @@ fn fread_impl(
     (Ok((count, out)), end)
 }
 
-/// Materializing pread of an exact range (large `fread_data` path).
-fn read_fill_exact(
+/// Append view bytes `[from, from + n)` to `out`.
+fn append_view(out: &mut Vec<u8>, view: &ContentView, from: u64, n: u64) {
+    let at = out.len();
+    out.resize(at + n as usize, 0);
+    view.copy_to(from, &mut out[at..]);
+}
+
+/// pread of `len` bytes at `pos` that hands back a view of the content
+/// (buffer refills and the large `fread_data` path), traced at the POSIX
+/// layer.
+fn pread_view(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
     pos: u64,
     len: u64,
     now: SimTime,
-) -> (Result<Vec<u8>, IoErr>, SimTime) {
+) -> (Result<ContentView, IoErr>, SimTime) {
     let node = w.node_of(rank);
     let (handle, path_id) = {
         let Ok(of) = w.fd(rank, fd) else {
@@ -487,11 +498,10 @@ fn read_fill_exact(
     };
     let (res, t_settle) =
         crate::resilience::with_retries(w, rank, Some(path_id), pos, len, now, |w, t| {
-            w.storage.read_data(node, handle, pos, len, t)
+            w.storage.read_view(node, handle, pos, len, t)
         });
     match res {
-        Ok(data) => {
-            let n = data.len() as u64;
+        Ok(view) => {
             let end = w.trace_io(
                 rank,
                 Layer::Posix,
@@ -500,48 +510,9 @@ fn read_fill_exact(
                 t_settle,
                 Some(path_id),
                 pos,
-                n,
+                view.len(),
             );
-            (Ok(data), end)
-        }
-        Err(e) => (Err(e), t_settle),
-    }
-}
-
-fn read_fill(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    pos: u64,
-    bufsize: u64,
-    now: SimTime,
-) -> (Result<Vec<u8>, IoErr>, SimTime) {
-    // pread-style fill that materializes.
-    let node = w.node_of(rank);
-    let (handle, path_id) = {
-        let Ok(of) = w.fd(rank, fd) else {
-            return (Err(IoErr::BadFd), now);
-        };
-        (of.handle, of.path_id)
-    };
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), pos, bufsize, now, |w, t| {
-            w.storage.read_data(node, handle, pos, bufsize, t)
-        });
-    match res {
-        Ok(data) => {
-            let n = data.len() as u64;
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t_settle,
-                Some(path_id),
-                pos,
-                n,
-            );
-            (Ok(data), end)
+            (Ok(view), end)
         }
         Err(e) => (Err(e), t_settle),
     }
@@ -569,7 +540,7 @@ pub fn fseek(
         Ok(newpos) => {
             let s = tables(w)[rank.0 as usize].get(h).expect("checked");
             s.pos = newpos;
-            s.rbuf.clear();
+            s.rbuf = ContentView::default();
             let end = w.trace_io(
                 rank,
                 Layer::Stdio,
@@ -705,6 +676,32 @@ mod tests {
         }
         // 32 × 256 B = 8 KiB = exactly one buffer fill.
         assert_eq!(n_posix_before(&w), 1);
+    }
+
+    #[test]
+    fn buffered_view_keeps_refill_time_bytes_after_another_rank_overwrites() {
+        let mut w = world();
+        let (r0, r1) = (RankId(0), RankId(1));
+        let path = "/p/gpfs1/shared.dat";
+        let (h, t) = fopen(&mut w, r0, path, "w", SimTime::ZERO);
+        let (_, t) = fwrite(&mut w, r0, h.unwrap(), &[1u8; 4096], t);
+        let (_, t) = fclose(&mut w, r0, h.unwrap(), t);
+        // Rank 0's first fread fills its buffer with the whole file.
+        let (h, t) = fopen(&mut w, r0, path, "r", t);
+        let h = h.unwrap();
+        let (head, t) = fread_data(&mut w, r0, h, 16, t);
+        assert_eq!(head.unwrap(), [1u8; 16]);
+        // Rank 1 overwrites the file underneath it.
+        let (h1, t) = fopen(&mut w, r1, path, "r+", t);
+        let (_, t) = fwrite(&mut w, r1, h1.unwrap(), &[2u8; 4096], t);
+        let (_, t) = fclose(&mut w, r1, h1.unwrap(), t);
+        // Buffer hits still return the bytes of refill time...
+        let (rest, t) = fread_data(&mut w, r0, h, 100, t);
+        assert_eq!(rest.unwrap(), [1u8; 100]);
+        // ...until a seek drops the buffer and the next fill sees rank 1's.
+        let (_, t) = fseek(&mut w, r0, h, 0, Whence::Set, t);
+        let (fresh, _) = fread_data(&mut w, r0, h, 16, t);
+        assert_eq!(fresh.unwrap(), [2u8; 16]);
     }
 
     #[test]

@@ -13,13 +13,21 @@ use io_layers::posix::Whence;
 use io_layers::world::IoWorld;
 use io_layers::{fits, npy, stdio};
 use sim_core::{Dur, SimTime};
+use storage_sim::file::pattern_byte;
 use vani_rt::Rng;
 
 /// A scripted stdio operation.
 #[derive(Debug, Clone)]
 enum Op {
     Write(Vec<u8>),
+    /// `fwrite_pattern` of `len` synthetic bytes from `seed`.
+    WritePattern {
+        len: u16,
+        seed: u64,
+    },
     Read(u16),
+    /// Timing-only `fread`: counts bytes, returns none.
+    ReadTiming(u16),
     Seek(u16),
 }
 
@@ -33,6 +41,21 @@ fn random_op(r: &mut Rng) -> Op {
         }
         1 => Op::Read(r.uniform_u64(1, 600) as u16),
         _ => Op::Seek(r.uniform_u64(0, 2048) as u16),
+    }
+}
+
+/// Draw one operation from the wider mix: everything [`random_op`] draws,
+/// plus pattern writes (below and above the 128-byte test buffer, so some
+/// are buffered and some land as whole pattern segments) and timing-only
+/// reads, so buffer refills cross byte and pattern segments and holes.
+fn random_mixed_op(r: &mut Rng) -> Op {
+    match r.uniform_u64(0, 5) {
+        0 => Op::WritePattern {
+            len: r.uniform_u64(1, 600) as u16,
+            seed: r.next_u64(),
+        },
+        1 => Op::ReadTiming(r.uniform_u64(1, 600) as u16),
+        _ => random_op(r),
     }
 }
 
@@ -60,6 +83,19 @@ fn check_stdio_matches_vec_model(ops: &[Op]) {
                 model[pos..pos + data.len()].copy_from_slice(data);
                 pos += data.len();
             }
+            Op::WritePattern { len, seed } => {
+                let len = *len as usize;
+                let (n, t2) = stdio::fwrite_pattern(&mut w, r, h, len as u64, *seed, t);
+                assert_eq!(n.unwrap(), len as u64);
+                t = t2;
+                if model.len() < pos + len {
+                    model.resize(pos + len, 0);
+                }
+                for (i, b) in model[pos..pos + len].iter_mut().enumerate() {
+                    *b = pattern_byte(*seed, i as u64);
+                }
+                pos += len;
+            }
             Op::Read(len) => {
                 let (data, t2) = stdio::fread_data(&mut w, r, h, *len as u64, t);
                 let data = data.unwrap();
@@ -68,6 +104,13 @@ fn check_stdio_matches_vec_model(ops: &[Op]) {
                 assert_eq!(data.len(), avail);
                 let expect = model.get(pos..pos + avail).unwrap_or(&[]);
                 assert_eq!(&data[..], expect);
+                pos += avail;
+            }
+            Op::ReadTiming(len) => {
+                let (n, t2) = stdio::fread(&mut w, r, h, *len as u64, t);
+                t = t2;
+                let avail = model.len().saturating_sub(pos).min(*len as usize);
+                assert_eq!(n.unwrap(), avail as u64);
                 pos += avail;
             }
             Op::Seek(to) => {
@@ -95,6 +138,18 @@ fn randomized_stdio_matches_vec_model() {
     for _ in 0..48 {
         let n = r.uniform_u64(1, 40) as usize;
         let ops: Vec<Op> = (0..n).map(|_| random_op(&mut r)).collect();
+        check_stdio_matches_vec_model(&ops);
+    }
+}
+
+/// The same equivalence over the wider op mix: pattern writes and
+/// timing-only reads interleaved with byte writes, reads and seeks.
+#[test]
+fn randomized_stdio_with_patterns_and_timing_reads_matches_vec_model() {
+    let mut r = Rng::new(0x10_1a_0005);
+    for _ in 0..48 {
+        let n = r.uniform_u64(1, 40) as usize;
+        let ops: Vec<Op> = (0..n).map(|_| random_mixed_op(&mut r)).collect();
         check_stdio_matches_vec_model(&ops);
     }
 }
@@ -195,7 +250,10 @@ fn randomized_time_is_monotonic_through_the_stack() {
         for op in &ops {
             let t2 = match op {
                 Op::Write(data) => stdio::fwrite(&mut w, r, h, data, t).1,
-                Op::Read(len) => stdio::fread(&mut w, r, h, *len as u64, t).1,
+                Op::WritePattern { len, seed } => {
+                    stdio::fwrite_pattern(&mut w, r, h, *len as u64, *seed, t).1
+                }
+                Op::Read(len) | Op::ReadTiming(len) => stdio::fread(&mut w, r, h, *len as u64, t).1,
                 Op::Seek(to) => stdio::fseek(&mut w, r, h, *to as i64, Whence::Set, t).1,
             };
             assert!(t2 >= t, "time went backwards: {t2} < {t}");

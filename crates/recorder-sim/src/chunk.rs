@@ -201,7 +201,10 @@ pub struct ChunkMeta {
 }
 
 impl ChunkMeta {
-    /// Fold one record (mirrors the analyzer prescan's per-record body).
+    /// Fold one record (mirrors the analyzer prescan's per-record body):
+    /// the row-at-a-time oracle that [`of_rows`](Self::of_rows) is tested
+    /// against.
+    #[cfg(test)]
     pub(crate) fn absorb(&mut self, rank: u32, app: u16, layer: Layer, op: OpKind, file: u32) {
         self.rows += 1;
         let l = layer.code() as usize;
@@ -217,8 +220,8 @@ impl ChunkMeta {
     }
 
     /// The statistics of rows `range` of `c`, folded column by column:
-    /// equal to [`absorb`](Self::absorb)ing each row in turn, which the
-    /// decode-side recomputes (loaders, deep verification) still do.
+    /// equal to absorbing each row in turn. Sealing and the decode-side
+    /// recomputes (loaders, deep verification) all use it.
     pub(crate) fn of_rows(c: &ColumnarTrace, range: std::ops::Range<usize>) -> ChunkMeta {
         let mut meta = ChunkMeta {
             rows: range.len(),
@@ -389,6 +392,13 @@ impl CompressedChunk {
         Ok(())
     }
 
+    /// Check that column `idx` (in [`COLUMN_WIDTHS`] order) decodes to
+    /// `rows` values of its width, without building it: deep verification
+    /// of the `node` column that [`decode_into`](Self::decode_into) skips.
+    pub(crate) fn verify_column(&self, idx: usize) -> Result<(), CodecError> {
+        codec::decode_column_each(&self.cols[idx], self.rows, COLUMN_WIDTHS[idx].1, |_| {})
+    }
+
     /// Total encoded bytes across the ten columns.
     pub fn encoded_bytes(&self) -> usize {
         self.cols.iter().map(Vec::len).sum()
@@ -420,17 +430,7 @@ impl CompressedChunk {
         };
         let mut buf = ColumnarTrace::with_capacity(rows);
         chunk.decode_into(&mut buf, false)?;
-        let mut meta = ChunkMeta::default();
-        for i in 0..rows {
-            meta.absorb(
-                buf.rank[i],
-                buf.app[i],
-                buf.layer[i],
-                buf.op[i],
-                buf.file[i],
-            );
-        }
-        chunk.meta = meta;
+        chunk.meta = ChunkMeta::of_rows(&buf, 0..rows);
         Ok(chunk)
     }
 }

@@ -952,24 +952,16 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
                         break;
                     }
                 };
-                // Deep verify: decode once and recompute the meta; a chunk
-                // whose bytes decode to different statistics than its seal
-                // recorded is corruption the checksum happened to miss.
+                // Deep verify: decode once, check the skipped `node`
+                // column's bytes too, and recompute the meta; a chunk whose
+                // bytes fail to decode, or decode to different statistics
+                // than its seal recorded, is corruption the checksum
+                // happened to miss.
                 let chunk = CompressedChunk::from_parts(rows, meta.clone(), cols);
                 buf.clear_rows();
-                let ok = chunk.decode_into(&mut buf, false).is_ok() && {
-                    let mut recomputed = ChunkMeta::default();
-                    for i in 0..rows {
-                        recomputed.absorb(
-                            buf.rank[i],
-                            buf.app[i],
-                            buf.layer[i],
-                            buf.op[i],
-                            buf.file[i],
-                        );
-                    }
-                    recomputed == meta
-                };
+                let ok = chunk.decode_into(&mut buf, false).is_ok()
+                    && chunk.verify_column(1).is_ok()
+                    && ChunkMeta::of_rows(&buf, 0..rows) == meta;
                 bcharge.resync(columnar_capacity_bytes(&buf));
                 if !ok {
                     quarantine(&mut w, frame_idx, at, QuarantineReason::Codec);

@@ -1,12 +1,18 @@
 //! Inodes, sparse content, and the flat namespace.
 //!
-//! File content is a sparse map of [`Segment`]s. A segment is either
-//! byte-backed (real data, used by format layers that must round-trip
-//! headers) or pattern-backed (a deterministic synthetic fill used for the
-//! multi-gigabyte checkpoint bodies the workloads move, which would be
-//! wasteful to materialize). Reads can either materialize bytes or just
-//! report how many bytes of the range exist — the timing paths use the
-//! latter.
+//! File content is a sparse map of windows over immutable [`Segment`]s. A
+//! segment is either byte-backed (real data, used by format layers that
+//! must round-trip headers) or pattern-backed (a deterministic synthetic
+//! fill used for the multi-gigabyte checkpoint bodies the workloads move,
+//! which would be wasteful to materialize). A segment is never modified
+//! after it is written: an overwrite that lands inside one only narrows
+//! the windows that keep its surviving head and tail, so a split costs two
+//! `Arc` or pattern clones and every surviving byte keeps its value.
+//!
+//! Reads hand out a [`ContentView`]: the windows overlapping the range,
+//! clipped to end of file. The view is the only place bytes are copied,
+//! and only when a caller asks for them ([`ContentView::copy_to`],
+//! [`ContentView::to_vec`]); timing-only reads never touch content.
 
 use crate::err::IoErr;
 use crate::path as vpath;
@@ -45,14 +51,6 @@ impl Segment {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The byte at `off` within the segment.
-    fn byte_at(&self, off: u64) -> u8 {
-        match self {
-            Segment::Bytes(b) => b[off as usize],
-            Segment::Pattern { seed, .. } => pattern_byte(*seed, off),
-        }
-    }
 }
 
 /// The deterministic synthetic fill: mixes seed and offset so different
@@ -62,12 +60,109 @@ pub fn pattern_byte(seed: u64, off: u64) -> u8 {
     (x >> 56) as u8
 }
 
-/// A file's content: non-overlapping segments keyed by start offset, plus a
-/// logical size (which may exceed the last segment — sparse tail reads as
+/// Bytes `[skip, skip + len)` of one immutable segment.
+#[derive(Debug, Clone)]
+struct Window {
+    seg: Segment,
+    skip: u64,
+    len: u64,
+}
+
+impl Window {
+    fn whole(seg: Segment) -> Window {
+        let len = seg.len();
+        Window { seg, skip: 0, len }
+    }
+
+    /// The sub-window `[from, to)`, relative to this window's first byte.
+    fn sub(&self, from: u64, to: u64) -> Window {
+        debug_assert!(from <= to && to <= self.len);
+        Window {
+            seg: self.seg.clone(),
+            skip: self.skip + from,
+            len: to - from,
+        }
+    }
+
+    /// Copy `dst.len()` bytes starting `from` bytes into the window.
+    fn copy_to(&self, from: u64, dst: &mut [u8]) {
+        let at = self.skip + from;
+        match &self.seg {
+            Segment::Bytes(b) => dst.copy_from_slice(&b[at as usize..at as usize + dst.len()]),
+            Segment::Pattern { seed, .. } => {
+                for (d, off) in dst.iter_mut().zip(at..) {
+                    *d = pattern_byte(*seed, off);
+                }
+            }
+        }
+    }
+}
+
+/// A zero-copy view of a byte range of one file, taken at one instant.
+///
+/// Holds the windows that overlapped the range (shared with the file, not
+/// copied); gaps between them are holes and read as zeros. Segments are
+/// immutable, so a view keeps returning the bytes it was taken over even
+/// after the file is overwritten, truncated or unlinked.
+#[derive(Debug, Clone, Default)]
+pub struct ContentView {
+    /// Windows in ascending order, each with its offset within the view.
+    parts: Vec<(u64, Window)>,
+    len: u64,
+}
+
+impl ContentView {
+    /// Length of the view in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the view is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Copy view bytes `[from, from + dst.len())` into `dst`. Holes read
+    /// as zeros.
+    ///
+    /// # Panics
+    /// If the range runs past the end of the view.
+    pub fn copy_to(&self, from: u64, dst: &mut [u8]) {
+        let end = from + dst.len() as u64;
+        assert!(end <= self.len, "copy past the end of a content view");
+        // `filled` is the next view offset not yet written to `dst`.
+        let mut filled = from;
+        let first = self.parts.partition_point(|(o, w)| o + w.len <= from);
+        for (w_off, w) in &self.parts[first..] {
+            if *w_off >= end {
+                break;
+            }
+            let lo = (*w_off).max(from);
+            let hi = (w_off + w.len).min(end);
+            dst[(filled - from) as usize..(lo - from) as usize].fill(0);
+            w.copy_to(
+                lo - w_off,
+                &mut dst[(lo - from) as usize..(hi - from) as usize],
+            );
+            filled = hi;
+        }
+        dst[(filled - from) as usize..].fill(0);
+    }
+
+    /// Every byte of the view.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.len as usize];
+        self.copy_to(0, &mut out);
+        out
+    }
+}
+
+/// A file's content: non-overlapping windows keyed by start offset, plus a
+/// logical size (which may exceed the last window — sparse tail reads as
 /// zeros, like POSIX).
 #[derive(Debug, Clone, Default)]
 pub struct SegmentMap {
-    segs: BTreeMap<u64, Segment>,
+    segs: BTreeMap<u64, Window>,
     size: u64,
 }
 
@@ -77,88 +172,67 @@ impl SegmentMap {
         self.size
     }
 
-    /// Write a segment at `offset`, truncating/splitting whatever overlaps.
+    /// Write a segment at `offset`, narrowing whatever windows overlap it.
     pub fn write(&mut self, offset: u64, seg: Segment) {
         let len = seg.len();
         if len == 0 {
             return;
         }
         let end = offset + len;
-        // Split a segment that starts before `offset` and overlaps it.
-        if let Some((&s_off, s)) = self.segs.range(..offset).next_back() {
-            let s_end = s_off + s.len();
-            if s_end > offset {
-                let keep = self.slice_of(s, s_off, s_off, offset);
-                let tail = if s_end > end {
-                    Some((end, self.slice_of(s, s_off, end, s_end)))
-                } else {
-                    None
-                };
-                self.segs.insert(s_off, keep);
-                if let Some((t_off, t)) = tail {
-                    self.segs.insert(t_off, t);
+        // Split a window that starts before `offset` and overlaps it.
+        if let Some((&w_off, w)) = self.segs.range(..offset).next_back() {
+            let w_end = w_off + w.len;
+            if w_end > offset {
+                let head = w.sub(0, offset - w_off);
+                let tail = (w_end > end).then(|| w.sub(end - w_off, w.len));
+                self.segs.insert(w_off, head);
+                if let Some(t) = tail {
+                    self.segs.insert(end, t);
                 }
             }
         }
-        // Remove or trim segments starting inside [offset, end).
-        let inside: Vec<u64> = self.segs.range(offset..end).map(|(&o, _)| o).collect();
-        for o in inside {
-            let s = self.segs.remove(&o).expect("key just listed");
-            let s_end = o + s.len();
-            if s_end > end {
-                let tail = self.slice_of(&s, o, end, s_end);
-                self.segs.insert(end, tail);
+        // Remove or trim windows starting inside [offset, end).
+        while let Some((&o, _)) = self.segs.range(offset..end).next() {
+            let w = self.segs.remove(&o).expect("key just found");
+            if o + w.len > end {
+                self.segs.insert(end, w.sub(end - o, w.len));
             }
         }
-        self.segs.insert(offset, seg);
+        self.segs.insert(offset, Window::whole(seg));
         self.size = self.size.max(end);
     }
 
-    /// Extract `[from, to)` of a segment whose own start is `seg_off`.
-    fn slice_of(&self, seg: &Segment, seg_off: u64, from: u64, to: u64) -> Segment {
-        debug_assert!(from >= seg_off && to >= from);
-        match seg {
-            Segment::Bytes(b) => {
-                let lo = (from - seg_off) as usize;
-                let hi = (to - seg_off) as usize;
-                Segment::Bytes(Arc::new(b[lo..hi].to_vec()))
-            }
-            Segment::Pattern { seed, .. } => Segment::Pattern {
-                // Shift the seed so pattern bytes stay consistent with their
-                // absolute position in the original segment.
-                seed: seed ^ (from - seg_off).wrapping_mul(0x9E37_79B9),
-                len: to - from,
-            },
+    /// A zero-copy view of `len` bytes at `offset`, clipped to end of file.
+    pub fn view(&self, offset: u64, len: u64) -> ContentView {
+        let end = offset.saturating_add(len).min(self.size);
+        if end <= offset {
+            return ContentView::default();
+        }
+        let first = self
+            .segs
+            .range(..=offset)
+            .next_back()
+            .map_or(offset, |(&o, _)| o);
+        let parts = self
+            .segs
+            .range(first..end)
+            .filter(|(&w_off, w)| w_off + w.len > offset)
+            .map(|(&w_off, w)| {
+                let lo = w_off.max(offset);
+                let hi = (w_off + w.len).min(end);
+                (lo - offset, w.sub(lo - w_off, hi - w_off))
+            })
+            .collect();
+        ContentView {
+            parts,
+            len: end - offset,
         }
     }
 
     /// Materialize `len` bytes at `offset`. Bytes past EOF are not returned;
     /// holes within the file read as zeros.
     pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
-        let end = (offset + len).min(self.size);
-        if end <= offset {
-            return Vec::new();
-        }
-        let mut out = vec![0u8; (end - offset) as usize];
-        // Walk segments overlapping [offset, end).
-        let first = self
-            .segs
-            .range(..=offset)
-            .next_back()
-            .map(|(&o, _)| o)
-            .unwrap_or(0);
-        for (&s_off, s) in self.segs.range(first..end) {
-            let s_end = s_off + s.len();
-            if s_end <= offset {
-                continue;
-            }
-            let lo = s_off.max(offset);
-            let hi = s_end.min(end);
-            for abs in lo..hi {
-                out[(abs - offset) as usize] = s.byte_at(abs - s_off);
-            }
-        }
-        out
+        self.view(offset, len).to_vec()
     }
 
     /// How many bytes of `[offset, offset+len)` lie within the file —
@@ -170,15 +244,11 @@ impl SegmentMap {
 
     /// Truncate to `new_size`.
     pub fn truncate(&mut self, new_size: u64) {
-        let beyond: Vec<u64> = self.segs.range(new_size..).map(|(&o, _)| o).collect();
-        for o in beyond {
-            self.segs.remove(&o);
-        }
-        if let Some((&s_off, s)) = self.segs.range(..new_size).next_back() {
-            let s_end = s_off + s.len();
-            if s_end > new_size {
-                let head = self.slice_of(s, s_off, s_off, new_size);
-                self.segs.insert(s_off, head);
+        self.segs.split_off(&new_size);
+        if let Some((&w_off, w)) = self.segs.range(..new_size).next_back() {
+            if w_off + w.len > new_size {
+                let head = w.sub(0, new_size - w_off);
+                self.segs.insert(w_off, head);
             }
         }
         self.size = new_size;
@@ -349,13 +419,18 @@ impl FileStore {
         Ok(n)
     }
 
-    /// Materializing read.
-    pub fn read(&self, key: FileKey, offset: u64, len: u64) -> Result<Vec<u8>, IoErr> {
+    /// Zero-copy read: a view of the range, clipped to end of file.
+    pub fn view(&self, key: FileKey, offset: u64, len: u64) -> Result<ContentView, IoErr> {
         let node = self.get(key)?;
         if node.is_dir {
             return Err(IoErr::IsDir);
         }
-        Ok(node.data.read(offset, len))
+        Ok(node.data.view(offset, len))
+    }
+
+    /// Materializing read.
+    pub fn read(&self, key: FileKey, offset: u64, len: u64) -> Result<Vec<u8>, IoErr> {
+        Ok(self.view(key, offset, len)?.to_vec())
     }
 
     /// Timing-only read: bytes available in the range.
@@ -569,32 +644,63 @@ mod tests {
     // Deterministic randomized sweeps (seeded `vani_rt::Rng`) — converted
     // from the original proptest suites.
 
-    /// Random write sequences: SegmentMap agrees with a Vec<u8> model.
+    /// The bytes a segment holds, for the model tests.
+    fn segment_bytes(seg: &Segment) -> Vec<u8> {
+        match seg {
+            Segment::Bytes(b) => b.to_vec(),
+            Segment::Pattern { seed, len } => (0..*len).map(|i| pattern_byte(*seed, i)).collect(),
+        }
+    }
+
+    /// Random overlapping byte and pattern writes, with holes: the whole
+    /// file, and `read` and `view().to_vec()` at random ranges (including
+    /// ranges that cross holes and end of file), agree with a `Vec<u8>`
+    /// model.
     #[test]
     fn randomized_segment_map_matches_vec_model() {
         let mut r = vani_rt::Rng::new(0xf11e_0001);
         for _ in 0..64 {
-            let nwrites = r.uniform_u64(1, 40) as usize;
-            let writes: Vec<(u64, Vec<u8>)> = (0..nwrites)
-                .map(|_| {
-                    let off = r.uniform_u64(0, 256);
-                    let len = r.uniform_u64(1, 64) as usize;
-                    let data: Vec<u8> = (0..len).map(|_| r.uniform_u64(0, 256) as u8).collect();
-                    (off, data)
-                })
-                .collect();
             let mut sm = SegmentMap::default();
             let mut model: Vec<u8> = Vec::new();
-            for (off, data) in &writes {
-                let end = *off as usize + data.len();
+            for _ in 0..r.uniform_u64(1, 24) {
+                let off = r.uniform_u64(0, 512);
+                let len = r.uniform_u64(1, 96);
+                let seg = if r.uniform_u64(0, 2) == 0 {
+                    Segment::Bytes(Arc::new(
+                        (0..len).map(|_| r.uniform_u64(0, 256) as u8).collect(),
+                    ))
+                } else {
+                    Segment::Pattern {
+                        seed: r.uniform_u64(0, 1 << 40),
+                        len,
+                    }
+                };
+                let end = (off + len) as usize;
                 if model.len() < end {
                     model.resize(end, 0);
                 }
-                model[*off as usize..end].copy_from_slice(data);
-                sm.write(*off, Segment::Bytes(Arc::new(data.clone())));
+                model[off as usize..end].copy_from_slice(&segment_bytes(&seg));
+                sm.write(off, seg);
             }
             assert_eq!(sm.size(), model.len() as u64);
             assert_eq!(sm.read(0, model.len() as u64 + 32), model);
+            for _ in 0..32 {
+                let off = r.uniform_u64(0, model.len() as u64 + 16);
+                let len = r.uniform_u64(0, 200);
+                let lo = (off as usize).min(model.len());
+                let hi = ((off + len) as usize).min(model.len());
+                let want = &model[lo..hi];
+                let view = sm.view(off, len);
+                assert_eq!(view.len(), want.len() as u64);
+                assert_eq!(view.to_vec(), want, "view({off}, {len})");
+                assert_eq!(sm.read(off, len), want, "read({off}, {len})");
+                // A partial copy out of the middle of the view.
+                if view.len() > 2 {
+                    let mut mid = vec![0xAAu8; view.len() as usize - 2];
+                    view.copy_to(1, &mut mid);
+                    assert_eq!(mid, want[1..want.len() - 1]);
+                }
+            }
         }
     }
 
@@ -614,5 +720,42 @@ mod tests {
             assert!(rl <= len);
             assert!(off + rl <= size.max(off));
         }
+    }
+
+    /// Overwriting the middle of a segment leaves its head and tail bytes
+    /// exactly as they were, for byte- and pattern-backed content.
+    #[test]
+    fn split_overwrite_keeps_head_and_tail_bytes() {
+        for seg in [
+            Segment::Bytes(Arc::new((0..100u8).collect())),
+            Segment::Pattern { seed: 7, len: 100 },
+        ] {
+            let mut fs = FileStore::new();
+            let k = fs.create("/split", false).unwrap();
+            fs.write(k, 0, seg).unwrap();
+            let before = fs.read(k, 0, 100).unwrap();
+            fs.write(k, 10, Segment::Bytes(Arc::new(vec![0xEE; 10])))
+                .unwrap();
+            let after = fs.read(k, 0, 100).unwrap();
+            assert_eq!(after[..10], before[..10], "head");
+            assert_eq!(after[10..20], [0xEE; 10]);
+            assert_eq!(after[20..], before[20..], "tail");
+        }
+    }
+
+    /// A view is a snapshot: overwriting or truncating the file after the
+    /// view was taken does not change the bytes it returns.
+    #[test]
+    fn views_keep_their_bytes_after_the_file_changes() {
+        let mut fs = FileStore::new();
+        let k = fs.create("/snap", false).unwrap();
+        fs.write(k, 0, Segment::Pattern { seed: 3, len: 64 })
+            .unwrap();
+        let view = fs.view(k, 8, 32).unwrap();
+        let before = view.to_vec();
+        fs.write(k, 0, Segment::Bytes(Arc::new(vec![1; 64])))
+            .unwrap();
+        fs.truncate(k, 4).unwrap();
+        assert_eq!(view.to_vec(), before);
     }
 }

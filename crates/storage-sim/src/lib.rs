@@ -6,8 +6,10 @@
 //! * [`faults`] — deterministic fault-injection plans (server outages,
 //!   brownouts, stragglers, transient errors) applied by the PFS model,
 //! * [`path`] — path normalization shared by all namespaces,
-//! * [`file`] — inodes, sparse segment maps (byte-backed or synthetic
-//!   pattern-backed content), and the flat namespace [`file::FileStore`],
+//! * [`file`] — inodes, sparse segment maps (windows over immutable
+//!   byte-backed or synthetic pattern-backed segments), zero-copy
+//!   [`file::ContentView`] reads, and the flat namespace
+//!   [`file::FileStore`],
 //! * [`pfs`] — a GPFS-like parallel file system: striped data servers,
 //!   metadata servers with queueing contention, per-file byte-range lock
 //!   queues, and a per-node client write-behind cache,
@@ -35,7 +37,7 @@ pub mod tenancy;
 
 pub use err::IoErr;
 pub use faults::FaultPlan;
-pub use file::{FileKey, FileStore, Segment};
+pub use file::{ContentView, FileKey, FileStore, Segment};
 pub use mounts::{StorageSystem, Tier};
 pub use node_local::{NodeLocalConfig, NodeLocalFs};
 pub use pfs::{GpfsConfig, GpfsSim};

@@ -7,7 +7,7 @@
 //! table would.
 
 use crate::err::IoErr;
-use crate::file::{FileKey, Segment};
+use crate::file::{ContentView, FileKey, Segment};
 use crate::node_local::{NodeLocalConfig, NodeLocalFs};
 use crate::path as vpath;
 use crate::pfs::{GpfsConfig, GpfsSim};
@@ -171,18 +171,18 @@ impl StorageSystem {
         }
     }
 
-    /// Materializing read through a handle.
-    pub fn read_data(
+    /// Content read through a handle: a zero-copy view of the bytes read.
+    pub fn read_view(
         &mut self,
         node: NodeId,
         h: FileHandle,
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), IoErr> {
+    ) -> Result<(ContentView, SimTime), IoErr> {
         match h.tier {
-            Tier::Pfs => self.pfs.read_data(node, h.key, offset, len, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].read_data(node, h.key, offset, len, now),
+            Tier::Pfs => self.pfs.read_view(node, h.key, offset, len, now),
+            Tier::NodeLocal(i) => self.locals[i as usize].read_view(node, h.key, offset, len, now),
         }
     }
 

@@ -11,7 +11,7 @@
 //! so dramatically in Figures 7 and 8.
 
 use crate::err::IoErr;
-use crate::file::{FileKey, FileStore, Segment};
+use crate::file::{ContentView, FileKey, FileStore, Segment};
 use hpc_cluster::topology::NodeId;
 use sim_core::units::GIB;
 use sim_core::{BandwidthChannel, Dur, SimTime};
@@ -204,19 +204,19 @@ impl NodeLocalFs {
         Ok((got, end))
     }
 
-    /// Materializing read.
-    pub fn read_data(
+    /// Content read: a zero-copy view of the bytes read.
+    pub fn read_view(
         &mut self,
         node: NodeId,
         key: FileKey,
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), IoErr> {
-        let data = self.stores[node.0 as usize].read(key, offset, len)?;
-        self.bytes_read += data.len() as u64;
-        let end = self.charge(node, data.len() as u64, now);
-        Ok((data, end))
+    ) -> Result<(ContentView, SimTime), IoErr> {
+        let view = self.stores[node.0 as usize].view(key, offset, len)?;
+        self.bytes_read += view.len();
+        let end = self.charge(node, view.len(), now);
+        Ok((view, end))
     }
 }
 
@@ -322,8 +322,8 @@ mod tests {
                 t,
             )
             .unwrap();
-        let (data, _) = fs.read_data(NodeId(0), k, 0, 7, t2).unwrap();
-        assert_eq!(data, b"payload");
+        let (view, _) = fs.read_view(NodeId(0), k, 0, 7, t2).unwrap();
+        assert_eq!(view.to_vec(), b"payload");
     }
 
     #[test]

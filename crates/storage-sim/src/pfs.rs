@@ -23,7 +23,7 @@
 
 use crate::err::IoErr;
 use crate::faults::FaultPlan;
-use crate::file::{FileKey, FileStore, Segment};
+use crate::file::{ContentView, FileKey, FileStore, Segment};
 use crate::tenancy::InterferenceSchedule;
 use hpc_cluster::topology::NodeId;
 use sim_core::units::{GIB, MIB, TIB};
@@ -687,19 +687,20 @@ impl GpfsSim {
         Ok((got, end))
     }
 
-    /// Materializing read.
-    pub fn read_data(
+    /// Content read: a zero-copy view of the bytes read, timed like
+    /// [`read_len`](Self::read_len).
+    pub fn read_view(
         &mut self,
         node: NodeId,
         key: FileKey,
         offset: u64,
         len: u64,
         now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime), IoErr> {
+    ) -> Result<(ContentView, SimTime), IoErr> {
         self.transient_data_fault()?;
-        let data = self.store.read(key, offset, len)?;
-        let end = self.read_timing(node, key, offset, data.len() as u64, now)?;
-        Ok((data, end))
+        let view = self.store.view(key, offset, len)?;
+        let end = self.read_timing(node, key, offset, view.len(), now)?;
+        Ok((view, end))
     }
 
     /// Wait for this file's outstanding write-behind flushes, then one MDS op.

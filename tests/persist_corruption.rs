@@ -14,14 +14,18 @@
 //! meta, then re-seal the frame checksum over the flipped payload) pins
 //! the deep-verification path: the frame checksum passes, but the decode
 //! disagrees with its seal-time meta and the chunk quarantines as
-//! `Codec` — the class of damage an outer checksum alone cannot catch.
+//! `Codec` — the class of damage an outer checksum alone cannot catch. A
+//! second one breaks the codec tag of the `node` column, which the
+//! analyzer never decodes, and must quarantine the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use vani_suite::recorder::chunk::ChunkedTrace;
 use vani_suite::recorder::persist::{self, TraceLoadError};
-use vani_suite::recorder::spill::{fsck, spill_columnar, QuarantineReason, SpillFaultPlan};
+use vani_suite::recorder::spill::{
+    fsck, spill_columnar, QuarantineReason, SpillFaultPlan, SpillSource,
+};
 use vani_suite::recorder::{ColumnarTrace, Layer, OpKind, SpillError, Tracer};
 use vani_suite::rt::Rng;
 use vani_suite::sim::SimTime;
@@ -176,6 +180,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The payload (start, length) of the first CHUNK frame (kind 1) of a
+/// spill log, found by walking the frame stream past the preamble (11
+/// magic bytes + chunk_rows u64).
+fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
+    let mut off = 19usize;
+    loop {
+        let kind = bytes[off];
+        let len =
+            u64::from_le_bytes(bytes[off + 1..off + 9].try_into().expect("frame len")) as usize;
+        if kind == 1 {
+            return (off + 9, len);
+        }
+        off += 9 + len + 8;
+    }
+}
+
+/// Recompute a frame's checksum over its (mutated) payload, so the outer
+/// integrity check passes.
+fn reseal(bytes: &mut [u8], payload_start: usize, payload_len: usize) {
+    let sum = fnv1a(&bytes[payload_start..payload_start + payload_len]);
+    bytes[payload_start + payload_len..payload_start + payload_len + 8]
+        .copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Checksum-fixed corruption: flip a byte inside the first chunk's
 /// persisted seal-time meta (its `n_ranks` tally), then recompute the
 /// frame checksum so the outer integrity check passes. Only the deep
@@ -187,26 +215,12 @@ fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
     let path = tmp("codec-mutant.vsp3");
     spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
     let mut bytes = std::fs::read(&path).expect("read spill log");
-
-    // Walk the frame stream (preamble is 11 magic bytes + chunk_rows u64)
-    // to the first CHUNK frame (kind 1).
-    let mut off = 19usize;
-    let (payload_start, payload_len) = loop {
-        let kind = bytes[off];
-        let len =
-            u64::from_le_bytes(bytes[off + 1..off + 9].try_into().expect("frame len")) as usize;
-        if kind == 1 {
-            break (off + 9, len);
-        }
-        off += 9 + len + 8;
-    };
+    let (payload_start, payload_len) = first_chunk_payload(&bytes);
     // Payload layout: rows u64, meta_len u64, then the meta — whose own
     // layout is rows u64, 6 presence flags, n_ranks u64. Flip the low
     // byte of n_ranks: parses fine, disagrees with the rows.
     bytes[payload_start + 30] ^= 0x01;
-    let sum = fnv1a(&bytes[payload_start..payload_start + payload_len]);
-    bytes[payload_start + payload_len..payload_start + payload_len + 8]
-        .copy_from_slice(&sum.to_le_bytes());
+    reseal(&mut bytes, payload_start, payload_len);
     std::fs::write(&path, &bytes).expect("write mutant");
 
     let report = fsck(&path).expect("fsck walks the mutant without failing");
@@ -222,6 +236,47 @@ fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
         other => panic!("strict load must fail typed Codec, got {other:?}"),
     }
     let (salvaged, comp) = persist::load_chunked_salvaged(&path).expect("salvage still succeeds");
+    assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
+    assert!(!comp.is_complete());
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// Checksum-fixed corruption of the one column the analyzer never decodes:
+/// give the first chunk's `node` column an unknown codec tag and re-seal
+/// the frame. Deep verification must still quarantine the chunk as
+/// `Codec`, so `fsck` and the strict open agree with the columnar loader,
+/// which does decode `node`.
+#[test]
+fn checksum_fixed_node_column_corruption_is_caught_by_deep_verification() {
+    let c = sample_trace();
+    let path = tmp("node-mutant.vsp3");
+    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+    let mut bytes = std::fs::read(&path).expect("read spill log");
+    let (payload_start, payload_len) = first_chunk_payload(&bytes);
+    // Payload layout: rows u64, meta_len u64, the meta, ten column
+    // lengths u64, then the columns; `node` is the second, and its first
+    // byte is the codec tag.
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let meta_len = u64_at(payload_start + 8);
+    let lens_at = payload_start + 16 + meta_len;
+    let node_at = lens_at + 80 + u64_at(lens_at);
+    bytes[node_at] = 9;
+    reseal(&mut bytes, payload_start, payload_len);
+    std::fs::write(&path, &bytes).expect("write mutant");
+
+    let report = fsck(&path).expect("fsck walks the mutant without failing");
+    assert_eq!(report.committed_records, 0, "first chunk is quarantined");
+    let q = report.quarantined.first().expect("damage is quarantined");
+    assert_eq!(q.reason, QuarantineReason::Codec);
+    match SpillSource::open_strict(&path) {
+        Err(SpillError::Codec { .. }) => {}
+        other => panic!("strict open must fail typed Codec, got {:?}", other.err()),
+    }
+    match persist::load_columnar(&path) {
+        Err(TraceLoadError::Spill(SpillError::Codec { .. })) => {}
+        other => panic!("columnar load must fail typed Codec, got {other:?}"),
+    }
+    let (salvaged, comp) = persist::load_columnar_salvaged(&path).expect("salvage still succeeds");
     assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
     assert!(!comp.is_complete());
     std::fs::remove_file(&path).expect("cleanup");

@@ -13,8 +13,11 @@
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
+//! Every test also takes [`serial`]: the trace gauge is process-wide too,
+//! and a peak measured while another test charges it is not this test's.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 
 use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
@@ -28,6 +31,15 @@ use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::TraceProfile;
 use vani_suite::workloads as wl;
 use vani_suite::workloads::WorkloadRun;
+
+/// Run the file's tests one at a time. The ring-bound test asserts a
+/// peak of the process-wide `trace_gauge`, which every other test here
+/// charges as it runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failing test poisons the lock; the tests after it still run.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vani_spill_identity");
@@ -98,6 +110,7 @@ fn faulted_seven() -> Vec<(&'static str, WorkloadRun)> {
 /// `TraceProfile::fused` on the same capture at 1, 2, and 8 workers.
 #[test]
 fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
+    let _serial = serial();
     let mut runs = paper_seven();
     runs.extend(faulted_seven());
     let captures: Vec<(&str, ColumnarTrace, Dur)> = runs
@@ -147,6 +160,7 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
 /// spilled trace round-trips exactly like a JSON one.
 #[test]
 fn spill_logs_load_through_the_persistence_entry_points() {
+    let _serial = serial();
     let run = wl::jag::run(0.01, 5);
     let c = run.columnar();
     let mem = ChunkedTrace::from_columnar(&c, DEFAULT_CHUNK_ROWS);
@@ -173,6 +187,7 @@ fn spill_logs_load_through_the_persistence_entry_points() {
 /// analysis both stay under `resident_bound`.
 #[test]
 fn spill_capture_and_analysis_stay_under_the_ring_bound() {
+    let _serial = serial();
     let run = wl::hacc::run(0.02, 5);
     let c = run.columnar();
     let chunk_rows = (c.len() / 10).max(16);

@@ -12,6 +12,10 @@
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
+//! Every test also takes [`serial`]: the trace gauge is process-wide too,
+//! and a peak measured while another test charges it is not this test's.
+
+use std::sync::{Mutex, MutexGuard};
 
 use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
@@ -24,6 +28,15 @@ use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::TraceProfile;
 use vani_suite::workloads as wl;
 use vani_suite::workloads::WorkloadRun;
+
+/// Run the file's tests one at a time. The ring-bound test asserts a
+/// peak of the process-wide `trace_gauge`, which every other test here
+/// charges as it runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failing test poisons the lock; the tests after it still run.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The paper's seven exemplars: the six applications plus the IOR
 /// calibration benchmark, at fast scales.
@@ -91,6 +104,7 @@ fn faulted_seven() -> Vec<(&'static str, WorkloadRun)> {
 /// the same capture.
 #[test]
 fn streaming_profile_matches_fused_on_all_workloads_and_worker_counts() {
+    let _serial = serial();
     let mut runs = paper_seven();
     runs.extend(faulted_seven());
     let captures: Vec<(&str, ColumnarTrace, Dur)> = runs
@@ -154,6 +168,7 @@ fn replay_chunked(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
 /// converted traces transfers to live chunked capture.
 #[test]
 fn chunked_capture_equals_from_columnar() {
+    let _serial = serial();
     for (name, run) in paper_seven() {
         let c = run.columnar();
         for chunk_rows in [1000usize, DEFAULT_CHUNK_ROWS] {
@@ -169,6 +184,7 @@ fn chunked_capture_equals_from_columnar() {
 /// while the fused path holds the entire capture.
 #[test]
 fn streaming_peak_memory_stays_under_the_ring_bound() {
+    let _serial = serial();
     let run = wl::hacc::run(0.02, 5);
     let c = run.columnar();
     let chunk_rows = (c.len() / 10).max(16);
@@ -190,6 +206,7 @@ fn streaming_peak_memory_stays_under_the_ring_bound() {
 /// actually adaptive (a tight budget widens the stride and drops records).
 #[test]
 fn sampler_is_off_by_default_and_deterministic_under_budget() {
+    let _serial = serial();
     let run = wl::jag::run(0.01, 5);
     let c = run.columnar();
     assert!(
