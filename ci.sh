@@ -36,6 +36,27 @@ case "$paper_six" in
     *) echo "ci: paper-six render digest mismatch: $paper_six" >&2; exit 1 ;;
 esac
 
+# Spill round trip gates: the benchmark's trace-roundtrip workload captures
+# 4M synthetic records through a v4 spill log, replays them off disk and
+# checks the profile against the in-memory fused one; its last line holds
+# `"correct": true` only when every record round-tripped. The same run with
+# `--corrupt-log` flips one byte of each log before replay and must report
+# `"correct": false`: the XXH64 frame checksum has to catch the flip.
+roundtrip() {
+    cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload trace-roundtrip --seed 5 --seconds 2 --trace 0 "$@" | tail -n 1
+}
+roundtrip_clean="$(roundtrip)"
+case "$roundtrip_clean" in
+    *'"correct": true'*) ;;
+    *) echo "ci: trace-roundtrip is not correct: $roundtrip_clean" >&2; exit 1 ;;
+esac
+roundtrip_corrupt="$(roundtrip --corrupt-log)"
+case "$roundtrip_corrupt" in
+    *'"correct": false'*) ;;
+    *) echo "ci: trace-roundtrip missed a corrupted log: $roundtrip_corrupt" >&2; exit 1 ;;
+esac
+
 # bench-smoke: exercise the analyzer old-vs-new harness end to end in its
 # short mode. Regenerates BENCH_analyzer.json at the repo root and asserts
 # (inside the binary) that the fused, multipass, and streaming profiles
@@ -114,7 +135,7 @@ cargo test --release --offline --test fleet_resilience
 # Spill identity suite: spill-capture -> recover -> off-disk streaming
 # analysis is bit-identical to the in-memory fused profile on all seven
 # exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes; a
-# v3 log loads through every v1/v2 persistence entry point; capture and
+# v4 spill log loads through every v1/v2 persistence entry point; capture and
 # analysis stay under the chunk-ring resident bound.
 cargo test --release --offline --test spill_identity
 
@@ -128,7 +149,7 @@ cargo test --release --offline --test spill_torture
 
 # Persistence corruption property suite: seeded random truncations and
 # bit flips over all three trace generations (v1 row-group JSON, v2
-# chunked JSON, v3 binary spill log) never panic any loader — typed
+# chunked JSON, v4 binary spill log) never panic any loader — typed
 # errors or honest-prefix salvage only — and a checksum-fixed meta
 # mutation is caught by deep verification as codec-class damage.
 cargo test --release --offline --test persist_corruption

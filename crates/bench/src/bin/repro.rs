@@ -20,6 +20,40 @@ use bench::{ior_peak, run_all_six, scale_from_env};
 use vani_core::analyzer::Analysis;
 use vani_core::{crashsweep, figures, reconfig, sweep, tables, yaml};
 
+/// The artifacts `all` (or no argument) renders, in order.
+const ALL: &[&str] = &[
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "table10",
+    "table11",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fault-sweep",
+    "crash-sweep",
+    "yaml",
+];
+
+/// Artifacts that are only rendered when named.
+const STANDALONE: &[&str] = &["fleet-sweep", "bench-pipeline"];
+
+const USAGE: &str = "usage: repro -- [all | ARTIFACT...] | trace-fsck PATH
+  artifacts: table1..table11 fig1..fig8 fault-sweep crash-sweep yaml
+             fleet-sweep [--short] [--jobs N] [--node-faults] [--spill DIR]
+             bench-pipeline [--short]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let short = args.iter().any(|a| a == "--short");
@@ -98,31 +132,16 @@ fn main() {
             }
         }
     }
+    // Every name is checked before any simulation starts: a typo exits 2
+    // at once instead of after minutes of work.
+    let known = |a: &str| a == "all" || ALL.contains(&a) || STANDALONE.contains(&a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        eprintln!("unknown artifact: {bad}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
     let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "table9",
-            "table10",
-            "table11",
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fault-sweep",
-            "crash-sweep",
-            "yaml",
-        ]
+        ALL.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
@@ -224,7 +243,7 @@ fn main() {
                     print!("{}", yaml::emit(&tables::entities_for(a)));
                 }
             }
-            other => eprintln!("unknown artifact: {other}"),
+            other => unreachable!("artifact {other} was validated above"),
         }
         println!();
     }

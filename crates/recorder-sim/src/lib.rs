@@ -22,8 +22,8 @@
 //!   stay bounded regardless of trace length (tracked by a process-wide
 //!   peak gauge),
 //! * [`persist`] — JSON save/load of whole traces,
-//! * [`spill`] — the crash-consistent on-disk segment log (persistence
-//!   v3): sealed chunks stream to an append-only, checksummed, fsync-
+//! * [`spill`] — the crash-consistent on-disk segment log (spill format
+//!   v4): sealed chunks stream to an append-only, checksummed, fsync-
 //!   pointed file so traces larger than RAM survive capture, with a
 //!   seeded fault-injection plan and an fsck recovery pass,
 //! * [`darshan`] — a Darshan-style aggregate-counter profiler, implemented

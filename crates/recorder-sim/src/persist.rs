@@ -27,12 +27,13 @@
 //! Both loaders dispatch on the header's `version`; salvage semantics are
 //! identical (longest consistent group prefix).
 //!
-//! A third generation lives in [`crate::spill`]: **v3** is the binary
-//! append-only segment log spill capture writes (magic `vanispill3\n`).
-//! The path-taking loaders here sniff those magic bytes *before* reading
-//! the file as UTF-8 and route v3 files to the spill loaders, so every
-//! generation loads through the same entry points with the same
-//! strict/salvage semantics.
+//! A third generation lives in [`crate::spill`]: the binary append-only
+//! segment log spill capture writes (spill format v4, magic
+//! `vanispill4\n`). The path-taking loaders here sniff the `vanispill`
+//! prefix *before* reading the file as UTF-8 and route spill logs to the
+//! spill loaders, so every generation loads through the same entry points
+//! with the same strict/salvage semantics, and a retired v3 log fails with
+//! the spill loaders' typed error rather than a UTF-8 one.
 
 use crate::chunk::{ChunkedTrace, CompressedChunk};
 use crate::codec;
@@ -109,7 +110,7 @@ pub enum TraceLoadError {
         /// Records actually present.
         loaded_records: u64,
     },
-    /// A v3 spill log failed to load (see [`crate::spill::SpillError`]).
+    /// A spill log failed to load (see [`crate::spill::SpillError`]).
     Spill(SpillError),
 }
 
@@ -625,10 +626,12 @@ fn parse_chunked(
     ))
 }
 
-/// Whether `path` starts with the v3 spill magic. Binary spill logs are
-/// not valid UTF-8, so this must run *before* any `read_to_string`.
+/// Whether `path` starts with `vanispill`, the prefix of every spill log
+/// version. Binary spill logs are not valid UTF-8, so this must run
+/// *before* any `read_to_string`; the spill loaders then accept v4 and
+/// refuse any other version with a typed error.
 fn sniff_spill(path: &Path) -> io::Result<bool> {
-    let mut head = [0u8; 11];
+    let mut head = [0u8; 9];
     let mut file = fs::File::open(path)?;
     let mut got = 0usize;
     while got < head.len() {
@@ -637,10 +640,10 @@ fn sniff_spill(path: &Path) -> io::Result<bool> {
             n => got += n,
         }
     }
-    Ok(&head == SPILL_MAGIC)
+    Ok(head == SPILL_MAGIC[..9])
 }
 
-/// Decode a chunked trace's committed chunks into whole columns (the v3
+/// Decode a chunked trace's committed chunks into whole columns (the spill
 /// materializing path; chunks were deep-verified at load).
 fn materialize(t: ChunkedTrace) -> Result<ColumnarTrace, TraceLoadError> {
     t.to_columnar().map_err(|e| TraceLoadError::Codec {
@@ -982,10 +985,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_spill_logs_load_through_every_entry_point() {
+    fn spill_logs_load_through_every_entry_point() {
         use crate::spill::{spill_columnar, SpillFaultPlan};
         let c = sample(25);
-        let p = tmp("v3.vsp3");
+        let p = tmp("spill.vsp3");
         spill_columnar(&c, 4, &p, SpillFaultPlan::none()).unwrap();
         // The chunked loader routes on the magic bytes; a binary log would
         // otherwise fail `read_to_string` with an Io error.

@@ -3,15 +3,23 @@
 //! ring, so traces larger than RAM survive on disk and the streaming
 //! analyzer folds chunks straight off the file.
 //!
-//! ## On-disk format (persistence v3)
+//! ## On-disk format (spill format v4)
 //!
-//! A spill file opens with an 19-byte preamble — the magic
-//! [`SPILL_MAGIC`] (`vanispill3\n`) followed by `chunk_rows` as a `u64`
+//! A spill file opens with a 19-byte preamble — the magic
+//! [`SPILL_MAGIC`] (`vanispill4\n`) followed by `chunk_rows` as a `u64`
 //! little-endian — and then a sequence of self-describing frames:
 //!
 //! ```text
-//! [kind: u8][payload_len: u64 LE][payload][fnv1a64(payload): u64 LE]
+//! [kind: u8][payload_len: u64 LE][payload][xxh64(payload, seed 0): u64 LE]
 //! ```
+//!
+//! The trailer is [`frame_checksum`]. Every frame is checksummed three
+//! times per round trip (on write, in the [`fsck`] walk and on every
+//! chunk scan), so the checksum is XXH64: four independent lanes consume
+//! 8-byte words, where a byte-serial hash such as FNV-1a makes every byte
+//! wait on the previous byte's multiply. v4 differs from v3 only in that
+//! trailer and the magic; frame sizes and payload bytes are identical. A
+//! v3 log is refused with a typed [`SpillError::NotSpill`] that says so.
 //!
 //! Frame kinds:
 //!
@@ -63,10 +71,10 @@ use crate::chunk::{
 use crate::columnar::ColumnarTrace;
 use crate::persist::TraceCompleteness;
 
-/// First bytes of every version-3 spill file; the loaders in
-/// [`crate::persist`] sniff this to route binary spill logs away from the
-/// UTF-8 JSON paths of v1/v2.
-pub const SPILL_MAGIC: &[u8; 11] = b"vanispill3\n";
+/// First bytes of every version-4 spill file. The loaders in
+/// [`crate::persist`] route any file starting with `vanispill` away from
+/// the UTF-8 JSON paths of v1/v2 to the spill loaders.
+pub const SPILL_MAGIC: &[u8; 11] = b"vanispill4\n";
 
 const FRAME_CHUNK: u8 = 1;
 const FRAME_INTERN: u8 = 2;
@@ -78,13 +86,88 @@ const FRAME_HEAD: u64 = 9;
 /// Trailing checksum bytes per frame.
 const FRAME_SUM: u64 = 8;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// First bytes of the retired version-3 log, recognized only to say why
+/// it no longer opens.
+const SPILL_MAGIC_V3: &[u8; 11] = b"vanispill3\n";
+
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}
+
+/// XXH64 of `bytes` under `seed`, per the xxHash specification: four
+/// independent lanes over 32-byte stripes of little-endian words, then the
+/// 8-, 4- and 1-byte tails and the final avalanche.
+fn xxh64(bytes: &[u8], seed: u64) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            seed.wrapping_add(P1).wrapping_add(P2),
+            seed.wrapping_add(P2),
+            seed,
+            seed.wrapping_sub(P1),
+        ];
+        for s in stripes {
+            for (lane, w) in v.iter_mut().zip(s.chunks_exact(8)) {
+                *lane = xxh_round(*lane, le64(w));
+            }
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ xxh_round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        seed.wrapping_add(P5)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let mut words = tail.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, le64(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
     }
-    h
+    let mut rest = words.remainder();
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().unwrap()) as u64;
+        h = (h ^ word.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = (h ^ (h >> 33)).wrapping_mul(P2);
+    h = (h ^ (h >> 29)).wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The checksum every spill frame carries after its payload: XXH64 with
+/// seed 0. The writer, [`fsck`] and every chunk scan call this one
+/// function.
+pub fn frame_checksum(payload: &[u8]) -> u64 {
+    xxh64(payload, 0)
 }
 
 /// SplitMix64 scramble — turns a small seed into well-mixed bits for
@@ -103,7 +186,8 @@ pub enum SpillError {
     /// The file could not be created, read, written, or renamed.
     Io(io::Error),
     /// The file does not start with [`SPILL_MAGIC`] or has a nonsense
-    /// preamble — not a v3 spill log at all.
+    /// preamble — not a v4 spill log. A retired v3 log lands here too,
+    /// with a detail saying so.
     NotSpill {
         /// What the preamble check saw.
         detail: String,
@@ -115,7 +199,9 @@ pub enum SpillError {
         /// What was expected versus what remained.
         detail: String,
     },
-    /// A frame's payload does not match its stored FNV-1a checksum.
+    /// A frame's payload does not match its stored [`frame_checksum`]
+    /// (XXH64): bit rot or any other corruption of the payload or trailer
+    /// bytes.
     BadChecksum {
         /// Frame index from the front of the log.
         frame: u64,
@@ -171,7 +257,7 @@ impl fmt::Display for SpillError {
         match self {
             SpillError::Io(e) => write!(f, "spill I/O error: {e}"),
             SpillError::NotSpill { detail } => {
-                write!(f, "not a v3 spill log: {detail}")
+                write!(f, "not a v4 spill log: {detail}")
             }
             SpillError::Torn { offset, detail } => {
                 write!(f, "torn frame at byte {offset}: {detail}")
@@ -377,7 +463,7 @@ fn tmp_path_for(path: &Path) -> PathBuf {
 }
 
 impl SpillWriter {
-    /// Open `<path>.tmp` for appending and write the v3 preamble.
+    /// Open `<path>.tmp` for appending and write the v4 preamble.
     pub fn create(
         path: &Path,
         chunk_rows: usize,
@@ -430,7 +516,7 @@ impl SpillWriter {
         let head = FRAME_HEAD as usize;
         let len = self.frame.len() - head;
         self.frame[1..head].copy_from_slice(&(len as u64).to_le_bytes());
-        let sum = fnv1a(&self.frame[head..]);
+        let sum = frame_checksum(&self.frame[head..]);
         if let Some(i) = flip {
             if len > 0 {
                 self.frame[head + i % len] ^= 0x40;
@@ -881,6 +967,11 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
         .map_err(|_| SpillError::NotSpill {
             detail: format!("file is {file_len} bytes, shorter than the preamble"),
         })?;
+    if &head[..11] == SPILL_MAGIC_V3 {
+        return Err(SpillError::NotSpill {
+            detail: "spill format v3 is no longer read; this build reads v4 only".into(),
+        });
+    }
     if &head[..11] != SPILL_MAGIC {
         return Err(SpillError::NotSpill {
             detail: "bad magic".into(),
@@ -939,7 +1030,7 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
         let mut sum = [0u8; 8];
         file.read_exact(&mut sum)?;
         pos += FRAME_HEAD + payload_len + FRAME_SUM;
-        if fnv1a(&payload) != u64::from_le_bytes(sum) {
+        if frame_checksum(&payload) != u64::from_le_bytes(sum) {
             quarantine(&mut w, frame_idx, at, QuarantineReason::BadChecksum);
             break;
         }
@@ -1265,7 +1356,8 @@ impl ChunkSource for SpillSource {
 
     /// Re-read the file one frame at a time, handing each committed chunk
     /// to `f`. Frames were verified at open; checksums are re-checked
-    /// cheaply in case the file changed underneath us.
+    /// cheaply (word-wise XXH64 costs a fraction of the read and decode)
+    /// in case the file changed underneath us.
     fn scan_chunks(&self, f: &mut dyn FnMut(&CompressedChunk)) -> Result<(), SpillError> {
         let mut file = File::open(&self.path)?;
         let file_len = file.metadata()?.len();
@@ -1300,7 +1392,7 @@ impl ChunkSource for SpillSource {
             let mut sum = [0u8; 8];
             file.read_exact(&mut sum)?;
             pos += FRAME_HEAD + payload_len + FRAME_SUM;
-            if fnv1a(&payload) != u64::from_le_bytes(sum) {
+            if frame_checksum(&payload) != u64::from_le_bytes(sum) {
                 return Err(SpillError::BadChecksum {
                     frame: frame_idx,
                     offset: at,
@@ -1334,12 +1426,12 @@ impl ChunkSource for SpillSource {
     }
 }
 
-/// Strict v3 load: the log must be sealed and anomaly-free.
+/// Strict v4 load: the log must be sealed and anomaly-free.
 pub fn load_spill(path: &Path) -> Result<ChunkedTrace, SpillError> {
     SpillSource::open_strict(path)?.to_chunked()
 }
 
-/// Salvage v3 load: recover the longest committed prefix and report how
+/// Salvage v4 load: recover the longest committed prefix and report how
 /// much of the log survived.
 pub fn load_spill_salvaged(path: &Path) -> Result<(ChunkedTrace, TraceCompleteness), SpillError> {
     let src = SpillSource::open_salvaged(path)?;
@@ -1522,6 +1614,77 @@ mod tests {
             0,
             "RAII guard must remove the temp file during unwind"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frame_checksum_matches_published_xxh64_vectors() {
+        assert_eq!(frame_checksum(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(frame_checksum(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(frame_checksum(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            frame_checksum(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+        assert_eq!(xxh64(b"xxhash", 20_141_025), 0xb559_b98d_844e_0635);
+    }
+
+    /// 103 bytes = three stripes + a 4-byte word + 3 bytes; 111 bytes adds
+    /// an 8-byte word. Between them every bit of the stripe loop and of all
+    /// three tail paths is flipped, and every flip must show.
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        for (len, seed) in [(103usize, 1u64), (111, 2)] {
+            let mut payload: Vec<u8> = (0..len as u64)
+                .map(|i| scramble(seed << 32 | i) as u8)
+                .collect();
+            let clean = frame_checksum(&payload);
+            for byte in 0..len {
+                for bit in 0..8 {
+                    payload[byte] ^= 1 << bit;
+                    assert_ne!(
+                        frame_checksum(&payload),
+                        clean,
+                        "len {len}: flip of bit {bit} in byte {byte} went unseen"
+                    );
+                    payload[byte] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn v3_log_is_refused_by_name() {
+        let dir = tmp_dir("v3");
+        let old = dir.join("old.vsp3");
+        let mut preamble = b"vanispill3\n".to_vec();
+        preamble.extend_from_slice(&64u64.to_le_bytes());
+        assert_eq!(preamble.len(), 19);
+        fs::write(&old, &preamble).expect("writes");
+        for err in [
+            fsck(&old).expect_err("v3 is not read"),
+            SpillSource::open_salvaged(&old)
+                .map(|_| ())
+                .expect_err("v3 is not read"),
+        ] {
+            match err {
+                SpillError::NotSpill { detail } => {
+                    assert!(detail.contains("v3") && detail.contains("no longer read"))
+                }
+                other => panic!("expected NotSpill, got {other}"),
+            }
+        }
+        for err in [
+            crate::persist::load_chunked(&old).err(),
+            crate::persist::load_columnar(&old).err(),
+        ] {
+            match err {
+                Some(crate::persist::TraceLoadError::Spill(SpillError::NotSpill { detail })) => {
+                    assert!(detail.contains("v3"), "{detail}")
+                }
+                other => panic!("expected a typed NotSpill, got {other:?}"),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -264,10 +264,27 @@ fn sealed_fnv(t: &ChunkedTrace) -> u64 {
     fnv1a64(&cols)
 }
 
+/// A spill log without its magic and without each frame's trailing
+/// checksum: the preamble's `chunk_rows`, then every frame's kind, length
+/// and payload. Pinning this separately from the whole log shows that a
+/// checksum or magic change left every payload byte where it was.
+fn strip_checksums(log: &[u8]) -> Vec<u8> {
+    let mut out = log[11..19].to_vec();
+    let mut at = 19;
+    while at < log.len() {
+        let len = u64::from_le_bytes(log[at + 1..at + 9].try_into().unwrap()) as usize;
+        out.extend_from_slice(&log[at..at + 9 + len]);
+        at += 9 + len + 8;
+    }
+    out
+}
+
 /// Golden pin on sealed bytes: the encoder's scheme choice, tie order and
-/// payload layout are part of the v2 row-group and v3 spill formats, so a
+/// payload layout are part of the v2 row-group and v4 spill formats, so a
 /// seeded workload trace must seal and spill to exactly these bytes. A
 /// change here is a format change and needs a version bump, not a re-pin.
+/// The whole-log digest moved once, with the v3 → v4 bump to XXH64 frame
+/// checksums; the checksum-stripped digest, taken under v3, did not.
 #[test]
 fn sealed_bytes_and_spill_log_are_pinned() {
     use vani_suite::recorder::spill::{spill_columnar, SpillFaultPlan};
@@ -300,7 +317,8 @@ fn sealed_bytes_and_spill_log_are_pinned() {
     assert_eq!(sealed_fnv(&chunked), 0xf45d_fdbc_edf2_a90f);
     assert_eq!(summary.bytes, log.len() as u64);
     assert_eq!(log.len(), 6894);
-    assert_eq!(fnv1a64(&log), 0x4a1c_c731_80dd_0750);
+    assert_eq!(fnv1a64(&log), 0xdec2_55fd_421c_caac);
+    assert_eq!(fnv1a64(&strip_checksums(&log)), 0xac3e_7f65_7bf4_7611);
     assert_eq!(
         synth_pins,
         vec![

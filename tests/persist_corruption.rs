@@ -1,6 +1,8 @@
 //! Seeded corruption property suite over all three persistence
 //! generations: v1 row-group JSON (`render_rowgroups`), v2 chunked JSON
-//! (`save_chunked`), and the v3 binary spill log (`spill_columnar`).
+//! (`save_chunked`), and the binary spill log (`spill_columnar`), labelled
+//! `v3` below as the third generation although its on-disk format is
+//! spill format v4.
 //!
 //! Property: for ANY random truncation or bit flip of a persisted trace,
 //! every loader either returns a typed [`TraceLoadError`] / [`SpillError`]
@@ -24,7 +26,7 @@ use std::path::{Path, PathBuf};
 use vani_suite::recorder::chunk::ChunkedTrace;
 use vani_suite::recorder::persist::{self, TraceLoadError};
 use vani_suite::recorder::spill::{
-    fsck, spill_columnar, QuarantineReason, SpillFaultPlan, SpillSource,
+    frame_checksum, fsck, spill_columnar, QuarantineReason, SpillFaultPlan, SpillSource,
 };
 use vani_suite::recorder::{ColumnarTrace, Layer, OpKind, SpillError, Tracer};
 use vani_suite::rt::Rng;
@@ -171,15 +173,6 @@ fn random_truncations_and_bit_flips_never_panic_any_loader() {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The payload (start, length) of the first CHUNK frame (kind 1) of a
 /// spill log, found by walking the frame stream past the preamble (11
 /// magic bytes + chunk_rows u64).
@@ -199,7 +192,7 @@ fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
 /// Recompute a frame's checksum over its (mutated) payload, so the outer
 /// integrity check passes.
 fn reseal(bytes: &mut [u8], payload_start: usize, payload_len: usize) {
-    let sum = fnv1a(&bytes[payload_start..payload_start + payload_len]);
+    let sum = frame_checksum(&bytes[payload_start..payload_start + payload_len]);
     bytes[payload_start + payload_len..payload_start + payload_len + 8]
         .copy_from_slice(&sum.to_le_bytes());
 }

@@ -7,7 +7,7 @@
 //!
 //! Also pinned here: the persistence entry points (`load_chunked`,
 //! `load_columnar`, and their salvaging twins) transparently recognize a
-//! v3 spill log by its magic bytes, so a spill file drops into every
+//! spill log by its magic bytes, so a spill file drops into every
 //! existing reload path; and off-disk profiling keeps the resident trace
 //! footprint under the same ring bound as in-memory streaming.
 //!
@@ -155,7 +155,7 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     }
 }
 
-/// A v3 spill log loads through every v1/v2 persistence entry point: the
+/// A spill log loads through every v1/v2 persistence entry point: the
 /// loaders sniff the magic bytes and route to the spill reader, so a
 /// spilled trace round-trips exactly like a JSON one.
 #[test]
