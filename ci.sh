@@ -8,6 +8,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The committed BENCH_*.json files are full-mode measurements (BENCH_fleet
+# alone takes hours). Every smoke run below is `--short`, which writes no
+# file; this checksum, compared at the end, fails CI if any step rewrote one.
+bench_sums="$(cksum BENCH_*.json)"
+
 # Formatting is a gate, not a suggestion: the whole tree is rustfmt-clean
 # as of the failure-domain PR, and drift compounds fast in a repo this
 # cross-cutting.
@@ -58,8 +63,7 @@ case "$roundtrip_corrupt" in
 esac
 
 # bench-smoke: exercise the analyzer old-vs-new harness end to end in its
-# short mode. Regenerates BENCH_analyzer.json at the repo root and asserts
-# (inside the binary) that the fused, multipass, and streaming profiles
+# short mode. Writes no file; asserts (inside the binary) that the fused, multipass, and streaming profiles
 # stay equal on every measured trace, and that the streaming analyzer's
 # peak resident trace bytes never exceed the chunk-ring budget
 # (resident_bound(DEFAULT_CHUNK_ROWS, RING_SLOTS)). A regression in either
@@ -68,22 +72,20 @@ cargo run --release --offline -p bench --bin bench_analyzer -- --short
 
 # Codec property suite: seeded adversarial column shapes (random, constant,
 # runs, ramps, width-boundary extremes) round-trip bit-exactly through the
-# delta/RLE/raw codec, the recycled-buffer decoder, hex transport, sealed
-# chunks, and chunked traces at every chunk size; corrupt buffers surface
-# typed errors instead of decoding.
+# delta/RLE/raw codec, the recycled-buffer decoder, sealed chunks reloaded
+# from a spill log, and chunked traces at every chunk size; corrupt buffers
+# surface typed errors instead of decoding.
 cargo test --release --offline --test codec_roundtrip
 
 # Streaming-vs-fused suite: the bounded-memory streaming analyzer is
 # byte-identical to the fused single-pass profile on all seven exemplar
 # workloads, clean and faulted, at 1/2/8 workers and several chunk sizes;
 # live chunked capture equals batch conversion; peak resident trace bytes
-# stay under the ring bound; the adaptive sampler is off by default and
-# deterministic when budgeted.
+# stay under the ring bound.
 cargo test --release --offline --test streaming_vs_fused
 
 # pipeline bench-smoke: the scenario-parallel sweep driver end to end in
-# short mode. Regenerates BENCH_pipeline.json and fails (inside the
-# binary) if parallel output diverges from the sequential driver at any
+# short mode. Writes no file; fails (inside the binary) if parallel output diverges from the sequential driver at any
 # worker count, or if the direct and emulated-legacy capture paths ever
 # produce different columns.
 cargo run --release --offline -p bench --bin repro -- bench-pipeline --short
@@ -108,14 +110,15 @@ cargo test --release --offline --test fault_sweep
 # report, and supervised sweeps isolating a panicking scenario.
 cargo test --release --offline --test crash_recovery
 
-# Trace-salvage suite: truncated and corrupted row-group captures recover
-# their longest consistent prefix, the fused and multipass analyzers agree
-# on salvaged columns, and the YAML completeness annotation appears.
+# Trace-salvage suite: truncated (mid-frame and at every commit boundary)
+# and corrupted spill logs recover their longest committed prefix and are
+# never reported complete, the fused and multipass analyzers agree on
+# salvaged columns, the YAML completeness annotation appears, and a
+# crashed run's trace round-trips with its resilience attributes.
 cargo test --release --offline --test trace_salvage
 
 # fleet-sweep smoke: the multi-tenant datacenter mode end to end in short
-# mode (64 jobs). Regenerates BENCH_fleet.json and fails (inside the
-# binary) if the rendered fleet report diverges from the sequential driver
+# mode (64 jobs). Writes no file; fails (inside the binary) if the rendered fleet report diverges from the sequential driver
 # at any worker count; invalid mixes exit 2 with a typed FleetError.
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short
 
@@ -134,8 +137,8 @@ cargo test --release --offline --test fleet_resilience
 
 # Spill identity suite: spill-capture -> recover -> off-disk streaming
 # analysis is bit-identical to the in-memory fused profile on all seven
-# exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes; a
-# v4 spill log loads through every v1/v2 persistence entry point; capture and
+# exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes;
+# spill, load and spill again writes identical bytes; capture and
 # analysis stay under the chunk-ring resident bound.
 cargo test --release --offline --test spill_identity
 
@@ -148,10 +151,10 @@ cargo test --release --offline --test spill_identity
 cargo test --release --offline --test spill_torture
 
 # Persistence corruption property suite: seeded random truncations and
-# bit flips over all three trace generations (v1 row-group JSON, v2
-# chunked JSON, v4 binary spill log) never panic any loader — typed
-# errors or honest-prefix salvage only — and a checksum-fixed meta
-# mutation is caught by deep verification as codec-class damage.
+# bit flips of a v4 spill log never panic any loader — typed errors or
+# honest-prefix salvage only, and a salvage that lost records is never
+# reported complete — and a checksum-fixed meta mutation is caught by
+# deep verification as codec-class damage.
 cargo test --release --offline --test persist_corruption
 
 # fleet-sweep spill smoke: the short fleet with every per-job trace
@@ -161,5 +164,11 @@ cargo test --release --offline --test persist_corruption
 spill_dir="$(mktemp -d)"
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short --spill "$spill_dir" > /dev/null
 rm -rf "$spill_dir"
+
+if [ "$(cksum BENCH_*.json)" != "$bench_sums" ]; then
+    echo "ci: a step rewrote a committed BENCH_*.json file:" >&2
+    cksum BENCH_*.json >&2
+    exit 1
+fi
 
 echo "ci: OK"

@@ -10,8 +10,8 @@
 //! both paths, so the CI smoke run fails if either ever holds more than
 //! its ring; the full sweep proves the 10⁷-record larger-than-RAM claim).
 //!
-//! Writes `BENCH_analyzer.json` at the repository root and prints a summary
-//! table. Run with:
+//! Writes `BENCH_analyzer.json` at the repository root (full mode only)
+//! and prints a summary table. Run with:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_analyzer            # full sweep
@@ -19,10 +19,11 @@
 //! ```
 //!
 //! `--short` trims the synthetic sweep to 10^6 records and cuts the sample
-//! count; both modes measure the same code paths. The 8-worker setting is
-//! the headline configuration; results are bit-identical at any worker
-//! count (asserted here on every measured trace, and exhaustively in the
-//! `analyzer_fused_vs_multipass` integration suite).
+//! count; both modes measure the same code paths, but a short run writes
+//! no file. The 8-worker setting is the headline configuration; results
+//! are bit-identical at any worker count (asserted here on every measured
+//! trace, and exhaustively in the `analyzer_fused_vs_multipass`
+//! integration suite).
 
 use std::time::Instant;
 
@@ -386,8 +387,5 @@ fn main() {
         ),
     ]);
 
-    let out = format!("{}\n", json.render());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_analyzer.json");
-    std::fs::write(path, out).expect("write BENCH_analyzer.json");
-    eprintln!("wrote {path}");
+    bench::write_bench_json("BENCH_analyzer.json", &json, short);
 }

@@ -1,6 +1,7 @@
 //! Fleet sweep driver: the multi-tenant datacenter mode, invoked as
 //! `repro -- fleet-sweep [--short] [--jobs N] [--node-faults]
-//! [--spill DIR]`; writes `BENCH_fleet.json` at the repository root.
+//! [--spill DIR]`; writes `BENCH_fleet.json` at the repository root
+//! (`--short` runs and checks everything but writes no file).
 //!
 //! With `--spill DIR` every job's captured trace streams into a
 //! crash-consistent segment log under `DIR` (`job-NNNNN.vsp3`), is
@@ -88,7 +89,8 @@ pub fn bench_config(
 }
 
 /// Run the fleet at every driver configuration, assert byte-identity,
-/// write `BENCH_fleet.json`, and return the rendered report for stdout.
+/// write `BENCH_fleet.json` (full mode only), and return the rendered
+/// report for stdout.
 pub fn run_fleet(
     short: bool,
     scale: f64,
@@ -197,10 +199,7 @@ pub fn run_fleet(
         ("peak_resident_trace_bytes", Json::Int(peak_trace as i128)),
         ("report", reference.to_json()),
     ]);
-    let out = format!("{}\n", json.render());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(path, out).expect("write BENCH_fleet.json");
-    eprintln!("wrote {path}");
+    crate::write_bench_json("BENCH_fleet.json", &json, short);
 
     Ok(ref_render)
 }

@@ -27,6 +27,20 @@ pub fn run_all_six(scale: f64, seed: u64) -> Vec<Analysis> {
     sweep::paper_six(scale, seed, Driver::Parallel)
 }
 
+/// Write a benchmark's JSON to `name` at the repository root. A `--short`
+/// run is a smoke check: it runs every measurement and in-binary assert
+/// but leaves the committed full-mode file untouched.
+pub fn write_bench_json(name: &str, json: &vani_rt::Json, short: bool) {
+    if short {
+        eprintln!("--short: {name} left unchanged");
+        return;
+    }
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, format!("{}\n", json.render()))
+        .unwrap_or_else(|e| panic!("write {name}: {e}"));
+    eprintln!("wrote {path}");
+}
+
 /// Measured IOR peak bandwidth for Table IX.
 pub fn ior_peak() -> f64 {
     let p = exemplar_workloads::ior::IorParams {

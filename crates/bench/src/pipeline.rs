@@ -2,7 +2,8 @@
 //! the scenario-parallel sweep driver at several worker counts.
 //!
 //! Invoked as `repro -- bench-pipeline [--short]`; writes
-//! `BENCH_pipeline.json` at the repository root. Two measurements:
+//! `BENCH_pipeline.json` at the repository root (`--short` runs and
+//! checks everything but writes no file). Two measurements:
 //!
 //! 1. **Scenario fan-out** — the paper-six characterization and the full
 //!    fault sweep, run sequentially and with the parallel driver at 1, 2,
@@ -171,7 +172,8 @@ fn ratio(num: u64, den: u64) -> f64 {
     num as f64 / den.max(1) as f64
 }
 
-/// Run the pipeline benchmark and write `BENCH_pipeline.json`.
+/// Run the pipeline benchmark and write `BENCH_pipeline.json` (full mode
+/// only).
 pub fn run_bench(short: bool) {
     let samples = if short { 1 } else { 2 };
     let scale = if short { 0.01 } else { 0.05 };
@@ -352,8 +354,5 @@ pub fn run_bench(short: bool) {
         ),
     ]);
 
-    let out = format!("{}\n", json.render());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    std::fs::write(path, out).expect("write BENCH_pipeline.json");
-    eprintln!("wrote {path}");
+    crate::write_bench_json("BENCH_pipeline.json", &json, short);
 }

@@ -496,7 +496,7 @@ pub fn entities_for(a: &Analysis) -> Vec<Entity> {
 /// Passing `None` is exactly [`entities_for`] — byte-identical output.
 pub fn entities_with_completeness(
     a: &Analysis,
-    completeness: Option<&recorder_sim::persist::TraceCompleteness>,
+    completeness: Option<&recorder_sim::spill::TraceCompleteness>,
 ) -> Vec<Entity> {
     let mut out = Vec::new();
     out.push(

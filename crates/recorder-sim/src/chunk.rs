@@ -113,7 +113,7 @@ impl Drop for GaugeCharge {
 }
 
 /// The ten per-record columns in on-disk order, each with its native width
-/// in bytes. Shared with the version-2 row-group persistence format.
+/// in bytes. Spill format v4 stores the columns in this order.
 pub const COLUMN_WIDTHS: [(&str, u8); 10] = [
     ("rank", 4),
     ("node", 4),
@@ -405,7 +405,7 @@ impl CompressedChunk {
     }
 
     /// The encoded bytes of column `idx` (in [`COLUMN_WIDTHS`] order) —
-    /// the persistence layer checksums and hex-encodes these verbatim.
+    /// the spill log stores these verbatim.
     pub fn column(&self, idx: usize) -> &[u8] {
         &self.cols[idx]
     }
@@ -416,22 +416,6 @@ impl CompressedChunk {
     /// persisted meta against a recompute.
     pub(crate) fn from_parts(rows: usize, meta: ChunkMeta, cols: [Vec<u8>; 10]) -> CompressedChunk {
         CompressedChunk { rows, meta, cols }
-    }
-
-    /// Rebuild a chunk from its ten encoded columns (the persistence
-    /// loader's inverse of [`column`](Self::column)). The meta is recovered
-    /// by decoding once, so a chunk loaded from disk behaves exactly like
-    /// one sealed live.
-    pub fn from_encoded(cols: [Vec<u8>; 10], rows: usize) -> Result<CompressedChunk, CodecError> {
-        let mut chunk = CompressedChunk {
-            rows,
-            meta: ChunkMeta::default(),
-            cols,
-        };
-        let mut buf = ColumnarTrace::with_capacity(rows);
-        chunk.decode_into(&mut buf, false)?;
-        chunk.meta = ChunkMeta::of_rows(&buf, 0..rows);
-        Ok(chunk)
     }
 }
 
@@ -617,16 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn from_encoded_rebuilds_meta() {
-        let c = synthetic(500);
-        let ct = ChunkedTrace::from_columnar(&c, 512);
-        let ch = &ct.chunks[0];
-        let cols: [Vec<u8>; 10] = std::array::from_fn(|i| ch.column(i).to_vec());
-        let rebuilt = CompressedChunk::from_encoded(cols, ch.rows).expect("valid columns");
-        assert_eq!(&rebuilt, ch);
-    }
-
-    #[test]
     fn corrupt_column_fails_decode() {
         let c = synthetic(100);
         let ct = ChunkedTrace::from_columnar(&c, 128);
@@ -634,7 +608,9 @@ mod tests {
         // Flip the op column's tag to an invalid scheme.
         let mut cols: [Vec<u8>; 10] = std::array::from_fn(|i| ch.column(i).to_vec());
         cols[4][0] = 99;
-        assert!(CompressedChunk::from_encoded(cols, ch.rows).is_err());
+        let bad = CompressedChunk::from_parts(ch.rows, ch.meta.clone(), cols);
+        let mut out = ColumnarTrace::with_capacity(ch.rows);
+        assert!(bad.decode_into(&mut out, false).is_err());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
 use vani_rt::par;
 use vani_rt::Selection;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Sentinel for "no file" in the file column.
 pub(crate) const NO_FILE: u32 = u32::MAX;
@@ -84,30 +83,6 @@ impl ColumnarTrace {
             file_paths: Vec::new(),
             app_names: Vec::new(),
         }
-    }
-
-    /// Check that all ten data columns agree on the record count (the
-    /// `rank` column is authoritative). Returns the first offending column
-    /// as `(name, its_len, expected_len)` — loaders reject such traces
-    /// instead of silently zipping short columns against long ones.
-    pub fn validate(&self) -> Result<(), (String, usize, usize)> {
-        let n = self.rank.len();
-        for (name, len) in [
-            ("node", self.node.len()),
-            ("app", self.app.len()),
-            ("layer", self.layer.len()),
-            ("op", self.op.len()),
-            ("start", self.start.len()),
-            ("end", self.end.len()),
-            ("file", self.file.len()),
-            ("offset", self.offset.len()),
-            ("bytes", self.bytes.len()),
-        ] {
-            if len != n {
-                return Err((name.to_string(), len, n));
-            }
-        }
-        Ok(())
     }
 
     /// Reserve room for at least `additional` more records in every column.
@@ -411,44 +386,6 @@ impl ColumnarTrace {
             |acc, &t| acc.max(t),
             |a, b| a.max(b),
         ))
-    }
-}
-
-impl ToJson for ColumnarTrace {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("rank", self.rank.to_json()),
-            ("node", self.node.to_json()),
-            ("app", self.app.to_json()),
-            ("layer", self.layer.to_json()),
-            ("op", self.op.to_json()),
-            ("start", self.start.to_json()),
-            ("end", self.end.to_json()),
-            ("file", self.file.to_json()),
-            ("offset", self.offset.to_json()),
-            ("bytes", self.bytes.to_json()),
-            ("file_paths", self.file_paths.to_json()),
-            ("app_names", self.app_names.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ColumnarTrace {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ColumnarTrace {
-            rank: j.decode_field("rank")?,
-            node: j.decode_field("node")?,
-            app: j.decode_field("app")?,
-            layer: j.decode_field("layer")?,
-            op: j.decode_field("op")?,
-            start: j.decode_field("start")?,
-            end: j.decode_field("end")?,
-            file: j.decode_field("file")?,
-            offset: j.decode_field("offset")?,
-            bytes: j.decode_field("bytes")?,
-            file_paths: j.decode_field("file_paths")?,
-            app_names: j.decode_field("app_names")?,
-        })
     }
 }
 

@@ -21,11 +21,11 @@
 //!   compressed as the run emits records, so peak uncompressed trace bytes
 //!   stay bounded regardless of trace length (tracked by a process-wide
 //!   peak gauge),
-//! * [`persist`] — JSON save/load of whole traces,
 //! * [`spill`] — the crash-consistent on-disk segment log (spill format
-//!   v4): sealed chunks stream to an append-only, checksummed, fsync-
-//!   pointed file so traces larger than RAM survive capture, with a
-//!   seeded fault-injection plan and an fsck recovery pass,
+//!   v4), the one persisted trace format: sealed chunks stream to an
+//!   append-only, checksummed, fsync-pointed file so traces larger than
+//!   RAM survive capture, with strict and salvaging loaders, a seeded
+//!   fault-injection plan and an fsck recovery pass,
 //! * [`darshan`] — a Darshan-style aggregate-counter profiler, implemented
 //!   as a fold over the full trace to demonstrate (as the paper argues in
 //!   §III-C) which analyses aggregation destroys.
@@ -34,7 +34,6 @@ pub mod chunk;
 pub mod codec;
 pub mod columnar;
 pub mod darshan;
-pub mod persist;
 pub mod record;
 pub mod spill;
 pub mod tracer;
@@ -44,6 +43,6 @@ pub use columnar::ColumnarTrace;
 pub use record::{AppId, FileId, Layer, OpKind, TraceRecord};
 pub use spill::{
     ChunkSource, FsckReport, SpillError, SpillFaultKind, SpillFaultPlan, SpillSource, SpillSummary,
-    SpillWriter,
+    SpillWriter, TraceCompleteness,
 };
-pub use tracer::{AdaptiveSampler, Tracer};
+pub use tracer::Tracer;

@@ -69,11 +69,8 @@ use crate::chunk::{
     columnar_capacity_bytes, BitWords, ChunkMeta, ChunkedTrace, CompressedChunk, GaugeCharge,
 };
 use crate::columnar::ColumnarTrace;
-use crate::persist::TraceCompleteness;
 
-/// First bytes of every version-4 spill file. The loaders in
-/// [`crate::persist`] route any file starting with `vanispill` away from
-/// the UTF-8 JSON paths of v1/v2 to the spill loaders.
+/// First bytes of every version-4 spill file.
 pub const SPILL_MAGIC: &[u8; 11] = b"vanispill4\n";
 
 const FRAME_CHUNK: u8 = 1;
@@ -911,12 +908,43 @@ pub struct QuarantinedSegment {
     pub reason: QuarantineReason,
 }
 
+/// How much of a spill log's capture survived loading. Records and
+/// chunks ("groups") are counted separately; the walk that recovers the
+/// log (`Walk::completeness`) defines the expected side, so a damaged or
+/// unsealed log is never complete and its `fraction()` stays below 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceCompleteness {
+    /// Records the capture is known to have held.
+    pub expected_records: u64,
+    /// Records actually loaded.
+    pub loaded_records: u64,
+    /// Chunks the capture is known to have held.
+    pub expected_groups: u64,
+    /// Chunks that verified and loaded.
+    pub loaded_groups: u64,
+}
+
+impl TraceCompleteness {
+    /// Loaded fraction in [0, 1]; an empty-but-complete trace is 1.
+    pub fn fraction(&self) -> f64 {
+        if self.expected_records == 0 {
+            1.0
+        } else {
+            self.loaded_records as f64 / self.expected_records as f64
+        }
+    }
+
+    /// Whether every record and chunk of the capture loaded.
+    pub fn is_complete(&self) -> bool {
+        self.loaded_records == self.expected_records && self.loaded_groups == self.expected_groups
+    }
+}
+
 /// What [`fsck`] recovered from a spill log.
 #[derive(Debug, Clone)]
 pub struct FsckReport {
-    /// Recovered versus expected records and chunks. `expected` comes
-    /// from the footer when the log is sealed, otherwise from every chunk
-    /// frame observed (committed or not).
+    /// Recovered versus expected records and chunks. Only a sealed,
+    /// anomaly-free log is complete; see [`TraceCompleteness`].
     pub completeness: TraceCompleteness,
     /// Whether a valid footer was found (the writer finished).
     pub sealed: bool,
@@ -1130,19 +1158,28 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
 }
 
 impl Walk {
+    /// Recovered versus expected records and chunks. A sealed log with no
+    /// quarantined frame expects exactly what its footer counts, so it is
+    /// complete. Any other log lost a tail the walk cannot see: its writer
+    /// never finished, or a damaged frame hides what followed it. Such a
+    /// log expects every chunk frame observed plus one more full chunk:
+    ///
+    /// ```text
+    /// expected_groups  = seen_chunks + 1
+    /// expected_records = seen_records + chunk_rows
+    /// ```
+    ///
+    /// so `loaded_groups < expected_groups` and, because `chunk_rows >= 1`,
+    /// `fraction() < 1.0`: a damaged or unsealed log is never reported
+    /// complete, even when it was cut exactly at a commit boundary.
     fn completeness(&self) -> TraceCompleteness {
-        // A damaged frame (torn / bad checksum / malformed / codec) hides
-        // its own contents, so the walk cannot know how much followed it.
-        // Count it as one expected-but-lost group: recovery from a
-        // damaged log is never reported as provably complete.
-        let damaged = self
-            .quarantined
-            .iter()
-            .any(|q| q.reason != QuarantineReason::Uncommitted) as u64;
-        let (expected_records, expected_groups) = if self.sealed {
+        let (expected_records, expected_groups) = if self.sealed && self.quarantined.is_empty() {
             (self.committed_records, self.committed_chunks)
         } else {
-            (self.seen_records, self.seen_chunks.len() as u64 + damaged)
+            (
+                self.seen_records + self.chunk_rows as u64,
+                self.seen_chunks.len() as u64 + 1,
+            )
         };
         TraceCompleteness {
             expected_records,
@@ -1197,8 +1234,10 @@ impl SpillSource {
         let src = SpillSource::open_salvaged(path)?;
         if let Some(q) = src.report.quarantined.first() {
             return Err(match q.reason {
+                // Uncommitted chunks are quarantined only after a clean
+                // walk, so every quarantined frame here is one of them.
                 QuarantineReason::Uncommitted => SpillError::Uncommitted {
-                    chunks: src.report.completeness.expected_groups,
+                    chunks: src.committed_chunks + src.report.quarantined.len() as u64,
                     committed: src.committed_chunks,
                 },
                 QuarantineReason::BadChecksum => SpillError::BadChecksum {
@@ -1273,7 +1312,7 @@ impl SpillSource {
     }
 
     /// Materialize the committed prefix as an in-memory [`ChunkedTrace`]
-    /// (the persist-compat path; defeats the memory bound by design).
+    /// (the whole-trace loaders' path; defeats the memory bound by design).
     pub fn to_chunked(&self) -> Result<ChunkedTrace, SpillError> {
         let mut chunks = Vec::with_capacity(self.committed_chunks as usize);
         self.scan_chunks(&mut |ch: &CompressedChunk| chunks.push(ch.clone()))?;
@@ -1666,23 +1705,16 @@ mod tests {
             SpillSource::open_salvaged(&old)
                 .map(|_| ())
                 .expect_err("v3 is not read"),
+            load_spill(&old).map(|_| ()).expect_err("v3 is not read"),
+            load_spill_salvaged(&old)
+                .map(|_| ())
+                .expect_err("v3 is not read"),
         ] {
             match err {
                 SpillError::NotSpill { detail } => {
                     assert!(detail.contains("v3") && detail.contains("no longer read"))
                 }
                 other => panic!("expected NotSpill, got {other}"),
-            }
-        }
-        for err in [
-            crate::persist::load_chunked(&old).err(),
-            crate::persist::load_columnar(&old).err(),
-        ] {
-            match err {
-                Some(crate::persist::TraceLoadError::Spill(SpillError::NotSpill { detail })) => {
-                    assert!(detail.contains("v3"), "{detail}")
-                }
-                other => panic!("expected a typed NotSpill, got {other:?}"),
             }
         }
         let _ = fs::remove_dir_all(&dir);

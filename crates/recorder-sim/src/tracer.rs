@@ -21,86 +21,6 @@ use crate::spill::{SpillError, SpillFaultPlan, SpillSummary, SpillWriter};
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
 use std::path::Path;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
-
-/// Records per adaptive-sampler feedback window.
-const SAMPLER_WINDOW: u64 = 1024;
-
-/// Largest admission stride the sampler will back off to.
-const SAMPLER_MAX_STRIDE: u64 = 65536;
-
-/// Overhead-budget admission control for capture (Recorder's "keep tracing
-/// under X% of runtime" knob, here deterministic by construction).
-///
-/// Records are admitted every `stride`-th call. After each window of
-/// [`SAMPLER_WINDOW`] offered records the sampler compares the capture
-/// overhead it charged (`admitted × per_record_overhead`) against the
-/// simulated time the window spanned: above budget the stride doubles
-/// (up to [`SAMPLER_MAX_STRIDE`]), below half budget it halves (down to 1,
-/// i.e. capture everything). All state advances on offered-record counts
-/// and simulated timestamps only — never wall clock — so a given record
-/// stream always samples identically.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSampler {
-    /// Target capture overhead as a fraction of simulated time.
-    budget: f64,
-    stride: u64,
-    seen: u64,
-    admitted_in_window: u64,
-    window_start: SimTime,
-}
-
-impl AdaptiveSampler {
-    /// Sampler targeting `budget` (fraction of simulated time, e.g. 0.08
-    /// for the paper's 8%). Starts at stride 1 (admit everything) and
-    /// backs off only if the stream proves too hot.
-    pub fn new(budget: f64) -> AdaptiveSampler {
-        assert!(budget > 0.0, "sampler budget must be positive");
-        AdaptiveSampler {
-            budget,
-            stride: 1,
-            seen: 0,
-            admitted_in_window: 0,
-            window_start: SimTime::ZERO,
-        }
-    }
-
-    /// Admission decision for the next offered record starting at `start`.
-    fn admit(&mut self, start: SimTime, per_record_overhead: Dur) -> bool {
-        if self.seen == 0 {
-            self.window_start = start;
-        }
-        let admit = self.seen % self.stride == 0;
-        self.seen += 1;
-        if admit {
-            self.admitted_in_window += 1;
-        }
-        if self.seen % SAMPLER_WINDOW == 0 {
-            let span = start.since(self.window_start).as_secs_f64();
-            let spent = self.admitted_in_window as f64 * per_record_overhead.as_secs_f64();
-            let frac = if span > 0.0 {
-                spent / span
-            } else if spent > 0.0 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            if frac > self.budget {
-                self.stride = (self.stride * 2).min(SAMPLER_MAX_STRIDE);
-            } else if frac < self.budget / 2.0 {
-                self.stride = (self.stride / 2).max(1);
-            }
-            self.admitted_in_window = 0;
-            self.window_start = start;
-        }
-        admit
-    }
-
-    /// Current admission stride (1 = capturing everything).
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-}
 
 /// Chunked-capture state: sealed chunks so far and the gauge charge
 /// covering the live buffer. With a spill writer attached, sealed chunks
@@ -148,9 +68,6 @@ pub struct Tracer {
     /// `Some` once chunked capture is on: `cols` then holds only the
     /// unsealed tail, bounded by the chunk size.
     chunked: Option<ChunkState>,
-    /// Overhead-budget admission control; `None` (the default) captures
-    /// every record — required for the streaming == fused identity.
-    sampler: Option<AdaptiveSampler>,
 }
 
 impl Tracer {
@@ -272,19 +189,6 @@ impl Tracer {
         let mut t = Tracer::new();
         t.enable_chunked(chunk_rows);
         t
-    }
-
-    /// Attach an [`AdaptiveSampler`] with the given overhead budget
-    /// (fraction of simulated time). Sampling drops records, so profiles of
-    /// a sampled trace are estimates — leave it off (the default) wherever
-    /// the streaming == fused bit-identity contract applies.
-    pub fn set_sampler_budget(&mut self, budget: Option<f64>) {
-        self.sampler = budget.map(AdaptiveSampler::new);
-    }
-
-    /// The active sampler, if any (tests inspect the adapted stride).
-    pub fn sampler(&self) -> Option<&AdaptiveSampler> {
-        self.sampler.as_ref()
     }
 
     /// Whether chunked capture is on.
@@ -409,11 +313,6 @@ impl Tracer {
         if !self.enabled {
             return Dur::ZERO;
         }
-        if let Some(s) = &mut self.sampler {
-            if !s.admit(start, self.per_record_overhead) {
-                return Dur::ZERO;
-            }
-        }
         self.cols
             .push_row(rank, node, app, layer, op, start, end, file, offset, bytes);
         if let Some(cs) = &mut self.chunked {
@@ -473,8 +372,8 @@ impl Tracer {
         self.cols.is_empty()
     }
 
-    /// Rebuild the intern maps after deserialization.
-    pub fn rebuild_index(&mut self) {
+    /// Rebuild the intern maps from the path and name tables.
+    fn rebuild_index(&mut self) {
         self.file_ids = self
             .cols
             .file_paths
@@ -489,33 +388,6 @@ impl Tracer {
             .enumerate()
             .map(|(i, n)| (n.clone(), AppId(i as u16)))
             .collect();
-    }
-}
-
-// Serialized in the columnar layout (the capture format *is* the analysis
-// format). The intern maps (`file_ids`, `app_ids`) are derived state and are
-// not persisted; [`Tracer::rebuild_index`] reconstructs them after a load.
-impl ToJson for Tracer {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("columns", self.cols.to_json()),
-            ("per_record_overhead", self.per_record_overhead.to_json()),
-            ("enabled", self.enabled.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Tracer {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Tracer {
-            cols: j.decode_field("columns")?,
-            file_ids: HashMap::new(),
-            app_ids: HashMap::new(),
-            per_record_overhead: j.decode_field("per_record_overhead")?,
-            enabled: j.decode_field("enabled")?,
-            chunked: None,
-            sampler: None,
-        })
     }
 }
 
@@ -756,84 +628,19 @@ mod tests {
     }
 
     #[test]
-    fn sampler_off_is_exhaustive_and_deterministic() {
-        let mut a = Tracer::new();
-        let mut b = Tracer::new();
-        feed(&mut a, 3_000);
-        feed(&mut b, 3_000);
-        assert_eq!(a.to_columnar(), b.to_columnar());
-        assert_eq!(a.len(), 3_000);
-    }
-
-    #[test]
-    fn sampler_throttles_hot_streams_and_stays_deterministic() {
-        // 1 µs overhead per record, records 1 ns apart: overhead vastly
-        // exceeds any budget, so the stride must back off hard.
-        let run = || {
-            let mut t = Tracer::with_overhead(Dur::from_micros(1));
-            t.set_sampler_budget(Some(0.08));
-            let a = t.app_id("app");
-            for i in 0..100_000u64 {
-                t.record(
-                    0,
-                    0,
-                    a,
-                    Layer::Posix,
-                    OpKind::Write,
-                    SimTime(i),
-                    SimTime(i + 1),
-                    None,
-                    0,
-                    64,
-                );
-            }
-            (t.len(), t.sampler().unwrap().stride())
-        };
-        let (len1, stride1) = run();
-        let (len2, stride2) = run();
-        assert_eq!(
-            (len1, stride1),
-            (len2, stride2),
-            "sampling is deterministic"
-        );
-        assert!(stride1 > 1, "hot stream must raise the stride");
-        assert!(len1 < 100_000 / 4, "most records dropped: {len1}");
-    }
-
-    #[test]
-    fn sampler_relaxes_on_cool_streams() {
-        // Records 1 s apart with 1 µs overhead: far under budget, so the
-        // stride stays at 1 and everything is captured.
-        let mut t = Tracer::with_overhead(Dur::from_micros(1));
-        t.set_sampler_budget(Some(0.08));
-        let a = t.app_id("app");
-        for i in 0..5_000u64 {
-            t.record(
-                0,
-                0,
-                a,
-                Layer::Posix,
-                OpKind::Write,
-                SimTime::from_secs(i),
-                SimTime::from_secs(i) + Dur::from_millis(1),
-                None,
-                0,
-                64,
-            );
-        }
-        assert_eq!(t.sampler().unwrap().stride(), 1);
-        assert_eq!(t.len(), 5_000);
-    }
-
-    #[test]
     fn rebuild_index_restores_interning() {
         let mut t = Tracer::new();
         t.file_id("/x");
         t.file_id("/y");
         t.app_id("app");
-        let json = vani_rt::json::to_string(&t);
-        let mut back: Tracer = vani_rt::json::from_str(&json).unwrap();
-        back.rebuild_index();
+        let dir = std::env::temp_dir().join(format!("vani-tracer-index-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("interned.vsp3");
+        crate::spill::spill_columnar(t.columnar(), 64, &path, SpillFaultPlan::none())
+            .expect("spills");
+        let loaded = crate::spill::load_spill(&path).expect("loads");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut back = Tracer::from_columnar(loaded.to_columnar().expect("decodes"));
         assert_eq!(back.file_id("/x"), FileId(0));
         assert_eq!(back.file_id("/y"), FileId(1));
         assert_eq!(back.file_id("/z"), FileId(2));

@@ -12,9 +12,11 @@
 //! the worker-count sweep must not interleave with itself.
 
 use sim_core::SimTime;
+use std::path::Path;
 use storage_sim::FaultPlan;
-use vani_suite::recorder::persist;
+use vani_suite::recorder::spill::{load_spill_salvaged, spill_columnar};
 use vani_suite::recorder::tracer::Tracer;
+use vani_suite::recorder::SpillFaultPlan;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::crashsweep;
 use vani_suite::vani::sweep::{Driver, ScenarioSet};
@@ -54,11 +56,11 @@ fn crashed_pair(driver: Driver, cm1_at: SimTime, cf_at: SimTime) -> String {
     out
 }
 
-/// Analyze the salvaged prefix of a deliberately truncated capture of a
+/// Analyze the salvaged prefix of a deliberately truncated spill log of a
 /// crashed CM1 run, rendered with its completeness annotation.
-fn salvaged_analysis(text: &str, cm1_at: SimTime) -> String {
-    let cut = &text[..text.len() * 2 / 3];
-    let (salvaged, tc) = persist::parse_rowgroups_salvaged(cut).unwrap();
+fn salvaged_analysis(log: &Path, cm1_at: SimTime) -> String {
+    let (chunks, tc) = load_spill_salvaged(log).unwrap();
+    let salvaged = chunks.to_columnar().unwrap();
     let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
     p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
     let mut run = wl::cm1::run_with(p, CM1_SCALE, SEED);
@@ -85,15 +87,26 @@ fn crash_recovery_is_deterministic_and_supervised() {
     let sweep_ref = crashsweep::crash_sweep(CF_SCALE, 7, Driver::Sequential).render();
     assert!(sweep_ref.contains("time-to-solution"));
 
-    // A deliberately truncated capture of a crashed run, shared by every
+    // A spill log of a crashed run, cut two thirds in and shared by every
     // worker count below: the salvaged-prefix analysis must not depend on
     // the analyzer's parallelism either.
-    let crashed_capture = {
+    let dir = std::env::temp_dir().join("vani_crash_recovery");
+    std::fs::create_dir_all(&dir).unwrap();
+    let crashed_capture = dir.join("cm1.crashed.vsp4");
+    {
         let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
         p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
         let run = wl::cm1::run_with(p, CM1_SCALE, SEED);
-        persist::render_rowgroups(run.world.tracer.columnar(), 64)
-    };
+        spill_columnar(
+            run.world.tracer.columnar(),
+            64,
+            &crashed_capture,
+            SpillFaultPlan::none(),
+        )
+        .unwrap();
+        let bytes = std::fs::read(&crashed_capture).unwrap();
+        std::fs::write(&crashed_capture, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    }
     let salvage_ref = salvaged_analysis(&crashed_capture, cm1_at);
     assert!(salvage_ref.contains("trace_completeness"), "{salvage_ref}");
 
@@ -116,6 +129,7 @@ fn crash_recovery_is_deterministic_and_supervised() {
         );
         vani_rt::par::set_threads(0);
     }
+    std::fs::remove_file(&crashed_capture).unwrap();
 
     // A supervised sweep mixing a panicking scenario with a
     // crash-recovering workload completes: the healthy result comes back,

@@ -1,16 +1,14 @@
-//! Seeded corruption property suite over all three persistence
-//! generations: v1 row-group JSON (`render_rowgroups`), v2 chunked JSON
-//! (`save_chunked`), and the binary spill log (`spill_columnar`), labelled
-//! `v3` below as the third generation although its on-disk format is
-//! spill format v4.
+//! Seeded corruption property suite over the persisted trace format, the
+//! binary spill log (`spill_columnar`, spill format v4).
 //!
-//! Property: for ANY random truncation or bit flip of a persisted trace,
-//! every loader either returns a typed [`TraceLoadError`] / [`SpillError`]
-//! or salvages — it never panics. When a salvaging loader succeeds, its
-//! [`TraceCompleteness`] counts exactly what was loaded, the salvaged
-//! trace never contains more records than the original, and every record
-//! it does contain is the original record at the same position (salvage
-//! recovers a verified prefix, it never invents or reorders data).
+//! Property: for ANY random truncation or bit flip of a spill log, every
+//! loader either returns a typed [`SpillError`] or salvages — it never
+//! panics. When the salvaging loader succeeds, its [`TraceCompleteness`]
+//! counts exactly what was loaded, the salvaged trace never contains more
+//! records than the original, and every record it does contain is the
+//! original record at the same position (salvage recovers a verified
+//! prefix, it never invents or reorders data). A salvage that lost
+//! records is never reported complete, and its `fraction()` stays below 1.
 //!
 //! A hand-crafted checksum-fixed corruption (flip a chunk's persisted
 //! meta, then re-seal the frame checksum over the flipped payload) pins
@@ -23,17 +21,16 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-use vani_suite::recorder::chunk::ChunkedTrace;
-use vani_suite::recorder::persist::{self, TraceLoadError};
 use vani_suite::recorder::spill::{
-    frame_checksum, fsck, spill_columnar, QuarantineReason, SpillFaultPlan, SpillSource,
+    frame_checksum, fsck, load_spill, load_spill_salvaged, spill_columnar, QuarantineReason,
+    SpillFaultPlan, SpillSource, TraceCompleteness,
 };
 use vani_suite::recorder::{ColumnarTrace, Layer, OpKind, SpillError, Tracer};
 use vani_suite::rt::Rng;
 use vani_suite::sim::SimTime;
 
-/// Group/chunk size for all three formats: small enough that a ~900-row
-/// trace has many independently-checksummed segments to damage.
+/// Chunk size: small enough that a ~900-row trace has many
+/// independently-checksummed segments to damage.
 const GROUP_ROWS: usize = 64;
 
 fn tmp(name: &str) -> PathBuf {
@@ -97,9 +94,10 @@ fn assert_prefix(label: &str, got: &ColumnarTrace, want: &ColumnarTrace) {
 /// prefixes with consistent completeness accounting.
 fn exercise(label: &str, path: &Path, original: &ColumnarTrace) {
     // Strict loaders: Ok or typed error, never a panic.
-    let _ = persist::load_chunked(path);
-    let _ = persist::load_columnar(path);
-    if let Ok((t, comp)) = persist::load_chunked_salvaged(path) {
+    let _ = load_spill(path);
+    let _ = SpillSource::open_strict(path);
+    let _ = fsck(path);
+    if let Ok((t, comp)) = load_spill_salvaged(path) {
         assert_eq!(
             comp.loaded_records,
             t.len() as u64,
@@ -109,68 +107,63 @@ fn exercise(label: &str, path: &Path, original: &ColumnarTrace) {
             comp.fraction().is_finite() && comp.fraction() >= 0.0,
             "{label}: fraction must be a finite non-negative ratio"
         );
+        if t.len() < original.len() {
+            assert_lossy(label, &comp);
+        }
         let c = t
             .to_columnar()
             .unwrap_or_else(|e| panic!("{label}: salvaged chunks must decode: {e}"));
         assert_prefix(label, &c, original);
     }
-    if let Ok((c, comp)) = persist::load_columnar_salvaged(path) {
-        assert_eq!(
-            comp.loaded_records,
-            c.len() as u64,
-            "{label}: completeness counts the salvaged records"
-        );
-        assert_prefix(label, &c, original);
-    }
 }
 
-/// Persist `c` in the given generation and return the file's bytes.
-fn persisted(gen: &str, c: &ColumnarTrace, path: &Path) -> Vec<u8> {
-    match gen {
-        "v1" => std::fs::write(path, persist::render_rowgroups(c, GROUP_ROWS)).expect("write v1"),
-        "v2" => persist::save_chunked(&ChunkedTrace::from_columnar(c, GROUP_ROWS), path)
-            .expect("write v2"),
-        "v3" => {
-            spill_columnar(c, GROUP_ROWS, path, SpillFaultPlan::none()).expect("write v3");
-        }
-        other => panic!("unknown generation {other}"),
-    }
-    std::fs::read(path).expect("read persisted bytes")
+/// A salvage that lost records must say so: never complete, and a loaded
+/// fraction strictly below 1.
+fn assert_lossy(label: &str, comp: &TraceCompleteness) {
+    assert!(
+        !comp.is_complete(),
+        "{label}: a lossy salvage reported complete: {comp:?}"
+    );
+    assert!(
+        comp.fraction() < 1.0,
+        "{label}: a lossy salvage reported fraction 1: {comp:?}"
+    );
 }
 
-/// The property itself: 24 seeded truncations and 24 seeded bit flips per
-/// generation, every loader exercised on each mutant, no panics allowed.
+/// The property itself: 24 seeded truncations and 24 seeded bit flips,
+/// every loader exercised on each mutant, no panics allowed.
 #[test]
 fn random_truncations_and_bit_flips_never_panic_any_loader() {
     let c = sample_trace();
-    for gen in ["v1", "v2", "v3"] {
-        let clean_path = tmp(&format!("{gen}-clean.trace"));
-        let bytes = persisted(gen, &c, &clean_path);
-        // The pristine file itself round-trips completely.
-        exercise(&format!("{gen} clean"), &clean_path, &c);
+    let clean_path = tmp("spill-clean.trace");
+    spill_columnar(&c, GROUP_ROWS, &clean_path, SpillFaultPlan::none()).expect("clean spill");
+    let bytes = std::fs::read(&clean_path).expect("read spill log");
+    // The pristine file itself round-trips completely.
+    exercise("clean", &clean_path, &c);
+    let (_, comp) = load_spill_salvaged(&clean_path).expect("clean salvage");
+    assert!(comp.is_complete() && comp.fraction() == 1.0, "{comp:?}");
 
-        let mut rng = Rng::new(0xc0_44u64 ^ gen.as_bytes()[1] as u64);
-        let mutant_path = tmp(&format!("{gen}-mutant.trace"));
-        for trial in 0..24 {
-            let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
-            std::fs::write(&mutant_path, &bytes[..cut]).expect("write truncation");
-            let label = format!("{gen} trial {trial}: truncated to {cut}B");
-            catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-                .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
-        }
-        for trial in 0..24 {
-            let pos = (rng.next_u64() as usize) % bytes.len();
-            let bit = 1u8 << (rng.next_u64() % 8);
-            let mut flipped = bytes.clone();
-            flipped[pos] ^= bit;
-            std::fs::write(&mutant_path, &flipped).expect("write bit flip");
-            let label = format!("{gen} trial {trial}: bit {bit:#04x} flipped at {pos}");
-            catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-                .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
-        }
-        std::fs::remove_file(&clean_path).expect("cleanup");
-        std::fs::remove_file(&mutant_path).expect("cleanup");
+    let mut rng = Rng::new(0xc0_44u64 ^ b'3' as u64);
+    let mutant_path = tmp("spill-mutant.trace");
+    for trial in 0..24 {
+        let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
+        std::fs::write(&mutant_path, &bytes[..cut]).expect("write truncation");
+        let label = format!("trial {trial}: truncated to {cut}B");
+        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
+            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
     }
+    for trial in 0..24 {
+        let pos = (rng.next_u64() as usize) % bytes.len();
+        let bit = 1u8 << (rng.next_u64() % 8);
+        let mut flipped = bytes.clone();
+        flipped[pos] ^= bit;
+        std::fs::write(&mutant_path, &flipped).expect("write bit flip");
+        let label = format!("trial {trial}: bit {bit:#04x} flipped at {pos}");
+        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
+            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
+    }
+    std::fs::remove_file(&clean_path).expect("cleanup");
+    std::fs::remove_file(&mutant_path).expect("cleanup");
 }
 
 /// The payload (start, length) of the first CHUNK frame (kind 1) of a
@@ -224,21 +217,21 @@ fn checksum_fixed_meta_corruption_is_caught_by_deep_verification() {
         QuarantineReason::Codec,
         "a checksum-passing meta mismatch is codec-class damage"
     );
-    match persist::load_chunked(&path) {
-        Err(TraceLoadError::Spill(SpillError::Codec { .. })) => {}
+    match load_spill(&path) {
+        Err(SpillError::Codec { .. }) => {}
         other => panic!("strict load must fail typed Codec, got {other:?}"),
     }
-    let (salvaged, comp) = persist::load_chunked_salvaged(&path).expect("salvage still succeeds");
+    let (salvaged, comp) = load_spill_salvaged(&path).expect("salvage still succeeds");
     assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
-    assert!(!comp.is_complete());
+    assert_lossy("meta mutant", &comp);
     std::fs::remove_file(&path).expect("cleanup");
 }
 
 /// Checksum-fixed corruption of the one column the analyzer never decodes:
 /// give the first chunk's `node` column an unknown codec tag and re-seal
 /// the frame. Deep verification must still quarantine the chunk as
-/// `Codec`, so `fsck` and the strict open agree with the columnar loader,
-/// which does decode `node`.
+/// `Codec`, so `fsck`, the strict open and the strict loader all refuse
+/// it although the analyzer would never decode `node`.
 #[test]
 fn checksum_fixed_node_column_corruption_is_caught_by_deep_verification() {
     let c = sample_trace();
@@ -265,12 +258,12 @@ fn checksum_fixed_node_column_corruption_is_caught_by_deep_verification() {
         Err(SpillError::Codec { .. }) => {}
         other => panic!("strict open must fail typed Codec, got {:?}", other.err()),
     }
-    match persist::load_columnar(&path) {
-        Err(TraceLoadError::Spill(SpillError::Codec { .. })) => {}
-        other => panic!("columnar load must fail typed Codec, got {other:?}"),
+    match load_spill(&path) {
+        Err(SpillError::Codec { .. }) => {}
+        other => panic!("strict load must fail typed Codec, got {other:?}"),
     }
-    let (salvaged, comp) = persist::load_columnar_salvaged(&path).expect("salvage still succeeds");
+    let (salvaged, comp) = load_spill_salvaged(&path).expect("salvage still succeeds");
     assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
-    assert!(!comp.is_complete());
+    assert_lossy("node mutant", &comp);
     std::fs::remove_file(&path).expect("cleanup");
 }

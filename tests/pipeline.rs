@@ -64,16 +64,29 @@ fn table1_shape_invariants_hold_across_all_six() {
 
 #[test]
 fn trace_round_trips_through_disk_and_reanalyzes() {
-    let run = wl::hacc::run(0.02, 3);
+    use recorder_sim::spill::{load_spill, spill_columnar};
+    use recorder_sim::{SpillFaultPlan, Tracer};
+
+    let mut run = wl::hacc::run(0.02, 3);
     let dir = std::env::temp_dir().join("vani_it");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("hacc_trace.json");
-    recorder_sim::persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let loaded = recorder_sim::persist::load_tracer(&path).unwrap();
-    assert_eq!(loaded.records(), run.world.tracer.records());
-    let c = recorder_sim::ColumnarTrace::from_tracer(&loaded);
-    assert_eq!(c.len(), run.world.tracer.len());
+    let path = dir.join("hacc_trace.vsp4");
+    spill_columnar(
+        run.world.tracer.columnar(),
+        4096,
+        &path,
+        SpillFaultPlan::none(),
+    )
+    .unwrap();
+    let loaded = Tracer::from_columnar(load_spill(&path).unwrap().to_columnar().unwrap());
     std::fs::remove_file(&path).unwrap();
+    assert_eq!(loaded.records(), run.world.tracer.records());
+    assert_eq!(loaded.file_paths(), run.world.tracer.file_paths());
+    assert_eq!(loaded.app_names(), run.world.tracer.app_names());
+
+    let direct = Analysis::from_run(&run);
+    run.world.tracer = loaded;
+    assert_eq!(Analysis::from_run(&run), direct);
 }
 
 #[test]

@@ -5,10 +5,9 @@
 //! disk; the profile must equal `TraceProfile::fused` on the same capture,
 //! cell for cell, at 1, 2, and 8 workers and across chunk sizes.
 //!
-//! Also pinned here: the persistence entry points (`load_chunked`,
-//! `load_columnar`, and their salvaging twins) transparently recognize a
-//! spill log by its magic bytes, so a spill file drops into every
-//! existing reload path; and off-disk profiling keeps the resident trace
+//! Also pinned here: the spill log is a canonical persisted form (spill,
+//! load, spill again writes identical bytes, through both the strict and
+//! the salvaging loader), and off-disk profiling keeps the resident trace
 //! footprint under the same ring bound as in-memory streaming.
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
@@ -22,8 +21,9 @@ use std::sync::{Mutex, MutexGuard};
 use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
 };
-use vani_suite::recorder::persist;
-use vani_suite::recorder::spill::{spill_columnar, SpillFaultPlan, SpillSource};
+use vani_suite::recorder::spill::{
+    load_spill, load_spill_salvaged, spill_columnar, SpillFaultPlan, SpillSource, SpillWriter,
+};
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::rt::par;
 use vani_suite::sim::{Dur, SimTime};
@@ -155,31 +155,60 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     }
 }
 
-/// A spill log loads through every v1/v2 persistence entry point: the
-/// loaders sniff the magic bytes and route to the spill reader, so a
-/// spilled trace round-trips exactly like a JSON one.
+/// Spill, load, then spill again gives identical bytes: the spill log is
+/// a fixed point of its own loaders. The reload goes through whole
+/// columns (`spill_columnar`) and chunk by chunk (`SpillWriter::append`
+/// of the loaded chunks), and the salvaging loader agrees with the strict
+/// one on a clean log.
 #[test]
-fn spill_logs_load_through_the_persistence_entry_points() {
+fn spill_load_respill_is_a_fixed_point() {
     let _serial = serial();
     let run = wl::jag::run(0.01, 5);
     let c = run.columnar();
     let mem = ChunkedTrace::from_columnar(&c, DEFAULT_CHUNK_ROWS);
-    let path = tmp("persist-entry.vsp3");
-    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+    let first = tmp("fixed-point-1.vsp4");
+    let second = tmp("fixed-point-2.vsp4");
+    let third = tmp("fixed-point-3.vsp4");
+    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &first, SpillFaultPlan::none()).expect("clean spill");
+    let bytes = std::fs::read(&first).expect("read spill log");
 
-    let chunked = persist::load_chunked(&path).expect("load_chunked reads spill logs");
-    assert_eq!(chunked, mem);
-    let (salvaged, comp) =
-        persist::load_chunked_salvaged(&path).expect("load_chunked_salvaged reads spill logs");
+    let loaded = load_spill(&first).expect("strict load");
+    assert_eq!(loaded, mem);
+    let (salvaged, comp) = load_spill_salvaged(&first).expect("salvaging load");
     assert_eq!(salvaged, mem);
     assert!(comp.is_complete());
-    let columnar = persist::load_columnar(&path).expect("load_columnar reads spill logs");
-    assert_eq!(columnar, c);
-    let (columnar2, comp2) =
-        persist::load_columnar_salvaged(&path).expect("load_columnar_salvaged reads spill logs");
-    assert_eq!(columnar2, c);
-    assert!(comp2.is_complete());
-    std::fs::remove_file(&path).expect("remove spill log");
+    assert_eq!(comp.fraction(), 1.0);
+
+    let columns = loaded.to_columnar().expect("decodes");
+    assert_eq!(columns, c);
+    spill_columnar(
+        &columns,
+        DEFAULT_CHUNK_ROWS,
+        &second,
+        SpillFaultPlan::none(),
+    )
+    .expect("respill columns");
+    assert!(
+        std::fs::read(&second).expect("read respill") == bytes,
+        "respilled columns must write the same bytes"
+    );
+
+    let mut w = SpillWriter::create(&third, loaded.chunk_rows, SpillFaultPlan::none())
+        .expect("create writer");
+    w.intern(&loaded.file_paths, &loaded.app_names)
+        .expect("intern tables");
+    for ch in &loaded.chunks {
+        w.append(ch, &loaded.file_paths, &loaded.app_names)
+            .expect("append loaded chunk");
+    }
+    w.finish().expect("seal");
+    assert!(
+        std::fs::read(&third).expect("read rewrite") == bytes,
+        "re-appended chunks must write the same bytes"
+    );
+    for p in [&first, &second, &third] {
+        std::fs::remove_file(p).expect("remove spill log");
+    }
 }
 
 /// Off-disk profiling holds at most the same ring as in-memory streaming:

@@ -7,8 +7,7 @@
 //! exactly the same compressed trace as batch capture followed by
 //! `ChunkedTrace::from_columnar`; the streaming path's resident trace
 //! memory stays under the ring bound while profiling a trace far larger
-//! than one chunk; and the adaptive sampler is deterministic (and off by
-//! default, where the identity contract applies).
+//! than one chunk.
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
@@ -198,57 +197,5 @@ fn streaming_peak_memory_stays_under_the_ring_bound() {
         peak <= resident_bound(chunk_rows, RING_SLOTS),
         "peak {peak} exceeds resident_bound({chunk_rows}, {RING_SLOTS}) = {}",
         resident_bound(chunk_rows, RING_SLOTS)
-    );
-}
-
-/// The adaptive sampler: off by default (identity applies), deterministic
-/// under a budget (two identical replays admit identical record sets), and
-/// actually adaptive (a tight budget widens the stride and drops records).
-#[test]
-fn sampler_is_off_by_default_and_deterministic_under_budget() {
-    let _serial = serial();
-    let run = wl::jag::run(0.01, 5);
-    let c = run.columnar();
-    assert!(
-        run.world.tracer.sampler().is_none(),
-        "sampling must be opt-in"
-    );
-
-    let replay = |budget: Option<f64>| -> ColumnarTrace {
-        let mut t = Tracer::with_overhead(Dur::from_nanos(10_000));
-        t.set_sampler_budget(budget);
-        for i in 0..c.len() {
-            let file = c.file_id(i).map(|f| t.file_id(run.world.tracer.path_of(f)));
-            let app = t.app_id(
-                run.world
-                    .tracer
-                    .app_name(vani_suite::recorder::record::AppId(c.app[i])),
-            );
-            t.record(
-                c.rank[i],
-                c.node[i],
-                app,
-                c.layer[i],
-                c.op[i],
-                SimTime(c.start[i]),
-                SimTime(c.end[i]),
-                file,
-                c.offset[i],
-                c.bytes[i],
-            );
-        }
-        t.to_columnar()
-    };
-
-    let full = replay(None);
-    assert_eq!(full.len(), c.len(), "no sampler: every record captured");
-    let a = replay(Some(1e-6));
-    let b = replay(Some(1e-6));
-    assert_eq!(a, b, "sampling must be deterministic for a fixed budget");
-    assert!(
-        a.len() < full.len(),
-        "a near-zero overhead budget must drop records ({} vs {})",
-        a.len(),
-        full.len()
     );
 }
