@@ -1,152 +1,67 @@
-//! Integration: traces persisted with `vani_rt::json` survive the disk
-//! round-trip losslessly — a reloaded trace yields the same columnar
-//! analysis and the same rendered attribute tables as the original run.
+//! Integration: the persisted form of a columnar trace is canonical.
+//! Traces are not JSON: the v4 spill log is the one on-disk trace format
+//! (DESIGN.md §16). A trace persisted twice writes the same bytes, and
+//! save → load → save is a fixed point whether the reload goes back
+//! through whole columns or chunk by chunk.
 
 use std::fs;
-use vani_suite::recorder::columnar::ColumnarTrace;
-use vani_suite::recorder::persist;
-use vani_suite::vani::analyzer::Analysis;
-use vani_suite::vani::tables;
+use std::path::PathBuf;
+
+use vani_suite::recorder::chunk::DEFAULT_CHUNK_ROWS;
+use vani_suite::recorder::spill::{load_spill, spill_columnar, SpillFaultPlan, SpillWriter};
 use vani_suite::workloads as wl;
 
-#[test]
-fn cm1_trace_round_trips_through_disk() {
-    let run = wl::cm1::run(0.01, 11);
+fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cm1.trace.json");
-
-    persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let reloaded = persist::load_tracer(&path).unwrap();
-    fs::remove_file(&path).unwrap();
-
-    // Records and intern tables are preserved exactly.
-    assert_eq!(reloaded.records(), run.world.tracer.records());
-    assert_eq!(reloaded.file_paths(), run.world.tracer.file_paths());
-    assert_eq!(reloaded.app_names(), run.world.tracer.app_names());
-    // The rebuilt intern maps still resolve every path.
-    for (i, p) in run.world.tracer.file_paths().iter().enumerate() {
-        let mut r = reloaded.clone();
-        assert_eq!(r.file_id(p).0 as usize, i);
-    }
-
-    // Columnar analysis over the reloaded trace is identical.
-    let c0 = run.columnar();
-    let c1 = ColumnarTrace::from_tracer(&reloaded);
-    assert_eq!(c0.to_records(), c1.to_records());
-    assert_eq!(c0.io_ops(), c1.io_ops());
-    let sel0 = c0.data_ops(None);
-    let sel1 = c1.data_ops(None);
-    assert_eq!(sel0, sel1);
-    assert_eq!(c0.sum_bytes(&sel0), c1.sum_bytes(&sel1));
-    assert_eq!(c0.sum_time(&sel0), c1.sum_time(&sel1));
-    assert_eq!(c0.t_min(), c1.t_min());
-    assert_eq!(c0.t_max(), c1.t_max());
-}
-
-#[test]
-fn reloaded_trace_renders_identical_attribute_tables() {
-    // Two identical runs (the stack is deterministic for a fixed seed) ...
-    let run_a = wl::cm1::run(0.01, 11);
-    let mut run_b = wl::cm1::run(0.01, 11);
-
-    // ... but run_b analyzes a trace that went JSON → disk → back.
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cm1.tables.trace.json");
-    persist::save_tracer(&run_a.world.tracer, &path).unwrap();
-    run_b.world.tracer = persist::load_tracer(&path).unwrap();
-    fs::remove_file(&path).unwrap();
-
-    let a = Analysis::from_run(&run_a);
-    let b = Analysis::from_run(&run_b);
-    let cols_a = [&a];
-    let cols_b = [&b];
-    for (name, ta, tb) in [
-        ("table1", tables::table1(&cols_a), tables::table1(&cols_b)),
-        (
-            "table10",
-            tables::table10(&cols_a),
-            tables::table10(&cols_b),
-        ),
-        (
-            "table11",
-            tables::table11(&cols_a),
-            tables::table11(&cols_b),
-        ),
-    ] {
-        assert_eq!(ta.render(), tb.render(), "{name} diverged after reload");
-    }
-}
-
-#[test]
-fn malformed_traces_fail_with_byte_offset_context() {
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-
-    // A real trace, then sabotage it in every way a disk or a partial
-    // write can: truncation, garbage bytes, and wrong-but-valid JSON.
-    let run = wl::cm1::run(0.005, 3);
-    let path = dir.join("sabotage.trace.json");
-    persist::save_tracer(&run.world.tracer, &path).unwrap();
-    let good = fs::read_to_string(&path).unwrap();
-
-    let cases: [(&str, String); 4] = [
-        ("truncated", good[..good.len() / 2].to_string()),
-        ("garbage tail", format!("{good}garbage")),
-        ("corrupt byte", {
-            let mut s = good.clone().into_bytes();
-            let mid = s.len() / 2;
-            s[mid] = b'\\';
-            String::from_utf8_lossy(&s).into_owned()
-        }),
-        ("wrong shape", "[1, 2, 3]".to_string()),
-    ];
-    for (name, text) in cases {
-        fs::write(&path, &text).unwrap();
-        let err = persist::load_tracer(&path).expect_err(name);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("byte"),
-            "{name}: the error must carry byte-offset context, got: {msg}"
-        );
-    }
-
-    // The columnar loader surfaces the same typed context.
-    let cpath = dir.join("sabotage.columnar.json");
-    let c = ColumnarTrace::from_tracer(&run.world.tracer);
-    persist::save_columnar(&c, &cpath).unwrap();
-    let cgood = fs::read_to_string(&cpath).unwrap();
-    fs::write(&cpath, &cgood[..cgood.len() - cgood.len() / 3]).unwrap();
-    let msg = persist::load_columnar(&cpath)
-        .expect_err("truncated columnar")
-        .to_string();
-    assert!(
-        msg.contains("byte"),
-        "columnar error must carry byte-offset context: {msg}"
-    );
-
-    // A missing file is an io::Error, not a panic.
-    assert!(persist::load_tracer(&dir.join("never_written.json")).is_err());
-
-    fs::remove_file(&path).unwrap();
-    fs::remove_file(&cpath).unwrap();
+    fs::create_dir_all(&dir).expect("create temp dir");
+    dir.join(name)
 }
 
 #[test]
 fn columnar_persistence_is_canonical() {
-    // Saving the same columnar trace twice produces byte-identical JSON,
-    // and a save → load → save cycle is a fixed point.
     let run = wl::cm1::run(0.005, 3);
-    let c = ColumnarTrace::from_tracer(&run.world.tracer);
-    let dir = std::env::temp_dir().join("vani_json_roundtrip");
-    fs::create_dir_all(&dir).unwrap();
-    let p1 = dir.join("c1.json");
-    let p2 = dir.join("c2.json");
-    persist::save_columnar(&c, &p1).unwrap();
-    let back = persist::load_columnar(&p1).unwrap();
-    persist::save_columnar(&back, &p2).unwrap();
-    assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
-    fs::remove_file(&p1).unwrap();
-    fs::remove_file(&p2).unwrap();
+    let c = run.columnar();
+    let p1 = tmp("c1.vsp4");
+    let p2 = tmp("c2.vsp4");
+    let p3 = tmp("c3.vsp4");
+    let p4 = tmp("c4.vsp4");
+
+    // Saving the same columns twice writes identical bytes.
+    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &p1, SpillFaultPlan::none()).expect("first save");
+    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &p2, SpillFaultPlan::none()).expect("second save");
+    let bytes = fs::read(&p1).expect("read first save");
+    assert!(
+        fs::read(&p2).expect("read second save") == bytes,
+        "saving the same trace twice must write the same bytes"
+    );
+
+    // save → load → save through whole columns.
+    let loaded = load_spill(&p1).expect("strict load");
+    let columns = loaded.to_columnar().expect("decodes");
+    assert_eq!(columns, c);
+    spill_columnar(&columns, DEFAULT_CHUNK_ROWS, &p3, SpillFaultPlan::none())
+        .expect("respill columns");
+    assert!(
+        fs::read(&p3).expect("read respill") == bytes,
+        "respilled columns must write the same bytes"
+    );
+
+    // save → load → save chunk by chunk, without re-encoding.
+    let mut w =
+        SpillWriter::create(&p4, loaded.chunk_rows, SpillFaultPlan::none()).expect("create writer");
+    w.intern(&loaded.file_paths, &loaded.app_names)
+        .expect("intern tables");
+    for ch in &loaded.chunks {
+        w.append(ch, &loaded.file_paths, &loaded.app_names)
+            .expect("append loaded chunk");
+    }
+    w.finish().expect("seal");
+    assert!(
+        fs::read(&p4).expect("read rewrite") == bytes,
+        "re-appended chunks must write the same bytes"
+    );
+
+    for p in [&p1, &p2, &p3, &p4] {
+        fs::remove_file(p).expect("remove spill log");
+    }
 }

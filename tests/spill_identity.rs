@@ -5,10 +5,9 @@
 //! disk; the profile must equal `TraceProfile::fused` on the same capture,
 //! cell for cell, at 1, 2, and 8 workers and across chunk sizes.
 //!
-//! Also pinned here: the spill log is a canonical persisted form (spill,
-//! load, spill again writes identical bytes, through both the strict and
-//! the salvaging loader), and off-disk profiling keeps the resident trace
-//! footprint under the same ring bound as in-memory streaming.
+//! Also pinned here: a spill log loads through every persistence entry
+//! point, strict and salvaging, and off-disk profiling keeps the resident
+//! trace footprint under the same ring bound as in-memory streaming.
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
@@ -22,7 +21,7 @@ use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
 };
 use vani_suite::recorder::spill::{
-    load_spill, load_spill_salvaged, spill_columnar, SpillFaultPlan, SpillSource, SpillWriter,
+    load_spill, load_spill_salvaged, spill_columnar, SpillFaultPlan, SpillSource,
 };
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::rt::par;
@@ -155,60 +154,33 @@ fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     }
 }
 
-/// Spill, load, then spill again gives identical bytes: the spill log is
-/// a fixed point of its own loaders. The reload goes through whole
-/// columns (`spill_columnar`) and chunk by chunk (`SpillWriter::append`
-/// of the loaded chunks), and the salvaging loader agrees with the strict
-/// one on a clean log.
+/// A spill log loads through every persistence entry point — the strict
+/// and salvaging whole-trace loaders and the strict and salvaging
+/// sources — and each gives back exactly the captured chunks and columns.
 #[test]
-fn spill_load_respill_is_a_fixed_point() {
+fn spill_logs_load_through_the_persistence_entry_points() {
     let _serial = serial();
     let run = wl::jag::run(0.01, 5);
     let c = run.columnar();
     let mem = ChunkedTrace::from_columnar(&c, DEFAULT_CHUNK_ROWS);
-    let first = tmp("fixed-point-1.vsp4");
-    let second = tmp("fixed-point-2.vsp4");
-    let third = tmp("fixed-point-3.vsp4");
-    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &first, SpillFaultPlan::none()).expect("clean spill");
-    let bytes = std::fs::read(&first).expect("read spill log");
+    let path = tmp("persist-entry.vsp4");
+    spill_columnar(&c, DEFAULT_CHUNK_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
 
-    let loaded = load_spill(&first).expect("strict load");
+    let loaded = load_spill(&path).expect("strict load");
     assert_eq!(loaded, mem);
-    let (salvaged, comp) = load_spill_salvaged(&first).expect("salvaging load");
+    assert_eq!(loaded.to_columnar().expect("decodes"), c);
+    let (salvaged, comp) = load_spill_salvaged(&path).expect("salvaging load");
     assert_eq!(salvaged, mem);
     assert!(comp.is_complete());
     assert_eq!(comp.fraction(), 1.0);
 
-    let columns = loaded.to_columnar().expect("decodes");
-    assert_eq!(columns, c);
-    spill_columnar(
-        &columns,
-        DEFAULT_CHUNK_ROWS,
-        &second,
-        SpillFaultPlan::none(),
-    )
-    .expect("respill columns");
-    assert!(
-        std::fs::read(&second).expect("read respill") == bytes,
-        "respilled columns must write the same bytes"
-    );
-
-    let mut w = SpillWriter::create(&third, loaded.chunk_rows, SpillFaultPlan::none())
-        .expect("create writer");
-    w.intern(&loaded.file_paths, &loaded.app_names)
-        .expect("intern tables");
-    for ch in &loaded.chunks {
-        w.append(ch, &loaded.file_paths, &loaded.app_names)
-            .expect("append loaded chunk");
-    }
-    w.finish().expect("seal");
-    assert!(
-        std::fs::read(&third).expect("read rewrite") == bytes,
-        "re-appended chunks must write the same bytes"
-    );
-    for p in [&first, &second, &third] {
-        std::fs::remove_file(p).expect("remove spill log");
-    }
+    let strict = SpillSource::open_strict(&path).expect("strict source");
+    assert_eq!(strict.len(), c.len() as u64);
+    assert_eq!(strict.to_chunked().expect("strict chunks"), mem);
+    let salvaging = SpillSource::open_salvaged(&path).expect("salvaging source");
+    assert!(salvaging.report().is_clean());
+    assert_eq!(salvaging.to_chunked().expect("salvaged chunks"), mem);
+    std::fs::remove_file(&path).expect("remove spill log");
 }
 
 /// Off-disk profiling holds at most the same ring as in-memory streaming:
