@@ -62,13 +62,12 @@ case "$roundtrip_corrupt" in
     *) echo "ci: trace-roundtrip missed a corrupted log: $roundtrip_corrupt" >&2; exit 1 ;;
 esac
 
-# bench-smoke: exercise the analyzer old-vs-new harness end to end in its
-# short mode. Writes no file; asserts (inside the binary) that the fused, multipass, and streaming profiles
-# stay equal on every measured trace, and that the streaming analyzer's
-# peak resident trace bytes never exceed the chunk-ring budget
-# (resident_bound(DEFAULT_CHUNK_ROWS, RING_SLOTS)). A regression in either
-# invariant fails this step.
-cargo run --release --offline -p bench --bin bench_analyzer -- --short
+# Ring-bound suite, a test binary of its own because the trace gauge is
+# process-wide: at 10^6 synthetic records the streaming analyzer's peak
+# resident trace bytes stay under the chunk-ring budget
+# (resident_bound(DEFAULT_CHUNK_ROWS, RING_SLOTS)), in memory and off
+# disk, and both profiles equal the in-memory fused one.
+cargo test --release --offline --test streaming_ring_bound
 
 # Codec property suite: seeded adversarial column shapes (random, constant,
 # runs, ramps, width-boundary extremes) round-trip bit-exactly through the
@@ -112,7 +111,7 @@ cargo test --release --offline --test crash_recovery
 
 # Trace-salvage suite: truncated (mid-frame and at every commit boundary)
 # and corrupted spill logs recover their longest committed prefix and are
-# never reported complete, the fused and multipass analyzers agree on
+# never reported complete, the analyzer and the multipass oracle agree on
 # salvaged columns, the YAML completeness annotation appears, and a
 # crashed run's trace round-trips with its resilience attributes.
 cargo test --release --offline --test trace_salvage

@@ -7,32 +7,32 @@
 //! system attributes come from the run's allocation and storage
 //! configuration rather than the trace.
 //!
-//! # Fused single-pass scan
+//! # One fold, one driver
 //!
-//! Trace-derived attributes are computed by [`TraceProfile::fused`]: a
-//! morsel-driven parallel traversal (built on [`vani_rt::par::par_fold_shards`])
-//! whose per-morsel shard accumulator carries *everything at once* — byte and
-//! op counters, per-rank aggregates, per-file profiles, per-app profiles,
-//! producer/consumer file maps, request-size and bandwidth histograms, and
-//! the interface-selection index lists that feed phase detection. Shards are
-//! merged in morsel order, and every floating-point reduction downstream
-//! happens in a key-sorted or index-sorted order, so the resulting
-//! [`Analysis`] is **bit-identical across worker counts**.
+//! Every trace-derived attribute comes out of one per-record fold,
+//! [`fold_fused_record`], whose shard accumulator carries *everything at
+//! once* — byte and op counters, per-rank aggregates, per-file profiles,
+//! per-app profiles, producer/consumer file sets, request-size and
+//! bandwidth histograms, and the interface-selection index lists that
+//! feed the online phase and access-pattern detectors. One driver
+//! (`crate::streaming`) runs that fold over batches of records in capture
+//! order: [`TraceProfile::fused`] lends a whole in-memory trace as a
+//! single batch, and [`TraceProfile::streaming_source`] lends one decoded
+//! chunk at a time. Shards merge in morsel order and every floating-point
+//! reduction happens in a key-sorted or capture order, so the profile is
+//! **bit-identical across worker counts and batchings**.
 //!
-//! The pre-fusion implementation (one scan per statistic plus sequential
-//! profiling loops) is retained as [`TraceProfile::multipass`]: it is the
-//! correctness oracle for the fused scan (see the
-//! `analyzer_fused_vs_multipass` integration suite) and the baseline the
-//! `bench_analyzer` harness measures the speedup against.
+//! The integration suite `analyzer_fused_vs_multipass` checks the driver
+//! against a one-scan-per-statistic oracle that lives in `tests/common/`.
 
 use exemplar_workloads::harness::{WorkloadKind, WorkloadRun};
+use recorder_sim::chunk::BitWords;
 use recorder_sim::record::{Layer, OpKind};
-use recorder_sim::ColumnarTrace;
+use recorder_sim::{ChunkMeta, ColumnarTrace};
 use sim_core::stats::{DistributionFit, Summary};
 
 use sim_core::{Dur, Histogram, SimTime, TimeSeries};
-use std::collections::{HashMap, HashSet};
-use vani_rt::par;
+use std::collections::HashSet;
 
 /// Per-file profile: who touches it and how much.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,30 +74,6 @@ impl FileProfile {
     /// Shared = touched by more than one rank (the paper's classification).
     pub fn is_shared(&self) -> bool {
         self.touchers() > 1
-    }
-
-    /// Fold one interface-selection record into this profile.
-    fn absorb(&mut self, c: &ColumnarTrace, i: usize) {
-        match c.op[i] {
-            OpKind::Read => {
-                self.readers.insert(c.rank[i]);
-                self.read_bytes += c.bytes[i];
-                self.data_ops += 1;
-                self.size = self.size.max(c.offset[i] + c.bytes[i]);
-            }
-            OpKind::Write => {
-                self.writers.insert(c.rank[i]);
-                self.write_bytes += c.bytes[i];
-                self.data_ops += 1;
-                self.size = self.size.max(c.offset[i] + c.bytes[i]);
-            }
-            op if op.is_meta() => {
-                self.meta_ops += 1;
-                self.openers.insert(c.rank[i]);
-            }
-            _ => {}
-        }
-        self.time += Dur(c.end[i] - c.start[i]);
     }
 }
 
@@ -148,8 +124,8 @@ pub struct AppProfile {
 
 /// All workload attributes derivable from the columnar trace alone (no
 /// allocation or storage state needed). [`Analysis`] is this plus the
-/// run-level attributes; the bench harness profiles bare synthetic traces
-/// through this type directly.
+/// run-level attributes; benchmarks and tests profile bare synthetic
+/// traces through this type directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Mean per-rank time spent inside I/O calls, as a fraction of runtime.
@@ -280,20 +256,10 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Analyze a completed run with the fused single-pass scan.
+    /// Analyze a completed run: [`TraceProfile::fused`] over its trace.
     pub fn from_run(run: &WorkloadRun) -> Analysis {
         let c = run.columnar();
         let profile = TraceProfile::fused(&c, run.runtime());
-        Self::assemble(run, c, profile)
-    }
-
-    /// Analyze a completed run with the legacy one-scan-per-statistic
-    /// pipeline. Retained as the oracle the fused scan is cross-checked
-    /// against and as the benchmark baseline; results are bit-identical to
-    /// [`Self::from_run`].
-    pub fn from_run_multipass(run: &WorkloadRun) -> Analysis {
-        let c = run.columnar();
-        let profile = TraceProfile::multipass(&c, run.runtime());
         Self::assemble(run, c, profile)
     }
 
@@ -451,55 +417,8 @@ impl Analysis {
     }
 }
 
-/// Dense index for a [`Layer`] (array-backed lookup tables in the scans).
-pub(crate) fn layer_idx(l: Layer) -> usize {
-    match l {
-        Layer::App => 0,
-        Layer::HighLevel => 1,
-        Layer::MpiIo => 2,
-        Layer::Stdio => 3,
-        Layer::Posix => 4,
-        Layer::Middleware => 5,
-    }
-}
-
-/// Layers counted as "the interface" for op statistics.
-pub(crate) fn interface_layers(interface: &str) -> Vec<Layer> {
-    match interface {
-        "HDF5-MPI-IO" => vec![Layer::HighLevel, Layer::MpiIo],
-        "STDIO" => vec![Layer::Stdio],
-        _ => vec![Layer::Posix],
-    }
-}
-
-/// Identify the workload's I/O interface from the layers present (Table I).
-fn detect_interface(c: &ColumnarTrace) -> String {
-    let mut present = [false; 6];
-    for &l in &c.layer {
-        present[layer_idx(l)] = true;
-    }
-    interface_from_presence(&present)
-}
-
-/// [`detect_interface`] from a precomputed layer-presence table.
-pub(crate) fn interface_from_presence(present: &[bool; 6]) -> String {
-    if present[layer_idx(Layer::MpiIo)] && present[layer_idx(Layer::HighLevel)] {
-        "HDF5-MPI-IO".to_string()
-    } else if present[layer_idx(Layer::Stdio)] {
-        "STDIO".to_string()
-    } else {
-        "POSIX".to_string()
-    }
-}
-
-/// Workflow-step name for an app id, from the trace's interned name table.
-fn app_name(c: &ColumnarTrace, app: u16) -> String {
-    app_name_from(&c.app_names, app)
-}
-
-/// [`app_name`] from a bare interned-name table (the streaming path holds a
-/// [`recorder_sim::ChunkedTrace`], not a `ColumnarTrace`).
-pub(crate) fn app_name_from(names: &[String], app: u16) -> String {
+/// Workflow-step name for an app id, from an interned name table.
+fn app_name_from(names: &[String], app: u16) -> String {
     names
         .get(app as usize)
         .cloned()
@@ -507,9 +426,8 @@ pub(crate) fn app_name_from(names: &[String], app: u16) -> String {
 }
 
 /// Mean-per-rank I/O-time fraction from per-rank I/O times visited in
-/// ascending rank order. Both analyzer paths feed this the same sorted
-/// sequence, so the non-associative f64 accumulation is byte-stable run to
-/// run (summing in HashMap iteration order is not).
+/// ascending rank order, so the non-associative f64 accumulation is
+/// byte-stable run to run (summing in HashMap iteration order is not).
 fn io_frac_sorted(times: impl Iterator<Item = Dur>, job_time: Dur) -> f64 {
     let mut sum = 0.0f64;
     let mut n = 0u64;
@@ -523,46 +441,9 @@ fn io_frac_sorted(times: impl Iterator<Item = Dur>, job_time: Dur) -> f64 {
     ((sum / n as f64) / job_time.as_secs_f64()).min(1.0)
 }
 
-/// [`io_frac_sorted`] over a per-rank aggregate map (the multipass path).
-fn io_frac_from_rank_aggs(
-    by_rank: &HashMap<u32, recorder_sim::columnar::GroupAgg>,
-    job_time: Dur,
-) -> f64 {
-    let mut ranks: Vec<u32> = by_rank.keys().copied().collect();
-    ranks.sort_unstable();
-    io_frac_sorted(ranks.iter().map(|r| by_rank[r].time), job_time)
-}
-
-/// Timeline bin width: 128 bins over the run. Every analyzer path (fused,
-/// multipass, streaming) must derive its bin from this so the series stay
-/// comparable bit-for-bit.
-pub(crate) fn timeline_bin(job_time: Dur) -> Dur {
-    Dur((job_time.as_nanos() / 128).max(1))
-}
-
-/// Build the read/write timelines (128 bins over the run) from the
-/// interface-layer data-op selection. Shared by the fused and multipass
-/// paths — f64 bin accumulation is non-associative, so both must add
-/// record contributions in the same (index) order to stay bit-identical.
-fn build_timelines(c: &ColumnarTrace, data_sel: &[u32], job_time: Dur) -> (TimeSeries, TimeSeries) {
-    let bin = timeline_bin(job_time);
-    let mut read_timeline = TimeSeries::new(bin);
-    let mut write_timeline = TimeSeries::new(bin);
-    for &i in data_sel {
-        let i = i as usize;
-        let ts = match c.op[i] {
-            OpKind::Read => &mut read_timeline,
-            OpKind::Write => &mut write_timeline,
-            _ => continue,
-        };
-        ts.add(SimTime(c.start[i]), SimTime(c.end[i]), c.bytes[i] as f64);
-    }
-    (read_timeline, write_timeline)
-}
-
 /// Sort file profiles for emission: most-read first, path as the tiebreak
 /// (paths are unique per file id, so the order is total and byte-stable).
-pub(crate) fn sort_files(mut v: Vec<FileProfile>) -> Vec<FileProfile> {
+fn sort_files(mut v: Vec<FileProfile>) -> Vec<FileProfile> {
     v.sort_by(|a, b| b.read_bytes.cmp(&a.read_bytes).then(a.path.cmp(&b.path)));
     v
 }
@@ -570,92 +451,19 @@ pub(crate) fn sort_files(mut v: Vec<FileProfile>) -> Vec<FileProfile> {
 /// Sort app profiles for emission by (first record, name) — the name
 /// tiebreak keeps the order byte-stable when two workflow steps start at
 /// the same instant (HashMap drain order is not deterministic).
-pub(crate) fn sort_apps(mut v: Vec<AppProfile>) -> Vec<AppProfile> {
+fn sort_apps(mut v: Vec<AppProfile>) -> Vec<AppProfile> {
     v.sort_by(|a, b| a.first.cmp(&b.first).then_with(|| a.name.cmp(&b.name)));
     v
 }
 
-/// Producer → consumer app edges through files, sorted for emission.
-fn deps_from_file_maps(
-    c: &ColumnarTrace,
-    writers_of: &HashMap<u32, HashSet<u16>>,
-    readers_of: &HashMap<u32, HashSet<u16>>,
-) -> Vec<(String, String)> {
-    let mut deps = HashSet::new();
-    for (file, writers) in writers_of {
-        if let Some(readers) = readers_of.get(file) {
-            for &wr in writers {
-                for &rd in readers {
-                    if wr != rd {
-                        deps.insert((app_name(c, wr), app_name(c, rd)));
-                    }
-                }
-            }
-        }
-    }
-    let mut deps: Vec<_> = deps.into_iter().collect();
-    deps.sort();
-    deps
-}
-
 // ---------------------------------------------------------------------------
-// Fused single-pass scan
+// The fused per-record fold
 // ---------------------------------------------------------------------------
-
-/// A lazily-allocated bitset over a small dense id space (ranks, apps,
-/// file ids). The fused scan uses these instead of `HashSet`s in its inner
-/// loop: an insert is one bounds check and an OR, not a SipHash probe.
-#[derive(Debug, Default, Clone)]
-struct IdSet {
-    words: Vec<u64>,
-}
-
-impl IdSet {
-    #[inline]
-    fn insert(&mut self, id: usize) {
-        let w = id / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1 << (id % 64);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn merge(&mut self, other: &IdSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Set members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            std::iter::successors((w != 0).then_some(w), |&rest| {
-                let rest = rest & (rest - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |bits| wi * 64 + bits.trailing_zeros() as usize)
-        })
-    }
-
-    fn to_hashset_u32(&self) -> HashSet<u32> {
-        self.iter().map(|i| i as u32).collect()
-    }
-}
 
 /// Dense per-file accumulator inside the fused shard (a [`FileProfile`]
-/// with the rank/app sets as bitsets, plus the producer/consumer app sets
-/// that drive workflow dependency edges).
+/// with the rank/app sets as bitsets — an insert is one bounds check and an
+/// OR, not a SipHash probe — plus the producer/consumer app sets that
+/// drive workflow dependency edges).
 #[derive(Debug, Default, Clone)]
 struct FileAcc {
     /// Appears in the interface selection (emitted as a [`FileProfile`]).
@@ -666,12 +474,12 @@ struct FileAcc {
     meta_ops: u64,
     time: Dur,
     size: u64,
-    readers: IdSet,
-    writers: IdSet,
-    openers: IdSet,
+    readers: BitWords,
+    writers: BitWords,
+    openers: BitWords,
     /// Apps that read / wrote this file at *any* layer (dependency edges).
-    reader_apps: IdSet,
-    writer_apps: IdSet,
+    reader_apps: BitWords,
+    writer_apps: BitWords,
 }
 
 impl FileAcc {
@@ -692,7 +500,7 @@ impl FileAcc {
 }
 
 /// Dense per-app accumulator (an [`AppProfile`] with the rank set as a
-/// bitset). `first` starts at `u64::MAX` exactly like the multipass path.
+/// bitset). `first` starts at `u64::MAX` so any record lowers it.
 #[derive(Debug, Clone)]
 struct AppAcc {
     seen: bool,
@@ -702,7 +510,7 @@ struct AppAcc {
     meta_ops: u64,
     first: u64,
     last: u64,
-    ranks: IdSet,
+    ranks: BitWords,
 }
 
 impl Default for AppAcc {
@@ -715,7 +523,7 @@ impl Default for AppAcc {
             meta_ops: 0,
             first: u64::MAX,
             last: 0,
-            ranks: IdSet::default(),
+            ranks: BitWords::default(),
         }
     }
 }
@@ -733,8 +541,8 @@ impl AppAcc {
     }
 }
 
-/// Id-space dimensions for the dense shard accumulators, from the prescan
-/// (fused path) or the merged chunk metadata (streaming path).
+/// Id-space dimensions for the dense shard accumulators, from the merged
+/// chunk metadata.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Dims {
     pub(crate) n_files: usize,
@@ -790,13 +598,12 @@ impl FileTable {
     }
 }
 
-/// The fused scan's shard accumulator: one morsel's worth of every
-/// statistic the analyzer needs, in dense array-indexed form. Merged in
-/// morsel order.
+/// The fold's shard accumulator: one morsel's worth of every statistic the
+/// analyzer needs, in dense array-indexed form. Merged in morsel order.
 ///
-/// The streaming path reuses it per chunk: the index lists are chunk-local
-/// (consumed by the online detectors, then cleared before the shard merges
-/// into the run-global accumulator).
+/// The index lists are batch-local: the driver feeds them to the online
+/// detectors, then clears them before the batch's shard merges into the
+/// run-global accumulator.
 #[derive(Debug)]
 pub(crate) struct FusedShard {
     /// Interface-selection indices, ascending (morsel concat keeps order).
@@ -891,21 +698,20 @@ pub(crate) struct SelCtx<'a> {
 }
 
 impl SelCtx<'_> {
-    /// The interface-selection predicate (shared verbatim by the fused and
-    /// streaming paths so the two selections can never diverge).
+    /// The interface-selection predicate (shared by the fold and the
+    /// access-pattern replay so the two selections can never diverge).
     #[inline]
     pub(crate) fn in_sel(&self, c: &ColumnarTrace, i: usize) -> bool {
-        self.iface_mask[layer_idx(c.layer[i])]
+        self.iface_mask[c.layer[i].code() as usize]
             || (self.posix_fallback
                 && c.layer[i] == Layer::Posix
                 && c.file_id(i).is_some_and(|f| !self.iface_file[f.0 as usize]))
     }
 }
 
-/// Fold record `i` of `c` into a [`FusedShard`]. This is the fused scan's
-/// entire inner loop, extracted so the streaming path folds *decoded chunk*
-/// records through byte-for-byte the same statistics code. Index pushes use
-/// `i` relative to `c` — chunk-local when `c` is a decoded chunk buffer.
+/// Fold record `i` of batch `c` into a [`FusedShard`]: the analyzer's
+/// entire per-record inner loop. Index pushes use `i` relative to `c` —
+/// chunk-local when `c` is a decoded chunk buffer.
 #[inline]
 pub(crate) fn fold_fused_record(acc: &mut FusedShard, c: &ColumnarTrace, i: usize, ctx: &SelCtx) {
     let op = c.op[i];
@@ -1025,9 +831,8 @@ pub(crate) fn fold_fused_record(acc: &mut FusedShard, c: &ColumnarTrace, i: usiz
 }
 
 /// Emit a [`TraceProfile`] from the run-global fused accumulator plus the
-/// detector outputs. Shared by the fused and streaming paths: per-file and
-/// per-app emission order, the dependency-edge set, and the per-rank f64
-/// reduction all live here once, so the two paths cannot drift apart.
+/// detector outputs: per-file and per-app emission order, the
+/// dependency-edge set, and the per-rank f64 reduction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn emit_profile(
     fused: FusedShard,
@@ -1053,9 +858,9 @@ pub(crate) fn emit_profile(
             .filter(|(_, fa)| fa.profiled)
             .map(|(fid, fa)| FileProfile {
                 path: file_paths.get(fid as usize).cloned().unwrap_or_default(),
-                readers: fa.readers.to_hashset_u32(),
-                writers: fa.writers.to_hashset_u32(),
-                openers: fa.openers.to_hashset_u32(),
+                readers: to_hashset(&fa.readers),
+                writers: to_hashset(&fa.writers),
+                openers: to_hashset(&fa.openers),
                 read_bytes: fa.read_bytes,
                 write_bytes: fa.write_bytes,
                 data_ops: fa.data_ops,
@@ -1133,483 +938,22 @@ pub(crate) fn emit_profile(
     }
 }
 
+/// A rank bitset as the public profile's `HashSet`.
+fn to_hashset(ids: &BitWords) -> HashSet<u32> {
+    ids.iter().map(|i| i as u32).collect()
+}
+
 impl TraceProfile {
-    /// Fused single-pass profile: two parallel traversals (a cheap
-    /// interface prescan, then the wide fused scan), one shared sort for
-    /// phase/pattern detection, and a final timeline pass over data ops.
-    ///
-    /// The shard accumulators are dense: file ids, app ids, and ranks all
-    /// live in small id spaces (sized by the prescan), so the inner loop
-    /// indexes arrays and flips bitset bits instead of probing hash tables.
+    /// Profile a whole in-memory trace: the one analyzer driver with `c`
+    /// lent as a single batch. Nothing is sealed, decoded or copied, and
+    /// the trace gauge is not charged (the trace is the caller's).
     pub fn fused(c: &ColumnarTrace, job_time: Dur) -> TraceProfile {
-        let n = c.len();
-
-        // Prescan: layer presence, id-space bounds, and the per-layer file
-        // sets the interface-selection predicate needs. One parallel fold.
-        struct PreShard {
-            present: [bool; 6],
-            layer_files: [IdSet; 6],
-            n_ranks: usize,
-            n_apps: usize,
-            n_files: usize,
-        }
-        let pre = par::par_fold_shards(
-            n,
-            || PreShard {
-                present: [false; 6],
-                layer_files: Default::default(),
-                n_ranks: 0,
-                n_apps: 0,
-                n_files: 0,
-            },
-            |acc: &mut PreShard, range| {
-                for i in range {
-                    let l = layer_idx(c.layer[i]);
-                    acc.present[l] = true;
-                    acc.n_ranks = acc.n_ranks.max(c.rank[i] as usize + 1);
-                    acc.n_apps = acc.n_apps.max(c.app[i] as usize + 1);
-                    if let Some(f) = c.file_id(i) {
-                        acc.n_files = acc.n_files.max(f.0 as usize + 1);
-                        if c.op[i].is_io() {
-                            acc.layer_files[l].insert(f.0 as usize);
-                        }
-                    }
-                }
-            },
-            |a, b| {
-                for l in 0..6 {
-                    a.present[l] |= b.present[l];
-                    a.layer_files[l].merge(&b.layer_files[l]);
-                }
-                a.n_ranks = a.n_ranks.max(b.n_ranks);
-                a.n_apps = a.n_apps.max(b.n_apps);
-                a.n_files = a.n_files.max(b.n_files);
-            },
-        );
-        let dims = Dims {
-            n_files: pre.n_files.max(c.file_paths.len()),
-            n_apps: pre.n_apps.max(c.app_names.len()),
-            n_ranks: pre.n_ranks,
-        };
-        let interface = interface_from_presence(&pre.present);
-        let mut iface_mask = [false; 6];
-        for l in interface_layers(&interface) {
-            iface_mask[layer_idx(l)] = true;
-        }
-        // Files touched at the interface layers: POSIX ops on *other* files
-        // fall through into the selection (checkpoints written with raw
-        // open/write/close while the dataset goes through HDF5 or stdio).
-        let mut iface_file = vec![false; dims.n_files];
-        for l in 0..6 {
-            if iface_mask[l] {
-                for f in pre.layer_files[l].iter() {
-                    iface_file[f] = true;
-                }
-            }
-        }
-        let ctx = SelCtx {
-            iface_mask,
-            iface_file: &iface_file,
-            posix_fallback: !iface_mask[layer_idx(Layer::Posix)],
-        };
-
-        // The fused scan: one traversal computes every per-record statistic.
-        let mut fused = par::par_fold_shards(
-            n,
-            || FusedShard::new(dims),
-            |acc: &mut FusedShard, range| {
-                // One exact reservation per morsel instead of doubling
-                // growth (io_idx can't outgrow the morsel).
-                acc.io_idx.reserve(range.len());
-                acc.data_idx.reserve(range.len());
-                for i in range {
-                    fold_fused_record(acc, c, i, &ctx);
-                }
-            },
-            FusedShard::merge,
-        );
-
-        // One time-sort of the interface selection feeds both phase
-        // detection and the access-pattern scan (the multipass path sorts
-        // twice). Stable sort: ties in start keep ascending index order.
-        let mut sorted_io = std::mem::take(&mut fused.io_idx);
-        sorted_io.sort_by_key(|&i| c.start[i as usize]);
-        let phases = detect_phases_sorted(c, &sorted_io, job_time);
-        let sorted_data: Vec<u32> = sorted_io
-            .iter()
-            .copied()
-            .filter(|&i| c.op[i as usize].is_data())
-            .collect();
-        let access_pattern = scan_access_pattern(c, &sorted_data);
-        let (read_timeline, write_timeline) = build_timelines(c, &fused.data_idx, job_time);
-        let data_ops = fused.data_idx.len() as u64;
-
-        emit_profile(
-            fused,
-            &c.file_paths,
-            &c.app_names,
-            job_time,
-            interface,
-            access_pattern,
-            phases,
-            read_timeline,
-            write_timeline,
-            data_ops,
-        )
-    }
-
-    /// The pre-fusion pipeline: one scan (or sequential loop) per
-    /// statistic. Kept as the fused scan's oracle and benchmark baseline.
-    pub fn multipass(c: &ColumnarTrace, job_time: Dur) -> TraceProfile {
-        let interface = detect_interface(c);
-        let iface_layers = interface_layers(&interface);
-
-        // Interface-layer selections, plus POSIX ops on files the higher
-        // layers never touch.
-        let iface_files: HashSet<u32> = (0..c.len())
-            .filter(|&i| c.op[i].is_io() && iface_layers.contains(&c.layer[i]))
-            .filter_map(|i| c.file_id(i).map(|f| f.0))
-            .collect();
-        let io_sel = c.select(|i| {
-            c.op[i].is_io()
-                && (iface_layers.contains(&c.layer[i])
-                    || (c.layer[i] == Layer::Posix
-                        && !iface_layers.contains(&Layer::Posix)
-                        && c.file_id(i).is_some_and(|f| !iface_files.contains(&f.0))))
-        });
-        let data_sel: Vec<u32> = io_sel
-            .iter()
-            .copied()
-            .filter(|&i| c.op[i as usize].is_data())
-            .collect();
-        let meta_sel: Vec<u32> = io_sel
-            .iter()
-            .copied()
-            .filter(|&i| c.op[i as usize].is_meta())
-            .collect();
-
-        let read_bytes = c.sum_bytes(
-            &data_sel
-                .iter()
-                .copied()
-                .filter(|&i| c.op[i as usize] == OpKind::Read)
-                .collect::<Vec<_>>(),
-        );
-        let write_bytes = c.sum_bytes(
-            &data_sel
-                .iter()
-                .copied()
-                .filter(|&i| c.op[i as usize] == OpKind::Write)
-                .collect::<Vec<_>>(),
-        );
-
-        let by_rank = c.group_by_rank(&io_sel);
-        let io_time_frac = io_frac_from_rank_aggs(&by_rank, job_time);
-
-        // Histograms over data ops.
-        let mut req_sizes = Histogram::new();
-        let mut req_bandwidth = Histogram::new();
-        for &i in &data_sel {
-            let i = i as usize;
-            if c.bytes[i] == 0 {
-                continue;
-            }
-            req_sizes.record(c.bytes[i]);
-            let bw = Dur(c.end[i] - c.start[i]).bandwidth(c.bytes[i]);
-            if bw.is_finite() {
-                req_bandwidth.record(bw as u64);
-            }
-        }
-
-        let (read_timeline, write_timeline) = build_timelines(c, &data_sel, job_time);
-
-        let files = profile_files(c, &io_sel);
-        let mut sorted_io = io_sel.clone();
-        sorted_io.sort_by_key(|&i| c.start[i as usize]);
-        let phases = detect_phases_sorted(c, &sorted_io, job_time);
-        let (apps, app_deps) = profile_apps(c);
-        let mut sorted_data = data_sel.clone();
-        sorted_data.sort_by_key(|&i| c.start[i as usize]);
-        let access_pattern = scan_access_pattern(c, &sorted_data);
-
-        // Resilience counters: a dedicated scan over every record (fault and
-        // retry records are neither data nor metadata, so no selection above
-        // ever sees them).
-        let mut fault_events = 0u64;
-        let mut retry_events = 0u64;
-        let mut retried_bytes = 0u64;
-        let mut fault_time = Dur::ZERO;
-        let mut ckpt_events = 0u64;
-        let mut ckpt_time = Dur::ZERO;
-        let mut restart_events = 0u64;
-        let mut crash_lost_time = Dur::ZERO;
-        let mut recovery_time = Dur::ZERO;
-        for i in 0..c.len() {
-            match c.op[i] {
-                OpKind::Fault => {
-                    fault_events += 1;
-                    fault_time += Dur(c.end[i] - c.start[i]);
-                }
-                OpKind::Retry => {
-                    retry_events += 1;
-                    retried_bytes += c.bytes[i];
-                    fault_time += Dur(c.end[i] - c.start[i]);
-                }
-                OpKind::Checkpoint => {
-                    ckpt_events += 1;
-                    ckpt_time += Dur(c.end[i] - c.start[i]);
-                }
-                OpKind::Crash => {
-                    crash_lost_time += Dur(c.end[i] - c.start[i]);
-                }
-                OpKind::RestartEpoch => {
-                    restart_events += 1;
-                    recovery_time += Dur(c.end[i] - c.start[i]);
-                }
-                _ => {}
-            }
-        }
-
-        TraceProfile {
-            io_time_frac,
-            read_bytes,
-            write_bytes,
-            data_ops: data_sel.len() as u64,
-            meta_ops: meta_sel.len() as u64,
-            interface,
-            access_pattern,
-            req_sizes,
-            req_bandwidth,
-            read_timeline,
-            write_timeline,
-            files,
-            phases,
-            apps,
-            app_deps,
-            fault_events,
-            retry_events,
-            retried_bytes,
-            fault_time,
-            ckpt_events,
-            ckpt_time,
-            restart_events,
-            crash_lost_time,
-            recovery_time,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multipass profiling loops (oracle path)
-// ---------------------------------------------------------------------------
-
-fn profile_files(c: &ColumnarTrace, io_sel: &[u32]) -> Vec<FileProfile> {
-    let mut map: HashMap<u32, FileProfile> = HashMap::new();
-    for &i in io_sel {
-        let i = i as usize;
-        let Some(fid) = c.file_id(i) else { continue };
-        map.entry(fid.0)
-            .or_insert_with(|| FileProfile {
-                path: c
-                    .file_paths
-                    .get(fid.0 as usize)
-                    .cloned()
-                    .unwrap_or_default(),
-                ..Default::default()
-            })
-            .absorb(c, i);
-    }
-    sort_files(map.into_values().collect())
-}
-
-fn profile_apps(c: &ColumnarTrace) -> (Vec<AppProfile>, Vec<(String, String)>) {
-    let mut map: HashMap<u16, AppProfile> = HashMap::new();
-    let mut ranks: HashMap<u16, HashSet<u32>> = HashMap::new();
-    // File producers/consumers at app granularity.
-    let mut writers_of: HashMap<u32, HashSet<u16>> = HashMap::new();
-    let mut readers_of: HashMap<u32, HashSet<u16>> = HashMap::new();
-    for i in 0..c.len() {
-        if !c.op[i].is_io() {
-            continue;
-        }
-        let app = c.app[i];
-        let p = map.entry(app).or_insert_with(|| AppProfile {
-            name: app_name(c, app),
-            first: SimTime(u64::MAX),
-            ..Default::default()
-        });
-        ranks.entry(app).or_default().insert(c.rank[i]);
-        p.first = p.first.min(SimTime(c.start[i]));
-        p.last = p.last.max(SimTime(c.end[i]));
-        match c.op[i] {
-            OpKind::Read => {
-                p.read_bytes += c.bytes[i];
-                p.data_ops += 1;
-                if let Some(f) = c.file_id(i) {
-                    readers_of.entry(f.0).or_default().insert(app);
-                }
-            }
-            OpKind::Write => {
-                p.write_bytes += c.bytes[i];
-                p.data_ops += 1;
-                if let Some(f) = c.file_id(i) {
-                    writers_of.entry(f.0).or_default().insert(app);
-                }
-            }
-            _ => p.meta_ops += 1,
-        }
-    }
-    for (app, r) in ranks {
-        if let Some(p) = map.get_mut(&app) {
-            p.processes = r.len();
-        }
-    }
-    let deps = deps_from_file_maps(c, &writers_of, &readers_of);
-    (sort_apps(map.into_values().collect()), deps)
-}
-
-// ---------------------------------------------------------------------------
-// Shared detectors (operate on pre-sorted selections)
-// ---------------------------------------------------------------------------
-
-/// Phase detection: a gap larger than `job_time / 50` between consecutive
-/// interface-layer I/O calls (aggregated across ranks) splits phases —
-/// the paper's "threshold between two I/O calls". `sorted_io` must be
-/// sorted by record start time.
-pub(crate) fn detect_phases_sorted(
-    c: &ColumnarTrace,
-    sorted_io: &[u32],
-    job_time: Dur,
-) -> Vec<PhaseInfo> {
-    if sorted_io.is_empty() {
-        return Vec::new();
-    }
-    let threshold = phase_threshold(job_time);
-    let mut phases: Vec<PhaseInfo> = Vec::new();
-    let mut cur: Option<(PhaseInfo, Histogram)> = None;
-    let mut frontier = SimTime::ZERO;
-    for &i in sorted_io {
-        let i = i as usize;
-        let start = SimTime(c.start[i]);
-        let end = SimTime(c.end[i]);
-        let begin_new = match &cur {
-            None => true,
-            Some(_) => start.since(frontier) > threshold,
-        };
-        if begin_new {
-            if let Some((mut ph, hist)) = cur.take() {
-                ph.dominant_xfer = dominant_bucket(&hist);
-                phases.push(ph);
-            }
-            cur = Some((
-                PhaseInfo {
-                    start,
-                    end,
-                    bytes: 0,
-                    data_ops: 0,
-                    meta_ops: 0,
-                    dominant_xfer: 0,
-                },
-                Histogram::new(),
-            ));
-            frontier = end;
-        }
-        let (ph, hist) = cur.as_mut().expect("phase open");
-        ph.end = ph.end.max(end);
-        frontier = frontier.max(end);
-        if c.op[i].is_data() {
-            ph.bytes += c.bytes[i];
-            ph.data_ops += 1;
-            if c.bytes[i] > 0 {
-                hist.record(c.bytes[i]);
-            }
-        } else {
-            ph.meta_ops += 1;
-        }
-    }
-    if let Some((mut ph, hist)) = cur.take() {
-        ph.dominant_xfer = dominant_bucket(&hist);
-        phases.push(ph);
-    }
-    phases
-}
-
-/// The phase-splitting gap: `job_time / 50`, floored at 1 ms. Every
-/// analyzer path must derive its threshold from this.
-pub(crate) fn phase_threshold(job_time: Dur) -> Dur {
-    Dur((job_time.as_nanos() / 50).max(1_000_000))
-}
-
-pub(crate) fn dominant_bucket(h: &Histogram) -> u64 {
-    h.iter()
-        .max_by_key(|&(_, count)| count)
-        .map(|(b, _)| b)
-        .unwrap_or(0)
-}
-
-/// Sequential if, per (rank, file), data-op offsets are non-decreasing for
-/// nearly all consecutive pairs. `sorted_data` must be sorted by record
-/// start time.
-///
-/// The per-(rank, file) offset frontier lives in a dense `rank × file`
-/// table when that product is small enough (one array index per record
-/// instead of a hash probe — this scan is on the fused path's critical
-/// path), falling back to a `HashMap` for traces whose id-space product is
-/// too large to allocate densely. Both layouts count identically.
-pub(crate) fn scan_access_pattern(c: &ColumnarTrace, sorted_data: &[u32]) -> String {
-    let mut max_rank = 0usize;
-    let mut max_file = 0usize;
-    let mut any = false;
-    for &i in sorted_data {
-        let i = i as usize;
-        if let Some(f) = c.file_id(i) {
-            any = true;
-            max_rank = max_rank.max(c.rank[i] as usize);
-            max_file = max_file.max(f.0 as usize);
-        }
-    }
-    if !any {
-        return "Seq".to_string();
-    }
-    let mut seq = 0u64;
-    let mut total = 0u64;
-    let stride = max_file + 1;
-    let cells = (max_rank + 1).saturating_mul(stride);
-    /// Largest dense frontier table worth allocating: 4M cells = 32 MiB.
-    const DENSE_LIMIT: usize = 4 << 20;
-    if cells <= DENSE_LIMIT {
-        // u64::MAX = no previous access for this (rank, file).
-        let mut last = vec![u64::MAX; cells];
-        for &i in sorted_data {
-            let i = i as usize;
-            let Some(f) = c.file_id(i) else { continue };
-            let cell = &mut last[c.rank[i] as usize * stride + f.0 as usize];
-            if *cell != u64::MAX {
-                total += 1;
-                if c.offset[i] >= *cell {
-                    seq += 1;
-                }
-            }
-            *cell = c.offset[i] + c.bytes[i];
-        }
-    } else {
-        let mut last: HashMap<(u32, u32), u64> = HashMap::new();
-        for &i in sorted_data {
-            let i = i as usize;
-            let Some(f) = c.file_id(i) else { continue };
-            if let Some(&prev_end) = last.get(&(c.rank[i], f.0)) {
-                total += 1;
-                if c.offset[i] >= prev_end {
-                    seq += 1;
-                }
-            }
-            last.insert((c.rank[i], f.0), c.offset[i] + c.bytes[i]);
-        }
-    }
-    if total == 0 || seq as f64 / total as f64 >= 0.85 {
-        "Seq".to_string()
-    } else {
-        "Mixed".to_string()
+        let meta = ChunkMeta::of_rows(c, 0..c.len());
+        crate::streaming::drive(&meta, &c.file_paths, &c.app_names, job_time, &mut |fold| {
+            fold(c);
+            Ok(())
+        })
+        .expect("an in-memory scan cannot fail")
     }
 }
 
@@ -1753,13 +1097,5 @@ mod tests {
         // First phase writes the checkpoint: data-dominated, large xfers.
         assert!(p0.bytes > 0);
         assert!(p0.data_ops > 0);
-    }
-
-    #[test]
-    fn fused_equals_multipass_on_hacc() {
-        let run = hacc::run(0.02, 1);
-        let fused = Analysis::from_run(&run);
-        let multi = Analysis::from_run_multipass(&run);
-        assert_eq!(fused, multi);
     }
 }

@@ -1,71 +1,114 @@
-//! Streaming bounded-memory analyzer: fold a chunked trace into the fused
-//! accumulators one row group at a time.
+//! The analyzer's one driver: fold batches of records, in capture order,
+//! into the fused accumulators and the online detectors.
 //!
-//! [`TraceProfile::fused`] needs the whole columnar trace resident (plus an
-//! index sort over the interface selection). This module computes the *same
-//! profile* — bit-identical, see the determinism contract below — from a
-//! [`ChunkedTrace`]: compressed row groups are decoded into one recycled
-//! buffer, folded through [`fold_fused_record`] (the fused scan's inner
-//! loop, verbatim) with [`vani_rt::par::par_fold_shards_sized`], and
-//! dropped. Peak resident trace bytes are bounded by the chunk size, not
-//! the trace length.
+//! Every entry point is a short call into the private `drive` function,
+//! which takes the merged [`ChunkMeta`] of the trace (layer presence,
+//! id-space bounds and per-layer file sets), the intern tables, the job
+//! time, and a *batch scanner*: a callback that lends `&ColumnarTrace`
+//! batches in capture order. Each batch is folded through
+//! [`fold_fused_record`] with [`vani_rt::par::par_fold_shards_sized`],
+//! then feeds [`PhaseBuilder`], [`PatternTracker`] and the timelines.
 //!
-//! # Why the offline detectors don't stream
+//! * [`TraceProfile::fused`] lends a whole in-memory trace as one batch,
+//!   with its statistics from one `ChunkMeta::of_rows` over every row.
+//! * [`TraceProfile::streaming_source`] decodes each chunk of a
+//!   [`ChunkSource`] — an in-memory [`ChunkedTrace`] or an on-disk
+//!   [`SpillSource`] — into one recycled, gauge-charged buffer and lends
+//!   that buffer, so peak resident trace bytes are bounded by the chunk
+//!   size, not the trace length.
 //!
-//! Three profile components consume a *sorted* view of the trace, which a
-//! chunk-at-a-time pass cannot materialize:
+//! # Online detectors
 //!
-//! * **Phases** — [`detect_phases_sorted`] scans the interface selection in
-//!   start order. Replaced by [`PhaseBuilder`]: an ordered cluster list
-//!   with gap-threshold merging. Records insert in any order; the final
+//! Phases and the access pattern are defined over the trace *sorted by
+//! start time*, which a batch-at-a-time pass never materializes:
+//!
+//! * **Phases** — [`PhaseBuilder`] keeps an ordered cluster list with
+//!   gap-threshold merging. Records insert in any order; the final
 //!   clusters are exactly the sorted scan's phases (a phase cut falls
 //!   between sorted records `i-1, i` iff `start_i` exceeds the max end of
 //!   all earlier-starting records by more than the threshold — a property
 //!   of the *set* of intervals, not the visit order).
-//! * **Access pattern** — [`scan_access_pattern`] walks data ops in start
-//!   order, comparing each offset with the previous end for the same
-//!   `(rank, file)`. [`PatternTracker`] does the same walk in capture
+//! * **Access pattern** — [`PatternTracker`] compares each data op's
+//!   offset with the previous end for the same `(rank, file)` in capture
 //!   order, carrying a certificate: if every cell's starts arrive
 //!   nondecreasing, capture order and stable-sorted order agree cell-wise
 //!   and the counts are identical. The simulator's tracer appends each
 //!   rank's stream in time order, so the certificate holds on every real
-//!   trace; if it ever fails, the tracker falls back to re-decoding the
-//!   chunks and replaying a sorted scan (correct, but unbounded memory —
-//!   the price of a trace that was shuffled after capture).
-//! * **Timelines** — f64 bin accumulation is non-associative, but the
-//!   fused path adds contributions in capture (index) order, which is
-//!   exactly chunk order × in-chunk order. Streaming adds per chunk and
-//!   matches bit-for-bit.
+//!   trace; if it ever fails, the tracker asks the scanner for a second
+//!   pass and replays a sorted scan (correct, but unbounded memory — the
+//!   price of a trace that was shuffled after capture).
+//! * **Timelines** — f64 bin accumulation is non-associative, so
+//!   contributions are added in capture order: batch order × in-batch
+//!   order, the same sequence however the trace is batched.
 //!
 //! # Determinism contract
 //!
 //! For every trace, worker count, and chunk size,
 //! `TraceProfile::streaming(&ChunkedTrace::from_columnar(&c, k), t)` equals
 //! `TraceProfile::fused(&c, t)` on all fields (`==`, which for the f64
-//! fields means bit-identity). The pinning suite is
-//! `tests/streaming_vs_fused.rs`.
+//! fields means bit-identity). The pinning suites are
+//! `tests/streaming_vs_fused.rs` and `tests/spill_identity.rs`; the
+//! one-scan-per-statistic oracle in `tests/common/multipass.rs` restates
+//! the rules below independently.
 
 use recorder_sim::chunk::{columnar_capacity_bytes, GaugeCharge};
-use recorder_sim::record::Layer;
+use recorder_sim::record::{Layer, OpKind};
 use recorder_sim::spill::{spill_columnar, ChunkSource, SpillError, SpillFaultPlan, SpillSource};
-use recorder_sim::{ChunkedTrace, ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
+use recorder_sim::{ChunkMeta, ChunkedTrace, ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
 use sim_core::{Dur, Histogram, SimTime, TimeSeries};
 use std::collections::HashMap;
 use std::path::Path;
 use vani_rt::par;
 
 use crate::analyzer::{
-    dominant_bucket, emit_profile, fold_fused_record, interface_from_presence, interface_layers,
-    layer_idx, phase_threshold, timeline_bin, Analysis, Dims, FusedShard, PhaseInfo, SelCtx,
-    TraceProfile,
+    emit_profile, fold_fused_record, Analysis, Dims, FusedShard, PhaseInfo, SelCtx, TraceProfile,
 };
 use exemplar_workloads::harness::WorkloadRun;
 
-/// Morsel size for the intra-chunk parallel fold. Any in-order contiguous
-/// partition of a chunk produces identical merged shards (the accumulators
+/// Morsel size for the intra-batch parallel fold. Any in-order contiguous
+/// partition of a batch produces identical merged shards (the accumulators
 /// are sums, maxima, bitsets, and in-order index concatenation), so this is
 /// a pure tuning knob — small enough to spread one chunk across workers.
 const STREAM_MORSEL: usize = 8192;
+
+/// Timeline bin width: 128 bins over the run.
+fn timeline_bin(job_time: Dur) -> Dur {
+    Dur((job_time.as_nanos() / 128).max(1))
+}
+
+/// The phase-splitting gap — the paper's "threshold between two I/O
+/// calls": `job_time / 50`, floored at 1 ms.
+fn phase_threshold(job_time: Dur) -> Dur {
+    Dur((job_time.as_nanos() / 50).max(1_000_000))
+}
+
+/// Layers counted as "the interface" for op statistics.
+fn interface_layers(interface: &str) -> Vec<Layer> {
+    match interface {
+        "HDF5-MPI-IO" => vec![Layer::HighLevel, Layer::MpiIo],
+        "STDIO" => vec![Layer::Stdio],
+        _ => vec![Layer::Posix],
+    }
+}
+
+/// Identify the workload's I/O interface from a layer-presence table
+/// indexed by [`Layer::code`] (Table I).
+fn interface_from_presence(present: &[bool; 6]) -> String {
+    if present[Layer::MpiIo.code() as usize] && present[Layer::HighLevel.code() as usize] {
+        "HDF5-MPI-IO".to_string()
+    } else if present[Layer::Stdio.code() as usize] {
+        "STDIO".to_string()
+    } else {
+        "POSIX".to_string()
+    }
+}
+
+fn dominant_bucket(h: &Histogram) -> u64 {
+    h.iter()
+        .max_by_key(|&(_, count)| count)
+        .map(|(b, _)| b)
+        .unwrap_or(0)
+}
 
 /// One phase cluster under construction (a [`PhaseInfo`] plus the open
 /// transfer-size histogram).
@@ -169,8 +212,8 @@ impl PhaseBuilder {
 }
 
 /// Per-(rank, file) frontier cells: dense when the id-space product is
-/// small (mirrors [`scan_access_pattern`]'s 32 MiB dense limit), `HashMap`
-/// otherwise. Each cell holds `(last end offset, last start time)`.
+/// small (at most [`DENSE_LIMIT`] cells), `HashMap` otherwise. Each cell
+/// holds `(last end offset, last start time)`.
 #[derive(Debug)]
 enum Cells {
     Dense {
@@ -188,10 +231,10 @@ pub(crate) struct PatternTracker {
     cells: Cells,
     seq: u64,
     total: u64,
-    any: bool,
     violated: bool,
 }
 
+/// Largest dense frontier table worth allocating: 4M cells.
 const DENSE_LIMIT: usize = 4 << 20;
 
 impl PatternTracker {
@@ -200,8 +243,7 @@ impl PatternTracker {
         let cells = if cells <= DENSE_LIMIT {
             Cells::Dense {
                 stride: dims.n_files.max(1),
-                // u64::MAX end = cell untouched (same sentinel as the
-                // offline scan).
+                // u64::MAX end = cell untouched.
                 last_end: vec![u64::MAX; cells],
                 last_start: vec![0; cells],
             }
@@ -212,7 +254,6 @@ impl PatternTracker {
             cells,
             seq: 0,
             total: 0,
-            any: false,
             violated: false,
         }
     }
@@ -220,7 +261,6 @@ impl PatternTracker {
     /// Observe selected data record `i` of `c` (capture order).
     pub(crate) fn observe(&mut self, c: &ColumnarTrace, i: usize) {
         let Some(f) = c.file_id(i) else { return };
-        self.any = true;
         let new_end = c.offset[i] + c.bytes[i];
         match &mut self.cells {
             Cells::Dense {
@@ -256,15 +296,12 @@ impl PatternTracker {
         }
     }
 
-    /// Classify. If the certificate failed, re-scan every chunk and
-    /// replay the frontier scan in stable start order (exactly the offline
-    /// scan's visit order).
-    pub(crate) fn finish(self, src: &dyn ChunkSource, ctx: &SelCtx) -> Result<String, SpillError> {
-        if !self.any {
-            return Ok("Seq".to_string());
-        }
+    /// Classify. If the certificate failed, re-scan every batch and
+    /// replay the frontier scan in stable start order (the sorted scan's
+    /// visit order).
+    fn finish(self, ctx: &SelCtx, scan: &mut ScanBatches) -> Result<String, SpillError> {
         let (seq, total) = if self.violated {
-            replay_sorted(src, ctx)?
+            replay_sorted(ctx, scan)?
         } else {
             (self.seq, self.total)
         };
@@ -278,29 +315,24 @@ impl PatternTracker {
 
 /// Fallback path: collect every selected data record that names a file (in
 /// capture order), stable-sort by start, and replay the frontier scan.
-fn replay_sorted(src: &dyn ChunkSource, ctx: &SelCtx) -> Result<(u64, u64), SpillError> {
+fn replay_sorted(ctx: &SelCtx, scan: &mut ScanBatches) -> Result<(u64, u64), SpillError> {
     let mut recs: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
-    let mut buf = ColumnarTrace::default();
-    src.scan_chunks(&mut |chunk| {
-        buf.clear_rows();
-        chunk.decode_into(&mut buf, false).expect("chunk re-decode");
-        for i in 0..buf.len() {
-            if !buf.op[i].is_io() || !buf.op[i].is_data() || !ctx.in_sel(&buf, i) {
+    scan(&mut |b| {
+        for i in 0..b.len() {
+            if !b.op[i].is_data() || !ctx.in_sel(b, i) {
                 continue;
             }
-            if let Some(f) = buf.file_id(i) {
-                recs.push((buf.start[i], buf.rank[i], f.0, buf.offset[i], buf.bytes[i]));
+            if let Some(f) = b.file_id(i) {
+                recs.push((b.start[i], b.rank[i], f.0, b.offset[i], b.bytes[i]));
             }
         }
     })?;
-    // Vec::sort_by_key is stable: equal starts keep capture order, same as
-    // the offline path's stable index sort.
+    // Vec::sort_by_key is stable: equal starts keep capture order.
     recs.sort_by_key(|r| r.0);
     let mut last: HashMap<(u32, u32), u64> = HashMap::new();
     let mut seq = 0u64;
     let mut total = 0u64;
-    for &(start, rank, file, offset, bytes) in &recs {
-        let _ = start;
+    for &(_, rank, file, offset, bytes) in &recs {
         if let Some(&prev_end) = last.get(&(rank, file)) {
             total += 1;
             if offset >= prev_end {
@@ -312,9 +344,121 @@ fn replay_sorted(src: &dyn ChunkSource, ctx: &SelCtx) -> Result<(u64, u64), Spil
     Ok((seq, total))
 }
 
+/// A batch scanner: lends every batch of a trace to its callback, in
+/// capture order. [`drive`] calls it once for the fold and a second time
+/// only for [`PatternTracker`]'s sorted-replay fallback. It costs one
+/// indirect call per batch, never one per record.
+pub(crate) type ScanBatches<'a> =
+    dyn FnMut(&mut dyn FnMut(&ColumnarTrace)) -> Result<(), SpillError> + 'a;
+
+/// The one analyzer driver (see the module docs): fold every batch `scan`
+/// lends into the run-global accumulator and the online detectors, then
+/// emit the profile. `meta` is the merged statistics of all the batches.
+pub(crate) fn drive(
+    meta: &ChunkMeta,
+    file_paths: &[String],
+    app_names: &[String],
+    job_time: Dur,
+    scan: &mut ScanBatches,
+) -> Result<TraceProfile, SpillError> {
+    let dims = Dims {
+        n_files: meta.n_files.max(file_paths.len()),
+        n_apps: meta.n_apps.max(app_names.len()),
+        n_ranks: meta.n_ranks,
+    };
+    let interface = interface_from_presence(&meta.present);
+    let mut iface_mask = [false; 6];
+    for l in interface_layers(&interface) {
+        iface_mask[l.code() as usize] = true;
+    }
+    // Files touched at the interface layers: POSIX ops on *other* files
+    // fall through into the selection (checkpoints written with raw
+    // open/write/close while the dataset goes through HDF5 or stdio).
+    let mut iface_file = vec![false; dims.n_files];
+    for (files, _) in meta.layer_files.iter().zip(iface_mask).filter(|(_, m)| *m) {
+        for f in files.iter() {
+            iface_file[f] = true;
+        }
+    }
+    let ctx = SelCtx {
+        iface_mask,
+        iface_file: &iface_file,
+        posix_fallback: !iface_mask[Layer::Posix.code() as usize],
+    };
+
+    let mut global = FusedShard::new(dims);
+    let mut phases = PhaseBuilder::new(phase_threshold(job_time));
+    let mut pattern = PatternTracker::new(dims);
+    let bin = timeline_bin(job_time);
+    let mut read_timeline = TimeSeries::new(bin);
+    let mut write_timeline = TimeSeries::new(bin);
+    let mut data_ops = 0u64;
+
+    scan(&mut |batch| {
+        let mut shard = par::par_fold_shards_sized(
+            batch.len(),
+            STREAM_MORSEL,
+            || FusedShard::new(dims),
+            |acc: &mut FusedShard, range| {
+                // One exact reservation per morsel instead of doubling
+                // growth (the index lists can't outgrow the morsel).
+                acc.io_idx.reserve(range.len());
+                acc.data_idx.reserve(range.len());
+                for i in range {
+                    fold_fused_record(acc, batch, i, &ctx);
+                }
+            },
+            FusedShard::merge,
+        );
+
+        // Feed the online detectors from the batch-local index lists
+        // (ascending = capture order), then drop the lists before the
+        // shard folds into the run-global accumulator.
+        for &i in &shard.io_idx {
+            phases.insert(batch, i as usize);
+        }
+        for &i in &shard.data_idx {
+            pattern.observe(batch, i as usize);
+        }
+        for &i in &shard.data_idx {
+            let i = i as usize;
+            let ts = match batch.op[i] {
+                OpKind::Read => &mut read_timeline,
+                OpKind::Write => &mut write_timeline,
+                _ => continue,
+            };
+            ts.add(
+                SimTime(batch.start[i]),
+                SimTime(batch.end[i]),
+                batch.bytes[i] as f64,
+            );
+        }
+        data_ops += shard.data_idx.len() as u64;
+        shard.io_idx.clear();
+        shard.data_idx.clear();
+        global.merge(shard);
+    })?;
+
+    let phases = phases.finish();
+    let access_pattern = pattern.finish(&ctx, scan)?;
+
+    Ok(emit_profile(
+        global,
+        file_paths,
+        app_names,
+        job_time,
+        interface,
+        access_pattern,
+        phases,
+        read_timeline,
+        write_timeline,
+        data_ops,
+    ))
+}
+
 impl TraceProfile {
     /// Profile a chunked trace chunk-at-a-time in bounded memory. See the
-    /// module docs for the determinism contract ties to
+    /// module docs for the determinism contract that ties it to
     /// [`TraceProfile::fused`].
     pub fn streaming(t: &ChunkedTrace, job_time: Dur) -> TraceProfile {
         TraceProfile::streaming_source(t, job_time).expect("in-memory chunk scan cannot fail")
@@ -324,114 +468,33 @@ impl TraceProfile {
     /// on-disk [`SpillSource`] — chunk-at-a-time in bounded memory. The
     /// fold visits chunks in capture order regardless of source, so the
     /// profile is bit-identical across sources holding the same chunks.
-    /// Errors surface only from a disk-backed source whose re-scan fails.
+    /// Errors surface only from a disk-backed source whose scan fails.
     pub fn streaming_source(
         src: &dyn ChunkSource,
         job_time: Dur,
     ) -> Result<TraceProfile, SpillError> {
-        let meta = src.merged_meta();
-        let dims = Dims {
-            n_files: meta.n_files.max(src.file_paths().len()),
-            n_apps: meta.n_apps.max(src.app_names().len()),
-            n_ranks: meta.n_ranks,
-        };
-        let interface = interface_from_presence(&meta.present);
-        let mut iface_mask = [false; 6];
-        for l in interface_layers(&interface) {
-            iface_mask[layer_idx(l)] = true;
-        }
-        let mut iface_file = vec![false; dims.n_files];
-        for l in 0..6 {
-            if iface_mask[l] {
-                for f in meta.layer_files[l].iter() {
-                    iface_file[f] = true;
-                }
-            }
-        }
-        let ctx = SelCtx {
-            iface_mask,
-            iface_file: &iface_file,
-            posix_fallback: !iface_mask[layer_idx(Layer::Posix)],
-        };
-
-        let mut global = FusedShard::new(dims);
-        let mut phases = PhaseBuilder::new(phase_threshold(job_time));
-        let mut pattern = PatternTracker::new(dims);
-        let bin = timeline_bin(job_time);
-        let mut read_timeline = TimeSeries::new(bin);
-        let mut write_timeline = TimeSeries::new(bin);
-        let mut data_ops = 0u64;
-
         // One decode buffer, recycled across chunks and charged against
         // the process-wide trace gauge — this buffer (one chunk of
         // columns) IS the streaming path's resident trace memory.
         let mut buf = ColumnarTrace::default();
         let mut charge = GaugeCharge::new(0);
-
-        src.scan_chunks(&mut |chunk| {
-            buf.clear_rows();
-            chunk
-                .decode_into(&mut buf, false)
-                .expect("sealed chunk must decode (checksummed on the persisted path)");
-            charge.resync(columnar_capacity_bytes(&buf));
-
-            let mut shard = par::par_fold_shards_sized(
-                chunk.rows,
-                STREAM_MORSEL,
-                || FusedShard::new(dims),
-                |acc: &mut FusedShard, range| {
-                    acc.io_idx.reserve(range.len());
-                    acc.data_idx.reserve(range.len());
-                    for i in range {
-                        fold_fused_record(acc, &buf, i, &ctx);
-                    }
-                },
-                FusedShard::merge,
-            );
-
-            // Feed the online detectors from the chunk-local index lists
-            // (ascending = capture order), then drop the lists before the
-            // shard folds into the run-global accumulator.
-            for &i in &shard.io_idx {
-                phases.insert(&buf, i as usize);
-            }
-            for &i in &shard.data_idx {
-                pattern.observe(&buf, i as usize);
-            }
-            for &i in &shard.data_idx {
-                let i = i as usize;
-                let ts = match buf.op[i] {
-                    recorder_sim::record::OpKind::Read => &mut read_timeline,
-                    recorder_sim::record::OpKind::Write => &mut write_timeline,
-                    _ => continue,
-                };
-                ts.add(
-                    SimTime(buf.start[i]),
-                    SimTime(buf.end[i]),
-                    buf.bytes[i] as f64,
-                );
-            }
-            data_ops += shard.data_idx.len() as u64;
-            shard.io_idx.clear();
-            shard.data_idx.clear();
-            global.merge(shard);
-        })?;
-
-        let phases = phases.finish();
-        let access_pattern = pattern.finish(src, &ctx)?;
-
-        Ok(emit_profile(
-            global,
+        let meta = src.merged_meta();
+        drive(
+            &meta,
             src.file_paths(),
             src.app_names(),
             job_time,
-            interface,
-            access_pattern,
-            phases,
-            read_timeline,
-            write_timeline,
-            data_ops,
-        ))
+            &mut |fold| {
+                src.scan_chunks(&mut |chunk| {
+                    buf.clear_rows();
+                    chunk
+                        .decode_into(&mut buf, false)
+                        .expect("sealed chunk must decode (checksummed on the persisted path)");
+                    charge.resync(columnar_capacity_bytes(&buf));
+                    fold(&buf);
+                })
+            },
+        )
     }
 }
 
@@ -495,8 +558,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::{detect_phases_sorted, scan_access_pattern};
-    use recorder_sim::record::{AppId, FileId, OpKind};
+    use recorder_sim::record::{AppId, FileId};
 
     fn xorshift(state: &mut u64) -> u64 {
         let mut x = *state;
@@ -572,69 +634,6 @@ mod tests {
                 let stream = TraceProfile::streaming(&t, job);
                 assert_eq!(stream, fused, "n={n} chunk_rows={chunk_rows}");
             }
-        }
-    }
-
-    #[test]
-    fn phase_builder_matches_sorted_scan_on_shuffled_input() {
-        let job = Dur::from_secs(120);
-        let c = synthetic(3000, 0xabcdef);
-        // Offline oracle: sorted scan over every record.
-        let mut sorted: Vec<u32> = (0..c.len() as u32).collect();
-        sorted.sort_by_key(|&i| c.start[i as usize]);
-        let sorted: Vec<u32> = sorted
-            .into_iter()
-            .filter(|&i| c.op[i as usize].is_io())
-            .collect();
-        let oracle = detect_phases_sorted(&c, &sorted, job);
-        // Online builder fed in three interleaved passes (worst-case
-        // out-of-order arrival).
-        let mut pb = PhaseBuilder::new(phase_threshold(job));
-        for lane in 0..3 {
-            for i in (lane..c.len()).step_by(3) {
-                if c.op[i].is_io() {
-                    pb.insert(&c, i);
-                }
-            }
-        }
-        assert_eq!(pb.finish(), oracle);
-    }
-
-    #[test]
-    fn pattern_tracker_fallback_matches_sorted_scan() {
-        // Capture order deliberately violates the per-cell certificate:
-        // rank 0 writes file 0 with *decreasing* start times.
-        let mut c = ColumnarTrace::default();
-        c.file_paths = vec!["/data/f0".into()];
-        c.app_names = vec!["w".into()];
-        let n = 500usize;
-        for i in 0..n {
-            let start = (n - i) as u64 * 1_000_000;
-            c.push_row(
-                0,
-                0,
-                AppId(0),
-                Layer::Posix,
-                OpKind::Write,
-                SimTime(start),
-                SimTime(start + 1000),
-                Some(FileId(0)),
-                // Offsets ascend in *time* order → "Seq" under the sorted
-                // scan, would look reversed in capture order.
-                ((n - i) as u64) * 4096,
-                4096,
-            );
-        }
-        let job = Dur::from_secs(10);
-        let fused = TraceProfile::fused(&c, job);
-        let mut sorted: Vec<u32> = (0..n as u32).collect();
-        sorted.sort_by_key(|&i| c.start[i as usize]);
-        assert_eq!(scan_access_pattern(&c, &sorted), "Seq");
-        for chunk_rows in [64usize, 4096] {
-            let t = ChunkedTrace::from_columnar(&c, chunk_rows);
-            let stream = TraceProfile::streaming(&t, job);
-            assert_eq!(stream, fused, "chunk_rows={chunk_rows}");
-            assert_eq!(stream.access_pattern, "Seq");
         }
     }
 }

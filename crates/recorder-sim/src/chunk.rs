@@ -18,13 +18,13 @@
 //! uncompressed chunk buffer is charged against the process-wide
 //! [`trace_gauge`], and [`resident_bound`] states the contract: peak gauge
 //! bytes never exceed the per-slot budget times the slot count.
-//! `bench_analyzer` and CI assert it.
+//! The root `streaming_ring_bound` test asserts it, in memory and off disk.
 //!
-//! Each sealed chunk carries a [`ChunkMeta`] — the same layer-presence /
-//! id-space-bounds / per-layer file sets the analyzer's interface prescan
-//! computes — folded record by record at seal time, so the streaming
-//! analyzer gets its global dims by merging metas instead of decoding every
-//! chunk twice.
+//! Each sealed chunk carries a [`ChunkMeta`] — layer presence, id-space
+//! bounds and per-layer file sets, folded column by column at seal time —
+//! so the analyzer gets its global dims and interface selection by merging
+//! metas instead of decoding every chunk twice. An in-memory trace gets
+//! the same statistics from one [`ChunkMeta::of_rows`] over all its rows.
 
 use crate::codec::{self, CodecError};
 use crate::columnar::{ColumnarTrace, NO_FILE};
@@ -127,7 +127,8 @@ pub const COLUMN_WIDTHS: [(&str, u8); 10] = [
     ("bytes", 8),
 ];
 
-/// A compact bitset over small dense ids (file ids within a chunk).
+/// A compact bitset over small dense ids: file ids within a chunk, and the
+/// analyzer's rank, app and file sets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitWords {
     words: Vec<u64>,
@@ -135,6 +136,7 @@ pub struct BitWords {
 
 impl BitWords {
     /// Insert `id`.
+    #[inline]
     pub fn insert(&mut self, id: usize) {
         let w = id / 64;
         if w >= self.words.len() {
@@ -160,12 +162,25 @@ impl BitWords {
         }
     }
 
-    /// Set ids in ascending order.
+    /// Whether no id is present.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Number of ids present.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Set ids in ascending order: one `trailing_zeros` step per set bit,
+    /// so sparse words cost nothing per clear bit.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64)
-                .filter(move |b| bits & (1u64 << b) != 0)
-                .map(move |b| w * 64 + b)
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            std::iter::successors((w != 0).then_some(w), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |bits| wi * 64 + bits.trailing_zeros() as usize)
         })
     }
 
@@ -180,10 +195,10 @@ impl BitWords {
     }
 }
 
-/// Per-chunk statistics folded at seal time: exactly the quantities the
-/// analyzer's interface prescan derives from raw records, so merging the
-/// metas of all chunks reproduces the prescan of the whole trace without a
-/// decode pass.
+/// Per-chunk statistics folded at seal time: the layer presence, id-space
+/// bounds and per-layer file sets the analyzer sizes its accumulators and
+/// picks its interface selection from. Merging the metas of all chunks
+/// gives the statistics of the whole trace without a decode pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkMeta {
     /// Records in the chunk.
@@ -201,9 +216,8 @@ pub struct ChunkMeta {
 }
 
 impl ChunkMeta {
-    /// Fold one record (mirrors the analyzer prescan's per-record body):
-    /// the row-at-a-time oracle that [`of_rows`](Self::of_rows) is tested
-    /// against.
+    /// Fold one record: the row-at-a-time oracle that
+    /// [`of_rows`](Self::of_rows) is tested against.
     #[cfg(test)]
     pub(crate) fn absorb(&mut self, rank: u32, app: u16, layer: Layer, op: OpKind, file: u32) {
         self.rows += 1;
@@ -220,9 +234,10 @@ impl ChunkMeta {
     }
 
     /// The statistics of rows `range` of `c`, folded column by column:
-    /// equal to absorbing each row in turn. Sealing and the decode-side
-    /// recomputes (loaders, deep verification) all use it.
-    pub(crate) fn of_rows(c: &ColumnarTrace, range: std::ops::Range<usize>) -> ChunkMeta {
+    /// equal to absorbing each row in turn. Sealing, the decode-side
+    /// recomputes (loaders, deep verification) and the analyzer's
+    /// in-memory entry point all use it.
+    pub fn of_rows(c: &ColumnarTrace, range: std::ops::Range<usize>) -> ChunkMeta {
         let mut meta = ChunkMeta {
             rows: range.len(),
             n_ranks: c.rank[range.clone()]
@@ -470,8 +485,8 @@ impl ChunkedTrace {
         self.chunks.iter().map(CompressedChunk::encoded_bytes).sum()
     }
 
-    /// Merge of every chunk's seal-time statistics: the whole-trace
-    /// interface prescan, for free.
+    /// Merge of every chunk's seal-time statistics: the statistics of the
+    /// whole trace, without a decode pass.
     pub fn merged_meta(&self) -> ChunkMeta {
         let mut meta = ChunkMeta::default();
         for ch in &self.chunks {
@@ -622,6 +637,11 @@ mod tests {
         assert!(b.contains(0) && b.contains(63) && b.contains(64) && b.contains(129));
         assert!(!b.contains(2) && !b.contains(130) && !b.contains(10_000));
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 1, 63, 64, 129]);
+        assert_eq!(b.count(), 5);
+        assert!(!b.is_empty());
+        assert!(BitWords::default().is_empty());
+        assert!(BitWords::from_words(vec![0, 0]).is_empty());
+        assert_eq!(BitWords::from_words(vec![u64::MAX]).iter().count(), 64);
         let mut other = BitWords::default();
         other.insert(5);
         other.insert(200);

@@ -11,7 +11,6 @@ use crate::tracer::Tracer;
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
 use vani_rt::par;
-use vani_rt::Selection;
 
 /// Sentinel for "no file" in the file column.
 pub(crate) const NO_FILE: u32 = u32::MAX;
@@ -219,38 +218,11 @@ impl ColumnarTrace {
 
     /// Indices matching a predicate, in record order (parallel scan with a
     /// sequential fast path below `rt::par::SEQ_THRESHOLD` records).
-    ///
-    /// Prefer [`Self::mask`] where an index list is not strictly needed:
-    /// a [`Selection`] costs one bit per record instead of four bytes per
-    /// match and feeds the same aggregation kernels.
     pub fn select<P>(&self, pred: P) -> Vec<u32>
     where
         P: Fn(usize) -> bool + Sync,
     {
         par::par_filter_indices(self.len(), pred)
-    }
-
-    /// Records matching a predicate, as a lazy bitmap (parallel scan).
-    pub fn mask<P>(&self, pred: P) -> Selection
-    where
-        P: Fn(usize) -> bool + Sync,
-    {
-        Selection::from_pred(self.len(), pred)
-    }
-
-    /// Bitmap of all I/O operations (data + metadata).
-    pub fn io_mask(&self) -> Selection {
-        self.mask(|i| self.op[i].is_io())
-    }
-
-    /// Bitmap of data operations at a given layer, or across layers.
-    pub fn data_mask(&self, layer: Option<Layer>) -> Selection {
-        self.mask(|i| self.op[i].is_data() && layer.is_none_or(|l| self.layer[i] == l))
-    }
-
-    /// Bitmap of metadata operations at a given layer, or across layers.
-    pub fn meta_mask(&self, layer: Option<Layer>) -> Selection {
-        self.mask(|i| self.op[i].is_meta() && layer.is_none_or(|l| self.layer[i] == l))
     }
 
     /// Indices of all I/O operations (data + metadata).
@@ -286,45 +258,6 @@ impl ColumnarTrace {
             |acc, &i| acc + (self.end[i as usize] - self.start[i as usize]),
             |a, b| a + b,
         ))
-    }
-
-    /// Sum of `bytes` over a bitmap selection.
-    pub fn sum_bytes_sel(&self, sel: &Selection) -> u64 {
-        sel.fold_shards(|| 0u64, |acc, i| *acc += self.bytes[i], |a, b| *a += b)
-    }
-
-    /// Sum of durations over a bitmap selection.
-    pub fn sum_time_sel(&self, sel: &Selection) -> Dur {
-        Dur(sel.fold_shards(
-            || 0u64,
-            |acc, i| *acc += self.end[i] - self.start[i],
-            |a, b| *a += b,
-        ))
-    }
-
-    /// Generic group-by over a bitmap selection.
-    pub fn group_by_sel<K, F>(&self, sel: &Selection, key: F) -> HashMap<K, GroupAgg>
-    where
-        K: std::hash::Hash + Eq + Send,
-        F: Fn(usize) -> K + Sync,
-    {
-        sel.fold_shards(
-            HashMap::new,
-            |table: &mut HashMap<K, GroupAgg>, i| {
-                let agg = table.entry(key(i)).or_default();
-                agg.ops += 1;
-                agg.bytes += self.bytes[i];
-                agg.time += Dur(self.end[i] - self.start[i]);
-            },
-            |out, shard| {
-                for (k, v) in shard {
-                    let agg = out.entry(k).or_default();
-                    agg.ops += v.ops;
-                    agg.bytes += v.bytes;
-                    agg.time += v.time;
-                }
-            },
-        )
     }
 
     /// Group a selection by file id.
@@ -542,76 +475,6 @@ mod tests {
             let c = ColumnarTrace::from_records(&records, vec!["/f".into(); 8], vec!["a".into()]);
             assert_eq!(c.to_records(), records);
         }
-    }
-
-    /// The bitmap query surface agrees exactly with the index-list one.
-    #[test]
-    fn masks_agree_with_index_selections() {
-        let c = ColumnarTrace::from_tracer(&sample_trace());
-        assert_eq!(c.io_mask().to_indices(), c.io_ops());
-        assert_eq!(c.data_mask(None).to_indices(), c.data_ops(None));
-        assert_eq!(
-            c.meta_mask(Some(Layer::Posix)).to_indices(),
-            c.meta_ops(Some(Layer::Posix))
-        );
-        let data = c.data_ops(None);
-        let dmask = c.data_mask(None);
-        assert_eq!(c.sum_bytes_sel(&dmask), c.sum_bytes(&data));
-        assert_eq!(c.sum_time_sel(&dmask), c.sum_time(&data));
-        assert_eq!(
-            c.group_by_sel(&dmask, |i| c.file[i]),
-            c.group_by_file(&data)
-        );
-        assert_eq!(
-            c.group_by_sel(&dmask, |i| c.rank[i]),
-            c.group_by_rank(&data)
-        );
-    }
-
-    /// Bitmap aggregation over a large randomized trace, across worker
-    /// counts, matches the index-list kernels bit for bit.
-    #[test]
-    fn randomized_mask_aggregation_matches() {
-        let mut r = vani_rt::Rng::new(0xc001_0003);
-        let records: Vec<TraceRecord> = (0..30_000)
-            .map(|i| {
-                let bytes = r.uniform_u64(0, 1 << 20);
-                TraceRecord {
-                    rank: r.uniform_u64(0, 64) as u32,
-                    node: 0,
-                    app: AppId(0),
-                    layer: Layer::Posix,
-                    op: if bytes % 3 == 0 {
-                        OpKind::Open
-                    } else {
-                        OpKind::Write
-                    },
-                    start: SimTime(i as u64),
-                    end: SimTime(i as u64 + 1 + bytes / 7),
-                    file: Some(FileId((bytes % 17) as u32)),
-                    offset: 0,
-                    bytes,
-                }
-            })
-            .collect();
-        let c = ColumnarTrace::from_records(&records, vec!["/f".into(); 17], vec!["a".into()]);
-        for threads in [1usize, 2, 8] {
-            vani_rt::par::set_threads(threads);
-            let sel = c.data_ops(None);
-            let mask = c.data_mask(None);
-            assert_eq!(mask.to_indices(), sel, "threads={threads}");
-            assert_eq!(
-                c.sum_bytes_sel(&mask),
-                c.sum_bytes(&sel),
-                "threads={threads}"
-            );
-            assert_eq!(
-                c.group_by_sel(&mask, |i| c.rank[i]),
-                c.group_by_rank(&sel),
-                "threads={threads}"
-            );
-        }
-        vani_rt::par::set_threads(0);
     }
 
     /// group_by_rank partitions the selection: totals match.

@@ -33,6 +33,7 @@ impl Layer {
     /// Dense integer code used by the columnar codec and the analyzer's
     /// per-layer presence tables. The numbering is part of the on-disk
     /// spill log format (v4): never reorder it.
+    #[inline]
     pub fn code(&self) -> u8 {
         match self {
             Layer::App => 0,

@@ -11,9 +11,6 @@
 //! * [`json`] — a minimal JSON value type plus [`json::ToJson`]/
 //!   [`json::FromJson`] traits with hand-written impls at the call sites,
 //!   replacing `serde`/`serde_json`.
-//! * [`sel`] — bitmap [`Selection`]s: predicate query results as one bit
-//!   per index instead of a materialized `Vec<u32>`, with deterministic
-//!   parallel construction and folds.
 //! * [`stats`] — order statistics (interpolated percentiles, five-point
 //!   [`stats::Quantiles`]) and Pearson correlation for the fleet-scale
 //!   characterization reports.
@@ -25,9 +22,7 @@
 pub mod json;
 pub mod par;
 pub mod rng;
-pub mod sel;
 pub mod stats;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use rng::Rng;
-pub use sel::Selection;

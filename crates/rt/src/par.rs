@@ -320,46 +320,18 @@ where
     per_chunk.into_iter().fold(identity(), combine)
 }
 
-/// Morsel-driven parallel fold over the index space `0..len`.
+/// Morsel-driven parallel fold over the index space `0..len`, cut into
+/// morsels of `morsel` indices.
 ///
-/// The index space is cut into deterministic morsels (chunks whose
-/// boundaries depend only on `len`). Each morsel is folded into a fresh
-/// shard accumulator from `identity()` by a worker, and shard accumulators
-/// are merged **in morsel order** on the calling thread. The merge tree is
-/// therefore a pure function of `len`: bit-identical results on any worker
-/// count, even when `merge` is non-commutative or accumulates floats.
+/// Each morsel is folded into a fresh shard accumulator from `identity()`
+/// by a worker, and shard accumulators are merged **in morsel order** on
+/// the calling thread. Morsel boundaries depend only on `len` and
+/// `morsel`, so the merge tree is bit-identical on any worker count, even
+/// when `merge` is non-commutative or accumulates floats.
 ///
-/// This is the kernel behind the analyzer's fused single-pass scan: the
-/// accumulator can be an arbitrarily wide struct (histograms, hash tables,
-/// index lists), so one traversal of the trace computes everything at once
-/// instead of one scan per statistic.
-pub fn par_fold_shards<A, I, F, M>(len: usize, identity: I, fold: F, merge: M) -> A
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, std::ops::Range<usize>) + Sync,
-    M: Fn(&mut A, A),
-{
-    let shards = run_chunked_auto(len, |_, range| {
-        let mut acc = identity();
-        fold(&mut acc, range);
-        acc
-    });
-    let mut out = identity();
-    for shard in shards {
-        merge(&mut out, shard);
-    }
-    out
-}
-
-/// [`par_fold_shards`] with a caller-chosen morsel size. The streaming
-/// analyzer folds each decoded chunk with a morsel that divides the chunk's
-/// row-group size, so the *global* sequence of (morsel, merge) operations is
-/// the same whether records arrive as one giant trace or as a stream of
-/// chunks — the keystone of the streaming == fused bit-identity contract.
-/// Morsel boundaries depend only on `len` and `morsel`, and shard
-/// accumulators merge in morsel order on the calling thread, exactly as in
-/// [`par_fold_shards`].
+/// This is the kernel behind the analyzer's fold: the accumulator can be
+/// an arbitrarily wide struct (histograms, bitsets, index lists), so one
+/// traversal of a batch of records computes every statistic at once.
 pub fn par_fold_shards_sized<A, I, F, M>(
     len: usize,
     morsel: usize,
@@ -537,8 +509,9 @@ mod tests {
         // Wide accumulator: (sum, count, min) folded over ranges.
         let n = 100_000usize;
         let run = || {
-            par_fold_shards(
+            par_fold_shards_sized(
                 n,
+                4096,
                 || (0u64, 0u64, u64::MAX),
                 |acc, range| {
                     for i in range {
@@ -559,22 +532,6 @@ mod tests {
         assert_eq!(seq, par8);
         assert_eq!(seq.1, n as u64);
         assert_eq!(seq.0, (0..n as u64).map(|i| i * 3).sum());
-    }
-
-    #[test]
-    fn par_fold_shards_merges_in_morsel_order() {
-        // Non-commutative merge (concatenation): shard order must equal
-        // morsel order, i.e. the result is exactly 0..n.
-        let n = 50_000usize;
-        let got = with_threads(8, || {
-            par_fold_shards(
-                n,
-                Vec::new,
-                |acc: &mut Vec<u32>, range| acc.extend(range.map(|i| i as u32)),
-                |a, mut b| a.append(&mut b),
-            )
-        });
-        assert_eq!(got, (0..n as u32).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -606,7 +563,7 @@ mod tests {
 
     #[test]
     fn par_fold_shards_empty_is_identity() {
-        let got = par_fold_shards(0, || 41u32, |acc, _| *acc += 1, |a, b| *a += b);
+        let got = par_fold_shards_sized(0, 64, || 41u32, |acc, _| *acc += 1, |a, b| *a += b);
         assert_eq!(got, 41); // no morsels: the identity comes back untouched
     }
 

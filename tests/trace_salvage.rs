@@ -3,12 +3,15 @@
 //! A spill-log capture that loses its tail (truncation, including a cut
 //! exactly at a commit boundary) or takes mid-file corruption still yields
 //! the longest committed prefix, with a typed completeness diagnostic that
-//! never claims the damaged log is complete; the fused and multipass
-//! analyzers agree bit-for-bit on the salvaged columns, and the entity
+//! never claims the damaged log is complete; the analyzer and the
+//! multipass oracle agree bit-for-bit on the salvaged columns, and the entity
 //! YAML carries the completeness annotation. A crashed-and-recovered
 //! run's trace — including its `Crash`/`RestartEpoch`/`Checkpoint`
 //! records — survives the disk round-trip losslessly.
 
+mod common;
+
+use common::multipass::multipass;
 use sim_core::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -16,7 +19,7 @@ use storage_sim::FaultPlan;
 use vani_suite::recorder::spill::{load_spill, load_spill_salvaged, spill_columnar};
 use vani_suite::recorder::tracer::Tracer;
 use vani_suite::recorder::{ColumnarTrace, SpillError, SpillFaultPlan, TraceCompleteness};
-use vani_suite::vani::analyzer::Analysis;
+use vani_suite::vani::analyzer::{Analysis, TraceProfile};
 use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
 
@@ -95,13 +98,13 @@ fn truncated_capture_salvages_a_consistent_prefix() {
     // The fused analyzer and the multipass oracle agree on the salvaged
     // columns, and the YAML carries the completeness diagnostic.
     let mut partial = wl::cm1::run(0.01, 11);
+    assert_eq!(
+        TraceProfile::fused(&salvaged, partial.runtime()),
+        multipass(&salvaged, partial.runtime()),
+        "the analyzer and the multipass oracle must agree on salvaged traces"
+    );
     partial.world.tracer = Tracer::from_columnar(salvaged);
     let fused = Analysis::from_run(&partial);
-    let multi = Analysis::from_run_multipass(&partial);
-    assert_eq!(
-        fused, multi,
-        "fused and multipass must agree on salvaged traces"
-    );
 
     let annotated = yaml::emit(&tables::entities_with_completeness(&fused, Some(&tc)));
     assert!(annotated.contains("trace_completeness"), "{annotated}");
