@@ -41,6 +41,19 @@ case "$paper_six" in
     *) echo "ci: paper-six render digest mismatch: $paper_six" >&2; exit 1 ;;
 esac
 
+# Fleet cross-check: the benchmark's traced fleet pass re-drives the
+# 200-job standard fleet through the library's per-step calls, sealing
+# each job's trace and folding it chunk by chunk, and reports
+# `"correct": true` on its last line only when that report renders byte
+# for byte like `fleet_sweep`'s, which folds each job's captured columns
+# in place. Any divergence between the two analysis paths fails CI.
+fleet="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload fleet --seed 7 --seconds 2 --trace 1 | tail -n 1)"
+case "$fleet" in
+    *'"correct": true'*) ;;
+    *) echo "ci: fleet cross-check mismatch: $fleet" >&2; exit 1 ;;
+esac
+
 # Spill round trip gates: the benchmark's trace-roundtrip workload captures
 # 4M synthetic records through a v4 spill log, replays them off disk and
 # checks the profile against the in-memory fused one; its last line holds

@@ -12,10 +12,13 @@
 //! The full run admits 1000 heterogeneous jobs (the short run 64; `--jobs`
 //! overrides either, e.g. `--jobs 10000` for the bounded-memory fleet
 //! demonstration) onto the shared cluster and renders the fleet's
-//! statistical characterization. Per-job analysis goes through the
-//! streaming profiler, so the peak resident trace footprint — reported in
-//! `BENCH_fleet.json` as `peak_resident_trace_bytes` — stays bounded by
-//! the chunk ring regardless of fleet size. The same fleet is executed with the sequential
+//! statistical characterization. Each job's analysis folds the columns
+//! its tracer captured in place, so no chunk or decode buffer is
+//! allocated; `BENCH_fleet.json`'s `peak_resident_trace_bytes` is the
+//! trace gauge's peak, which counts only such buffers (0 in memory; with
+//! `--spill`, each running job's spill frame and decode buffers), never
+//! the tracer's columns.
+//! The same fleet is executed with the sequential
 //! driver and the parallel driver at 1, 2, and 8 workers; every rendered
 //! report is asserted **byte-identical** to the sequential reference
 //! before anything is written — ci.sh relies on this, and a divergence
@@ -144,10 +147,12 @@ pub fn run_fleet(
         sequential_ns as f64 / timings.last().map(|(_, _, ns)| *ns).unwrap_or(1).max(1) as f64
     );
 
-    // High-water mark of decoded trace bytes across every job of every
-    // driver run above. With streaming per-job analysis this is bounded by
-    // the chunk ring per concurrent worker, not by fleet size or trace
-    // length — the number demonstrating the 10⁴-job claim.
+    // High-water mark of gauged trace bytes (spill frame and decode
+    // buffers) across every job of every driver run above. An in-memory
+    // fleet folds each job's captured columns in place and allocates no
+    // such buffer, so this is 0; with `--spill` it is bounded by the
+    // buffers of the jobs in flight, not by fleet size or trace length.
+    // The tracer's own columns are not gauged on either path.
     let peak_trace = recorder_sim::chunk::trace_gauge().peak();
     eprintln!(
         "  peak resident trace bytes: {peak_trace} ({:.1} KiB/worker bound with {host_cores} cores)",

@@ -259,12 +259,7 @@ impl Analysis {
     /// Analyze a completed run: [`TraceProfile::fused`] over its trace.
     pub fn from_run(run: &WorkloadRun) -> Analysis {
         let c = run.columnar();
-        let profile = TraceProfile::fused(&c, run.runtime());
-        Self::assemble(run, c, profile)
-    }
-
-    /// Combine a trace profile with the run-level attributes.
-    pub(crate) fn assemble(run: &WorkloadRun, c: ColumnarTrace, p: TraceProfile) -> Analysis {
+        let p = TraceProfile::fused(&c, run.runtime());
         let data_dist = fit_data_distribution(run, &p.files);
         Analysis {
             kind: run.kind,

@@ -13,9 +13,9 @@
 //!   with its statistics from one `ChunkMeta::of_rows` over every row.
 //! * [`TraceProfile::streaming_source`] decodes each chunk of a
 //!   [`ChunkSource`] — an in-memory [`ChunkedTrace`] or an on-disk
-//!   [`SpillSource`] — into one recycled, gauge-charged buffer and lends
-//!   that buffer, so peak resident trace bytes are bounded by the chunk
-//!   size, not the trace length.
+//!   [`SpillSource`](recorder_sim::SpillSource) — into one recycled,
+//!   gauge-charged buffer and lends that buffer, so peak resident trace
+//!   bytes are bounded by the chunk size, not the trace length.
 //!
 //! # Online detectors
 //!
@@ -53,17 +53,15 @@
 
 use recorder_sim::chunk::{columnar_capacity_bytes, GaugeCharge};
 use recorder_sim::record::{Layer, OpKind};
-use recorder_sim::spill::{spill_columnar, ChunkSource, SpillError, SpillFaultPlan, SpillSource};
-use recorder_sim::{ChunkMeta, ChunkedTrace, ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
+use recorder_sim::spill::{ChunkSource, SpillError};
+use recorder_sim::{ChunkMeta, ChunkedTrace, ColumnarTrace};
 use sim_core::{Dur, Histogram, SimTime, TimeSeries};
 use std::collections::HashMap;
-use std::path::Path;
 use vani_rt::par;
 
 use crate::analyzer::{
-    emit_profile, fold_fused_record, Analysis, Dims, FusedShard, PhaseInfo, SelCtx, TraceProfile,
+    emit_profile, fold_fused_record, Dims, FusedShard, PhaseInfo, SelCtx, TraceProfile,
 };
-use exemplar_workloads::harness::WorkloadRun;
 
 /// Morsel size for the intra-batch parallel fold. Any in-order contiguous
 /// partition of a batch produces identical merged shards (the accumulators
@@ -465,10 +463,11 @@ impl TraceProfile {
     }
 
     /// Profile any [`ChunkSource`] — an in-memory [`ChunkedTrace`] or an
-    /// on-disk [`SpillSource`] — chunk-at-a-time in bounded memory. The
-    /// fold visits chunks in capture order regardless of source, so the
-    /// profile is bit-identical across sources holding the same chunks.
-    /// Errors surface only from a disk-backed source whose scan fails.
+    /// on-disk [`SpillSource`](recorder_sim::SpillSource) — chunk-at-a-time
+    /// in bounded memory. The fold visits chunks in capture order
+    /// regardless of source, so the profile is bit-identical across
+    /// sources holding the same chunks. Errors surface only from a
+    /// disk-backed source whose scan fails.
     pub fn streaming_source(
         src: &dyn ChunkSource,
         job_time: Dur,
@@ -498,67 +497,11 @@ impl TraceProfile {
     }
 }
 
-impl Analysis {
-    /// Analyze a completed run through the streaming path: the columnar
-    /// trace is sealed into compressed chunks, profiled chunk-at-a-time,
-    /// and **not retained** (`Analysis::trace` comes back empty — the point
-    /// is to hold at most one decoded chunk, not the whole trace). All
-    /// profile-level fields are bit-identical to [`Analysis::from_run`];
-    /// only the retained `trace` differs. Use [`Analysis::from_run`] when
-    /// figure rendering needs the raw records.
-    pub fn from_run_streaming(run: &WorkloadRun) -> Analysis {
-        let chunked = {
-            let c = run.columnar();
-            ChunkedTrace::from_columnar(&c, DEFAULT_CHUNK_ROWS)
-        };
-        let profile = TraceProfile::streaming(&chunked, run.runtime());
-        let mut empty = ColumnarTrace::default();
-        // Keep the intern tables so path/name lookups on the retained
-        // trace stay meaningful even without rows.
-        empty.file_paths = chunked.file_paths;
-        empty.app_names = chunked.app_names;
-        Analysis::assemble(run, empty, profile)
-    }
-
-    /// Analyze a completed run through the on-disk spill path: the columnar
-    /// trace streams into a crash-consistent segment log at `path`, then the
-    /// log is recovered (salvaging the longest committed prefix if `fault`
-    /// injected damage) and profiled chunk-at-a-time straight off disk.
-    ///
-    /// Returns the analysis alongside the recovery verdict. On a clean log
-    /// the profile is bit-identical to [`Analysis::from_run_streaming`]; on
-    /// a damaged log it matches the in-memory profile truncated to the
-    /// surviving records. A crash-class injected fault is absorbed here —
-    /// recovery proceeds from whatever the simulated crash left on disk —
-    /// while environmental failures (ENOSPC, unwritable dir) surface as
-    /// errors.
-    pub fn from_run_spilled(
-        run: &WorkloadRun,
-        path: &Path,
-        fault: SpillFaultPlan,
-    ) -> Result<(Analysis, FsckReport), SpillError> {
-        let c = run.columnar();
-        let spill_path = match spill_columnar(&c, DEFAULT_CHUNK_ROWS, path, fault) {
-            Ok(sum) => sum.path,
-            // A simulated crash leaves a partial segment behind; recover
-            // from exactly what the crash left.
-            Err(SpillError::Injected { path, .. }) => path,
-            Err(e) => return Err(e),
-        };
-        let src = SpillSource::open_salvaged(&spill_path)?;
-        let profile = TraceProfile::streaming_source(&src, run.runtime())?;
-        let report = src.report().clone();
-        let mut empty = ColumnarTrace::default();
-        empty.file_paths = src.file_paths().to_vec();
-        empty.app_names = src.app_names().to_vec();
-        Ok((Analysis::assemble(run, empty, profile), report))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use recorder_sim::record::{AppId, FileId};
+    use recorder_sim::DEFAULT_CHUNK_ROWS;
 
     fn xorshift(state: &mut u64) -> u64 {
         let mut x = *state;

@@ -18,8 +18,12 @@
 //!    cluster, then per-job interference schedules from the overlaps.
 //! 4. **Jobs** — every job simulates independently (scenario-parallel)
 //!    with its variant's fault plan and its interference schedule
-//!    installed, returning a compact [`JobRecord`] (the trace is dropped
-//!    inside the closure, so a 1000-job fleet does not hold 1000 traces).
+//!    installed, returning a compact [`JobRecord`]. Without a
+//!    [`SpillSpec`] the record's trace fields come from
+//!    [`TraceProfile::fused`] over the columns the job's tracer captured,
+//!    borrowed in place: no copy, no sealed chunks, no decode buffer, so
+//!    the trace gauge is never charged. The trace is dropped inside the
+//!    closure, so a 1000-job fleet does not hold 1000 traces.
 //!
 //! Every wave merges results in registration order and every reduction is
 //! a sequential pass in job-id order — see the module docs of
@@ -33,12 +37,13 @@ use super::scheduler::{
 };
 use super::stats::{FleetReport, ProfileSummary};
 use super::FleetError;
-use crate::analyzer::Analysis;
+use crate::analyzer::TraceProfile;
 use crate::sweep::{retry_seed, Driver, ScenarioSet};
 use exemplar_workloads::{
     cm1, cosmoflow, hacc, ior, jag, montage, montage_pegasus, WorkloadKind, WorkloadRun,
 };
-use recorder_sim::spill::SpillFaultPlan;
+use recorder_sim::spill::{spill_columnar, SpillError, SpillFaultPlan, SpillSource};
+use recorder_sim::{ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
 use sim_core::{Dur, SimTime};
 use std::path::{Path, PathBuf};
 use storage_sim::{FaultPlan, GpfsConfig, InterferenceSchedule};
@@ -149,11 +154,12 @@ pub enum NodeFaultSpec {
 }
 
 /// Where — and under what injected-fault plan — fleet jobs spill their
-/// captured traces. With a spec installed, every simulated job streams its
-/// trace into a crash-consistent segment log (`job-NNNNN.vsp3` under
-/// `dir`), recovers it, and analyzes the recovered prefix straight off
-/// disk, so a 10⁵-job sweep's peak resident trace bytes stay at the
-/// chunk-ring bound regardless of trace length.
+/// captured traces. With a spec installed, every simulated job seals its
+/// captured columns into a crash-consistent segment log (`job-NNNNN.vsp3`
+/// under `dir`), recovers it, and analyzes the recovered prefix straight
+/// off disk chunk by chunk. The spill frame and decode buffers are the
+/// only trace memory the trace gauge counts; the columns the job's
+/// tracer holds are not gauged, with or without a spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillSpec {
     /// Directory the per-job segment logs are written into.
@@ -200,8 +206,8 @@ pub struct FleetConfig {
     /// backfill). With [`NodeFaultSpec::None`] and backfill off the
     /// scheduler is the legacy FCFS one, bit for bit.
     pub sched: SchedPolicy,
-    /// Spill-to-disk capture (`None` = in-memory streaming analysis,
-    /// bit-identical to the pre-spill fleet).
+    /// Spill-to-disk capture (`None` = each job's captured columns are
+    /// folded in place, bit-identical to the pre-spill fleet).
     pub spill: Option<SpillSpec>,
 }
 
@@ -493,6 +499,33 @@ struct Profile {
     demand: TenantDemand,
 }
 
+/// Profile a job's captured columns through the on-disk spill path: the
+/// columns stream into a crash-consistent segment log at `path`, the log
+/// is recovered (salvaging the longest committed prefix if `fault`
+/// injected damage) and profiled chunk-at-a-time straight off disk.
+///
+/// Returns the profile alongside the recovery verdict. On a clean log the
+/// profile equals [`TraceProfile::fused`] over `c`; on a damaged log it
+/// matches the fused profile of the surviving records. A crash-class
+/// injected fault is absorbed here (recovery proceeds from whatever the
+/// simulated crash left on disk), while environmental failures (ENOSPC,
+/// unwritable dir) surface as errors.
+fn spilled_profile(
+    c: &ColumnarTrace,
+    job_time: Dur,
+    path: &Path,
+    fault: SpillFaultPlan,
+) -> Result<(TraceProfile, FsckReport), SpillError> {
+    let spill_path = match spill_columnar(c, DEFAULT_CHUNK_ROWS, path, fault) {
+        Ok(sum) => sum.path,
+        Err(SpillError::Injected { path, .. }) => path,
+        Err(e) => return Err(e),
+    };
+    let src = SpillSource::open_salvaged(&spill_path)?;
+    let profile = TraceProfile::streaming_source(&src, job_time)?;
+    Ok((profile, src.report().clone()))
+}
+
 /// Demand fractions of one profile run against the (scaled) shared PFS.
 /// Server-side counters, so client-cache hits do not count as demand.
 fn profile_of(run: &WorkloadRun, pfs_capacity_scale: f64) -> Profile {
@@ -775,35 +808,36 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
         };
         w2.add(id, move |_| {
             let run = run_job(kind, scale, sim_seed, plan.clone(), schedule.clone());
-            // Streaming analysis: the job's trace is sealed into compressed
-            // chunks and profiled chunk-at-a-time, never retained — a
-            // 10⁴-job fleet holds at most one decoded chunk per worker.
-            // Every JobRecord field is profile-level, and the streaming
-            // profile is bit-identical to the fused one, so the rendered
-            // report is byte-for-byte unchanged. With a spill spec the
-            // chunks detour through an on-disk segment log and the
-            // analysis covers whatever prefix recovery salvaged; an
-            // environmental spill failure (ENOSPC, unwritable dir) falls
-            // back to the in-memory path with the trace marked fully
-            // non-durable.
-            let captured = run.columnar_view().len() as u64;
-            let (a, trace_complete_frac, trace_lost_records) = match &spill {
+            // The job's trace is folded where the tracer holds it: the
+            // captured columns go to the analyzer as one borrowed batch,
+            // with no copy, seal or decode, and are dropped with `run` at
+            // the end of the closure, so a 10⁴-job fleet holds at most one
+            // trace per worker. Every JobRecord field is profile-level or
+            // read from the allocation, and the fused profile equals the
+            // streaming one bit for bit. With a spill spec the columns
+            // detour through an on-disk segment log and the profile
+            // covers whatever prefix recovery salvaged; an environmental
+            // spill failure (ENOSPC, unwritable dir) falls back to the
+            // in-place fold with the trace marked fully non-durable.
+            let c = run.columnar_view();
+            let captured = c.len() as u64;
+            let (p, trace_complete_frac, trace_lost_records) = match &spill {
                 Some(spec) => {
                     let path = spec.dir.join(format!("job-{:05}.vsp3", job.id));
-                    match Analysis::from_run_spilled(&run, &path, spec.fault) {
-                        Ok((a, fsck)) => {
+                    match spilled_profile(c, run.runtime(), &path, spec.fault) {
+                        Ok((p, fsck)) => {
                             let durable = fsck.committed_records.min(captured);
                             let frac = if captured == 0 {
                                 1.0
                             } else {
                                 durable as f64 / captured as f64
                             };
-                            (a, frac, captured - durable)
+                            (p, frac, captured - durable)
                         }
-                        Err(_) => (Analysis::from_run_streaming(&run), 0.0, captured),
+                        Err(_) => (TraceProfile::fused(c, run.runtime()), 0.0, captured),
                     }
                 }
-                None => (Analysis::from_run_streaming(&run), 1.0, 0),
+                None => (TraceProfile::fused(c, run.runtime()), 1.0, 0),
             };
             let s = run.world.storage.pfs().stats();
             let rt = run.runtime().as_secs_f64();
@@ -813,21 +847,21 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
                 variant: job.variant,
                 submit: placement.submit,
                 start: placement.start,
-                nodes: a.nodes,
-                n_ranks: a.n_ranks,
+                nodes: run.world.alloc.spec.nodes,
+                n_ranks: run.world.alloc.total_ranks(),
                 runtime: rt,
-                io_time_frac: a.io_time_frac,
-                read_bytes: a.read_bytes,
-                write_bytes: a.write_bytes,
-                data_ops: a.data_ops,
-                meta_ops: a.meta_ops,
-                agg_bw: (a.read_bytes + a.write_bytes) as f64 / rt.max(1e-9),
+                io_time_frac: p.io_time_frac,
+                read_bytes: p.read_bytes,
+                write_bytes: p.write_bytes,
+                data_ops: p.data_ops,
+                meta_ops: p.meta_ops,
+                agg_bw: (p.read_bytes + p.write_bytes) as f64 / rt.max(1e-9),
                 mean_neighbor_load: schedule
                     .mean_data_load(SimTime::from_nanos(run.runtime().as_nanos())),
                 tenant_delay_secs: s.tenant_delay_nanos as f64 / 1e9,
                 contended_ops: s.contended_data_ops + s.contended_meta_ops,
-                fault_events: a.fault_events,
-                restart_events: a.restart_events,
+                fault_events: p.fault_events,
+                restart_events: p.restart_events,
                 slowdown: rt / dedicated.max(1e-9),
                 outcome,
                 retries,

@@ -25,15 +25,11 @@
 //!   v4), the one persisted trace format: sealed chunks stream to an
 //!   append-only, checksummed, fsync-pointed file so traces larger than
 //!   RAM survive capture, with strict and salvaging loaders, a seeded
-//!   fault-injection plan and an fsck recovery pass,
-//! * [`darshan`] — a Darshan-style aggregate-counter profiler, implemented
-//!   as a fold over the full trace to demonstrate (as the paper argues in
-//!   §III-C) which analyses aggregation destroys.
+//!   fault-injection plan and an fsck recovery pass.
 
 pub mod chunk;
 pub mod codec;
 pub mod columnar;
-pub mod darshan;
 pub mod record;
 pub mod spill;
 pub mod tracer;

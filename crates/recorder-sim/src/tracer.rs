@@ -5,8 +5,7 @@
 //! analyzer consumes columns, so materializing a row-major `TraceRecord`
 //! per call only to transpose the whole trace afterwards was pure overhead
 //! on the simulate → trace → analyze hot path. The row view survives as a
-//! compat shim ([`Tracer::records`]) for tests and the Darshan-style
-//! aggregator.
+//! compat shim ([`Tracer::records`]) for tests.
 //!
 //! The tracer also interns file paths and application names — lookups are
 //! borrowed (`&str`), a `String` is allocated only on the first insert —

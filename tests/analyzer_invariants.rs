@@ -1,10 +1,7 @@
 //! Integration: cross-cutting invariants of the analysis pipeline that must
 //! hold for *every* workload — conservation laws, ordering properties, and
-//! consistency between the three views of a run (full trace, analyzer,
-//! Darshan-style aggregates).
+//! consistency between the two views of a run (full trace, analyzer).
 
-use recorder_sim::darshan::DarshanProfile;
-use recorder_sim::record::OpKind;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
@@ -81,32 +78,6 @@ fn file_profiles_partition_interface_bytes() {
             a.n_files(),
             "{name}: partition"
         );
-    }
-}
-
-#[test]
-fn darshan_aggregates_agree_with_the_full_trace() {
-    for run in all_runs() {
-        let name = run.kind.name();
-        let profile = DarshanProfile::from_records(&run.world.tracer.records());
-        let c = run.columnar();
-        // POSIX-level byte totals must match between the fold and the trace.
-        let posix_reads = c.select(|i| {
-            c.op[i] == OpKind::Read && c.layer[i] == recorder_sim::record::Layer::Posix
-        });
-        let t = profile.totals();
-        // Darshan folds every layer's records; at minimum it must count at
-        // least the POSIX bytes and the rank census must match.
-        assert!(
-            t.bytes_read >= c.sum_bytes(&posix_reads),
-            "{name}: darshan read bytes"
-        );
-        let trace_ranks: std::collections::HashSet<u32> = c
-            .select(|i| c.op[i].is_io())
-            .iter()
-            .map(|&i| c.rank[i as usize])
-            .collect();
-        assert_eq!(profile.nprocs as usize, trace_ranks.len(), "{name}: nprocs");
     }
 }
 
