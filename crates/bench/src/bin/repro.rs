@@ -7,153 +7,247 @@
 //! VANI_SCALE=0.1 cargo run --release -p bench --bin repro -- fig8
 //! cargo run --release -p bench --bin repro -- fault-sweep
 //! cargo run --release -p bench --bin repro -- crash-sweep
+//! cargo run --release -p bench --bin repro -- ablations
 //! cargo run --release -p bench --bin repro -- fleet-sweep [--short] [--jobs N] [--node-faults] [--spill DIR]
 //! cargo run --release -p bench --bin repro -- trace-fsck PATH
-//! cargo run --release -p bench --bin repro -- bench-pipeline [--short]
 //! ```
 //!
 //! `VANI_SCALE` (default 0.05) sets the workload scale: 1.0 is the paper's
 //! full configuration (1.5 TiB CosmoFlow corpus, 1280 ranks), which takes
 //! considerably longer. Shapes are scale-stable by construction.
+//!
+//! Every argument is checked against [`ARTIFACTS`] before any simulation
+//! starts: an unknown name, a flag none of the named artifacts takes, a
+//! bad `--jobs`/`--spill` value or a bad `VANI_SCALE` exits 2.
 
 use bench::{ior_peak, run_all_six, scale_from_env};
 use vani_core::analyzer::Analysis;
 use vani_core::{crashsweep, figures, reconfig, sweep, tables, yaml};
 
-/// The artifacts `all` (or no argument) renders, in order.
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
-    "table11",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fault-sweep",
-    "crash-sweep",
-    "yaml",
+/// A command-line flag and the value it takes, if any.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    Short,
+    Jobs,
+    NodeFaults,
+    Spill,
+}
+
+impl Flag {
+    const ALL: [Flag; 4] = [Flag::Short, Flag::Jobs, Flag::NodeFaults, Flag::Spill];
+
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Short => "--short",
+            Flag::Jobs => "--jobs",
+            Flag::NodeFaults => "--node-faults",
+            Flag::Spill => "--spill",
+        }
+    }
+
+    /// Placeholder for the flag's value in the usage text.
+    fn value_name(self) -> Option<&'static str> {
+        match self {
+            Flag::Jobs => Some("N"),
+            Flag::Spill => Some("DIR"),
+            Flag::Short | Flag::NodeFaults => None,
+        }
+    }
+}
+
+/// One row of the artifact table.
+struct Artifact {
+    name: &'static str,
+    /// Rendered by `all` (and when no artifact is named).
+    in_all: bool,
+    /// Reads the six exemplar analyses.
+    needs_six: bool,
+    flags: &'static [Flag],
+}
+
+const fn six(name: &'static str) -> Artifact {
+    Artifact {
+        name,
+        in_all: true,
+        needs_six: true,
+        flags: &[],
+    }
+}
+
+const fn self_contained(name: &'static str) -> Artifact {
+    Artifact {
+        name,
+        in_all: true,
+        needs_six: false,
+        flags: &[],
+    }
+}
+
+/// Every artifact, in the order `all` renders them.
+const ARTIFACTS: &[Artifact] = &[
+    six("table1"),
+    six("table2"),
+    six("table3"),
+    six("table4"),
+    six("table5"),
+    six("table6"),
+    six("table7"),
+    six("table8"),
+    six("table9"),
+    six("table10"),
+    six("table11"),
+    six("fig1"),
+    six("fig2"),
+    six("fig3"),
+    six("fig4"),
+    six("fig5"),
+    six("fig6"),
+    self_contained("fig7"),
+    self_contained("fig8"),
+    self_contained("fault-sweep"),
+    self_contained("crash-sweep"),
+    self_contained("ablations"),
+    six("yaml"),
+    Artifact {
+        name: "fleet-sweep",
+        in_all: false,
+        needs_six: false,
+        flags: &Flag::ALL,
+    },
 ];
 
-/// Artifacts that are only rendered when named.
-const STANDALONE: &[&str] = &["fleet-sweep", "bench-pipeline"];
+/// The usage text, generated from [`ARTIFACTS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: repro -- [all | ARTIFACT [FLAG]...] | trace-fsck PATH\n  all renders:",
+    );
+    for a in ARTIFACTS.iter().filter(|a| a.in_all) {
+        out.push(' ');
+        out.push_str(a.name);
+    }
+    for a in ARTIFACTS.iter().filter(|a| !a.in_all) {
+        out.push_str("\n  named only: ");
+        out.push_str(a.name);
+        for f in a.flags {
+            match f.value_name() {
+                Some(v) => out.push_str(&format!(" [{} {v}]", f.name())),
+                None => out.push_str(&format!(" [{}]", f.name())),
+            }
+        }
+    }
+    out
+}
 
-const USAGE: &str = "usage: repro -- [all | ARTIFACT...] | trace-fsck PATH
-  artifacts: table1..table11 fig1..fig8 fault-sweep crash-sweep yaml
-             fleet-sweep [--short] [--jobs N] [--node-faults] [--spill DIR]
-             bench-pipeline [--short]";
+/// A validated command line.
+#[derive(Default)]
+struct Request {
+    wanted: Vec<&'static Artifact>,
+    short: bool,
+    node_faults: bool,
+    jobs: Option<usize>,
+    spill: Option<String>,
+}
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let short = args.iter().any(|a| a == "--short");
-    let node_faults = args.iter().any(|a| a == "--node-faults");
-    let args: Vec<String> = args
-        .into_iter()
-        .filter(|a| a != "--short" && a != "--node-faults")
-        .collect();
-    // `--jobs N` overrides the fleet size (fleet-sweep only); consume the
-    // flag and its value so neither is mistaken for an artifact name.
-    // Validation goes through the typed `FleetError::InvalidJobs` — `0` or
-    // a non-numeric value exits 2 with a usage message, never a panic.
-    // `--spill DIR` is validated the same way (typed
-    // `FleetError::InvalidSpillDir`, exit 2) before any simulation starts.
-    let mut jobs: Option<usize> = None;
-    let mut spill: Option<String> = None;
-    let mut args_out: Vec<String> = Vec::with_capacity(args.len());
-    let mut it = args.into_iter();
+/// Check the command line against [`ARTIFACTS`]; an error is the message
+/// to print before the usage.
+fn parse(args: &[String]) -> Result<Request, String> {
+    let mut req = Request::default();
+    let mut given: Vec<Flag> = Vec::new();
+    let mut all = false;
+    let mut it = args.iter();
     while let Some(a) = it.next() {
-        let jobs_value = if a == "--jobs" {
-            Some(it.next().unwrap_or_default())
-        } else {
-            a.strip_prefix("--jobs=").map(str::to_string)
-        };
-        if let Some(v) = jobs_value {
-            match bench::fleet::parse_jobs(&v) {
-                Ok(n) => jobs = Some(n),
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!(
-                        "usage: repro -- fleet-sweep [--short] [--jobs N] [--node-faults] [--spill DIR]"
-                    );
-                    std::process::exit(2);
-                }
+        if !a.starts_with("--") {
+            if a == "all" {
+                all = true;
+            } else {
+                let art = ARTIFACTS
+                    .iter()
+                    .find(|x| x.name == a)
+                    .ok_or_else(|| format!("unknown artifact: {a}"))?;
+                req.wanted.push(art);
             }
             continue;
         }
-        let spill_value = if a == "--spill" {
-            Some(it.next().unwrap_or_default())
-        } else {
-            a.strip_prefix("--spill=").map(str::to_string)
+        let (key, inline) = match a.split_once('=') {
+            Some((k, v)) => (k, Some(v.to_string())),
+            None => (a.as_str(), None),
         };
-        match spill_value {
-            Some(v) => match bench::fleet::validate_spill_dir(&v) {
-                Ok(_) => spill = Some(v),
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!(
-                        "usage: repro -- fleet-sweep [--short] [--jobs N] [--node-faults] [--spill DIR]"
-                    );
-                    std::process::exit(2);
-                }
-            },
-            None => args_out.push(a),
+        let flag = Flag::ALL
+            .into_iter()
+            .find(|f| f.name() == key)
+            .ok_or_else(|| format!("unknown flag: {a}"))?;
+        let value = match (flag.value_name(), inline) {
+            (Some(_), Some(v)) => v,
+            (Some(_), None) => it.next().cloned().unwrap_or_default(),
+            (None, None) => String::new(),
+            (None, Some(_)) => {
+                return Err(format!("{key} takes no value: {a}"));
+            }
+        };
+        match flag {
+            Flag::Short => req.short = true,
+            Flag::NodeFaults => req.node_faults = true,
+            Flag::Jobs => {
+                req.jobs = Some(bench::fleet::parse_jobs(&value).map_err(|e| e.to_string())?)
+            }
+            Flag::Spill => {
+                bench::fleet::validate_spill_dir(&value).map_err(|e| e.to_string())?;
+                req.spill = Some(value);
+            }
         }
+        given.push(flag);
     }
-    let args = args_out;
+    if all || req.wanted.is_empty() {
+        req.wanted = ARTIFACTS.iter().filter(|a| a.in_all).collect();
+    }
+    if let Some(f) = given
+        .iter()
+        .find(|f| !req.wanted.iter().any(|a| a.flags.contains(f)))
+    {
+        return Err(format!("{} is not a flag of any named artifact", f.name()));
+    }
+    Ok(req)
+}
 
-    // `trace-fsck PATH` is a standalone subcommand: walk the spill log,
-    // print the recovery report, and exit — a missing or unreadable path
-    // is a typed error and exit 2, never a panic.
-    if args.first().map(String::as_str) == Some("trace-fsck") {
-        let Some(path) = args.get(1) else {
-            eprintln!("trace-fsck: missing PATH argument");
-            eprintln!("usage: repro -- trace-fsck PATH");
+/// `trace-fsck PATH`: walk the spill log and print the recovery report —
+/// a missing or unreadable path is a typed error and exit 2, never a
+/// panic.
+fn trace_fsck(args: &[String]) {
+    let [path] = args else {
+        eprintln!("trace-fsck takes exactly one PATH argument");
+        eprintln!("{}", usage());
+        std::process::exit(2);
+    };
+    match bench::fsck::run_fsck(path) {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("trace-fsck failed: {e}");
             std::process::exit(2);
-        };
-        match bench::fsck::run_fsck(path) {
-            Ok(text) => {
-                print!("{text}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("trace-fsck failed: {e}");
-                std::process::exit(2);
-            }
         }
     }
-    // Every name is checked before any simulation starts: a typo exits 2
-    // at once instead of after minutes of work.
-    let known = |a: &str| a == "all" || ALL.contains(&a) || STANDALONE.contains(&a);
-    if let Some(bad) = args.iter().find(|a| !known(a)) {
-        eprintln!("unknown artifact: {bad}");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("trace-fsck") {
+        return trace_fsck(&args[1..]);
     }
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        ALL.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
+    let req = match parse(&args) {
+        Ok(req) => req,
+        Err(msg) => {
+            eprintln!("{msg}");
+            eprintln!("{}", usage());
+            std::process::exit(2);
+        }
     };
-    let scale = scale_from_env();
-    let needs_six = wanted.iter().any(|w| {
-        w.starts_with("table")
-            || matches!(
-                *w,
-                "fig1" | "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "yaml"
-            )
-    });
-    let analyses: Vec<Analysis> = if needs_six {
+    let scale = match scale_from_env() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
+    let analyses: Vec<Analysis> = if req.wanted.iter().any(|a| a.needs_six) {
         eprintln!("running the six exemplar workloads at scale {scale} ...");
         run_all_six(scale, 7)
     } else {
@@ -161,8 +255,8 @@ fn main() {
     };
     let cols: Vec<&Analysis> = analyses.iter().collect();
 
-    for w in wanted {
-        match w {
+    for w in &req.wanted {
+        match w.name {
             "table1" => print!("{}", tables::table1(&cols).render()),
             "table2" => print!("{}", tables::table2(&cols).render()),
             "table3" => print!("{}", tables::table3(&cols).render()),
@@ -224,9 +318,20 @@ fn main() {
                 let report = crashsweep::crash_sweep(s, 7, sweep::Driver::Parallel);
                 print!("{}", report.render());
             }
+            "ablations" => {
+                eprintln!("running storage-knob ablations (simulated completion times) ...");
+                print!("{}", bench::ablations::render());
+            }
             "fleet-sweep" => {
                 eprintln!("running fleet sweep (multi-tenant shared-PFS characterization) ...");
-                match bench::fleet::run_fleet(short, scale, jobs, node_faults, spill.as_deref()) {
+                let run = bench::fleet::run_fleet(
+                    req.short,
+                    scale,
+                    req.jobs,
+                    req.node_faults,
+                    req.spill.as_deref(),
+                );
+                match run {
                     Ok(render) => print!("{render}"),
                     Err(e) => {
                         eprintln!("fleet-sweep failed: {e}");
@@ -234,16 +339,13 @@ fn main() {
                     }
                 }
             }
-            "bench-pipeline" => {
-                bench::pipeline::run_bench(short);
-            }
             "yaml" => {
                 for a in &cols {
                     println!("# --- {}", a.kind.name());
                     print!("{}", yaml::emit(&tables::entities_for(a)));
                 }
             }
-            other => unreachable!("artifact {other} was validated above"),
+            other => unreachable!("artifact {other} has a row in ARTIFACTS but no renderer"),
         }
         println!();
     }

@@ -1,7 +1,7 @@
 //! Fleet sweep driver: the multi-tenant datacenter mode, invoked as
 //! `repro -- fleet-sweep [--short] [--jobs N] [--node-faults]
-//! [--spill DIR]`; writes `BENCH_fleet.json` at the repository root
-//! (`--short` runs and checks everything but writes no file).
+//! [--spill DIR]`. It runs the fleet once with the parallel driver and
+//! prints the rendered report.
 //!
 //! With `--spill DIR` every job's captured trace streams into a
 //! crash-consistent segment log under `DIR` (`job-NNNNN.vsp3`), is
@@ -14,15 +14,8 @@
 //! demonstration) onto the shared cluster and renders the fleet's
 //! statistical characterization. Each job's analysis folds the columns
 //! its tracer captured in place, so no chunk or decode buffer is
-//! allocated; `BENCH_fleet.json`'s `peak_resident_trace_bytes` is the
-//! trace gauge's peak, which counts only such buffers (0 in memory; with
-//! `--spill`, each running job's spill frame and decode buffers), never
-//! the tracer's columns.
-//! The same fleet is executed with the sequential
-//! driver and the parallel driver at 1, 2, and 8 workers; every rendered
-//! report is asserted **byte-identical** to the sequential reference
-//! before anything is written — ci.sh relies on this, and a divergence
-//! aborts with the offending worker count.
+//! allocated. That the report is byte-identical at any worker count, in
+//! memory and with `--spill`, is held by `tests/fleet_sweep.rs`.
 //!
 //! Invalid fleet configurations (an unknown workload id in the mix, a
 //! variant a workload cannot run, a job wider than the cluster) surface
@@ -30,12 +23,9 @@
 //! instead of a panic.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use vani_core::sweep::Driver;
-use vani_core::tenancy::{fleet_sweep, FleetConfig, FleetError, FleetReport, SpillSpec};
-use vani_rt::json::Json;
-use vani_rt::par;
+use vani_core::tenancy::{fleet_sweep, FleetConfig, FleetError, SpillSpec};
 
 /// Jobs in the full fleet (`--short` uses [`SHORT_JOBS`]).
 pub const FULL_JOBS: usize = 1000;
@@ -91,8 +81,7 @@ pub fn bench_config(
     }
 }
 
-/// Run the fleet at every driver configuration, assert byte-identity,
-/// write `BENCH_fleet.json` (full mode only), and return the rendered
+/// Run the fleet once with the parallel driver and return the rendered
 /// report for stdout.
 pub fn run_fleet(
     short: bool,
@@ -106,107 +95,11 @@ pub fn run_fleet(
     if let Some(dir) = spill {
         cfg.spill = Some(SpillSpec::clean(&validate_spill_dir(dir)?));
     }
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     eprintln!(
-        "fleet sweep: {} jobs at scale {scale}, cluster {} nodes, host has {host_cores} core(s)",
+        "fleet sweep: {} jobs at scale {scale}, cluster {} nodes",
         cfg.n_jobs, cfg.cluster_nodes
     );
-
-    recorder_sim::chunk::trace_gauge().reset();
-    let t0 = Instant::now();
-    let reference: FleetReport = fleet_sweep(&cfg, Driver::Sequential)?;
-    let sequential_ns = t0.elapsed().as_nanos() as u64;
-    let ref_render = reference.render();
-    eprintln!(
-        "  sequential            : {:>9.2} ms",
-        sequential_ns as f64 / 1e6
-    );
-
-    let mut timings: Vec<(String, usize, u64)> = vec![("sequential".to_string(), 1, sequential_ns)];
-    for workers in [1usize, 2, 8] {
-        par::set_threads(workers);
-        let t = Instant::now();
-        let report = fleet_sweep(&cfg, Driver::Parallel)?;
-        let ns = t.elapsed().as_nanos() as u64;
-        par::set_threads(0);
-        assert_eq!(
-            report.render(),
-            ref_render,
-            "fleet report diverged from sequential at {workers} workers"
-        );
-        eprintln!(
-            "  parallel-{workers} ({workers} workers): {:>9.2} ms",
-            ns as f64 / 1e6
-        );
-        timings.push((format!("parallel-{workers}"), workers, ns));
-    }
-    eprintln!(
-        "  8-worker speedup vs sequential: {:.2}x (reports byte-identical across all configs)",
-        sequential_ns as f64 / timings.last().map(|(_, _, ns)| *ns).unwrap_or(1).max(1) as f64
-    );
-
-    // High-water mark of gauged trace bytes (spill frame and decode
-    // buffers) across every job of every driver run above. An in-memory
-    // fleet folds each job's captured columns in place and allocates no
-    // such buffer, so this is 0; with `--spill` it is bounded by the
-    // buffers of the jobs in flight, not by fleet size or trace length.
-    // The tracer's own columns are not gauged on either path.
-    let peak_trace = recorder_sim::chunk::trace_gauge().peak();
-    eprintln!(
-        "  peak resident trace bytes: {peak_trace} ({:.1} KiB/worker bound with {host_cores} cores)",
-        peak_trace as f64 / 1024.0 / host_cores.max(1) as f64
-    );
-
-    // The `node_faults` config key appears only when the flag is armed,
-    // keeping the healthy BENCH_fleet.json bit-identical to the
-    // pre-failure-domain output (asserted by tests/fleet_resilience.rs).
-    let mut config_members = vec![
-        (
-            "mode",
-            Json::Str(if short { "short" } else { "full" }.into()),
-        ),
-        ("n_jobs", Json::Int(cfg.n_jobs as i128)),
-        ("scale", Json::Float(scale)),
-        ("host_cores", Json::Int(host_cores as i128)),
-    ];
-    if node_faults {
-        config_members.push(("node_faults", Json::Bool(true)));
-    }
-    // Likewise the `spill` key: absent unless the fleet spilled, keeping
-    // the in-memory BENCH_fleet.json byte-stable.
-    if let Some(dir) = spill {
-        config_members.push(("spill", Json::Str(dir.to_string())));
-    }
-    let json = Json::obj([
-        ("config", Json::obj(config_members)),
-        (
-            "drivers",
-            Json::Arr(
-                timings
-                    .iter()
-                    .map(|(name, workers, ns)| {
-                        Json::obj([
-                            ("config", Json::Str(name.clone())),
-                            ("workers", Json::Int(*workers as i128)),
-                            ("total_ns", Json::Int(*ns as i128)),
-                            (
-                                "speedup_vs_sequential",
-                                Json::Float(sequential_ns as f64 / (*ns).max(1) as f64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("byte_identical_across_configs", Json::Bool(true)),
-        ("peak_resident_trace_bytes", Json::Int(peak_trace as i128)),
-        ("report", reference.to_json()),
-    ]);
-    crate::write_bench_json("BENCH_fleet.json", &json, short);
-
-    Ok(ref_render)
+    Ok(fleet_sweep(&cfg, Driver::Parallel)?.render())
 }
 
 #[cfg(test)]

@@ -1,44 +1,54 @@
-//! Shared harness code for the table/figure reproduction binary and the
-//! benches: runs the six exemplar workloads once at a chosen scale and
-//! hands out their analyses.
+//! Shared code for the table/figure reproduction binary: runs the six
+//! exemplar workloads once at a chosen scale and hands out their
+//! analyses.
 
 use vani_core::analyzer::Analysis;
 use vani_core::sweep::{self, Driver};
 
+pub mod ablations;
 pub mod fleet;
 pub mod fsck;
-pub mod harness;
-pub mod pipeline;
 
 /// Default scale for the reproduction harness (`VANI_SCALE` overrides).
 pub const DEFAULT_SCALE: f64 = 0.05;
 
-/// Read the scale from the environment.
-pub fn scale_from_env() -> f64 {
-    std::env::var("VANI_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE)
+/// `VANI_SCALE` is set to something other than a finite number > 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleError {
+    /// The offending value, as set.
+    pub value: String,
+}
+
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "VANI_SCALE must be a finite number > 0, got `{}`",
+            self.value
+        )
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// Read the scale from the environment: [`DEFAULT_SCALE`] when
+/// `VANI_SCALE` is unset, otherwise its value, which must be a finite
+/// number greater than zero.
+pub fn scale_from_env() -> Result<f64, ScaleError> {
+    let Some(v) = std::env::var_os("VANI_SCALE") else {
+        return Ok(DEFAULT_SCALE);
+    };
+    let value = v.to_string_lossy().into_owned();
+    match value.parse::<f64>() {
+        Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
+        _ => Err(ScaleError { value }),
+    }
 }
 
 /// Run all six exemplar workloads (in parallel) and analyze them, in the
 /// paper's column order.
 pub fn run_all_six(scale: f64, seed: u64) -> Vec<Analysis> {
     sweep::paper_six(scale, seed, Driver::Parallel)
-}
-
-/// Write a benchmark's JSON to `name` at the repository root. A `--short`
-/// run is a smoke check: it runs every measurement and in-binary assert
-/// but leaves the committed full-mode file untouched.
-pub fn write_bench_json(name: &str, json: &vani_rt::Json, short: bool) {
-    if short {
-        eprintln!("--short: {name} left unchanged");
-        return;
-    }
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::write(&path, format!("{}\n", json.render()))
-        .unwrap_or_else(|e| panic!("write {name}: {e}"));
-    eprintln!("wrote {path}");
 }
 
 /// Measured IOR peak bandwidth for Table IX.

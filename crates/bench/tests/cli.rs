@@ -1,5 +1,6 @@
-//! Exit codes of the `repro` binary on bad input: every invalid name or
-//! file is rejected with exit 2 before any simulation runs.
+//! Exit codes of the `repro` binary on bad input: every invalid name,
+//! flag, file or `VANI_SCALE` is rejected with exit 2 before any
+//! simulation runs.
 
 use std::process::{Command, Output};
 
@@ -10,18 +11,69 @@ fn repro(args: &[&str]) -> Output {
         .expect("repro runs")
 }
 
-#[test]
-fn unknown_artifact_exits_2_with_usage_and_no_output() {
-    let out = repro(&["nope"]);
+/// Asserts `out` exited 2 with nothing on stdout and before any
+/// simulation started; returns its stderr.
+fn refused(out: &Output) -> String {
     assert_eq!(out.status.code(), Some(2));
     assert!(
         out.stdout.is_empty(),
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown artifact: nope"), "{err}");
-    assert!(err.contains("usage:"), "{err}");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!err.contains("running"), "{err}");
+    err
+}
+
+#[test]
+fn unknown_artifact_exits_2_with_usage_and_no_output() {
+    // `bench-pipeline` was an artifact once; it is gone, not aliased.
+    for name in ["nope", "bench-pipeline"] {
+        let err = refused(&repro(&[name]));
+        assert!(err.contains(&format!("unknown artifact: {name}")), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+}
+
+#[test]
+fn a_flag_no_named_artifact_takes_exits_2_with_usage() {
+    for args in [
+        &["table1", "--jobs", "3", "--short"][..],
+        &["--short"],
+        &["all", "--node-faults"],
+        &["fleet-sweep", "--bogus"],
+    ] {
+        let err = refused(&repro(args));
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn invalid_fleet_flag_values_exit_2_naming_the_flag() {
+    for (args, flag) in [
+        (&["fleet-sweep", "--jobs", "0"][..], "--jobs"),
+        (&["fleet-sweep", "--jobs=ten"], "--jobs"),
+        (
+            &["fleet-sweep", "--spill", "/nonexistent/vani/spill"],
+            "--spill",
+        ),
+    ] {
+        let err = refused(&repro(args));
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn bad_vani_scale_exits_2_naming_the_variable() {
+    for bad in ["abc", "0", "-1", "NaN", "inf"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("table1")
+            .env("VANI_SCALE", bad)
+            .output()
+            .expect("repro runs");
+        let err = refused(&out);
+        assert!(err.contains("VANI_SCALE") && err.contains(bad), "{err}");
+    }
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Golden digests for every artifact `repro all` renders.
 //!
 //! One run of `repro all` at `VANI_SCALE=0.01` covers tables I–XI,
-//! figures 1–8, the fault and crash sweeps and the YAML. The output is
-//! cut into one slice per artifact at the artifact's first header line,
-//! and each slice is pinned by an FNV-1a 64 digest, so a refactor that
-//! moves a single byte of any artifact names the artifact it moved. The
-//! fleet report is pinned separately by `tests/fleet_resilience.rs`.
+//! figures 1–8, the fault and crash sweeps, the storage-knob ablations
+//! and the YAML. The output is cut into one slice per artifact at the
+//! artifact's first header line, and each slice is pinned by an FNV-1a
+//! 64 digest, so a refactor that moves a single byte of any artifact
+//! names the artifact it moved. The fleet report is pinned separately by
+//! `tests/fleet_resilience.rs`.
 //!
 //! Debug and release builds render byte-identical output, and the run
 //! writes no files.
@@ -37,6 +38,7 @@ const PINS: &[(&str, &str, u64)] = &[
     ("fig8", "== Figure 8:", 0xbb9c_f51c_565f_87e8),
     ("fault-sweep", "== Fault sweep:", 0x6be1_1916_6930_d021),
     ("crash-sweep", "== Crash sweep:", 0x8caa_a6a3_268f_787b),
+    ("ablations", "== Ablations:", 0xcf29_41ea_386a_6ed7),
     ("yaml", "# --- ", 0xcb28_c06c_686b_057e),
 ];
 

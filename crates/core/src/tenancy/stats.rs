@@ -645,9 +645,10 @@ impl FleetReport {
         out
     }
 
-    /// JSON summary for `BENCH_fleet.json`. Carries digests plus the
-    /// aggregated tables, not the per-job records (the render has those in
-    /// aggregate; the manifest digest pins the raw identity).
+    /// Machine-readable mirror of [`FleetReport::render`]. Carries digests
+    /// plus the aggregated tables, not the per-job records (the render has
+    /// those in aggregate; the manifest digest pins the raw identity).
+    /// Its bytes are FNV-pinned by `tests/fleet_resilience.rs`.
     pub fn to_json(&self) -> Json {
         let jnum = |x: f64| {
             if x.is_finite() {
@@ -717,9 +718,8 @@ impl FleetReport {
             ),
             ("profiles", Json::Arr(profiles)),
         ];
-        // Spill keys appear only when the fleet spilled, keeping
-        // in-memory BENCH_fleet.json bit-identical to the pre-spill
-        // output.
+        // Spill keys appear only when the fleet spilled, keeping the
+        // in-memory JSON bit-identical to the pre-spill output.
         if let Some(s) = &self.spill {
             members.push((
                 "spill",
@@ -734,7 +734,7 @@ impl FleetReport {
             ));
         }
         // Degraded-mode keys appear only under an active plan, keeping
-        // healthy BENCH_fleet.json bit-identical to the pre-change output.
+        // the healthy JSON bit-identical to the pre-change output.
         if self.is_degraded() {
             let (clean, retried, abandoned) = self.outcome_counts();
             members.push((

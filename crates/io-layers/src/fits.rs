@@ -297,7 +297,7 @@ mod tests {
         res.unwrap();
         // The bulk read bypasses the 64 KiB buffer as one large POSIX read
         // (cfitsio reads image data in big sequential sweeps).
-        let posix_read_sizes: Vec<u64> = w.tracer.records()[before..]
+        let posix_read_sizes: Vec<u64> = w.tracer.columnar().to_records()[before..]
             .iter()
             .filter(|rec| rec.layer == Layer::Posix && rec.op == OpKind::Read)
             .map(|rec| rec.bytes)

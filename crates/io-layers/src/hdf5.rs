@@ -672,7 +672,7 @@ mod tests {
         let r = RankId(0);
         let (f, _t) = open(&mut w, r, "/p/gpfs1/meta.h5", H5Options::default(), t);
         f.unwrap();
-        let new: Vec<_> = w.tracer.records()[before..].to_vec();
+        let new: Vec<_> = w.tracer.columnar().to_records()[before..].to_vec();
         // Superblock + header POSIX reads are small.
         let small_reads: Vec<u64> = new
             .iter()
@@ -704,7 +704,7 @@ mod tests {
             res.unwrap();
             t = t2;
         }
-        let metas = w.tracer.records()[before..]
+        let metas = w.tracer.columnar().to_records()[before..]
             .iter()
             .filter(|rec| rec.layer == Layer::HighLevel && rec.op == OpKind::Stat)
             .count();
@@ -724,7 +724,8 @@ mod tests {
         let mut f = f.unwrap();
         let posix_reads = |w: &IoWorld| {
             w.tracer
-                .records()
+                .columnar()
+                .to_records()
                 .iter()
                 .filter(|rec| rec.layer == Layer::Posix && rec.op == OpKind::Read)
                 .count()

@@ -327,7 +327,8 @@ mod tests {
         let (_, _t) = close(&mut w, r, fd, t);
         let mpiio_ops: Vec<OpKind> = w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .filter(|rec| rec.layer == Layer::MpiIo)
             .map(|rec| rec.op)
@@ -339,7 +340,8 @@ mod tests {
         // POSIX records exist beneath.
         assert!(w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .any(|rec| rec.layer == Layer::Posix));
     }

@@ -303,12 +303,14 @@ mod tests {
         // HighLevel open + read records present.
         assert!(w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .any(|rec| rec.layer == Layer::HighLevel && rec.op == OpKind::Open));
         assert!(w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .any(|rec| rec.layer == Layer::HighLevel && rec.op == OpKind::Read));
     }

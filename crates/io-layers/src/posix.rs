@@ -649,7 +649,7 @@ mod tests {
         let (res, _) = close(&mut w, r, fd, t4);
         res.unwrap();
         // Trace has create, write, seek, read, close at POSIX layer.
-        let ops: Vec<OpKind> = w.tracer.records().iter().map(|r| r.op).collect();
+        let ops: Vec<OpKind> = w.tracer.columnar().op.clone();
         assert_eq!(
             ops,
             vec![
@@ -660,7 +660,7 @@ mod tests {
                 OpKind::Close
             ]
         );
-        assert!(w.tracer.records().iter().all(|r| r.layer == Layer::Posix));
+        assert!(w.tracer.columnar().layer.iter().all(|&l| l == Layer::Posix));
     }
 
     #[test]

@@ -219,14 +219,15 @@ mod tests {
         assert_eq!(w.resilience.stats.faults, 2);
         assert_eq!(w.resilience.stats.retries, 2);
         assert_eq!(w.resilience.stats.retried_bytes, 2 * 4096);
-        let ops: Vec<OpKind> = w.tracer.records().iter().map(|r| r.op).collect();
+        let ops: Vec<OpKind> = w.tracer.columnar().op.clone();
         assert_eq!(
             ops,
             vec![OpKind::Fault, OpKind::Retry, OpKind::Fault, OpKind::Retry]
         );
         assert!(w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .all(|r| r.layer == Layer::Middleware));
     }

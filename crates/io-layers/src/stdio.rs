@@ -620,13 +620,15 @@ mod tests {
         let _ = t;
         let posix_writes = w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .filter(|rec| rec.layer == L::Posix && rec.op == OpKind::Write)
             .count();
         let stdio_writes = w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .filter(|rec| rec.layer == L::Stdio && rec.op == OpKind::Write)
             .count();
@@ -662,7 +664,8 @@ mod tests {
         let (_, t) = fclose(&mut w, r, h, t);
         let n_posix_before = |w: &IoWorld| {
             w.tracer
-                .records()
+                .columnar()
+                .to_records()
                 .iter()
                 .filter(|rec| rec.layer == L::Posix && rec.op == OpKind::Read)
                 .count()
@@ -728,7 +731,8 @@ mod tests {
         let (_, _t) = fclose(&mut w, r, h, t);
         let posix_writes: Vec<u64> = w
             .tracer
-            .records()
+            .columnar()
+            .to_records()
             .iter()
             .filter(|rec| rec.layer == L::Posix && rec.op == OpKind::Write)
             .map(|rec| rec.bytes)

@@ -265,9 +265,12 @@ mod tests {
         let end2 = w.gpu_compute(RankId(0), Dur::from_secs(1), end);
         assert_eq!(end2, SimTime::from_secs(3));
         assert_eq!(w.tracer.len(), 2);
-        assert_eq!(w.tracer.records()[0].op, OpKind::Compute);
-        assert_eq!(w.tracer.records()[1].op, OpKind::GpuCompute);
-        assert_eq!(w.tracer.app_name(w.tracer.records()[0].app), "test-app");
+        assert_eq!(
+            w.tracer.columnar().op[..2],
+            [OpKind::Compute, OpKind::GpuCompute]
+        );
+        let app = w.tracer.columnar().to_records()[0].app;
+        assert_eq!(w.tracer.app_name(app), "test-app");
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn charged_waits(w: &mut IoWorld) -> Vec<f64> {
         Err::<((), SimTime), _>(IoErr::TransientIo)
     });
     assert!(res.is_err(), "an always-failing op must surface its error");
-    w.tracer.records()[before..]
+    w.tracer.columnar().to_records()[before..]
         .iter()
         .filter(|r| r.layer == Layer::Middleware && r.op == OpKind::Retry)
         .map(|r| r.end.as_secs_f64() - r.start.as_secs_f64())

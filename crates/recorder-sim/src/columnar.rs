@@ -402,7 +402,10 @@ mod tests {
         let c = ColumnarTrace::from_tracer(&t);
         assert_eq!(c.len(), 5);
         let back = c.to_records();
-        assert_eq!(back.as_slice(), t.records());
+        assert_eq!(back.len(), 5);
+        let again =
+            ColumnarTrace::from_records(&back, t.file_paths().to_vec(), t.app_names().to_vec());
+        assert_eq!(again, c);
     }
 
     #[test]

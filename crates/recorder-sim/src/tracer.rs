@@ -4,8 +4,8 @@
 //! into struct-of-arrays storage** (an embedded [`ColumnarTrace`]): the
 //! analyzer consumes columns, so materializing a row-major `TraceRecord`
 //! per call only to transpose the whole trace afterwards was pure overhead
-//! on the simulate → trace → analyze hot path. The row view survives as a
-//! compat shim ([`Tracer::records`]) for tests.
+//! on the simulate → trace → analyze hot path. A caller that wants rows
+//! converts the columns (`tracer.columnar().to_records()`).
 //!
 //! The tracer also interns file paths and application names — lookups are
 //! borrowed (`&str`), a `String` is allocated only on the first insert —
@@ -15,7 +15,7 @@
 
 use crate::chunk::{columnar_capacity_bytes, ChunkedTrace, CompressedChunk, GaugeCharge};
 use crate::columnar::ColumnarTrace;
-use crate::record::{AppId, FileId, Layer, OpKind, TraceRecord};
+use crate::record::{AppId, FileId, Layer, OpKind};
 use crate::spill::{SpillError, SpillFaultPlan, SpillSummary, SpillWriter};
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
@@ -355,12 +355,6 @@ impl Tracer {
         self.cols
     }
 
-    /// Row-major view of the captured records, in capture order. Compat
-    /// shim: rows are materialized on demand from the columns.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.cols.to_records()
-    }
-
     /// Number of captured records.
     pub fn len(&self) -> usize {
         self.cols.len()
@@ -433,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn capture_is_columnar_with_row_shim() {
+    fn capture_fills_columns_that_convert_back_to_rows() {
         let mut t = Tracer::new();
         let f = t.file_id("/f");
         let a = t.app_id("app");
@@ -464,8 +458,8 @@ mod tests {
         // Columns are filled directly ...
         assert_eq!(t.columnar().bytes, vec![128, 0]);
         assert_eq!(t.columnar().op, vec![OpKind::Write, OpKind::Close]);
-        // ... and the row shim reconstructs the exact records.
-        let rows = t.records();
+        // ... and converting them back reconstructs the exact records.
+        let rows = t.columnar().to_records();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].rank, 2);
         assert_eq!(rows[0].file, Some(f));
@@ -521,7 +515,7 @@ mod tests {
         );
         assert_eq!(ov, Dur::from_micros(2));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.records()[0].rank, 1);
+        assert_eq!(t.columnar().rank[0], 1);
     }
 
     /// Drive `n` records through a tracer via the shared synthetic stream.

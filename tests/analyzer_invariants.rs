@@ -125,7 +125,7 @@ fn granularity_brackets_every_histogram_bucket_mass() {
 fn trace_records_are_well_formed_everywhere() {
     for run in all_runs() {
         let name = run.kind.name();
-        for r in run.world.tracer.records() {
+        for r in run.world.tracer.columnar().to_records() {
             assert!(r.end >= r.start, "{name}: negative duration record {r:?}");
             if r.op.is_meta() {
                 assert_eq!(r.bytes, 0, "{name}: metadata op moved bytes {r:?}");

@@ -3,9 +3,10 @@
 //!
 //! * The fleet manifest, FCFS admission order, and the fully rendered
 //!   statistics report must be **byte-identical** between the sequential
-//!   driver and the parallel driver at 1, 2, and 8 workers — both for an
-//!   all-baseline mix and for a mix with active fault plans (faulted and
-//!   crashy variants).
+//!   driver and the parallel driver at 1, 2, and 8 workers — for an
+//!   all-baseline mix, for a mix with active fault plans (faulted and
+//!   crashy variants), and for the 64-job `repro -- fleet-sweep --short`
+//!   fleet both in memory and spilled to disk.
 //! * A fleet containing exactly one job must reproduce the dedicated run
 //!   of that workload **byte-equal** on every extracted attribute, for
 //!   each of the seven workloads: empty interference schedules are
@@ -21,7 +22,7 @@
 //! The worker-sweep tests take [`serial`]: `rt::par::set_threads` is
 //! process-global, so two sweeps must not interleave.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use vani_suite::recorder::spill::{load_spill, SpillFaultKind, SpillFaultPlan};
@@ -63,44 +64,65 @@ fn small_cfg(with_faults: bool) -> FleetConfig {
     cfg
 }
 
+/// The `repro -- fleet-sweep --short` fleet: 64 jobs of the standard mix
+/// at the default `VANI_SCALE` (0.05) and seed 7, spilled into `spill`
+/// when given.
+fn short_cfg(spill: Option<&Path>) -> FleetConfig {
+    let mut cfg = FleetConfig::standard(64, 0.05, 7);
+    cfg.spill = spill.map(SpillSpec::clean);
+    cfg
+}
+
 #[test]
 fn fleet_report_is_byte_identical_at_any_worker_count() {
     let _serial = serial();
-    for with_faults in [false, true] {
-        let cfg = small_cfg(with_faults);
-        let manifest_ref = build_manifest(&cfg).expect("valid config").render();
-        let report_ref = fleet_sweep(&cfg, Driver::Sequential).expect("valid config");
+    let short_spill = spill_dir("short");
+    let cases = [
+        ("small", small_cfg(false)),
+        ("small with faults", small_cfg(true)),
+        ("short", short_cfg(None)),
+        ("short spilled", short_cfg(Some(&short_spill))),
+    ];
+    for (label, cfg) in &cases {
+        let manifest_ref = build_manifest(cfg).expect("valid config").render();
+        let report_ref = fleet_sweep(cfg, Driver::Sequential).expect("valid config");
         let render_ref = report_ref.render();
         assert!(render_ref.contains("Fleet attribute distributions"));
         assert!(render_ref.contains("Noisy neighbor impact"));
-        if with_faults {
+        if cfg.mix.iter().any(|t| t.variant == JobVariant::Crashy) {
             assert!(
                 render_ref.contains("crashy"),
-                "crashy tenants must appear in the report"
+                "{label}: crashy tenants must appear in the report"
             );
         }
+        assert_eq!(
+            render_ref.contains("Spill durability"),
+            cfg.spill.is_some(),
+            "{label}: the spill section appears exactly when the fleet spills"
+        );
 
         for workers in [1usize, 2, 8] {
             par::set_threads(workers);
-            let report = fleet_sweep(&cfg, Driver::Parallel).expect("valid config");
+            let report = fleet_sweep(cfg, Driver::Parallel).expect("valid config");
             assert_eq!(
                 report.manifest.render(),
                 manifest_ref,
-                "manifest diverged at {workers} workers (faults: {with_faults})"
+                "{label}: manifest diverged at {workers} workers"
             );
             assert_eq!(
                 report.admission_digest(),
                 report_ref.admission_digest(),
-                "admission order diverged at {workers} workers (faults: {with_faults})"
+                "{label}: admission order diverged at {workers} workers"
             );
             assert_eq!(
                 report.render(),
                 render_ref,
-                "fleet report diverged at {workers} workers (faults: {with_faults})"
+                "{label}: fleet report diverged at {workers} workers"
             );
             par::set_threads(0);
         }
     }
+    std::fs::remove_dir_all(&short_spill).expect("remove spill dir");
 }
 
 /// The dedicated run of `workload` at [`SCALE`]: its baseline parameter

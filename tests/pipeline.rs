@@ -1,19 +1,31 @@
 //! Integration: the full pipeline (simulate → trace → analyze) holds the
-//! paper's Table I invariants for every exemplar workload.
+//! paper's Table I invariants for every exemplar workload, and the
+//! columnar capture sink equals the row-major capture it replaced.
 
+use recorder_sim::ColumnarTrace;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::workloads as wl;
 
 #[test]
 fn table1_shape_invariants_hold_across_all_six() {
-    let analyses = vec![
-        Analysis::from_run(&wl::cm1::run(0.02, 7)),
-        Analysis::from_run(&wl::hacc::run(0.02, 7)),
-        Analysis::from_run(&wl::cosmoflow::run(0.002, 7)),
-        Analysis::from_run(&wl::jag::run(0.02, 7)),
-        Analysis::from_run(&wl::montage::run(0.02, 7)),
-        Analysis::from_run(&wl::montage_pegasus::run(0.01, 7)),
+    let runs = vec![
+        wl::cm1::run(0.02, 7),
+        wl::hacc::run(0.02, 7),
+        wl::cosmoflow::run(0.002, 7),
+        wl::jag::run(0.02, 7),
+        wl::montage::run(0.02, 7),
+        wl::montage_pegasus::run(0.01, 7),
     ];
+    // Direct capture equals the emulated row-major capture: materialize
+    // every record as a row, transpose the rows back into columns.
+    for run in &runs {
+        let t = &run.world.tracer;
+        let rows = t.columnar().to_records();
+        let transposed =
+            ColumnarTrace::from_records(&rows, t.file_paths().to_vec(), t.app_names().to_vec());
+        assert_eq!(transposed, *t.columnar(), "{}", run.kind.name());
+    }
+    let analyses: Vec<Analysis> = runs.iter().map(Analysis::from_run).collect();
     let by_name = |n: &str| analyses.iter().find(|a| a.kind.name() == n).unwrap();
 
     // Interfaces (Table I's bottom row).
@@ -80,7 +92,10 @@ fn trace_round_trips_through_disk_and_reanalyzes() {
     .unwrap();
     let loaded = Tracer::from_columnar(load_spill(&path).unwrap().to_columnar().unwrap());
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(loaded.records(), run.world.tracer.records());
+    assert_eq!(
+        loaded.columnar().to_records(),
+        run.world.tracer.columnar().to_records()
+    );
     assert_eq!(loaded.file_paths(), run.world.tracer.file_paths());
     assert_eq!(loaded.app_names(), run.world.tracer.app_names());
 
