@@ -58,7 +58,12 @@ esac
 # checks the profile against the in-memory fused one; its last line holds
 # `"correct": true` only when every record round-tripped. The same run with
 # `--corrupt-log` flips one byte of each log before replay and must report
-# `"correct": false`: the XXH64 frame checksum has to catch the flip.
+# `"correct": false`: the XXH64 frame checksum has to catch the flip. The
+# replay is `open_strict` (frames, checksums and meta bounds, no chunk
+# decode) then the streaming fold, which checks each chunk's decode against
+# its seal-time meta. The traced run replays through the benchmark's own
+# `ChunkSource` wrapper, so it must also be correct: the chunk check lives
+# in the fold, not in one source type.
 roundtrip() {
     cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload trace-roundtrip --seed 5 --seconds 2 --trace 0 "$@" | tail -n 1
@@ -72,6 +77,12 @@ roundtrip_corrupt="$(roundtrip --corrupt-log)"
 case "$roundtrip_corrupt" in
     *'"correct": false'*) ;;
     *) echo "ci: trace-roundtrip missed a corrupted log: $roundtrip_corrupt" >&2; exit 1 ;;
+esac
+roundtrip_traced="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload trace-roundtrip --seed 5 --seconds 2 --trace 1 | tail -n 1)"
+case "$roundtrip_traced" in
+    *'"correct": true'*) ;;
+    *) echo "ci: traced trace-roundtrip is not correct: $roundtrip_traced" >&2; exit 1 ;;
 esac
 
 # Ring-bound suite, a test binary of its own because the trace gauge is
@@ -159,8 +170,11 @@ cargo test --release --offline --test spill_torture
 # Persistence corruption property suite: seeded random truncations and
 # bit flips of a v4 spill log never panic any loader — typed errors or
 # honest-prefix salvage only, and a salvage that lost records is never
-# reported complete — and a checksum-fixed meta mutation is caught by
-# deep verification as codec-class damage.
+# reported complete — and a strict replay of any mutant fails typed or
+# equals the clean profile. Checksum-fixed meta mutations are caught as
+# codec-class damage: by the decoding walk at fsck/salvage time, inside
+# the strict fold (which decodes each chunk once and checks its meta), or
+# at strict open for metas that would size or index the fold out of range.
 cargo test --release --offline --test persist_corruption
 
 # fleet-sweep spill smoke: the short fleet with every per-job trace

@@ -466,8 +466,14 @@ impl TraceProfile {
     /// on-disk [`SpillSource`](recorder_sim::SpillSource) — chunk-at-a-time
     /// in bounded memory. The fold visits chunks in capture order
     /// regardless of source, so the profile is bit-identical across
-    /// sources holding the same chunks. Errors surface only from a
-    /// disk-backed source whose scan fails.
+    /// sources holding the same chunks.
+    ///
+    /// Every decoded chunk is checked against its seal-time meta before it
+    /// is folded, whatever the source: this one decode is where a strict
+    /// spill source's chunk content is verified. A chunk that fails to
+    /// decode or disagrees with its meta stops the fold with
+    /// [`SpillError::Codec`] naming its capture index; a disk-backed scan
+    /// that fails surfaces its own error.
     pub fn streaming_source(
         src: &dyn ChunkSource,
         job_time: Dur,
@@ -484,14 +490,35 @@ impl TraceProfile {
             src.app_names(),
             job_time,
             &mut |fold| {
-                src.scan_chunks(&mut |chunk| {
+                // The scan cannot be stopped from inside, so a failed chunk
+                // turns the rest of the visits into no-ops.
+                let mut index = 0u64;
+                let mut failed = None;
+                let scanned = src.scan_chunks(&mut |chunk| {
+                    if failed.is_some() {
+                        return;
+                    }
                     buf.clear_rows();
-                    chunk
-                        .decode_into(&mut buf, false)
-                        .expect("sealed chunk must decode (checksummed on the persisted path)");
+                    let verified = match chunk.decode_into(&mut buf, false) {
+                        Err(e) => Err(e.to_string()),
+                        Ok(()) if ChunkMeta::of_rows(&buf, 0..chunk.rows) != chunk.meta => {
+                            Err("decoded rows disagree with the seal-time meta".into())
+                        }
+                        Ok(()) => Ok(()),
+                    };
                     charge.resync(columnar_capacity_bytes(&buf));
-                    fold(&buf);
-                })
+                    match verified {
+                        Ok(()) => fold(&buf),
+                        Err(detail) => {
+                            failed = Some(SpillError::Codec {
+                                chunk: index,
+                                detail,
+                            })
+                        }
+                    }
+                    index += 1;
+                });
+                failed.map_or(scanned, Err)
             },
         )
     }

@@ -407,13 +407,6 @@ impl CompressedChunk {
         Ok(())
     }
 
-    /// Check that column `idx` (in [`COLUMN_WIDTHS`] order) decodes to
-    /// `rows` values of its width, without building it: deep verification
-    /// of the `node` column that [`decode_into`](Self::decode_into) skips.
-    pub(crate) fn verify_column(&self, idx: usize) -> Result<(), CodecError> {
-        codec::decode_column_each(&self.cols[idx], self.rows, COLUMN_WIDTHS[idx].1, |_| {})
-    }
-
     /// Total encoded bytes across the ten columns.
     pub fn encoded_bytes(&self) -> usize {
         self.cols.iter().map(Vec::len).sum()
@@ -425,10 +418,13 @@ impl CompressedChunk {
         &self.cols[idx]
     }
 
-    /// Rebuild a chunk from its encoded columns and a trusted seal-time
-    /// meta without a decode pass. The spill loader uses this after its
-    /// deep-verify walk has already decoded the chunk once and checked the
-    /// persisted meta against a recompute.
+    /// Rebuild a chunk from its encoded columns and a persisted seal-time
+    /// meta without a decode pass. The spill reader uses this for every
+    /// chunk frame it hands out. The meta is only as trusted as the open
+    /// that read it: a salvaged source or `load_spill` decoded the chunk
+    /// and checked the meta against a recompute, while a strict source
+    /// checked frames and meta bounds and leaves the full check to the
+    /// consumer's decode.
     pub(crate) fn from_parts(rows: usize, meta: ChunkMeta, cols: [Vec<u8>; 10]) -> CompressedChunk {
         CompressedChunk { rows, meta, cols }
     }

@@ -51,6 +51,12 @@
 //! that those bytes are the bytes the tracer wrote. Intern tables are
 //! truncated to the adopted commit's tallies for the same reason.
 //!
+//! That decoding walk serves [`fsck`], salvage and [`load_spill`]. The
+//! strict open ([`SpillSource::open_strict`]) walks the same frames without
+//! decoding chunks: it checks checksums, tallies, the `node` column and
+//! the meta fields that size the analyzer's allocations, and leaves the
+//! rest of each chunk to the one decode that consumes it.
+//!
 //! ## Fault injection
 //!
 //! [`SpillFaultPlan`] arms one deterministic, seeded fault in the writer:
@@ -67,7 +73,9 @@ use std::path::{Path, PathBuf};
 
 use crate::chunk::{
     columnar_capacity_bytes, BitWords, ChunkMeta, ChunkedTrace, CompressedChunk, GaugeCharge,
+    COLUMN_WIDTHS,
 };
+use crate::codec;
 use crate::columnar::ColumnarTrace;
 
 /// First bytes of every version-4 spill file.
@@ -806,11 +814,12 @@ fn parse_meta(cur: &mut Cur<'_>) -> Option<ChunkMeta> {
     })
 }
 
-/// A chunk frame's parsed payload: rows, persisted meta, encoded columns.
+/// A chunk frame's parsed payload: rows, persisted meta, and the encoded
+/// columns as slices of `payload`.
 fn parse_chunk_payload(
     payload: &[u8],
     chunk_rows: usize,
-) -> Result<(usize, ChunkMeta, [Vec<u8>; 10]), String> {
+) -> Result<(usize, ChunkMeta, [&[u8]; 10]), String> {
     let mut cur = Cur::new(payload);
     let rows = cur.u64().ok_or("missing row count")? as usize;
     if rows == 0 || rows > chunk_rows {
@@ -830,14 +839,34 @@ fn parse_chunk_payload(
     for l in lens.iter_mut() {
         *l = cur.u64().ok_or("missing column length")? as usize;
     }
-    let mut cols: [Vec<u8>; 10] = Default::default();
+    let mut cols: [&[u8]; 10] = [&[]; 10];
     for (c, len) in cols.iter_mut().zip(lens) {
-        *c = cur.take(len).ok_or("column runs past payload")?.to_vec();
+        *c = cur.take(len).ok_or("column runs past payload")?;
     }
     if !cur.done() {
         return Err("trailing bytes after columns".into());
     }
     Ok((rows, meta, cols))
+}
+
+/// Whether a persisted meta stays inside what the log can back: its file
+/// and app id spaces within the intern tables read so far, and every
+/// per-layer file bit below its `n_files`. The fold sizes allocations and
+/// indexes arrays by these fields before it verifies any chunk.
+fn meta_in_bounds(meta: &ChunkMeta, files: usize, apps: usize) -> bool {
+    meta.n_files <= files
+        && meta.n_apps <= apps
+        && meta
+            .layer_files
+            .iter()
+            .all(|bits| bits.iter().all(|f| f < meta.n_files))
+}
+
+/// Whether column `idx` (in [`COLUMN_WIDTHS`] order) of a parsed chunk
+/// frame decodes to `rows` values of its width, handing each to `emit`
+/// without building the column.
+fn column_decodes(cols: &[&[u8]; 10], rows: usize, idx: usize, emit: impl FnMut(u64)) -> bool {
+    codec::decode_column_each(cols[idx], rows, COLUMN_WIDTHS[idx].1, emit).is_ok()
 }
 
 fn parse_intern_payload(payload: &[u8]) -> Result<(Vec<String>, Vec<String>), String> {
@@ -965,7 +994,23 @@ impl FsckReport {
     }
 }
 
-/// The result of walking a log front to back with deep verification.
+/// How far [`walk`] verifies each chunk frame past its checksum, parse
+/// and meta bounds.
+#[derive(Clone, Copy)]
+enum Verify {
+    /// Decode only the `rank` column (its maximum must match the meta's
+    /// `n_ranks`) and the `node` column. The strict open uses this: the
+    /// fold decodes every other column once anyway and rechecks the meta
+    /// there.
+    Frames,
+    /// Decode the whole chunk and compare a recomputed meta with the
+    /// persisted one. Salvage and the whole-trace loaders use this: the
+    /// longest *verified* prefix is defined by decoding, and loaded chunks
+    /// go to callers that may trust their metas.
+    Decode,
+}
+
+/// The result of walking a log front to back.
 struct Walk {
     chunk_rows: usize,
     sealed: bool,
@@ -982,12 +1027,12 @@ struct Walk {
     quarantined: Vec<QuarantinedSegment>,
 }
 
-/// Walk every frame, verifying checksums and (deeply) decoding each chunk
-/// to cross-check its persisted meta. Stops at the first anomaly — the
-/// longest-committed-prefix rule. Errors are returned only for files that
-/// cannot be opened or are not spill logs at all; damage inside the log
-/// is recovery data, not failure.
-fn walk(path: &Path) -> Result<Walk, SpillError> {
+/// Walk every frame, verifying checksums, payloads, meta bounds and, to
+/// `depth`, each chunk's columns against its persisted meta. Stops at the
+/// first anomaly — the longest-committed-prefix rule. Errors are returned
+/// only for files that cannot be opened or are not spill logs at all;
+/// damage inside the log is recovery data, not failure.
+fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
     let mut file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut head = [0u8; 19];
@@ -1071,17 +1116,31 @@ fn walk(path: &Path) -> Result<Walk, SpillError> {
                         break;
                     }
                 };
-                // Deep verify: decode once, check the skipped `node`
-                // column's bytes too, and recompute the meta; a chunk whose
-                // bytes fail to decode, or decode to different statistics
-                // than its seal recorded, is corruption the checksum
-                // happened to miss.
-                let chunk = CompressedChunk::from_parts(rows, meta.clone(), cols);
-                buf.clear_rows();
-                let ok = chunk.decode_into(&mut buf, false).is_ok()
-                    && chunk.verify_column(1).is_ok()
-                    && ChunkMeta::of_rows(&buf, 0..rows) == meta;
-                bcharge.resync(columnar_capacity_bytes(&buf));
+                // Bytes that fail these checks, or decode to different
+                // statistics than the seal recorded, are corruption the
+                // checksum happened to miss. The `node` column is checked
+                // at both depths: the analyzer never decodes it.
+                let ok = meta_in_bounds(&meta, w.files.len(), w.apps.len())
+                    && column_decodes(&cols, rows, 1, |_| {})
+                    && match depth {
+                        Verify::Frames => {
+                            let mut max_rank = 0u32;
+                            column_decodes(&cols, rows, 0, |v| max_rank = max_rank.max(v as u32))
+                                && meta.n_ranks == max_rank as usize + 1
+                        }
+                        Verify::Decode => {
+                            let chunk = CompressedChunk::from_parts(
+                                rows,
+                                meta.clone(),
+                                cols.map(<[u8]>::to_vec),
+                            );
+                            buf.clear_rows();
+                            let ok = chunk.decode_into(&mut buf, false).is_ok()
+                                && ChunkMeta::of_rows(&buf, 0..rows) == meta;
+                            bcharge.resync(columnar_capacity_bytes(&buf));
+                            ok
+                        }
+                    };
                 if !ok {
                     quarantine(&mut w, frame_idx, at, QuarantineReason::Codec);
                     break;
@@ -1202,11 +1261,12 @@ impl Walk {
 }
 
 /// Recovery pass: walk a (possibly mutilated) spill log, verify every
-/// frame, and report the longest committed prefix plus quarantined
+/// frame — decoding each chunk and checking its persisted meta against a
+/// recompute — and report the longest committed prefix plus quarantined
 /// segments. Never panics on damage; errors only when the file cannot be
 /// opened or is not a spill log at all.
 pub fn fsck(path: &Path) -> Result<FsckReport, SpillError> {
-    Ok(walk(path)?.report())
+    Ok(walk(path, Verify::Decode)?.report())
 }
 
 /// A verified spill log the streaming analyzer folds straight off disk.
@@ -1229,51 +1289,31 @@ pub struct SpillSource {
 
 impl SpillSource {
     /// Open a log that must be sealed, fully committed, and anomaly-free;
-    /// any damage is a typed error (the strict loader's contract).
+    /// any damage found is a typed error (the strict loader's contract).
+    ///
+    /// The open walks frames without decoding chunks: magic, frame walk,
+    /// checksums, payload parse, commit and footer tallies, the `node`
+    /// column, and every meta field the fold sizes allocations or indexes
+    /// arrays by (`n_files` and `n_apps` within the intern tables, every
+    /// `layer_files` bit below `n_files`, `n_ranks` equal to the `rank`
+    /// column's maximum plus one). The rest of each chunk's content is
+    /// verified by the one decode that consumes it:
+    /// `TraceProfile::streaming_source` recomputes every decoded chunk's
+    /// meta and fails typed [`SpillError::Codec`] on a mismatch.
     pub fn open_strict(path: &Path) -> Result<SpillSource, SpillError> {
-        let src = SpillSource::open_salvaged(path)?;
-        if let Some(q) = src.report.quarantined.first() {
-            return Err(match q.reason {
-                // Uncommitted chunks are quarantined only after a clean
-                // walk, so every quarantined frame here is one of them.
-                QuarantineReason::Uncommitted => SpillError::Uncommitted {
-                    chunks: src.committed_chunks + src.report.quarantined.len() as u64,
-                    committed: src.committed_chunks,
-                },
-                QuarantineReason::BadChecksum => SpillError::BadChecksum {
-                    frame: q.frame,
-                    offset: q.offset,
-                },
-                QuarantineReason::Torn => SpillError::Torn {
-                    offset: q.offset,
-                    detail: "frame runs past end of file".into(),
-                },
-                QuarantineReason::Codec => SpillError::Codec {
-                    chunk: src.committed_chunks,
-                    detail: "chunk failed deep verification".into(),
-                },
-                QuarantineReason::Malformed | QuarantineReason::UnknownKind => {
-                    SpillError::Malformed {
-                        frame: q.frame,
-                        offset: q.offset,
-                        detail: "frame payload did not parse".into(),
-                    }
-                }
-            });
-        }
-        if !src.report.sealed {
-            return Err(SpillError::Unsealed {
-                committed_chunks: src.committed_chunks,
-            });
-        }
-        Ok(src)
+        SpillSource::open(path, Verify::Frames)?.strict()
     }
 
-    /// Open whatever the log holds: recover the longest committed prefix
-    /// and keep the [`FsckReport`] for diagnostics. Errors only when the
-    /// file cannot be opened or is not a spill log.
+    /// Open whatever the log holds: recover the longest committed prefix,
+    /// decoding every chunk to verify it, and keep the [`FsckReport`] for
+    /// diagnostics. Errors only when the file cannot be opened or is not a
+    /// spill log.
     pub fn open_salvaged(path: &Path) -> Result<SpillSource, SpillError> {
-        let w = walk(path)?;
+        SpillSource::open(path, Verify::Decode)
+    }
+
+    fn open(path: &Path, depth: Verify) -> Result<SpillSource, SpillError> {
+        let w = walk(path, depth)?;
         let mut merged = ChunkMeta::default();
         for (_, _, meta) in w.seen_chunks.iter().take(w.committed_chunks as usize) {
             merged.merge(meta);
@@ -1291,7 +1331,50 @@ impl SpillSource {
         })
     }
 
-    /// The recovery report from open time.
+    /// Refuse a source whose walk found any damage, or whose log is
+    /// unsealed, with the typed error for the first anomaly.
+    fn strict(self) -> Result<SpillSource, SpillError> {
+        if let Some(q) = self.report.quarantined.first() {
+            return Err(match q.reason {
+                // Uncommitted chunks are quarantined only after a clean
+                // walk, so every quarantined frame here is one of them.
+                QuarantineReason::Uncommitted => SpillError::Uncommitted {
+                    chunks: self.committed_chunks + self.report.quarantined.len() as u64,
+                    committed: self.committed_chunks,
+                },
+                QuarantineReason::BadChecksum => SpillError::BadChecksum {
+                    frame: q.frame,
+                    offset: q.offset,
+                },
+                QuarantineReason::Torn => SpillError::Torn {
+                    offset: q.offset,
+                    detail: "frame runs past end of file".into(),
+                },
+                QuarantineReason::Codec => SpillError::Codec {
+                    chunk: self.committed_chunks,
+                    detail: "chunk failed verification against its seal-time meta".into(),
+                },
+                QuarantineReason::Malformed | QuarantineReason::UnknownKind => {
+                    SpillError::Malformed {
+                        frame: q.frame,
+                        offset: q.offset,
+                        detail: "frame payload did not parse".into(),
+                    }
+                }
+            });
+        }
+        if !self.report.sealed {
+            return Err(SpillError::Unsealed {
+                committed_chunks: self.committed_chunks,
+            });
+        }
+        Ok(self)
+    }
+
+    /// The recovery report from open time. On a strict source it covers
+    /// what the open checked — frames, tallies, meta bounds and the `rank`
+    /// and `node` columns; the rest of each chunk's content is verified by
+    /// the decode that consumes it.
     pub fn report(&self) -> &FsckReport {
         &self.report
     }
@@ -1396,7 +1479,10 @@ impl ChunkSource for SpillSource {
     /// Re-read the file one frame at a time, handing each committed chunk
     /// to `f`. Frames were verified at open; checksums are re-checked
     /// cheaply (word-wise XXH64 costs a fraction of the read and decode)
-    /// in case the file changed underneath us.
+    /// in case the file changed underneath us. Chunk content is not
+    /// decoded here: on a strict source the consumer's decode verifies it
+    /// (`TraceProfile::streaming_source` checks each decoded chunk against
+    /// its meta).
     fn scan_chunks(&self, f: &mut dyn FnMut(&CompressedChunk)) -> Result<(), SpillError> {
         let mut file = File::open(&self.path)?;
         let file_len = file.metadata()?.len();
@@ -1446,7 +1532,7 @@ impl ChunkSource for SpillSource {
                             detail,
                         }
                     })?;
-                let chunk = CompressedChunk::from_parts(rows, meta, cols);
+                let chunk = CompressedChunk::from_parts(rows, meta, cols.map(<[u8]>::to_vec));
                 f(&chunk);
                 handed += 1;
             }
@@ -1465,9 +1551,13 @@ impl ChunkSource for SpillSource {
     }
 }
 
-/// Strict v4 load: the log must be sealed and anomaly-free.
+/// Strict v4 load: the log must be sealed and anomaly-free. Every chunk
+/// is decoded and checked against its meta before the trace is returned,
+/// because callers may trust the metas of the chunks they get.
 pub fn load_spill(path: &Path) -> Result<ChunkedTrace, SpillError> {
-    SpillSource::open_strict(path)?.to_chunked()
+    SpillSource::open(path, Verify::Decode)?
+        .strict()?
+        .to_chunked()
 }
 
 /// Salvage v4 load: recover the longest committed prefix and report how

@@ -17,9 +17,18 @@
 //! `Codec` — the class of damage an outer checksum alone cannot catch. A
 //! second one breaks the codec tag of the `node` column, which the
 //! analyzer never decodes, and must quarantine the same way.
+//!
+//! The strict open verifies frames without decoding chunks, and the
+//! strict fold verifies each chunk as it decodes it. So the property
+//! sweep also replays every mutant strictly (`open_strict` then
+//! `streaming_source`), a resealed presence flip must stop that fold with
+//! a typed `Codec` error although the open accepts the log, and resealed
+//! metas that would size the fold's allocations or index its arrays out of
+//! range must be refused at open.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use vani_suite::recorder::spill::{
     frame_checksum, fsck, load_spill, load_spill_salvaged, spill_columnar, QuarantineReason,
@@ -27,11 +36,15 @@ use vani_suite::recorder::spill::{
 };
 use vani_suite::recorder::{ColumnarTrace, Layer, OpKind, SpillError, Tracer};
 use vani_suite::rt::Rng;
-use vani_suite::sim::SimTime;
+use vani_suite::sim::{Dur, SimTime};
+use vani_suite::vani::analyzer::TraceProfile;
 
 /// Chunk size: small enough that a ~900-row trace has many
 /// independently-checksummed segments to damage.
 const GROUP_ROWS: usize = 64;
+
+/// Job time for the strict replays: longer than the sample trace's span.
+const JOB_TIME: Dur = Dur(1_000_000);
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vani_persist_corruption");
@@ -91,12 +104,23 @@ fn assert_prefix(label: &str, got: &ColumnarTrace, want: &ColumnarTrace) {
 
 /// Run every loader against a (possibly damaged) file. Each call must
 /// return — a typed error or a salvage — and salvages must be honest
-/// prefixes with consistent completeness accounting.
-fn exercise(label: &str, path: &Path, original: &ColumnarTrace) {
+/// prefixes with consistent completeness accounting. A strict replay that
+/// succeeds must yield `clean`, the clean log's profile.
+fn exercise(label: &str, path: &Path, original: &ColumnarTrace, clean: &TraceProfile) {
     // Strict loaders: Ok or typed error, never a panic.
     let _ = load_spill(path);
     let _ = SpillSource::open_strict(path);
     let _ = fsck(path);
+    // Strict replay: the open checks frames and the fold checks each
+    // chunk as it decodes it.
+    if let Ok(src) = SpillSource::open_strict(path) {
+        if let Ok(p) = TraceProfile::streaming_source(&src, JOB_TIME) {
+            assert!(
+                p == *clean,
+                "{label}: a strict replay returned a profile other than the clean log's"
+            );
+        }
+    }
     if let Ok((t, comp)) = load_spill_salvaged(path) {
         assert_eq!(
             comp.loaded_records,
@@ -138,8 +162,11 @@ fn random_truncations_and_bit_flips_never_panic_any_loader() {
     let clean_path = tmp("spill-clean.trace");
     spill_columnar(&c, GROUP_ROWS, &clean_path, SpillFaultPlan::none()).expect("clean spill");
     let bytes = std::fs::read(&clean_path).expect("read spill log");
+    let clean = SpillSource::open_strict(&clean_path)
+        .and_then(|src| TraceProfile::streaming_source(&src, JOB_TIME))
+        .expect("the clean log replays strictly");
     // The pristine file itself round-trips completely.
-    exercise("clean", &clean_path, &c);
+    exercise("clean", &clean_path, &c, &clean);
     let (_, comp) = load_spill_salvaged(&clean_path).expect("clean salvage");
     assert!(comp.is_complete() && comp.fraction() == 1.0, "{comp:?}");
 
@@ -149,8 +176,10 @@ fn random_truncations_and_bit_flips_never_panic_any_loader() {
         let cut = 1 + (rng.next_u64() as usize) % (bytes.len() - 1);
         std::fs::write(&mutant_path, &bytes[..cut]).expect("write truncation");
         let label = format!("trial {trial}: truncated to {cut}B");
-        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
+        catch_unwind(AssertUnwindSafe(|| {
+            exercise(&label, &mutant_path, &c, &clean)
+        }))
+        .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
     }
     for trial in 0..24 {
         let pos = (rng.next_u64() as usize) % bytes.len();
@@ -159,24 +188,36 @@ fn random_truncations_and_bit_flips_never_panic_any_loader() {
         flipped[pos] ^= bit;
         std::fs::write(&mutant_path, &flipped).expect("write bit flip");
         let label = format!("trial {trial}: bit {bit:#04x} flipped at {pos}");
-        catch_unwind(AssertUnwindSafe(|| exercise(&label, &mutant_path, &c)))
-            .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
+        catch_unwind(AssertUnwindSafe(|| {
+            exercise(&label, &mutant_path, &c, &clean)
+        }))
+        .unwrap_or_else(|_| panic!("{label}: a loader panicked"));
     }
     std::fs::remove_file(&clean_path).expect("cleanup");
     std::fs::remove_file(&mutant_path).expect("cleanup");
 }
 
 /// The payload (start, length) of the first CHUNK frame (kind 1) of a
+/// spill log.
+fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
+    nth_chunk_payload(bytes, 0)
+}
+
+/// The payload (start, length) of the `n`-th CHUNK frame (kind 1) of a
 /// spill log, found by walking the frame stream past the preamble (11
 /// magic bytes + chunk_rows u64).
-fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
+fn nth_chunk_payload(bytes: &[u8], n: usize) -> (usize, usize) {
     let mut off = 19usize;
+    let mut seen = 0;
     loop {
         let kind = bytes[off];
         let len =
             u64::from_le_bytes(bytes[off + 1..off + 9].try_into().expect("frame len")) as usize;
         if kind == 1 {
-            return (off + 9, len);
+            if seen == n {
+                return (off + 9, len);
+            }
+            seen += 1;
         }
         off += 9 + len + 8;
     }
@@ -265,5 +306,141 @@ fn checksum_fixed_node_column_corruption_is_caught_by_deep_verification() {
     let (salvaged, comp) = load_spill_salvaged(&path).expect("salvage still succeeds");
     assert_eq!(salvaged.len(), 0, "nothing before the damaged chunk");
     assert_lossy("node mutant", &comp);
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// Checksum-fixed corruption the strict open cannot see: mark a layer
+/// present in the second chunk's persisted meta that none of its rows
+/// touch, then re-seal the frame. Frames, tallies and meta bounds all pass,
+/// so `open_strict` succeeds; the strict fold decodes the chunk, finds
+/// that the rows disagree with the meta and stops with a typed `Codec`
+/// error naming chunk 1, without a panic. The decoding walks (`fsck`,
+/// `load_spill`, salvage) quarantine the chunk and keep the first one.
+#[test]
+fn checksum_fixed_presence_flip_is_caught_by_the_strict_fold() {
+    let c = sample_trace();
+    let path = tmp("presence-mutant.vsp4");
+    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+    let mut bytes = std::fs::read(&path).expect("read spill log");
+    let (payload_start, payload_len) = nth_chunk_payload(&bytes, 1);
+    // Payload layout: rows u64, meta_len u64, then the meta: rows u64 and
+    // the six presence flags.
+    let absent = (payload_start + 24..payload_start + 30)
+        .find(|&i| bytes[i] == 0)
+        .expect("the sample trace leaves some layer absent");
+    bytes[absent] = 1;
+    reseal(&mut bytes, payload_start, payload_len);
+    std::fs::write(&path, &bytes).expect("write mutant");
+
+    let src = SpillSource::open_strict(&path).expect("the open walk cannot see the flip");
+    let folded = catch_unwind(AssertUnwindSafe(|| {
+        TraceProfile::streaming_source(&src, JOB_TIME)
+    }))
+    .expect("the strict fold must not panic");
+    match folded {
+        Err(SpillError::Codec { chunk: 1, .. }) => {}
+        other => panic!(
+            "strict fold must fail typed Codec at chunk 1, got {:?}",
+            other.err()
+        ),
+    }
+
+    let report = fsck(&path).expect("fsck walks the mutant without failing");
+    let q = report.quarantined.first().expect("damage is quarantined");
+    assert_eq!(q.reason, QuarantineReason::Codec);
+    assert_eq!(
+        q.offset,
+        (payload_start - 9) as u64,
+        "the second chunk frame"
+    );
+    assert_eq!(
+        report.committed_records, GROUP_ROWS as u64,
+        "the first chunk"
+    );
+    match load_spill(&path) {
+        Err(SpillError::Codec { .. }) => {}
+        other => panic!("strict load must fail typed Codec, got {other:?}"),
+    }
+    let (salvaged, comp) = load_spill_salvaged(&path).expect("salvage still succeeds");
+    assert_eq!(salvaged.chunks.len(), 1, "exactly the first chunk");
+    let got = salvaged.to_columnar().expect("salvaged chunk decodes");
+    assert_eq!(got.len(), GROUP_ROWS);
+    assert_prefix("presence mutant", &got, &c);
+    assert_lossy("presence mutant", &comp);
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// Checksum-fixed metas that would size the fold's allocations or index
+/// its arrays out of range: `n_ranks = 1 << 40`, `n_files` one past the
+/// interned files, and a per-layer file bit at `n_files`. Each is resealed
+/// into the first chunk of a clean log, and `open_strict` and `fsck` must
+/// each refuse it as typed `Codec` damage before anything is sized by the
+/// bad field (an allocation of `1 << 40` rank slots would abort the test
+/// binary).
+#[test]
+fn checksum_fixed_meta_bounds_are_refused_at_open() {
+    let c = sample_trace();
+    let path = tmp("bounds-mutant.vsp4");
+    spill_columnar(&c, GROUP_ROWS, &path, SpillFaultPlan::none()).expect("clean spill");
+    let clean = std::fs::read(&path).expect("read spill log");
+    let (payload_start, payload_len) = first_chunk_payload(&clean);
+    // Meta layout (after the payload's rows and meta_len u64s): rows u64,
+    // six presence flags, n_ranks, n_apps and n_files u64s, then per layer
+    // a word count u64 and that many u64 words.
+    let meta = payload_start + 16;
+    let (n_ranks_at, n_files_at) = (meta + 14, meta + 30);
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let n_files = u64_at(&clean, n_files_at);
+    assert_eq!(n_files, c.file_paths.len() as u64, "every file is touched");
+    let mut words_at = meta + 38;
+    let first_word = loop {
+        let n = u64_at(&clean, words_at) as usize;
+        if n > 0 {
+            break words_at + 8;
+        }
+        words_at += 8;
+    };
+
+    let put = |b: &mut Vec<u8>, at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let mutants: [(&str, Box<dyn Fn(&mut Vec<u8>)>); 3] = [
+        (
+            "n_ranks = 1 << 40",
+            Box::new(|b| put(b, n_ranks_at, 1 << 40)),
+        ),
+        (
+            "n_files past the intern table",
+            Box::new(|b| put(b, n_files_at, c.file_paths.len() as u64 + 1)),
+        ),
+        (
+            "layer file bit at n_files",
+            Box::new(|b| {
+                let word = u64_at(b, first_word);
+                put(b, first_word, word | 1 << n_files);
+            }),
+        ),
+    ];
+    for (label, mutate) in mutants {
+        let mut bytes = clean.clone();
+        mutate(&mut bytes);
+        reseal(&mut bytes, payload_start, payload_len);
+        std::fs::write(&path, &bytes).expect("write mutant");
+        let t = Instant::now();
+        match SpillSource::open_strict(&path) {
+            Err(SpillError::Codec { chunk: 0, .. }) => {}
+            other => panic!(
+                "{label}: strict open must fail typed Codec, got {:?}",
+                other.err()
+            ),
+        }
+        let report = fsck(&path).expect("fsck walks the mutant without failing");
+        let q = report.quarantined.first().expect("damage is quarantined");
+        assert_eq!(q.reason, QuarantineReason::Codec, "{label}");
+        assert_eq!(report.committed_records, 0, "{label}");
+        assert!(
+            t.elapsed() < Duration::from_secs(10),
+            "{label}: refusing a 900-row log took {:?}",
+            t.elapsed()
+        );
+    }
     std::fs::remove_file(&path).expect("cleanup");
 }
