@@ -23,6 +23,12 @@ cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# The same unit tests of the simulation core and the analysis crate in a
+# release build, which drops debug assertions: a test that holds only in
+# debug fails here instead of in the first release run, and the
+# scheduler's unit tests run at release speed.
+cargo test --release --offline -p sim-core -p vani-core --lib
+
 # The repository benchmark is a workspace of its own (perfbench/) that
 # calls the library's public functions, so the workspace build above does
 # not compile it. Build and test it here: a library signature change that

@@ -47,65 +47,31 @@ impl TenantDemand {
 }
 
 /// Build job `job`'s interference schedule from the fleet placements and
-/// per-job demands. Window times are relative to the job's own start.
+/// per-job demands. Window times are relative to the job's own start. A
+/// healthy pool: every window serves at full capacity.
 pub fn interference_for(
     job: usize,
     placements: &[Placement],
     demands: &[TenantDemand],
 ) -> InterferenceSchedule {
     let me = &placements[job];
-    if me.end <= me.start {
-        return InterferenceSchedule::none();
-    }
-    // Neighbors overlapping my window, in job-id order.
-    let mut overlapping: Vec<usize> = Vec::new();
-    for (j, p) in placements.iter().enumerate() {
-        if j != job && p.start < me.end && p.end > me.start {
-            overlapping.push(j);
-        }
-    }
-    if overlapping.is_empty() {
-        return InterferenceSchedule::none();
-    }
-    // Breakpoints: my bounds plus every neighbor edge clamped into them.
-    let mut cuts: Vec<f64> = vec![me.start, me.end];
-    for &j in &overlapping {
-        let p = &placements[j];
-        if p.start > me.start && p.start < me.end {
-            cuts.push(p.start);
-        }
-        if p.end > me.start && p.end < me.end {
-            cuts.push(p.end);
-        }
-    }
-    cuts.sort_by(f64::total_cmp);
-    cuts.dedup();
-    let mut schedule = InterferenceSchedule::none();
-    for w in cuts.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let mid = lo + (hi - lo) / 2.0;
-        let (mut data, mut meta) = (0.0f64, 0.0f64);
-        for &j in &overlapping {
-            let p = &placements[j];
-            if p.start <= mid && mid < p.end {
-                data += demands[j].data_frac;
-                meta += demands[j].meta_frac;
-            }
-        }
-        if data > 0.0 || meta > 0.0 {
-            schedule = schedule.with_window(
-                SimTime::from_secs_f64(lo - me.start),
-                SimTime::from_secs_f64(hi - me.start),
-                data,
-                meta,
-            );
-        }
-    }
-    schedule
+    let neighbors = placements
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != job)
+        .map(|(j, p)| (p.start, p.end, j));
+    // With no outages the pool size is never read.
+    sweep(
+        (me.start, me.end),
+        neighbors,
+        demands,
+        &NodeFaultPlan::none(),
+        0,
+    )
 }
 
 /// Build job `job`'s interference schedule for its *final* attempt in a
-/// degraded fleet. Two extensions over [`interference_for`]:
+/// fleet whose nodes may fail. Two extensions over [`interference_for`]:
 ///
 /// * **every attempt interferes** — a neighbor's killed partial attempts
 ///   loaded the shared servers while they ran, so each attempt interval
@@ -115,9 +81,8 @@ pub fn interference_for(
 ///   `(cluster_nodes - down) / cluster_nodes` of its hardware, expressed
 ///   as [`storage_sim::LoadWindow::capacity`] windows.
 ///
-/// With an empty plan and single-attempt schedules this reduces to the
-/// same windows [`interference_for`] builds — but degraded fleets call
-/// this variant only, so the legacy path stays byte-identical untouched.
+/// With an empty plan and single-attempt schedules both builders run the
+/// same sweep over the same intervals, so they build the same windows.
 pub fn interference_for_degraded(
     job: usize,
     schedules: &[JobSchedule],
@@ -126,38 +91,40 @@ pub fn interference_for_degraded(
     cluster_nodes: u32,
 ) -> InterferenceSchedule {
     let me = schedules[job].final_attempt();
-    let (my_start, my_end) = (me.start, me.end);
+    let neighbors = schedules
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != job)
+        .flat_map(|(j, s)| s.attempts.iter().map(move |a| (a.start, a.end, j)));
+    sweep((me.start, me.end), neighbors, demands, plan, cluster_nodes)
+}
+
+/// The sweep both builders share. `neighbors` yields `(start, end, owner)`
+/// busy intervals in (owner, attempt) order; those overlapping
+/// `[my_start, my_end)` add their owner's demand fractions. Breakpoints
+/// are my bounds, the neighbor edges and `plan`'s up/down boundaries
+/// inside them; each window sums the load live at its midpoint and, while
+/// nodes are down, serves with the surviving share of the pool.
+fn sweep(
+    (my_start, my_end): (f64, f64),
+    neighbors: impl Iterator<Item = (f64, f64, usize)>,
+    demands: &[TenantDemand],
+    plan: &NodeFaultPlan,
+    cluster_nodes: u32,
+) -> InterferenceSchedule {
     if my_end <= my_start {
         return InterferenceSchedule::none();
     }
-    // Neighbor intervals: every attempt of every other job that overlaps
-    // mine, in (job-id, attempt) order.
-    let mut intervals: Vec<(f64, f64, usize)> = Vec::new(); // (start, end, owner)
-    for (j, s) in schedules.iter().enumerate() {
-        if j == job {
-            continue;
-        }
-        for a in &s.attempts {
-            if a.start < my_end && a.end > my_start {
-                intervals.push((a.start, a.end, j));
-            }
-        }
-    }
-    // Breakpoints: my bounds, neighbor edges, and capacity boundaries.
+    let intervals: Vec<(f64, f64, usize)> = neighbors
+        .filter(|&(s, e, _)| s < my_end && e > my_start)
+        .collect();
+    let edges = intervals.iter().flat_map(|&(s, e, _)| [s, e]);
     let mut cuts: Vec<f64> = vec![my_start, my_end];
-    for &(s, e, _) in &intervals {
-        if s > my_start && s < my_end {
-            cuts.push(s);
-        }
-        if e > my_start && e < my_end {
-            cuts.push(e);
-        }
-    }
-    for b in plan.boundaries() {
-        if b > my_start && b < my_end {
-            cuts.push(b);
-        }
-    }
+    cuts.extend(
+        edges
+            .chain(plan.boundaries())
+            .filter(|&c| c > my_start && c < my_end),
+    );
     cuts.sort_by(f64::total_cmp);
     cuts.dedup();
     let mut schedule = InterferenceSchedule::none();
@@ -171,14 +138,14 @@ pub fn interference_for_degraded(
                 meta += demands[j].meta_frac;
             }
         }
-        let capacity = if cluster_nodes == 0 {
-            1.0
-        } else {
-            (cluster_nodes - plan.down_count(mid).min(cluster_nodes)) as f64 / cluster_nodes as f64
-        };
         // A dead pool still serves through survivors elsewhere in the
         // datacenter; floor the window instead of dividing by zero.
-        let capacity = capacity.max(1e-3);
+        let down = plan.down_count(mid).min(cluster_nodes);
+        let capacity = if down == 0 {
+            1.0
+        } else {
+            ((cluster_nodes - down) as f64 / cluster_nodes as f64).max(1e-3)
+        };
         let (from, until) = (
             SimTime::from_secs_f64(lo - my_start),
             SimTime::from_secs_f64(hi - my_start),

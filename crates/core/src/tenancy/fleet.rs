@@ -15,7 +15,8 @@
 //!    second wave because their crash instant is anchored to the baseline
 //!    profile's makespan (the [`crate::crashsweep`] idiom).
 //! 3. **Schedule** — FCFS placement of the whole manifest onto the shared
-//!    cluster, then per-job interference schedules from the overlaps.
+//!    cluster (requeueing jobs killed by node outages), then per-job
+//!    interference schedules from the overlapping attempts.
 //! 4. **Jobs** — every job simulates independently (scenario-parallel)
 //!    with its variant's fault plan and its interference schedule
 //!    installed, returning a compact [`JobRecord`]. Without a
@@ -30,10 +31,10 @@
 //! [`super`] for the full determinism argument.
 
 use super::arrival::{ArrivalProcess, InterArrival};
-use super::contention::{interference_for, interference_for_degraded, TenantDemand};
+use super::contention::{interference_for_degraded, TenantDemand};
 use super::outage::{NodeFaultPlan, NodeFaultProfile};
 use super::scheduler::{
-    fcfs_schedule, resilient_schedule, JobDemand, JobSchedule, SchedPolicy, ScheduleArrivals,
+    resilient_schedule, JobDemand, JobSchedule, Placement, SchedPolicy, ScheduleArrivals,
 };
 use super::stats::{FleetReport, ProfileSummary};
 use super::FleetError;
@@ -203,8 +204,8 @@ pub struct FleetConfig {
     /// The fleet's node failure domain.
     pub node_faults: NodeFaultSpec,
     /// The self-healing scheduler's policy (retry budgets, backoff,
-    /// backfill). With [`NodeFaultSpec::None`] and backfill off the
-    /// scheduler is the legacy FCFS one, bit for bit.
+    /// backfill). With [`NodeFaultSpec::None`] and backfill off every job
+    /// runs once, admitted in strict `(submit, job id)` order.
     pub sched: SchedPolicy,
     /// Spill-to-disk capture (`None` = each job's captured columns are
     /// folded in place, bit-identical to the pre-spill fleet).
@@ -260,7 +261,7 @@ impl FleetConfig {
 /// One admitted job, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManifestJob {
-    /// Job id = admission position.
+    /// Job id = manifest position.
     pub id: usize,
     /// Workload id from [`KNOWN_WORKLOADS`].
     pub workload: String,
@@ -278,7 +279,7 @@ pub struct ManifestJob {
 /// The full job manifest: drawn before any simulation starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetManifest {
-    /// Jobs in admission order.
+    /// Jobs in job-id order.
     pub jobs: Vec<ManifestJob>,
     /// Arrival-process description (for the report header).
     pub arrival: String,
@@ -551,7 +552,7 @@ fn profile_of(run: &WorkloadRun, pfs_capacity_scale: f64) -> Profile {
 /// nothing it does not — the trace is dropped inside the scenario closure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
-    /// Job id (admission position).
+    /// Job id (manifest position).
     pub job_id: usize,
     /// Workload id.
     pub workload: String,
@@ -720,11 +721,8 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             .expect("every manifest combo was profiled")
     };
 
-    // Schedule the manifest onto the shared cluster. With an empty outage
-    // plan and backfill off, `resilient_schedule` *delegates* to the
-    // legacy `fcfs_schedule`, so healthy placements — and everything
-    // downstream of them — are bit-identical to the pre-failure-domain
-    // fleet.
+    // Schedule the manifest onto the shared cluster. A healthy fleet is
+    // the empty outage plan: the same event loop, with no kills.
     let submits: Vec<f64> = manifest.jobs.iter().map(|j| j.submit).collect();
     let arrivals = ScheduleArrivals::from_process(&cfg.arrival, &submits);
     let demands: Vec<JobDemand> = manifest
@@ -743,11 +741,24 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
         &manifest.node_faults,
         &cfg.sched,
     );
-    let placements: Vec<_> = schedules.iter().map(JobSchedule::as_placement).collect();
+    let placements: Vec<Placement> = schedules.iter().map(JobSchedule::as_placement).collect();
     // The healthy-fleet counterfactual the degraded tables compare
     // against: the same demands FCFS-scheduled onto a never-failing pool.
     let healthy_placements = if degraded {
-        fcfs_schedule(cfg.cluster_nodes, &demands, &arrivals)
+        let strict = SchedPolicy {
+            backfill: false,
+            ..cfg.sched
+        };
+        resilient_schedule(
+            cfg.cluster_nodes,
+            &demands,
+            &arrivals,
+            &NodeFaultPlan::none(),
+            &strict,
+        )
+        .iter()
+        .map(JobSchedule::as_placement)
+        .collect()
     } else {
         placements.clone()
     };
@@ -775,17 +786,13 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             JobVariant::Faulted => faulted_plan(),
             JobVariant::Crashy => crashy_plan(baseline_runtime(&profiles, kind)),
         };
-        let schedule = if degraded {
-            interference_for_degraded(
-                i,
-                &schedules,
-                &tenant_demands,
-                &manifest.node_faults,
-                cfg.cluster_nodes,
-            )
-        } else {
-            interference_for(i, &placements, &tenant_demands)
-        };
+        let schedule = interference_for_degraded(
+            i,
+            &schedules,
+            &tenant_demands,
+            &manifest.node_faults,
+            cfg.cluster_nodes,
+        );
         let placement = placements[i];
         let retries = schedules[i].outcome.retries();
         let lost_work = schedules[i].lost_node_secs(j.nodes);

@@ -8,11 +8,11 @@
 //!
 //! * [`arrival`] — seeded open (exponential / lognormal inter-arrival) and
 //!   closed (fixed concurrency + think time) arrival processes;
-//! * [`scheduler`] — a deterministic FCFS scheduler placing jobs onto a
-//!   fixed pool of cluster nodes, in strict admission order — plus the
-//!   self-healing [`scheduler::resilient_schedule`], which requeues jobs
-//!   killed by node outages with retry budgets, exponential backoff, and
-//!   opt-in backfill;
+//! * [`scheduler`] — one deterministic event-driven scheduler,
+//!   [`scheduler::resilient_schedule`], placing jobs onto a fixed pool of
+//!   cluster nodes in `(submit, job id)` order (strict FCFS, or opt-in
+//!   backfill) and requeueing jobs killed by node outages with retry
+//!   budgets and exponential backoff;
 //! * [`outage`] — fleet-level failure domains: seeded [`NodeFaultPlan`]
 //!   timelines of whole-node outages with repair times, drawn from the
 //!   manifest's fourth split RNG stream so existing job seeds never
@@ -34,8 +34,9 @@
 //! The fleet manifest is generated sequentially from the fleet seed before
 //! any simulation starts; profile and job fan-outs go through
 //! [`crate::sweep::ScenarioSet`], which merges results in registration
-//! order; and every post-processing reduction (scheduling, interference
-//! windows, quantiles, correlations) is a sequential pass in job-id order.
+//! order; scheduling is a sequential fold over events in a fixed order;
+//! and every other post-processing reduction (interference windows,
+//! quantiles, correlations) is a sequential pass in job-id order.
 //! The rendered report is therefore **byte-identical at any worker
 //! count**, and a fleet whose schedule produces no overlap (a single
 //! tenant) installs empty interference schedules, which the PFS treats as
@@ -56,8 +57,8 @@ pub use fleet::{
 };
 pub use outage::{NodeFaultPlan, NodeFaultProfile, NodeOutage};
 pub use scheduler::{
-    fcfs_schedule, resilient_schedule, JobAttempt, JobDemand, JobOutcome, JobSchedule, Placement,
-    SchedPolicy, ScheduleArrivals,
+    resilient_schedule, JobAttempt, JobDemand, JobOutcome, JobSchedule, Placement, SchedPolicy,
+    ScheduleArrivals,
 };
 pub use stats::{FleetReport, ProfileSummary, SpillFleetStats};
 

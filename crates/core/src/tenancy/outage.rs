@@ -94,14 +94,6 @@ impl NodeFaultPlan {
         down.len() as u32
     }
 
-    /// Whether `node` is schedulable at instant `t`.
-    pub fn node_up(&self, node: u32, t: f64) -> bool {
-        !self
-            .outages
-            .iter()
-            .any(|o| o.node == node && o.at <= t && t < o.until)
-    }
-
     /// Every instant the up/down state of some node can change, sorted
     /// ascending and deduplicated — the capacity breakpoints the degraded
     /// interference builder sweeps.
@@ -246,7 +238,6 @@ mod tests {
         let p = NodeFaultPlan::none();
         assert!(p.is_empty());
         assert_eq!(p.down_count(5.0), 0);
-        assert!(p.node_up(3, 5.0));
         assert!(p.boundaries().is_empty());
         assert_eq!(p.node_hours_down(), 0.0);
         assert_eq!(p.render(), "");
@@ -255,12 +246,10 @@ mod tests {
     #[test]
     fn outage_window_is_half_open() {
         let p = NodeFaultPlan::none().with_outage(2, 10.0, 5.0);
-        assert!(p.node_up(2, 9.999));
-        assert!(!p.node_up(2, 10.0));
-        assert!(!p.node_up(2, 14.999));
-        assert!(p.node_up(2, 15.0));
-        assert!(p.node_up(3, 12.0));
-        assert_eq!(p.down_count(12.0), 1);
+        assert_eq!(p.down_count(9.999), 0);
+        assert_eq!(p.down_count(10.0), 1);
+        assert_eq!(p.down_count(14.999), 1);
+        assert_eq!(p.down_count(15.0), 0);
         assert_eq!(p.boundaries(), vec![10.0, 15.0]);
     }
 
@@ -270,8 +259,8 @@ mod tests {
             .with_outage(1, 0.0, 10.0)
             .with_outage(1, 5.0, 10.0);
         assert_eq!(p.down_count(7.0), 1);
-        assert!(!p.node_up(1, 12.0));
-        assert!(p.node_up(1, 15.0));
+        assert_eq!(p.down_count(12.0), 1);
+        assert_eq!(p.down_count(15.0), 0);
         // But node-hours double-charge by construction.
         assert!((p.node_hours_down() - 20.0 / 3600.0).abs() < 1e-12);
     }

@@ -1,24 +1,26 @@
-//! Deterministic FCFS job scheduler for the shared cluster.
+//! Deterministic event-driven job scheduler for the shared cluster.
 //!
-//! Jobs are admitted in strict submission (job-id) order onto a fixed pool
-//! of nodes: a job starts at the earliest instant at or after its submit
-//! time when (a) every earlier job has already started — no backfill, so
-//! admission order equals job order — and (b) enough nodes are free.
-//! Runtimes are *estimates* from the dedicated profile runs; the scheduler
-//! is a placement model, not a second simulator, and its arithmetic is a
-//! sequential fold over job ids so placements are identical on every
-//! machine and at every worker count.
+//! [`resilient_schedule`] places jobs onto a fixed pool of nodes. Waiting
+//! jobs are ordered by `(submit, job id)`; under strict FCFS (the default)
+//! the first waiting job that does not fit blocks everyone behind it, and
+//! with first-fit backfill smaller jobs flow around it. A job takes the
+//! lowest-numbered free nodes. Runtimes are *estimates* from the dedicated
+//! profile runs; the scheduler is a placement model, not a second
+//! simulator, and its arithmetic is a sequential fold over events, so
+//! placements are identical on every machine and at every worker count.
 //!
-//! [`resilient_schedule`] extends this with fleet failure domains: under a
+//! The same loop carries the fleet's failure domains: under a
 //! [`NodeFaultPlan`] the schedulable pool shrinks while nodes are down,
 //! any job holding a failed node is killed mid-run, and the self-healing
 //! policy requeues it with exponential backoff until its retry budget is
-//! exhausted ([`JobOutcome::Abandoned`]). With an empty plan and backfill
-//! off, it delegates to [`fcfs_schedule`] — placements are bit-identical
-//! to the pre-failure-domain scheduler by construction.
+//! exhausted ([`JobOutcome::Abandoned`]). A healthy fleet is the empty
+//! plan: the loop without outage events.
 
 use super::arrival::ArrivalProcess;
 use super::outage::NodeFaultPlan;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeSet, BinaryHeap};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// What one job asks of the cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,88 +80,6 @@ impl<'a> ScheduleArrivals<'a> {
             },
         }
     }
-}
-
-/// Place every job FCFS onto `cluster_nodes` nodes. Panics if a job wants
-/// more nodes than the cluster has — callers validate that with a typed
-/// [`super::FleetError::JobTooLarge`] before scheduling.
-pub fn fcfs_schedule(
-    cluster_nodes: u32,
-    demands: &[JobDemand],
-    arrivals: &ScheduleArrivals<'_>,
-) -> Vec<Placement> {
-    let mut placements: Vec<Placement> = Vec::with_capacity(demands.len());
-    // Running set: (estimated end, nodes). Small (bounded by concurrent
-    // jobs), so linear scans beat a heap and keep tie-breaking explicit:
-    // the earliest end wins, and among equal ends the lowest index (the
-    // earliest-admitted job) releases first.
-    let mut running: Vec<(f64, u32)> = Vec::new();
-    let mut free = cluster_nodes;
-    let mut prev_start = 0.0f64;
-    for (i, d) in demands.iter().enumerate() {
-        assert!(
-            d.nodes <= cluster_nodes,
-            "job {i} wants {} nodes on a {cluster_nodes}-node cluster",
-            d.nodes
-        );
-        let submit = match arrivals {
-            ScheduleArrivals::Open(ts) => ts[i],
-            ScheduleArrivals::Closed {
-                concurrency,
-                think_time,
-            } => {
-                if i < *concurrency {
-                    0.0
-                } else {
-                    placements[i - concurrency].end + think_time
-                }
-            }
-        };
-        // No backfill: a job never starts before its predecessor.
-        let mut t = if submit > prev_start {
-            submit
-        } else {
-            prev_start
-        };
-        loop {
-            // Release everything that has finished by `t`.
-            let mut k = 0;
-            while k < running.len() {
-                if running[k].0 <= t {
-                    free += running[k].1;
-                    running.swap_remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-            if free >= d.nodes {
-                break;
-            }
-            // Advance to the earliest outstanding completion.
-            let mut next = f64::INFINITY;
-            for &(end, _) in &running {
-                if end < next {
-                    next = end;
-                }
-            }
-            assert!(
-                next.is_finite(),
-                "deadlock: nothing running but not enough nodes"
-            );
-            t = next;
-        }
-        free -= d.nodes;
-        let end = t + d.est_runtime.max(0.0);
-        running.push((end, d.nodes));
-        placements.push(Placement {
-            id: i,
-            submit,
-            start: t,
-            end,
-        });
-        prev_start = t;
-    }
-    placements
 }
 
 /// The self-healing scheduler's knobs.
@@ -260,7 +180,7 @@ pub struct JobAttempt {
 /// One job's full history under the self-healing scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSchedule {
-    /// Job id (admission position).
+    /// Job id (manifest position).
     pub id: usize,
     /// Submission instant, seconds.
     pub submit: f64,
@@ -303,25 +223,113 @@ impl JobSchedule {
     }
 }
 
-/// Internal: one job currently holding nodes.
+/// An instant on the fleet clock, ordered by [`f64::total_cmp`] so it can
+/// key the scheduler's ordered sets.
+#[derive(Debug, Clone, Copy)]
+struct Time(f64);
+
+impl PartialEq for Time {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Time {}
+
+impl PartialOrd for Time {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Time {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One job's attempt that currently holds nodes.
 struct Running {
-    job: usize,
     attempt: u32,
     start: f64,
     end: f64,
     held: Vec<u32>,
 }
 
+/// Per-node state: active outages covering each node, who holds it, and
+/// the nodes that are both up and unheld.
+struct NodePool {
+    down: Vec<u32>,
+    holder: Vec<Option<usize>>,
+    free: BTreeSet<u32>,
+}
+
+impl NodePool {
+    fn new(nodes: u32) -> Self {
+        NodePool {
+            down: vec![0; nodes as usize],
+            holder: vec![None; nodes as usize],
+            free: (0..nodes).collect(),
+        }
+    }
+
+    /// The `want` lowest-numbered free nodes, now held by `job`; `None`
+    /// (and nothing taken) if fewer are free.
+    fn take(&mut self, job: usize, want: usize) -> Option<Vec<u32>> {
+        if self.free.len() < want {
+            return None;
+        }
+        let held: Vec<u32> = (0..want).filter_map(|_| self.free.pop_first()).collect();
+        for &nd in &held {
+            self.holder[nd as usize] = Some(job);
+        }
+        Some(held)
+    }
+
+    /// Give nodes back; those without an active outage become free.
+    fn release(&mut self, held: &[u32]) {
+        for &nd in held {
+            self.holder[nd as usize] = None;
+            if self.down[nd as usize] == 0 {
+                self.free.insert(nd);
+            }
+        }
+    }
+
+    /// One outage of `node` begins; returns the job holding it, if any.
+    fn fail(&mut self, node: u32) -> Option<usize> {
+        self.down[node as usize] += 1;
+        self.free.remove(&node);
+        self.holder[node as usize]
+    }
+
+    /// One outage of `node` ends; the node is free again once no outage
+    /// covers it and nobody holds it.
+    fn repair(&mut self, node: u32) {
+        let nd = node as usize;
+        self.down[nd] = self.down[nd].saturating_sub(1);
+        if self.down[nd] == 0 && self.holder[nd].is_none() {
+            self.free.insert(node);
+        }
+    }
+}
+
 /// Place every job onto a cluster whose nodes fail and are repaired per
 /// `plan`, requeueing killed jobs per `policy`. Returns one
-/// [`JobSchedule`] per job, in job-id order.
+/// [`JobSchedule`] per job, in job-id order. Panics if a job wants more
+/// nodes than the cluster has: callers validate that with a typed
+/// [`super::FleetError::JobTooLarge`] before scheduling.
 ///
-/// Event processing at equal instants is fixed — completions, then
-/// repairs, then outage kills, then placements — and every queue is
-/// ordered by `(ready time, job id)`, so the schedule is a deterministic
-/// sequential fold. With an empty plan and backfill off this delegates to
-/// [`fcfs_schedule`], making the healthy fleet bit-identical to the
-/// legacy scheduler.
+/// An event loop over three ordered structures: the waiting jobs keyed by
+/// `(ready time, job id)`, a min-heap of running attempts keyed by
+/// `(end, job id, attempt)` (a killed attempt's entry goes stale and is
+/// skipped when it surfaces), and the set of free nodes. Events at equal
+/// instants are processed in a fixed order — completions, then repairs,
+/// then outage kills, then placements — so the schedule is a deterministic
+/// sequential fold. A waiting job whose ready time has passed but that
+/// does not fit is retried at every later event but does not itself move
+/// the clock. The loop ends when nothing runs or waits, so outages that
+/// start after the fleet drains change nothing.
 pub fn resilient_schedule(
     cluster_nodes: u32,
     demands: &[JobDemand],
@@ -329,22 +337,6 @@ pub fn resilient_schedule(
     plan: &NodeFaultPlan,
     policy: &SchedPolicy,
 ) -> Vec<JobSchedule> {
-    if plan.is_empty() && !policy.backfill {
-        return fcfs_schedule(cluster_nodes, demands, arrivals)
-            .into_iter()
-            .map(|p| JobSchedule {
-                id: p.id,
-                submit: p.submit,
-                attempts: vec![JobAttempt {
-                    attempt: 0,
-                    start: p.start,
-                    end: p.end,
-                    killed_by: None,
-                }],
-                outcome: JobOutcome::Completed,
-            })
-            .collect();
-    }
     let n = demands.len();
     for (i, d) in demands.iter().enumerate() {
         assert!(
@@ -353,40 +345,36 @@ pub fn resilient_schedule(
             d.nodes
         );
     }
-    // Outage starts in (at, node) order; repairs in (until, node) order.
-    let starts: Vec<(f64, u32, f64)> = plan
-        .outages
-        .iter()
-        .map(|o| (o.at, o.node, o.until))
-        .collect();
+    // Outage starts in plan order, which is (at, node); repairs in
+    // (until, node) order.
+    let starts: Vec<(f64, u32)> = plan.outages.iter().map(|o| (o.at, o.node)).collect();
     let mut repairs: Vec<(f64, u32)> = plan.outages.iter().map(|o| (o.until, o.node)).collect();
     repairs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let (mut si, mut ri) = (0usize, 0usize);
-
-    // Per-node state: how many active outages cover it, and who holds it.
-    let mut down: Vec<u32> = vec![0; cluster_nodes as usize];
-    let mut holder: Vec<Option<usize>> = vec![None; cluster_nodes as usize];
+    let mut pool = NodePool::new(cluster_nodes);
 
     // Submission bookkeeping (closed processes derive submits from
-    // terminal events of the job `concurrency` positions earlier).
+    // terminal events of the job `concurrency` positions earlier). A
+    // waiting job's next attempt index equals the kills it has absorbed.
     let mut submits: Vec<f64> = vec![f64::NAN; n];
-    let mut queue: Vec<(f64, usize, u32)> = Vec::new(); // (ready, job, attempt)
+    let mut waiting: BTreeSet<(Time, usize)> = BTreeSet::new();
     match arrivals {
         ScheduleArrivals::Open(ts) => {
-            for (i, &s) in ts.iter().enumerate() {
+            for (i, &s) in ts.iter().enumerate().take(n) {
                 submits[i] = s;
-                queue.push((s, i, 0));
+                waiting.insert((Time(s), i));
             }
         }
         ScheduleArrivals::Closed { concurrency, .. } => {
-            for i in 0..n.min((*concurrency).max(1)) {
-                submits[i] = 0.0;
-                queue.push((0.0, i, 0));
+            for (i, s) in submits.iter_mut().enumerate().take((*concurrency).max(1)) {
+                *s = 0.0;
+                waiting.insert((Time(0.0), i));
             }
         }
     }
 
-    let mut running: Vec<Running> = Vec::new();
+    let mut running: Vec<Option<Running>> = (0..n).map(|_| None).collect();
+    let mut ends: BinaryHeap<Reverse<(Time, usize, u32)>> = BinaryHeap::new();
     let mut kills: Vec<u32> = vec![0; n]; // kills absorbed so far
     let mut scheds: Vec<JobSchedule> = (0..n)
         .map(|id| JobSchedule {
@@ -397,104 +385,103 @@ pub fn resilient_schedule(
         })
         .collect();
     let mut terminal: Vec<Option<f64>> = vec![None; n];
+    let is_live = |running: &[Option<Running>], job: usize, attempt: u32| {
+        running[job].as_ref().is_some_and(|r| r.attempt == attempt)
+    };
 
-    // The clock starts before every event (all times are ≥ 0). Queue
-    // entries whose ready time is ≤ t are *blocked* — they are retried on
-    // every state-changing event but must not drive the clock, or a job
-    // waiting out an outage would stall it. Only ready times strictly
-    // ahead of the clock count as events.
-    let mut t = -1.0f64;
+    let mut t = f64::NEG_INFINITY;
     loop {
-        // Next event instant.
-        let mut next = f64::INFINITY;
-        for r in &running {
-            next = next.min(r.end);
+        while let Some(&Reverse((_, job, attempt))) = ends.peek() {
+            if is_live(&running, job, attempt) {
+                break;
+            }
+            ends.pop();
         }
+        if ends.is_empty() && waiting.is_empty() {
+            break; // drained: later outages change nothing
+        }
+        // Next event instant. Waiting entries whose ready time is ≤ t are
+        // blocked: only ready times strictly ahead of the clock count.
+        let mut next = ends
+            .peek()
+            .map_or(f64::INFINITY, |&Reverse((Time(end), _, _))| end);
         if ri < repairs.len() {
             next = next.min(repairs[ri].0);
         }
-        if si < starts.len() && (!running.is_empty() || !queue.is_empty() || ri < repairs.len()) {
-            // Outage starts only matter while anything can still happen;
-            // ignoring trailing ones lets the loop terminate early.
+        if si < starts.len() {
             next = next.min(starts[si].0);
         }
-        for &(ready, _, _) in &queue {
-            if ready > t {
-                next = next.min(ready);
-            }
+        if let Some(&(Time(ready), _)) = waiting
+            .range((Excluded((Time(t), usize::MAX)), Unbounded))
+            .next()
+        {
+            next = next.min(ready);
         }
         if !next.is_finite() {
             break;
         }
         t = next;
 
-        // (a) Completions at t (descending index so swap_remove is sound;
-        // completions commute — each touches only its own job's state).
-        let mut finished: Vec<usize> = Vec::new(); // indices into `running`
-        for (k, r) in running.iter().enumerate() {
-            if r.end <= t {
-                finished.push(k);
-            }
-        }
-        finished.sort_unstable();
+        // (a) Completions at t. They commute: each touches only its own
+        // job's state, and closed successors are released in job order.
         let mut newly_terminal: Vec<usize> = Vec::new();
-        for &k in finished.iter().rev() {
-            let r = running.swap_remove(k);
-            for &nd in &r.held {
-                holder[nd as usize] = None;
+        while let Some(&Reverse((Time(end), job, attempt))) = ends.peek() {
+            if end > t {
+                break;
             }
-            scheds[r.job].attempts.push(JobAttempt {
+            ends.pop();
+            if !is_live(&running, job, attempt) {
+                continue;
+            }
+            let r = running[job].take().expect("live attempt");
+            pool.release(&r.held);
+            scheds[job].attempts.push(JobAttempt {
                 attempt: r.attempt,
                 start: r.start,
                 end: r.end,
                 killed_by: None,
             });
-            scheds[r.job].outcome = if kills[r.job] == 0 {
+            scheds[job].outcome = if kills[job] == 0 {
                 JobOutcome::Completed
             } else {
-                JobOutcome::CompletedAfterRetry(kills[r.job])
+                JobOutcome::CompletedAfterRetry(kills[job])
             };
-            terminal[r.job] = Some(r.end);
-            newly_terminal.push(r.job);
+            terminal[job] = Some(r.end);
+            newly_terminal.push(job);
         }
 
         // (b) Repairs at t (before kills: a node repaired and re-failed at
         // the same instant stays down via its new outage).
         while ri < repairs.len() && repairs[ri].0 <= t {
-            let nd = repairs[ri].1 as usize;
-            down[nd] = down[nd].saturating_sub(1);
+            pool.repair(repairs[ri].1);
             ri += 1;
         }
 
         // (c) Outage starts at t: take nodes down, kill their holders.
         while si < starts.len() && starts[si].0 <= t {
-            let (at, node, _until) = starts[si];
+            let (at, node) = starts[si];
             si += 1;
-            down[node as usize] += 1;
-            if let Some(job) = holder[node as usize] {
-                // Kill: release every node the job held.
-                let k = running
-                    .iter()
-                    .position(|r| r.job == job)
-                    .expect("holder table tracks running jobs");
-                let r = running.swap_remove(k);
-                for &nd in &r.held {
-                    holder[nd as usize] = None;
-                }
-                scheds[job].attempts.push(JobAttempt {
-                    attempt: r.attempt,
-                    start: r.start,
-                    end: at,
-                    killed_by: Some(node),
-                });
-                kills[job] += 1;
-                if kills[job] > policy.max_retries {
-                    scheds[job].outcome = JobOutcome::Abandoned;
-                    terminal[job] = Some(at);
-                    newly_terminal.push(job);
-                } else {
-                    queue.push((at + policy.requeue_delay(kills[job]), job, r.attempt + 1));
-                }
+            let Some(job) = pool.fail(node) else {
+                continue;
+            };
+            // Kill: release every node the job held.
+            let r = running[job]
+                .take()
+                .expect("the holder table tracks running jobs");
+            pool.release(&r.held);
+            scheds[job].attempts.push(JobAttempt {
+                attempt: r.attempt,
+                start: r.start,
+                end: at,
+                killed_by: Some(node),
+            });
+            kills[job] += 1;
+            if kills[job] > policy.max_retries {
+                scheds[job].outcome = JobOutcome::Abandoned;
+                terminal[job] = Some(at);
+                newly_terminal.push(job);
+            } else {
+                waiting.insert((Time(at + policy.requeue_delay(kills[job])), job));
             }
         }
 
@@ -510,43 +497,44 @@ pub fn resilient_schedule(
                 if succ < n && submits[succ].is_nan() {
                     let s = terminal[job].expect("terminal time recorded") + think_time;
                     submits[succ] = s;
-                    queue.push((s, succ, 0));
+                    waiting.insert((Time(s), succ));
                 }
             }
         }
 
-        // (d) Placement pass: FCFS over ready jobs by (ready, id); without
-        // backfill the first non-fitting job blocks the rest of the queue.
-        queue.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut qi = 0;
-        while qi < queue.len() {
-            let (ready, job, attempt) = queue[qi];
+        // (d) Placement pass over the waiting jobs ready by t, in
+        // (ready, id) order; without backfill the first job that does not
+        // fit blocks the rest.
+        let mut after: Option<(Time, usize)> = None;
+        loop {
+            let entry = match after {
+                None => waiting.first(),
+                Some(key) => waiting.range((Excluded(key), Unbounded)).next(),
+            };
+            let Some(&key) = entry else {
+                break;
+            };
+            let (Time(ready), job) = key;
             if ready > t {
-                break; // queue is (ready, id)-sorted; nothing later is ready
+                break;
             }
-            let want = demands[job].nodes as usize;
-            let free: Vec<u32> = (0..cluster_nodes)
-                .filter(|&nd| down[nd as usize] == 0 && holder[nd as usize].is_none())
-                .take(want)
-                .collect();
-            if free.len() < want {
-                if policy.backfill {
-                    qi += 1; // flow around the head
-                    continue;
+            let Some(held) = pool.take(job, demands[job].nodes as usize) else {
+                if !policy.backfill {
+                    break;
                 }
-                break; // strict FCFS: the head blocks everyone behind it
-            }
-            for &nd in &free {
-                holder[nd as usize] = Some(job);
-            }
-            running.push(Running {
-                job,
+                after = Some(key); // flow around it
+                continue;
+            };
+            waiting.remove(&key);
+            let attempt = kills[job];
+            let end = t + demands[job].est_runtime.max(0.0);
+            running[job] = Some(Running {
                 attempt,
                 start: t,
-                end: t + demands[job].est_runtime.max(0.0),
-                held: free,
+                end,
+                held,
             });
-            queue.remove(qi);
+            ends.push(Reverse((Time(end), job, attempt)));
         }
     }
 
@@ -571,11 +559,31 @@ mod tests {
         }
     }
 
+    /// A healthy fleet under the standard (strict FCFS) policy.
+    fn healthy(
+        cluster_nodes: u32,
+        demands: &[JobDemand],
+        arrivals: &ScheduleArrivals<'_>,
+    ) -> Vec<Placement> {
+        let plan = NodeFaultPlan::none();
+        let s = resilient_schedule(
+            cluster_nodes,
+            demands,
+            arrivals,
+            &plan,
+            &SchedPolicy::standard(),
+        );
+        assert!(s
+            .iter()
+            .all(|j| j.outcome == JobOutcome::Completed && j.attempts.len() == 1));
+        s.iter().map(JobSchedule::as_placement).collect()
+    }
+
     #[test]
     fn uncontended_jobs_start_at_submission() {
         let demands = [d(2, 10.0), d(2, 10.0), d(2, 10.0)];
         let submits = [0.0, 1.0, 2.0];
-        let p = fcfs_schedule(16, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(16, &demands, &ScheduleArrivals::Open(&submits));
         assert_eq!(p[0].start, 0.0);
         assert_eq!(p[1].start, 1.0);
         assert_eq!(p[2].start, 2.0);
@@ -586,7 +594,7 @@ mod tests {
         // 4 nodes; each job takes all of them: strict serialization.
         let demands = [d(4, 5.0), d(4, 5.0), d(4, 5.0)];
         let submits = [0.0, 0.0, 0.0];
-        let p = fcfs_schedule(4, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(4, &demands, &ScheduleArrivals::Open(&submits));
         assert_eq!(p[0].start, 0.0);
         assert_eq!(p[1].start, 5.0);
         assert_eq!(p[2].start, 10.0);
@@ -602,7 +610,7 @@ mod tests {
         // leftover nodes but must not overtake it.
         let demands = [d(2, 10.0), d(4, 5.0), d(1, 1.0)];
         let submits = [0.0, 0.0, 0.0];
-        let p = fcfs_schedule(4, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(4, &demands, &ScheduleArrivals::Open(&submits));
         assert_eq!(p[1].start, 10.0);
         assert!(p[2].start >= p[1].start, "no backfill past the queue head");
     }
@@ -614,7 +622,7 @@ mod tests {
             .collect();
         let submits: Vec<f64> = (0..40).map(|i| i as f64 * 0.5).collect();
         let cluster = 6u32;
-        let p = fcfs_schedule(cluster, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(cluster, &demands, &ScheduleArrivals::Open(&submits));
         // Check occupancy at every start instant.
         for probe in &p {
             let t = probe.start;
@@ -631,7 +639,7 @@ mod tests {
     #[test]
     fn closed_loop_keeps_concurrency_bounded() {
         let demands: Vec<JobDemand> = (0..12).map(|_| d(1, 10.0)).collect();
-        let p = fcfs_schedule(
+        let p = healthy(
             64,
             &demands,
             &ScheduleArrivals::Closed {
@@ -660,26 +668,42 @@ mod tests {
         let submits: Vec<f64> = (0..30)
             .map(|i| (i as f64 * 0.7) % 11.0 + i as f64 * 0.2)
             .collect();
-        let a = fcfs_schedule(8, &demands, &ScheduleArrivals::Open(&submits));
-        let b = fcfs_schedule(8, &demands, &ScheduleArrivals::Open(&submits));
+        let a = healthy(8, &demands, &ScheduleArrivals::Open(&submits));
+        let b = healthy(8, &demands, &ScheduleArrivals::Open(&submits));
         assert_eq!(a, b);
     }
 
     #[test]
-    fn resilient_with_empty_plan_matches_fcfs_exactly() {
-        let demands: Vec<JobDemand> = (0..25)
-            .map(|i| d(1 + (i % 4), 2.0 + i as f64 * 0.3))
-            .collect();
-        let submits: Vec<f64> = (0..25).map(|i| i as f64 * 0.9).collect();
-        let arrivals = ScheduleArrivals::Open(&submits);
-        let legacy = fcfs_schedule(8, &demands, &arrivals);
+    fn outage_after_the_fleet_drains_changes_no_closed_placement() {
+        // Closed arrivals with mixed runtimes: job 3 submits when job 1
+        // ends (t = 1), long before job 2 does (t = 10), so the queue
+        // admits by (submit, id), not by job id. An outage that starts
+        // after every job has finished must leave every placement as the
+        // healthy fleet has it.
+        let demands = [
+            d(1, 10.0),
+            d(1, 1.0),
+            d(1, 4.0),
+            d(1, 2.0),
+            d(2, 3.0),
+            d(1, 5.0),
+        ];
+        let arrivals = ScheduleArrivals::Closed {
+            concurrency: 2,
+            think_time: 0.0,
+        };
+        let pol = SchedPolicy::standard();
         let plan = NodeFaultPlan::none();
-        let res = resilient_schedule(8, &demands, &arrivals, &plan, &SchedPolicy::standard());
-        let as_placements: Vec<Placement> = res.iter().map(JobSchedule::as_placement).collect();
-        assert_eq!(legacy, as_placements);
-        assert!(res
+        let clean = resilient_schedule(2, &demands, &arrivals, &plan, &pol);
+        assert_eq!(clean[3].submit, 1.0);
+        assert_eq!(clean[3].final_attempt().start, 1.0, "admitted before job 2");
+        let drained = clean
             .iter()
-            .all(|s| s.outcome == JobOutcome::Completed && s.attempts.len() == 1));
+            .map(|s| s.final_attempt().end)
+            .fold(0.0, f64::max);
+        let late = NodeFaultPlan::none().with_outage(0, drained + 1.0, 5.0);
+        let faulted = resilient_schedule(2, &demands, &arrivals, &late, &pol);
+        assert_eq!(clean, faulted);
     }
 
     #[test]

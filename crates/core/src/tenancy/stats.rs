@@ -90,20 +90,20 @@ pub struct FleetReport {
     pub seed: u64,
     /// The job manifest, as drawn.
     pub manifest: FleetManifest,
-    /// FCFS placements, in admission order.
+    /// Every job's final placement, in job-id order.
     pub placements: Vec<Placement>,
     /// Dedicated profile runs, in profile-wave order.
     pub profiles: Vec<ProfileSummary>,
-    /// Per-job outcomes, in admission order (abandoned jobs are not
+    /// Per-job outcomes, in job-id order (abandoned jobs are not
     /// simulated and have no record; see `schedules`).
     pub records: Vec<JobRecord>,
     /// The self-healing scheduler's policy.
     pub policy: SchedPolicy,
-    /// Every job's full attempt history, in admission order.
+    /// Every job's full attempt history, in job-id order.
     pub schedules: Vec<JobSchedule>,
-    /// The healthy-fleet counterfactual: the same demands FCFS-placed
-    /// onto a never-failing pool (equals `placements` when the plan is
-    /// empty and backfill is off).
+    /// The healthy-fleet counterfactual: the same demands scheduled with
+    /// an empty outage plan and backfill off (equals `placements` when
+    /// the fleet's own plan is empty and backfill is off).
     pub healthy_placements: Vec<Placement>,
     /// Trace-durability accounting, present only when the fleet spilled
     /// its traces to disk (gates the spill section exactly like

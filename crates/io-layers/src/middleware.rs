@@ -1,6 +1,8 @@
 //! Middleware interceptors (§II-B, §IV-D1): transparent I/O accelerators a
 //! workload-aware storage stack can insert once it knows the workload's
-//! attributes. Used by the optimizer's ablation benches.
+//! attributes. Nothing outside this module's own tests calls them yet:
+//! the optimizer's rules that name them (async I/O, compression) are
+//! not applied to any workload.
 //!
 //! * [`WriteBuffer`] — Hermes/UnifyFS-style hierarchical buffering: writes
 //!   to matching paths are redirected to the node-local tier and drained to

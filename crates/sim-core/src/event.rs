@@ -196,6 +196,9 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_secs(9));
     }
 
+    // The check is a `debug_assert!`, so a release build has nothing to
+    // panic on: the test exists only where the assertion does.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_into_the_past_panics_in_debug() {

@@ -2,5 +2,6 @@
 //! with `mod common;`. Each suite uses only some of them.
 #![allow(dead_code)]
 
+pub mod fcfs;
 pub mod multipass;
 pub mod synthetic;
