@@ -21,6 +21,10 @@ cargo fmt --check
 # Warnings are errors in CI: the crash-recovery plane threads state through
 # many layers, and an unused field or import is usually a wiring mistake.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
+
+# Rustdoc warnings are errors too: a doc link to a deleted or private item
+# (the usual leftover of narrowing the public surface) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo test -q --offline --workspace
 
 # The same unit tests of the simulation core and the analysis crate in a

@@ -28,9 +28,9 @@ use vani_core::sweep::Driver;
 use vani_core::tenancy::{fleet_sweep, FleetConfig, FleetError, SpillSpec};
 
 /// Jobs in the full fleet (`--short` uses [`SHORT_JOBS`]).
-pub const FULL_JOBS: usize = 1000;
+pub(crate) const FULL_JOBS: usize = 1000;
 /// Jobs in the short (CI) fleet.
-pub const SHORT_JOBS: usize = 64;
+pub(crate) const SHORT_JOBS: usize = 64;
 
 /// Parse a `--jobs` argument: a positive integer, or a typed
 /// [`FleetError::InvalidJobs`] — never a panic or a silent unwrap.
@@ -67,7 +67,7 @@ pub fn validate_spill_dir(arg: &str) -> Result<PathBuf, FleetError> {
 /// mix at a fleet-friendly scale (hundreds of concurrent-ish jobs stay
 /// tractable well below the interactive default scale). `node_faults`
 /// arms the standard seeded outage profile — the degraded-mode fleet.
-pub fn bench_config(
+pub(crate) fn bench_config(
     short: bool,
     scale: f64,
     jobs: Option<usize>,

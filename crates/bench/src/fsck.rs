@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use recorder_sim::spill::{fsck, QuarantineReason};
+use recorder_sim::spill::fsck;
 use recorder_sim::{FsckReport, SpillError};
 
 /// Walk the log at `path` and render its recovery report.
@@ -19,7 +19,7 @@ pub fn run_fsck(path: &str) -> Result<String, SpillError> {
 }
 
 /// Render an [`FsckReport`] the way `repro -- trace-fsck` prints it.
-pub fn render_report(path: &str, r: &FsckReport) -> String {
+pub(crate) fn render_report(path: &str, r: &FsckReport) -> String {
     let c = r.completeness;
     let verdict = if r.is_clean() {
         "clean (sealed, fully committed, no anomalies)".to_string()
@@ -61,14 +61,6 @@ pub fn render_report(path: &str, r: &FsckReport) -> String {
         }
     }
     out
-}
-
-/// Whether any quarantined segment is actual damage (anything other than
-/// an uncommitted-but-readable tail).
-pub fn has_damage(r: &FsckReport) -> bool {
-    r.quarantined
-        .iter()
-        .any(|q| q.reason != QuarantineReason::Uncommitted)
 }
 
 #[cfg(test)]

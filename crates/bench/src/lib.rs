@@ -10,7 +10,7 @@ pub mod fleet;
 pub mod fsck;
 
 /// Default scale for the reproduction harness (`VANI_SCALE` overrides).
-pub const DEFAULT_SCALE: f64 = 0.05;
+pub(crate) const DEFAULT_SCALE: f64 = 0.05;
 
 /// `VANI_SCALE` is set to something other than a finite number > 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +31,7 @@ impl std::fmt::Display for ScaleError {
 
 impl std::error::Error for ScaleError {}
 
-/// Read the scale from the environment: [`DEFAULT_SCALE`] when
+/// Read the scale from the environment: `DEFAULT_SCALE` when
 /// `VANI_SCALE` is unset, otherwise its value, which must be a finite
 /// number greater than zero.
 pub fn scale_from_env() -> Result<f64, ScaleError> {

@@ -10,7 +10,7 @@
 //! # One fold, one driver
 //!
 //! Every trace-derived attribute comes out of one per-record fold,
-//! [`fold_fused_record`], whose shard accumulator carries *everything at
+//! `fold_fused_record`, whose shard accumulator carries *everything at
 //! once* — byte and op counters, per-rank aggregates, per-file profiles,
 //! per-app profiles, producer/consumer file sets, request-size and
 //! bandwidth histograms, and the interface-selection index lists that
@@ -63,7 +63,7 @@ impl FileProfile {
     /// Every rank that touches the file (data or metadata access — the
     /// paper classifies CM1's step files as shared because many leaders
     /// open them even though only rank 0 writes).
-    pub fn touchers(&self) -> usize {
+    pub(crate) fn touchers(&self) -> usize {
         self.readers
             .union(&self.writers)
             .chain(self.openers.difference(&self.readers))
@@ -96,7 +96,7 @@ pub struct PhaseInfo {
 
 impl PhaseInfo {
     /// Phase duration.
-    pub fn runtime(&self) -> Dur {
+    pub(crate) fn runtime(&self) -> Dur {
         self.end.since(self.start)
     }
 }
@@ -329,7 +329,7 @@ impl Analysis {
     }
 
     /// Sum of final file sizes (the dataset footprint, Table X).
-    pub fn dataset_bytes(&self) -> u64 {
+    pub(crate) fn dataset_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.size).sum()
     }
 
@@ -372,19 +372,19 @@ impl Analysis {
 
     /// Seconds of completed work thrown away by crashes (everything since
     /// the last durable checkpoint, re-run after restarting).
-    pub fn time_lost_to_crashes(&self) -> f64 {
+    pub(crate) fn time_lost_to_crashes(&self) -> f64 {
         self.crash_lost_time.as_secs_f64()
     }
 
     /// Seconds spent writing durable checkpoints — the insurance premium
     /// the checkpoint-interval sweep trades against work lost.
-    pub fn checkpoint_overhead(&self) -> f64 {
+    pub(crate) fn checkpoint_overhead(&self) -> f64 {
         self.ckpt_time.as_secs_f64()
     }
 
     /// Seconds between crashes and the relaunched job's first event
     /// (scheduler requeue + relaunch), across all restarts.
-    pub fn recovery_seconds(&self) -> f64 {
+    pub(crate) fn recovery_seconds(&self) -> f64 {
         self.recovery_time.as_secs_f64()
     }
 

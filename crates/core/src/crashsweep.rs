@@ -21,9 +21,9 @@ use sim_core::SimTime;
 use storage_sim::FaultPlan;
 
 /// Checkpoint counts swept (more checkpoints = shorter interval).
-pub const CKPT_COUNTS: [u32; 4] = [1, 2, 4, 8];
+pub(crate) const CKPT_COUNTS: [u32; 4] = [1, 2, 4, 8];
 /// Crash counts injected per checkpoint configuration.
-pub const CRASH_COUNTS: [u32; 3] = [0, 1, 2];
+pub(crate) const CRASH_COUNTS: [u32; 3] = [0, 1, 2];
 
 /// CosmoFlow at `scale` writing `n_ckpts` model checkpoints, under
 /// `faults` (which may include whole-job crash events).
@@ -95,7 +95,7 @@ pub struct CrashSweepReport {
 
 impl CrashSweepReport {
     /// The cell for `(n_ckpts, crashes)`, if it survived supervision.
-    pub fn cell(&self, n_ckpts: u32, crashes: u32) -> Option<&CrashPoint> {
+    pub(crate) fn cell(&self, n_ckpts: u32, crashes: u32) -> Option<&CrashPoint> {
         self.points
             .iter()
             .find(|p| p.n_ckpts == n_ckpts && p.crashes == crashes)

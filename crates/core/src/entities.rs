@@ -51,7 +51,7 @@ impl EntityType {
     }
 
     /// The paper's three top-level groups: Job, Software, Data.
-    pub fn group(&self) -> &'static str {
+    pub(crate) fn group(&self) -> &'static str {
         match self {
             EntityType::JobConfiguration
             | EntityType::Workflow
@@ -91,7 +91,7 @@ pub enum AttrValue {
 
 impl AttrValue {
     /// Render for tables and YAML.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             AttrValue::Str(s) => s.clone(),
             AttrValue::Count(n) => fmt_count(*n),
@@ -131,7 +131,7 @@ pub struct Entity {
 
 impl Entity {
     /// New empty entity.
-    pub fn new(etype: EntityType, name: &str) -> Self {
+    pub(crate) fn new(etype: EntityType, name: &str) -> Self {
         Entity {
             etype,
             name: name.to_string(),
@@ -140,14 +140,9 @@ impl Entity {
     }
 
     /// Add an attribute (builder style).
-    pub fn with(mut self, key: &str, value: AttrValue) -> Self {
+    pub(crate) fn with(mut self, key: &str, value: AttrValue) -> Self {
         self.attrs.push((key.to_string(), value));
         self
-    }
-
-    /// Look up an attribute.
-    pub fn get(&self, key: &str) -> Option<&AttrValue> {
-        self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
 
@@ -181,12 +176,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_lookup() {
+    fn builder_keeps_attributes_in_order() {
         let e = Entity::new(EntityType::Dataset, "cosmoflow")
             .with("format", AttrValue::Str("HDF5".into()))
             .with("#files", AttrValue::Count(49_664));
-        assert_eq!(e.get("format"), Some(&AttrValue::Str("HDF5".into())));
-        assert_eq!(e.get("#files"), Some(&AttrValue::Count(49_664)));
-        assert_eq!(e.get("missing"), None);
+        assert_eq!(
+            e.attrs,
+            vec![
+                ("format".to_string(), AttrValue::Str("HDF5".into())),
+                ("#files".to_string(), AttrValue::Count(49_664)),
+            ]
+        );
     }
 }

@@ -131,7 +131,11 @@ impl FaultImpact {
 /// Build a [`FaultImpact`] from already-computed analyses. The sweep
 /// driver analyzes each scenario exactly once and shares baselines across
 /// experiments, so impacts are assembled from references.
-pub fn impact_from(workload: &'static str, healthy: &Analysis, faulted: &Analysis) -> FaultImpact {
+pub(crate) fn impact_from(
+    workload: &'static str,
+    healthy: &Analysis,
+    faulted: &Analysis,
+) -> FaultImpact {
     FaultImpact {
         workload,
         healthy_io: healthy.io_time(),
@@ -260,7 +264,7 @@ pub fn shm_shield_impact(scale: f64, seed: u64) -> ShieldResult {
 }
 
 /// Render the full sweep as the repro harness prints it.
-pub fn render_fault_sweep(
+pub(crate) fn render_fault_sweep(
     brownout: &(FaultImpact, FaultImpact),
     outage: &OutageBench,
     shield: &ShieldResult,

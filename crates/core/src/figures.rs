@@ -10,7 +10,7 @@ use crate::analyzer::Analysis;
 use sim_core::units::{fmt_bw, fmt_bytes, fmt_count};
 
 /// Render panel (a): request-size histogram + bandwidth histogram.
-pub fn panel_a(a: &Analysis) -> String {
+pub(crate) fn panel_a(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!("(a) {} — request sizes:\n", a.kind.name()));
     out.push_str(&hist_text(&a.req_sizes, |v| fmt_bytes(v)));
@@ -36,7 +36,7 @@ fn hist_text(h: &sim_core::Histogram, label: impl Fn(u64) -> String) -> String {
 
 /// Render panel (b): dependency summary — top files with reader/writer
 /// rank counts, plus app-level producer → consumer edges for workflows.
-pub fn panel_b(a: &Analysis) -> String {
+pub(crate) fn panel_b(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "(b) {} — process/data dependency:\n",
@@ -65,7 +65,7 @@ pub fn panel_b(a: &Analysis) -> String {
 }
 
 /// Render panel (c): read/write timeline as bytes-per-bin bars.
-pub fn panel_c(a: &Analysis) -> String {
+pub(crate) fn panel_c(a: &Analysis) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "(c) {} — I/O timeline ({} bins over {:.1}s):\n",

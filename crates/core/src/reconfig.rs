@@ -51,7 +51,12 @@ pub fn figure7(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
 
 /// [`figure7`] with an explicit scenario driver: one scenario per node
 /// count, fanned out by `vani_core::sweep`.
-pub fn figure7_with(scale: f64, node_counts: &[u32], seed: u64, driver: Driver) -> Vec<SweepPoint> {
+pub(crate) fn figure7_with(
+    scale: f64,
+    node_counts: &[u32],
+    seed: u64,
+    driver: Driver,
+) -> Vec<SweepPoint> {
     let mut set = ScenarioSet::new(seed);
     for &nodes in node_counts {
         set.add(format!("fig7/nodes-{nodes}"), move |_| {
@@ -84,7 +89,12 @@ pub fn figure8(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
 }
 
 /// [`figure8`] with an explicit scenario driver.
-pub fn figure8_with(scale: f64, node_counts: &[u32], seed: u64, driver: Driver) -> Vec<SweepPoint> {
+pub(crate) fn figure8_with(
+    scale: f64,
+    node_counts: &[u32],
+    seed: u64,
+    driver: Driver,
+) -> Vec<SweepPoint> {
     let base_p = montage::MontageParams::scaled(scale);
     let mut set = ScenarioSet::new(seed);
     for &nodes in node_counts {

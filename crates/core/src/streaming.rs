@@ -6,8 +6,8 @@
 //! id-space bounds and per-layer file sets), the intern tables, the job
 //! time, and a *batch scanner*: a callback that lends `&ColumnarTrace`
 //! batches in capture order. Each batch is folded through
-//! [`fold_fused_record`] with [`vani_rt::par::par_fold_shards_sized`],
-//! then feeds [`PhaseBuilder`], [`PatternTracker`] and the timelines.
+//! `fold_fused_record` with [`vani_rt::par::par_fold_shards_sized`],
+//! then feeds `PhaseBuilder`, `PatternTracker` and the timelines.
 //!
 //! * [`TraceProfile::fused`] lends a whole in-memory trace as one batch,
 //!   with its statistics from one `ChunkMeta::of_rows` over every row.
@@ -22,13 +22,13 @@
 //! Phases and the access pattern are defined over the trace *sorted by
 //! start time*, which a batch-at-a-time pass never materializes:
 //!
-//! * **Phases** — [`PhaseBuilder`] keeps an ordered cluster list with
+//! * **Phases** — `PhaseBuilder` keeps an ordered cluster list with
 //!   gap-threshold merging. Records insert in any order; the final
 //!   clusters are exactly the sorted scan's phases (a phase cut falls
 //!   between sorted records `i-1, i` iff `start_i` exceeds the max end of
 //!   all earlier-starting records by more than the threshold — a property
 //!   of the *set* of intervals, not the visit order).
-//! * **Access pattern** — [`PatternTracker`] compares each data op's
+//! * **Access pattern** — `PatternTracker` compares each data op's
 //!   offset with the previous end for the same `(rank, file)` in capture
 //!   order, carrying a certificate: if every cell's starts arrive
 //!   nondecreasing, capture order and stable-sorted order agree cell-wise

@@ -56,13 +56,6 @@ pub struct SweepCtx {
     pub seed: u64,
 }
 
-impl SweepCtx {
-    /// This scenario's private RNG stream.
-    pub fn rng(&self) -> Rng {
-        Rng::new(self.seed)
-    }
-}
-
 struct Scenario<T> {
     ctx: SweepCtx,
     run: Box<dyn Fn(&SweepCtx) -> T + Send + Sync>,
@@ -106,16 +99,8 @@ pub struct SweepReport<T> {
 }
 
 impl<T> SweepReport<T> {
-    /// The healthy results, in registration order.
-    pub fn successes(&self) -> Vec<&T> {
-        self.results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .collect()
-    }
-
     /// The failed scenarios, in registration order.
-    pub fn failures(&self) -> Vec<&ScenarioError> {
+    pub(crate) fn failures(&self) -> Vec<&ScenarioError> {
         self.results
             .iter()
             .filter_map(|r| r.as_ref().err())
@@ -211,21 +196,6 @@ impl<T: Send> ScenarioSet<T> {
             },
             run: Box::new(run),
         });
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
-    }
-
-    /// Registered scenario ids, in registration order.
-    pub fn ids(&self) -> Vec<String> {
-        self.scenarios.iter().map(|s| s.ctx.id.clone()).collect()
     }
 
     /// Execute every scenario; results come back in registration order
@@ -433,7 +403,8 @@ mod tests {
         b.add("x", |c| c.seed);
         b.add("y", |c| c.seed);
         b.add("z", |c| c.seed);
-        assert_eq!(a.ids(), vec!["x", "y", "z"]);
+        let ids: Vec<&str> = a.scenarios.iter().map(|s| s.ctx.id.as_str()).collect();
+        assert_eq!(ids, vec!["x", "y", "z"]);
         let sa = a.run(Driver::Sequential);
         let sb = b.run(Driver::Parallel);
         // Same master seed -> same per-scenario seeds, either driver.
@@ -463,12 +434,12 @@ mod tests {
     #[test]
     fn scenario_rng_is_reproducible() {
         let mut set = ScenarioSet::new(9);
-        set.add("a", |ctx| ctx.rng().next_u64());
-        set.add("b", |ctx| ctx.rng().next_u64());
+        set.add("a", |ctx| Rng::new(ctx.seed).next_u64());
+        set.add("b", |ctx| Rng::new(ctx.seed).next_u64());
         let first = set.run(Driver::Sequential);
         let mut again = ScenarioSet::new(9);
-        again.add("a", |ctx| ctx.rng().next_u64());
-        again.add("b", |ctx| ctx.rng().next_u64());
+        again.add("a", |ctx| Rng::new(ctx.seed).next_u64());
+        again.add("b", |ctx| Rng::new(ctx.seed).next_u64());
         assert_eq!(first, again.run(Driver::Parallel));
     }
 
@@ -485,7 +456,12 @@ mod tests {
             let report = build().run_supervised(driver, 2);
             assert_eq!(report.results.len(), 3);
             assert!(!report.is_clean());
-            assert_eq!(report.successes(), vec![&0u64, &20u64]);
+            let successes: Vec<u64> = report
+                .results
+                .iter()
+                .filter_map(|r| r.as_ref().ok().copied())
+                .collect();
+            assert_eq!(successes, vec![0, 20]);
             let fails = report.failures();
             assert_eq!(fails.len(), 1);
             assert_eq!(fails[0].id, "boom");

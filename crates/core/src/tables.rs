@@ -1,7 +1,7 @@
 //! Regenerates the paper's Tables I–XI from analyzed runs.
 //!
 //! Each builder takes the six exemplar analyses (column order fixed by
-//! [`exemplar_workloads::WorkloadKind::paper_six`]) and emits a [`Table`]
+//! [`crate::sweep::paper_six`]) and emits a [`Table`]
 //! whose rows mirror the paper's attribute rows. The pretty-printer renders
 //! aligned plain text for the `repro` harness.
 

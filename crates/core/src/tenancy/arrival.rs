@@ -32,7 +32,7 @@ pub enum InterArrival {
 
 impl InterArrival {
     /// Draw one inter-arrival gap with the given mean, in seconds.
-    pub fn sample(&self, mean: f64, rng: &mut Rng) -> f64 {
+    pub(crate) fn sample(&self, mean: f64, rng: &mut Rng) -> f64 {
         if !mean.is_finite() || mean <= 0.0 {
             return 0.0;
         }
@@ -46,7 +46,7 @@ impl InterArrival {
     }
 
     /// Stable name for manifests and reports.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             InterArrival::Exponential => "exponential",
             InterArrival::Lognormal { .. } => "lognormal",
@@ -76,7 +76,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// One-line description for report headers.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ArrivalProcess::Open {
                 mean_interarrival,
@@ -94,21 +94,21 @@ impl ArrivalProcess {
     }
 }
 
-/// Cumulative submit times of `n` open-process jobs, drawn in job order.
-/// The first job submits after one gap (a stream, not a batch at t=0).
-pub fn open_submit_times(n: usize, mean: f64, dist: &InterArrival, rng: &mut Rng) -> Vec<f64> {
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|_| {
-            t += dist.sample(mean, rng);
-            t
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cumulative submit times of `n` open-process jobs, drawn in job order.
+    /// The first job submits after one gap (a stream, not a batch at t=0).
+    fn open_submit_times(n: usize, mean: f64, dist: &InterArrival, rng: &mut Rng) -> Vec<f64> {
+        let mut t = 0.0f64;
+        (0..n)
+            .map(|_| {
+                t += dist.sample(mean, rng);
+                t
+            })
+            .collect()
+    }
 
     #[test]
     fn open_submit_times_are_monotone_and_seeded() {

@@ -36,16 +36,6 @@ pub struct TenantDemand {
     pub meta_frac: f64,
 }
 
-impl TenantDemand {
-    /// No demand (an idle tenant).
-    pub fn zero() -> Self {
-        TenantDemand {
-            data_frac: 0.0,
-            meta_frac: 0.0,
-        }
-    }
-}
-
 /// Build job `job`'s interference schedule from the fleet placements and
 /// per-job demands. Window times are relative to the job's own start. A
 /// healthy pool: every window serves at full capacity.
@@ -83,7 +73,7 @@ pub fn interference_for(
 ///
 /// With an empty plan and single-attempt schedules both builders run the
 /// same sweep over the same intervals, so they build the same windows.
-pub fn interference_for_degraded(
+pub(crate) fn interference_for_degraded(
     job: usize,
     schedules: &[JobSchedule],
     demands: &[TenantDemand],
@@ -164,6 +154,12 @@ mod tests {
     use super::super::scheduler::{JobAttempt, JobOutcome};
     use super::*;
 
+    /// No demand (an idle tenant).
+    const IDLE: TenantDemand = TenantDemand {
+        data_frac: 0.0,
+        meta_frac: 0.0,
+    };
+
     fn pl(id: usize, start: f64, end: f64) -> Placement {
         Placement {
             id,
@@ -223,7 +219,7 @@ mod tests {
     #[test]
     fn idle_neighbors_leave_the_schedule_empty() {
         let placements = [pl(0, 0.0, 10.0), pl(1, 0.0, 10.0)];
-        let demands = [TenantDemand::zero(); 2];
+        let demands = [IDLE; 2];
         assert!(interference_for(0, &placements, &demands).is_empty());
     }
 
@@ -280,7 +276,7 @@ mod tests {
             js(1, vec![att(0, 0.0, 4.0, Some(3)), att(1, 8.0, 12.0, None)]),
         ];
         let demands = [
-            TenantDemand::zero(),
+            IDLE,
             TenantDemand {
                 data_frac: 0.5,
                 meta_frac: 0.0,
@@ -297,7 +293,7 @@ mod tests {
     fn node_outages_degrade_storage_capacity() {
         // 1 of 4 nodes down over [2, 6) of job 0's run: capacity 0.75.
         let schedules = [js(0, vec![att(0, 0.0, 10.0, None)])];
-        let demands = [TenantDemand::zero()];
+        let demands = [IDLE];
         let plan = NodeFaultPlan::none().with_outage(1, 2.0, 4.0);
         let s = interference_for_degraded(0, &schedules, &demands, &plan, 4);
         assert_eq!(s.data_factor(SimTime::from_secs_f64(1.0)), 1.0);

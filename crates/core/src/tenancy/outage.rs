@@ -15,7 +15,7 @@
 //! A plan is **pure data**: times are f64 seconds on the fleet clock, the
 //! outage list is normalized (sorted by `(at, node)`, zero-length outages
 //! dropped) at construction, and every query is a sequential scan. Seeded
-//! plans are drawn by [`NodeFaultProfile::draw`] from the manifest's
+//! plans are drawn by `NodeFaultProfile::draw` from the manifest's
 //! *fourth* split RNG stream — pick/seed/gap/fault, in that order — so
 //! turning node faults on or off can never shift an existing job's
 //! template, seed, or submit time (pinned by
@@ -51,7 +51,7 @@ impl NodeFaultPlan {
     }
 
     /// Whether the plan carries no outages at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.outages.is_empty()
     }
 
@@ -82,7 +82,7 @@ impl NodeFaultPlan {
 
     /// How many *distinct* nodes are down at instant `t` (overlapping
     /// outages of the same node count once).
-    pub fn down_count(&self, t: f64) -> u32 {
+    pub(crate) fn down_count(&self, t: f64) -> u32 {
         let mut down: Vec<u32> = self
             .outages
             .iter()
@@ -97,7 +97,7 @@ impl NodeFaultPlan {
     /// Every instant the up/down state of some node can change, sorted
     /// ascending and deduplicated — the capacity breakpoints the degraded
     /// interference builder sweeps.
-    pub fn boundaries(&self) -> Vec<f64> {
+    pub(crate) fn boundaries(&self) -> Vec<f64> {
         let mut ts: Vec<f64> = Vec::with_capacity(self.outages.len() * 2);
         for o in &self.outages {
             ts.push(o.at);
@@ -111,7 +111,7 @@ impl NodeFaultPlan {
     /// Total node-hours of capacity the outages remove (per-outage
     /// durations; overlapping outages of one node double-charge, matching
     /// how repair crews bill).
-    pub fn node_hours_down(&self) -> f64 {
+    pub(crate) fn node_hours_down(&self) -> f64 {
         // `+ 0.0` normalizes the empty sum's negative zero so the
         // rendered manifest never shows `-0.0000 node-hours`.
         self.outages
@@ -123,7 +123,7 @@ impl NodeFaultPlan {
 
     /// Stable plain-text rendering, one line per outage (digested into the
     /// fleet manifest when non-empty).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         for o in &self.outages {
             out.push_str(&format!(
@@ -196,7 +196,7 @@ impl NodeFaultProfile {
     /// runs: failures arriving on the same order as job inter-arrivals so
     /// a busy fleet sees several, with heavy-tailed half-hour-scale
     /// repairs (scaled alongside the fleet clock by `scale`).
-    pub fn standard(scale: f64) -> Self {
+    pub(crate) fn standard(scale: f64) -> Self {
         NodeFaultProfile {
             mean_time_between_failures: 400.0 * scale,
             mean_repair: 1800.0 * scale,
@@ -208,7 +208,7 @@ impl NodeFaultProfile {
     /// Draw a concrete plan. One sequential pass over `rng` (the fourth
     /// manifest stream), so the same profile + seed always yields the same
     /// timeline regardless of worker count or fleet size.
-    pub fn draw(&self, rng: &mut Rng, cluster_nodes: u32) -> NodeFaultPlan {
+    pub(crate) fn draw(&self, rng: &mut Rng, cluster_nodes: u32) -> NodeFaultPlan {
         if cluster_nodes == 0 || self.outages == 0 {
             return NodeFaultPlan::none();
         }

@@ -112,7 +112,7 @@ impl SchedPolicy {
     }
 
     /// Requeue delay after a job's `kills`-th kill (1-based).
-    pub fn requeue_delay(&self, kills: u32) -> f64 {
+    pub(crate) fn requeue_delay(&self, kills: u32) -> f64 {
         let exp = kills.saturating_sub(1).min(63);
         (self.base_backoff * self.backoff_multiplier.powi(exp as i32))
             .min(self.max_backoff)
@@ -139,7 +139,7 @@ pub enum JobOutcome {
 
 impl JobOutcome {
     /// Stable name for tables and JSON.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             JobOutcome::Completed => "completed",
             JobOutcome::CompletedAfterRetry(_) => "completed-after-retry",
@@ -147,7 +147,7 @@ impl JobOutcome {
         }
     }
 
-    /// Kills the job absorbed before this outcome (0 for [`Completed`],
+    /// Kills the job absorbed before this outcome (0 for [`Completed`](JobOutcome::Completed),
     /// `n` for both `CompletedAfterRetry(n)` and the abandoned case).
     pub fn retries(&self) -> u32 {
         match self {
@@ -158,7 +158,7 @@ impl JobOutcome {
     }
 
     /// Whether the job eventually produced its result.
-    pub fn completed(&self) -> bool {
+    pub(crate) fn completed(&self) -> bool {
         !matches!(self, JobOutcome::Abandoned)
     }
 }
@@ -193,7 +193,7 @@ pub struct JobSchedule {
 
 impl JobSchedule {
     /// The job's last attempt (the completed one unless abandoned).
-    pub fn final_attempt(&self) -> &JobAttempt {
+    pub(crate) fn final_attempt(&self) -> &JobAttempt {
         self.attempts
             .last()
             .expect("every scheduled job has at least one attempt")

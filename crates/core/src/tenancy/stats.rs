@@ -11,7 +11,7 @@ use super::scheduler::{JobOutcome, JobSchedule, Placement, SchedPolicy};
 use crate::tables::Table;
 use sim_core::units::MIB;
 use vani_rt::stats::{pearson, Quantiles};
-use vani_rt::Json;
+use vani_rt::{fnv1a64, Json};
 
 /// One dedicated profile run, as the report presents it.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,7 +53,7 @@ pub struct SpillFleetStats {
 impl SpillFleetStats {
     /// Sequential job-id-order fold over the records (worker-count
     /// independent, like every other reduction here).
-    pub fn from_records(records: &[JobRecord]) -> Self {
+    pub(crate) fn from_records(records: &[JobRecord]) -> Self {
         let mut s = SpillFleetStats {
             jobs: records.len(),
             fully_durable: 0,
@@ -111,17 +111,6 @@ pub struct FleetReport {
     pub spill: Option<SpillFleetStats>,
 }
 
-/// FNV-1a 64-bit digest; stable, dependency-free, good enough to pin a
-/// report's identity across worker counts in tests and benches.
-pub(crate) fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Fixed-precision cell; NaN (empty sample / degenerate correlation)
 /// renders as "-".
 fn cell(x: f64) -> String {
@@ -174,7 +163,7 @@ impl FleetReport {
     }
 
     /// Mean queueing delay across the fleet, seconds.
-    pub fn mean_wait(&self) -> f64 {
+    pub(crate) fn mean_wait(&self) -> f64 {
         if self.placements.is_empty() {
             return 0.0;
         }
@@ -358,7 +347,7 @@ impl FleetReport {
     }
 
     /// Node-seconds of *useful* (completed final-attempt) work delivered.
-    pub fn useful_work_node_secs(&self) -> f64 {
+    pub(crate) fn useful_work_node_secs(&self) -> f64 {
         self.schedules
             .iter()
             .zip(&self.manifest.jobs)
@@ -385,7 +374,7 @@ impl FleetReport {
 
     /// Node-seconds of work the fleet *asked* for (every job, including
     /// abandoned ones, at its profiled runtime estimate).
-    pub fn offered_node_secs(&self) -> f64 {
+    pub(crate) fn offered_node_secs(&self) -> f64 {
         self.schedules
             .iter()
             .zip(&self.manifest.jobs)
@@ -766,13 +755,6 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_digest_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64("fleet"), fnv1a64("fleet"));
-        assert_ne!(fnv1a64("fleet"), fnv1a64("fleer"));
-    }
 
     #[test]
     fn nan_cells_render_as_dashes() {

@@ -52,7 +52,7 @@ pub struct Cm1Params {
 
 impl Cm1Params {
     /// The paper's configuration: 32×40 ranks, 664 s job, 11 % I/O.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Cm1Params {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),

@@ -64,7 +64,7 @@ pub struct CosmoflowParams {
 
 impl CosmoflowParams {
     /// Paper configuration: 32 nodes × 4 ranks, 1.5 TiB dataset, 3567 s job.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         CosmoflowParams {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),
@@ -107,23 +107,23 @@ impl CosmoflowParams {
     }
 
     /// File path of sample `i`.
-    pub fn file_path(&self, i: u32) -> String {
+    pub(crate) fn file_path(&self, i: u32) -> String {
         format!("{}/univ_{i:06}.h5", self.data_dir)
     }
 
     /// PFS path of sample `i` (preload source).
-    pub fn pfs_file_path(&self, i: u32) -> String {
+    pub(crate) fn pfs_file_path(&self, i: u32) -> String {
         format!("/p/gpfs1/cosmoflow/2019_05_4parE/univ_{i:06}.h5", i = i)
     }
 
     /// Shm path of sample `i` (preload destination).
-    pub fn shm_file_path(&self, i: u32) -> String {
+    pub(crate) fn shm_file_path(&self, i: u32) -> String {
         format!("/dev/shm/cosmoflow/univ_{i:06}.h5", i = i)
     }
 }
 
 /// Stage the dataset into the PFS (pattern-backed, cheap).
-pub fn stage_dataset(world: &mut IoWorld, p: &CosmoflowParams) {
+pub(crate) fn stage_dataset(world: &mut IoWorld, p: &CosmoflowParams) {
     let store = world.storage.pfs_mut().store_mut();
     let voxels = (p.file_bytes / 2).max(1); // int16 elements
                                             // Dark-matter density voxels are gamma-distributed (Table VI).

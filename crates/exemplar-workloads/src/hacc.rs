@@ -42,7 +42,7 @@ pub struct HaccParams {
 
 impl HaccParams {
     /// Paper configuration: 1280 ranks, 33 s job, 75 % I/O time.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         HaccParams {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),

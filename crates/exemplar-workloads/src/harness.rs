@@ -43,18 +43,6 @@ impl WorkloadKind {
             WorkloadKind::Ior => "IOR",
         }
     }
-
-    /// All six paper workloads, in the tables' column order.
-    pub fn paper_six() -> [WorkloadKind; 6] {
-        [
-            WorkloadKind::Cm1,
-            WorkloadKind::Hacc,
-            WorkloadKind::Cosmoflow,
-            WorkloadKind::Jag,
-            WorkloadKind::MontageMpi,
-            WorkloadKind::MontagePegasus,
-        ]
-    }
 }
 
 /// A completed workload execution: the run report plus the world holding
@@ -166,7 +154,7 @@ fn checkpoint_state(world: &IoWorld) -> (u64, Option<SimTime>) {
 ///
 /// With no crash events this is exactly [`execute`]: one launch at
 /// `SimTime::ZERO`, bit-identical output.
-pub fn execute_with_recovery(
+pub(crate) fn execute_with_recovery(
     kind: WorkloadKind,
     scale: f64,
     world: IoWorld,
@@ -255,12 +243,12 @@ pub fn execute_with_recovery(
 }
 
 /// Scale a count, keeping at least `min`.
-pub fn scaled(n: u64, scale: f64, min: u64) -> u64 {
+pub(crate) fn scaled(n: u64, scale: f64, min: u64) -> u64 {
     ((n as f64 * scale).round() as u64).max(min)
 }
 
 /// Scale a node count within the cluster's limits.
-pub fn scaled_nodes(n: u32, scale: f64) -> u32 {
+pub(crate) fn scaled_nodes(n: u32, scale: f64) -> u32 {
     ((n as f64 * scale.min(1.0)).round() as u32).clamp(1, n)
 }
 
@@ -285,7 +273,17 @@ mod tests {
 
     #[test]
     fn workload_names_match_paper_headers() {
-        let names: Vec<&str> = WorkloadKind::paper_six().iter().map(|w| w.name()).collect();
+        let names: Vec<&str> = [
+            WorkloadKind::Cm1,
+            WorkloadKind::Hacc,
+            WorkloadKind::Cosmoflow,
+            WorkloadKind::Jag,
+            WorkloadKind::MontageMpi,
+            WorkloadKind::MontagePegasus,
+        ]
+        .iter()
+        .map(|w| w.name())
+        .collect();
         assert_eq!(
             names,
             vec![

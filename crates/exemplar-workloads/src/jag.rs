@@ -47,7 +47,7 @@ pub struct JagParams {
 
 impl JagParams {
     /// Paper configuration: 128 ranks, 1289 s job, 13 % I/O.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         JagParams {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),
@@ -80,7 +80,7 @@ impl JagParams {
     }
 
     /// Dataset path.
-    pub fn dataset_path(&self) -> &'static str {
+    pub(crate) fn dataset_path(&self) -> &'static str {
         "/p/gpfs1/jag/jag_samples.npy"
     }
 
@@ -91,7 +91,7 @@ impl JagParams {
 }
 
 /// Stage the npy dataset (real header + pattern payload).
-pub fn stage_dataset(world: &mut IoWorld, p: &JagParams) {
+pub(crate) fn stage_dataset(world: &mut IoWorld, p: &JagParams) {
     let header = NpyHeader {
         descr: "<f4".to_string(),
         shape: vec![p.n_samples, p.elems_per_sample()],

@@ -64,7 +64,7 @@ pub struct MontageParams {
 
 impl MontageParams {
     /// Paper configuration: 32 nodes, 247 s job, 12 % I/O, 53 GiB moved.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         MontageParams {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),
@@ -111,7 +111,7 @@ impl MontageParams {
     }
 
     /// Input image path (inputs live on the PFS in both variants).
-    pub fn input_path(&self, node: u32, i: u32) -> String {
+    pub(crate) fn input_path(&self, node: u32, i: u32) -> String {
         format!("/p/gpfs1/montage/raw/n{node:02}/img_{i:04}.fits")
     }
 
@@ -121,7 +121,7 @@ impl MontageParams {
 }
 
 /// Stage the input FITS images (real headers + pattern payloads).
-pub fn stage_inputs(world: &mut IoWorld, p: &MontageParams) {
+pub(crate) fn stage_inputs(world: &mut IoWorld, p: &MontageParams) {
     let header = FitsHeader {
         bitpix: 16,
         naxes: vec![p.image_axes.0, p.image_axes.1],

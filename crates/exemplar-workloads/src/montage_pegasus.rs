@@ -61,7 +61,7 @@ pub struct PegasusParams {
 
 impl PegasusParams {
     /// Paper configuration: 1038 s job, 21 % I/O, 138 GB moved, 6039 tasks.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         PegasusParams {
             faults: FaultPlan::none(),
             interference: InterferenceSchedule::none(),
@@ -110,7 +110,7 @@ impl PegasusParams {
 }
 
 /// Build the nine-kernel DAG with file-inferred dependencies.
-pub fn build_dag(p: &PegasusParams) -> Dag {
+pub(crate) fn build_dag(p: &PegasusParams) -> Dag {
     let mut g = Dag::new();
     let wd = &p.workdir;
     let t = |name: String, app: &str, inputs: Vec<String>, outputs: Vec<String>| Task {

@@ -70,12 +70,6 @@ impl StepEffect {
             open_gates: Vec::new(),
         }
     }
-
-    /// Attach gate openings to this effect.
-    pub fn opening(mut self, gates: impl IntoIterator<Item = GateId>) -> Self {
-        self.open_gates.extend(gates);
-        self
-    }
 }
 
 /// A per-rank program advanced by the engine.
@@ -285,16 +279,6 @@ impl<W> Engine<W> {
     /// catching livelocked scripts in tests.
     pub fn set_max_steps(&mut self, max: u64) {
         self.max_steps = max;
-    }
-
-    /// Immutable access to the world (for post-run inspection).
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Mutable access to the world (for pre-run setup).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
     }
 
     /// Consume the engine and return the world.
@@ -527,7 +511,7 @@ mod tests {
         let report = e.run().unwrap();
         // Each rank computes 3 s independently: makespan 3 s, not 12 s.
         assert_eq!(report.makespan, SimTime::from_secs(3));
-        assert_eq!(e.world().work, vec![3, 3, 3, 3]);
+        assert_eq!(e.world.work, vec![3, 3, 3, 3]);
         assert_eq!(report.steps, 4 * 4); // 3 computes + 1 done per rank
     }
 
@@ -549,7 +533,7 @@ mod tests {
         );
         // Work completed strictly before the crash instant survives in the
         // world: dispatches at 0–3 s ran, the 4 s dispatch was killed.
-        assert_eq!(e.world().work, vec![4, 4]);
+        assert_eq!(e.world.work, vec![4, 4]);
     }
 
     #[test]
@@ -583,7 +567,7 @@ mod tests {
         let mut e = Engine::new_at(world, scripts, model(), SimTime::from_secs(10));
         let report = e.run().unwrap();
         assert_eq!(report.makespan, SimTime::from_secs(13));
-        assert_eq!(e.world().work, vec![3, 3]);
+        assert_eq!(e.world.work, vec![3, 3]);
     }
 
     /// Script: compute `my_time`, barrier, then finish.
@@ -642,7 +626,10 @@ mod tests {
             self.phase += 1;
             match self.phase {
                 1 => StepEffect::busy_until(now + Dur::from_secs(3)),
-                _ => StepEffect::done().opening([GateId(7)]),
+                _ => StepEffect {
+                    outcome: Outcome::Done,
+                    open_gates: vec![GateId(7)],
+                },
             }
         }
     }
@@ -674,7 +661,7 @@ mod tests {
         let mut e = Engine::new(world, scripts, model());
         let report = e.run().unwrap();
         // Consumer resumed exactly when producer opened the gate (t = 3 s).
-        assert_eq!(e.world().work[1], SimTime::from_secs(3).as_nanos());
+        assert_eq!(e.world.work[1], SimTime::from_secs(3).as_nanos());
         assert_eq!(report.makespan, SimTime::from_secs(4));
     }
 
@@ -685,7 +672,10 @@ mod tests {
         struct Opener;
         impl RankScript<CounterWorld> for Opener {
             fn next_step(&mut self, _w: &mut CounterWorld, _r: RankId, _n: SimTime) -> StepEffect {
-                StepEffect::done().opening([GateId(1)])
+                StepEffect {
+                    outcome: Outcome::Done,
+                    open_gates: vec![GateId(1)],
+                }
             }
         }
         struct Waiter {
@@ -712,7 +702,7 @@ mod tests {
             vec![Box::new(Opener), Box::new(Waiter { phase: 0 })];
         let mut e = Engine::new(world, scripts, model());
         e.run().unwrap();
-        assert_eq!(e.world().work[1], SimTime::from_secs(1).as_nanos());
+        assert_eq!(e.world.work[1], SimTime::from_secs(1).as_nanos());
     }
 
     #[test]
@@ -761,8 +751,8 @@ mod tests {
         e.add_comm(Communicator::new(CommId(1), vec![RankId(0), RankId(1)]));
         let r = e.run().unwrap();
         // Ranks 0 and 1 finished long before rank 2's 10 s compute.
-        assert!(e.world().work[0] < SimTime::from_secs(1).as_nanos());
-        assert!(e.world().work[1] < SimTime::from_secs(1).as_nanos());
+        assert!(e.world.work[0] < SimTime::from_secs(1).as_nanos());
+        assert!(e.world.work[1] < SimTime::from_secs(1).as_nanos());
         assert_eq!(r.makespan, SimTime::from_secs(10));
     }
 

@@ -41,7 +41,7 @@ impl JobSpec {
     }
 
     /// Total ranks in the job.
-    pub fn total_ranks(&self) -> u32 {
+    pub(crate) fn total_ranks(&self) -> u32 {
         self.nodes * self.ranks_per_node
     }
 }
@@ -171,7 +171,13 @@ mod tests {
     #[should_panic(expected = "job wants")]
     fn oversubscribed_cores_panic() {
         JobAlloc::allocate(
-            &ClusterSpec::tiny(2, 4),
+            &ClusterSpec {
+                node: crate::topology::NodeSpec {
+                    cpu_cores: 4,
+                    ..crate::topology::NodeSpec::lassen()
+                },
+                ..ClusterSpec::lassen()
+            },
             JobSpec::lassen(2, 8, Dur::from_secs(1)),
         );
     }

@@ -36,18 +36,13 @@ impl Communicator {
     }
 
     /// Number of member ranks.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.ranks.len()
     }
 
     /// Whether a rank belongs to this communicator.
-    pub fn contains(&self, r: RankId) -> bool {
+    pub(crate) fn contains(&self, r: RankId) -> bool {
         self.ranks.binary_search(&r).is_ok()
-    }
-
-    /// The lowest-numbered member, the conventional root.
-    pub fn root(&self) -> RankId {
-        self.ranks[0]
     }
 }
 
@@ -128,7 +123,6 @@ mod tests {
         let c = Communicator::new(CommId(1), vec![RankId(3), RankId(1), RankId(3)]);
         assert_eq!(c.ranks, vec![RankId(1), RankId(3)]);
         assert_eq!(c.size(), 2);
-        assert_eq!(c.root(), RankId(1));
         assert!(c.contains(RankId(3)));
         assert!(!c.contains(RankId(2)));
     }

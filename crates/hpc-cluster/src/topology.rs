@@ -117,24 +117,6 @@ impl ClusterSpec {
             node: NodeSpec::lassen(),
         }
     }
-
-    /// A small synthetic cluster for fast unit tests.
-    pub fn tiny(nodes: u32, cores: u32) -> Self {
-        ClusterSpec {
-            name: "tiny".to_string(),
-            total_nodes: nodes,
-            node: NodeSpec {
-                cpu_cores: cores,
-                gpus: 1,
-                memory_bytes: 16 * GIB,
-                nic_bw: 1 * GIB,
-                nic_latency: Dur::from_micros(2),
-                shm_bw: 8 * GIB,
-                shm_latency: Dur::from_nanos(300),
-                shm_parallel_ops: 8,
-            },
-        }
-    }
 }
 
 impl ToJson for ClusterSpec {

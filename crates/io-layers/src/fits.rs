@@ -16,10 +16,10 @@ use storage_sim::IoErr;
 /// FITS logical block size.
 pub const BLOCK: u64 = 2880;
 /// Header card size.
-pub const CARD: usize = 80;
+pub(crate) const CARD: usize = 80;
 /// Buffer size FITS libraries typically use (cfitsio-style), which is what
 /// makes Montage's input reads appear as 64 KiB POSIX transfers.
-pub const FITS_BUFSIZE: u64 = 64 * 1024;
+pub(crate) const FITS_BUFSIZE: u64 = 64 * 1024;
 
 /// Image metadata carried in the FITS header.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ pub struct FitsHeader {
 
 impl FitsHeader {
     /// Payload bytes (before block padding).
-    pub fn data_bytes(&self) -> u64 {
+    pub(crate) fn data_bytes(&self) -> u64 {
         let npix: u64 = self.naxes.iter().product();
         npix * (self.bitpix.unsigned_abs() as u64 / 8)
     }

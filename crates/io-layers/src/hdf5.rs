@@ -49,7 +49,7 @@ impl Default for H5Options {
 
 /// Storage layout of one dataset.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DsLayout {
+pub(crate) enum DsLayout {
     /// One contiguous extent at `offset`.
     Contiguous {
         /// Byte offset of element 0.
@@ -66,7 +66,7 @@ pub enum DsLayout {
 
 /// A dataset's header entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DatasetInfo {
+pub(crate) struct DatasetInfo {
     /// Dataset name.
     pub name: String,
     /// Logical shape (the paper's "#dims" format attribute).
@@ -79,7 +79,7 @@ pub struct DatasetInfo {
 
 impl DatasetInfo {
     /// Total bytes of the dataset.
-    pub fn nbytes(&self) -> u64 {
+    pub(crate) fn nbytes(&self) -> u64 {
         self.shape.iter().product::<u64>() * self.dtype_size as u64
     }
 }
@@ -162,160 +162,6 @@ impl FromJson for Header {
         Ok(Header {
             datasets: j.decode_field("datasets")?,
         })
-    }
-}
-
-/// Writer handle for producing an H5SIM file.
-pub struct H5Writer {
-    fd: Fd,
-    datasets: Vec<DatasetInfo>,
-    eof: u64,
-}
-
-/// Create a new file: POSIX create plus superblock placeholder.
-pub fn create(
-    w: &mut IoWorld,
-    rank: RankId,
-    path: &str,
-    now: SimTime,
-) -> (Result<H5Writer, IoErr>, SimTime) {
-    let t0 = now;
-    let (fd, t) = posix::open(w, rank, path, OpenFlags::write_create(), now);
-    let fd = match fd {
-        Ok(f) => f,
-        Err(e) => return (Err(e), t),
-    };
-    let mut sb = vec![0u8; SUPERBLOCK as usize];
-    sb[..8].copy_from_slice(MAGIC);
-    let (res, t2) = posix::write_at(w, rank, fd, 0, &sb, t);
-    if let Err(e) = res {
-        return (Err(e), t2);
-    }
-    let path_id = w.tracer.file_id(path);
-    let end = w.trace_io(
-        rank,
-        Layer::HighLevel,
-        OpKind::Create,
-        t0,
-        t2,
-        Some(path_id),
-        0,
-        0,
-    );
-    (
-        Ok(H5Writer {
-            fd,
-            datasets: Vec::new(),
-            eof: SUPERBLOCK,
-        }),
-        end,
-    )
-}
-
-impl H5Writer {
-    /// Append a dataset filled with a synthetic pattern. `chunk_bytes =
-    /// None` stores it contiguously (CosmoFlow's files are unchunked).
-    pub fn write_dataset(
-        &mut self,
-        w: &mut IoWorld,
-        rank: RankId,
-        name: &str,
-        shape: &[u64],
-        dtype_size: u32,
-        chunk_bytes: Option<u64>,
-        seed: u64,
-        now: SimTime,
-    ) -> (Result<(), IoErr>, SimTime) {
-        let t0 = now;
-        let nbytes = shape.iter().product::<u64>() * dtype_size as u64;
-        let path_id = w.fd(rank, self.fd).map(|of| of.path_id).ok();
-        let offset = self.eof;
-        let mut t = now;
-        match chunk_bytes {
-            None => {
-                let (res, t2) = posix::write_pattern_at(w, rank, self.fd, offset, nbytes, seed, t);
-                if let Err(e) = res {
-                    return (Err(e), t2);
-                }
-                t = t2;
-            }
-            Some(cb) => {
-                let cb = cb.max(1);
-                let mut off = 0u64;
-                while off < nbytes {
-                    let this = (nbytes - off).min(cb);
-                    let (res, t2) = posix::write_pattern_at(
-                        w,
-                        rank,
-                        self.fd,
-                        offset + off,
-                        this,
-                        seed ^ off,
-                        t,
-                    );
-                    if let Err(e) = res {
-                        return (Err(e), t2);
-                    }
-                    t = t2;
-                    off += this;
-                }
-            }
-        }
-        self.datasets.push(DatasetInfo {
-            name: name.to_string(),
-            shape: shape.to_vec(),
-            dtype_size,
-            layout: match chunk_bytes {
-                None => DsLayout::Contiguous { offset },
-                Some(cb) => DsLayout::Chunked {
-                    offset,
-                    chunk_bytes: cb.max(1),
-                },
-            },
-        });
-        self.eof = offset + nbytes;
-        let end = w.trace_io(
-            rank,
-            Layer::HighLevel,
-            OpKind::Write,
-            t0,
-            t,
-            path_id,
-            offset,
-            nbytes,
-        );
-        (Ok(()), end)
-    }
-
-    /// Finalize: serialize the header, point the superblock at it, close.
-    pub fn close(
-        self,
-        w: &mut IoWorld,
-        rank: RankId,
-        now: SimTime,
-    ) -> (Result<(), IoErr>, SimTime) {
-        let t0 = now;
-        let path_id = w.fd(rank, self.fd).map(|of| of.path_id).ok();
-        let header = Header {
-            datasets: self.datasets,
-        };
-        let json = vani_rt::json::to_vec(&header);
-        let hlen = json.len() as u64;
-        let (res, t) = posix::write_at(w, rank, self.fd, self.eof, &json, now);
-        if let Err(e) = res {
-            return (Err(e), t);
-        }
-        let mut sb = vec![0u8; SUPERBLOCK as usize];
-        sb[..8].copy_from_slice(MAGIC);
-        sb[8..16].copy_from_slice(&self.eof.to_le_bytes());
-        sb[16..24].copy_from_slice(&hlen.to_le_bytes());
-        let (res, t) = posix::write_at(w, rank, self.fd, 0, &sb, t);
-        if let Err(e) = res {
-            return (Err(e), t);
-        }
-        let (res, t) = posix::close(w, rank, self.fd, t);
-        let end = w.trace_io(rank, Layer::HighLevel, OpKind::Close, t0, t, path_id, 0, 0);
-        (res, end)
     }
 }
 
@@ -490,16 +336,6 @@ pub fn open(
 }
 
 impl H5File {
-    /// The datasets in this file.
-    pub fn datasets(&self) -> &[DatasetInfo] {
-        &self.datasets
-    }
-
-    /// Find a dataset by name.
-    pub fn dataset(&self, name: &str) -> Option<&DatasetInfo> {
-        self.datasets.iter().find(|d| d.name == name)
-    }
-
     /// Read `len` bytes of a dataset starting at byte `offset` within it.
     /// Returns bytes read and completion time.
     pub fn read(
@@ -638,24 +474,32 @@ mod tests {
     }
 
     fn make_file(w: &mut IoWorld, path: &str, chunk: Option<u64>) -> SimTime {
-        let r = RankId(0);
-        let (wr, t) = create(w, r, path, SimTime::ZERO);
-        let mut wr = wr.unwrap();
-        let (res, t) = wr.write_dataset(w, r, "full", &[512, 512, 4], 2, chunk, 7, t);
-        res.unwrap();
-        let (res, t) = wr.close(w, r, t);
-        res.unwrap();
-        t
+        let store = w.storage.pfs_mut().store_mut();
+        materialize(store, path, &[("full", &[512, 512, 4], 2, chunk)], 7).unwrap();
+        SimTime::ZERO
+    }
+
+    /// Stage raw bytes as a file, bypassing the container format.
+    fn stage_raw(w: &mut IoWorld, path: &str, bytes: Vec<u8>) {
+        let store = w.storage.pfs_mut().store_mut();
+        let key = store.create(path, false).unwrap();
+        store
+            .write(
+                key,
+                0,
+                storage_sim::file::Segment::Bytes(std::sync::Arc::new(bytes)),
+            )
+            .unwrap();
     }
 
     #[test]
-    fn create_write_open_read_round_trip() {
+    fn materialize_open_read_round_trip() {
         let mut w = world();
         let t = make_file(&mut w, "/p/gpfs1/sim.h5", None);
         let r = RankId(0);
         let (f, t) = open(&mut w, r, "/p/gpfs1/sim.h5", H5Options::default(), t);
         let mut f = f.unwrap();
-        let ds = f.dataset("full").unwrap();
+        let ds = f.datasets.iter().find(|d| d.name == "full").unwrap();
         assert_eq!(ds.shape, vec![512, 512, 4]);
         assert_eq!(ds.nbytes(), 512 * 512 * 4 * 2);
         let (n, t) = f.read(&mut w, r, "full", 0, 1 * MIB, t);
@@ -743,33 +587,37 @@ mod tests {
     fn corrupt_superblock_is_rejected() {
         let mut w = world();
         let r = RankId(0);
-        let (fd, t) = posix::open(
+        stage_raw(
+            &mut w,
+            "/p/gpfs1/bad.h5",
+            b"not an hdf5 file at all, promise!".to_vec(),
+        );
+        let (res, _) = open(
             &mut w,
             r,
             "/p/gpfs1/bad.h5",
-            OpenFlags::write_create(),
+            H5Options::default(),
             SimTime::ZERO,
         );
-        let (_, t) = posix::write(
-            &mut w,
-            r,
-            fd.unwrap(),
-            b"not an hdf5 file at all, promise!",
-            t,
-        );
-        let (_, t) = posix::close(&mut w, r, fd.unwrap(), t);
-        let (res, _) = open(&mut w, r, "/p/gpfs1/bad.h5", H5Options::default(), t);
         assert_eq!(res.err().unwrap(), IoErr::Invalid);
     }
 
     #[test]
-    fn truncated_file_without_close_is_invalid() {
+    fn unclosed_file_without_header_offset_is_invalid() {
         let mut w = world();
         let r = RankId(0);
-        // Create but never close the writer: superblock still zeroed.
-        let (wr, t) = create(&mut w, r, "/p/gpfs1/unclosed.h5", SimTime::ZERO);
-        let _wr = wr.unwrap();
-        let (res, _) = open(&mut w, r, "/p/gpfs1/unclosed.h5", H5Options::default(), t);
+        // A producer that never closed the file: the superblock carries the
+        // magic but still points at no object header.
+        let mut sb = vec![0u8; SUPERBLOCK as usize];
+        sb[..8].copy_from_slice(MAGIC);
+        stage_raw(&mut w, "/p/gpfs1/unclosed.h5", sb);
+        let (res, _) = open(
+            &mut w,
+            r,
+            "/p/gpfs1/unclosed.h5",
+            H5Options::default(),
+            SimTime::ZERO,
+        );
         assert_eq!(res.err().unwrap(), IoErr::Invalid);
     }
 }

@@ -15,8 +15,6 @@
 //!   headers, contiguous or chunked datasets, per-process chunk cache),
 //! * [`npy`] — the NumPy `.npy` array format over stdio,
 //! * [`fits`] — FITS (2880-byte blocks, 80-byte header cards) over stdio,
-//! * [`middleware`] — optional interceptors (node-local write buffering,
-//!   sequential prefetch, compression) used by the optimizer's ablations,
 //! * [`resilience`] — the retry/backoff interceptor that absorbs transient
 //!   storage faults and records `Fault`/`Retry` middleware trace spans.
 //!
@@ -26,7 +24,6 @@
 
 pub mod fits;
 pub mod hdf5;
-pub mod middleware;
 pub mod mpiio;
 pub mod npy;
 pub mod posix;

@@ -14,7 +14,6 @@
 
 use crate::posix::{self, Fd, OpenFlags};
 use crate::world::IoWorld;
-use hpc_cluster::mpi::{CollectiveKind, MpiCostModel};
 use hpc_cluster::topology::RankId;
 use recorder_sim::record::{Layer, OpKind};
 use sim_core::units::MIB;
@@ -55,26 +54,15 @@ pub fn open(
 }
 
 /// Close an MPI-IO file.
-pub fn close(w: &mut IoWorld, rank: RankId, fd: Fd, now: SimTime) -> (Result<(), IoErr>, SimTime) {
-    let path_id = w.fd(rank, fd).map(|of| of.path_id).ok();
-    let (res, t) = posix::close(w, rank, fd, now);
-    let end = w.trace_io(rank, Layer::MpiIo, OpKind::Close, now, t, path_id, 0, 0);
-    (res, end)
-}
-
-/// Independent read at an explicit offset (`MPI_File_read_at`).
-pub fn read_at(
+pub(crate) fn close(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
-    offset: u64,
-    len: u64,
     now: SimTime,
-) -> (Result<u64, IoErr>, SimTime) {
+) -> (Result<(), IoErr>, SimTime) {
     let path_id = w.fd(rank, fd).map(|of| of.path_id).ok();
-    let (res, t) = posix::read_at(w, rank, fd, offset, len, now);
-    let n = *res.as_ref().unwrap_or(&0);
-    let end = w.trace_io(rank, Layer::MpiIo, OpKind::Read, now, t, path_id, offset, n);
+    let (res, t) = posix::close(w, rank, fd, now);
+    let end = w.trace_io(rank, Layer::MpiIo, OpKind::Close, now, t, path_id, 0, 0);
     (res, end)
 }
 
@@ -145,12 +133,6 @@ pub fn plan_collective(
     }
 }
 
-/// The data-shuffle cost every participant pays in two-phase I/O: the
-/// per-rank payload redistributed across the communicator.
-pub fn exchange_cost(model: &MpiCostModel, comm_size: usize, per_rank_bytes: u64) -> sim_core::Dur {
-    model.cost(CollectiveKind::AllToAll, comm_size.min(8), per_rank_bytes)
-}
-
 /// Execute an aggregator's share of a collective read: issue POSIX reads of
 /// `cb_buffer_size` chunks over the assigned range. Non-aggregators return
 /// immediately. Returns bytes read and completion time.
@@ -182,48 +164,6 @@ pub fn collective_read_part(
         }
     }
     let end = w.trace_io(rank, Layer::MpiIo, OpKind::Read, now, t, path_id, lo, total);
-    (Ok(total), end)
-}
-
-/// Execute an aggregator's share of a collective write (pattern payload).
-pub fn collective_write_part(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    role: &CollectiveRole,
-    hints: &MpiIoHints,
-    seed: u64,
-    now: SimTime,
-) -> (Result<u64, IoErr>, SimTime) {
-    let Some((lo, hi)) = role.range else {
-        return (Ok(0), now);
-    };
-    let path_id = w.fd(rank, fd).map(|of| of.path_id).ok();
-    let mut t = now;
-    let mut off = lo;
-    let mut total = 0u64;
-    while off < hi {
-        let chunk = (hi - off).min(hints.cb_buffer_size);
-        let (res, t2) = posix::write_pattern_at(w, rank, fd, off, chunk, seed ^ off, t);
-        match res {
-            Ok(n) => {
-                total += n;
-                t = t2;
-                off += chunk;
-            }
-            Err(e) => return (Err(e), t2),
-        }
-    }
-    let end = w.trace_io(
-        rank,
-        Layer::MpiIo,
-        OpKind::Write,
-        now,
-        t,
-        path_id,
-        lo,
-        total,
-    );
     (Ok(total), end)
 }
 
@@ -323,7 +263,6 @@ mod tests {
         );
         let fd = fd.unwrap();
         let (_, t) = write_at(&mut w, r, fd, 0, 1024, 1, t);
-        let (_, t) = read_at(&mut w, r, fd, 0, 1024, t);
         let (_, _t) = close(&mut w, r, fd, t);
         let mpiio_ops: Vec<OpKind> = w
             .tracer
@@ -333,10 +272,7 @@ mod tests {
             .filter(|rec| rec.layer == Layer::MpiIo)
             .map(|rec| rec.op)
             .collect();
-        assert_eq!(
-            mpiio_ops,
-            vec![OpKind::Open, OpKind::Write, OpKind::Read, OpKind::Close]
-        );
+        assert_eq!(mpiio_ops, vec![OpKind::Open, OpKind::Write, OpKind::Close]);
         // POSIX records exist beneath.
         assert!(w
             .tracer
@@ -344,16 +280,5 @@ mod tests {
             .to_records()
             .iter()
             .any(|rec| rec.layer == Layer::Posix));
-    }
-
-    #[test]
-    fn exchange_cost_grows_with_payload() {
-        let model = MpiCostModel {
-            latency: Dur::from_micros(5),
-            bandwidth: 1 << 30,
-        };
-        let small = exchange_cost(&model, 8, 1024);
-        let big = exchange_cost(&model, 8, 1 << 26);
-        assert!(big > small * 100);
     }
 }

@@ -27,7 +27,7 @@ pub struct NpyHeader {
 
 impl NpyHeader {
     /// Bytes per element implied by `descr` (the trailing digits).
-    pub fn dtype_size(&self) -> u64 {
+    pub(crate) fn dtype_size(&self) -> u64 {
         self.descr
             .trim_start_matches(|c: char| !c.is_ascii_digit())
             .parse()
@@ -116,32 +116,6 @@ pub struct NpyFile {
     pub header: NpyHeader,
     /// Byte offset where the array payload begins.
     pub data_offset: u64,
-}
-
-/// Write a complete npy file (header + synthetic payload) through stdio.
-pub fn save(
-    w: &mut IoWorld,
-    rank: RankId,
-    path: &str,
-    header: &NpyHeader,
-    seed: u64,
-    now: SimTime,
-) -> (Result<(), IoErr>, SimTime) {
-    let (h, t) = stdio::fopen(w, rank, path, "w", now);
-    let h = match h {
-        Ok(h) => h,
-        Err(e) => return (Err(e), t),
-    };
-    let enc = header.encode();
-    let (res, t) = stdio::fwrite(w, rank, h, &enc, t);
-    if let Err(e) = res {
-        return (Err(e), t);
-    }
-    let (res, t) = stdio::fwrite_pattern(w, rank, h, header.nbytes(), seed, t);
-    if let Err(e) = res {
-        return (Err(e), t);
-    }
-    stdio::fclose(w, rank, h, t)
 }
 
 /// Open an npy file and parse its header.
@@ -284,14 +258,20 @@ mod tests {
     }
 
     #[test]
-    fn save_open_read_cycle() {
+    fn write_open_read_cycle() {
         let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 8);
         let r = RankId(0);
         let h = NpyHeader {
             descr: "<f4".to_string(),
             shape: vec![1000, 64],
         };
-        let (res, t) = save(&mut w, r, "/p/gpfs1/jag.npy", &h, 42, SimTime::ZERO);
+        let (s, t) = stdio::fopen(&mut w, r, "/p/gpfs1/jag.npy", "w", SimTime::ZERO);
+        let s = s.unwrap();
+        let (res, t) = stdio::fwrite(&mut w, r, s, &h.encode(), t);
+        res.unwrap();
+        let (res, t) = stdio::fwrite_pattern(&mut w, r, s, h.nbytes(), 42, t);
+        res.unwrap();
+        let (res, t) = stdio::fclose(&mut w, r, s, t);
         res.unwrap();
         let (f, t) = open(&mut w, r, "/p/gpfs1/jag.npy", t);
         let f = f.unwrap();

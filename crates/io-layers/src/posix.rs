@@ -58,7 +58,7 @@ impl OpenFlags {
     }
 
     /// Append-mode create.
-    pub fn append() -> Self {
+    pub(crate) fn append() -> Self {
         OpenFlags {
             create: true,
             write: true,
@@ -180,18 +180,6 @@ fn resolve_write_pos(of: &OpenFile) -> u64 {
     }
 }
 
-/// Write real bytes at the current position.
-pub fn write(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    data: &[u8],
-    now: SimTime,
-) -> (Result<u64, IoErr>, SimTime) {
-    let seg = Segment::Bytes(Arc::new(data.to_vec()));
-    write_seg(w, rank, fd, None, seg, now)
-}
-
 /// Write a synthetic pattern of `len` bytes at the current position.
 pub fn write_pattern(
     w: &mut IoWorld,
@@ -205,7 +193,7 @@ pub fn write_pattern(
 }
 
 /// `pwrite`: write at an explicit offset without moving the position.
-pub fn write_at(
+pub(crate) fn write_at(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
@@ -224,7 +212,7 @@ pub fn write_at(
 }
 
 /// `pwrite` of a synthetic pattern.
-pub fn write_pattern_at(
+pub(crate) fn write_pattern_at(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
@@ -387,60 +375,6 @@ fn read_common(
     }
 }
 
-/// Materializing read at the current position.
-pub fn read_data(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    len: u64,
-    now: SimTime,
-) -> (Result<Vec<u8>, IoErr>, SimTime) {
-    let node = w.node_of(rank);
-    let (handle, path_id, pos) = {
-        let Ok(of) = w.fd(rank, fd) else {
-            return (Err(IoErr::BadFd), now);
-        };
-        (of.handle, of.path_id, of.pos)
-    };
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), pos, len, now, |w, t| {
-            w.storage.read_view(node, handle, pos, len, t)
-        });
-    match res.map(|view| (view.to_vec(), t_settle)) {
-        Ok((data, t)) => {
-            let n = data.len() as u64;
-            w.procs[rank.0 as usize].fds[fd.0 as usize]
-                .as_mut()
-                .expect("fd checked above")
-                .pos = pos + n;
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t,
-                Some(path_id),
-                pos,
-                n,
-            );
-            (Ok(data), end)
-        }
-        Err(e) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t_settle,
-                Some(path_id),
-                pos,
-                0,
-            );
-            (Err(e), end)
-        }
-    }
-}
-
 /// Reposition a descriptor; returns the new absolute position. Traced as a
 /// metadata (`Seek`) record with zero storage cost, like a real `lseek`.
 pub fn lseek(
@@ -509,7 +443,12 @@ pub fn fsync(w: &mut IoWorld, rank: RankId, fd: Fd, now: SimTime) -> (Result<(),
 /// `fstat`: metadata query on an open descriptor — one MDS round trip on
 /// the PFS (this is the call HDF5's collective-metadata validation turns
 /// into, which is what storms the metadata service in CosmoFlow).
-pub fn fstat(w: &mut IoWorld, rank: RankId, fd: Fd, now: SimTime) -> (Result<u64, IoErr>, SimTime) {
+pub(crate) fn fstat(
+    w: &mut IoWorld,
+    rank: RankId,
+    fd: Fd,
+    now: SimTime,
+) -> (Result<u64, IoErr>, SimTime) {
     let (handle, path_id, size) = {
         let Ok(of) = w.fd(rank, fd) else {
             return (Err(IoErr::BadFd), now);
@@ -576,49 +515,6 @@ pub fn stat(
     }
 }
 
-/// Unlink a path.
-pub fn unlink(
-    w: &mut IoWorld,
-    rank: RankId,
-    path: &str,
-    now: SimTime,
-) -> (Result<(), IoErr>, SimTime) {
-    let node = w.node_of(rank);
-    let path_id = w.tracer.file_id(path);
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), 0, 0, now, |w, t| {
-            w.storage.unlink(node, path, t).map(|end| ((), end))
-        });
-    match res {
-        Ok(()) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Unlink,
-                now,
-                t_settle,
-                Some(path_id),
-                0,
-                0,
-            );
-            (Ok(()), end)
-        }
-        Err(e) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Unlink,
-                now,
-                t_settle,
-                Some(path_id),
-                0,
-                0,
-            );
-            (Err(e), end)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,12 +536,12 @@ mod tests {
             SimTime::ZERO,
         );
         let fd = fd.unwrap();
-        let (n, t2) = write(&mut w, r, fd, b"hello", t);
+        let (n, t2) = write_pattern(&mut w, r, fd, 5, 1, t);
         assert_eq!(n.unwrap(), 5);
         let (pos, t3) = lseek(&mut w, r, fd, 0, Whence::Set, t2);
         assert_eq!(pos.unwrap(), 0);
-        let (data, t4) = read_data(&mut w, r, fd, 5, t3);
-        assert_eq!(data.unwrap(), b"hello");
+        let (n, t4) = read(&mut w, r, fd, 5, t3);
+        assert_eq!(n.unwrap(), 5);
         let (res, _) = close(&mut w, r, fd, t4);
         res.unwrap();
         // Trace has create, write, seek, read, close at POSIX layer.
@@ -698,13 +594,12 @@ mod tests {
             SimTime::ZERO,
         );
         let fd = fd.unwrap();
-        let (_, t) = write(&mut w, r, fd, b"aaa", t);
+        let (_, t) = write_pattern(&mut w, r, fd, 3, 1, t);
         // Seek somewhere irrelevant; append ignores it.
         let (_, t) = lseek(&mut w, r, fd, 0, Whence::Set, t);
-        let (_, t) = write(&mut w, r, fd, b"bbb", t);
-        let (_, t) = lseek(&mut w, r, fd, 0, Whence::Set, t);
-        let (data, _) = read_data(&mut w, r, fd, 6, t);
-        assert_eq!(data.unwrap(), b"aaabbb");
+        let (_, t) = write_pattern(&mut w, r, fd, 3, 2, t);
+        let (size, _) = stat(&mut w, r, "/p/gpfs1/log", t);
+        assert_eq!(size.unwrap(), 6, "the second write landed at EOF");
     }
 
     #[test]
@@ -718,7 +613,7 @@ mod tests {
             OpenFlags::write_create(),
             SimTime::ZERO,
         );
-        let (_, t) = write(&mut w, r, fd.unwrap(), b"data", t);
+        let (_, t) = write_pattern(&mut w, r, fd.unwrap(), 4, 1, t);
         let (_, t) = close(&mut w, r, fd.unwrap(), t);
         let (fd2, t) = open(&mut w, r, "/p/gpfs1/tr", OpenFlags::write_create(), t);
         let (size, _) = stat(&mut w, r, "/p/gpfs1/tr", t);
@@ -739,7 +634,7 @@ mod tests {
         );
         let (_, t) = close(&mut w, r, fd.unwrap(), t);
         let (fd, t) = open(&mut w, r, "/p/gpfs1/ro", OpenFlags::read_only(), t);
-        let (res, _) = write(&mut w, r, fd.unwrap(), b"x", t);
+        let (res, _) = write_pattern(&mut w, r, fd.unwrap(), 1, 1, t);
         assert_eq!(res.unwrap_err(), IoErr::ReadOnly);
     }
 
@@ -753,7 +648,9 @@ mod tests {
             IoErr::BadFd
         );
         assert_eq!(
-            write(&mut w, r, bad, b"x", SimTime::ZERO).0.unwrap_err(),
+            write_pattern(&mut w, r, bad, 1, 1, SimTime::ZERO)
+                .0
+                .unwrap_err(),
             IoErr::BadFd
         );
         assert_eq!(
@@ -831,9 +728,9 @@ mod tests {
         let (_, t) = write_at(&mut w, r, fd, 10, b"zz", t);
         let (n, t) = read_at(&mut w, r, fd, 10, 2, t);
         assert_eq!(n.unwrap(), 2);
-        // Position still 0: a normal read starts from the beginning.
-        let (data, _) = read_data(&mut w, r, fd, 2, t);
-        assert_eq!(data.unwrap(), vec![0, 0]);
+        // Position still 0.
+        let (pos, _) = lseek(&mut w, r, fd, 0, Whence::Cur, t);
+        assert_eq!(pos.unwrap(), 0);
     }
 
     #[test]

@@ -55,16 +55,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries (transient faults surface to the app).
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-}
-
 /// Counters the interceptor accumulates across a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResilienceStats {
@@ -92,7 +82,7 @@ pub struct Resilience {
 
 impl Resilience {
     /// Build the interceptor with its own seeded jitter stream.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Resilience {
             policy: RetryPolicy::default(),
             stats: ResilienceStats::default(),

@@ -20,7 +20,7 @@ use storage_sim::file::{pattern_byte, ContentView};
 use storage_sim::IoErr;
 
 /// Default stream buffer size (glibc's `BUFSIZ`).
-pub const BUFSIZ: u64 = 8192;
+pub(crate) const BUFSIZ: u64 = 8192;
 
 /// Cost of moving `bytes` through the user-space buffer.
 fn memcpy_cost(bytes: u64) -> Dur {
@@ -33,7 +33,7 @@ pub struct FileStream(pub u32);
 
 /// Internal stream state, stored per process.
 #[derive(Debug)]
-pub struct Stream {
+pub(crate) struct Stream {
     fd: Fd,
     path_id: recorder_sim::record::FileId,
     bufsize: u64,
@@ -162,35 +162,6 @@ fn flush_wbuf(
     let (res, t) = posix::write_at(w, rank, fd, start, &buf, now);
     res?;
     Ok(t)
-}
-
-/// `fflush`: drain the write buffer.
-pub fn fflush(
-    w: &mut IoWorld,
-    rank: RankId,
-    h: FileStream,
-    now: SimTime,
-) -> (Result<(), IoErr>, SimTime) {
-    let path_id = match tables(w)[rank.0 as usize].get(h) {
-        Ok(s) => s.path_id,
-        Err(e) => return (Err(e), now),
-    };
-    match flush_wbuf(w, rank, h, now) {
-        Ok(t) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Stdio,
-                OpKind::Sync,
-                now,
-                t,
-                Some(path_id),
-                0,
-                0,
-            );
-            (Ok(()), end)
-        }
-        Err(e) => (Err(e), now),
-    }
 }
 
 /// Write bytes through the stream buffer.
@@ -555,11 +526,6 @@ pub fn fseek(
         }
         Err(e) => (Err(e), t2),
     }
-}
-
-/// Current stream position.
-pub fn ftell(w: &mut IoWorld, rank: RankId, h: FileStream) -> Result<u64, IoErr> {
-    Ok(tables(w)[rank.0 as usize].get(h)?.pos)
 }
 
 /// Close the stream: flush, close the descriptor.

@@ -6,9 +6,9 @@ use hpc_cluster::mpi::MpiCostModel;
 use hpc_cluster::topology::{ClusterSpec, NodeId, RankId};
 use recorder_sim::record::{AppId, Layer, OpKind};
 use recorder_sim::Tracer;
-use sim_core::{DetRng, Dur, SimTime};
-use storage_sim::file::FileKey;
+use sim_core::{Dur, SimTime};
 use storage_sim::mounts::{FileHandle, StorageSystem};
+use vani_rt::Rng;
 
 /// One open POSIX descriptor.
 #[derive(Debug, Clone)]
@@ -48,7 +48,7 @@ impl ProcState {
     }
 
     /// Allocate the lowest free descriptor slot.
-    pub fn alloc_fd(&mut self) -> Option<usize> {
+    pub(crate) fn alloc_fd(&mut self) -> Option<usize> {
         if let Some(i) = self.fds.iter().position(Option::is_none) {
             return Some(i);
         }
@@ -57,11 +57,6 @@ impl ProcState {
         }
         self.fds.push(None);
         Some(self.fds.len() - 1)
-    }
-
-    /// Count of currently open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.fds.iter().flatten().count()
     }
 }
 
@@ -78,7 +73,7 @@ pub struct IoWorld {
     /// Collective cost model (shared with the engine's configuration).
     pub mpi: MpiCostModel,
     /// Workload-visible RNG (shuffles, sample synthesis).
-    pub rng: DetRng,
+    pub rng: Rng,
     /// Per-rank stdio stream tables (index = rank).
     pub stdio_streams: Vec<crate::stdio::StreamTable>,
     /// Retry/backoff interceptor the layers route storage calls through.
@@ -87,7 +82,7 @@ pub struct IoWorld {
 
 impl IoWorld {
     /// Assemble a world for a job on a cluster.
-    pub fn new(
+    pub(crate) fn new(
         cluster: &ClusterSpec,
         alloc: JobAlloc,
         storage: StorageSystem,
@@ -104,7 +99,7 @@ impl IoWorld {
             alloc,
             storage,
             tracer,
-            rng: DetRng::for_component(seed, "workload"),
+            rng: Rng::for_component(seed, "workload"),
             resilience: crate::resilience::Resilience::new(seed),
         }
     }
@@ -130,7 +125,7 @@ impl IoWorld {
     }
 
     /// The application id of a rank.
-    pub fn app_of(&self, rank: RankId) -> AppId {
+    pub(crate) fn app_of(&self, rank: RankId) -> AppId {
         self.procs[rank.0 as usize].app
     }
 
@@ -174,25 +169,6 @@ impl IoWorld {
         end
     }
 
-    /// Record an MPI collective span for a rank (the engine computed the
-    /// cost; this captures it into the trace).
-    pub fn record_collective(&mut self, rank: RankId, start: SimTime, end: SimTime, bytes: u64) {
-        let node = self.node_of(rank).0;
-        let app = self.app_of(rank);
-        self.tracer.record(
-            rank.0,
-            node,
-            app,
-            Layer::App,
-            OpKind::MpiColl,
-            start,
-            end,
-            None,
-            0,
-            bytes,
-        );
-    }
-
     /// Shorthand: capture an I/O record; returns the end time plus any
     /// tracer overhead. Public so workload skeletons can record synthetic
     /// transfers (e.g. preload copies) that bypass the layer functions.
@@ -216,32 +192,22 @@ impl IoWorld {
         end + ov
     }
 
-    /// Direct access to a rank's proc state.
-    pub fn proc(&self, rank: RankId) -> &ProcState {
-        &self.procs[rank.0 as usize]
-    }
-
     /// Mutable access to a rank's proc state.
     pub fn proc_mut(&mut self, rank: RankId) -> &mut ProcState {
         &mut self.procs[rank.0 as usize]
     }
 
     /// Look up an open descriptor.
-    pub fn fd(&self, rank: RankId, fd: crate::posix::Fd) -> Result<&OpenFile, storage_sim::IoErr> {
+    pub(crate) fn fd(
+        &self,
+        rank: RankId,
+        fd: crate::posix::Fd,
+    ) -> Result<&OpenFile, storage_sim::IoErr> {
         self.procs[rank.0 as usize]
             .fds
             .get(fd.0 as usize)
             .and_then(|f| f.as_ref())
             .ok_or(storage_sim::IoErr::BadFd)
-    }
-
-    /// Storage-level key of an open descriptor (for assertions in tests).
-    pub fn key_of(
-        &self,
-        rank: RankId,
-        fd: crate::posix::Fd,
-    ) -> Result<FileKey, storage_sim::IoErr> {
-        Ok(self.fd(rank, fd)?.handle.key)
     }
 }
 
@@ -295,7 +261,7 @@ mod tests {
         OpenFile {
             handle: FileHandle {
                 tier: storage_sim::mounts::Tier::Pfs,
-                key: FileKey(0),
+                key: storage_sim::file::FileKey(0),
             },
             pos: 0,
             path_id: recorder_sim::record::FileId(0),

@@ -145,13 +145,6 @@ impl BitWords {
         self.words[w] |= 1u64 << (id % 64);
     }
 
-    /// Whether `id` is present.
-    pub fn contains(&self, id: usize) -> bool {
-        self.words
-            .get(id / 64)
-            .is_some_and(|w| w & (1u64 << (id % 64)) != 0)
-    }
-
     /// Union `other` into `self`.
     pub fn merge(&mut self, other: &BitWords) {
         if other.words.len() > self.words.len() {
@@ -185,12 +178,12 @@ impl BitWords {
     }
 
     /// The backing words (little-bit-endian), for byte serialization.
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Rebuild from backing words (the serialization inverse).
-    pub fn from_words(words: Vec<u64>) -> BitWords {
+    pub(crate) fn from_words(words: Vec<u64>) -> BitWords {
         BitWords { words }
     }
 }
@@ -285,7 +278,7 @@ impl ChunkMeta {
 
     /// Merge another chunk's statistics (bitwise OR / max — associative and
     /// commutative, so merge order never matters).
-    pub fn merge(&mut self, other: &ChunkMeta) {
+    pub(crate) fn merge(&mut self, other: &ChunkMeta) {
         self.rows += other.rows;
         for l in 0..6 {
             self.present[l] |= other.present[l];
@@ -448,7 +441,7 @@ pub struct ChunkedTrace {
 impl ChunkedTrace {
     /// Seal an existing columnar trace into `chunk_rows`-row chunks. This
     /// is the post-hoc entry (fleet jobs, benches); live capture goes
-    /// through `Tracer::enable_chunked`.
+    /// through `Tracer::with_chunked`.
     pub fn from_columnar(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         let mut chunks = Vec::with_capacity(c.len().div_ceil(chunk_rows));
@@ -471,11 +464,6 @@ impl ChunkedTrace {
         self.chunks.iter().map(|ch| ch.rows).sum()
     }
 
-    /// Whether the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total compressed bytes across all chunks' columns.
     pub fn compressed_bytes(&self) -> usize {
         self.chunks.iter().map(CompressedChunk::encoded_bytes).sum()
@@ -483,7 +471,7 @@ impl ChunkedTrace {
 
     /// Merge of every chunk's seal-time statistics: the statistics of the
     /// whole trace, without a decode pass.
-    pub fn merged_meta(&self) -> ChunkMeta {
+    pub(crate) fn merged_meta(&self) -> ChunkMeta {
         let mut meta = ChunkMeta::default();
         for ch in &self.chunks {
             meta.merge(&ch.meta);
@@ -630,8 +618,6 @@ mod tests {
         for id in [0usize, 1, 63, 64, 129, 129] {
             b.insert(id);
         }
-        assert!(b.contains(0) && b.contains(63) && b.contains(64) && b.contains(129));
-        assert!(!b.contains(2) && !b.contains(130) && !b.contains(10_000));
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![0, 1, 63, 64, 129]);
         assert_eq!(b.count(), 5);
         assert!(!b.is_empty());

@@ -334,7 +334,7 @@ pub fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
 /// through a `u64` buffer — the chunk decoder's hot path. On error, `emit`
 /// may have been called for a prefix of the column.
 #[inline]
-pub fn decode_column_each(
+pub(crate) fn decode_column_each(
     bytes: &[u8],
     n: usize,
     width: u8,
@@ -487,12 +487,12 @@ mod oracle {
     use super::{zigzag, TAG_DELTA, TAG_RAW, TAG_RLE};
 
     /// Encoded length of `v` as a LEB128 varint.
-    pub fn varint_len(v: u64) -> usize {
+    pub(crate) fn varint_len(v: u64) -> usize {
         (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
     }
 
     /// Append `v` as a LEB128 varint.
-    pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -506,7 +506,7 @@ mod oracle {
 
     /// Minimal delta byte width in `{0, 1, 2, 4, 8}` that represents
     /// every zigzagged delta of `values`.
-    pub fn delta_width(values: &[u64]) -> u8 {
+    pub(crate) fn delta_width(values: &[u64]) -> u8 {
         let mut max = 0u64;
         for w in values.windows(2) {
             max = max.max(zigzag((w[1].wrapping_sub(w[0])) as i64));
@@ -521,7 +521,7 @@ mod oracle {
     }
 
     /// Byte length the RLE scheme would need (tag included).
-    pub fn rle_len(values: &[u64]) -> usize {
+    pub(crate) fn rle_len(values: &[u64]) -> usize {
         let mut len = 1usize;
         let mut i = 0usize;
         while i < values.len() {
@@ -536,7 +536,7 @@ mod oracle {
     }
 
     /// Encode one column of `values` whose native width is `width` bytes.
-    pub fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
+    pub(crate) fn encode_column(values: &[u64], width: u8) -> Vec<u8> {
         if values.is_empty() {
             return vec![TAG_RAW];
         }

@@ -85,7 +85,7 @@ impl ColumnarTrace {
     }
 
     /// Reserve room for at least `additional` more records in every column.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.rank.reserve(additional);
         self.node.reserve(additional);
         self.app.reserve(additional);
@@ -276,7 +276,7 @@ impl ColumnarTrace {
     }
 
     /// Generic group-by over a selection.
-    pub fn group_by<K, F>(&self, sel: &[u32], key: F) -> HashMap<K, GroupAgg>
+    pub(crate) fn group_by<K, F>(&self, sel: &[u32], key: F) -> HashMap<K, GroupAgg>
     where
         K: std::hash::Hash + Eq + Send,
         F: Fn(usize) -> K + Sync,
@@ -296,19 +296,6 @@ impl ColumnarTrace {
                 a.time += b.time;
             },
         )
-    }
-
-    /// Earliest start over the whole trace.
-    pub fn t_min(&self) -> SimTime {
-        if self.start.is_empty() {
-            return SimTime::ZERO;
-        }
-        SimTime(par::par_reduce(
-            &self.start,
-            || u64::MAX,
-            |acc, &t| acc.min(t),
-            |a, b| a.min(b),
-        ))
     }
 
     /// Latest end over the whole trace.
@@ -432,9 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn time_range_spans_all_records() {
+    fn t_max_is_the_latest_end() {
         let c = ColumnarTrace::from_tracer(&sample_trace());
-        assert_eq!(c.t_min(), SimTime(0));
         assert_eq!(c.t_max(), SimTime(1_000_000_020));
     }
 

@@ -1,6 +1,6 @@
 //! The trace schema: one record per intercepted call.
 
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 
 /// Interned file identifier; the tracer owns the id → path table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,7 +47,7 @@ impl Layer {
 
     /// Inverse of [`code`](Self::code); `None` for out-of-range codes (a
     /// corrupt compressed column).
-    pub fn from_code(code: u8) -> Option<Layer> {
+    pub(crate) fn from_code(code: u8) -> Option<Layer> {
         Some(match code {
             0 => Layer::App,
             1 => Layer::HighLevel,
@@ -57,18 +57,6 @@ impl Layer {
             5 => Layer::Middleware,
             _ => return None,
         })
-    }
-
-    /// Short label for table output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Layer::App => "APP",
-            Layer::HighLevel => "H5/NPY/FITS",
-            Layer::MpiIo => "MPI-IO",
-            Layer::Stdio => "STDIO",
-            Layer::Posix => "POSIX",
-            Layer::Middleware => "MIDW",
-        }
     }
 }
 
@@ -126,7 +114,7 @@ pub enum OpKind {
 impl OpKind {
     /// Dense integer code (declaration order) used by the columnar codec.
     /// Part of the on-disk spill log format (v4): append-only.
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             OpKind::Read => 0,
             OpKind::Write => 1,
@@ -151,7 +139,7 @@ impl OpKind {
     }
 
     /// Inverse of [`code`](Self::code); `None` for out-of-range codes.
-    pub fn from_code(code: u8) -> Option<OpKind> {
+    pub(crate) fn from_code(code: u8) -> Option<OpKind> {
         Some(match code {
             0 => OpKind::Read,
             1 => OpKind::Write,
@@ -201,31 +189,6 @@ impl OpKind {
     pub fn is_io(&self) -> bool {
         self.is_data() || self.is_meta()
     }
-
-    /// Short label for table output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            OpKind::Read => "read",
-            OpKind::Write => "write",
-            OpKind::Open => "open",
-            OpKind::Create => "create",
-            OpKind::Close => "close",
-            OpKind::Stat => "stat",
-            OpKind::Seek => "seek",
-            OpKind::Sync => "sync",
-            OpKind::Unlink => "unlink",
-            OpKind::Mkdir => "mkdir",
-            OpKind::Compute => "compute",
-            OpKind::GpuCompute => "gpu",
-            OpKind::MpiColl => "mpi_coll",
-            OpKind::MpiP2p => "mpi_p2p",
-            OpKind::Fault => "fault",
-            OpKind::Retry => "retry",
-            OpKind::Checkpoint => "checkpoint",
-            OpKind::Crash => "crash",
-            OpKind::RestartEpoch => "restart",
-        }
-    }
 }
 
 /// One captured call.
@@ -251,18 +214,6 @@ pub struct TraceRecord {
     pub offset: u64,
     /// Bytes moved, for data ops (0 for metadata).
     pub bytes: u64,
-}
-
-impl TraceRecord {
-    /// Call duration.
-    pub fn dur(&self) -> Dur {
-        self.end.since(self.start)
-    }
-
-    /// Achieved bandwidth for data ops, bytes/second.
-    pub fn bandwidth(&self) -> f64 {
-        self.dur().bandwidth(self.bytes)
-    }
 }
 
 #[cfg(test)]
@@ -331,23 +282,5 @@ mod tests {
             assert_eq!(OpKind::from_code(op.code()), Some(*op));
         }
         assert_eq!(OpKind::from_code(19), None);
-    }
-
-    #[test]
-    fn record_bandwidth() {
-        let r = TraceRecord {
-            rank: 0,
-            node: 0,
-            app: AppId(0),
-            layer: Layer::Posix,
-            op: OpKind::Read,
-            start: SimTime::ZERO,
-            end: SimTime::from_secs(2),
-            file: Some(FileId(0)),
-            offset: 0,
-            bytes: 4 << 20,
-        };
-        assert_eq!(r.dur(), Dur::from_secs(2));
-        assert!((r.bandwidth() - (2 << 20) as f64).abs() < 1.0);
     }
 }

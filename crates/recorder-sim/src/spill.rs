@@ -6,7 +6,7 @@
 //! ## On-disk format (spill format v4)
 //!
 //! A spill file opens with a 19-byte preamble — the magic
-//! [`SPILL_MAGIC`] (`vanispill4\n`) followed by `chunk_rows` as a `u64`
+//! `SPILL_MAGIC` (`vanispill4\n`) followed by `chunk_rows` as a `u64`
 //! little-endian — and then a sequence of self-describing frames:
 //!
 //! ```text
@@ -79,7 +79,7 @@ use crate::codec;
 use crate::columnar::ColumnarTrace;
 
 /// First bytes of every version-4 spill file.
-pub const SPILL_MAGIC: &[u8; 11] = b"vanispill4\n";
+pub(crate) const SPILL_MAGIC: &[u8; 11] = b"vanispill4\n";
 
 const FRAME_CHUNK: u8 = 1;
 const FRAME_INTERN: u8 = 2;
@@ -190,7 +190,7 @@ fn scramble(seed: u64) -> u64 {
 pub enum SpillError {
     /// The file could not be created, read, written, or renamed.
     Io(io::Error),
-    /// The file does not start with [`SPILL_MAGIC`] or has a nonsense
+    /// The file does not start with `SPILL_MAGIC` or has a nonsense
     /// preamble — not a v4 spill log. A retired v3 log lands here too,
     /// with a detail saying so.
     NotSpill {
@@ -349,17 +349,6 @@ impl SpillFaultKind {
             SpillFaultKind::CrashBeforeCommit => "crash-before-commit",
         }
     }
-
-    /// All five fault classes, for sweep-style torture loops.
-    pub fn all() -> [SpillFaultKind; 5] {
-        [
-            SpillFaultKind::TornFinalWrite,
-            SpillFaultKind::PartialAppend,
-            SpillFaultKind::Enospc,
-            SpillFaultKind::BitFlip,
-            SpillFaultKind::CrashBeforeCommit,
-        ]
-    }
 }
 
 impl fmt::Display for SpillFaultKind {
@@ -382,35 +371,11 @@ impl SpillFaultPlan {
         SpillFaultPlan { armed: None }
     }
 
-    /// Arm `kind` with a seed-derived target chunk in `0..chunks` (the
-    /// caller's estimate of how many chunks the capture will seal; a
-    /// target past the actual count simply never fires).
-    pub fn seeded(kind: SpillFaultKind, seed: u64, chunks: u64) -> SpillFaultPlan {
-        let target = if chunks == 0 {
-            0
-        } else {
-            scramble(seed) % chunks
-        };
-        SpillFaultPlan {
-            armed: Some((kind, seed, target)),
-        }
-    }
-
     /// Arm `kind` at an explicit target chunk index.
     pub fn at_chunk(kind: SpillFaultKind, seed: u64, target: u64) -> SpillFaultPlan {
         SpillFaultPlan {
             armed: Some((kind, seed, target)),
         }
-    }
-
-    /// Whether any fault is armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.is_some()
-    }
-
-    /// The armed fault class, if any.
-    pub fn kind(&self) -> Option<SpillFaultKind> {
-        self.armed.map(|(k, _, _)| k)
     }
 
     fn fires_at(&self, kind: SpillFaultKind, chunk: u64) -> Option<u64> {
@@ -650,11 +615,6 @@ impl SpillWriter {
             fault,
             path: self.tmp_path.clone(),
         }
-    }
-
-    /// Bytes appended so far (the temp file's length).
-    pub fn bytes_written(&self) -> u64 {
-        self.written
     }
 
     /// Write the footer, fsync, and rename `<path>.tmp` to its final
@@ -1389,11 +1349,6 @@ impl SpillSource {
         self.committed_records
     }
 
-    /// Whether the committed prefix holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.committed_records == 0
-    }
-
     /// Materialize the committed prefix as an in-memory [`ChunkedTrace`]
     /// (the whole-trace loaders' path; defeats the memory bound by design).
     pub fn to_chunked(&self) -> Result<ChunkedTrace, SpillError> {
@@ -1629,7 +1584,7 @@ mod tests {
         let path = dir.join("e.vsp3");
         spill_columnar(&c, 64, &path, SpillFaultPlan::none()).expect("spills");
         let loaded = load_spill(&path).expect("loads");
-        assert!(loaded.is_empty());
+        assert_eq!(loaded.len(), 0);
         assert_eq!(loaded.file_paths.len(), 5);
         assert_eq!(loaded.app_names.len(), 2);
         let _ = fs::remove_dir_all(&dir);

@@ -63,28 +63,15 @@ pub struct Tracer {
     app_ids: HashMap<String, AppId>,
     /// Cost charged per captured record (0 disables overhead modelling).
     pub per_record_overhead: Dur,
-    enabled: bool,
     /// `Some` once chunked capture is on: `cols` then holds only the
     /// unsealed tail, bounded by the chunk size.
     chunked: Option<ChunkState>,
 }
 
 impl Tracer {
-    /// New enabled tracer with no capture overhead.
+    /// New tracer with no capture overhead.
     pub fn new() -> Self {
-        Tracer {
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// New tracer charging `overhead` per record (Recorder's runtime cost).
-    pub fn with_overhead(overhead: Dur) -> Self {
-        Tracer {
-            enabled: true,
-            per_record_overhead: overhead,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Rebuild a tracer around already-captured columns — the loaders and
@@ -93,49 +80,10 @@ impl Tracer {
     pub fn from_columnar(cols: ColumnarTrace) -> Self {
         let mut t = Tracer {
             cols,
-            enabled: true,
             ..Default::default()
         };
         t.rebuild_index();
         t
-    }
-
-    /// New enabled tracer with room for `n` records pre-allocated.
-    pub fn with_capacity(n: usize) -> Self {
-        Tracer {
-            cols: ColumnarTrace::with_capacity(n),
-            enabled: true,
-            ..Default::default()
-        }
-    }
-
-    /// Switch this tracer to chunked capture: from now on, whenever the
-    /// live columns reach `chunk_rows` records they are sealed into a
-    /// compressed chunk (see [`crate::chunk`]) and recycled. Must be called
-    /// before any record is captured — the live buffer is the first chunk.
-    ///
-    /// In chunked mode [`columnar`](Self::columnar), [`records`] and
-    /// friends expose only the unsealed tail; consume the full trace with
-    /// [`into_chunked`](Self::into_chunked).
-    ///
-    /// [`records`]: Self::records
-    pub fn enable_chunked(&mut self, chunk_rows: usize) {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        assert!(
-            self.cols.is_empty(),
-            "enable_chunked before capturing records"
-        );
-        if self.chunked.is_some() {
-            return;
-        }
-        self.cols.reserve(chunk_rows);
-        self.chunked = Some(ChunkState {
-            chunk_rows,
-            chunks: Vec::new(),
-            charge: GaugeCharge::new(columnar_capacity_bytes(&self.cols)),
-            writer: None,
-            spill_error: None,
-        });
     }
 
     /// Attach a spill writer: from now on sealed chunks stream to the
@@ -146,20 +94,13 @@ impl Tracer {
         let cs = self
             .chunked
             .as_mut()
-            .expect("enable_spill requires enable_chunked");
+            .expect("enable_spill requires a chunked tracer");
         assert!(
             cs.chunks.is_empty() && cs.writer.is_none(),
             "enable_spill before any chunk seals"
         );
         cs.writer = Some(SpillWriter::create(path, cs.chunk_rows, fault)?);
         Ok(())
-    }
-
-    /// Whether a spill writer is attached and healthy.
-    pub fn is_spilling(&self) -> bool {
-        self.chunked
-            .as_ref()
-            .is_some_and(|cs| cs.writer.is_some() && cs.spill_error.is_none())
     }
 
     /// Finish spill capture: seal the tail, append it, persist the intern
@@ -170,7 +111,7 @@ impl Tracer {
         let mut cs = self
             .chunked
             .take()
-            .expect("into_spill requires enable_chunked");
+            .expect("into_spill requires a chunked tracer");
         if let Some(e) = cs.spill_error.take() {
             return Err(e);
         }
@@ -183,32 +124,37 @@ impl Tracer {
         writer.finish()
     }
 
-    /// New chunked tracer (see [`enable_chunked`](Self::enable_chunked)).
+    /// New chunked tracer: whenever the live columns reach `chunk_rows`
+    /// records they are sealed into a compressed chunk (see
+    /// [`crate::chunk`]) and recycled, so the live buffer is the first
+    /// chunk.
+    ///
+    /// In chunked mode [`columnar`](Self::columnar) and friends expose
+    /// only the unsealed tail; consume the full trace with
+    /// [`into_chunked`](Self::into_chunked).
     pub fn with_chunked(chunk_rows: usize) -> Self {
+        assert!(chunk_rows > 0, "chunk_rows must be positive");
         let mut t = Tracer::new();
-        t.enable_chunked(chunk_rows);
+        t.cols.reserve(chunk_rows);
+        t.chunked = Some(ChunkState {
+            chunk_rows,
+            chunks: Vec::new(),
+            charge: GaugeCharge::new(columnar_capacity_bytes(&t.cols)),
+            writer: None,
+            spill_error: None,
+        });
         t
     }
 
-    /// Whether chunked capture is on.
-    pub fn is_chunked(&self) -> bool {
-        self.chunked.is_some()
-    }
-
-    /// Chunks sealed so far (excludes the live tail in the capture buffer).
-    pub fn sealed_chunks(&self) -> usize {
-        self.chunked.as_ref().map_or(0, |cs| cs.chunks.len())
-    }
-
     /// Finish chunked capture: seal the tail and yield the compressed
-    /// trace. Panics if [`enable_chunked`](Self::enable_chunked) was never
-    /// called — a batch tracer's columns convert via
-    /// [`crate::chunk::ChunkedTrace::from_columnar`] instead.
+    /// trace. Panics unless the tracer was built by
+    /// [`with_chunked`](Self::with_chunked) — a batch tracer's columns
+    /// convert via [`crate::chunk::ChunkedTrace::from_columnar`] instead.
     pub fn into_chunked(mut self) -> ChunkedTrace {
         let mut cs = self
             .chunked
             .take()
-            .expect("into_chunked requires enable_chunked");
+            .expect("into_chunked requires a chunked tracer");
         if !self.cols.is_empty() {
             cs.chunks
                 .push(CompressedChunk::seal_rows(&self.cols, 0..self.cols.len()));
@@ -239,17 +185,6 @@ impl Tracer {
         }
     }
 
-    /// Enable/disable capture (a disabled tracer records nothing and costs
-    /// nothing, like running without the profiler attached).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether capture is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Intern a file path. Known paths are found via a borrowed lookup;
     /// only the first occurrence of a path allocates.
     pub fn file_id(&mut self, path: &str) -> FileId {
@@ -273,11 +208,6 @@ impl Tracer {
         id
     }
 
-    /// The path of an interned file.
-    pub fn path_of(&self, id: FileId) -> &str {
-        &self.cols.file_paths[id.0 as usize]
-    }
-
     /// The name of an interned application.
     pub fn app_name(&self, id: AppId) -> &str {
         &self.cols.app_names[id.0 as usize]
@@ -294,7 +224,7 @@ impl Tracer {
     }
 
     /// Capture a record; returns the capture overhead to add to the caller's
-    /// completion time (zero when disabled or no overhead configured).
+    /// completion time (zero when no overhead is configured).
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -309,9 +239,6 @@ impl Tracer {
         offset: u64,
         bytes: u64,
     ) -> Dur {
-        if !self.enabled {
-            return Dur::ZERO;
-        }
         self.cols
             .push_row(rank, node, app, layer, op, start, end, file, offset, bytes);
         if let Some(cs) = &mut self.chunked {
@@ -360,11 +287,6 @@ impl Tracer {
         self.cols.len()
     }
 
-    /// Whether nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
     /// Rebuild the intern maps from the path and name tables.
     fn rebuild_index(&mut self) {
         self.file_ids = self
@@ -395,7 +317,7 @@ mod tests {
         let b = t.file_id("/p/gpfs1/b");
         assert_ne!(a, b);
         assert_eq!(t.file_id("/p/gpfs1/a"), a);
-        assert_eq!(t.path_of(a), "/p/gpfs1/a");
+        assert_eq!(t.file_paths()[a.0 as usize], "/p/gpfs1/a");
         let m = t.app_id("mProject");
         assert_eq!(t.app_id("mProject"), m);
         assert_eq!(t.app_name(m), "mProject");
@@ -469,38 +391,20 @@ mod tests {
 
     #[test]
     fn reserve_presizes_all_columns() {
-        let mut t = Tracer::with_capacity(100);
-        assert!(t.cols.rank.capacity() >= 100);
-        assert!(t.cols.bytes.capacity() >= 100);
+        let mut t = Tracer::new();
         t.reserve(500);
+        assert!(t.cols.rank.capacity() >= 500);
+        assert!(t.cols.bytes.capacity() >= 500);
         assert!(t.cols.op.capacity() >= 500);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::with_overhead(Dur::from_micros(1));
-        t.set_enabled(false);
-        let f = t.file_id("/f");
-        let ov = t.record(
-            0,
-            0,
-            AppId(0),
-            Layer::Posix,
-            OpKind::Read,
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            Some(f),
-            0,
-            100,
-        );
-        assert_eq!(ov, Dur::ZERO);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn overhead_is_charged_per_record() {
-        let mut t = Tracer::with_overhead(Dur::from_micros(2));
+        let mut t = Tracer {
+            per_record_overhead: Dur::from_micros(2),
+            ..Tracer::new()
+        };
         let ov = t.record(
             1,
             0,
@@ -516,6 +420,11 @@ mod tests {
         assert_eq!(ov, Dur::from_micros(2));
         assert_eq!(t.len(), 1);
         assert_eq!(t.columnar().rank[0], 1);
+    }
+
+    /// Chunks sealed so far, excluding the live tail in the capture buffer.
+    fn sealed_chunks(t: &Tracer) -> usize {
+        t.chunked.as_ref().map_or(0, |cs| cs.chunks.len())
     }
 
     /// Drive `n` records through a tracer via the shared synthetic stream.
@@ -554,7 +463,7 @@ mod tests {
         for chunk_rows in [64usize, 1024, 65536] {
             let mut chunked = Tracer::with_chunked(chunk_rows);
             feed(&mut chunked, 10_000);
-            assert!(chunked.sealed_chunks() >= 10_000 / chunk_rows);
+            assert!(sealed_chunks(&chunked) >= 10_000 / chunk_rows);
             let ct = chunked.into_chunked();
             assert_eq!(ct.len(), 10_000);
             assert_eq!(
@@ -597,7 +506,7 @@ mod tests {
             t.cols.rank.capacity() <= 512,
             "buffer recycled, not regrown"
         );
-        assert_eq!(t.sealed_chunks(), 5_000 / 256);
+        assert_eq!(sealed_chunks(&t), 5_000 / 256);
     }
 
     #[test]
@@ -611,8 +520,7 @@ mod tests {
         sp.enable_spill(&path, SpillFaultPlan::none())
             .expect("spill on");
         feed(&mut sp, 5_000);
-        assert!(sp.is_spilling());
-        assert_eq!(sp.sealed_chunks(), 0, "sealed chunks stream to disk");
+        assert_eq!(sealed_chunks(&sp), 0, "sealed chunks stream to disk");
         let sum = sp.into_spill().expect("seals");
         assert_eq!(sum.records, 5_000);
         let loaded = crate::spill::load_spill(&path).expect("loads");

@@ -82,6 +82,7 @@ impl Json {
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -93,7 +94,7 @@ impl Json {
     }
 
     /// Parse from raw bytes (must be UTF-8).
-    pub fn parse_bytes(bytes: &[u8]) -> Result<Json, JsonError> {
+    pub(crate) fn parse_bytes(bytes: &[u8]) -> Result<Json, JsonError> {
         let text = std::str::from_utf8(bytes).map_err(|e| JsonError {
             msg: format!("invalid utf-8: {e}"),
             at: e.valid_up_to(),
@@ -224,7 +225,7 @@ impl Json {
     }
 
     /// The exact integer value, or a shape error (floats don't coerce).
-    pub fn as_int(&self) -> Result<i128, JsonError> {
+    pub(crate) fn as_int(&self) -> Result<i128, JsonError> {
         match self {
             Json::Int(n) => Ok(*n),
             other => Err(JsonError::shape(format!(
@@ -267,9 +268,16 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts. The parser recurses
+/// once per level, so an unbounded input could overflow the stack; every
+/// document the suite writes nests a few levels at most.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -301,8 +309,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -722,6 +741,26 @@ mod tests {
     fn unicode_escapes_parse() {
         let v: String = from_str(r#""Aé🎉""#).unwrap();
         assert_eq!(v, "Aé🎉");
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let deep = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&deep).is_ok());
+        let too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&too_deep).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(100_000);
+        let err = Json::parse(&arrays).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        let objects = r#"{"a":"#.repeat(100_000);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
     }
 
     #[test]

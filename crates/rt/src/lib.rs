@@ -3,11 +3,13 @@
 //! Everything the workspace used to pull from crates.io for its hot paths
 //! lives here, hermetically:
 //!
-//! * [`par`] — a scoped-thread parallel executor (`par_map`, `par_chunks`,
-//!   `par_reduce`, `par_group_by`) with deterministic, thread-count-independent
-//!   chunking, replacing `rayon`.
+//! * [`par`] — a scoped-thread parallel executor (`par_map_owned`,
+//!   `par_reduce`, `par_fold_shards_sized`, `par_group_by`) with
+//!   deterministic, thread-count-independent chunking, replacing `rayon`.
 //! * [`rng`] — a splittable xoshiro256++ deterministic RNG with uniform,
-//!   normal, gamma, and lognormal samplers, replacing `rand`/`rand_distr`.
+//!   normal, gamma, and lognormal samplers and component-labelled seeding
+//!   ([`Rng::for_component`], over the FNV-1a [`fnv1a64`]), replacing
+//!   `rand`/`rand_distr`.
 //! * [`json`] — a minimal JSON value type plus [`json::ToJson`]/
 //!   [`json::FromJson`] traits with hand-written impls at the call sites,
 //!   replacing `serde`/`serde_json`.
@@ -25,4 +27,4 @@ pub mod rng;
 pub mod stats;
 
 pub use json::{FromJson, Json, JsonError, ToJson};
-pub use rng::Rng;
+pub use rng::{fnv1a64, Rng};

@@ -23,11 +23,11 @@ use std::sync::Mutex;
 /// A panic raised inside a parallel worker, caught by the executor and
 /// re-thrown with its origin attached. Every entry point in this module
 /// unwinds with a `Box<WorkerPanic>` payload when a task panics, so callers
-/// that `catch_unwind` (or use [`try_par_map_owned`]) see *which* worker and
-/// chunk failed and the original panic message — instead of a bare unwind
-/// from an anonymous scoped thread.
+/// that `catch_unwind` see *which* worker and chunk failed and the original
+/// panic message — instead of a bare unwind from an anonymous scoped
+/// thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
+pub(crate) struct WorkerPanic {
     /// Index of the worker thread the panic fired on (0 on the sequential
     /// and small-input paths, which run on the calling thread).
     pub worker: usize,
@@ -51,7 +51,7 @@ impl std::fmt::Display for WorkerPanic {
 impl std::error::Error for WorkerPanic {}
 
 /// Extract a human-readable message from a panic payload: `&str` and
-/// `String` payloads verbatim, a nested [`WorkerPanic`] by its display
+/// `String` payloads verbatim, a nested `WorkerPanic` by its display
 /// form, anything else as a placeholder.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -75,7 +75,7 @@ pub fn set_threads(n: usize) {
 }
 
 /// The number of worker threads parallel calls will use.
-pub fn num_threads() -> usize {
+pub(crate) fn num_threads() -> usize {
     if cfg!(single_thread) {
         return 1;
     }
@@ -101,7 +101,7 @@ pub fn num_threads() -> usize {
 /// few thousand items don't amortize it, and small unit-test traces were
 /// paying that overhead on every query. Chunk boundaries still depend only
 /// on the input length, so results stay deterministic.
-pub const SEQ_THRESHOLD: usize = 4096;
+pub(crate) const SEQ_THRESHOLD: usize = 4096;
 
 /// Chunk size used for an input of `len` items: small enough to balance
 /// load across many workers, large enough to amortize dispatch. Depends
@@ -215,23 +215,6 @@ where
         .collect()
 }
 
-/// Parallel map: `f` applied to every item, outputs in input order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let per_chunk = run_chunked_auto(items.len(), |_, range| {
-        items[range].iter().map(&f).collect::<Vec<R>>()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in per_chunk {
-        out.extend(chunk);
-    }
-    out
-}
-
 /// Parallel map over owned items (the `into_par_iter().map().collect()`
 /// shape): consumes the vector, outputs in input order. Each item is its
 /// own work unit, so this is the coarse task-parallel entry point — use it
@@ -260,41 +243,6 @@ where
         out.extend(chunk);
     }
     out
-}
-
-/// [`par_map_owned`] with panic isolation: a panicking task comes back as
-/// `Err(WorkerPanic)` instead of unwinding through the caller. Only the
-/// first failure (lowest chunk index observed) is reported; the remaining
-/// tasks still run to completion on their workers.
-pub fn try_par_map_owned<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>, WorkerPanic>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    match catch_unwind(AssertUnwindSafe(|| par_map_owned(items, f))) {
-        Ok(v) => Ok(v),
-        Err(payload) => match payload.downcast::<WorkerPanic>() {
-            Ok(wp) => Err(*wp),
-            // Every executor path raises WorkerPanic; anything else came
-            // from outside the worker loop and keeps unwinding.
-            Err(other) => resume_unwind(other),
-        },
-    }
-}
-
-/// Parallel map over fixed-size chunks of the input: `f(chunk_index,
-/// sub_slice)` for every chunk of `chunk` items (the last may be short).
-/// Chunk boundaries here are caller-chosen, so outputs are deterministic by
-/// construction.
-pub fn par_chunks<T, R, F>(items: &[T], chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk > 0, "par_chunks: chunk size must be positive");
-    run_chunked(items.len(), chunk, |c, range| f(c, &items[range]))
 }
 
 /// Parallel fold-then-combine. Each deterministic chunk is folded
@@ -428,27 +376,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let xs: Vec<u64> = (0..10_000).collect();
-        let seq: Vec<u64> = xs.iter().map(|x| x * 3 + 1).collect();
-        let par = with_threads(4, || par_map(&xs, |x| x * 3 + 1));
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn par_map_owned_consumes_in_order() {
         let xs: Vec<String> = (0..3000).map(|i| format!("v{i}")).collect();
         let expect: Vec<usize> = xs.iter().map(|s| s.len()).collect();
         let got = with_threads(3, || par_map_owned(xs, |s| s.len()));
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn par_chunks_covers_everything_once() {
-        let xs: Vec<u32> = (0..2701).collect();
-        let sums = with_threads(4, || par_chunks(&xs, 100, |_, c| c.iter().sum::<u32>()));
-        assert_eq!(sums.len(), 28);
-        assert_eq!(sums.iter().sum::<u32>(), xs.iter().sum::<u32>());
     }
 
     #[test]
@@ -493,7 +425,6 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let xs: Vec<u64> = Vec::new();
-        assert!(par_map(&xs, |x| *x).is_empty());
         assert!(par_filter_indices(0, |_| true).is_empty());
         assert_eq!(par_reduce(&xs, || 7u64, |a, _| a, |a, _| a), 7);
         assert!(par_group_by(&xs, |&x| x, |_: &mut u64, _| {}, |_, _| {}).is_empty());
@@ -571,10 +502,16 @@ mod tests {
     fn deliberate_panic_surfaces_as_typed_error() {
         // One task out of ten panics: the typed error names the chunk
         // (item index, csize = 1), a worker in range, and the payload text.
-        let err = with_threads(4, || {
+        let payload = with_threads(4, || {
             let xs: Vec<u32> = (0..10).collect();
-            try_par_map_owned(xs, |x| if x == 7 { panic!("boom at {x}") } else { x }).unwrap_err()
+            catch_unwind(AssertUnwindSafe(|| {
+                par_map_owned(xs, |x| if x == 7 { panic!("boom at {x}") } else { x })
+            }))
+            .unwrap_err()
         });
+        let err = payload
+            .downcast::<WorkerPanic>()
+            .expect("typed WorkerPanic payload");
         assert_eq!(err.chunk, 7);
         assert!(err.worker < 4, "worker index out of range: {}", err.worker);
         assert!(
@@ -590,22 +527,16 @@ mod tests {
     }
 
     #[test]
-    fn healthy_tasks_still_complete_via_try_entry_point() {
-        let got = with_threads(3, || try_par_map_owned((0..100u64).collect(), |x| x * 2)).unwrap();
-        assert_eq!(got, (0..100u64).map(|x| x * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn threaded_kernels_unwind_with_worker_panic_payload() {
-        // A panic inside a large par_map (threaded path) must carry the
-        // typed payload, not a bare unwind.
+        // A panic inside a large auto-chunked kernel (threaded path) must
+        // carry the typed payload, not a bare unwind.
         let payload = with_threads(4, || {
             catch_unwind(AssertUnwindSafe(|| {
-                par_map(&(0..10_000u64).collect::<Vec<u64>>(), |&x| {
-                    if x == 9_999 {
+                par_filter_indices(10_000, |i| {
+                    if i == 9_999 {
                         panic!("late failure")
                     }
-                    x
+                    true
                 })
             }))
             .unwrap_err()
@@ -620,7 +551,7 @@ mod tests {
     fn sequential_paths_also_type_their_panics() {
         // Small input → calling-thread fast path; worker is 0 by definition.
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&[1u32, 2, 3], |&x| if x == 2 { panic!("tiny") } else { x })
+            par_filter_indices(3, |i| if i == 2 { panic!("tiny") } else { true })
         }))
         .unwrap_err();
         let wp = payload
@@ -636,7 +567,21 @@ mod tests {
         // every closure call observes the caller's thread id.
         let caller = std::thread::current().id();
         let xs: Vec<u64> = (0..SEQ_THRESHOLD as u64).collect();
-        let ids = with_threads(8, || par_map(&xs, |_| std::thread::current().id()));
+        let ids = with_threads(8, || {
+            par_reduce(
+                &xs,
+                Vec::new,
+                |mut acc, _| {
+                    acc.push(std::thread::current().id());
+                    acc
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            )
+        });
+        assert_eq!(ids.len(), xs.len());
         assert!(ids.iter().all(|&id| id == caller));
     }
 }

@@ -3,8 +3,10 @@
 //! The core generator is xoshiro256++ (Blackman & Vigna), seeded through
 //! SplitMix64 so that any 64-bit seed — including 0 — yields a well-mixed
 //! state. [`Rng::split`] derives an independent child stream from a parent,
-//! which is how the suite gives every simulation component its own stream
-//! without draw-order coupling.
+//! and [`Rng::for_component`] derives one from a root seed plus a component
+//! label, which is how the suite gives every simulation component (storage
+//! jitter, fault draws, workload synthesis) its own stream without
+//! draw-order coupling.
 //!
 //! All samplers are implemented from first principles (no `rand`/
 //! `rand_distr`): 53-bit uniform doubles, Lemire-style bounded integers,
@@ -21,6 +23,18 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+/// FNV-1a 64-bit hash of a string: the label-to-seed mix of
+/// [`Rng::for_component`], and a stable, dependency-free digest for pinning
+/// a report's identity across worker counts.
+pub fn fnv1a64(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// A deterministic, splittable xoshiro256++ generator.
@@ -42,6 +56,13 @@ impl Rng {
                 splitmix64(&mut sm),
             ],
         }
+    }
+
+    /// Derive the stream of one simulation component from a root seed and
+    /// the component's label: adding draws in one component never perturbs
+    /// another.
+    pub fn for_component(root_seed: u64, label: &str) -> Self {
+        Rng::new(root_seed ^ fnv1a64(label))
     }
 
     /// Derive an independent child stream. The child is seeded from two
@@ -80,7 +101,7 @@ impl Rng {
 
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -210,6 +231,13 @@ impl Rng {
         scale * (-(1.0 - self.next_f64()).ln()).powf(1.0 / shape)
     }
 
+    /// A multiplicative jitter factor in `[1 - amp, 1 + amp]`, used to model
+    /// device service-time variation.
+    pub fn jitter(&mut self, amp: f64) -> f64 {
+        debug_assert!((0.0..1.0).contains(&amp));
+        1.0 + self.uniform_f64(-amp, amp)
+    }
+
     /// Bernoulli draw; `p` is clamped to `[0, 1]`.
     pub fn bernoulli(&mut self, p: f64) -> bool {
         let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
@@ -217,14 +245,6 @@ impl Rng {
             return true;
         }
         self.next_f64() < p
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.bounded(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -476,13 +496,50 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(21);
-        let mut xs: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
+    fn same_label_same_stream() {
+        let mut a = Rng::for_component(42, "mds");
+        let mut b = Rng::for_component(42, "mds");
+        for _ in 0..100 {
+            assert_eq!(a.uniform_u64(0, 1 << 40), b.uniform_u64(0, 1 << 40));
+        }
+    }
+
+    #[test]
+    fn different_labels_diverge() {
+        let mut a = Rng::for_component(42, "mds");
+        let mut b = Rng::for_component(42, "nsd");
+        let same = (0..100)
+            .filter(|_| a.uniform_u64(0, 1 << 40) == b.uniform_u64(0, 1 << 40))
+            .count();
+        assert!(same < 5, "streams should be effectively independent");
+    }
+
+    #[test]
+    fn split_is_deterministic_and_decoupled() {
+        let mut a = Rng::for_component(23, "workload");
+        let mut b = Rng::for_component(23, "workload");
+        let mut ca = a.split();
+        let mut cb = b.split();
+        for _ in 0..50 {
+            assert_eq!(ca.uniform_u64(0, 1 << 40), cb.uniform_u64(0, 1 << 40));
+        }
+        // The parents stayed in lockstep too.
+        assert_eq!(a.uniform_u64(0, 1 << 40), b.uniform_u64(0, 1 << 40));
+    }
+
+    #[test]
+    fn jitter_stays_in_band() {
+        let mut r = Rng::new(7);
+        for _ in 0..1000 {
+            let j = r.jitter(0.25);
+            assert!((0.75..=1.25).contains(&j));
+        }
+    }
+
+    #[test]
+    fn fnv_digest_is_stable_and_input_sensitive() {
+        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64("fleet"), fnv1a64("fleet"));
+        assert_ne!(fnv1a64("fleet"), fnv1a64("fleer"));
     }
 }

@@ -81,7 +81,7 @@ impl PeakGauge {
 /// `p` is in `[0, 100]`; out-of-range values clamp. Empty input returns
 /// `f64::NAN`. Interpolation follows the common "linear between closest
 /// ranks" definition (numpy's default): rank `h = (n - 1) * p / 100`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

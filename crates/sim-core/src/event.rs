@@ -91,16 +91,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Reserve room for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Number of pending events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
     /// Schedule `payload` at `time`.
     ///
     /// # Panics
@@ -122,26 +112,6 @@ impl<T> EventQueue<T> {
         let ev = self.heap.pop()?;
         self.now = ev.time;
         Some(ev)
-    }
-
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The time of the last popped event (the simulation clock).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -170,30 +140,15 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_preallocates_and_reserve_grows() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(128);
-        assert!(q.capacity() >= 128);
-        let cap = q.capacity();
-        for i in 0..128 {
-            q.push(SimTime::from_secs(i), i as u32);
-        }
-        assert_eq!(q.capacity(), cap, "no reallocation while within capacity");
-        q.reserve(512);
-        assert!(q.capacity() >= q.len() + 512);
-        // Behavior is unchanged: still pops in time order.
-        assert_eq!(q.pop().unwrap().payload, 0);
-    }
-
-    #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(3), ());
         q.push(SimTime::from_secs(9), ());
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.now, SimTime::ZERO);
         q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(3));
+        assert_eq!(q.now, SimTime::from_secs(3));
         q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(9));
+        assert_eq!(q.now, SimTime::from_secs(9));
     }
 
     // The check is a `debug_assert!`, so a release build has nothing to

@@ -10,7 +10,6 @@
 //! * [`event`] — a deterministic event queue with stable FIFO tie-breaking,
 //! * [`resource`] — queueing-theoretic resource models (single server, server
 //!   pools, bandwidth channels) that produce contention effects,
-//! * [`rng`] — deterministic, component-seeded random number generation,
 //! * [`stats`] — histogram, summary-statistics, time-series binning, and
 //!   distribution-fitting kernels used by the analyzer,
 //! * [`units`] — byte/bandwidth constants and human-readable formatting.
@@ -20,13 +19,11 @@
 
 pub mod event;
 pub mod resource;
-pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod units;
 
 pub use event::{EventQueue, QueuedEvent};
 pub use resource::{BandwidthChannel, ServerPool, ServerQueue};
-pub use rng::DetRng;
 pub use stats::{Histogram, Summary, TimeSeries};
 pub use time::{Dur, SimTime};

@@ -15,13 +15,11 @@ use crate::time::{Dur, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct ServerQueue {
     next_free: SimTime,
-    busy: Dur,
-    served: u64,
 }
 
 impl ServerQueue {
     /// New idle server.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -31,33 +29,12 @@ impl ServerQueue {
         let start = arrival.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy += service;
-        self.served += 1;
         (start, end)
     }
 
     /// Earliest instant at which a new arrival would begin service.
-    pub fn next_free(&self) -> SimTime {
+    pub(crate) fn next_free(&self) -> SimTime {
         self.next_free
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> Dur {
-        self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilization over a horizon (busy / horizon), clamped to `[0, 1]`.
-    pub fn utilization(&self, horizon: Dur) -> f64 {
-        if horizon == Dur::ZERO {
-            0.0
-        } else {
-            (self.busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
-        }
     }
 }
 
@@ -80,16 +57,6 @@ impl ServerPool {
         }
     }
 
-    /// Number of servers in the pool.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Whether the pool is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
     /// Serve on the earliest-free server. Returns `(start, end)`.
     pub fn serve(&mut self, arrival: SimTime, service: Dur) -> (SimTime, SimTime) {
         let idx = self
@@ -108,39 +75,6 @@ impl ServerPool {
         let n = self.servers.len();
         self.servers[which % n].serve(arrival, service)
     }
-
-    /// Earliest time any server frees up.
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.next_free())
-            .min()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Total requests served across the pool.
-    pub fn served(&self) -> u64 {
-        self.servers.iter().map(|s| s.served()).sum()
-    }
-
-    /// Total busy time across the pool.
-    pub fn busy_time(&self) -> Dur {
-        self.servers
-            .iter()
-            .fold(Dur::ZERO, |acc, s| acc + s.busy_time())
-    }
-
-    /// Mean utilization across servers over a horizon.
-    pub fn utilization(&self, horizon: Dur) -> f64 {
-        if self.servers.is_empty() {
-            return 0.0;
-        }
-        self.servers
-            .iter()
-            .map(|s| s.utilization(horizon))
-            .sum::<f64>()
-            / self.servers.len() as f64
-    }
 }
 
 /// A shared link that serializes transfers at a fixed byte rate, with a fixed
@@ -150,7 +84,6 @@ pub struct BandwidthChannel {
     bytes_per_sec: u64,
     latency: Dur,
     queue: ServerQueue,
-    bytes_moved: u64,
 }
 
 impl BandwidthChannel {
@@ -161,7 +94,6 @@ impl BandwidthChannel {
             bytes_per_sec,
             latency,
             queue: ServerQueue::new(),
-            bytes_moved: 0,
         }
     }
 
@@ -169,29 +101,7 @@ impl BandwidthChannel {
     /// completion time (queueing + latency + serialization).
     pub fn transfer(&mut self, arrival: SimTime, bytes: u64) -> SimTime {
         let service = self.latency + Dur::for_transfer(bytes, self.bytes_per_sec);
-        let (_, end) = self.queue.serve(arrival, service);
-        self.bytes_moved += bytes;
-        end
-    }
-
-    /// Configured bandwidth in bytes/second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
-    /// Configured per-message latency.
-    pub fn latency(&self) -> Dur {
-        self.latency
-    }
-
-    /// Total bytes moved through the channel.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Earliest time a new transfer could begin.
-    pub fn next_free(&self) -> SimTime {
-        self.queue.next_free()
+        self.queue.serve(arrival, service).1
     }
 }
 
@@ -215,8 +125,6 @@ mod tests {
         let (start, end) = s.serve(SimTime::from_secs(1), Dur::from_secs(1));
         assert_eq!(start, SimTime::from_secs(5));
         assert_eq!(end, SimTime::from_secs(6));
-        assert_eq!(s.served(), 2);
-        assert_eq!(s.busy_time(), Dur::from_secs(6));
     }
 
     #[test]
@@ -251,7 +159,6 @@ mod tests {
         let t2 = c.transfer(SimTime::ZERO, 1 << 20);
         assert_eq!(t1, SimTime::from_secs(1));
         assert_eq!(t2, SimTime::from_secs(2));
-        assert_eq!(c.bytes_moved(), 2 << 20);
     }
 
     #[test]
@@ -259,14 +166,6 @@ mod tests {
         let mut c = BandwidthChannel::new(1 << 30, Dur::from_micros(5));
         let t = c.transfer(SimTime::ZERO, 0);
         assert_eq!(t, SimTime::ZERO + Dur::from_micros(5));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut s = ServerQueue::new();
-        s.serve(SimTime::ZERO, Dur::from_secs(10));
-        assert!(s.utilization(Dur::from_secs(5)) <= 1.0);
-        assert!((s.utilization(Dur::from_secs(20)) - 0.5).abs() < 1e-9);
     }
 
     // Deterministic randomized sweeps (seeded `vani_rt::Rng`) — converted
@@ -291,27 +190,6 @@ mod tests {
                 assert_eq!(end, start + Dur(svc));
                 last_start = start;
             }
-        }
-    }
-
-    /// Pool conservation: total busy time equals the sum of services.
-    #[test]
-    fn randomized_pool_conserves_work() {
-        let mut r = vani_rt::Rng::new(0x5e57_0002);
-        for _ in 0..128 {
-            let njobs = r.uniform_u64(1, 100) as usize;
-            let n = r.uniform_u64(1, 8) as usize;
-            let mut jobs: Vec<(u64, u64)> = (0..njobs)
-                .map(|_| (r.uniform_u64(0, 1_000), r.uniform_u64(1, 100)))
-                .collect();
-            jobs.sort_unstable();
-            let mut p = ServerPool::new(n);
-            let mut total = Dur::ZERO;
-            for (a, svc) in jobs {
-                p.serve(SimTime(a), Dur(svc));
-                total += Dur(svc);
-            }
-            assert_eq!(p.busy_time(), total);
         }
     }
 }

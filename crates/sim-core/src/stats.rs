@@ -2,7 +2,8 @@
 //!
 //! * [`Histogram`] — power-of-two bucketed histograms for request sizes and
 //!   per-request bandwidths (the paper's Figures 1a–6a),
-//! * [`Summary`] — streaming moments (mean/std/skewness/kurtosis, min/max),
+//! * [`Summary`] — streaming central moments (std/skewness/kurtosis) and
+//!   the minimum,
 //! * [`TimeSeries`] — fixed-width time binning for I/O timelines
 //!   (Figures 1c–6c),
 //! * [`DistributionFit`] — moment-based classification of sample-value
@@ -26,7 +27,7 @@ impl Histogram {
     }
 
     /// Bucket index for a value.
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -35,7 +36,7 @@ impl Histogram {
     }
 
     /// Lower bound of bucket `i`.
-    pub fn bucket_lo(i: usize) -> u64 {
+    pub(crate) fn bucket_lo(i: usize) -> u64 {
         if i == 0 {
             0
         } else {
@@ -54,20 +55,6 @@ impl Histogram {
         self.sum += value as u128;
     }
 
-    /// Record `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let b = Self::bucket_of(value);
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += n;
-        self.total += n;
-        self.sum += value as u128 * n as u128;
-    }
-
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.total
@@ -78,14 +65,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Count in the bucket containing `value`.
-    pub fn count_at(&self, value: u64) -> u64 {
-        self.counts
-            .get(Self::bucket_of(value))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Iterate `(bucket_lo, count)` over non-empty buckets.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
@@ -93,16 +72,6 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::bucket_lo(i), c))
-    }
-
-    /// Fraction of observations at or below `value`'s bucket.
-    pub fn frac_le(&self, value: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let b = Self::bucket_of(value);
-        let below: u64 = self.counts.iter().take(b + 1).sum();
-        below as f64 / self.total as f64
     }
 
     /// Merge another histogram into this one.
@@ -120,7 +89,7 @@ impl Histogram {
 
 /// Streaming summary statistics over f64 samples (Welford-style central
 /// moments up to order four).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -128,16 +97,18 @@ pub struct Summary {
     m3: f64,
     m4: f64,
     min: f64,
-    max: f64,
 }
 
 impl Summary {
     /// New empty summary.
     pub fn new() -> Self {
         Summary {
+            n: 0,
+            mean: 0.0,
+            m2: 0.0,
+            m3: 0.0,
+            m4: 0.0,
             min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            ..Default::default()
         }
     }
 
@@ -155,25 +126,15 @@ impl Summary {
         self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
         self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of samples.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
     /// Population variance.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -182,12 +143,12 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn std(&self) -> f64 {
+    pub(crate) fn std(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Skewness (0 when degenerate).
-    pub fn skewness(&self) -> f64 {
+    pub(crate) fn skewness(&self) -> f64 {
         let var = self.variance();
         if self.n < 2 || var <= 0.0 {
             return 0.0;
@@ -197,7 +158,7 @@ impl Summary {
     }
 
     /// Kurtosis (3 = mesokurtic/normal; returns 0 when degenerate).
-    pub fn kurtosis(&self) -> f64 {
+    pub(crate) fn kurtosis(&self) -> f64 {
         let var = self.variance();
         if self.n < 2 || var <= 0.0 {
             return 0.0;
@@ -207,13 +168,8 @@ impl Summary {
     }
 
     /// Smallest sample (infinity when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
-    }
-
-    /// Largest sample (-infinity when empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 }
 
@@ -268,7 +224,7 @@ impl DistributionFit {
 /// used to stage dataset prefixes so the analyzer's distribution fitting
 /// (Table VI's "Data dist") has real signal to classify.
 pub fn synth_bytes(dist: DistributionFit, seed: u64, n: usize) -> Vec<u8> {
-    let mut rng = crate::rng::DetRng::from_seed(seed);
+    let mut rng = vani_rt::Rng::new(seed);
     (0..n)
         .map(|_| match dist {
             DistributionFit::Uniform => rng.uniform_f64(0.0, 256.0) as u8,
@@ -343,18 +299,12 @@ impl TimeSeries {
     pub fn peak(&self) -> f64 {
         self.bins.iter().cloned().fold(0.0, f64::max)
     }
-
-    /// Per-bin rate (value / bin seconds) — e.g. bytes/bin → bytes/sec.
-    pub fn rates(&self) -> Vec<f64> {
-        let s = self.bin.as_secs_f64();
-        self.bins.iter().map(|v| v / s).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::DetRng;
+    use vani_rt::Rng;
 
     #[test]
     fn histogram_buckets_powers_of_two() {
@@ -373,10 +323,9 @@ mod tests {
         h.record(100);
         h.record(5000);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.count_at(64), 2); // 100 falls in [64,128)
-        assert_eq!(h.count_at(4096), 1);
+        // 100 falls in [64,128), 5000 in [4096,8192).
+        assert_eq!(h.iter().collect::<Vec<_>>(), vec![(64, 2), (4096, 1)]);
         assert_eq!(h.sum(), 5200);
-        assert!((h.frac_le(128) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -388,8 +337,7 @@ mod tests {
         b.record(1 << 30);
         a.merge(&b);
         assert_eq!(a.total(), 3);
-        assert_eq!(a.count_at(10), 2);
-        assert_eq!(a.count_at(1 << 30), 1);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![(8, 2), (1 << 30, 1)]);
     }
 
     #[test]
@@ -398,15 +346,21 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(x);
         }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
+        assert!((s.mean - 5.0).abs() < 1e-12);
         assert!((s.std() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
+    }
+
+    #[test]
+    fn new_summary_min_is_the_first_sample() {
+        let mut s = Summary::new();
+        s.record(5.0);
+        assert_eq!(s.min(), 5.0);
     }
 
     #[test]
     fn classifier_recognizes_uniform() {
-        let mut r = DetRng::from_seed(1);
+        let mut r = Rng::new(1);
         let mut s = Summary::new();
         for _ in 0..5000 {
             s.record(r.uniform_f64(0.0, 100.0));
@@ -416,7 +370,7 @@ mod tests {
 
     #[test]
     fn classifier_recognizes_normal() {
-        let mut r = DetRng::from_seed(2);
+        let mut r = Rng::new(2);
         let mut s = Summary::new();
         for _ in 0..5000 {
             s.record(r.normal(50.0, 5.0));
@@ -426,7 +380,7 @@ mod tests {
 
     #[test]
     fn classifier_recognizes_gamma() {
-        let mut r = DetRng::from_seed(3);
+        let mut r = Rng::new(3);
         let mut s = Summary::new();
         for _ in 0..5000 {
             s.record(r.gamma(2.0, 3.0));
@@ -482,13 +436,6 @@ mod tests {
         assert!((ts.bins()[10] - 7.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn timeseries_rates_scale_by_bin_width() {
-        let mut ts = TimeSeries::new(Dur::from_millis(500));
-        ts.add(SimTime::ZERO, SimTime::from_millis(500), 10.0);
-        assert!((ts.rates()[0] - 20.0).abs() < 1e-9);
-    }
-
     // Deterministic randomized sweeps (seeded `vani_rt::Rng`, fixed case
     // counts) — converted from the original proptest suites.
 
@@ -539,7 +486,7 @@ mod tests {
             let n = values.len() as f64;
             let mean = values.iter().sum::<f64>() / n;
             let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-            assert!((s.mean() - mean).abs() < 1e-6);
+            assert!((s.mean - mean).abs() < 1e-6);
             assert!((s.variance() - var).abs() < 1e-4 * var.max(1.0));
         }
     }

@@ -44,8 +44,6 @@ impl FromJson for Dur {
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "idle forever" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole seconds.
     pub fn from_secs(s: u64) -> Self {
@@ -55,11 +53,6 @@ impl SimTime {
     /// Construct from fractional seconds (saturating at zero for negatives).
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime((s.max(0.0) * 1e9).round() as u64)
-    }
-
-    /// Construct from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
     }
 
     /// Construct from whole nanoseconds.
@@ -80,16 +73,6 @@ impl SimTime {
     /// Span from an earlier instant to this one (saturating).
     pub fn since(self, earlier: SimTime) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 
@@ -159,21 +142,6 @@ impl Dur {
         } else {
             bytes as f64 / self.as_secs_f64()
         }
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: Dur) -> Dur {
-        Dur(self.0.saturating_sub(other.0))
-    }
-
-    /// The larger of two spans.
-    pub fn max(self, other: Dur) -> Dur {
-        Dur(self.0.max(other.0))
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: Dur) -> Dur {
-        Dur(self.0.min(other.0))
     }
 }
 

@@ -6,7 +6,7 @@
 //! model consults the plan at each operation and applies the degradations
 //! inside its existing queueing math, so a faulted run is exactly as
 //! deterministic as an unfaulted one: every random draw comes from a
-//! dedicated `DetRng` stream (`"faults"`) that is only advanced while a
+//! dedicated `vani_rt::Rng::for_component` stream (`"faults"`) that is only advanced while a
 //! plan with nonzero error rates is active. An empty plan is therefore
 //! bit-identical to no plan at all.
 //!
@@ -32,7 +32,7 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// Whether the window covers instant `t`.
-    pub fn covers(&self, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, t: SimTime) -> bool {
         self.from <= t && t < self.until
     }
 }
@@ -52,7 +52,7 @@ pub struct BrownoutWindow {
 
 impl BrownoutWindow {
     /// Whether the window covers instant `t`.
-    pub fn covers(&self, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, t: SimTime) -> bool {
         self.from <= t && t < self.until
     }
 }
@@ -132,7 +132,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan schedules no degradation at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nsd_outages.is_empty()
             && self.nsd_brownouts.is_empty()
             && self.mds_brownouts.is_empty()
@@ -214,7 +214,7 @@ impl FaultPlan {
 
     /// Whether NSD server `server` (already reduced modulo the pool size)
     /// is inside an outage window at `t`.
-    pub fn server_down(&self, server: u32, t: SimTime) -> bool {
+    pub(crate) fn server_down(&self, server: u32, t: SimTime) -> bool {
         self.nsd_outages
             .iter()
             .any(|o| o.server == server && o.covers(t))
@@ -222,7 +222,7 @@ impl FaultPlan {
 
     /// Combined NSD service slowdown at `t` (product of active brownouts;
     /// 1.0 when none are active).
-    pub fn data_slowdown(&self, t: SimTime) -> f64 {
+    pub(crate) fn data_slowdown(&self, t: SimTime) -> f64 {
         self.nsd_brownouts
             .iter()
             .filter(|b| b.covers(t))
@@ -230,7 +230,7 @@ impl FaultPlan {
     }
 
     /// Combined MDS service slowdown at `t`.
-    pub fn mds_slowdown(&self, t: SimTime) -> f64 {
+    pub(crate) fn mds_slowdown(&self, t: SimTime) -> f64 {
         self.mds_brownouts
             .iter()
             .filter(|b| b.covers(t))
@@ -238,7 +238,7 @@ impl FaultPlan {
     }
 
     /// Slowdown factor for client node `node` (1.0 when not a straggler).
-    pub fn node_slowdown(&self, node: u32) -> f64 {
+    pub(crate) fn node_slowdown(&self, node: u32) -> f64 {
         self.stragglers
             .iter()
             .filter(|s| s.node == node)

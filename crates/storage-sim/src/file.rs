@@ -46,11 +46,6 @@ impl Segment {
             Segment::Pattern { len, .. } => *len,
         }
     }
-
-    /// Whether the segment is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// The deterministic synthetic fill: mixes seed and offset so different
@@ -173,7 +168,7 @@ impl SegmentMap {
     }
 
     /// Write a segment at `offset`, narrowing whatever windows overlap it.
-    pub fn write(&mut self, offset: u64, seg: Segment) {
+    pub(crate) fn write(&mut self, offset: u64, seg: Segment) {
         let len = seg.len();
         if len == 0 {
             return;
@@ -203,7 +198,7 @@ impl SegmentMap {
     }
 
     /// A zero-copy view of `len` bytes at `offset`, clipped to end of file.
-    pub fn view(&self, offset: u64, len: u64) -> ContentView {
+    pub(crate) fn view(&self, offset: u64, len: u64) -> ContentView {
         let end = offset.saturating_add(len).min(self.size);
         if end <= offset {
             return ContentView::default();
@@ -229,21 +224,15 @@ impl SegmentMap {
         }
     }
 
-    /// Materialize `len` bytes at `offset`. Bytes past EOF are not returned;
-    /// holes within the file read as zeros.
-    pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
-        self.view(offset, len).to_vec()
-    }
-
     /// How many bytes of `[offset, offset+len)` lie within the file —
     /// the timing-only read used for bulk synthetic data.
-    pub fn readable_len(&self, offset: u64, len: u64) -> u64 {
+    pub(crate) fn readable_len(&self, offset: u64, len: u64) -> u64 {
         let end = (offset + len).min(self.size);
         end.saturating_sub(offset)
     }
 
     /// Truncate to `new_size`.
-    pub fn truncate(&mut self, new_size: u64) {
+    pub(crate) fn truncate(&mut self, new_size: u64) {
         self.segs.split_off(&new_size);
         if let Some((&w_off, w)) = self.segs.range(..new_size).next_back() {
             if w_off + w.len > new_size {
@@ -257,9 +246,7 @@ impl SegmentMap {
 
 /// Metadata and content of one file.
 #[derive(Debug, Clone)]
-pub struct FileNode {
-    /// Normalized absolute path.
-    pub path: String,
+pub(crate) struct FileNode {
     /// Content map.
     pub data: SegmentMap,
     /// Whether this node is a directory.
@@ -279,33 +266,18 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// New store with unlimited capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// New store with a byte capacity (exceeding it yields `NoSpace`).
-    pub fn with_capacity(capacity: u64) -> Self {
+    pub(crate) fn with_capacity(capacity: u64) -> Self {
         FileStore {
             capacity: Some(capacity),
             ..Default::default()
         }
     }
 
-    /// Bytes currently stored (sum of file sizes).
-    pub fn bytes_stored(&self) -> u64 {
-        self.bytes_stored
-    }
-
-    /// Configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<u64> {
-        self.capacity
-    }
-
     /// Change the capacity after construction. Shrinking below the bytes
     /// already stored is rejected with `NoSpace` (the store never discards
     /// data to satisfy a reconfiguration).
-    pub fn set_capacity(&mut self, capacity: Option<u64>) -> Result<(), IoErr> {
+    pub(crate) fn set_capacity(&mut self, capacity: Option<u64>) -> Result<(), IoErr> {
         if let Some(c) = capacity {
             if self.bytes_stored > c {
                 return Err(IoErr::NoSpace);
@@ -313,11 +285,6 @@ impl FileStore {
         }
         self.capacity = capacity;
         Ok(())
-    }
-
-    /// Number of live files (not directories).
-    pub fn file_count(&self) -> usize {
-        self.nodes.iter().flatten().filter(|n| !n.is_dir).count()
     }
 
     /// Look up a path.
@@ -342,7 +309,6 @@ impl FileStore {
         self.mkdirs(vpath::parent(&p))?;
         let key = FileKey(self.nodes.len() as u64);
         self.nodes.push(Some(FileNode {
-            path: p.clone(),
             data: SegmentMap::default(),
             is_dir: false,
         }));
@@ -367,7 +333,6 @@ impl FileStore {
             None => {
                 let key = FileKey(self.nodes.len() as u64);
                 self.nodes.push(Some(FileNode {
-                    path: p.clone(),
                     data: SegmentMap::default(),
                     is_dir: true,
                 }));
@@ -378,7 +343,7 @@ impl FileStore {
     }
 
     /// Access a node.
-    pub fn get(&self, key: FileKey) -> Result<&FileNode, IoErr> {
+    pub(crate) fn get(&self, key: FileKey) -> Result<&FileNode, IoErr> {
         self.nodes
             .get(key.0 as usize)
             .and_then(|n| n.as_ref())
@@ -420,7 +385,7 @@ impl FileStore {
     }
 
     /// Zero-copy read: a view of the range, clipped to end of file.
-    pub fn view(&self, key: FileKey, offset: u64, len: u64) -> Result<ContentView, IoErr> {
+    pub(crate) fn view(&self, key: FileKey, offset: u64, len: u64) -> Result<ContentView, IoErr> {
         let node = self.get(key)?;
         if node.is_dir {
             return Err(IoErr::IsDir);
@@ -434,7 +399,7 @@ impl FileStore {
     }
 
     /// Timing-only read: bytes available in the range.
-    pub fn readable_len(&self, key: FileKey, offset: u64, len: u64) -> Result<u64, IoErr> {
+    pub(crate) fn readable_len(&self, key: FileKey, offset: u64, len: u64) -> Result<u64, IoErr> {
         let node = self.get(key)?;
         if node.is_dir {
             return Err(IoErr::IsDir);
@@ -456,7 +421,7 @@ impl FileStore {
     }
 
     /// Remove a file.
-    pub fn unlink(&mut self, path: &str) -> Result<(), IoErr> {
+    pub(crate) fn unlink(&mut self, path: &str) -> Result<(), IoErr> {
         let p = vpath::normalize(path)?;
         let key = *self.by_path.get(&p).ok_or(IoErr::NotFound)?;
         let node = self.get(key)?;
@@ -490,22 +455,6 @@ impl FileStore {
         self.get_mut(key)?.data = data;
         Ok(key)
     }
-
-    /// All file paths under a directory prefix (recursive), sorted.
-    pub fn list(&self, dir: &str) -> Vec<String> {
-        let Ok(d) = vpath::normalize(dir) else {
-            return Vec::new();
-        };
-        let mut out: Vec<String> = self
-            .nodes
-            .iter()
-            .flatten()
-            .filter(|n| !n.is_dir && vpath::starts_with_dir(&n.path, &d))
-            .map(|n| n.path.clone())
-            .collect();
-        out.sort();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -514,7 +463,7 @@ mod tests {
 
     #[test]
     fn create_write_read_round_trip() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/p/gpfs1/data.bin", false).unwrap();
         fs.write(k, 0, Segment::Bytes(Arc::new(b"hello world".to_vec())))
             .unwrap();
@@ -525,7 +474,7 @@ mod tests {
 
     #[test]
     fn overwrite_splits_segments() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/f", false).unwrap();
         fs.write(k, 0, Segment::Bytes(Arc::new(vec![b'a'; 10])))
             .unwrap();
@@ -536,7 +485,7 @@ mod tests {
 
     #[test]
     fn sparse_holes_read_as_zeros() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/f", false).unwrap();
         fs.write(k, 8, Segment::Bytes(Arc::new(vec![1, 2])))
             .unwrap();
@@ -547,7 +496,7 @@ mod tests {
 
     #[test]
     fn pattern_segments_are_deterministic() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/big", false).unwrap();
         fs.write(
             k,
@@ -568,7 +517,7 @@ mod tests {
 
     #[test]
     fn exclusive_create_fails_on_existing() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         fs.create("/x", false).unwrap();
         assert_eq!(fs.create("/x", true), Err(IoErr::AlreadyExists));
         assert!(fs.create("/x", false).is_ok());
@@ -597,7 +546,7 @@ mod tests {
         fs.write(k, 0, Segment::Pattern { seed: 1, len: 100 })
             .unwrap();
         fs.unlink("/f").unwrap();
-        assert_eq!(fs.bytes_stored(), 0);
+        assert_eq!(fs.bytes_stored, 0);
         assert_eq!(fs.lookup("/f"), None);
         let k2 = fs.create("/g", false).unwrap();
         assert!(fs
@@ -606,21 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn list_is_recursive_and_sorted() {
-        let mut fs = FileStore::new();
-        fs.create("/a/b/1", false).unwrap();
-        fs.create("/a/2", false).unwrap();
-        fs.create("/c/3", false).unwrap();
-        assert_eq!(
-            fs.list("/a"),
-            vec!["/a/2".to_string(), "/a/b/1".to_string()]
-        );
-        assert_eq!(fs.list("/"), vec!["/a/2", "/a/b/1", "/c/3"]);
-    }
-
-    #[test]
     fn file_over_directory_conflicts() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         fs.create("/a/b/c", false).unwrap();
         // "/a/b" is a directory; creating a file there must fail.
         assert_eq!(fs.create("/a/b", false), Err(IoErr::IsDir));
@@ -630,7 +566,7 @@ mod tests {
 
     #[test]
     fn truncate_shrinks_and_zero_extends() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/f", false).unwrap();
         fs.write(k, 0, Segment::Bytes(Arc::new(b"abcdefgh".to_vec())))
             .unwrap();
@@ -683,7 +619,7 @@ mod tests {
                 sm.write(off, seg);
             }
             assert_eq!(sm.size(), model.len() as u64);
-            assert_eq!(sm.read(0, model.len() as u64 + 32), model);
+            assert_eq!(sm.view(0, model.len() as u64 + 32).to_vec(), model);
             for _ in 0..32 {
                 let off = r.uniform_u64(0, model.len() as u64 + 16);
                 let len = r.uniform_u64(0, 200);
@@ -693,7 +629,7 @@ mod tests {
                 let view = sm.view(off, len);
                 assert_eq!(view.len(), want.len() as u64);
                 assert_eq!(view.to_vec(), want, "view({off}, {len})");
-                assert_eq!(sm.read(off, len), want, "read({off}, {len})");
+                assert_eq!(sm.view(off, len).to_vec(), want, "read({off}, {len})");
                 // A partial copy out of the middle of the view.
                 if view.len() > 2 {
                     let mut mid = vec![0xAAu8; view.len() as usize - 2];
@@ -730,7 +666,7 @@ mod tests {
             Segment::Bytes(Arc::new((0..100u8).collect())),
             Segment::Pattern { seed: 7, len: 100 },
         ] {
-            let mut fs = FileStore::new();
+            let mut fs = FileStore::default();
             let k = fs.create("/split", false).unwrap();
             fs.write(k, 0, seg).unwrap();
             let before = fs.read(k, 0, 100).unwrap();
@@ -747,7 +683,7 @@ mod tests {
     /// view was taken does not change the bytes it returns.
     #[test]
     fn views_keep_their_bytes_after_the_file_changes() {
-        let mut fs = FileStore::new();
+        let mut fs = FileStore::default();
         let k = fs.create("/snap", false).unwrap();
         fs.write(k, 0, Segment::Pattern { seed: 3, len: 64 })
             .unwrap();

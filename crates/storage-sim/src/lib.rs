@@ -6,7 +6,7 @@
 //! * [`faults`] — deterministic fault-injection plans (server outages,
 //!   brownouts, stragglers, transient errors) applied by the PFS model,
 //! * [`path`] — path normalization shared by all namespaces,
-//! * [`file`] — inodes, sparse segment maps (windows over immutable
+//! * [`file`](mod@file) — inodes, sparse segment maps (windows over immutable
 //!   byte-backed or synthetic pattern-backed segments), zero-copy
 //!   [`file::ContentView`] reads, and the flat namespace
 //!   [`file::FileStore`],

@@ -35,20 +35,10 @@ pub struct FileHandle {
 /// The complete storage system visible to a job.
 pub struct StorageSystem {
     pfs: GpfsSim,
-    pfs_mount: String,
     locals: Vec<NodeLocalFs>,
 }
 
 impl StorageSystem {
-    /// Assemble a system: one PFS plus node-local tiers.
-    pub fn new(pfs: GpfsSim, pfs_mount: &str, locals: Vec<NodeLocalFs>) -> Self {
-        StorageSystem {
-            pfs,
-            pfs_mount: pfs_mount.to_string(),
-            locals,
-        }
-    }
-
     /// A Lassen-like system for `n_nodes`: GPFS at `/p/gpfs1` plus tmpfs at
     /// `/dev/shm` sized from node memory.
     pub fn lassen(n_nodes: usize, seed: u64) -> Self {
@@ -61,16 +51,14 @@ impl StorageSystem {
             seed,
         );
         let shm = NodeLocalFs::new(NodeLocalConfig::lassen_shm(node.memory_bytes), n_nodes);
-        StorageSystem::new(pfs, "/p/gpfs1", vec![shm])
-    }
-
-    /// The PFS mount point.
-    pub fn pfs_mount(&self) -> &str {
-        &self.pfs_mount
+        StorageSystem {
+            pfs,
+            locals: vec![shm],
+        }
     }
 
     /// Resolve which tier a path belongs to.
-    pub fn resolve(&self, path: &str) -> Tier {
+    pub(crate) fn resolve(&self, path: &str) -> Tier {
         for (i, l) in self.locals.iter().enumerate() {
             if vpath::starts_with_dir(path, &l.config().mount) {
                 return Tier::NodeLocal(i as u8);

@@ -35,7 +35,7 @@ pub struct NodeLocalConfig {
 impl NodeLocalConfig {
     /// Lassen `/dev/shm`: 32 GiB/s, sub-µs latency, memory-backed
     /// (capacity bounded by node memory; Table VIII).
-    pub fn lassen_shm(memory_bytes: u64) -> Self {
+    pub(crate) fn lassen_shm(memory_bytes: u64) -> Self {
         NodeLocalConfig {
             mount: "/dev/shm".to_string(),
             bw: 32 * GIB,
@@ -46,17 +46,6 @@ impl NodeLocalConfig {
             parallel_ops: 64,
         }
     }
-
-    /// A local SSD burst-buffer tier at `/tmp`.
-    pub fn local_ssd() -> Self {
-        NodeLocalConfig {
-            mount: "/tmp".to_string(),
-            bw: 2 * GIB,
-            latency: Dur::from_micros(20),
-            capacity: 1536 * GIB,
-            parallel_ops: 32,
-        }
-    }
 }
 
 /// One node's local file system instance.
@@ -65,14 +54,13 @@ pub struct NodeLocalFs {
     cfg: NodeLocalConfig,
     stores: Vec<FileStore>,
     channels: Vec<BandwidthChannel>,
-    ops: u64,
     bytes_read: u64,
     bytes_written: u64,
 }
 
 impl NodeLocalFs {
     /// Build the tier across `n_nodes` nodes.
-    pub fn new(cfg: NodeLocalConfig, n_nodes: usize) -> Self {
+    pub(crate) fn new(cfg: NodeLocalConfig, n_nodes: usize) -> Self {
         NodeLocalFs {
             stores: (0..n_nodes)
                 .map(|_| FileStore::with_capacity(cfg.capacity))
@@ -80,7 +68,6 @@ impl NodeLocalFs {
             channels: (0..n_nodes)
                 .map(|_| BandwidthChannel::new(cfg.bw, cfg.latency))
                 .collect(),
-            ops: 0,
             bytes_read: 0,
             bytes_written: 0,
             cfg,
@@ -88,13 +75,8 @@ impl NodeLocalFs {
     }
 
     /// The tier's configuration.
-    pub fn config(&self) -> &NodeLocalConfig {
+    pub(crate) fn config(&self) -> &NodeLocalConfig {
         &self.cfg
-    }
-
-    /// Total operations performed across nodes.
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 
     /// Bytes read / written across nodes.
@@ -121,13 +103,12 @@ impl NodeLocalFs {
     }
 
     fn charge(&mut self, node: NodeId, bytes: u64, now: SimTime) -> SimTime {
-        self.ops += 1;
         self.channels[node.0 as usize].transfer(now, bytes)
     }
 
     /// Open or create; node-local metadata is a memory operation — the only
     /// cost is the channel latency.
-    pub fn open(
+    pub(crate) fn open(
         &mut self,
         node: NodeId,
         path: &str,
@@ -149,12 +130,12 @@ impl NodeLocalFs {
     }
 
     /// Close: free.
-    pub fn close(&mut self, _node: NodeId, _key: FileKey, now: SimTime) -> SimTime {
+    pub(crate) fn close(&mut self, _node: NodeId, _key: FileKey, now: SimTime) -> SimTime {
         now
     }
 
     /// Stat.
-    pub fn stat(
+    pub(crate) fn stat(
         &mut self,
         node: NodeId,
         path: &str,
@@ -167,14 +148,19 @@ impl NodeLocalFs {
     }
 
     /// Unlink.
-    pub fn unlink(&mut self, node: NodeId, path: &str, now: SimTime) -> Result<SimTime, IoErr> {
+    pub(crate) fn unlink(
+        &mut self,
+        node: NodeId,
+        path: &str,
+        now: SimTime,
+    ) -> Result<SimTime, IoErr> {
         let end = self.charge(node, 0, now);
         self.stores[node.0 as usize].unlink(path)?;
         Ok(end)
     }
 
     /// Write a segment.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         node: NodeId,
         key: FileKey,
@@ -190,7 +176,7 @@ impl NodeLocalFs {
     }
 
     /// Timing-only read.
-    pub fn read_len(
+    pub(crate) fn read_len(
         &mut self,
         node: NodeId,
         key: FileKey,
@@ -205,7 +191,7 @@ impl NodeLocalFs {
     }
 
     /// Content read: a zero-copy view of the bytes read.
-    pub fn read_view(
+    pub(crate) fn read_view(
         &mut self,
         node: NodeId,
         key: FileKey,

@@ -9,7 +9,7 @@ use crate::err::IoErr;
 
 /// Normalize an absolute path: collapse `//`, strip a trailing `/` (except
 /// for the root itself), and reject relative or dot-containing paths.
-pub fn normalize(path: &str) -> Result<String, IoErr> {
+pub(crate) fn normalize(path: &str) -> Result<String, IoErr> {
     if !path.starts_with('/') {
         return Err(IoErr::Invalid);
     }
@@ -31,7 +31,7 @@ pub fn normalize(path: &str) -> Result<String, IoErr> {
 }
 
 /// The parent directory of a normalized path (`/a/b` → `/a`; `/a` → `/`).
-pub fn parent(path: &str) -> &str {
+pub(crate) fn parent(path: &str) -> &str {
     match path.rfind('/') {
         Some(0) => "/",
         Some(i) => &path[..i],
@@ -39,25 +39,8 @@ pub fn parent(path: &str) -> &str {
     }
 }
 
-/// The final component of a normalized path.
-pub fn basename(path: &str) -> &str {
-    match path.rfind('/') {
-        Some(i) => &path[i + 1..],
-        None => path,
-    }
-}
-
-/// The extension of the final component, without the dot, if any.
-pub fn extension(path: &str) -> Option<&str> {
-    let base = basename(path);
-    match base.rfind('.') {
-        Some(i) if i > 0 => Some(&base[i + 1..]),
-        _ => None,
-    }
-}
-
 /// Whether `path` is `prefix` itself or lies beneath it.
-pub fn starts_with_dir(path: &str, prefix: &str) -> bool {
+pub(crate) fn starts_with_dir(path: &str, prefix: &str) -> bool {
     if prefix == "/" {
         return true;
     }
@@ -86,13 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_basename() {
+    fn parent_of_nested_and_top_level_paths() {
         assert_eq!(parent("/a/b/c"), "/a/b");
         assert_eq!(parent("/a"), "/");
-        assert_eq!(basename("/a/b/c.fits"), "c.fits");
-        assert_eq!(extension("/a/b/c.fits"), Some("fits"));
-        assert_eq!(extension("/a/b/noext"), None);
-        assert_eq!(extension("/a/b/.hidden"), None);
     }
 
     #[test]

@@ -27,8 +27,9 @@ use crate::file::{ContentView, FileKey, FileStore, Segment};
 use crate::tenancy::InterferenceSchedule;
 use hpc_cluster::topology::NodeId;
 use sim_core::units::{GIB, MIB, TIB};
-use sim_core::{BandwidthChannel, DetRng, Dur, ServerPool, ServerQueue, SimTime};
+use sim_core::{BandwidthChannel, Dur, ServerPool, ServerQueue, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
+use vani_rt::Rng;
 
 /// Tunable parameters of the parallel file system (the knobs the paper's
 /// optimizer reconfigures live here and in the MPI-IO layer).
@@ -198,13 +199,13 @@ pub struct GpfsSim {
     pending_bytes: Vec<u64>,
     /// Completion time of the last asynchronous flush per file.
     flush_horizon: HashMap<FileKey, SimTime>,
-    rng: DetRng,
+    rng: Rng,
     /// Active fault schedule; `None` means the fault plane is fully inert
     /// (no extra RNG draws, bit-identical to pre-fault behavior).
     fault_plan: Option<FaultPlan>,
     /// Dedicated RNG stream for transient-error draws, so activating a
     /// plan never perturbs the service-jitter stream.
-    fault_rng: DetRng,
+    fault_rng: Rng,
     /// Competing-tenant load schedule; `None` means a dedicated machine
     /// (no extra draws, bit-identical to pre-tenancy behavior).
     interference: Option<InterferenceSchedule>,
@@ -232,9 +233,9 @@ impl GpfsSim {
             pending_flush: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             pending_bytes: vec![0; n_nodes],
             flush_horizon: HashMap::new(),
-            rng: DetRng::for_component(seed, "gpfs"),
+            rng: Rng::for_component(seed, "gpfs"),
             fault_plan: None,
-            fault_rng: DetRng::for_component(seed, "faults"),
+            fault_rng: Rng::for_component(seed, "faults"),
             interference: None,
             rerouted_per_server: vec![0; cfg.n_data_servers],
             stats: PfsStats::default(),
@@ -271,11 +272,6 @@ impl GpfsSim {
         self.fault_plan = if plan.is_empty() { None } else { Some(plan) };
     }
 
-    /// The active fault plan, if one is installed.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Install (or clear, with an empty schedule) the competing-tenant
     /// load schedule. An empty schedule leaves the simulator bit-identical
     /// to one that never had a schedule installed — this is what lets a
@@ -286,11 +282,6 @@ impl GpfsSim {
         } else {
             Some(schedule)
         };
-    }
-
-    /// The active interference schedule, if one is installed.
-    pub fn interference(&self) -> Option<&InterferenceSchedule> {
-        self.interference.as_ref()
     }
 
     /// Bytes rerouted away from each NSD server while it was in an outage
@@ -327,7 +318,7 @@ impl GpfsSim {
     /// Runs before any store mutation so a retried write never lands twice.
     fn transient_data_fault(&mut self) -> Result<(), IoErr> {
         let rate = self.fault_plan.as_ref().map_or(0.0, |p| p.data_error_rate);
-        if rate > 0.0 && self.fault_rng.chance(rate) {
+        if rate > 0.0 && self.fault_rng.bernoulli(rate) {
             self.stats.transient_errors += 1;
             return Err(IoErr::TransientIo);
         }
@@ -337,7 +328,7 @@ impl GpfsSim {
     /// Draw a transient metadata-path fault, if the active plan injects them.
     fn transient_meta_fault(&mut self) -> Result<(), IoErr> {
         let rate = self.fault_plan.as_ref().map_or(0.0, |p| p.meta_error_rate);
-        if rate > 0.0 && self.fault_rng.chance(rate) {
+        if rate > 0.0 && self.fault_rng.bernoulli(rate) {
             self.stats.transient_errors += 1;
             return Err(IoErr::ServerUnavailable);
         }
@@ -419,7 +410,7 @@ impl GpfsSim {
     /// even on the same node — goes back to the servers (this is why the
     /// paper's intermediate-file re-reads averaged only ~5 MB/s per request
     /// while writes enjoyed write-behind at ~91 MB/s, Fig. 5c).
-    pub fn close(&mut self, node: NodeId, key: FileKey, now: SimTime) -> SimTime {
+    pub(crate) fn close(&mut self, node: NodeId, key: FileKey, now: SimTime) -> SimTime {
         if let Some(set) = self.openers.get_mut(&key) {
             set.remove(&node);
         }
@@ -428,7 +419,7 @@ impl GpfsSim {
     }
 
     /// Stat: one MDS op.
-    pub fn stat(&mut self, path: &str, now: SimTime) -> Result<(u64, SimTime), IoErr> {
+    pub(crate) fn stat(&mut self, path: &str, now: SimTime) -> Result<(u64, SimTime), IoErr> {
         self.transient_meta_fault()?;
         let end = self.meta_service(now + self.cfg.client_overhead);
         let key = self.store.lookup(path).ok_or(IoErr::NotFound)?;
@@ -436,7 +427,7 @@ impl GpfsSim {
     }
 
     /// Unlink: one MDS op.
-    pub fn unlink(&mut self, path: &str, now: SimTime) -> Result<SimTime, IoErr> {
+    pub(crate) fn unlink(&mut self, path: &str, now: SimTime) -> Result<SimTime, IoErr> {
         self.transient_meta_fault()?;
         let end = self.meta_service(now + self.cfg.client_overhead);
         if let Some(key) = self.store.lookup(path) {
@@ -590,7 +581,7 @@ impl GpfsSim {
     /// Write a segment. Small writes absorb into the node's write-behind
     /// cache (memory speed) and drain asynchronously; writes larger than the
     /// cache go straight to the servers.
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         node: NodeId,
         key: FileKey,
@@ -673,7 +664,7 @@ impl GpfsSim {
     }
 
     /// Timing-only read: returns bytes available and completion time.
-    pub fn read_len(
+    pub(crate) fn read_len(
         &mut self,
         node: NodeId,
         key: FileKey,
@@ -689,7 +680,7 @@ impl GpfsSim {
 
     /// Content read: a zero-copy view of the bytes read, timed like
     /// [`read_len`](Self::read_len).
-    pub fn read_view(
+    pub(crate) fn read_view(
         &mut self,
         node: NodeId,
         key: FileKey,
@@ -704,7 +695,7 @@ impl GpfsSim {
     }
 
     /// Wait for this file's outstanding write-behind flushes, then one MDS op.
-    pub fn fsync(&mut self, key: FileKey, now: SimTime) -> SimTime {
+    pub(crate) fn fsync(&mut self, key: FileKey, now: SimTime) -> SimTime {
         let start = now.max(
             self.flush_horizon
                 .get(&key)
@@ -718,12 +709,6 @@ impl GpfsSim {
     pub fn aggregate_bw(&self) -> u64 {
         self.cfg.server_bw * self.cfg.n_data_servers as u64
     }
-}
-
-/// Calibration helper: peak bandwidth of `n` servers at `bw` each. Used by
-/// the Table IX harness to report "Max I/O BW" the way IOR would measure it.
-pub fn peak_bandwidth(cfg: &GpfsConfig) -> u64 {
-    cfg.server_bw * cfg.n_data_servers as u64
 }
 
 #[cfg(test)]
@@ -1113,7 +1098,7 @@ mod tests {
             0.0,
             0.0,
         ));
-        assert!(fs.interference().is_none());
+        assert!(fs.interference.is_none());
     }
 
     #[test]

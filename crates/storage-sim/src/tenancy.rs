@@ -54,7 +54,7 @@ pub struct LoadWindow {
 
 impl LoadWindow {
     /// Whether `t` falls inside the window.
-    pub fn covers(&self, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, t: SimTime) -> bool {
         self.from <= t && t < self.until
     }
 }

@@ -82,19 +82,9 @@ impl Dag {
         self.tasks.len()
     }
 
-    /// Whether the DAG has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Access a task.
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.0 as usize]
-    }
-
-    /// All tasks, indexed by `TaskId`.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
     }
 
     /// Direct dependencies of a task.
@@ -103,20 +93,12 @@ impl Dag {
     }
 
     /// Direct dependents of a task.
-    pub fn children_of(&self, id: TaskId) -> &[TaskId] {
+    pub(crate) fn children_of(&self, id: TaskId) -> &[TaskId] {
         &self.children[id.0 as usize]
     }
 
-    /// Tasks with no dependencies.
-    pub fn roots(&self) -> Vec<TaskId> {
-        (0..self.tasks.len() as u32)
-            .map(TaskId)
-            .filter(|t| self.deps[t.0 as usize].is_empty())
-            .collect()
-    }
-
     /// Topological order; `None` if the graph has a cycle.
-    pub fn topo_order(&self) -> Option<Vec<TaskId>> {
+    pub(crate) fn topo_order(&self) -> Option<Vec<TaskId>> {
         let n = self.tasks.len();
         let mut indeg: Vec<usize> = self.deps.iter().map(Vec::len).collect();
         let mut q: VecDeque<TaskId> = (0..n as u32)
@@ -177,24 +159,6 @@ impl Dag {
         }
         out
     }
-
-    /// App-level dependency edges (producer app → consumer app), the
-    /// coarse graph shown in the paper's Figures 5(b)/6(b).
-    pub fn app_dependencies(&self) -> Vec<(String, String)> {
-        let mut set = HashSet::new();
-        for (i, t) in self.tasks.iter().enumerate() {
-            for &d in &self.deps[i] {
-                let from = self.tasks[d.0 as usize].app.clone();
-                let to = t.app.clone();
-                if from != to {
-                    set.insert((from, to));
-                }
-            }
-        }
-        let mut v: Vec<_> = set.into_iter().collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +189,7 @@ mod tests {
     #[test]
     fn file_inference_builds_the_diamond() {
         let g = diamond();
-        assert_eq!(g.roots(), vec![TaskId(0)]);
+        assert!(g.deps_of(TaskId(0)).is_empty());
         assert_eq!(g.deps_of(TaskId(3)), &[TaskId(1), TaskId(2)]);
         assert_eq!(g.children_of(TaskId(0)), &[TaskId(1), TaskId(2)]);
         assert!(g.is_acyclic());
@@ -265,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn app_dependencies_collapse_instances() {
+    fn app_names_collapse_instances() {
         let mut g = Dag::new();
         for i in 0..4 {
             g.add(task(
@@ -279,10 +243,6 @@ mod tests {
         let input_refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
         g.add(task("add", "mAdd", &input_refs, &["mosaic.fits"]));
         g.infer_edges_from_files();
-        assert_eq!(
-            g.app_dependencies(),
-            vec![("mProject".to_string(), "mAdd".to_string())]
-        );
         assert_eq!(g.app_names(), vec!["mProject", "mAdd"]);
     }
 

@@ -110,16 +110,6 @@ impl WorkQueue {
         self.done == self.dag.len()
     }
 
-    /// Number of completed tasks.
-    pub fn completed(&self) -> usize {
-        self.done
-    }
-
-    /// Number of currently ready (unclaimed) tasks.
-    pub fn ready_count(&self) -> usize {
-        self.ready.len()
-    }
-
     /// The gate id an idle worker should wait on *right now*. The id
     /// changes every time new work appears, so a worker that re-checks
     /// after waking never misses a wake-up.
@@ -204,7 +194,7 @@ mod tests {
         assert_eq!(q.try_claim(), None, "only the root is ready initially");
         let newly = q.complete(root);
         assert_eq!(newly.len(), 8);
-        assert_eq!(q.ready_count(), 8);
+        assert_eq!(q.ready.len(), 8);
         // All eight can be claimed before any completes.
         let claimed: Vec<_> = (0..8).map(|_| q.try_claim().unwrap()).collect();
         assert_eq!(claimed.len(), 8);
