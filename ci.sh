@@ -22,6 +22,11 @@ cargo fmt --check
 # many layers, and an unused field or import is usually a wiring mistake.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 
+# Clippy's correctness, suspicious and perf groups are errors: each flags
+# code that is wrong, probably wrong or needlessly slow, never style.
+cargo clippy --offline --workspace --all-targets -- \
+    -D clippy::correctness -D clippy::suspicious -D clippy::perf
+
 # Rustdoc warnings are errors too: a doc link to a deleted or private item
 # (the usual leftover of narrowing the public surface) fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
@@ -125,10 +130,11 @@ cargo test --release --offline --test sweep_parallel_vs_sequential
 # through every layer and deadlocks come back as rank → gate diagnostics.
 cargo test --release --offline --test failure_injection
 
-# fault-sweep smoke: the deterministic fault plane end to end. The suite
-# asserts the CosmoFlow-vs-HACC MDS-brownout ordering (metadata-bound
-# degrades >= 2x more), the NSD-outage bandwidth cost, and that preload-
-# to-shm shields the training read path from PFS faults.
+# fault-sweep smoke: the deterministic fault plane end to end. On the
+# `repro -- fault-sweep` report the suite asserts the CosmoFlow-vs-HACC
+# MDS-brownout ordering (metadata-bound degrades >= 2x more), the
+# NSD-outage bandwidth cost, and that preload-to-shm shields the training
+# read path from PFS faults.
 cargo test --release --offline --test fault_sweep
 
 # Crash-recovery suite: checkpoint/restart byte-identity at 1/2/8 workers
@@ -156,8 +162,8 @@ cargo test --release --offline --test fleet_sweep
 
 # Fleet failure-domain suite: with an active NodeFaultPlan the degraded
 # report (outage timeline, goodput accounting, retry outcomes) is
-# byte-identical at 1/2/8 workers; with an empty plan the render and JSON
-# are FNV-pinned bit-identical to the pre-failure-domain fleet; a killed
+# byte-identical at 1/2/8 workers; with an empty plan the render is
+# FNV-pinned bit-identical to the pre-failure-domain fleet; a killed
 # job completes after requeue with its lost work charged, and a job past
 # its retry budget is abandoned without being simulated.
 cargo test --release --offline --test fleet_resilience

@@ -1,7 +1,9 @@
 //! Fault-injection sweep: how resilience attributes separate workloads.
 //!
 //! Three experiments, driven by the deterministic fault plane in
-//! `storage-sim::faults` and surfaced via `repro -- fault-sweep`:
+//! `storage-sim::faults`, run by [`crate::sweep::fault_sweep`] and surfaced
+//! via `repro -- fault-sweep`. This module holds their plans, runners and
+//! result types:
 //!
 //! 1. **MDS brownout** — the same metadata-server slowdown applied to
 //!    metadata-bound CosmoFlow (thousands of per-sample opens) and
@@ -146,32 +148,6 @@ pub(crate) fn impact_from(
     }
 }
 
-fn impact_of(
-    workload: &'static str,
-    healthy: &exemplar_workloads::WorkloadRun,
-    faulted: &exemplar_workloads::WorkloadRun,
-) -> FaultImpact {
-    impact_from(
-        workload,
-        &Analysis::from_run(healthy),
-        &Analysis::from_run(faulted),
-    )
-}
-
-/// Experiment 1: an MDS brownout (`slowdown`× metadata service time for the
-/// whole run) applied to CosmoFlow and HACC. Returns `(cosmoflow, hacc)`.
-pub fn mds_brownout_impact(scale: f64, seed: u64, slowdown: f64) -> (FaultImpact, FaultImpact) {
-    let plan = mds_plan(slowdown);
-    let c_ok = run_cosmo(scale, seed, FaultPlan::none());
-    let c_bad = run_cosmo(scale, seed, plan.clone());
-    let h_ok = run_hacc(scale, seed, FaultPlan::none());
-    let h_bad = run_hacc(scale, seed, plan);
-    (
-        impact_of("Cosmoflow", &c_ok, &c_bad),
-        impact_of("HACC (FPP)", &h_ok, &h_bad),
-    )
-}
-
 /// Experiment 2 result: aggregate PFS bandwidth with and without one NSD
 /// server down.
 #[derive(Debug, Clone)]
@@ -200,23 +176,6 @@ impl OutageBench {
     }
 }
 
-/// Experiment 2: stream a large write through a small GPFS pool, healthy vs
-/// with one NSD server down for the whole transfer. The client cache is
-/// disabled so the measurement sees server bandwidth, not memory speed.
-pub fn nsd_outage_bench(seed: u64) -> OutageBench {
-    let n_servers = nsd_config().n_data_servers as u32;
-    let healthy_bw = nsd_bw(seed, FaultPlan::none());
-    let degraded_bw = nsd_bw(
-        seed,
-        FaultPlan::none().with_nsd_outage(0, SimTime::ZERO, whole_run()),
-    );
-    OutageBench {
-        n_servers,
-        healthy_bw,
-        degraded_bw,
-    }
-}
-
 /// Experiment 3 result: the same PFS fault plan hitting the baseline and
 /// the preload-to-shm variant of CosmoFlow.
 #[derive(Debug, Clone)]
@@ -238,28 +197,6 @@ impl ShieldResult {
         } else {
             (1.0 - p / b).max(0.0)
         }
-    }
-}
-
-/// Experiment 3: a mid-run PFS fault (NSD brownout plus seeded transient
-/// errors, opening a quarter of the way into the healthy baseline run)
-/// against CosmoFlow baseline and preload-to-shm. By the time the fault
-/// strikes, the preload variant has already staged the dataset into shm,
-/// so its training reads never touch the degraded PFS; the baseline is
-/// still streaming samples off GPFS and takes the full hit.
-pub fn shm_shield_impact(scale: f64, seed: u64) -> ShieldResult {
-    let b_ok = run_cosmo(scale, seed, FaultPlan::none());
-    let p_ok = run_cosmo_preload(scale, seed, FaultPlan::none());
-
-    // Data-path faults only, opening a quarter of the way into the healthy
-    // baseline makespan (see `shield_plan`).
-    let plan = shield_plan(SimTime::from_nanos(b_ok.runtime().as_nanos() / 4));
-    let b_bad = run_cosmo(scale, seed, plan.clone());
-    let p_bad = run_cosmo_preload(scale, seed, plan);
-
-    ShieldResult {
-        baseline: impact_of("Cosmoflow (GPFS)", &b_ok, &b_bad),
-        preloaded: impact_of("Cosmoflow (preload)", &p_ok, &p_bad),
     }
 }
 
@@ -321,62 +258,6 @@ pub(crate) fn render_fault_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mds_brownout_hits_metadata_bound_harder() {
-        let (cosmo, hacc) = mds_brownout_impact(0.02, 7, 20.0);
-        assert!(
-            cosmo.degradation() > 1.1,
-            "brownout must slow CosmoFlow: {:.2}x",
-            cosmo.degradation()
-        );
-        assert!(
-            cosmo.degradation() >= 2.0 * hacc.degradation(),
-            "metadata-bound CosmoFlow ({:.2}x) must degrade >= 2x more than data-bound HACC ({:.2}x)",
-            cosmo.degradation(),
-            hacc.degradation()
-        );
-    }
-
-    #[test]
-    fn nsd_outage_costs_roughly_the_server_share_plus_contention() {
-        let b = nsd_outage_bench(7);
-        // One of four servers down: at least its share must be lost, and
-        // the rerouted stripes serializing behind survivors cannot cost
-        // more than ~3x the share.
-        assert!(
-            b.degradation() >= b.server_share() * 0.5,
-            "outage lost only {:.1}% with share {:.1}%",
-            100.0 * b.degradation(),
-            100.0 * b.server_share()
-        );
-        assert!(
-            b.degradation() <= (b.server_share() * 3.0).min(0.95),
-            "outage lost {:.1}%, far above share {:.1}% plus contention",
-            100.0 * b.degradation(),
-            100.0 * b.server_share()
-        );
-    }
-
-    #[test]
-    fn preload_to_shm_shields_from_pfs_faults() {
-        let s = shm_shield_impact(0.02, 7);
-        assert!(
-            s.baseline.degradation() > 1.05,
-            "fault plan must slow the GPFS baseline: {:.2}x",
-            s.baseline.degradation()
-        );
-        assert!(
-            s.preloaded.degradation() < s.baseline.degradation(),
-            "preload ({:.2}x) must degrade less than baseline ({:.2}x)",
-            s.preloaded.degradation(),
-            s.baseline.degradation()
-        );
-        assert!(
-            s.baseline.faults > 0,
-            "the 2% error rate must trigger retries"
-        );
-    }
 
     #[test]
     fn sweep_renders_every_section() {

@@ -287,14 +287,14 @@ impl W1 {
 
 /// Run all three fault-sweep experiments as scenario fan-outs, sharing the
 /// distinct baselines: the healthy CosmoFlow baseline feeds both the
-/// MDS-brownout comparison and the shm-shielding experiment (previously it
-/// was simulated and analyzed twice). Two waves: the shield fault plan
-/// opens a quarter of the way into the healthy baseline makespan, so the
-/// faulted shield scenarios wait for wave 1.
+/// MDS-brownout comparison and the shm-shielding experiment. Two waves: the
+/// shield fault plan opens a quarter of the way into the healthy baseline
+/// makespan, so the faulted shield scenarios wait for wave 1. By then the
+/// preload variant has staged the dataset into shm, so its training reads
+/// never touch the degraded PFS; the baseline is still streaming samples
+/// off GPFS and takes the full hit.
 ///
-/// Output is identical to calling `mds_brownout_impact` /
-/// `nsd_outage_bench` / `shm_shield_impact` back to back, at any worker
-/// count, with either driver.
+/// Output is identical at any worker count, with either driver.
 pub fn fault_sweep(scale: f64, seed: u64, slowdown: f64, driver: Driver) -> FaultSweepReport {
     // Wave 1: everything that does not depend on another scenario.
     let mut w1 = ScenarioSet::new(seed);
@@ -523,20 +523,5 @@ mod tests {
         assert!(got.manifest().is_empty());
         let got: Vec<u64> = got.results.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn fault_sweep_matches_standalone_experiments() {
-        // The de-duplicated two-wave fan-out must reproduce the standalone
-        // experiment functions exactly (same sims, same seeds).
-        let r = fault_sweep(0.02, 7, 20.0, Driver::Sequential);
-        let (c, h) = faultsweep::mds_brownout_impact(0.02, 7, 20.0);
-        let o = faultsweep::nsd_outage_bench(7);
-        let s = faultsweep::shm_shield_impact(0.02, 7);
-        assert_eq!(
-            r.render(),
-            faultsweep::render_fault_sweep(&(c, h), &o, &s),
-            "deduped sweep diverged from standalone experiments"
-        );
     }
 }

@@ -23,7 +23,6 @@
 //! bit-identical to the pre-failure-domain fleet everywhere.
 
 use vani_rt::rng::Rng;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// One whole-node outage on the fleet clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,43 +137,6 @@ impl NodeFaultPlan {
     }
 }
 
-impl ToJson for NodeOutage {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("node", Json::Int(self.node as i128)),
-            ("at", Json::Float(self.at)),
-            ("until", Json::Float(self.until)),
-        ])
-    }
-}
-
-impl FromJson for NodeOutage {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(NodeOutage {
-            node: j.decode_field("node")?,
-            at: j.decode_field("at")?,
-            until: j.decode_field("until")?,
-        })
-    }
-}
-
-impl ToJson for NodeFaultPlan {
-    fn to_json(&self) -> Json {
-        Json::obj([("outages", self.outages.to_json())])
-    }
-}
-
-impl FromJson for NodeFaultPlan {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let mut plan = NodeFaultPlan {
-            outages: j.decode_field("outages")?,
-        };
-        plan.normalize();
-        plan.outages.retain(|o| o.until > o.at);
-        Ok(plan)
-    }
-}
-
 /// A seeded outage generator: exponential time-between-failures across the
 /// whole fleet, uniform victim pick, Weibull repair times (the classic
 /// repair-crew distribution — shape < 1 gives the long tail real fleets
@@ -281,15 +243,6 @@ mod tests {
             .with_outage(1, 5.0, 1.0);
         assert_eq!(p.outages[0].node, 1);
         assert_eq!(p.outages[1].node, 3);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_plan() {
-        let p = NodeFaultPlan::none()
-            .with_outage(0, 1.5, 2.5)
-            .with_outage(7, 9.0, 100.0);
-        let back = NodeFaultPlan::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use super::fleet::{FleetManifest, JobRecord};
 use super::scheduler::{JobOutcome, JobSchedule, Placement, SchedPolicy};
 use crate::tables::Table;
 use sim_core::units::MIB;
+use vani_rt::fnv1a64;
 use vani_rt::stats::{pearson, Quantiles};
-use vani_rt::{fnv1a64, Json};
 
 /// One dedicated profile run, as the report presents it.
 #[derive(Debug, Clone, PartialEq)]
@@ -632,123 +632,6 @@ impl FleetReport {
             out.push_str(&self.slowdown_vs_healthy_table().render());
         }
         out
-    }
-
-    /// Machine-readable mirror of [`FleetReport::render`]. Carries digests
-    /// plus the aggregated tables, not the per-job records (the render has
-    /// those in aggregate; the manifest digest pins the raw identity).
-    /// Its bytes are FNV-pinned by `tests/fleet_resilience.rs`.
-    pub fn to_json(&self) -> Json {
-        let jnum = |x: f64| {
-            if x.is_finite() {
-                Json::Float(x)
-            } else {
-                Json::Null
-            }
-        };
-        let quantiles = attributes()
-            .iter()
-            .map(|(name, f)| {
-                let xs: Vec<f64> = self.records.iter().map(|r| f(r)).collect();
-                let q = Quantiles::of(&xs);
-                (
-                    *name,
-                    Json::obj([
-                        ("n", Json::Int(q.n as i128)),
-                        ("min", jnum(q.min)),
-                        ("p50", jnum(q.p50)),
-                        ("p90", jnum(q.p90)),
-                        ("p99", jnum(q.p99)),
-                        ("max", jnum(q.max)),
-                        ("mean", jnum(q.mean)),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>();
-        let profiles = self
-            .profiles
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("workload", Json::Str(p.workload.clone())),
-                    ("variant", Json::Str(p.variant.clone())),
-                    ("runtime_s", jnum(p.runtime_s)),
-                    ("data_frac", jnum(p.data_frac)),
-                    ("meta_frac", jnum(p.meta_frac)),
-                ])
-            })
-            .collect::<Vec<_>>();
-        let mut members = vec![
-            ("n_jobs", Json::Int(self.records.len() as i128)),
-            ("scale", Json::Float(self.scale)),
-            ("seed", Json::Int(self.seed as i128)),
-            (
-                "cluster_nodes",
-                Json::Int(self.manifest.cluster_nodes as i128),
-            ),
-            ("arrival", Json::Str(self.manifest.arrival.clone())),
-            (
-                "admission_digest",
-                Json::Str(format!("{:016x}", self.admission_digest())),
-            ),
-            (
-                "report_digest",
-                Json::Str(format!("{:016x}", fnv1a64(&self.render()))),
-            ),
-            ("mean_queue_wait_s", jnum(self.mean_wait())),
-            (
-                "quantiles",
-                Json::Obj(
-                    quantiles
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                ),
-            ),
-            ("profiles", Json::Arr(profiles)),
-        ];
-        // Spill keys appear only when the fleet spilled, keeping the
-        // in-memory JSON bit-identical to the pre-spill output.
-        if let Some(s) = &self.spill {
-            members.push((
-                "spill",
-                Json::obj([
-                    ("jobs", Json::Int(s.jobs as i128)),
-                    ("fully_durable", Json::Int(s.fully_durable as i128)),
-                    ("partial", Json::Int(s.partial as i128)),
-                    ("lost_entirely", Json::Int(s.lost_entirely as i128)),
-                    ("lost_records", Json::Int(s.lost_records as i128)),
-                    ("mean_complete_frac", jnum(s.mean_complete_frac)),
-                ]),
-            ));
-        }
-        // Degraded-mode keys appear only under an active plan, keeping
-        // the healthy JSON bit-identical to the pre-change output.
-        if self.is_degraded() {
-            let (clean, retried, abandoned) = self.outcome_counts();
-            members.push((
-                "node_faults",
-                Json::obj([
-                    (
-                        "outages",
-                        Json::Int(self.manifest.node_faults.outages.len() as i128),
-                    ),
-                    (
-                        "node_hours_down",
-                        jnum(self.manifest.node_faults.node_hours_down()),
-                    ),
-                    ("completed_clean", Json::Int(clean as i128)),
-                    ("completed_after_retry", Json::Int(retried as i128)),
-                    ("abandoned", Json::Int(abandoned as i128)),
-                    ("retry_amplification", jnum(self.retry_amplification())),
-                    ("offered_node_secs", jnum(self.offered_node_secs())),
-                    ("goodput_node_secs", jnum(self.useful_work_node_secs())),
-                    ("lost_work_node_secs", jnum(self.lost_work_node_secs())),
-                    ("goodput_frac", jnum(self.goodput_frac())),
-                ]),
-            ));
-        }
-        Json::obj(members)
     }
 }
 

@@ -11,7 +11,7 @@
 //! * heavy metadata share: each small write is paired with a seek, and the
 //!   leaders' open/close churn adds more (87.5 % of I/O time in metadata).
 
-use crate::harness::{execute_with_recovery, scaled, scaled_nodes, WorkloadKind, WorkloadRun};
+use crate::harness::{execute, scaled, scaled_nodes, WorkloadKind, WorkloadRun};
 use hpc_cluster::engine::{Outcome, RankScript, StepEffect};
 use hpc_cluster::mpi::{CollectiveKind, CommId};
 use hpc_cluster::topology::RankId;
@@ -370,23 +370,16 @@ pub fn run_with(p: Cm1Params, scale: f64, seed: u64) -> WorkloadRun {
             + p.n_steps as u64) as usize,
     );
     stage_inputs(&mut world, &p);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "cm1");
-    }
     let n = world.alloc.total_ranks();
-    let crashes = p.faults.crashes_sorted();
     // Every launch (cold start or post-crash relaunch) re-reads the config
     // and resumes at the first step without a durable step file.
-    execute_with_recovery(
+    execute(
         WorkloadKind::Cm1,
         scale,
         world,
-        &crashes,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
         move |ckpts_done, _epoch| {
             (0..n)
                 .map(|_| {

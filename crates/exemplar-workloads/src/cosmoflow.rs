@@ -14,7 +14,7 @@
 //! The optimized variant (Figure 7) is in `vani-core::reconfig`: preload to
 //! node-local shm and read locally.
 
-use crate::harness::{execute_with_recovery, scaled, scaled_nodes, WorkloadKind, WorkloadRun};
+use crate::harness::{execute, scaled, scaled_nodes, WorkloadKind, WorkloadRun};
 use hpc_cluster::engine::{RankScript, StepEffect};
 use hpc_cluster::topology::RankId;
 use io_layers::hdf5::{self, H5Options};
@@ -523,21 +523,14 @@ pub fn run_with(mut p: CosmoflowParams, scale: f64, seed: u64) -> WorkloadRun {
     } else if !p.local_reads {
         stage_dataset(&mut world, &p);
     }
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "cosmoflow");
-    }
     let n = world.alloc.total_ranks();
-    let crashes = p.faults.crashes_sorted();
-    execute_with_recovery(
+    execute(
         WorkloadKind::Cosmoflow,
         scale,
         world,
-        &crashes,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
         move |ckpts_done, epoch| {
             (0..n)
                 .map(|r| {

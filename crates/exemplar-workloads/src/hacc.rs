@@ -221,24 +221,26 @@ pub fn run_with(p: HaccParams, scale: f64, seed: u64) -> WorkloadRun {
     world
         .tracer
         .reserve((ranks * (4 + p.n_vars as u64 + p.bytes_per_rank / p.xfer.max(1))) as usize);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "hacc-io");
-    }
     let n = world.alloc.total_ranks();
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..n)
-        .map(|_| {
-            Box::new(HaccScript {
-                p: p.clone(),
-                phase: Phase::Generate,
-            }) as Box<dyn RankScript<IoWorld>>
-        })
-        .collect();
-    execute(WorkloadKind::Hacc, scale, world, scripts, vec![])
+    // No checkpoint markers: a relaunch starts over from the first step.
+    execute(
+        WorkloadKind::Hacc,
+        scale,
+        world,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
+        move |_, _| {
+            (0..n)
+                .map(|_| {
+                    Box::new(HaccScript {
+                        p: p.clone(),
+                        phase: Phase::Generate,
+                    }) as Box<dyn RankScript<IoWorld>>
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -329,5 +331,36 @@ mod tests {
         let frac = io_time.as_secs_f64() / run.runtime().as_secs_f64();
         // Paper: 75 % of HACC's job time is I/O.
         assert!(frac > 0.25, "I/O fraction {frac} should dominate");
+    }
+
+    #[test]
+    fn rank_crash_relaunches_from_the_first_step_and_completes() {
+        let healthy = tiny();
+        let mid = SimTime::from_nanos(healthy.report.makespan.as_nanos() / 2);
+        let mut p = HaccParams::scaled(0.02);
+        p.faults = FaultPlan::none().with_rank_crash(1, mid);
+        let run = run_with(p, 0.02, 1);
+        let c = run.columnar();
+        let crash = c.select(|i| c.op[i] == OpKind::Crash);
+        let restart = c.select(|i| c.op[i] == OpKind::RestartEpoch);
+        assert_eq!(crash.len(), 1, "one crash event");
+        assert_eq!(restart.len(), 1, "one restart epoch");
+        let (k, r) = (crash[0] as usize, restart[0] as usize);
+        assert_eq!(c.rank[k], 1, "crash attributed to the dead rank");
+        // No checkpoint markers: all work since launch is lost, and the
+        // relaunch waits out the restart delay.
+        assert_eq!((c.start[k], c.end[k]), (0, mid.as_nanos()));
+        let relaunch = mid + crate::harness::restart_delay();
+        assert_eq!(
+            (c.start[r], c.end[r]),
+            (mid.as_nanos(), relaunch.as_nanos())
+        );
+        assert!(run.report.makespan > relaunch);
+        // The relaunch reads the whole checkpoint back.
+        let p = HaccParams::scaled(0.02);
+        let expected = p.var_bytes() * p.n_vars as u64 * run.world.alloc.total_ranks() as u64;
+        let reads_after =
+            c.select(|i| c.op[i] == OpKind::Read && c.start[i] >= relaunch.as_nanos());
+        assert_eq!(c.sum_bytes(&reads_after), expected);
     }
 }

@@ -3,13 +3,14 @@
 //! from its last durable checkpoint.
 
 use hpc_cluster::engine::{Engine, EngineReport, RankScript, RunHalt};
-use hpc_cluster::mpi::MpiCostModel;
+use hpc_cluster::mpi::{Communicator, MpiCostModel};
 use hpc_cluster::topology::{ClusterSpec, RankId};
 use io_layers::world::IoWorld;
 use recorder_sim::record::{Layer, OpKind};
 use recorder_sim::ColumnarTrace;
 use sim_core::{Dur, SimTime};
-use storage_sim::faults::{CrashEvent, CrashScope};
+use storage_sim::faults::{CrashScope, FaultPlan};
+use storage_sim::InterferenceSchedule;
 
 /// The six exemplar workloads (plus the IOR calibrator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +42,20 @@ impl WorkloadKind {
             WorkloadKind::MontageMpi => "Montage MPI",
             WorkloadKind::MontagePegasus => "Montage Pegasus",
             WorkloadKind::Ior => "IOR",
+        }
+    }
+
+    /// The application name every rank of the job reports (the paper's
+    /// application entity).
+    pub fn app(&self) -> &'static str {
+        match self {
+            WorkloadKind::Cm1 => "cm1",
+            WorkloadKind::Hacc => "hacc-io",
+            WorkloadKind::Cosmoflow => "cosmoflow",
+            WorkloadKind::Jag => "jag-icf",
+            WorkloadKind::MontageMpi => "montage",
+            WorkloadKind::MontagePegasus => "pegasus-mpi-cluster",
+            WorkloadKind::Ior => "ior",
         }
     }
 }
@@ -75,32 +90,6 @@ impl WorkloadRun {
     /// Zero-copy borrow of the captured columns.
     pub fn columnar_view(&self) -> &ColumnarTrace {
         self.world.tracer.columnar()
-    }
-}
-
-/// Drive a prepared world + scripts to completion.
-pub fn execute(
-    kind: WorkloadKind,
-    scale: f64,
-    world: IoWorld,
-    scripts: Vec<Box<dyn RankScript<IoWorld>>>,
-    comms: Vec<hpc_cluster::mpi::Communicator>,
-) -> WorkloadRun {
-    let cost = MpiCostModel::from_node(&ClusterSpec::lassen().node);
-    let mut engine = Engine::new(world, scripts, cost);
-    for c in comms {
-        engine.add_comm(c);
-    }
-    // A generous cap that still catches runaway scripts.
-    engine.set_max_steps(200_000_000);
-    // A deadlock here is a bug in the workload script, not a recoverable
-    // condition — surface the rank → gate diagnostic and abort.
-    let report = engine.run().unwrap_or_else(|e| panic!("{e}"));
-    WorkloadRun {
-        kind,
-        scale,
-        report,
-        world: engine.into_world(),
     }
 }
 
@@ -139,31 +128,42 @@ fn checkpoint_state(world: &IoWorld) -> (u64, Option<SimTime>) {
     (count, last_end)
 }
 
-/// Drive a workload to completion under a crash plan, restarting the job
-/// from its last durable checkpoint after every kill.
+/// Drive a workload to completion, restarting the job after every crash.
 ///
+/// The job's storage conditions are installed on the world first: the
+/// fault plan and the competing-tenant schedule on the PFS, and
+/// [`WorkloadKind::app`] as every rank's application name.
 /// `make_scripts(ckpts_done, epoch)` builds the rank scripts for one launch:
 /// `ckpts_done` is the number of durable checkpoints visible in the trace
-/// (the resume point) and `epoch` the zero-based launch attempt. Each crash
-/// appends a `Crash` record spanning the work lost (last durable checkpoint
-/// → instant of death) and a `RestartEpoch` record spanning the recovery
-/// latency, then relaunches on the surviving world: the parallel file
-/// system — and the trace — persist across job launches, while every
-/// per-process descriptor and stdio stream table is torn down with the
-/// dead processes.
+/// (the resume point; a workload without checkpoints ignores it and starts
+/// over) and `epoch` the zero-based launch attempt. Every launch gets a
+/// fresh copy of `comms`. Each crash in `faults` appends a `Crash` record
+/// spanning the work lost (last durable checkpoint → instant of death) and
+/// a `RestartEpoch` record spanning the recovery latency, then relaunches
+/// on the surviving world: the parallel file system — and the trace —
+/// persist across job launches, while every per-process descriptor and
+/// stdio stream table is torn down with the dead processes.
 ///
-/// With no crash events this is exactly [`execute`]: one launch at
-/// `SimTime::ZERO`, bit-identical output.
-pub(crate) fn execute_with_recovery(
+/// Without crash events this is one launch at `SimTime::ZERO`.
+///
+/// # Panics
+/// Panics on a deadlock, which is a bug in the workload script rather than
+/// a recoverable condition, with the rank → gate diagnostic.
+pub fn execute(
     kind: WorkloadKind,
     scale: f64,
-    world: IoWorld,
-    crashes: &[CrashEvent],
+    mut world: IoWorld,
+    faults: FaultPlan,
+    interference: InterferenceSchedule,
+    comms: Vec<Communicator>,
     make_scripts: impl Fn(u64, u32) -> Vec<Box<dyn RankScript<IoWorld>>>,
 ) -> WorkloadRun {
-    let mut events = crashes.to_vec();
-    events.sort_by_key(|e| (e.at, e.scope.order_key()));
-    let mut world = world;
+    let events = faults.crashes_sorted();
+    world.storage.pfs_mut().set_fault_plan(faults);
+    world.storage.pfs_mut().set_interference(interference);
+    for r in world.alloc.ranks().collect::<Vec<_>>() {
+        world.set_app(r, kind.app());
+    }
     let mut next_event = 0usize;
     let mut epoch: u32 = 0;
     let mut launch_at = SimTime::ZERO;
@@ -190,6 +190,10 @@ pub(crate) fn execute_with_recovery(
         let scripts = make_scripts(ckpts_done, epoch);
         let cost = MpiCostModel::from_node(&ClusterSpec::lassen().node);
         let mut engine = Engine::new_at(world, scripts, cost, launch_at);
+        for c in &comms {
+            engine.add_comm(c.clone());
+        }
+        // A generous cap that still catches runaway scripts.
         engine.set_max_steps(200_000_000);
         if let Some((victim, at)) = armed {
             engine.set_crash(victim, at);

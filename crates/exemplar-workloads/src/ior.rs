@@ -153,24 +153,26 @@ pub fn run(p: IorParams, seed: u64) -> WorkloadRun {
     world
         .tracer
         .reserve((ranks * (4 + passes * (p.bytes_per_rank / p.xfer.max(1)))) as usize);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "ior");
-    }
     let n = world.alloc.total_ranks();
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..n)
-        .map(|_| {
-            Box::new(IorScript {
-                p: p.clone(),
-                phase: Phase::Open,
-            }) as Box<dyn RankScript<IoWorld>>
-        })
-        .collect();
-    execute(WorkloadKind::Ior, 1.0, world, scripts, vec![])
+    // No checkpoint markers: a relaunch starts over from the first write.
+    execute(
+        WorkloadKind::Ior,
+        1.0,
+        world,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
+        move |_, _| {
+            (0..n)
+                .map(|_| {
+                    Box::new(IorScript {
+                        p: p.clone(),
+                        phase: Phase::Open,
+                    }) as Box<dyn RankScript<IoWorld>>
+                })
+                .collect()
+        },
+    )
 }
 
 /// Measured aggregate bandwidth of a completed IOR run, bytes/second.

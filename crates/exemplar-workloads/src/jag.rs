@@ -251,26 +251,28 @@ pub fn run_with(p: JagParams, scale: f64, seed: u64) -> WorkloadRun {
         (p.n_samples * 2 + ranks * (4 + p.epochs as u64 * 2 + p.validation_samples)) as usize,
     );
     stage_dataset(&mut world, &p);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "jag-icf");
-    }
     let n = world.alloc.total_ranks();
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..n)
-        .map(|_| {
-            Box::new(JagScript {
-                p: p.clone(),
-                total_ranks: n,
-                phase: Phase::Open,
-                file: None,
-            }) as Box<dyn RankScript<IoWorld>>
-        })
-        .collect();
-    execute(WorkloadKind::Jag, scale, world, scripts, vec![])
+    // No checkpoint markers: a relaunch starts over from the first epoch.
+    execute(
+        WorkloadKind::Jag,
+        scale,
+        world,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
+        move |_, _| {
+            (0..n)
+                .map(|_| {
+                    Box::new(JagScript {
+                        p: p.clone(),
+                        total_ranks: n,
+                        phase: Phase::Open,
+                        file: None,
+                    }) as Box<dyn RankScript<IoWorld>>
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]

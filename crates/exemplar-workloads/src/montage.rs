@@ -555,14 +555,6 @@ pub fn run_with(p: MontageParams, scale: f64, seed: u64) -> WorkloadRun {
             as usize,
     );
     stage_inputs(&mut world, &p);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "montage");
-    }
     let n = world.alloc.total_ranks();
     let comms: Vec<Communicator> = (0..p.nodes)
         .map(|node| {
@@ -572,15 +564,25 @@ pub fn run_with(p: MontageParams, scale: f64, seed: u64) -> WorkloadRun {
             )
         })
         .collect();
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..n)
-        .map(|_| {
-            Box::new(MontageScript {
-                p: p.clone(),
-                phase: Phase::ProjectOpenInput { i: 0 },
-            }) as Box<dyn RankScript<IoWorld>>
-        })
-        .collect();
-    execute(WorkloadKind::MontageMpi, scale, world, scripts, comms)
+    // No checkpoint markers: a relaunch starts over from the first stage.
+    execute(
+        WorkloadKind::MontageMpi,
+        scale,
+        world,
+        p.faults.clone(),
+        p.interference.clone(),
+        comms,
+        move |_, _| {
+            (0..n)
+                .map(|_| {
+                    Box::new(MontageScript {
+                        p: p.clone(),
+                        phase: Phase::ProjectOpenInput { i: 0 },
+                    }) as Box<dyn RankScript<IoWorld>>
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]

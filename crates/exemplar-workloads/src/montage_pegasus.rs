@@ -570,27 +570,28 @@ pub fn run_with(p: PegasusParams, scale: f64, seed: u64) -> WorkloadRun {
             + p.n_tiles as u64 * 12) as usize,
     );
     stage_inputs(&mut world, &p);
-    world.storage.pfs_mut().set_fault_plan(p.faults.clone());
-    world
-        .storage
-        .pfs_mut()
-        .set_interference(p.interference.clone());
-    for r in world.alloc.ranks().collect::<Vec<_>>() {
-        world.set_app(r, "pegasus-mpi-cluster");
-    }
-    let dag = build_dag(&p);
-    let q = Rc::new(RefCell::new(WorkQueue::new(dag, GATE_BASE)));
     let n = world.alloc.total_ranks();
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..n)
-        .map(|_| {
-            Box::new(PegasusWorker {
-                p: p.clone(),
-                q: Rc::clone(&q),
-                state: WState::Idle,
-            }) as Box<dyn RankScript<IoWorld>>
-        })
-        .collect();
-    execute(WorkloadKind::MontagePegasus, scale, world, scripts, vec![])
+    // No checkpoint markers: a relaunch replans the whole DAG.
+    execute(
+        WorkloadKind::MontagePegasus,
+        scale,
+        world,
+        p.faults.clone(),
+        p.interference.clone(),
+        vec![],
+        move |_, _| {
+            let q = Rc::new(RefCell::new(WorkQueue::new(build_dag(&p), GATE_BASE)));
+            (0..n)
+                .map(|_| {
+                    Box::new(PegasusWorker {
+                        p: p.clone(),
+                        q: Rc::clone(&q),
+                        state: WState::Idle,
+                    }) as Box<dyn RankScript<IoWorld>>
+                })
+                .collect()
+        },
+    )
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 use sim_core::units::{GIB, MIB};
 use sim_core::Dur;
 use std::fmt;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// Identifies a node within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,36 +66,6 @@ impl NodeSpec {
     }
 }
 
-impl ToJson for NodeSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cpu_cores", self.cpu_cores.to_json()),
-            ("gpus", self.gpus.to_json()),
-            ("memory_bytes", self.memory_bytes.to_json()),
-            ("nic_bw", self.nic_bw.to_json()),
-            ("nic_latency", self.nic_latency.to_json()),
-            ("shm_bw", self.shm_bw.to_json()),
-            ("shm_latency", self.shm_latency.to_json()),
-            ("shm_parallel_ops", self.shm_parallel_ops.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NodeSpec {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(NodeSpec {
-            cpu_cores: j.decode_field("cpu_cores")?,
-            gpus: j.decode_field("gpus")?,
-            memory_bytes: j.decode_field("memory_bytes")?,
-            nic_bw: j.decode_field("nic_bw")?,
-            nic_latency: j.decode_field("nic_latency")?,
-            shm_bw: j.decode_field("shm_bw")?,
-            shm_latency: j.decode_field("shm_latency")?,
-            shm_parallel_ops: j.decode_field("shm_parallel_ops")?,
-        })
-    }
-}
-
 /// Description of an entire cluster: homogeneous nodes plus fabric limits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
@@ -119,26 +88,6 @@ impl ClusterSpec {
     }
 }
 
-impl ToJson for ClusterSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("total_nodes", self.total_nodes.to_json()),
-            ("node", self.node.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClusterSpec {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(ClusterSpec {
-            name: j.decode_field("name")?,
-            total_nodes: j.decode_field("total_nodes")?,
-            node: j.decode_field("node")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,13 +107,5 @@ mod tests {
     fn ids_display() {
         assert_eq!(NodeId(3).to_string(), "node3");
         assert_eq!(RankId(1279).to_string(), "rank1279");
-    }
-
-    #[test]
-    fn spec_json_round_trip() {
-        let c = ClusterSpec::lassen();
-        let json = vani_rt::json::to_string(&c);
-        let back: ClusterSpec = vani_rt::json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

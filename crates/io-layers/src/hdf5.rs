@@ -21,7 +21,7 @@ use recorder_sim::record::{Layer, OpKind};
 use sim_core::SimTime;
 use std::collections::HashMap;
 use storage_sim::IoErr;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
+use vani_rt::{Json, JsonError};
 
 /// Superblock size and magic.
 const SUPERBLOCK: u64 = 512;
@@ -84,85 +84,89 @@ impl DatasetInfo {
     }
 }
 
-#[derive(Debug)]
-struct Header {
-    datasets: Vec<DatasetInfo>,
+/// Render the object header: `{"datasets":[…]}`, one
+/// `{"name","shape","dtype_size","layout"}` object per dataset, the layout
+/// externally tagged (`{"Chunked":{"offset":N,"chunk_bytes":M}}`) so
+/// existing H5SIM files keep parsing.
+fn header_bytes(datasets: &[DatasetInfo]) -> Vec<u8> {
+    let int = |n: u64| Json::Int(n as i128);
+    let entries = datasets
+        .iter()
+        .map(|d| {
+            let layout = match d.layout {
+                DsLayout::Contiguous { offset } => {
+                    Json::obj([("Contiguous", Json::obj([("offset", int(offset))]))])
+                }
+                DsLayout::Chunked {
+                    offset,
+                    chunk_bytes,
+                } => Json::obj([(
+                    "Chunked",
+                    Json::obj([("offset", int(offset)), ("chunk_bytes", int(chunk_bytes))]),
+                )]),
+            };
+            Json::obj([
+                ("name", Json::Str(d.name.clone())),
+                (
+                    "shape",
+                    Json::Arr(d.shape.iter().map(|&n| int(n)).collect()),
+                ),
+                ("dtype_size", int(d.dtype_size as u64)),
+                ("layout", layout),
+            ])
+        })
+        .collect();
+    Json::obj([("datasets", Json::Arr(entries))])
+        .render()
+        .into_bytes()
 }
 
-// The on-disk header format uses externally-tagged enums
-// (`{"Chunked": {"offset": N, "chunk_bytes": M}}`) so existing H5SIM files
-// keep parsing.
-impl ToJson for DsLayout {
-    fn to_json(&self) -> Json {
-        match self {
-            DsLayout::Contiguous { offset } => {
-                Json::obj([("Contiguous", Json::obj([("offset", offset.to_json())]))])
-            }
-            DsLayout::Chunked {
-                offset,
-                chunk_bytes,
-            } => Json::obj([(
-                "Chunked",
-                Json::obj([
-                    ("offset", offset.to_json()),
-                    ("chunk_bytes", chunk_bytes.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for DsLayout {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        if let Some(body) = j.get("Contiguous") {
-            Ok(DsLayout::Contiguous {
-                offset: body.decode_field("offset")?,
-            })
-        } else if let Some(body) = j.get("Chunked") {
-            Ok(DsLayout::Chunked {
-                offset: body.decode_field("offset")?,
-                chunk_bytes: body.decode_field("chunk_bytes")?,
-            })
+/// Parse an object header written by `header_bytes`. Anything else —
+/// not UTF-8 JSON, a missing or wrong-typed member, an unknown layout tag,
+/// a zero chunk size or a dataset whose extent overflows `u64` — is an
+/// error, so a reader never indexes or divides by a bad value.
+fn parse_header(bytes: &[u8]) -> Result<Vec<DatasetInfo>, JsonError> {
+    let text = std::str::from_utf8(bytes).map_err(|_| JsonError::shape("header is not UTF-8"))?;
+    let doc = Json::parse(text)?;
+    let dataset = |d: &Json| -> Result<DatasetInfo, JsonError> {
+        let layout = d.field("layout")?;
+        let (offset, chunk_bytes) = if let Some(body) = layout.get("Contiguous") {
+            (body.field("offset")?.as_u64()?, None)
+        } else if let Some(body) = layout.get("Chunked") {
+            let chunk_bytes = body.field("chunk_bytes")?.as_u64()?;
+            (body.field("offset")?.as_u64()?, Some(chunk_bytes))
         } else {
-            Err(JsonError::shape("unknown DsLayout variant"))
+            return Err(JsonError::shape("unknown layout"));
+        };
+        let shape = (d.field("shape")?.as_arr()?.iter())
+            .map(Json::as_u64)
+            .collect::<Result<Vec<_>, _>>()?;
+        let dtype_size = u32::try_from(d.field("dtype_size")?.as_u64()?)
+            .map_err(|_| JsonError::shape("dtype_size out of range"))?;
+        let end = (shape.iter())
+            .try_fold(dtype_size as u64, |n, &dim| n.checked_mul(dim))
+            .and_then(|n| n.checked_add(offset));
+        if end.is_none() || chunk_bytes == Some(0) {
+            return Err(JsonError::shape("dataset extent out of range"));
         }
-    }
-}
-
-impl ToJson for DatasetInfo {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("shape", self.shape.to_json()),
-            ("dtype_size", self.dtype_size.to_json()),
-            ("layout", self.layout.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DatasetInfo {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(DatasetInfo {
-            name: j.decode_field("name")?,
-            shape: j.decode_field("shape")?,
-            dtype_size: j.decode_field("dtype_size")?,
-            layout: j.decode_field("layout")?,
+            name: d.field("name")?.as_str()?.to_string(),
+            shape,
+            dtype_size,
+            layout: match chunk_bytes {
+                None => DsLayout::Contiguous { offset },
+                Some(chunk_bytes) => DsLayout::Chunked {
+                    offset,
+                    chunk_bytes,
+                },
+            },
         })
-    }
-}
-
-impl ToJson for Header {
-    fn to_json(&self) -> Json {
-        Json::obj([("datasets", self.datasets.to_json())])
-    }
-}
-
-impl FromJson for Header {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Header {
-            datasets: j.decode_field("datasets")?,
-        })
-    }
+    };
+    doc.field("datasets")?
+        .as_arr()?
+        .iter()
+        .map(dataset)
+        .collect()
 }
 
 /// Materialize a complete H5SIM file directly into a file store, without
@@ -203,9 +207,9 @@ pub fn materialize(
         });
         eof += nbytes;
     }
-    let json = vani_rt::json::to_vec(&Header { datasets });
-    let hlen = json.len() as u64;
-    store.write(key, eof, Segment::Bytes(std::sync::Arc::new(json)))?;
+    let header = header_bytes(&datasets);
+    let hlen = header.len() as u64;
+    store.write(key, eof, Segment::Bytes(std::sync::Arc::new(header)))?;
     let mut sb = vec![0u8; SUPERBLOCK as usize];
     sb[..8].copy_from_slice(MAGIC);
     sb[8..16].copy_from_slice(&eof.to_le_bytes());
@@ -293,7 +297,7 @@ pub fn open(
                 .read_view(node, handle, header_offset, header_len, t)
         },
     );
-    let (hjson, t2) = match res {
+    let (header, t2) = match res {
         Ok(h) => (h.to_vec(), t_hdr),
         Err(e) => return (Err(e), t_hdr),
     };
@@ -305,11 +309,10 @@ pub fn open(
         t2,
         Some(path_id),
         header_offset,
-        hjson.len() as u64,
+        header.len() as u64,
     );
-    let header: Header = match vani_rt::json::from_slice(&hjson) {
-        Ok(h) => h,
-        Err(_) => return (Err(IoErr::Invalid), t),
+    let Ok(datasets) = parse_header(&header) else {
+        return (Err(IoErr::Invalid), t);
     };
     let end = w.trace_io(
         rank,
@@ -325,7 +328,7 @@ pub fn open(
         Ok(H5File {
             fd,
             opts,
-            datasets: header.datasets,
+            datasets,
             header_offset,
             cache: HashMap::new(),
             cache_bytes: 0,
@@ -619,5 +622,88 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(res.err().unwrap(), IoErr::Invalid);
+    }
+
+    /// Stage a file whose superblock points at `header`, bypassing
+    /// `materialize`'s writer.
+    fn stage_with_header(w: &mut IoWorld, path: &str, header: &[u8]) {
+        let mut bytes = vec![0u8; SUPERBLOCK as usize];
+        bytes[..8].copy_from_slice(MAGIC);
+        bytes[8..16].copy_from_slice(&SUPERBLOCK.to_le_bytes());
+        bytes[16..24].copy_from_slice(&(header.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(header);
+        stage_raw(w, path, bytes);
+    }
+
+    #[test]
+    fn materialized_header_bytes_are_pinned() {
+        let mut w = world();
+        let store = w.storage.pfs_mut().store_mut();
+        let specs: &[(&str, &[u64], u32, Option<u64>)] = &[
+            ("full", &[512, 512, 4], 2, None),
+            ("chunked \"x\"", &[64, 3], 4, Some(4096)),
+        ];
+        materialize(store, "/p/gpfs1/pin.h5", specs, 7).unwrap();
+        let key = store.lookup("/p/gpfs1/pin.h5").unwrap();
+        let sb = store.read(key, 0, 24).unwrap();
+        assert_eq!(&sb[..8], MAGIC);
+        let off = u64::from_le_bytes(sb[8..16].try_into().unwrap());
+        let len = u64::from_le_bytes(sb[16..24].try_into().unwrap());
+        assert_eq!((off, len), (2_098_432, 218));
+        let header = String::from_utf8(store.read(key, off, len).unwrap()).unwrap();
+        assert_eq!(
+            header,
+            r#"{"datasets":[{"name":"full","shape":[512,512,4],"dtype_size":2,"layout":{"Contiguous":{"offset":512}}},{"name":"chunked \"x\"","shape":[64,3],"dtype_size":4,"layout":{"Chunked":{"offset":2097664,"chunk_bytes":4096}}}]}"#
+        );
+        // The pinned header opens back to the datasets it was written from.
+        let (f, _) = open(
+            &mut w,
+            RankId(0),
+            "/p/gpfs1/pin.h5",
+            H5Options::default(),
+            SimTime::ZERO,
+        );
+        let names: Vec<_> = f.unwrap().datasets.into_iter().map(|d| d.name).collect();
+        assert_eq!(names, ["full", "chunked \"x\""]);
+    }
+
+    #[test]
+    fn malformed_headers_open_as_invalid() {
+        let ok = r#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Contiguous":{"offset":512}}}]}"#;
+        let bad: &[&[u8]] = &[
+            b"not json at all",
+            b"\xff\xfe{}",
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Contiguous":{"offset":"512"}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Contiguous":{"offset":-1}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Contiguous":{"offset":5.0}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Striped":{"offset":512}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":2,"layout":{"Chunked":{"offset":512,"chunk_bytes":0}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4294967296,4294967296],"dtype_size":2,"layout":{"Contiguous":{"offset":512}}}]}"#,
+            br#"{"datasets":[{"name":"d","shape":[4],"dtype_size":4294967296,"layout":{"Contiguous":{"offset":512}}}]}"#,
+            br#"{"datasets":{}}"#,
+            br#"{"datasets":[{"shape":[4],"dtype_size":2,"layout":{"Contiguous":{"offset":512}}}]}"#,
+        ];
+        let r = RankId(0);
+        let mut w = world();
+        stage_with_header(&mut w, "/p/gpfs1/ok.h5", ok.as_bytes());
+        let (res, _) = open(
+            &mut w,
+            r,
+            "/p/gpfs1/ok.h5",
+            H5Options::default(),
+            SimTime::ZERO,
+        );
+        assert!(res.is_ok(), "the well-formed control header opens");
+        for (i, header) in bad.iter().enumerate() {
+            let path = format!("/p/gpfs1/bad{i}.h5");
+            stage_with_header(&mut w, &path, header);
+            let (res, _) = open(&mut w, r, &path, H5Options::default(), SimTime::ZERO);
+            assert_eq!(
+                res.err(),
+                Some(IoErr::Invalid),
+                "{}",
+                String::from_utf8_lossy(header)
+            );
+        }
     }
 }

@@ -1,11 +1,11 @@
-//! A minimal JSON codec: a value type, a strict parser, a writer, and the
-//! [`ToJson`]/[`FromJson`] traits the suite's persisted types implement by
-//! hand.
+//! A minimal JSON value codec: a value type, a strict parser and a
+//! writer.
 //!
-//! Scope is deliberately narrow — this replaces `serde`/`serde_json` for
-//! the handful of types that actually hit disk (traces, columnar tables,
-//! H5SIM headers, cluster specs), not for arbitrary Rust data. Two points
-//! of fidelity matter for those types and are guaranteed here:
+//! Scope is deliberately narrow — this replaces `serde_json` for the one
+//! JSON document the suite reads back, the H5SIM object header
+//! (`io_layers::hdf5`), plus one-line result parsing in the benchmark's
+//! tests. Traces persist as the binary spill log, never as JSON. Two
+//! points of fidelity are guaranteed here:
 //!
 //! * integers are kept exact: numeric literals without a fraction or
 //!   exponent parse into a 128-bit integer variant, so `u64` round-trips
@@ -13,7 +13,6 @@
 //! * object member order is preserved (insertion order on build, document
 //!   order on parse), so emission is deterministic.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A parsed or built JSON document.
@@ -63,18 +62,6 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Serialize a value to JSON text.
-pub trait ToJson {
-    /// Build the JSON tree for this value.
-    fn to_json(&self) -> Json;
-}
-
-/// Deserialize a value from parsed JSON.
-pub trait FromJson: Sized {
-    /// Rebuild the value from a JSON tree.
-    fn from_json(j: &Json) -> Result<Self, JsonError>;
-}
-
 impl Json {
     /// Parse a JSON document (must be a single value with only trailing
     /// whitespace after it).
@@ -91,15 +78,6 @@ impl Json {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
-    }
-
-    /// Parse from raw bytes (must be UTF-8).
-    pub(crate) fn parse_bytes(bytes: &[u8]) -> Result<Json, JsonError> {
-        let text = std::str::from_utf8(bytes).map_err(|e| JsonError {
-            msg: format!("invalid utf-8: {e}"),
-            at: e.valid_up_to(),
-        })?;
-        Json::parse(text)
     }
 
     /// Render as compact JSON text.
@@ -182,14 +160,6 @@ impl Json {
             .ok_or_else(|| JsonError::shape(format!("missing field `{name}`")))
     }
 
-    /// Decode a required member.
-    pub fn decode_field<T: FromJson>(&self, name: &str) -> Result<T, JsonError> {
-        T::from_json(self.field(name)?).map_err(|e| JsonError {
-            msg: format!("field `{name}`: {}", e.msg),
-            at: e.at,
-        })
-    }
-
     /// The array items, or a shape error.
     pub fn as_arr(&self) -> Result<&[Json], JsonError> {
         match self {
@@ -224,10 +194,13 @@ impl Json {
         }
     }
 
-    /// The exact integer value, or a shape error (floats don't coerce).
-    pub(crate) fn as_int(&self) -> Result<i128, JsonError> {
+    /// The exact value as a `u64`, or a shape error: floats don't coerce,
+    /// and negative or wider integers are out of range.
+    pub fn as_u64(&self) -> Result<u64, JsonError> {
         match self {
-            Json::Int(n) => Ok(*n),
+            Json::Int(n) => {
+                u64::try_from(*n).map_err(|_| JsonError::shape(format!("{n} out of range for u64")))
+            }
             other => Err(JsonError::shape(format!(
                 "expected integer, got {}",
                 other.kind()
@@ -505,186 +478,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Blanket impls for the primitives the persisted types are built from.
-// ---------------------------------------------------------------------------
-
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl FromJson for Json {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(j.clone())
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Bool(b) => Ok(*b),
-            other => Err(JsonError::shape(format!(
-                "expected bool, got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_str().map(str::to_string)
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_f64()
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self as f64)
-    }
-}
-
-impl FromJson for f32 {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(j.as_f64()? as f32)
-    }
-}
-
-macro_rules! int_json {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i128)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(j: &Json) -> Result<Self, JsonError> {
-                let n = j.as_int()?;
-                <$t>::try_from(n).map_err(|_| {
-                    JsonError::shape(format!("{n} out of range for {}", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-
-int_json!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for HashMap<String, T> {
-    fn to_json(&self) -> Json {
-        // Deterministic emission: members in sorted key order.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        Json::Obj(
-            keys.into_iter()
-                .map(|k| (k.clone(), self[k].to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl<T: FromJson> FromJson for HashMap<String, T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Obj(members) => members
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), T::from_json(v)?)))
-                .collect(),
-            other => Err(JsonError::shape(format!(
-                "expected object, got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-/// Serialize any [`ToJson`] value to a compact JSON string.
-pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().render()
-}
-
-/// Serialize any [`ToJson`] value to JSON bytes.
-pub fn to_vec<T: ToJson + ?Sized>(value: &T) -> Vec<u8> {
-    to_string(value).into_bytes()
-}
-
-/// Parse and decode a [`FromJson`] value from JSON text.
-pub fn from_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
-    T::from_json(&Json::parse(text)?)
-}
-
-/// Parse and decode a [`FromJson`] value from JSON bytes.
-pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, JsonError> {
-    T::from_json(&Json::parse_bytes(bytes)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,48 +492,52 @@ mod tests {
 
     #[test]
     fn u64_extremes_are_exact() {
-        let v = u64::MAX;
-        let text = to_string(&v);
+        let text = Json::Int(u64::MAX as i128).render();
         assert_eq!(text, "18446744073709551615");
-        assert_eq!(from_str::<u64>(&text).unwrap(), v);
-        let neg = to_string(&i64::MIN);
-        assert_eq!(from_str::<i64>(&neg).unwrap(), i64::MIN);
+        assert_eq!(Json::parse(&text).unwrap().as_u64().unwrap(), u64::MAX);
+        let neg = Json::Int(i64::MIN as i128).render();
+        assert_eq!(neg, "-9223372036854775808");
+        assert_eq!(Json::parse(&neg).unwrap(), Json::Int(i64::MIN as i128));
+        for bad in ["-1", "18446744073709551616", "2.5", "\"7\""] {
+            assert!(Json::parse(bad).unwrap().as_u64().is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn floats_round_trip_shortest() {
         for x in [0.1f64, 1.0 / 3.0, 1e-300, 2.5e17, -0.0, 123456789.123456789] {
-            let text = to_string(&x);
-            let back: f64 = from_str(&text).unwrap();
+            let text = Json::Float(x).render();
+            let back = Json::parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
     }
 
     #[test]
     fn integral_float_stays_float() {
-        let text = to_string(&2.0f64);
+        let text = Json::Float(2.0).render();
         assert_eq!(text, "2.0");
         assert!(matches!(Json::parse(&text).unwrap(), Json::Float(_)));
     }
 
     #[test]
     fn nonfinite_floats_write_null() {
-        assert_eq!(to_string(&f64::NAN), "null");
-        assert_eq!(from_str::<Option<f64>>("null").unwrap(), None);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Float(x).render(), "null");
+        }
+        assert_eq!(Json::parse("null").unwrap(), Json::Null);
     }
 
     #[test]
     fn strings_escape_and_unescape() {
         let s = "line1\nline2\t\"quoted\" \\slash\\ nul:\u{01} emoji:🎉";
-        let text = to_string(s);
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, s);
+        let text = Json::Str(s.to_string()).render();
+        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
     }
 
     #[test]
     fn unicode_escapes_parse() {
-        let v: String = from_str(r#""Aé🎉""#).unwrap();
-        assert_eq!(v, "Aé🎉");
+        let v = Json::parse(r#""\u0041\u00e9\ud83c\udf89 Aé🎉""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "Aé🎉 Aé🎉");
     }
 
     #[test]
@@ -799,26 +596,5 @@ mod tests {
             let e = Json::parse(bad).unwrap_err();
             assert!(e.at <= bad.len(), "{bad}: {e}");
         }
-    }
-
-    #[test]
-    fn vec_and_option_and_map_impls() {
-        let xs: Vec<Option<u32>> = vec![Some(1), None, Some(3)];
-        let text = to_string(&xs);
-        assert_eq!(text, "[1,null,3]");
-        assert_eq!(from_str::<Vec<Option<u32>>>(&text).unwrap(), xs);
-
-        let mut m = HashMap::new();
-        m.insert("b".to_string(), 2u64);
-        m.insert("a".to_string(), 1u64);
-        assert_eq!(to_string(&m), r#"{"a":1,"b":2}"#);
-        assert_eq!(from_str::<HashMap<String, u64>>(&to_string(&m)).unwrap(), m);
-    }
-
-    #[test]
-    fn out_of_range_ints_are_shape_errors() {
-        assert!(from_str::<u8>("300").is_err());
-        assert!(from_str::<u64>("-1").is_err());
-        assert!(from_str::<u32>("2.5").is_err());
     }
 }

@@ -10,9 +10,9 @@
 //!   normal, gamma, and lognormal samplers and component-labelled seeding
 //!   ([`Rng::for_component`], over the FNV-1a [`fnv1a64`]), replacing
 //!   `rand`/`rand_distr`.
-//! * [`json`] — a minimal JSON value type plus [`json::ToJson`]/
-//!   [`json::FromJson`] traits with hand-written impls at the call sites,
-//!   replacing `serde`/`serde_json`.
+//! * [`json`] — a minimal JSON value type with a strict parser and a
+//!   writer, for the one JSON document the suite reads back (the H5SIM
+//!   object header), replacing `serde_json`.
 //! * [`stats`] — order statistics (interpolated percentiles, five-point
 //!   [`stats::Quantiles`]) and Pearson correlation for the fleet-scale
 //!   characterization reports.
@@ -26,5 +26,5 @@ pub mod par;
 pub mod rng;
 pub mod stats;
 
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError};
 pub use rng::{fnv1a64, Rng};

@@ -7,7 +7,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// An absolute instant in simulated time, in nanoseconds since job start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -16,30 +15,6 @@ pub struct SimTime(pub u64);
 /// A span of simulated time, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(pub u64);
-
-impl ToJson for SimTime {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for SimTime {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u64::from_json(j).map(SimTime)
-    }
-}
-
-impl ToJson for Dur {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for Dur {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        u64::from_json(j).map(Dur)
-    }
-}
 
 impl SimTime {
     /// The start of the simulation.

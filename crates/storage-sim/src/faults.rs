@@ -9,12 +9,8 @@
 //! dedicated `vani_rt::Rng::for_component` stream (`"faults"`) that is only advanced while a
 //! plan with nonzero error rates is active. An empty plan is therefore
 //! bit-identical to no plan at all.
-//!
-//! Plans round-trip through `rt::json`, so a sweep harness can persist the
-//! exact fault schedule next to the traces it produced.
 
 use sim_core::SimTime;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// A full outage of one NSD data server over `[from, until)`. Stripes that
 /// would route to the server are absorbed by the surviving servers (at the
@@ -246,122 +242,6 @@ impl FaultPlan {
     }
 }
 
-impl ToJson for OutageWindow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("server", self.server.to_json()),
-            ("from", self.from.to_json()),
-            ("until", self.until.to_json()),
-        ])
-    }
-}
-
-impl FromJson for OutageWindow {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(OutageWindow {
-            server: j.decode_field("server")?,
-            from: j.decode_field("from")?,
-            until: j.decode_field("until")?,
-        })
-    }
-}
-
-impl ToJson for BrownoutWindow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("from", self.from.to_json()),
-            ("until", self.until.to_json()),
-            ("slowdown", self.slowdown.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BrownoutWindow {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(BrownoutWindow {
-            from: j.decode_field("from")?,
-            until: j.decode_field("until")?,
-            slowdown: j.decode_field("slowdown")?,
-        })
-    }
-}
-
-impl ToJson for Straggler {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("node", self.node.to_json()),
-            ("slowdown", self.slowdown.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Straggler {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Straggler {
-            node: j.decode_field("node")?,
-            slowdown: j.decode_field("slowdown")?,
-        })
-    }
-}
-
-impl ToJson for CrashEvent {
-    fn to_json(&self) -> Json {
-        let (kind, index) = match self.scope {
-            CrashScope::Rank(r) => ("rank", r),
-            CrashScope::Node(n) => ("node", n),
-        };
-        Json::obj([
-            ("kind", kind.to_json()),
-            ("index", index.to_json()),
-            ("at", self.at.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CrashEvent {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let kind: String = j.decode_field("kind")?;
-        let index: u32 = j.decode_field("index")?;
-        let scope = match kind.as_str() {
-            "rank" => CrashScope::Rank(index),
-            "node" => CrashScope::Node(index),
-            other => return Err(JsonError::shape(format!("unknown crash scope `{other}`"))),
-        };
-        Ok(CrashEvent {
-            scope,
-            at: j.decode_field("at")?,
-        })
-    }
-}
-
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("nsd_outages", self.nsd_outages.to_json()),
-            ("nsd_brownouts", self.nsd_brownouts.to_json()),
-            ("mds_brownouts", self.mds_brownouts.to_json()),
-            ("stragglers", self.stragglers.to_json()),
-            ("data_error_rate", self.data_error_rate.to_json()),
-            ("meta_error_rate", self.meta_error_rate.to_json()),
-            ("crashes", self.crashes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(FaultPlan {
-            nsd_outages: j.decode_field("nsd_outages")?,
-            nsd_brownouts: j.decode_field("nsd_brownouts")?,
-            mds_brownouts: j.decode_field("mds_brownouts")?,
-            stragglers: j.decode_field("stragglers")?,
-            data_error_rate: j.decode_field("data_error_rate")?,
-            meta_error_rate: j.decode_field("meta_error_rate")?,
-            crashes: j.decode_field("crashes")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,75 +309,5 @@ mod tests {
             .with_rank_crash(9, t(10))
             .with_node_crash(3, t(10));
         assert_eq!(q.crashes_sorted(), order);
-    }
-
-    #[test]
-    fn plan_round_trips_through_json() {
-        let p = FaultPlan::none()
-            .with_nsd_outage(7, t(1), t(9))
-            .with_nsd_brownout(t(2), t(3), 1.5)
-            .with_mds_brownout(t(4), t(8), 16.0)
-            .with_straggler(5, 3.0)
-            .with_rank_crash(11, t(6))
-            .with_node_crash(2, t(7))
-            .with_error_rates(0.01, 0.002);
-        let text = p.to_json().render();
-        let back = FaultPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, p);
-    }
-
-    /// Seeded randomized round-trip: arbitrary plans survive JSON exactly
-    /// (all fields are u32/u64-nanos/f64; f64 renders round-trip bit-exact
-    /// through the rt codec).
-    #[test]
-    fn randomized_plans_round_trip() {
-        let mut r = vani_rt::Rng::new(0xfa17_0001);
-        for _ in 0..64 {
-            let mut p = FaultPlan::none();
-            for _ in 0..r.uniform_u64(0, 4) {
-                let from = r.uniform_u64(0, 1_000_000);
-                let len = r.uniform_u64(1, 1_000_000);
-                p = p.with_nsd_outage(
-                    r.uniform_u64(0, 96) as u32,
-                    SimTime::from_nanos(from),
-                    SimTime::from_nanos(from + len),
-                );
-            }
-            for _ in 0..r.uniform_u64(0, 4) {
-                let from = r.uniform_u64(0, 1_000_000);
-                let len = r.uniform_u64(1, 1_000_000);
-                p = p.with_nsd_brownout(
-                    SimTime::from_nanos(from),
-                    SimTime::from_nanos(from + len),
-                    r.uniform_f64(1.0, 32.0),
-                );
-            }
-            for _ in 0..r.uniform_u64(0, 4) {
-                let from = r.uniform_u64(0, 1_000_000);
-                let len = r.uniform_u64(1, 1_000_000);
-                p = p.with_mds_brownout(
-                    SimTime::from_nanos(from),
-                    SimTime::from_nanos(from + len),
-                    r.uniform_f64(1.0, 32.0),
-                );
-            }
-            for _ in 0..r.uniform_u64(0, 3) {
-                p = p.with_straggler(r.uniform_u64(0, 32) as u32, r.uniform_f64(1.0, 8.0));
-            }
-            for _ in 0..r.uniform_u64(0, 3) {
-                let at = SimTime::from_nanos(r.uniform_u64(0, 1_000_000));
-                p = if r.uniform_u64(0, 2) == 0 {
-                    p.with_rank_crash(r.uniform_u64(0, 512) as u32, at)
-                } else {
-                    p.with_node_crash(r.uniform_u64(0, 64) as u32, at)
-                };
-            }
-            if r.uniform_u64(0, 2) == 1 {
-                p = p.with_error_rates(r.uniform_f64(0.0, 0.2), r.uniform_f64(0.0, 0.2));
-            }
-            let text = p.to_json().render();
-            let back = FaultPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, p, "plan diverged after JSON round-trip: {text}");
-        }
     }
 }

@@ -26,7 +26,6 @@
 //!   trace under the same schedule reproduces the same timings exactly.
 
 use sim_core::SimTime;
-use vani_rt::{FromJson, Json, JsonError, ToJson};
 
 /// One window of competing tenant demand on the shared servers.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,53 +182,6 @@ impl InterferenceSchedule {
     }
 }
 
-impl ToJson for LoadWindow {
-    fn to_json(&self) -> Json {
-        // `capacity` is emitted only when degraded so pre-failure-domain
-        // schedules serialize byte-identically to before the field existed.
-        let mut fields = vec![
-            ("from", self.from.to_json()),
-            ("until", self.until.to_json()),
-            ("data_load", self.data_load.to_json()),
-            ("meta_load", self.meta_load.to_json()),
-        ];
-        if self.capacity < 1.0 {
-            fields.push(("capacity", self.capacity.to_json()));
-        }
-        Json::obj(fields)
-    }
-}
-
-impl FromJson for LoadWindow {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let capacity = match j.get("capacity") {
-            Some(c) => f64::from_json(c)?,
-            None => 1.0,
-        };
-        Ok(LoadWindow {
-            from: j.decode_field("from")?,
-            until: j.decode_field("until")?,
-            data_load: j.decode_field("data_load")?,
-            meta_load: j.decode_field("meta_load")?,
-            capacity,
-        })
-    }
-}
-
-impl ToJson for InterferenceSchedule {
-    fn to_json(&self) -> Json {
-        Json::obj([("windows", self.windows.to_json())])
-    }
-}
-
-impl FromJson for InterferenceSchedule {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(InterferenceSchedule {
-            windows: j.decode_field("windows")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,16 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_schedule() {
-        let s = InterferenceSchedule::none()
-            .with_window(t(3), t(9), 0.75, 0.125)
-            .with_window(t(10), t(11), 2.0, 0.0);
-        let j = s.to_json();
-        let back = InterferenceSchedule::from_json(&j).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
     fn degraded_capacity_stretches_both_paths() {
         let s = InterferenceSchedule::none()
             .with_window(t(0), t(10), 0.5, 0.0)
@@ -323,16 +265,9 @@ mod tests {
     fn full_capacity_window_stays_empty_and_serializes_unchanged() {
         let s = InterferenceSchedule::none().with_window_capacity(t(0), t(10), 0.0, 0.0, 1.0);
         assert!(s.is_empty());
-        // Full-capacity windows serialize without the field, so old readers
-        // and old byte-for-byte snapshots are unaffected.
+        // A full-capacity window is the same window as one built without
+        // a capacity at all.
         let legacy = InterferenceSchedule::none().with_window(t(0), t(10), 0.0, 0.0);
-        assert_eq!(s.to_json().render(), legacy.to_json().render());
-    }
-
-    #[test]
-    fn json_round_trip_preserves_capacity() {
-        let s = InterferenceSchedule::none().with_window_capacity(t(3), t(9), 0.75, 0.125, 0.625);
-        let back = InterferenceSchedule::from_json(&s.to_json()).unwrap();
-        assert_eq!(s, back);
+        assert_eq!(s, legacy);
     }
 }

@@ -8,6 +8,7 @@ use vani_suite::cluster::topology::RankId;
 use vani_suite::layers::posix::{self, Fd, OpenFlags, Whence};
 use vani_suite::layers::world::IoWorld;
 use vani_suite::sim::{Dur, SimTime};
+use vani_suite::storage::{FaultPlan, InterferenceSchedule};
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::workloads::harness::{execute, WorkloadKind};
 
@@ -60,16 +61,24 @@ impl RankScript<IoWorld> for SynScript {
 }
 
 fn run_script(ops: Vec<SynOp>) -> Analysis {
-    let mut world = IoWorld::lassen(1, 1, Dur::from_secs(3600), 3);
-    world.set_app(RankId(0), "synthetic");
-    let script = SynScript {
-        path: "/p/gpfs1/syn.bin".to_string(),
-        ops,
-        idx: 0,
-        fd: None,
-    };
-    let scripts: Vec<Box<dyn RankScript<IoWorld>>> = vec![Box::new(script)];
-    let run = execute(WorkloadKind::Ior, 1.0, world, scripts, vec![]);
+    let world = IoWorld::lassen(1, 1, Dur::from_secs(3600), 3);
+    let run = execute(
+        WorkloadKind::Ior,
+        1.0,
+        world,
+        FaultPlan::none(),
+        InterferenceSchedule::none(),
+        vec![],
+        |_, _| {
+            let script = SynScript {
+                path: "/p/gpfs1/syn.bin".to_string(),
+                ops: ops.clone(),
+                idx: 0,
+                fd: None,
+            };
+            vec![Box::new(script) as Box<dyn RankScript<IoWorld>>]
+        },
+    );
     Analysis::from_run(&run)
 }
 

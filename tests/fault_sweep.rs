@@ -1,20 +1,35 @@
 //! Integration: the deterministic fault plane, end to end.
 //!
-//! Exercises the `repro -- fault-sweep` experiments through the public API
-//! and pins the paper-level claims: metadata-bound workloads are far more
+//! Exercises the `repro -- fault-sweep` report through the public API and
+//! pins the paper-level claims: metadata-bound workloads are far more
 //! brownout-sensitive than data-bound ones, a dead NSD server costs about
 //! its capacity share plus contention, and the Figure 7 preload-to-shm
 //! reconfiguration doubles as fault isolation.
 
+use std::sync::OnceLock;
 use vani_suite::sim::SimTime;
 use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::Analysis;
-use vani_suite::vani::{faultsweep, tables, yaml};
+use vani_suite::vani::sweep::{fault_sweep, Driver, FaultSweepReport};
+use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
+
+/// The `repro -- fault-sweep` report at scale 0.02 and a 20x MDS brownout,
+/// computed once per seed and shared by the tests that read it.
+fn report(seed: u64) -> &'static FaultSweepReport {
+    static SEED_7: OnceLock<FaultSweepReport> = OnceLock::new();
+    static SEED_11: OnceLock<FaultSweepReport> = OnceLock::new();
+    let cell = match seed {
+        7 => &SEED_7,
+        11 => &SEED_11,
+        _ => unreachable!("no report cell for seed {seed}"),
+    };
+    cell.get_or_init(|| fault_sweep(0.02, seed, 20.0, Driver::Parallel))
+}
 
 #[test]
 fn mds_brownout_hits_cosmoflow_at_least_twice_as_hard_as_hacc() {
-    let (cosmo, hacc) = faultsweep::mds_brownout_impact(0.02, 7, 20.0);
+    let (cosmo, hacc) = &report(7).brownout;
     assert!(
         cosmo.degradation() > 1.5,
         "the brownout must visibly slow CosmoFlow: {:.2}x",
@@ -30,14 +45,14 @@ fn mds_brownout_hits_cosmoflow_at_least_twice_as_hard_as_hacc() {
 
 #[test]
 fn single_nsd_outage_costs_about_the_server_share() {
-    let b = faultsweep::nsd_outage_bench(11);
+    let b = &report(11).outage;
     assert!(b.degradation() >= b.server_share() * 0.5);
     assert!(b.degradation() <= (b.server_share() * 3.0).min(0.95));
 }
 
 #[test]
 fn preload_to_shm_is_a_fault_shield() {
-    let s = faultsweep::shm_shield_impact(0.02, 7);
+    let s = &report(7).shield;
     assert!(
         s.baseline.degradation() > 1.5,
         "baseline: {:.2}x",
@@ -50,6 +65,10 @@ fn preload_to_shm_is_a_fault_shield() {
         s.baseline.degradation()
     );
     assert!(s.shielding() > 0.5);
+    assert!(
+        s.baseline.faults > 0,
+        "the 2% error rate must trigger retries"
+    );
 }
 
 /// Every fault kind at once on a representative workload mix: nothing may
