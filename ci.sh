@@ -154,6 +154,13 @@ cargo test --release --offline --test trace_salvage
 # byte-identical at any worker count is asserted by the fleet suite below.
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short
 
+# fleet-sweep degraded smoke: the short fleet under the standard node
+# failure domain. It is the one binary path that renders the degraded
+# tables (outage timeline, goodput accounting, job outcomes, slowdown vs
+# the healthy fleet) and the scheduler-policy row; checked by its exit
+# code.
+cargo run --release --offline -p bench --bin repro -- fleet-sweep --short --node-faults > /dev/null
+
 # Fleet suite: manifest/admission/report byte-identity at 1/2/8 workers
 # with and without active FaultPlans and for the 64-job `--short` fleet
 # in memory and spilled, single-tenant fleet byte-equal to the dedicated

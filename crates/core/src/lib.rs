@@ -28,7 +28,7 @@
 //! * [`crashsweep`] — the crash-recovery sweep: CosmoFlow over a grid of
 //!   checkpoint counts × whole-job crashes, rendering the
 //!   checkpoint-interval vs time-to-solution tradeoff figure,
-//! * [`tenancy`] — the multi-tenant datacenter mode: seeded open/closed
+//! * [`tenancy`] — the multi-tenant datacenter mode: seeded open Poisson
 //!   job arrivals, a deterministic FCFS scheduler over a shared cluster,
 //!   a mean-field shared-PFS contention model, and the fleet sweep that
 //!   renders IO500-style distribution/correlation/noisy-neighbor

@@ -4,9 +4,8 @@
 //!
 //! 1. **Manifest** — a single sequential pass over the fleet seed draws
 //!    each job's template (weighted pick from the mix), its private seed,
-//!    and — for open arrival processes — its submission time. The manifest
-//!    exists before any simulation starts, so it cannot depend on worker
-//!    count or scheduling order.
+//!    and its submission time. The manifest exists before any simulation
+//!    starts, so it cannot depend on worker count or scheduling order.
 //! 2. **Profiles** — every distinct `(workload, variant)` combination in
 //!    the mix runs once on a dedicated machine through the
 //!    scenario-parallel driver. Profiles provide the scheduler's runtime
@@ -30,7 +29,7 @@
 //! a sequential pass in job-id order — see the module docs of
 //! [`super`] for the full determinism argument.
 
-use super::arrival::{ArrivalProcess, InterArrival};
+use super::arrival::ArrivalProcess;
 use super::contention::{interference_for_degraded, TenantDemand};
 use super::outage::{NodeFaultPlan, NodeFaultProfile};
 use super::scheduler::{
@@ -98,8 +97,10 @@ pub enum JobVariant {
     /// retry middleware the exemplar skeletons do not mount.
     Faulted,
     /// A job that crashes halfway through its dedicated makespan and
-    /// restarts from its last durable checkpoint. Only workloads wired to
-    /// checkpoint/restart recovery (CM1, CosmoFlow) support this.
+    /// restarts from its last durable checkpoint (from its first step when
+    /// the workload records no checkpoint markers). Every exemplar
+    /// recovers through the shared crash/restart driver, so every
+    /// workload runs it.
     Crashy,
 }
 
@@ -112,11 +113,6 @@ impl JobVariant {
             JobVariant::Crashy => "crashy",
         }
     }
-}
-
-/// Whether `kind` can run the crashy variant (needs recovery support).
-fn supports_crashy(kind: WorkloadKind) -> bool {
-    matches!(kind, WorkloadKind::Cm1 | WorkloadKind::Cosmoflow)
 }
 
 /// One entry of the fleet's workload mix.
@@ -203,9 +199,9 @@ pub struct FleetConfig {
     pub mix: Vec<JobTemplate>,
     /// The fleet's node failure domain.
     pub node_faults: NodeFaultSpec,
-    /// The self-healing scheduler's policy (retry budgets, backoff,
-    /// backfill). With [`NodeFaultSpec::None`] and backfill off every job
-    /// runs once, admitted in strict `(submit, job id)` order.
+    /// The self-healing scheduler's policy (retry budgets and backoff).
+    /// Admission is always strict FCFS in `(submit, job id)` order; with
+    /// [`NodeFaultSpec::None`] every job runs once.
     pub sched: SchedPolicy,
     /// Spill-to-disk capture (`None` = each job's captured columns are
     /// folded in place, bit-identical to the pre-spill fleet).
@@ -238,9 +234,8 @@ impl FleetConfig {
             // the queue stays busy and neighbors actually overlap.
             cluster_nodes: widest * 4,
             pfs_capacity_scale: scale,
-            arrival: ArrivalProcess::Open {
+            arrival: ArrivalProcess {
                 mean_interarrival: 120.0 * scale,
-                dist: InterArrival::Exponential,
             },
             mix,
             node_faults: NodeFaultSpec::None,
@@ -269,8 +264,7 @@ pub struct ManifestJob {
     pub variant: JobVariant,
     /// The job's private simulation seed.
     pub seed: u64,
-    /// Submission time, seconds (0 for closed arrival processes, whose
-    /// submissions derive from completions inside the scheduler).
+    /// Submission time, seconds, drawn from the fleet's arrival process.
     pub submit: f64,
     /// Nodes the job occupies.
     pub nodes: u32,
@@ -350,12 +344,6 @@ pub fn build_manifest(cfg: &FleetConfig) -> Result<FleetManifest, FleetError> {
     }
     for t in &live {
         let kind = parse_workload(&t.workload)?;
-        if t.variant == JobVariant::Crashy && !supports_crashy(kind) {
-            return Err(FleetError::UnsupportedVariant {
-                workload: t.workload.clone(),
-                variant: t.variant.name().to_string(),
-            });
-        }
         let nodes = nodes_for(kind, cfg.scale);
         if nodes > cfg.cluster_nodes {
             return Err(FleetError::JobTooLarge {
@@ -396,22 +384,13 @@ pub fn build_manifest(cfg: &FleetConfig) -> Result<FleetManifest, FleetError> {
             })
             .expect("weighted pick is within total weight");
         let kind = parse_workload(&tpl.workload).expect("validated above");
-        let submit = match &cfg.arrival {
-            ArrivalProcess::Open {
-                mean_interarrival,
-                dist,
-            } => {
-                clock += dist.sample(*mean_interarrival, &mut gap_rng);
-                clock
-            }
-            ArrivalProcess::Closed { .. } => 0.0,
-        };
+        clock += cfg.arrival.gap(&mut gap_rng);
         jobs.push(ManifestJob {
             id,
             workload: tpl.workload.clone(),
             variant: tpl.variant,
             seed: seed_rng.split().next_u64(),
-            submit,
+            submit: clock,
             nodes: nodes_for(kind, cfg.scale),
         });
     }
@@ -733,7 +712,7 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             est_runtime: profile_for(&j.workload, j.variant).runtime.as_secs_f64(),
         })
         .collect();
-    let degraded = !manifest.node_faults.is_empty() || cfg.sched.backfill;
+    let degraded = !manifest.node_faults.is_empty();
     let schedules: Vec<JobSchedule> = resilient_schedule(
         cfg.cluster_nodes,
         &demands,
@@ -743,18 +722,14 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
     );
     let placements: Vec<Placement> = schedules.iter().map(JobSchedule::as_placement).collect();
     // The healthy-fleet counterfactual the degraded tables compare
-    // against: the same demands FCFS-scheduled onto a never-failing pool.
+    // against: the same demands scheduled onto a never-failing pool.
     let healthy_placements = if degraded {
-        let strict = SchedPolicy {
-            backfill: false,
-            ..cfg.sched
-        };
         resilient_schedule(
             cfg.cluster_nodes,
             &demands,
             &arrivals,
             &NodeFaultPlan::none(),
-            &strict,
+            &cfg.sched,
         )
         .iter()
         .map(JobSchedule::as_placement)

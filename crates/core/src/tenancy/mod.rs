@@ -6,13 +6,13 @@
 //! concurrently and contend for the same NSD data servers and MDS metadata
 //! servers. This module adds that missing regime:
 //!
-//! * [`arrival`] — seeded open (exponential / lognormal inter-arrival) and
-//!   closed (fixed concurrency + think time) arrival processes;
+//! * [`arrival`] — the seeded open Poisson arrival process (exponential
+//!   inter-arrival gaps);
 //! * [`scheduler`] — one deterministic event-driven scheduler,
 //!   [`scheduler::resilient_schedule`], placing jobs onto a fixed pool of
-//!   cluster nodes in `(submit, job id)` order (strict FCFS, or opt-in
-//!   backfill) and requeueing jobs killed by node outages with retry
-//!   budgets and exponential backoff;
+//!   cluster nodes in strict FCFS `(submit, job id)` order and requeueing
+//!   jobs killed by node outages with retry budgets and exponential
+//!   backoff;
 //! * [`outage`] — fleet-level failure domains: seeded [`NodeFaultPlan`]
 //!   timelines of whole-node outages with repair times, drawn from the
 //!   manifest's fourth split RNG stream so existing job seeds never
@@ -49,7 +49,7 @@ pub mod outage;
 pub mod scheduler;
 pub mod stats;
 
-pub use arrival::{ArrivalProcess, InterArrival};
+pub use arrival::ArrivalProcess;
 pub use contention::TenantDemand;
 pub use fleet::{
     build_manifest, fleet_sweep, parse_workload, FleetConfig, FleetManifest, JobRecord,
@@ -68,14 +68,6 @@ pub use stats::{FleetReport, ProfileSummary, SpillFleetStats};
 pub enum FleetError {
     /// A job template references a workload id the suite does not know.
     UnknownWorkload(String),
-    /// A job template asks for a variant the workload cannot run (crashy
-    /// variants need checkpoint/restart support).
-    UnsupportedVariant {
-        /// The workload id.
-        workload: String,
-        /// The unsupported variant name.
-        variant: String,
-    },
     /// The workload mix is empty or has zero total weight.
     EmptyMix,
     /// A job needs more nodes than the shared cluster has.
@@ -110,12 +102,6 @@ impl std::fmt::Display for FleetError {
                     f,
                     "unknown workload `{w}` (known: {})",
                     fleet::KNOWN_WORKLOADS.join(", ")
-                )
-            }
-            FleetError::UnsupportedVariant { workload, variant } => {
-                write!(
-                    f,
-                    "workload `{workload}` does not support the `{variant}` variant"
                 )
             }
             FleetError::EmptyMix => write!(f, "fleet mix is empty (or has zero total weight)"),

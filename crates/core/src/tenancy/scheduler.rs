@@ -1,13 +1,13 @@
 //! Deterministic event-driven job scheduler for the shared cluster.
 //!
 //! [`resilient_schedule`] places jobs onto a fixed pool of nodes. Waiting
-//! jobs are ordered by `(submit, job id)`; under strict FCFS (the default)
-//! the first waiting job that does not fit blocks everyone behind it, and
-//! with first-fit backfill smaller jobs flow around it. A job takes the
-//! lowest-numbered free nodes. Runtimes are *estimates* from the dedicated
-//! profile runs; the scheduler is a placement model, not a second
-//! simulator, and its arithmetic is a sequential fold over events, so
-//! placements are identical on every machine and at every worker count.
+//! jobs are ordered by `(submit, job id)` and admitted strictly first come,
+//! first served: the first waiting job that does not fit blocks everyone
+//! behind it. A job takes the lowest-numbered free nodes. Runtimes are
+//! *estimates* from the dedicated profile runs; the scheduler is a
+//! placement model, not a second simulator, and its arithmetic is a
+//! sequential fold over events, so placements are identical on every
+//! machine and at every worker count.
 //!
 //! The same loop carries the fleet's failure domains: under a
 //! [`NodeFaultPlan`] the schedulable pool shrinks while nodes are down,
@@ -51,43 +51,23 @@ impl Placement {
     }
 }
 
-/// Submission times handed to the scheduler.
-pub enum ScheduleArrivals<'a> {
-    /// Open process: pre-drawn submit times, one per job, non-decreasing.
-    Open(&'a [f64]),
-    /// Closed process: the first `concurrency` jobs submit at t = 0; job
-    /// `i` (i ≥ concurrency) submits when job `i - concurrency` completes
-    /// plus the think time.
-    Closed {
-        /// Jobs in flight.
-        concurrency: usize,
-        /// Seconds between a completion and the next submission.
-        think_time: f64,
-    },
-}
+/// Submission times handed to the scheduler: one pre-drawn submit time
+/// per job, in job-id order. They need not be sorted; the scheduler admits
+/// by `(submit, job id)`.
+pub struct ScheduleArrivals<'a>(pub &'a [f64]);
 
 impl<'a> ScheduleArrivals<'a> {
-    /// Build from an [`ArrivalProcess`] plus the pre-drawn open submits.
-    pub fn from_process(p: &ArrivalProcess, open_submits: &'a [f64]) -> Self {
-        match p {
-            ArrivalProcess::Open { .. } => ScheduleArrivals::Open(open_submits),
-            ArrivalProcess::Closed {
-                concurrency,
-                think_time,
-            } => ScheduleArrivals::Closed {
-                concurrency: (*concurrency).max(1),
-                think_time: *think_time,
-            },
-        }
+    /// The submit times `submits` drew from an [`ArrivalProcess`]. The
+    /// process fixed every submit time when the manifest was drawn, so it
+    /// adds nothing here.
+    pub fn from_process(_process: &ArrivalProcess, submits: &'a [f64]) -> Self {
+        ScheduleArrivals(submits)
     }
 }
 
 /// The self-healing scheduler's knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedPolicy {
-    /// Allow small jobs to flow around a queue head that does not fit
-    /// (first-fit backfill). Off reproduces strict FCFS admission order.
-    pub backfill: bool,
     /// Requeues a killed job may consume before it is abandoned.
     pub max_retries: u32,
     /// Requeue delay after the first kill, seconds.
@@ -103,7 +83,6 @@ impl SchedPolicy {
     /// exponential backoff capped at 480 s.
     pub fn standard() -> Self {
         SchedPolicy {
-            backfill: false,
             max_retries: 3,
             base_backoff: 30.0,
             backoff_multiplier: 2.0,
@@ -316,8 +295,9 @@ impl NodePool {
 
 /// Place every job onto a cluster whose nodes fail and are repaired per
 /// `plan`, requeueing killed jobs per `policy`. Returns one
-/// [`JobSchedule`] per job, in job-id order. Panics if a job wants more
-/// nodes than the cluster has: callers validate that with a typed
+/// [`JobSchedule`] per job, in job-id order. Panics if `arrivals` does not
+/// hold one submit time per job, or if a job wants more nodes than the
+/// cluster has: callers validate that with a typed
 /// [`super::FleetError::JobTooLarge`] before scheduling.
 ///
 /// An event loop over three ordered structures: the waiting jobs keyed by
@@ -338,6 +318,8 @@ pub fn resilient_schedule(
     policy: &SchedPolicy,
 ) -> Vec<JobSchedule> {
     let n = demands.len();
+    let submits = arrivals.0;
+    assert_eq!(submits.len(), n, "one submit time per job");
     for (i, d) in demands.iter().enumerate() {
         assert!(
             d.nodes <= cluster_nodes,
@@ -353,25 +335,12 @@ pub fn resilient_schedule(
     let (mut si, mut ri) = (0usize, 0usize);
     let mut pool = NodePool::new(cluster_nodes);
 
-    // Submission bookkeeping (closed processes derive submits from
-    // terminal events of the job `concurrency` positions earlier). A
-    // waiting job's next attempt index equals the kills it has absorbed.
-    let mut submits: Vec<f64> = vec![f64::NAN; n];
-    let mut waiting: BTreeSet<(Time, usize)> = BTreeSet::new();
-    match arrivals {
-        ScheduleArrivals::Open(ts) => {
-            for (i, &s) in ts.iter().enumerate().take(n) {
-                submits[i] = s;
-                waiting.insert((Time(s), i));
-            }
-        }
-        ScheduleArrivals::Closed { concurrency, .. } => {
-            for (i, s) in submits.iter_mut().enumerate().take((*concurrency).max(1)) {
-                *s = 0.0;
-                waiting.insert((Time(0.0), i));
-            }
-        }
-    }
+    // A waiting job's next attempt index equals the kills it has absorbed.
+    let mut waiting: BTreeSet<(Time, usize)> = submits
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| (Time(s), i))
+        .collect();
 
     let mut running: Vec<Option<Running>> = (0..n).map(|_| None).collect();
     let mut ends: BinaryHeap<Reverse<(Time, usize, u32)>> = BinaryHeap::new();
@@ -379,12 +348,11 @@ pub fn resilient_schedule(
     let mut scheds: Vec<JobSchedule> = (0..n)
         .map(|id| JobSchedule {
             id,
-            submit: 0.0,
+            submit: submits[id],
             attempts: Vec::new(),
             outcome: JobOutcome::Completed,
         })
         .collect();
-    let mut terminal: Vec<Option<f64>> = vec![None; n];
     let is_live = |running: &[Option<Running>], job: usize, attempt: u32| {
         running[job].as_ref().is_some_and(|r| r.attempt == attempt)
     };
@@ -423,8 +391,7 @@ pub fn resilient_schedule(
         t = next;
 
         // (a) Completions at t. They commute: each touches only its own
-        // job's state, and closed successors are released in job order.
-        let mut newly_terminal: Vec<usize> = Vec::new();
+        // job's state.
         while let Some(&Reverse((Time(end), job, attempt))) = ends.peek() {
             if end > t {
                 break;
@@ -446,8 +413,6 @@ pub fn resilient_schedule(
             } else {
                 JobOutcome::CompletedAfterRetry(kills[job])
             };
-            terminal[job] = Some(r.end);
-            newly_terminal.push(job);
         }
 
         // (b) Repairs at t (before kills: a node repaired and re-failed at
@@ -478,54 +443,22 @@ pub fn resilient_schedule(
             kills[job] += 1;
             if kills[job] > policy.max_retries {
                 scheds[job].outcome = JobOutcome::Abandoned;
-                terminal[job] = Some(at);
-                newly_terminal.push(job);
             } else {
                 waiting.insert((Time(at + policy.requeue_delay(kills[job])), job));
             }
         }
 
-        // Closed arrivals: terminal events release successors.
-        if let ScheduleArrivals::Closed {
-            concurrency,
-            think_time,
-        } = arrivals
-        {
-            newly_terminal.sort_unstable();
-            for job in newly_terminal {
-                let succ = job + (*concurrency).max(1);
-                if succ < n && submits[succ].is_nan() {
-                    let s = terminal[job].expect("terminal time recorded") + think_time;
-                    submits[succ] = s;
-                    waiting.insert((Time(s), succ));
-                }
-            }
-        }
-
         // (d) Placement pass over the waiting jobs ready by t, in
-        // (ready, id) order; without backfill the first job that does not
-        // fit blocks the rest.
-        let mut after: Option<(Time, usize)> = None;
-        loop {
-            let entry = match after {
-                None => waiting.first(),
-                Some(key) => waiting.range((Excluded(key), Unbounded)).next(),
-            };
-            let Some(&key) = entry else {
-                break;
-            };
-            let (Time(ready), job) = key;
+        // (ready, id) order, while the queue head fits: the first job that
+        // does not fit blocks the rest.
+        while let Some(&(Time(ready), job)) = waiting.first() {
             if ready > t {
                 break;
             }
             let Some(held) = pool.take(job, demands[job].nodes as usize) else {
-                if !policy.backfill {
-                    break;
-                }
-                after = Some(key); // flow around it
-                continue;
+                break;
             };
-            waiting.remove(&key);
+            waiting.pop_first();
             let attempt = kills[job];
             let end = t + demands[job].est_runtime.max(0.0);
             running[job] = Some(Running {
@@ -538,12 +471,8 @@ pub fn resilient_schedule(
         }
     }
 
-    // Record submits (closed processes may leave trailing NaNs only if a
-    // predecessor was never terminal — impossible, the loop drains).
-    for (i, s) in scheds.iter_mut().enumerate() {
-        s.submit = submits[i];
-        assert!(s.submit.is_finite(), "job {i} was never submitted");
-        assert!(!s.attempts.is_empty(), "job {i} was never placed");
+    for s in &scheds {
+        assert!(!s.attempts.is_empty(), "job {} was never placed", s.id);
     }
     scheds
 }
@@ -583,7 +512,7 @@ mod tests {
     fn uncontended_jobs_start_at_submission() {
         let demands = [d(2, 10.0), d(2, 10.0), d(2, 10.0)];
         let submits = [0.0, 1.0, 2.0];
-        let p = healthy(16, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(16, &demands, &ScheduleArrivals(&submits));
         assert_eq!(p[0].start, 0.0);
         assert_eq!(p[1].start, 1.0);
         assert_eq!(p[2].start, 2.0);
@@ -594,7 +523,7 @@ mod tests {
         // 4 nodes; each job takes all of them: strict serialization.
         let demands = [d(4, 5.0), d(4, 5.0), d(4, 5.0)];
         let submits = [0.0, 0.0, 0.0];
-        let p = healthy(4, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(4, &demands, &ScheduleArrivals(&submits));
         assert_eq!(p[0].start, 0.0);
         assert_eq!(p[1].start, 5.0);
         assert_eq!(p[2].start, 10.0);
@@ -610,7 +539,7 @@ mod tests {
         // leftover nodes but must not overtake it.
         let demands = [d(2, 10.0), d(4, 5.0), d(1, 1.0)];
         let submits = [0.0, 0.0, 0.0];
-        let p = healthy(4, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(4, &demands, &ScheduleArrivals(&submits));
         assert_eq!(p[1].start, 10.0);
         assert!(p[2].start >= p[1].start, "no backfill past the queue head");
     }
@@ -622,7 +551,7 @@ mod tests {
             .collect();
         let submits: Vec<f64> = (0..40).map(|i| i as f64 * 0.5).collect();
         let cluster = 6u32;
-        let p = healthy(cluster, &demands, &ScheduleArrivals::Open(&submits));
+        let p = healthy(cluster, &demands, &ScheduleArrivals(&submits));
         // Check occupancy at every start instant.
         for probe in &p {
             let t = probe.start;
@@ -637,30 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_keeps_concurrency_bounded() {
-        let demands: Vec<JobDemand> = (0..12).map(|_| d(1, 10.0)).collect();
-        let p = healthy(
-            64,
-            &demands,
-            &ScheduleArrivals::Closed {
-                concurrency: 3,
-                think_time: 1.0,
-            },
-        );
-        // First three at t=0; job 3 submits when job 0 ends (+1s think).
-        assert_eq!(p[0].start, 0.0);
-        assert_eq!(p[2].start, 0.0);
-        assert_eq!(p[3].submit, 11.0);
-        assert_eq!(p[3].start, 11.0);
-        // At any start instant at most `concurrency` jobs are in flight.
-        for probe in &p {
-            let t = probe.start;
-            let inflight = p.iter().filter(|pl| pl.start <= t && t < pl.end).count();
-            assert!(inflight <= 3, "{inflight} jobs in flight at t={t}");
-        }
-    }
-
-    #[test]
     fn schedule_is_deterministic() {
         let demands: Vec<JobDemand> = (0..30)
             .map(|i| d(1 + (i % 4), 2.0 + i as f64 * 0.3))
@@ -668,18 +573,18 @@ mod tests {
         let submits: Vec<f64> = (0..30)
             .map(|i| (i as f64 * 0.7) % 11.0 + i as f64 * 0.2)
             .collect();
-        let a = healthy(8, &demands, &ScheduleArrivals::Open(&submits));
-        let b = healthy(8, &demands, &ScheduleArrivals::Open(&submits));
+        let a = healthy(8, &demands, &ScheduleArrivals(&submits));
+        let b = healthy(8, &demands, &ScheduleArrivals(&submits));
         assert_eq!(a, b);
     }
 
     #[test]
-    fn outage_after_the_fleet_drains_changes_no_closed_placement() {
-        // Closed arrivals with mixed runtimes: job 3 submits when job 1
-        // ends (t = 1), long before job 2 does (t = 10), so the queue
-        // admits by (submit, id), not by job id. An outage that starts
-        // after every job has finished must leave every placement as the
-        // healthy fleet has it.
+    fn outage_after_the_fleet_drains_changes_no_placement() {
+        // Out-of-order submits with mixed runtimes: job 3 submits at t = 1,
+        // long before job 2 does (t = 10), so the queue admits by
+        // (submit, id), not by job id. An outage that starts after every
+        // job has finished must leave every placement as the healthy fleet
+        // has it.
         let demands = [
             d(1, 10.0),
             d(1, 1.0),
@@ -688,15 +593,14 @@ mod tests {
             d(2, 3.0),
             d(1, 5.0),
         ];
-        let arrivals = ScheduleArrivals::Closed {
-            concurrency: 2,
-            think_time: 0.0,
-        };
+        let submits = [0.0, 0.0, 10.0, 1.0, 2.0, 3.0];
+        let arrivals = ScheduleArrivals(&submits);
         let pol = SchedPolicy::standard();
         let plan = NodeFaultPlan::none();
         let clean = resilient_schedule(2, &demands, &arrivals, &plan, &pol);
         assert_eq!(clean[3].submit, 1.0);
         assert_eq!(clean[3].final_attempt().start, 1.0, "admitted before job 2");
+        assert!(clean[2].final_attempt().start > clean[3].final_attempt().start);
         let drained = clean
             .iter()
             .map(|s| s.final_attempt().end)
@@ -713,7 +617,7 @@ mod tests {
         let submits = [0.0];
         let plan = NodeFaultPlan::none().with_outage(0, 4.0, 10.0);
         let pol = SchedPolicy::standard();
-        let s = &resilient_schedule(2, &demands, &ScheduleArrivals::Open(&submits), &plan, &pol)[0];
+        let s = &resilient_schedule(2, &demands, &ScheduleArrivals(&submits), &plan, &pol)[0];
         assert_eq!(s.outcome, JobOutcome::CompletedAfterRetry(1));
         assert_eq!(s.attempts.len(), 2);
         assert_eq!(s.attempts[0].killed_by, Some(0));
@@ -740,7 +644,7 @@ mod tests {
             max_retries: 1,
             ..SchedPolicy::standard()
         };
-        let s = &resilient_schedule(1, &demands, &ScheduleArrivals::Open(&submits), &plan, &pol)[0];
+        let s = &resilient_schedule(1, &demands, &ScheduleArrivals(&submits), &plan, &pol)[0];
         assert_eq!(s.outcome, JobOutcome::Abandoned);
         assert_eq!(s.attempts.len(), 2, "first run + one retry, then abandoned");
         assert!(s.attempts.iter().all(|a| a.killed_by == Some(0)));
@@ -754,68 +658,12 @@ mod tests {
         let submits = [0.0, 0.0];
         let plan = NodeFaultPlan::none().with_outage(1, 0.0, 50.0);
         let pol = SchedPolicy::standard();
-        let s = resilient_schedule(2, &demands, &ScheduleArrivals::Open(&submits), &plan, &pol);
+        let s = resilient_schedule(2, &demands, &ScheduleArrivals(&submits), &plan, &pol);
         assert_eq!(s[0].attempts[0].start, 0.0);
         assert_eq!(
             s[1].attempts[0].start, 10.0,
             "second job waits for the only up node"
         );
-        assert!(s.iter().all(|j| j.outcome == JobOutcome::Completed));
-    }
-
-    #[test]
-    fn backfill_lets_small_jobs_flow_around_a_blocked_head() {
-        // 4 nodes. Job 0 holds all 4 until t=10; job 1 (wants 4) blocks;
-        // job 2 (wants 0 free... 1 node) — without backfill it waits behind
-        // job 1, with backfill it cannot start either (0 free). Use a
-        // 3-node head instead: job 0 takes 3, job 1 wants 3 (blocked),
-        // job 2 wants 1 and can backfill into the free node.
-        let demands = [d(3, 10.0), d(3, 5.0), d(1, 2.0)];
-        let submits = [0.0, 1.0, 2.0];
-        let plan = NodeFaultPlan::none();
-        let fcfs_pol = SchedPolicy {
-            backfill: false,
-            ..SchedPolicy::standard()
-        };
-        let bf_pol = SchedPolicy {
-            backfill: true,
-            ..SchedPolicy::standard()
-        };
-        let arrivals = ScheduleArrivals::Open(&submits);
-        let strict = resilient_schedule(4, &demands, &arrivals, &plan, &fcfs_pol);
-        let backfilled = resilient_schedule(4, &demands, &arrivals, &plan, &bf_pol);
-        assert_eq!(
-            strict[2].attempts[0].start, 10.0,
-            "strict: waits behind the 3-node head"
-        );
-        assert_eq!(
-            backfilled[2].attempts[0].start, 2.0,
-            "backfill: into the free node"
-        );
-        // The head itself is not delayed by the backfilled job.
-        assert_eq!(strict[1].attempts[0].start, backfilled[1].attempts[0].start);
-    }
-
-    #[test]
-    fn closed_arrivals_release_successors_on_terminal_events() {
-        let demands: Vec<JobDemand> = (0..6).map(|_| d(1, 10.0)).collect();
-        let plan = NodeFaultPlan::none().with_outage(0, 1e9, 1.0); // far-future: active plan, no effect
-        let pol = SchedPolicy::standard();
-        let s = resilient_schedule(
-            4,
-            &demands,
-            &ScheduleArrivals::Closed {
-                concurrency: 2,
-                think_time: 1.0,
-            },
-            &plan,
-            &pol,
-        );
-        assert_eq!(s[0].submit, 0.0);
-        assert_eq!(s[1].submit, 0.0);
-        assert_eq!(s[2].submit, 11.0);
-        assert_eq!(s[3].submit, 11.0);
-        assert_eq!(s[4].submit, 22.0);
         assert!(s.iter().all(|j| j.outcome == JobOutcome::Completed));
     }
 

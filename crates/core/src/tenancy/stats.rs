@@ -102,8 +102,8 @@ pub struct FleetReport {
     /// Every job's full attempt history, in job-id order.
     pub schedules: Vec<JobSchedule>,
     /// The healthy-fleet counterfactual: the same demands scheduled with
-    /// an empty outage plan and backfill off (equals `placements` when
-    /// the fleet's own plan is empty and backfill is off).
+    /// an empty outage plan (equals `placements` when the fleet's own plan
+    /// is empty).
     pub healthy_placements: Vec<Placement>,
     /// Trace-durability accounting, present only when the fleet spilled
     /// its traces to disk (gates the spill section exactly like
@@ -469,12 +469,11 @@ impl FleetReport {
             vec![
                 "scheduler policy".to_string(),
                 format!(
-                    "retries {} | backoff {:.0}s x{:.1} cap {:.0}s | backfill {}",
+                    "retries {} | backoff {:.0}s x{:.1} cap {:.0}s | backfill off",
                     self.policy.max_retries,
                     self.policy.base_backoff,
                     self.policy.backoff_multiplier,
                     self.policy.max_backoff,
-                    if self.policy.backfill { "on" } else { "off" }
                 ),
             ],
         ];

@@ -47,14 +47,9 @@ pub struct CosmoflowParams {
     pub ckpt_xfer: u64,
     /// Number of checkpoints over the run.
     pub n_ckpts: u32,
-    /// Where the dataset lives; the Figure 7 optimization repoints this at
-    /// node-local shm after preloading.
-    pub data_dir: String,
-    /// When reading from shm, files are node-local and read without MPI-IO.
-    pub local_reads: bool,
-    /// Run the Figure 7 optimization: preload the dataset into node-local
-    /// shm with a parallel copy job (MPIFileUtils-style), assign files to
-    /// their home node, and read locally without MPI-IO.
+    /// Run the Figure 7 optimization: preload the dataset from the PFS into
+    /// node-local shm with a parallel copy job (MPIFileUtils-style), assign
+    /// files to their home node, and read them from shm without MPI-IO.
     pub preload_to_shm: bool,
     /// Fault-injection plan applied to the PFS for this run (empty = none).
     pub faults: FaultPlan,
@@ -78,8 +73,6 @@ impl CosmoflowParams {
             ckpt_total: 20 * MIB,
             ckpt_xfer: 40 * KIB,
             n_ckpts: 10,
-            data_dir: "/p/gpfs1/cosmoflow/2019_05_4parE".to_string(),
-            local_reads: false,
             preload_to_shm: false,
         }
     }
@@ -100,18 +93,21 @@ impl CosmoflowParams {
             ckpt_total: scaled(p.ckpt_total, scale, 256 * KIB),
             ckpt_xfer: p.ckpt_xfer,
             n_ckpts: scaled(p.n_ckpts as u64, scale.max(0.2), 2) as u32,
-            data_dir: p.data_dir,
-            local_reads: false,
             preload_to_shm: false,
         }
     }
 
-    /// File path of sample `i`.
+    /// File path the training loop reads sample `i` from: shm after a
+    /// preload, the PFS otherwise.
     pub(crate) fn file_path(&self, i: u32) -> String {
-        format!("{}/univ_{i:06}.h5", self.data_dir)
+        if self.preload_to_shm {
+            self.shm_file_path(i)
+        } else {
+            self.pfs_file_path(i)
+        }
     }
 
-    /// PFS path of sample `i` (preload source).
+    /// PFS path of sample `i`: where the dataset is staged.
     pub(crate) fn pfs_file_path(&self, i: u32) -> String {
         format!("/p/gpfs1/cosmoflow/2019_05_4parE/univ_{i:06}.h5", i = i)
     }
@@ -131,12 +127,12 @@ pub(crate) fn stage_dataset(world: &mut IoWorld, p: &CosmoflowParams) {
     for i in 0..p.n_files {
         hdf5::materialize(
             store,
-            &p.file_path(i),
+            &p.pfs_file_path(i),
             &[("universe", &[voxels, 1, 1], 2, None)],
             0xC0 + i as u64,
         )
         .expect("stage cosmoflow file");
-        let key = store.lookup(&p.file_path(i)).expect("just staged");
+        let key = store.lookup(&p.pfs_file_path(i)).expect("just staged");
         store
             .write(
                 key,
@@ -148,11 +144,11 @@ pub(crate) fn stage_dataset(world: &mut IoWorld, p: &CosmoflowParams) {
 }
 
 /// The ranks that read file `f` together. Baseline: the group spans nodes
-/// (data-parallel batches shard across all GPUs). Optimized (`local_reads`):
+/// (data-parallel batches shard across all GPUs). Optimized (`preload_to_shm`):
 /// the group is exactly the ranks of the file's home node — the paper's
 /// "limit the aggregation of files using MPI-IO to a node".
 fn group_of(p: &CosmoflowParams, total_ranks: u32, f: u32) -> Vec<u32> {
-    if p.local_reads {
+    if p.preload_to_shm {
         let nodes = (total_ranks / p.ranks_per_node).max(1);
         let node = f % nodes;
         return (0..p.group_size.min(p.ranks_per_node))
@@ -326,7 +322,7 @@ impl RankScript<IoWorld> for CfScript {
                         .position(|&r| r == rank.0)
                         .expect("rank is in its own group") as u64;
                     let opts = H5Options {
-                        use_mpiio: !self.p.local_reads,
+                        use_mpiio: !self.p.preload_to_shm,
                         chunk_cache_bytes: 4096,
                     };
                     // Open in this step; reads and close follow in later
@@ -495,13 +491,9 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
     run_with(p, scale, seed)
 }
 
-/// Run with explicit parameters (the Figure 7 harness varies `nodes`,
-/// `data_dir`, and `local_reads`).
-pub fn run_with(mut p: CosmoflowParams, scale: f64, seed: u64) -> WorkloadRun {
-    if p.preload_to_shm {
-        p.local_reads = true;
-        p.data_dir = "/dev/shm/cosmoflow".to_string();
-    }
+/// Run with explicit parameters (the Figure 7 harness sets
+/// `preload_to_shm`).
+pub fn run_with(p: CosmoflowParams, scale: f64, seed: u64) -> WorkloadRun {
     let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(6 * 3600), seed);
     // Pre-size the capture columns: every sample file is opened by its
     // rank group (header + validation metadata per reader) and streamed in
@@ -513,16 +505,8 @@ pub fn run_with(mut p: CosmoflowParams, scale: f64, seed: u64) -> WorkloadRun {
         (p.n_files as u64 * per_file * preload_factor
             + p.n_ckpts as u64 * (2 + p.ckpt_total / p.ckpt_xfer.max(1))) as usize,
     );
-    if p.preload_to_shm {
-        // The dataset pre-exists on the PFS; the job preloads it.
-        let pfs_params = CosmoflowParams {
-            data_dir: "/p/gpfs1/cosmoflow/2019_05_4parE".to_string(),
-            ..p.clone()
-        };
-        stage_dataset(&mut world, &pfs_params);
-    } else if !p.local_reads {
-        stage_dataset(&mut world, &p);
-    }
+    // The dataset pre-exists on the PFS; a preloading job copies it out.
+    stage_dataset(&mut world, &p);
     let n = world.alloc.total_ranks();
     execute(
         WorkloadKind::Cosmoflow,

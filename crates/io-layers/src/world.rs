@@ -169,9 +169,9 @@ impl IoWorld {
         end
     }
 
-    /// Shorthand: capture an I/O record; returns the end time plus any
-    /// tracer overhead. Public so workload skeletons can record synthetic
-    /// transfers (e.g. preload copies) that bypass the layer functions.
+    /// Shorthand: capture an I/O record; returns its end time. Public so
+    /// workload skeletons can record synthetic transfers (e.g. preload
+    /// copies) that bypass the layer functions.
     #[allow(clippy::too_many_arguments)]
     pub fn trace_io(
         &mut self,
@@ -186,10 +186,10 @@ impl IoWorld {
     ) -> SimTime {
         let node = self.node_of(rank).0;
         let app = self.app_of(rank);
-        let ov = self.tracer.record(
+        self.tracer.record(
             rank.0, node, app, layer, op, start, end, file, offset, bytes,
         );
-        end + ov
+        end
     }
 
     /// Mutable access to a rank's proc state.

@@ -10,9 +10,7 @@
 //! * [`record`] — the trace schema: one [`record::TraceRecord`] per call,
 //!   tagged with rank, node, application, interface layer, operation kind,
 //!   file, offset, byte count, and the simulated start/end instants,
-//! * [`tracer`] — the row-major capture sink the layers write into during a
-//!   run (with an optional per-record overhead model reproducing the 8 %
-//!   runtime overhead the paper reports),
+//! * [`tracer`] — the capture sink the layers write into during a run,
 //! * [`columnar`] — the row-major → column-major conversion that mirrors the
 //!   paper's Recorder-log → parquet step, with the filter/group-by kernels
 //!   the Vani analyzer runs over the columns (parallel via `vani_rt::par`),

@@ -8,16 +8,13 @@
 //! converts the columns (`tracer.columnar().to_records()`).
 //!
 //! The tracer also interns file paths and application names — lookups are
-//! borrowed (`&str`), a `String` is allocated only on the first insert —
-//! and can model Recorder's capture overhead (the paper measured 8 % of
-//! workload runtime) by charging a fixed cost per captured record, which
-//! the layers add to their completion times.
+//! borrowed (`&str`), a `String` is allocated only on the first insert.
 
 use crate::chunk::{columnar_capacity_bytes, ChunkedTrace, CompressedChunk, GaugeCharge};
 use crate::columnar::ColumnarTrace;
 use crate::record::{AppId, FileId, Layer, OpKind};
 use crate::spill::{SpillError, SpillFaultPlan, SpillSummary, SpillWriter};
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -32,7 +29,7 @@ struct ChunkState {
     charge: GaugeCharge,
     writer: Option<SpillWriter>,
     /// First spill failure, surfaced at [`Tracer::into_spill`] — `record`
-    /// returns a `Dur` and cannot propagate it. After a failure sealed
+    /// returns nothing and cannot propagate it. After a failure sealed
     /// chunks fall back to accumulating in memory so the capture itself
     /// is never lost.
     spill_error: Option<SpillError>,
@@ -61,15 +58,13 @@ pub struct Tracer {
     cols: ColumnarTrace,
     file_ids: HashMap<String, FileId>,
     app_ids: HashMap<String, AppId>,
-    /// Cost charged per captured record (0 disables overhead modelling).
-    pub per_record_overhead: Dur,
     /// `Some` once chunked capture is on: `cols` then holds only the
     /// unsealed tail, bounded by the chunk size.
     chunked: Option<ChunkState>,
 }
 
 impl Tracer {
-    /// New tracer with no capture overhead.
+    /// New, empty tracer.
     pub fn new() -> Self {
         Self::default()
     }
@@ -223,8 +218,7 @@ impl Tracer {
         &self.cols.app_names
     }
 
-    /// Capture a record; returns the capture overhead to add to the caller's
-    /// completion time (zero when no overhead is configured).
+    /// Capture a record.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -238,7 +232,7 @@ impl Tracer {
         file: Option<FileId>,
         offset: u64,
         bytes: u64,
-    ) -> Dur {
+    ) {
         self.cols
             .push_row(rank, node, app, layer, op, start, end, file, offset, bytes);
         if let Some(cs) = &mut self.chunked {
@@ -249,7 +243,7 @@ impl Tracer {
                         if let Err(e) =
                             w.append(&chunk, &self.cols.file_paths, &self.cols.app_names)
                         {
-                            // `record` returns a `Dur`, so stash the typed
+                            // `record` returns nothing, so stash the typed
                             // failure for `into_spill` and fall back to
                             // in-memory accumulation: the capture outlives
                             // the broken device.
@@ -263,7 +257,6 @@ impl Tracer {
                 self.cols.clear_rows();
             }
         }
-        self.per_record_overhead
     }
 
     /// Borrowed columnar view of the capture sink — the zero-copy input to
@@ -397,29 +390,6 @@ mod tests {
         assert!(t.cols.bytes.capacity() >= 500);
         assert!(t.cols.op.capacity() >= 500);
         assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    fn overhead_is_charged_per_record() {
-        let mut t = Tracer {
-            per_record_overhead: Dur::from_micros(2),
-            ..Tracer::new()
-        };
-        let ov = t.record(
-            1,
-            0,
-            AppId(0),
-            Layer::Stdio,
-            OpKind::Write,
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            None,
-            0,
-            10,
-        );
-        assert_eq!(ov, Dur::from_micros(2));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.columnar().rank[0], 1);
     }
 
     /// Chunks sealed so far, excluding the live tail in the capture buffer.

@@ -7,7 +7,7 @@
 //!   `par_reduce`, `par_fold_shards_sized`, `par_group_by`) with
 //!   deterministic, thread-count-independent chunking, replacing `rayon`.
 //! * [`rng`] — a splittable xoshiro256++ deterministic RNG with uniform,
-//!   normal, gamma, and lognormal samplers and component-labelled seeding
+//!   normal, gamma, and exponential samplers and component-labelled seeding
 //!   ([`Rng::for_component`], over the FNV-1a [`fnv1a64`]), replacing
 //!   `rand`/`rand_distr`.
 //! * [`json`] — a minimal JSON value type with a strict parser and a

@@ -10,8 +10,8 @@
 //!
 //! All samplers are implemented from first principles (no `rand`/
 //! `rand_distr`): 53-bit uniform doubles, Lemire-style bounded integers,
-//! polar Box–Muller normals, Marsaglia–Tsang gammas, and exp-of-normal
-//! lognormals. The raw stream is pinned by regression vectors in the tests;
+//! polar Box–Muller normals, Marsaglia–Tsang gammas, and inverse-CDF
+//! exponentials. The raw stream is pinned by regression vectors in the tests;
 //! any change to the generator or the samplers is a breaking change to every
 //! recorded trace and must bump those vectors deliberately.
 
@@ -193,18 +193,6 @@ impl Rng {
         }
     }
 
-    /// Lognormal draw: `exp(N(mu, sigma))`. Non-finite or negative `sigma`
-    /// falls back to the distribution median `exp(mu)`.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        if !sigma.is_finite() || sigma < 0.0 {
-            return mu.exp();
-        }
-        if sigma == 0.0 {
-            return mu.exp();
-        }
-        self.normal(mu, sigma).exp()
-    }
-
     /// Exponential draw with the given `rate` (mean `1 / rate`), via
     /// inversion of the CDF: `-ln(1 - U) / rate`. One uniform per draw, so
     /// the arrival-process streams consume a predictable slice of the raw
@@ -360,19 +348,9 @@ mod tests {
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
 
-    #[test]
-    fn lognormal_median_is_exp_mu() {
-        let mut r = Rng::new(15);
-        let n = 50_001;
-        let mut xs: Vec<f64> = (0..n).map(|_| r.lognormal(1.0, 0.5)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[n / 2];
-        assert!((median - 1f64.exp()).abs() < 0.06, "median {median}");
-    }
-
-    /// Pinned sequences for the arrival-process samplers: the fleet
-    /// scheduler's admission times derive from these streams, so any change
-    /// to them reshuffles every recorded fleet manifest. Values are the
+    /// Pinned sequence for the arrival-process sampler: the fleet
+    /// scheduler's admission times derive from this stream, so any change
+    /// to it reshuffles every recorded fleet manifest. Values are the
     /// first four draws at seed 7, printed to 12 significant digits.
     #[test]
     fn exponential_interarrival_sequence_is_pinned() {
@@ -386,21 +364,6 @@ mod tests {
         ];
         for (g, w) in got.iter().zip(want) {
             assert!((g - w).abs() < 1e-9, "exponential drifted: {got:?}");
-        }
-    }
-
-    #[test]
-    fn lognormal_interarrival_sequence_is_pinned() {
-        let mut r = Rng::new(7);
-        let got: Vec<f64> = (0..4).map(|_| r.lognormal(0.0, 0.5)).collect();
-        let want = [
-            2.309470373536,
-            1.308588511388,
-            1.829356246411,
-            1.178414990901,
-        ];
-        for (g, w) in got.iter().zip(want) {
-            assert!((g - w).abs() < 1e-9, "lognormal drifted: {got:?}");
         }
     }
 
@@ -484,7 +447,6 @@ mod tests {
         assert_eq!(r.normal(5.0, f64::NAN), 5.0);
         assert_eq!(r.normal(5.0, -1.0), 5.0);
         assert_eq!(r.gamma(-2.0, 3.0), -6.0);
-        assert_eq!(r.lognormal(0.0, f64::NAN), 1.0);
     }
 
     #[test]

@@ -3,26 +3,16 @@
 //! production scheduler's event loop.
 //!
 //! Job `i` starts at the earliest instant at or after its submit time when
-//! every earlier job has already started (no backfill: admission order is
-//! job order) and enough nodes are free. The production scheduler,
+//! every earlier job has already started (admission order is job order)
+//! and enough nodes are free. The production scheduler,
 //! `resilient_schedule`, admits by `(submit, job id)` instead, so the two
-//! agree only while submits are non-decreasing in job id:
-//!
-//! * open arrivals must be pre-drawn in non-decreasing order;
-//! * the closed branch derives job `i`'s submit from job `i - concurrency`'s
-//!   end, and agrees with production only when runtimes are equal. With
-//!   mixed runtimes a later job can submit first, which production admits
-//!   first and this oracle does not.
+//! agree only when the submits are pre-drawn in non-decreasing order.
 
-use vani_suite::vani::tenancy::{JobDemand, Placement, ScheduleArrivals};
+use vani_suite::vani::tenancy::{JobDemand, Placement};
 
-/// Place every job FCFS onto `cluster_nodes` nodes. Panics if a job wants
-/// more nodes than the cluster has.
-pub fn fcfs_schedule(
-    cluster_nodes: u32,
-    demands: &[JobDemand],
-    arrivals: &ScheduleArrivals<'_>,
-) -> Vec<Placement> {
+/// Place every job FCFS onto `cluster_nodes` nodes, job `i` submitting at
+/// `submits[i]`. Panics if a job wants more nodes than the cluster has.
+pub fn fcfs_schedule(cluster_nodes: u32, demands: &[JobDemand], submits: &[f64]) -> Vec<Placement> {
     let mut placements: Vec<Placement> = Vec::with_capacity(demands.len());
     // Running set: (estimated end, nodes). Small (bounded by concurrent
     // jobs), so linear scans beat a heap and keep tie-breaking explicit:
@@ -37,20 +27,8 @@ pub fn fcfs_schedule(
             "job {i} wants {} nodes on a {cluster_nodes}-node cluster",
             d.nodes
         );
-        let submit = match arrivals {
-            ScheduleArrivals::Open(ts) => ts[i],
-            ScheduleArrivals::Closed {
-                concurrency,
-                think_time,
-            } => {
-                if i < *concurrency {
-                    0.0
-                } else {
-                    placements[i - concurrency].end + think_time
-                }
-            }
-        };
-        // No backfill: a job never starts before its predecessor.
+        let submit = submits[i];
+        // A job never starts before its predecessor.
         let mut t = if submit > prev_start {
             submit
         } else {

@@ -5,7 +5,9 @@
 //!   and the parallel driver at 1, 2, and 8 workers.
 //! * With an **empty** plan, the report render and JSON are bit-identical
 //!   to the pre-failure-domain fleet sweep, pinned by FNV-1a digests
-//!   captured on the commit before this change landed.
+//!   captured on the commit before this change landed. The degraded
+//!   renders of the one-kill and abandon fleets are pinned the same way,
+//!   captured before closed arrivals and backfill left the scheduler.
 //! * A job killed by a node outage completes after requeue with its lost
 //!   work accounted in the degraded-mode fleet statistics, and a job that
 //!   exhausts its retry budget is abandoned and charged but never
@@ -78,6 +80,13 @@ fn fnv1a64(s: &str) -> u64 {
 /// commit f79efd7 (the last commit before the failure-domain change). An
 /// empty fault plan must not move a byte.
 const PIN_RENDER: u64 = 0x7d46_6fab_99ff_b9f5;
+
+/// Digests of `report.render()` for [`one_kill_cfg`] and [`abandon_cfg`],
+/// captured at commit c9bfa72 (the last commit with closed arrivals,
+/// lognormal gaps and backfill in the scheduler). Removing them must not
+/// move a byte of the degraded tables.
+const PIN_ONE_KILL_RENDER: u64 = 0x39d2_67a6_e465_69fa;
+const PIN_ABANDON_RENDER: u64 = 0x3ac5_5ab7_6cc5_4eb0;
 
 #[test]
 fn empty_plan_fleet_output_is_bit_identical_to_pre_change() {
@@ -161,6 +170,11 @@ fn killed_job_completes_after_requeue_with_lost_work_accounted() {
     assert!(report.goodput_frac() < 1.0 && report.goodput_frac() > 0.0);
     assert!(report.retry_amplification() > 1.0);
     let render = report.render();
+    assert_eq!(
+        fnv1a64(&render),
+        PIN_ONE_KILL_RENDER,
+        "one-kill degraded render diverged from the pinned output"
+    );
     for table in [
         "Node outage timeline",
         "Degraded-mode accounting (goodput vs offered load)",
@@ -192,5 +206,11 @@ fn retry_budget_exhaustion_abandons_and_charges_but_never_simulates() {
     assert_eq!(report.outcome_counts(), (7, 0, 1));
     assert!(report.lost_work_node_secs() > 0.0);
     assert!(report.goodput_frac() < 1.0);
-    assert!(report.render().contains("abandoned"));
+    let render = report.render();
+    assert!(render.contains("abandoned"));
+    assert_eq!(
+        fnv1a64(&render),
+        PIN_ABANDON_RENDER,
+        "abandon degraded render diverged from the pinned output"
+    );
 }

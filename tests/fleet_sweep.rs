@@ -16,8 +16,10 @@
 //!   every trace-derived field with the whole capture reported lost when
 //!   ENOSPC forces the in-memory fallback, and never complete after a
 //!   crash before the first commit.
-//! * A mix referencing an unknown workload or an unsupported variant must
-//!   surface a typed `FleetError`, not a panic.
+//! * A crashy tenant of any exemplar, HACC included, crashes once and
+//!   restarts.
+//! * A mix referencing an unknown workload, a job wider than the cluster
+//!   or an empty mix must surface a typed `FleetError`, not a panic.
 //!
 //! The worker-sweep tests take [`serial`]: `rt::par::set_threads` is
 //! process-global, so two sweeps must not interleave.
@@ -30,8 +32,8 @@ use vani_suite::rt::par;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::sweep::Driver;
 use vani_suite::vani::tenancy::{
-    build_manifest, fleet_sweep, ArrivalProcess, FleetConfig, FleetError, InterArrival, JobRecord,
-    JobTemplate, JobVariant, NodeFaultSpec, SchedPolicy, SpillSpec, KNOWN_WORKLOADS,
+    build_manifest, fleet_sweep, ArrivalProcess, FleetConfig, FleetError, JobRecord, JobTemplate,
+    JobVariant, NodeFaultSpec, SchedPolicy, SpillSpec, KNOWN_WORKLOADS,
 };
 use vani_suite::workloads as wl;
 use vani_suite::workloads::WorkloadRun;
@@ -155,9 +157,8 @@ fn single_tenant_fleet_reproduces_the_dedicated_run_byte_equal() {
             seed: SEED,
             cluster_nodes: 512,
             pfs_capacity_scale: SCALE,
-            arrival: ArrivalProcess::Open {
+            arrival: ArrivalProcess {
                 mean_interarrival: 10.0,
-                dist: InterArrival::Exponential,
             },
             mix: vec![JobTemplate::new(workload, JobVariant::Baseline, 1)],
             node_faults: NodeFaultSpec::None,
@@ -304,19 +305,24 @@ fn unknown_workload_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
-fn unsupported_variant_and_oversized_jobs_are_typed_errors() {
-    // HACC has no checkpoint/restart recovery: crashy must be rejected.
+fn crashy_hacc_jobs_crash_once_and_restart() {
+    // Every exemplar recovers through the shared crash/restart driver, so
+    // the crashy variant is not limited to CM1 and CosmoFlow.
     let mut cfg = small_cfg(false);
-    cfg.mix
-        .push(JobTemplate::new("hacc", JobVariant::Crashy, 1));
-    match fleet_sweep(&cfg, Driver::Sequential).unwrap_err() {
-        FleetError::UnsupportedVariant { workload, variant } => {
-            assert_eq!(workload, "hacc");
-            assert_eq!(variant, "crashy");
-        }
-        other => panic!("expected UnsupportedVariant, got {other:?}"),
+    cfg.mix = vec![JobTemplate::new("hacc", JobVariant::Crashy, 1)];
+    let report = fleet_sweep(&cfg, Driver::Sequential).expect("valid config");
+    assert_eq!(report.records.len(), cfg.n_jobs);
+    for r in &report.records {
+        assert_eq!(
+            (r.workload.as_str(), r.variant),
+            ("hacc", JobVariant::Crashy)
+        );
+        assert_eq!(r.restart_events, 1, "job {}", r.job_id);
     }
+}
 
+#[test]
+fn oversized_jobs_and_empty_mixes_are_typed_errors() {
     // A zero-node cluster cannot hold any job.
     let mut cfg = small_cfg(false);
     cfg.cluster_nodes = 0;

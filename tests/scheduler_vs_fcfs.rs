@@ -2,10 +2,8 @@
 //! `resilient_schedule` with an empty `NodeFaultPlan` and strict FCFS,
 //! places every job exactly where the sequential FCFS oracle in
 //! `tests/common/fcfs.rs` does — same start and end, bit for bit — on
-//! seeded tie-heavy open arrivals (zero runtimes included), one
-//! 10⁵-job open fleet, and closed arrivals with equal runtimes (the one
-//! closed regime in which admitting by `(submit, id)` and by job id
-//! coincide).
+//! seeded tie-heavy open arrivals (zero runtimes included) and one
+//! 10⁵-job open fleet.
 
 mod common;
 
@@ -18,16 +16,12 @@ use vani_suite::vani::tenancy::{
 
 /// `resilient_schedule` on a never-failing pool, strict FCFS; every job
 /// must run exactly once.
-fn healthy(
-    cluster_nodes: u32,
-    demands: &[JobDemand],
-    arrivals: &ScheduleArrivals,
-) -> Vec<Placement> {
+fn healthy(cluster_nodes: u32, demands: &[JobDemand], submits: &[f64]) -> Vec<Placement> {
     let plan = NodeFaultPlan::none();
     let schedules = resilient_schedule(
         cluster_nodes,
         demands,
-        arrivals,
+        &ScheduleArrivals(submits),
         &plan,
         &SchedPolicy::standard(),
     );
@@ -64,10 +58,9 @@ fn healthy_open_arrivals_match_the_oracle() {
         // Integer submit times on a short horizon: many equal instants.
         let mut submits: Vec<f64> = demands.iter().map(|_| int(&mut r, 0, 20) as f64).collect();
         submits.sort_by(f64::total_cmp);
-        let arrivals = ScheduleArrivals::Open(&submits);
         assert_eq!(
-            healthy(cluster, &demands, &arrivals),
-            fcfs_schedule(cluster, &demands, &arrivals),
+            healthy(cluster, &demands, &submits),
+            fcfs_schedule(cluster, &demands, &submits),
             "case {case}: {cluster} nodes, {demands:?}, submits {submits:?}"
         );
     }
@@ -93,33 +86,11 @@ fn a_hundred_thousand_job_open_fleet_matches_the_oracle() {
             clock.floor()
         })
         .collect();
-    let arrivals = ScheduleArrivals::Open(&submits);
-    let got = healthy(cluster, &demands, &arrivals);
-    let want = fcfs_schedule(cluster, &demands, &arrivals);
+    let got = healthy(cluster, &demands, &submits);
+    let want = fcfs_schedule(cluster, &demands, &submits);
     assert!(
         got.iter().filter(|p| p.wait() > 0.0).count() > n / 10,
         "the fleet must queue for the comparison to mean anything"
     );
     assert!(got == want, "10⁵-job fleet diverges from the oracle");
-}
-
-#[test]
-fn closed_arrivals_with_equal_runtimes_match_the_oracle() {
-    let mut r = Rng::new(0xfcf5_0003);
-    for case in 0..3000 {
-        let (cluster, mut demands) = random_jobs(&mut r, 0);
-        let runtime = int(&mut r, 0, 5) as f64;
-        for d in &mut demands {
-            d.est_runtime = runtime;
-        }
-        let arrivals = ScheduleArrivals::Closed {
-            concurrency: int(&mut r, 1, 6) as usize,
-            think_time: int(&mut r, 0, 3) as f64,
-        };
-        assert_eq!(
-            healthy(cluster, &demands, &arrivals),
-            fcfs_schedule(cluster, &demands, &arrivals),
-            "case {case}: {cluster} nodes, {demands:?}"
-        );
-    }
 }
