@@ -32,11 +32,14 @@ cargo clippy --offline --workspace --all-targets -- \
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo test -q --offline --workspace
 
-# The same unit tests of the simulation core and the analysis crate in a
-# release build, which drops debug assertions: a test that holds only in
-# debug fails here instead of in the first release run, and the
-# scheduler's unit tests run at release speed.
-cargo test --release --offline -p sim-core -p vani-core --lib
+# Every suite and every crate's unit tests again in a release build, which
+# drops debug assertions: a test that holds only in debug fails here
+# instead of in the first release run, and the heavy suites (streaming and
+# spill identity at 1/2/8 workers, the 10^6-record ring bound, spill
+# torture and corruption, crash recovery, the fleet at any worker count)
+# run at release speed. Each integration suite is a test binary of its
+# own, so the process-wide trace gauge is never shared across suites.
+cargo test --release --offline --workspace
 
 # The repository benchmark is a workspace of its own (perfbench/) that
 # calls the library's public functions, so the workspace build above does
@@ -100,58 +103,9 @@ case "$roundtrip_traced" in
     *) echo "ci: traced trace-roundtrip is not correct: $roundtrip_traced" >&2; exit 1 ;;
 esac
 
-# Ring-bound suite, a test binary of its own because the trace gauge is
-# process-wide: at 10^6 synthetic records the streaming analyzer's peak
-# resident trace bytes stay under the chunk-ring budget
-# (resident_bound(DEFAULT_CHUNK_ROWS, RING_SLOTS)), in memory and off
-# disk, and both profiles equal the in-memory fused one.
-cargo test --release --offline --test streaming_ring_bound
-
-# Codec property suite: seeded adversarial column shapes (random, constant,
-# runs, ramps, width-boundary extremes) round-trip bit-exactly through the
-# delta/RLE/raw codec, the recycled-buffer decoder, sealed chunks reloaded
-# from a spill log, and chunked traces at every chunk size; corrupt buffers
-# surface typed errors instead of decoding.
-cargo test --release --offline --test codec_roundtrip
-
-# Streaming-vs-fused suite: the bounded-memory streaming analyzer is
-# byte-identical to the fused single-pass profile on all seven exemplar
-# workloads, clean and faulted, at 1/2/8 workers and several chunk sizes;
-# live chunked capture equals batch conversion; peak resident trace bytes
-# stay under the ring bound.
-cargo test --release --offline --test streaming_vs_fused
-
-# Sweep byte-identity suite: tables, YAML, and the fault report pinned
-# equal between sequential and parallel drivers at 1/2/8 workers, with and
-# without an active FaultPlan.
-cargo test --release --offline --test sweep_parallel_vs_sequential
-
-# Failure-injection suite, run explicitly: typed errors surface cleanly
-# through every layer and deadlocks come back as rank → gate diagnostics.
-cargo test --release --offline --test failure_injection
-
-# fault-sweep smoke: the deterministic fault plane end to end. On the
-# `repro -- fault-sweep` report the suite asserts the CosmoFlow-vs-HACC
-# MDS-brownout ordering (metadata-bound degrades >= 2x more), the
-# NSD-outage bandwidth cost, and that preload-to-shm shields the training
-# read path from PFS faults.
-cargo test --release --offline --test fault_sweep
-
-# Crash-recovery suite: checkpoint/restart byte-identity at 1/2/8 workers
-# (with and without an extra degradation plan), the crash-sweep tradeoff
-# report, and supervised sweeps isolating a panicking scenario.
-cargo test --release --offline --test crash_recovery
-
-# Trace-salvage suite: truncated (mid-frame and at every commit boundary)
-# and corrupted spill logs recover their longest committed prefix and are
-# never reported complete, the analyzer and the multipass oracle agree on
-# salvaged columns, the YAML completeness annotation appears, and a
-# crashed run's trace round-trips with its resilience attributes.
-cargo test --release --offline --test trace_salvage
-
 # fleet-sweep smoke: the multi-tenant datacenter mode end to end in short
 # mode (64 jobs), checked by its exit code. That its report is
-# byte-identical at any worker count is asserted by the fleet suite below.
+# byte-identical at any worker count is asserted by `tests/fleet_sweep.rs`.
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short
 
 # fleet-sweep degraded smoke: the short fleet under the standard node
@@ -160,45 +114,6 @@ cargo run --release --offline -p bench --bin repro -- fleet-sweep --short
 # the healthy fleet) and the scheduler-policy row; checked by its exit
 # code.
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short --node-faults > /dev/null
-
-# Fleet suite: manifest/admission/report byte-identity at 1/2/8 workers
-# with and without active FaultPlans and for the 64-job `--short` fleet
-# in memory and spilled, single-tenant fleet byte-equal to the dedicated
-# run, and typed errors for bad fleet configurations.
-cargo test --release --offline --test fleet_sweep
-
-# Fleet failure-domain suite: with an active NodeFaultPlan the degraded
-# report (outage timeline, goodput accounting, retry outcomes) is
-# byte-identical at 1/2/8 workers; with an empty plan the render is
-# FNV-pinned bit-identical to the pre-failure-domain fleet; a killed
-# job completes after requeue with its lost work charged, and a job past
-# its retry budget is abandoned without being simulated.
-cargo test --release --offline --test fleet_resilience
-
-# Spill identity suite: spill-capture -> recover -> off-disk streaming
-# analysis is bit-identical to the in-memory fused profile on all seven
-# exemplars, clean and faulted, at 1/2/8 workers and two chunk sizes;
-# spill, load and spill again writes identical bytes; capture and
-# analysis stay under the chunk-ring resident bound.
-cargo test --release --offline --test spill_identity
-
-# Spill torture suite: every injected fault class (torn final write,
-# partial append, ENOSPC, bit flip, crash-before-commit) at several
-# target chunks recovers the longest committed prefix with a typed
-# diagnostic — never a panic — and analyzing the recovered prefix off
-# disk equals in-memory streaming over the same records at 1/2/8
-# workers. ENOSPC leaves no temp-file litter.
-cargo test --release --offline --test spill_torture
-
-# Persistence corruption property suite: seeded random truncations and
-# bit flips of a v4 spill log never panic any loader — typed errors or
-# honest-prefix salvage only, and a salvage that lost records is never
-# reported complete — and a strict replay of any mutant fails typed or
-# equals the clean profile. Checksum-fixed meta mutations are caught as
-# codec-class damage: by the decoding walk at fsck/salvage time, inside
-# the strict fold (which decodes each chunk once and checks its meta), or
-# at strict open for metas that would size or index the fold out of range.
-cargo test --release --offline --test persist_corruption
 
 # fleet-sweep spill smoke: the short fleet with every per-job trace
 # staged through an on-disk spill log. The report gains the spill

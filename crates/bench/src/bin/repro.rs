@@ -20,7 +20,7 @@
 //! starts: an unknown name, a flag none of the named artifacts takes, a
 //! bad `--jobs`/`--spill` value or a bad `VANI_SCALE` exits 2.
 
-use bench::{ior_peak, run_all_six, scale_from_env};
+use bench::{ior_peak, scale_from_env};
 use vani_core::analyzer::Analysis;
 use vani_core::{crashsweep, figures, reconfig, sweep, tables, yaml};
 
@@ -249,7 +249,7 @@ fn main() {
     };
     let analyses: Vec<Analysis> = if req.wanted.iter().any(|a| a.needs_six) {
         eprintln!("running the six exemplar workloads at scale {scale} ...");
-        run_all_six(scale, 7)
+        sweep::paper_six(scale, 7, sweep::Driver::Parallel)
     } else {
         Vec::new()
     };

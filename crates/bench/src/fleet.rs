@@ -17,10 +17,10 @@
 //! allocated. That the report is byte-identical at any worker count, in
 //! memory and with `--spill`, is held by `tests/fleet_sweep.rs`.
 //!
-//! Invalid fleet configurations (an unknown workload id in the mix, a
-//! variant a workload cannot run, a job wider than the cluster) surface
-//! as a typed [`FleetError`] so the binary can fail fast with a message
-//! instead of a panic.
+//! Invalid fleet configurations (an unknown workload id in the mix, an
+//! empty mix, a job wider than the cluster) surface as a typed
+//! [`FleetError`] so the binary can fail fast with a message instead of
+//! a panic.
 
 use std::path::PathBuf;
 

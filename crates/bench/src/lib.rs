@@ -1,9 +1,6 @@
-//! Shared code for the table/figure reproduction binary: runs the six
-//! exemplar workloads once at a chosen scale and hands out their
-//! analyses.
-
-use vani_core::analyzer::Analysis;
-use vani_core::sweep::{self, Driver};
+//! Shared code for the table/figure reproduction binary: the scale it
+//! runs at, the IOR peak measurement, and the fleet, ablation and fsck
+//! drivers.
 
 pub mod ablations;
 pub mod fleet;
@@ -45,12 +42,6 @@ pub fn scale_from_env() -> Result<f64, ScaleError> {
     }
 }
 
-/// Run all six exemplar workloads (in parallel) and analyze them, in the
-/// paper's column order.
-pub fn run_all_six(scale: f64, seed: u64) -> Vec<Analysis> {
-    sweep::paper_six(scale, seed, Driver::Parallel)
-}
-
 /// Measured IOR peak bandwidth for Table IX.
 pub fn ior_peak() -> f64 {
     let p = exemplar_workloads::ior::IorParams {
@@ -63,19 +54,4 @@ pub fn ior_peak() -> f64 {
     };
     let run = exemplar_workloads::ior::run(p, 1);
     exemplar_workloads::ior::aggregate_bw(&run)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_six_analyses_have_io() {
-        let analyses = run_all_six(0.01, 3);
-        assert_eq!(analyses.len(), 6);
-        for a in &analyses {
-            assert!(a.io_bytes() > 0, "{} moved no bytes", a.kind.name());
-            assert!(a.n_files() > 0);
-        }
-    }
 }

@@ -209,7 +209,7 @@ pub struct Analysis {
     pub meta_ops: u64,
     /// Detected interface ("POSIX", "STDIO", "HDF5-MPI-IO").
     pub interface: String,
-    /// "Sequential" / "Mixed" access pattern.
+    /// "Seq" / "Mixed" access pattern.
     pub access_pattern: String,
     /// Request-size histogram (Figures 1a–6a, left panel).
     pub req_sizes: Histogram,
@@ -251,7 +251,9 @@ pub struct Analysis {
     pub rerouted_by_server: Vec<u64>,
     /// Dataset value-distribution fit (Table VI "Data dist").
     pub data_dist: DistributionFit,
-    /// The columnar trace, retained for figure rendering.
+    /// A copy of the run's captured columns. No table, figure or YAML
+    /// renderer reads it; perfbench's `paper-six` pass counts its
+    /// capacity as `peak_trace_bytes`.
     pub trace: ColumnarTrace,
 }
 

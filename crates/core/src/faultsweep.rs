@@ -20,7 +20,7 @@
 //!    Figure 7 also buys fault isolation.
 
 use crate::analyzer::Analysis;
-use exemplar_workloads::{cosmoflow, hacc};
+use exemplar_workloads::cosmoflow;
 use hpc_cluster::topology::NodeId;
 use sim_core::units::{GIB, MIB};
 use sim_core::{Dur, SimTime};
@@ -47,17 +47,6 @@ pub(crate) fn shield_plan(from: SimTime) -> FaultPlan {
         .with_error_rates(0.02, 0.0)
 }
 
-/// CosmoFlow at `scale` under `faults` (baseline GPFS data path).
-pub(crate) fn run_cosmo(
-    scale: f64,
-    seed: u64,
-    faults: FaultPlan,
-) -> exemplar_workloads::WorkloadRun {
-    let mut p = cosmoflow::CosmoflowParams::scaled(scale);
-    p.faults = faults;
-    cosmoflow::run_with(p, scale, seed)
-}
-
 /// CosmoFlow preload-to-shm variant at `scale` under `faults`.
 pub(crate) fn run_cosmo_preload(
     scale: f64,
@@ -68,17 +57,6 @@ pub(crate) fn run_cosmo_preload(
     p.preload_to_shm = true;
     p.faults = faults;
     cosmoflow::run_with(p, scale, seed)
-}
-
-/// HACC at `scale` under `faults`.
-pub(crate) fn run_hacc(
-    scale: f64,
-    seed: u64,
-    faults: FaultPlan,
-) -> exemplar_workloads::WorkloadRun {
-    let mut p = hacc::HaccParams::scaled(scale);
-    p.faults = faults;
-    hacc::run_with(p, scale, seed)
 }
 
 /// The experiment-2 pool configuration (client cache disabled so the

@@ -46,17 +46,6 @@ fn io_time_of(run: &exemplar_workloads::WorkloadRun) -> (f64, f64) {
 /// `node_counts`. Sweep points are independent simulations and run in
 /// parallel.
 pub fn figure7(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
-    figure7_with(scale, node_counts, seed, Driver::Parallel)
-}
-
-/// [`figure7`] with an explicit scenario driver: one scenario per node
-/// count, fanned out by `vani_core::sweep`.
-pub(crate) fn figure7_with(
-    scale: f64,
-    node_counts: &[u32],
-    seed: u64,
-    driver: Driver,
-) -> Vec<SweepPoint> {
     let mut set = ScenarioSet::new(seed);
     for &nodes in node_counts {
         set.add(format!("fig7/nodes-{nodes}"), move |_| {
@@ -77,7 +66,7 @@ pub(crate) fn figure7_with(
             }
         });
     }
-    set.run(driver)
+    set.run(Driver::Parallel)
 }
 
 /// Figure 8: Montage-MPI baseline (intermediates on GPFS) vs optimized
@@ -85,16 +74,6 @@ pub(crate) fn figure7_with(
 /// total work fixed at the `scale`-sized workload, divided per node.
 /// Sweep points are independent simulations and run in parallel.
 pub fn figure8(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
-    figure8_with(scale, node_counts, seed, Driver::Parallel)
-}
-
-/// [`figure8`] with an explicit scenario driver.
-pub(crate) fn figure8_with(
-    scale: f64,
-    node_counts: &[u32],
-    seed: u64,
-    driver: Driver,
-) -> Vec<SweepPoint> {
     let base_p = montage::MontageParams::scaled(scale);
     let mut set = ScenarioSet::new(seed);
     for &nodes in node_counts {
@@ -125,7 +104,7 @@ pub(crate) fn figure8_with(
             }
         });
     }
-    set.run(driver)
+    set.run(Driver::Parallel)
 }
 
 /// Render a sweep as the repro harness prints it.

@@ -18,7 +18,7 @@
 //!   a barrier, not a lock.
 //!
 //! The built-in drivers ([`paper_six`], [`fault_sweep`], and the
-//! `reconfig::figure7_with`/`figure8_with` sweeps) also *de-duplicate*
+//! `reconfig::figure7`/`figure8` sweeps) also *de-duplicate*
 //! identical baselines: the fault sweep needs the healthy CosmoFlow run
 //! for both the MDS-brownout and the shm-shielding experiment, and now
 //! simulates and analyzes it exactly once.
@@ -28,9 +28,9 @@ use crate::faultsweep::{
     self, impact_from, mds_plan, nsd_bw, nsd_config, shield_plan, whole_run, FaultImpact,
     OutageBench, ShieldResult,
 };
-use exemplar_workloads::{cm1, cosmoflow, hacc, jag, montage, montage_pegasus};
+use exemplar_workloads::WorkloadKind::{self, Cosmoflow, Hacc};
 use sim_core::SimTime;
-use storage_sim::FaultPlan;
+use storage_sim::{FaultPlan, InterferenceSchedule};
 use vani_rt::rng::Rng;
 
 /// How a [`ScenarioSet`] executes its scenarios.
@@ -230,16 +230,15 @@ impl<T: Send> ScenarioSet<T> {
 /// worker count: every workload keeps its caller-supplied seed.
 pub fn paper_six(scale: f64, seed: u64, driver: Driver) -> Vec<Analysis> {
     let mut set = ScenarioSet::new(seed);
-    let runners: [(&str, fn(f64, u64) -> exemplar_workloads::WorkloadRun); 6] = [
-        ("cm1", cm1::run),
-        ("hacc", hacc::run),
-        ("cosmoflow", cosmoflow::run),
-        ("jag", jag::run),
-        ("montage-mpi", montage::run),
-        ("montage-pegasus", montage_pegasus::run),
-    ];
-    for (id, run) in runners {
-        set.add(id, move |_| Analysis::from_run(&run(scale, seed)));
+    for &kind in &WorkloadKind::ALL[..6] {
+        set.add(kind.id(), move |_| {
+            Analysis::from_run(&kind.run(
+                scale,
+                seed,
+                FaultPlan::none(),
+                InterferenceSchedule::none(),
+            ))
+        });
     }
     set.run(driver)
 }
@@ -296,41 +295,33 @@ impl W1 {
 ///
 /// Output is identical at any worker count, with either driver.
 pub fn fault_sweep(scale: f64, seed: u64, slowdown: f64, driver: Driver) -> FaultSweepReport {
+    // Every workload scenario runs without competing tenants.
+    let analyze = move |kind: WorkloadKind, plan: FaultPlan| {
+        W1::A(Box::new(Analysis::from_run(&kind.run(
+            scale,
+            seed,
+            plan,
+            InterferenceSchedule::none(),
+        ))))
+    };
+    let preload = move |plan: FaultPlan| {
+        W1::A(Box::new(Analysis::from_run(
+            &faultsweep::run_cosmo_preload(scale, seed, plan),
+        )))
+    };
     // Wave 1: everything that does not depend on another scenario.
     let mut w1 = ScenarioSet::new(seed);
     w1.add("cosmo/healthy", move |_| {
-        W1::A(Box::new(Analysis::from_run(&faultsweep::run_cosmo(
-            scale,
-            seed,
-            FaultPlan::none(),
-        ))))
+        analyze(Cosmoflow, FaultPlan::none())
     });
     w1.add("cosmo/mds-brownout", move |_| {
-        W1::A(Box::new(Analysis::from_run(&faultsweep::run_cosmo(
-            scale,
-            seed,
-            mds_plan(slowdown),
-        ))))
+        analyze(Cosmoflow, mds_plan(slowdown))
     });
-    w1.add("hacc/healthy", move |_| {
-        W1::A(Box::new(Analysis::from_run(&faultsweep::run_hacc(
-            scale,
-            seed,
-            FaultPlan::none(),
-        ))))
-    });
+    w1.add("hacc/healthy", move |_| analyze(Hacc, FaultPlan::none()));
     w1.add("hacc/mds-brownout", move |_| {
-        W1::A(Box::new(Analysis::from_run(&faultsweep::run_hacc(
-            scale,
-            seed,
-            mds_plan(slowdown),
-        ))))
+        analyze(Hacc, mds_plan(slowdown))
     });
-    w1.add("cosmo-preload/healthy", move |_| {
-        W1::A(Box::new(Analysis::from_run(
-            &faultsweep::run_cosmo_preload(scale, seed, FaultPlan::none()),
-        )))
-    });
+    w1.add("cosmo-preload/healthy", move |_| preload(FaultPlan::none()));
     w1.add("nsd/healthy-bw", move |_| {
         W1::Bw(nsd_bw(seed, FaultPlan::none()))
     });
@@ -356,17 +347,11 @@ pub fn fault_sweep(scale: f64, seed: u64, slowdown: f64, driver: Driver) -> Faul
     {
         let plan = plan.clone();
         w2.add("cosmo/shield-faulted", move |_| {
-            W1::A(Box::new(Analysis::from_run(&faultsweep::run_cosmo(
-                scale,
-                seed,
-                plan.clone(),
-            ))))
+            analyze(Cosmoflow, plan.clone())
         });
     }
     w2.add("cosmo-preload/shield-faulted", move |_| {
-        W1::A(Box::new(Analysis::from_run(
-            &faultsweep::run_cosmo_preload(scale, seed, plan.clone()),
-        )))
+        preload(plan.clone())
     });
     let mut r2 = w2.run(driver).into_iter();
     let base_bad = r2.next().unwrap().analysis();

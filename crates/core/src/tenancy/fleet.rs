@@ -16,14 +16,14 @@
 //! 3. **Schedule** — FCFS placement of the whole manifest onto the shared
 //!    cluster (requeueing jobs killed by node outages), then per-job
 //!    interference schedules from the overlapping attempts.
-//! 4. **Jobs** — every job simulates independently (scenario-parallel)
-//!    with its variant's fault plan and its interference schedule
-//!    installed, returning a compact [`JobRecord`]. Without a
-//!    [`SpillSpec`] the record's trace fields come from
-//!    [`TraceProfile::fused`] over the columns the job's tracer captured,
-//!    borrowed in place: no copy, no sealed chunks, no decode buffer, so
-//!    the trace gauge is never charged. The trace is dropped inside the
-//!    closure, so a 1000-job fleet does not hold 1000 traces.
+//! 4. **Jobs** — every job simulates independently (scenario-parallel),
+//!    launched through [`WorkloadKind::run`] with its variant's fault
+//!    plan and its interference schedule, returning a compact
+//!    [`JobRecord`]. Without a [`SpillSpec`] the record's trace fields
+//!    come from [`TraceProfile::fused`] over the columns the job's tracer
+//!    captured, borrowed in place: no copy, no sealed chunks, no decode
+//!    buffer, so the trace gauge is never charged. The trace is dropped
+//!    inside the closure, so a 1000-job fleet does not hold 1000 traces.
 //!
 //! Every wave merges results in registration order and every reduction is
 //! a sequential pass in job-id order — see the module docs of
@@ -39,9 +39,7 @@ use super::stats::{FleetReport, ProfileSummary};
 use super::FleetError;
 use crate::analyzer::TraceProfile;
 use crate::sweep::{retry_seed, Driver, ScenarioSet};
-use exemplar_workloads::{
-    cm1, cosmoflow, hacc, ior, jag, montage, montage_pegasus, WorkloadKind, WorkloadRun,
-};
+use exemplar_workloads::{WorkloadKind, WorkloadRun};
 use recorder_sim::spill::{spill_columnar, SpillError, SpillFaultPlan, SpillSource};
 use recorder_sim::{ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
 use sim_core::{Dur, SimTime};
@@ -49,7 +47,8 @@ use std::path::{Path, PathBuf};
 use storage_sim::{FaultPlan, GpfsConfig, InterferenceSchedule};
 use vani_rt::rng::Rng;
 
-/// Workload ids the fleet mix may reference.
+/// Workload ids the fleet mix may reference: the ids of
+/// [`WorkloadKind::ALL`], in order.
 pub const KNOWN_WORKLOADS: [&str; 7] = [
     "cm1",
     "hacc",
@@ -62,28 +61,10 @@ pub const KNOWN_WORKLOADS: [&str; 7] = [
 
 /// Resolve a mix workload id, failing fast with a typed error.
 pub fn parse_workload(id: &str) -> Result<WorkloadKind, FleetError> {
-    match id {
-        "cm1" => Ok(WorkloadKind::Cm1),
-        "hacc" => Ok(WorkloadKind::Hacc),
-        "cosmoflow" => Ok(WorkloadKind::Cosmoflow),
-        "jag" => Ok(WorkloadKind::Jag),
-        "montage-mpi" => Ok(WorkloadKind::MontageMpi),
-        "montage-pegasus" => Ok(WorkloadKind::MontagePegasus),
-        "ior" => Ok(WorkloadKind::Ior),
-        _ => Err(FleetError::UnknownWorkload(id.to_string())),
-    }
-}
-
-fn workload_id(kind: WorkloadKind) -> &'static str {
-    match kind {
-        WorkloadKind::Cm1 => "cm1",
-        WorkloadKind::Hacc => "hacc",
-        WorkloadKind::Cosmoflow => "cosmoflow",
-        WorkloadKind::Jag => "jag",
-        WorkloadKind::MontageMpi => "montage-mpi",
-        WorkloadKind::MontagePegasus => "montage-pegasus",
-        WorkloadKind::Ior => "ior",
-    }
+    WorkloadKind::ALL
+        .into_iter()
+        .find(|k| k.id() == id)
+        .ok_or_else(|| FleetError::UnknownWorkload(id.to_string()))
 }
 
 /// How a fleet job perturbs its workload.
@@ -221,9 +202,9 @@ impl FleetConfig {
         }
         mix.push(JobTemplate::new("cm1", JobVariant::Crashy, 1));
         mix.push(JobTemplate::new("cosmoflow", JobVariant::Crashy, 1));
-        let widest = KNOWN_WORKLOADS
+        let widest = WorkloadKind::ALL
             .iter()
-            .map(|w| nodes_for(parse_workload(w).expect("known"), scale))
+            .map(|k| k.nodes(scale))
             .max()
             .unwrap_or(1);
         FleetConfig {
@@ -321,19 +302,6 @@ impl FleetManifest {
     }
 }
 
-/// Nodes `kind` occupies at `scale` (from its scaled parameter set).
-fn nodes_for(kind: WorkloadKind, scale: f64) -> u32 {
-    match kind {
-        WorkloadKind::Cm1 => cm1::Cm1Params::scaled(scale).nodes,
-        WorkloadKind::Hacc => hacc::HaccParams::scaled(scale).nodes,
-        WorkloadKind::Cosmoflow => cosmoflow::CosmoflowParams::scaled(scale).nodes,
-        WorkloadKind::Jag => jag::JagParams::scaled(scale).nodes,
-        WorkloadKind::MontageMpi => montage::MontageParams::scaled(scale).nodes,
-        WorkloadKind::MontagePegasus => montage_pegasus::PegasusParams::scaled(scale).nodes,
-        WorkloadKind::Ior => ior::IorParams::scaled(scale).nodes,
-    }
-}
-
 /// Validate the mix and draw the manifest: one sequential pass over the
 /// fleet seed, in job-id order. Worker-count independent by construction.
 pub fn build_manifest(cfg: &FleetConfig) -> Result<FleetManifest, FleetError> {
@@ -344,7 +312,7 @@ pub fn build_manifest(cfg: &FleetConfig) -> Result<FleetManifest, FleetError> {
     }
     for t in &live {
         let kind = parse_workload(&t.workload)?;
-        let nodes = nodes_for(kind, cfg.scale);
+        let nodes = kind.nodes(cfg.scale);
         if nodes > cfg.cluster_nodes {
             return Err(FleetError::JobTooLarge {
                 workload: t.workload.clone(),
@@ -391,7 +359,7 @@ pub fn build_manifest(cfg: &FleetConfig) -> Result<FleetManifest, FleetError> {
             variant: tpl.variant,
             seed: seed_rng.split().next_u64(),
             submit: clock,
-            nodes: nodes_for(kind, cfg.scale),
+            nodes: kind.nodes(cfg.scale),
         });
     }
     Ok(FleetManifest {
@@ -414,61 +382,6 @@ fn faulted_plan() -> FaultPlan {
 /// halfway through the workload's *baseline* dedicated makespan.
 fn crashy_plan(baseline: Dur) -> FaultPlan {
     FaultPlan::none().with_rank_crash(0, SimTime::from_nanos(baseline.as_nanos() / 2))
-}
-
-/// Run one job: the workload's scaled parameter set with the given fault
-/// plan and interference schedule installed.
-pub(crate) fn run_job(
-    kind: WorkloadKind,
-    scale: f64,
-    seed: u64,
-    faults: FaultPlan,
-    interference: InterferenceSchedule,
-) -> WorkloadRun {
-    match kind {
-        WorkloadKind::Cm1 => {
-            let mut p = cm1::Cm1Params::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            cm1::run_with(p, scale, seed)
-        }
-        WorkloadKind::Hacc => {
-            let mut p = hacc::HaccParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            hacc::run_with(p, scale, seed)
-        }
-        WorkloadKind::Cosmoflow => {
-            let mut p = cosmoflow::CosmoflowParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            cosmoflow::run_with(p, scale, seed)
-        }
-        WorkloadKind::Jag => {
-            let mut p = jag::JagParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            jag::run_with(p, scale, seed)
-        }
-        WorkloadKind::MontageMpi => {
-            let mut p = montage::MontageParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            montage::run_with(p, scale, seed)
-        }
-        WorkloadKind::MontagePegasus => {
-            let mut p = montage_pegasus::PegasusParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            montage_pegasus::run_with(p, scale, seed)
-        }
-        WorkloadKind::Ior => {
-            let mut p = ior::IorParams::scaled(scale);
-            p.faults = faults;
-            p.interference = interference;
-            ior::run(p, seed)
-        }
-    }
 }
 
 /// A dedicated profile run's contribution to the fleet: the scheduler's
@@ -592,7 +505,7 @@ pub struct JobRecord {
 pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, FleetError> {
     let manifest = build_manifest(cfg)?;
 
-    // Distinct (workload, variant) combos, in KNOWN_WORKLOADS × variant
+    // Distinct (workload, variant) combos, in `WorkloadKind::ALL` × variant
     // order. Baselines are also profiled for any workload with crashy
     // jobs: the crash instant anchors to the baseline makespan.
     let variants = [
@@ -601,8 +514,8 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
         JobVariant::Crashy,
     ];
     let mut combos: Vec<(WorkloadKind, JobVariant)> = Vec::new();
-    for w in KNOWN_WORKLOADS {
-        let kind = parse_workload(w).expect("known");
+    for kind in WorkloadKind::ALL {
+        let w = kind.id();
         for v in variants {
             let present = manifest
                 .jobs
@@ -630,21 +543,12 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             JobVariant::Faulted => faulted_plan(),
             JobVariant::Crashy => unreachable!("filtered"),
         };
-        w1.add(
-            format!("profile/{}/{}", workload_id(kind), v.name()),
-            move |_| {
-                profile_of(
-                    &run_job(
-                        kind,
-                        scale,
-                        seed,
-                        plan.clone(),
-                        InterferenceSchedule::none(),
-                    ),
-                    cap,
-                )
-            },
-        );
+        w1.add(format!("profile/{}/{}", kind.id(), v.name()), move |_| {
+            profile_of(
+                &kind.run(scale, seed, plan.clone(), InterferenceSchedule::none()),
+                cap,
+            )
+        });
     }
     let w1_profiles = w1.run(driver);
     let mut profiles: Vec<((WorkloadKind, JobVariant), Profile)> =
@@ -669,15 +573,9 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
         for &kind in &crashy_combos {
             let (scale, seed, cap) = (cfg.scale, cfg.seed, cfg.pfs_capacity_scale);
             let plan = crashy_plan(baseline_runtime(&profiles, kind));
-            w1b.add(format!("profile/{}/crashy", workload_id(kind)), move |_| {
+            w1b.add(format!("profile/{}/crashy", kind.id()), move |_| {
                 profile_of(
-                    &run_job(
-                        kind,
-                        scale,
-                        seed,
-                        plan.clone(),
-                        InterferenceSchedule::none(),
-                    ),
+                    &kind.run(scale, seed, plan.clone(), InterferenceSchedule::none()),
                     cap,
                 )
             });
@@ -789,7 +687,7 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             format!("job/{:05}/{}/{}", j.id, j.workload, j.variant.name())
         };
         w2.add(id, move |_| {
-            let run = run_job(kind, scale, sim_seed, plan.clone(), schedule.clone());
+            let run = kind.run(scale, sim_seed, plan.clone(), schedule.clone());
             // The job's trace is folded where the tracer holds it: the
             // captured columns go to the analyzer as one borrowed batch,
             // with no copy, seal or decode, and are dropped with `run` at
@@ -859,7 +757,7 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
     let profile_summaries: Vec<ProfileSummary> = profiles
         .iter()
         .map(|((k, v), p)| ProfileSummary {
-            workload: workload_id(*k).to_string(),
+            workload: k.id().to_string(),
             variant: v.name().to_string(),
             runtime_s: p.runtime.as_secs_f64(),
             data_frac: p.demand.data_frac,

@@ -1,7 +1,10 @@
-//! Shared machinery for running workload skeletons through the engine,
-//! including the crash-recovery supervisor that relaunches a killed job
-//! from its last durable checkpoint.
+//! Shared machinery for running workload skeletons through the engine:
+//! the job launcher [`WorkloadKind::run`], which turns a kind, scale, seed
+//! and set of storage conditions into a run, and the crash-recovery
+//! supervisor that relaunches a killed job from its last durable
+//! checkpoint.
 
+use crate::{cm1, cosmoflow, hacc, ior, jag, montage, montage_pegasus};
 use hpc_cluster::engine::{Engine, EngineReport, RankScript, RunHalt};
 use hpc_cluster::mpi::{Communicator, MpiCostModel};
 use hpc_cluster::topology::{ClusterSpec, RankId};
@@ -32,6 +35,100 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
+    /// Every kind, in the order of the fleet's `KNOWN_WORKLOADS` ids.
+    pub const ALL: [WorkloadKind; 7] = [
+        WorkloadKind::Cm1,
+        WorkloadKind::Hacc,
+        WorkloadKind::Cosmoflow,
+        WorkloadKind::Jag,
+        WorkloadKind::MontageMpi,
+        WorkloadKind::MontagePegasus,
+        WorkloadKind::Ior,
+    ];
+
+    /// The id fleet mixes, manifests and sweep scenarios name the kind by.
+    pub fn id(&self) -> &'static str {
+        match self {
+            WorkloadKind::Cm1 => "cm1",
+            WorkloadKind::Hacc => "hacc",
+            WorkloadKind::Cosmoflow => "cosmoflow",
+            WorkloadKind::Jag => "jag",
+            WorkloadKind::MontageMpi => "montage-mpi",
+            WorkloadKind::MontagePegasus => "montage-pegasus",
+            WorkloadKind::Ior => "ior",
+        }
+    }
+
+    /// Nodes the kind occupies at `scale` (from its scaled parameter set).
+    pub fn nodes(&self, scale: f64) -> u32 {
+        match self {
+            WorkloadKind::Cm1 => cm1::Cm1Params::scaled(scale).nodes,
+            WorkloadKind::Hacc => hacc::HaccParams::scaled(scale).nodes,
+            WorkloadKind::Cosmoflow => cosmoflow::CosmoflowParams::scaled(scale).nodes,
+            WorkloadKind::Jag => jag::JagParams::scaled(scale).nodes,
+            WorkloadKind::MontageMpi => montage::MontageParams::scaled(scale).nodes,
+            WorkloadKind::MontagePegasus => montage_pegasus::PegasusParams::scaled(scale).nodes,
+            WorkloadKind::Ior => ior::IorParams::scaled(scale).nodes,
+        }
+    }
+
+    /// Launch one job: the kind's scaled parameter set at `scale` and
+    /// `seed`, with the storage conditions `faults` and `interference`
+    /// installed. With [`FaultPlan::none`] and
+    /// [`InterferenceSchedule::none`] this is the module's own `run`.
+    pub fn run(
+        &self,
+        scale: f64,
+        seed: u64,
+        faults: FaultPlan,
+        interference: InterferenceSchedule,
+    ) -> WorkloadRun {
+        match self {
+            WorkloadKind::Cm1 => {
+                let mut p = cm1::Cm1Params::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                cm1::run_with(p, scale, seed)
+            }
+            WorkloadKind::Hacc => {
+                let mut p = hacc::HaccParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                hacc::run_with(p, scale, seed)
+            }
+            WorkloadKind::Cosmoflow => {
+                let mut p = cosmoflow::CosmoflowParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                cosmoflow::run_with(p, scale, seed)
+            }
+            WorkloadKind::Jag => {
+                let mut p = jag::JagParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                jag::run_with(p, scale, seed)
+            }
+            WorkloadKind::MontageMpi => {
+                let mut p = montage::MontageParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                montage::run_with(p, scale, seed)
+            }
+            WorkloadKind::MontagePegasus => {
+                let mut p = montage_pegasus::PegasusParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                montage_pegasus::run_with(p, scale, seed)
+            }
+            WorkloadKind::Ior => {
+                let mut p = ior::IorParams::scaled(scale);
+                p.faults = faults;
+                p.interference = interference;
+                ior::run(p, seed)
+            }
+        }
+    }
+
     /// Display name matching the paper's table headers.
     pub fn name(&self) -> &'static str {
         match self {
@@ -275,19 +372,43 @@ mod tests {
         assert_eq!(scaled_nodes(32, 0.0001), 1);
     }
 
+    /// The launcher adds nothing to a healthy run: every kind launched
+    /// with no faults and no competing tenants captures the columns and
+    /// reaches the runtime of its module's own `run`, on the nodes
+    /// [`WorkloadKind::nodes`] reports.
+    #[test]
+    fn launcher_matches_the_per_module_runs() {
+        for k in WorkloadKind::ALL {
+            let s = if k == WorkloadKind::Cosmoflow {
+                0.001
+            } else {
+                0.01
+            };
+            let direct = match k {
+                WorkloadKind::Cm1 => cm1::run(s, 3),
+                WorkloadKind::Hacc => hacc::run(s, 3),
+                WorkloadKind::Cosmoflow => cosmoflow::run(s, 3),
+                WorkloadKind::Jag => jag::run(s, 3),
+                WorkloadKind::MontageMpi => montage::run(s, 3),
+                WorkloadKind::MontagePegasus => montage_pegasus::run(s, 3),
+                WorkloadKind::Ior => ior::run(ior::IorParams::scaled(s), 3),
+            };
+            let launched = k.run(s, 3, FaultPlan::none(), InterferenceSchedule::none());
+            assert_eq!(launched.kind, k);
+            assert_eq!(launched.runtime(), direct.runtime(), "{}", k.id());
+            assert_eq!(
+                launched.columnar_view(),
+                direct.columnar_view(),
+                "{}",
+                k.id()
+            );
+            assert_eq!(launched.world.alloc.spec.nodes, k.nodes(s), "{}", k.id());
+        }
+    }
+
     #[test]
     fn workload_names_match_paper_headers() {
-        let names: Vec<&str> = [
-            WorkloadKind::Cm1,
-            WorkloadKind::Hacc,
-            WorkloadKind::Cosmoflow,
-            WorkloadKind::Jag,
-            WorkloadKind::MontageMpi,
-            WorkloadKind::MontagePegasus,
-        ]
-        .iter()
-        .map(|w| w.name())
-        .collect();
+        let names: Vec<&str> = WorkloadKind::ALL[..6].iter().map(|w| w.name()).collect();
         assert_eq!(
             names,
             vec![

@@ -23,6 +23,8 @@
 //!
 //! Every run returns a [`harness::WorkloadRun`]: the engine report plus the
 //! world (trace, storage counters) the Vani analyzer consumes.
+//! [`WorkloadKind::run`] launches any kind at a scale and seed under a
+//! storage fault plan and a competing-tenant load.
 
 pub mod cm1;
 pub mod cosmoflow;

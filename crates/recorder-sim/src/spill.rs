@@ -987,6 +987,75 @@ struct Walk {
     quarantined: Vec<QuarantinedSegment>,
 }
 
+/// Why the next frame could not be read. The walk turns these into
+/// quarantine reasons, a chunk scan into typed errors.
+enum FrameError {
+    /// Fewer bytes remain than a frame head and checksum.
+    Short,
+    /// The head's payload length runs past the end of the file.
+    PastEnd,
+    /// The payload does not match its checksum.
+    BadChecksum,
+    /// Reading the file failed.
+    Io(io::Error),
+}
+
+/// Reads a log's frames front to back, starting right after its 19-byte
+/// preamble: three reads per frame (head, payload, checksum) into one
+/// reused payload buffer, whose capacity is charged to the trace gauge.
+struct Frames {
+    file: File,
+    file_len: u64,
+    /// Offset of the next frame.
+    pos: u64,
+    /// The last frame's payload.
+    payload: Vec<u8>,
+    charge: GaugeCharge,
+}
+
+impl Frames {
+    /// Frames of `file` (`file_len` bytes), read past its preamble.
+    fn new(file: File, file_len: u64) -> Frames {
+        Frames {
+            file,
+            file_len,
+            pos: 19,
+            payload: Vec::new(),
+            charge: GaugeCharge::default(),
+        }
+    }
+
+    /// Read the next frame into `payload` and verify its checksum.
+    /// Returns the frame kind, or `None` at the end of the file.
+    fn next(&mut self) -> Result<Option<u8>, FrameError> {
+        if self.pos >= self.file_len {
+            return Ok(None);
+        }
+        let left = self.file_len - self.pos;
+        if left < FRAME_HEAD + FRAME_SUM {
+            return Err(FrameError::Short);
+        }
+        let mut fh = [0u8; 9];
+        self.file.read_exact(&mut fh).map_err(FrameError::Io)?;
+        let payload_len = u64::from_le_bytes(fh[1..9].try_into().unwrap());
+        if payload_len > left - FRAME_HEAD - FRAME_SUM {
+            return Err(FrameError::PastEnd);
+        }
+        self.payload.resize(payload_len as usize, 0);
+        self.charge.resync(self.payload.capacity() as u64);
+        self.file
+            .read_exact(&mut self.payload)
+            .map_err(FrameError::Io)?;
+        let mut sum = [0u8; 8];
+        self.file.read_exact(&mut sum).map_err(FrameError::Io)?;
+        self.pos += FRAME_HEAD + payload_len + FRAME_SUM;
+        if frame_checksum(&self.payload) != u64::from_le_bytes(sum) {
+            return Err(FrameError::BadChecksum);
+        }
+        Ok(Some(fh[0]))
+    }
+}
+
 /// Walk every frame, verifying checksums, payloads, meta bounds and, to
 /// `depth`, each chunk's columns against its persisted meta. Stops at the
 /// first anomaly — the longest-committed-prefix rule. Errors are returned
@@ -1030,10 +1099,8 @@ fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
         commits_seen: 0,
         quarantined: Vec::new(),
     };
-    let mut pos = 19u64;
+    let mut frames = Frames::new(file, file_len);
     let mut frame_idx = 0u64;
-    let mut payload: Vec<u8> = Vec::new();
-    let mut pcharge = GaugeCharge::default();
     let mut buf = ColumnarTrace::with_capacity(0);
     let mut bcharge = GaugeCharge::default();
     let quarantine = |w: &mut Walk, frame: u64, offset: u64, reason: QuarantineReason| {
@@ -1043,33 +1110,25 @@ fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
             reason,
         });
     };
-    while pos < file_len {
-        let at = pos;
-        if file_len - pos < FRAME_HEAD + FRAME_SUM {
-            quarantine(&mut w, frame_idx, at, QuarantineReason::Torn);
-            break;
-        }
-        let mut fh = [0u8; 9];
-        file.read_exact(&mut fh)?;
-        let kind = fh[0];
-        let payload_len = u64::from_le_bytes(fh[1..9].try_into().unwrap());
-        if payload_len > file_len - pos - FRAME_HEAD - FRAME_SUM {
-            quarantine(&mut w, frame_idx, at, QuarantineReason::Torn);
-            break;
-        }
-        payload.resize(payload_len as usize, 0);
-        pcharge.resync(payload.capacity() as u64);
-        file.read_exact(&mut payload)?;
-        let mut sum = [0u8; 8];
-        file.read_exact(&mut sum)?;
-        pos += FRAME_HEAD + payload_len + FRAME_SUM;
-        if frame_checksum(&payload) != u64::from_le_bytes(sum) {
-            quarantine(&mut w, frame_idx, at, QuarantineReason::BadChecksum);
-            break;
-        }
+    loop {
+        let at = frames.pos;
+        let kind = match frames.next() {
+            Ok(Some(kind)) => kind,
+            Ok(None) => break,
+            Err(FrameError::Short | FrameError::PastEnd) => {
+                quarantine(&mut w, frame_idx, at, QuarantineReason::Torn);
+                break;
+            }
+            Err(FrameError::BadChecksum) => {
+                quarantine(&mut w, frame_idx, at, QuarantineReason::BadChecksum);
+                break;
+            }
+            Err(FrameError::Io(e)) => return Err(e.into()),
+        };
+        let payload = frames.payload.as_slice();
         match kind {
             FRAME_CHUNK => {
-                let (rows, meta, cols) = match parse_chunk_payload(&payload, w.chunk_rows) {
+                let (rows, meta, cols) = match parse_chunk_payload(payload, w.chunk_rows) {
                     Ok(p) => p,
                     Err(_) => {
                         quarantine(&mut w, frame_idx, at, QuarantineReason::Malformed);
@@ -1108,7 +1167,7 @@ fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
                 w.seen_records += rows as u64;
                 w.seen_chunks.push((frame_idx, at, meta));
             }
-            FRAME_INTERN => match parse_intern_payload(&payload) {
+            FRAME_INTERN => match parse_intern_payload(payload) {
                 Ok((mut files, mut apps)) => {
                     w.files.append(&mut files);
                     w.apps.append(&mut apps);
@@ -1119,7 +1178,7 @@ fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
                 }
             },
             FRAME_COMMIT | FRAME_FOOTER => {
-                let mut cur = Cur::new(&payload);
+                let mut cur = Cur::new(payload);
                 let chunks = cur.u64();
                 let records = cur.u64();
                 let foot_rows = (kind == FRAME_FOOTER).then(|| cur.u64()).flatten();
@@ -1146,10 +1205,15 @@ fn walk(path: &Path, depth: Verify) -> Result<Walk, SpillError> {
                 w.committed_apps = apps.unwrap();
                 if kind == FRAME_FOOTER {
                     w.sealed = true;
-                    if pos < file_len {
+                    if frames.pos < file_len {
                         // Bytes after a footer were never written by our
                         // writer; stop before misreading them.
-                        quarantine(&mut w, frame_idx + 1, pos, QuarantineReason::Malformed);
+                        quarantine(
+                            &mut w,
+                            frame_idx + 1,
+                            frames.pos,
+                            QuarantineReason::Malformed,
+                        );
                         break;
                     }
                 } else {
@@ -1443,49 +1507,34 @@ impl ChunkSource for SpillSource {
         let file_len = file.metadata()?.len();
         let mut head = [0u8; 19];
         file.read_exact(&mut head)?;
-        let mut pos = 19u64;
+        let mut frames = Frames::new(file, file_len);
         let mut frame_idx = 0u64;
-        let mut payload: Vec<u8> = Vec::new();
-        let mut pcharge = GaugeCharge::default();
         let mut handed = 0u64;
-        while pos < file_len && handed < self.committed_chunks {
-            let at = pos;
-            if file_len - pos < FRAME_HEAD + FRAME_SUM {
-                return Err(SpillError::Torn {
-                    offset: at,
-                    detail: "file shrank since open".into(),
-                });
-            }
-            let mut fh = [0u8; 9];
-            file.read_exact(&mut fh)?;
-            let kind = fh[0];
-            let payload_len = u64::from_le_bytes(fh[1..9].try_into().unwrap());
-            if payload_len > file_len - pos - FRAME_HEAD - FRAME_SUM {
-                return Err(SpillError::Torn {
-                    offset: at,
-                    detail: "frame runs past end of file".into(),
-                });
-            }
-            payload.resize(payload_len as usize, 0);
-            pcharge.resync(payload.capacity() as u64);
-            file.read_exact(&mut payload)?;
-            let mut sum = [0u8; 8];
-            file.read_exact(&mut sum)?;
-            pos += FRAME_HEAD + payload_len + FRAME_SUM;
-            if frame_checksum(&payload) != u64::from_le_bytes(sum) {
-                return Err(SpillError::BadChecksum {
-                    frame: frame_idx,
-                    offset: at,
-                });
-            }
+        while handed < self.committed_chunks {
+            let at = frames.pos;
+            let torn = |detail: &str| SpillError::Torn {
+                offset: at,
+                detail: detail.into(),
+            };
+            let kind = match frames.next() {
+                Ok(Some(kind)) => kind,
+                Ok(None) => break,
+                Err(FrameError::Short) => return Err(torn("file shrank since open")),
+                Err(FrameError::PastEnd) => return Err(torn("frame runs past end of file")),
+                Err(FrameError::BadChecksum) => {
+                    return Err(SpillError::BadChecksum {
+                        frame: frame_idx,
+                        offset: at,
+                    })
+                }
+                Err(FrameError::Io(e)) => return Err(e.into()),
+            };
             if kind == FRAME_CHUNK {
-                let (rows, meta, cols) =
-                    parse_chunk_payload(&payload, self.chunk_rows).map_err(|detail| {
-                        SpillError::Malformed {
-                            frame: frame_idx,
-                            offset: at,
-                            detail,
-                        }
+                let (rows, meta, cols) = parse_chunk_payload(&frames.payload, self.chunk_rows)
+                    .map_err(|detail| SpillError::Malformed {
+                        frame: frame_idx,
+                        offset: at,
+                        detail,
                     })?;
                 let chunk = CompressedChunk::from_parts(rows, meta, cols.map(<[u8]>::to_vec));
                 f(&chunk);
@@ -1495,7 +1544,7 @@ impl ChunkSource for SpillSource {
         }
         if handed != self.committed_chunks {
             return Err(SpillError::Torn {
-                offset: pos,
+                offset: frames.pos,
                 detail: format!(
                     "expected {} committed chunk(s), found {handed}",
                     self.committed_chunks

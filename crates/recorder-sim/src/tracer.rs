@@ -29,9 +29,11 @@ struct ChunkState {
     charge: GaugeCharge,
     writer: Option<SpillWriter>,
     /// First spill failure, surfaced at [`Tracer::into_spill`] — `record`
-    /// returns nothing and cannot propagate it. After a failure sealed
-    /// chunks fall back to accumulating in memory so the capture itself
-    /// is never lost.
+    /// returns nothing and cannot propagate it. The failure drops the
+    /// writer (its guard removes the temp file), and every later sealed
+    /// chunk is dropped too: the log's front is gone, so the rest of the
+    /// capture could only ever be an incomplete trace, and the live buffer
+    /// stays at one chunk.
     spill_error: Option<SpillError>,
 }
 
@@ -100,8 +102,8 @@ impl Tracer {
 
     /// Finish spill capture: seal the tail, append it, persist the intern
     /// tables, and seal the log. Returns the first spill failure if any
-    /// append failed mid-run (the capture up to that point survives
-    /// in-memory via [`into_chunked`](Self::into_chunked) semantics).
+    /// append failed mid-run; the capture is then lost, and no temp file
+    /// is left behind.
     pub fn into_spill(mut self) -> Result<SpillSummary, SpillError> {
         let mut cs = self
             .chunked
@@ -144,12 +146,19 @@ impl Tracer {
     /// Finish chunked capture: seal the tail and yield the compressed
     /// trace. Panics unless the tracer was built by
     /// [`with_chunked`](Self::with_chunked) — a batch tracer's columns
-    /// convert via [`crate::chunk::ChunkedTrace::from_columnar`] instead.
+    /// convert via [`crate::chunk::ChunkedTrace::from_columnar`] instead —
+    /// and panics on a tracer that spilled: its sealed front is on disk
+    /// (or lost), not in memory; finish it with
+    /// [`into_spill`](Self::into_spill).
     pub fn into_chunked(mut self) -> ChunkedTrace {
         let mut cs = self
             .chunked
             .take()
             .expect("into_chunked requires a chunked tracer");
+        assert!(
+            cs.writer.is_none() && cs.spill_error.is_none(),
+            "into_chunked on a spilling tracer; use into_spill"
+        );
         if !self.cols.is_empty() {
             cs.chunks
                 .push(CompressedChunk::seal_rows(&self.cols, 0..self.cols.len()));
@@ -237,22 +246,22 @@ impl Tracer {
             .push_row(rank, node, app, layer, op, start, end, file, offset, bytes);
         if let Some(cs) = &mut self.chunked {
             if self.cols.len() >= cs.chunk_rows {
-                let chunk = CompressedChunk::seal_rows(&self.cols, 0..self.cols.len());
-                match &mut cs.writer {
-                    Some(w) => {
-                        if let Err(e) =
-                            w.append(&chunk, &self.cols.file_paths, &self.cols.app_names)
-                        {
-                            // `record` returns nothing, so stash the typed
-                            // failure for `into_spill` and fall back to
-                            // in-memory accumulation: the capture outlives
-                            // the broken device.
-                            cs.spill_error = Some(e);
-                            cs.writer = None;
-                            cs.chunks.push(chunk);
+                // After a spill failure the rows are dropped unsealed.
+                if cs.spill_error.is_none() {
+                    let chunk = CompressedChunk::seal_rows(&self.cols, 0..self.cols.len());
+                    match &mut cs.writer {
+                        Some(w) => {
+                            if let Err(e) =
+                                w.append(&chunk, &self.cols.file_paths, &self.cols.app_names)
+                            {
+                                // `record` returns nothing, so stash the
+                                // typed failure for `into_spill`.
+                                cs.spill_error = Some(e);
+                                cs.writer = None;
+                            }
                         }
+                        None => cs.chunks.push(chunk),
                     }
-                    None => cs.chunks.push(chunk),
                 }
                 self.cols.clear_rows();
             }
@@ -302,6 +311,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::SpillFaultKind;
 
     #[test]
     fn interning_is_stable() {
@@ -495,6 +505,28 @@ mod tests {
         assert_eq!(sum.records, 5_000);
         let loaded = crate::spill::load_spill(&path).expect("loads");
         assert_eq!(loaded, mem.into_chunked());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed append keeps the first error and holds no sealed chunk
+    /// afterwards: the live buffer stays at one chunk for the rest of the
+    /// run, and the temp file goes with the dropped writer.
+    #[test]
+    fn failed_spill_append_buffers_nothing_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("vani-tracer-enospc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("full.vsp4");
+        let mut t = Tracer::with_chunked(256);
+        let plan = SpillFaultPlan::at_chunk(SpillFaultKind::Enospc, 1, 2);
+        t.enable_spill(&path, plan).expect("spill on");
+        for block in 0..20 {
+            feed(&mut t, 250);
+            assert_eq!(sealed_chunks(&t), 0, "block {block} left a chunk in memory");
+        }
+        let err = t.into_spill().expect_err("the third append fails");
+        assert!(matches!(err, SpillError::Enospc { .. }), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "files left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,6 +7,7 @@
 
 mod common;
 
+use common::exemplars::{exemplars, stress_plan};
 use common::multipass::multipass;
 use common::synthetic::synthetic_trace;
 use vani_suite::recorder::record::{AppId, FileId, Layer, OpKind};
@@ -17,59 +18,7 @@ use vani_suite::sim::{Dur, SimTime};
 use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::{Analysis, TraceProfile};
 use vani_suite::vani::{figures, tables, yaml};
-use vani_suite::workloads as wl;
-
-fn paper_six() -> Vec<(&'static str, exemplar_workloads::WorkloadRun)> {
-    vec![
-        ("cm1", wl::cm1::run(0.01, 5)),
-        ("hacc", wl::hacc::run(0.01, 5)),
-        ("cosmoflow", wl::cosmoflow::run(0.001, 5)),
-        ("jag", wl::jag::run(0.01, 5)),
-        ("montage", wl::montage::run(0.01, 5)),
-        ("pegasus", wl::montage_pegasus::run(0.01, 5)),
-    ]
-}
-
-/// A fault plan that exercises every mechanism at once: a server outage,
-/// both brownout kinds, a straggler node, and seeded transient errors —
-/// all mild enough that the retry middleware absorbs everything.
-fn stress_plan() -> FaultPlan {
-    let end = SimTime::from_secs(1_000_000);
-    FaultPlan::none()
-        .with_nsd_outage(0, SimTime::from_secs(1), end)
-        .with_mds_brownout(SimTime::ZERO, end, 3.0)
-        .with_nsd_brownout(SimTime::from_secs(2), end, 1.5)
-        .with_straggler(0, 1.2)
-        .with_error_rates(0.03, 0.01)
-}
-
-/// The six workloads again, each running under [`stress_plan`].
-fn faulted_six() -> Vec<(&'static str, exemplar_workloads::WorkloadRun)> {
-    let plan = stress_plan();
-    let mut cm1 = wl::cm1::Cm1Params::scaled(0.01);
-    cm1.faults = plan.clone();
-    let mut hacc = wl::hacc::HaccParams::scaled(0.01);
-    hacc.faults = plan.clone();
-    let mut cosmo = wl::cosmoflow::CosmoflowParams::scaled(0.001);
-    cosmo.faults = plan.clone();
-    let mut jag = wl::jag::JagParams::scaled(0.01);
-    jag.faults = plan.clone();
-    let mut montage = wl::montage::MontageParams::scaled(0.01);
-    montage.faults = plan.clone();
-    let mut pegasus = wl::montage_pegasus::PegasusParams::scaled(0.01);
-    pegasus.faults = plan;
-    vec![
-        ("cm1+faults", wl::cm1::run_with(cm1, 0.01, 5)),
-        ("hacc+faults", wl::hacc::run_with(hacc, 0.01, 5)),
-        ("cosmoflow+faults", wl::cosmoflow::run_with(cosmo, 0.001, 5)),
-        ("jag+faults", wl::jag::run_with(jag, 0.01, 5)),
-        ("montage+faults", wl::montage::run_with(montage, 0.01, 5)),
-        (
-            "pegasus+faults",
-            wl::montage_pegasus::run_with(pegasus, 0.01, 5),
-        ),
-    ]
-}
+use vani_suite::workloads::WorkloadKind;
 
 /// One oracle-sweep input: a name, the trace and its job time.
 struct Input {
@@ -102,8 +51,8 @@ fn off_disk(c: &ColumnarTrace, job_time: Dur, name: &str) -> TraceProfile {
 /// is never raced by a sibling test.
 #[test]
 fn fused_matches_multipass_on_all_workloads_and_worker_counts() {
-    let mut runs = paper_six();
-    runs.extend(faulted_six());
+    let mut runs = exemplars(&WorkloadKind::ALL[..6], 5, &FaultPlan::none());
+    runs.extend(exemplars(&WorkloadKind::ALL[..6], 5, &stress_plan()));
     // The fault plan must actually fire, or the faulted half of this test
     // degenerates into a copy of the clean half.
     assert!(
@@ -297,7 +246,7 @@ fn boundary_gaps_and_contiguous_offsets_match_the_oracle() {
 #[test]
 fn rendered_artifacts_are_byte_stable() {
     let render = || {
-        let runs = paper_six();
+        let runs = exemplars(&WorkloadKind::ALL[..6], 5, &FaultPlan::none());
         let analyses: Vec<Analysis> = runs.iter().map(|(_, r)| Analysis::from_run(r)).collect();
         let refs: Vec<&Analysis> = analyses.iter().collect();
         let mut out = String::new();

@@ -2,19 +2,17 @@
 //! hold for *every* workload — conservation laws, ordering properties, and
 //! consistency between the two views of a run (full trace, analyzer).
 
+mod common;
+
+use common::exemplars::exemplars;
+use vani_suite::storage::FaultPlan;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::{tables, yaml};
-use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind;
 
 fn all_runs() -> Vec<exemplar_workloads::WorkloadRun> {
-    vec![
-        wl::cm1::run(0.01, 11),
-        wl::hacc::run(0.01, 11),
-        wl::cosmoflow::run(0.001, 11),
-        wl::jag::run(0.01, 11),
-        wl::montage::run(0.01, 11),
-        wl::montage_pegasus::run(0.01, 11),
-    ]
+    let runs = exemplars(&WorkloadKind::ALL[..6], 11, &FaultPlan::none());
+    runs.into_iter().map(|(_, run)| run).collect()
 }
 
 #[test]

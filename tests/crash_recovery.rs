@@ -13,7 +13,7 @@
 
 use sim_core::SimTime;
 use std::path::Path;
-use storage_sim::FaultPlan;
+use storage_sim::{FaultPlan, InterferenceSchedule};
 use vani_suite::recorder::spill::{load_spill_salvaged, spill_columnar};
 use vani_suite::recorder::tracer::Tracer;
 use vani_suite::recorder::SpillFaultPlan;
@@ -22,6 +22,7 @@ use vani_suite::vani::crashsweep;
 use vani_suite::vani::sweep::{Driver, ScenarioSet};
 use vani_suite::vani::{figures, tables, yaml};
 use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind::{Cm1, Cosmoflow};
 
 const CM1_SCALE: f64 = 0.01;
 const CF_SCALE: f64 = 0.02;
@@ -35,16 +36,14 @@ const SEED: u64 = 9;
 fn crashed_pair(driver: Driver, cm1_at: SimTime, cf_at: SimTime) -> String {
     let mut set = ScenarioSet::new(31);
     set.add("cm1/crash+brownout", move |_| {
-        let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
-        p.faults = FaultPlan::none()
+        let plan = FaultPlan::none()
             .with_mds_brownout(SimTime::ZERO, SimTime::from_secs(1_000_000_000), 4.0)
             .with_rank_crash(1, cm1_at);
-        Analysis::from_run(&wl::cm1::run_with(p, CM1_SCALE, SEED))
+        Analysis::from_run(&Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none()))
     });
     set.add("cosmoflow/node-crash", move |_| {
-        let mut p = wl::cosmoflow::CosmoflowParams::scaled(CF_SCALE);
-        p.faults = FaultPlan::none().with_node_crash(0, cf_at);
-        Analysis::from_run(&wl::cosmoflow::run_with(p, CF_SCALE, SEED))
+        let plan = FaultPlan::none().with_node_crash(0, cf_at);
+        Analysis::from_run(&Cosmoflow.run(CF_SCALE, SEED, plan, InterferenceSchedule::none()))
     });
     let analyses = set.run(driver);
     let cols: Vec<&Analysis> = analyses.iter().collect();
@@ -61,9 +60,8 @@ fn crashed_pair(driver: Driver, cm1_at: SimTime, cf_at: SimTime) -> String {
 fn salvaged_analysis(log: &Path, cm1_at: SimTime) -> String {
     let (chunks, tc) = load_spill_salvaged(log).unwrap();
     let salvaged = chunks.to_columnar().unwrap();
-    let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
-    p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
-    let mut run = wl::cm1::run_with(p, CM1_SCALE, SEED);
+    let plan = FaultPlan::none().with_rank_crash(1, cm1_at);
+    let mut run = Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none());
     run.world.tracer = Tracer::from_columnar(salvaged);
     let a = Analysis::from_run(&run);
     yaml::emit(&tables::entities_with_completeness(&a, Some(&tc)))
@@ -94,9 +92,8 @@ fn crash_recovery_is_deterministic_and_supervised() {
     std::fs::create_dir_all(&dir).unwrap();
     let crashed_capture = dir.join("cm1.crashed.vsp4");
     {
-        let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
-        p.faults = FaultPlan::none().with_rank_crash(1, cm1_at);
-        let run = wl::cm1::run_with(p, CM1_SCALE, SEED);
+        let plan = FaultPlan::none().with_rank_crash(1, cm1_at);
+        let run = Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none());
         spill_columnar(
             run.world.tracer.columnar(),
             64,
@@ -139,9 +136,8 @@ fn crash_recovery_is_deterministic_and_supervised() {
         panic!("synthetic scenario failure")
     });
     set.add("cm1/crash", move |_| {
-        let mut p = wl::cm1::Cm1Params::scaled(CM1_SCALE);
-        p.faults = FaultPlan::none().with_rank_crash(0, cm1_at);
-        let a = Analysis::from_run(&wl::cm1::run_with(p, CM1_SCALE, SEED));
+        let plan = FaultPlan::none().with_rank_crash(0, cm1_at);
+        let a = Analysis::from_run(&Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none()));
         yaml::emit(&tables::entities_for(&a))
     });
     let report = set.run_supervised(Driver::Parallel, 2);

@@ -1,7 +1,12 @@
 //! Integration: the whole stack is deterministic — the same seed yields
 //! bit-identical schedules for every workload.
 
+mod common;
+
+use common::exemplars::exemplars;
+use vani_suite::storage::FaultPlan;
 use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind;
 
 fn fingerprint(run: &exemplar_workloads::WorkloadRun) -> (u64, usize, u64) {
     let c = run.columnar();
@@ -11,18 +16,15 @@ fn fingerprint(run: &exemplar_workloads::WorkloadRun) -> (u64, usize, u64) {
 
 #[test]
 fn all_workloads_are_deterministic() {
-    let pairs: Vec<(&str, Box<dyn Fn() -> exemplar_workloads::WorkloadRun>)> = vec![
-        ("cm1", Box::new(|| wl::cm1::run(0.01, 5))),
-        ("hacc", Box::new(|| wl::hacc::run(0.01, 5))),
-        ("cosmoflow", Box::new(|| wl::cosmoflow::run(0.001, 5))),
-        ("jag", Box::new(|| wl::jag::run(0.01, 5))),
-        ("montage", Box::new(|| wl::montage::run(0.01, 5))),
-        ("pegasus", Box::new(|| wl::montage_pegasus::run(0.01, 5))),
-    ];
-    for (name, f) in pairs {
-        let a = fingerprint(&f());
-        let b = fingerprint(&f());
-        assert_eq!(a, b, "{name} is not deterministic");
+    let kinds = &WorkloadKind::ALL[..6];
+    let first = exemplars(kinds, 5, &FaultPlan::none());
+    let again = exemplars(kinds, 5, &FaultPlan::none());
+    for ((name, a), (_, b)) in first.iter().zip(&again) {
+        assert_eq!(
+            fingerprint(a),
+            fingerprint(b),
+            "{name} is not deterministic"
+        );
     }
 }
 

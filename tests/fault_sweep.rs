@@ -8,11 +8,12 @@
 
 use std::sync::OnceLock;
 use vani_suite::sim::SimTime;
-use vani_suite::storage::FaultPlan;
+use vani_suite::storage::{FaultPlan, InterferenceSchedule};
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::sweep::{fault_sweep, Driver, FaultSweepReport};
 use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind::{Cm1, Cosmoflow, MontageMpi};
 
 /// The `repro -- fault-sweep` report at scale 0.02 and a 20x MDS brownout,
 /// computed once per seed and shared by the tests that read it.
@@ -84,19 +85,9 @@ fn injected_faults_never_panic_and_surface_as_attributes() {
         .with_straggler(0, 1.3)
         .with_error_rates(0.05, 0.02);
 
-    let mut cm1 = wl::cm1::Cm1Params::scaled(0.01);
-    cm1.faults = plan.clone();
-    let mut cosmo = wl::cosmoflow::CosmoflowParams::scaled(0.002);
-    cosmo.faults = plan.clone();
-    let mut montage = wl::montage::MontageParams::scaled(0.01);
-    montage.faults = plan;
-
     let mut any_rerouted = false;
-    for run in [
-        wl::cm1::run_with(cm1, 0.01, 13),
-        wl::cosmoflow::run_with(cosmo, 0.002, 13),
-        wl::montage::run_with(montage, 0.01, 13),
-    ] {
+    for (kind, scale) in [(Cm1, 0.01), (Cosmoflow, 0.002), (MontageMpi, 0.01)] {
+        let run = kind.run(scale, 13, plan.clone(), InterferenceSchedule::none());
         let a = Analysis::from_run(&run);
         assert!(
             a.fault_events > 0,
@@ -155,9 +146,7 @@ fn faulted_runs_are_deterministic() {
         .with_nsd_brownout(SimTime::ZERO, end, 2.0)
         .with_error_rates(0.05, 0.02);
     let run = |seed: u64| {
-        let mut p = wl::cm1::Cm1Params::scaled(0.01);
-        p.faults = plan.clone();
-        let r = wl::cm1::run_with(p, 0.01, seed);
+        let r = Cm1.run(0.01, seed, plan.clone(), InterferenceSchedule::none());
         (r.runtime(), Analysis::from_run(&r))
     };
     let (t1, a1) = run(21);

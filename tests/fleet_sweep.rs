@@ -24,30 +24,24 @@
 //! The worker-sweep tests take [`serial`]: `rt::par::set_threads` is
 //! process-global, so two sweeps must not interleave.
 
+mod common;
+
+use common::serial;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
 
 use vani_suite::recorder::spill::{load_spill, SpillFaultKind, SpillFaultPlan};
 use vani_suite::rt::par;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::sweep::Driver;
 use vani_suite::vani::tenancy::{
-    build_manifest, fleet_sweep, ArrivalProcess, FleetConfig, FleetError, JobRecord, JobTemplate,
-    JobVariant, NodeFaultSpec, SchedPolicy, SpillSpec, KNOWN_WORKLOADS,
+    build_manifest, fleet_sweep, parse_workload, ArrivalProcess, FleetConfig, FleetError,
+    JobRecord, JobTemplate, JobVariant, NodeFaultSpec, SchedPolicy, SpillSpec, KNOWN_WORKLOADS,
 };
 use vani_suite::workloads as wl;
-use vani_suite::workloads::WorkloadRun;
+use vani_suite::workloads::{WorkloadKind, WorkloadRun};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 11;
-
-/// Run the worker-sweep tests one at a time: `rt::par::set_threads` is
-/// process-global, so two sweeps must not interleave.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A failing test poisons the lock; the tests after it still run.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A small heterogeneous fleet; `with_faults` adds brownout-degraded and
 /// crashy tenants to the mix (the "active FaultPlan" half of the matrix).
@@ -302,6 +296,15 @@ fn unknown_workload_is_a_typed_error_not_a_panic() {
         msg.contains("lammps") && msg.contains("cm1"),
         "message lists known ids: {msg}"
     );
+}
+
+#[test]
+fn known_workload_ids_are_the_launcher_kinds_in_order() {
+    let ids: Vec<&str> = WorkloadKind::ALL.iter().map(|k| k.id()).collect();
+    assert_eq!(ids, KNOWN_WORKLOADS);
+    for k in WorkloadKind::ALL {
+        assert_eq!(parse_workload(k.id()), Ok(k));
+    }
 }
 
 #[test]

@@ -11,11 +11,15 @@
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
-//! Every test also takes [`serial`]: the trace gauge is process-wide too,
-//! and a peak measured while another test charges it is not this test's.
+//! Every test also takes `common::serial`: the trace gauge is
+//! process-wide too, and a peak measured while another test charges it
+//! is not this test's.
 
+mod common;
+
+use common::exemplars::clean_and_stressed_seven;
+use common::serial;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
@@ -25,82 +29,14 @@ use vani_suite::recorder::spill::{
 };
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::rt::par;
-use vani_suite::sim::{Dur, SimTime};
-use vani_suite::storage::FaultPlan;
+use vani_suite::sim::Dur;
 use vani_suite::vani::analyzer::TraceProfile;
 use vani_suite::workloads as wl;
-use vani_suite::workloads::WorkloadRun;
-
-/// Run the file's tests one at a time. The ring-bound test asserts a
-/// peak of the process-wide `trace_gauge`, which every other test here
-/// charges as it runs.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    // A failing test poisons the lock; the tests after it still run.
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vani_spill_identity");
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir.join(name)
-}
-
-/// The paper's seven exemplars: the six applications plus the IOR
-/// calibration benchmark, at fast scales.
-fn paper_seven() -> Vec<(&'static str, WorkloadRun)> {
-    vec![
-        ("cm1", wl::cm1::run(0.01, 5)),
-        ("hacc", wl::hacc::run(0.01, 5)),
-        ("cosmoflow", wl::cosmoflow::run(0.001, 5)),
-        ("jag", wl::jag::run(0.01, 5)),
-        ("montage", wl::montage::run(0.01, 5)),
-        ("pegasus", wl::montage_pegasus::run(0.01, 5)),
-        ("ior", wl::ior::run(wl::ior::IorParams::scaled(0.01), 5)),
-    ]
-}
-
-/// Mild-but-active storage fault plan (the `streaming_vs_fused` one): the
-/// resilience counters become part of the identity being checked.
-fn stress_plan() -> FaultPlan {
-    let end = SimTime::from_secs(1_000_000);
-    FaultPlan::none()
-        .with_nsd_outage(0, SimTime::from_secs(1), end)
-        .with_mds_brownout(SimTime::ZERO, end, 3.0)
-        .with_nsd_brownout(SimTime::from_secs(2), end, 1.5)
-        .with_straggler(0, 1.2)
-        .with_error_rates(0.03, 0.01)
-}
-
-/// The seven again, each under [`stress_plan`].
-fn faulted_seven() -> Vec<(&'static str, WorkloadRun)> {
-    let plan = stress_plan();
-    let mut cm1 = wl::cm1::Cm1Params::scaled(0.01);
-    cm1.faults = plan.clone();
-    let mut hacc = wl::hacc::HaccParams::scaled(0.01);
-    hacc.faults = plan.clone();
-    let mut cosmo = wl::cosmoflow::CosmoflowParams::scaled(0.001);
-    cosmo.faults = plan.clone();
-    let mut jag = wl::jag::JagParams::scaled(0.01);
-    jag.faults = plan.clone();
-    let mut montage = wl::montage::MontageParams::scaled(0.01);
-    montage.faults = plan.clone();
-    let mut pegasus = wl::montage_pegasus::PegasusParams::scaled(0.01);
-    pegasus.faults = plan.clone();
-    let mut ior = wl::ior::IorParams::scaled(0.01);
-    ior.faults = plan;
-    vec![
-        ("cm1+faults", wl::cm1::run_with(cm1, 0.01, 5)),
-        ("hacc+faults", wl::hacc::run_with(hacc, 0.01, 5)),
-        ("cosmoflow+faults", wl::cosmoflow::run_with(cosmo, 0.001, 5)),
-        ("jag+faults", wl::jag::run_with(jag, 0.01, 5)),
-        ("montage+faults", wl::montage::run_with(montage, 0.01, 5)),
-        (
-            "pegasus+faults",
-            wl::montage_pegasus::run_with(pegasus, 0.01, 5),
-        ),
-        ("ior+faults", wl::ior::run(ior, 5)),
-    ]
 }
 
 /// The acceptance gate of the spill store: for all fourteen runs (seven
@@ -110,11 +46,10 @@ fn faulted_seven() -> Vec<(&'static str, WorkloadRun)> {
 #[test]
 fn spilled_profile_matches_fused_on_all_workloads_and_worker_counts() {
     let _serial = serial();
-    let mut runs = paper_seven();
-    runs.extend(faulted_seven());
+    let runs = clean_and_stressed_seven();
     let captures: Vec<(&str, ColumnarTrace, Dur)> = runs
         .iter()
-        .map(|(n, r)| (*n, r.columnar(), r.runtime()))
+        .map(|(n, r)| (n.as_str(), r.columnar(), r.runtime()))
         .collect();
     let oracles: Vec<TraceProfile> = captures
         .iter()

@@ -9,11 +9,11 @@
 //! the worker-count sweep must not interleave with itself.
 
 use sim_core::SimTime;
-use storage_sim::FaultPlan;
+use storage_sim::{FaultPlan, InterferenceSchedule};
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::sweep::{self, Driver, ScenarioSet};
 use vani_suite::vani::{tables, yaml};
-use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind::{Cm1, Cosmoflow};
 
 const SCALE: f64 = 0.01;
 const FAULT_SCALE: f64 = 0.02;
@@ -43,15 +43,17 @@ fn faulted_pair(driver: Driver) -> String {
     {
         let plan = plan.clone();
         set.add("cm1/faulted", move |_| {
-            let mut p = wl::cm1::Cm1Params::scaled(SCALE);
-            p.faults = plan.clone();
-            Analysis::from_run(&wl::cm1::run_with(p, SCALE, SEED))
+            Analysis::from_run(&Cm1.run(SCALE, SEED, plan.clone(), InterferenceSchedule::none()))
         });
     }
     set.add("cosmoflow/faulted", move |_| {
-        let mut p = wl::cosmoflow::CosmoflowParams::scaled(FAULT_SCALE);
-        p.faults = plan.clone();
-        Analysis::from_run(&wl::cosmoflow::run_with(p, FAULT_SCALE, SEED))
+        let run = Cosmoflow.run(
+            FAULT_SCALE,
+            SEED,
+            plan.clone(),
+            InterferenceSchedule::none(),
+        );
+        Analysis::from_run(&run)
     });
     set.run(driver)
         .iter()

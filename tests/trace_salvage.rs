@@ -15,13 +15,14 @@ use common::multipass::multipass;
 use sim_core::SimTime;
 use std::fs;
 use std::path::{Path, PathBuf};
-use storage_sim::FaultPlan;
+use storage_sim::{FaultPlan, InterferenceSchedule};
 use vani_suite::recorder::spill::{load_spill, load_spill_salvaged, spill_columnar};
 use vani_suite::recorder::tracer::Tracer;
 use vani_suite::recorder::{ColumnarTrace, SpillError, SpillFaultPlan, TraceCompleteness};
 use vani_suite::vani::analyzer::{Analysis, TraceProfile};
 use vani_suite::vani::{tables, yaml};
 use vani_suite::workloads as wl;
+use vani_suite::workloads::WorkloadKind;
 
 /// Rows per chunk: small, so a test-scale capture spans many chunks and
 /// every cut lands well inside the frame stream.
@@ -196,9 +197,8 @@ fn crashed_run_trace_round_trips_with_resilience_attributes() {
     // A CM1 run killed halfway and recovered from its step checkpoints.
     let healthy = wl::cm1::run(0.01, 11);
     let at = SimTime::from_nanos(healthy.runtime().as_nanos() / 2);
-    let mut p = wl::cm1::Cm1Params::scaled(0.01);
-    p.faults = FaultPlan::none().with_rank_crash(0, at);
-    let mut run = wl::cm1::run_with(p, 0.01, 11);
+    let plan = FaultPlan::none().with_rank_crash(0, at);
+    let mut run = WorkloadKind::Cm1.run(0.01, 11, plan, InterferenceSchedule::none());
 
     let path = temp_path("cm1.crashed.vsp4");
     spilled(run.world.tracer.columnar(), &path);
