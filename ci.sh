@@ -22,6 +22,16 @@ cargo fmt --check
 # many layers, and an unused field or import is usually a wiring mistake.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 
+# Bounded-memory smoke: Figure 8 (Montage) at scale 0.15 under a 2 GiB
+# address-space cap. The simulated store holds each byte once (staged
+# headers and prefixes are shared, STDIO buffers keep synthetic writes as
+# pattern pieces), so on two workers the run peaks near 1.1 GiB of virtual
+# memory; a store that materializes buffered synthetic writes needs about
+# 3.9 GiB and aborts here. The cap applies to the built binary in a
+# subshell, not to cargo. The worker count is pinned because each worker
+# holds one job's world at a time.
+( ulimit -v 2097152; VANI_THREADS=2 VANI_SCALE=0.15 target/release/repro fig8 > /dev/null )
+
 # Clippy's correctness, suspicious and perf groups are errors: each flags
 # code that is wrong, probably wrong or needlessly slow, never style.
 cargo clippy --offline --workspace --all-targets -- \

@@ -43,13 +43,9 @@ fn stripe_size(block: u64) -> SimTime {
 /// misses) the cache.
 fn chunk_cache(cache: u64) -> SimTime {
     let mut w = IoWorld::lassen(1, 1, Dur::from_secs(600), 3);
-    hdf5::materialize(
-        w.storage.pfs_mut().store_mut(),
-        "/p/gpfs1/c.h5",
-        &[("d", &[1 << 20, 1, 1], 2, Some(64 * KIB))],
-        9,
-    )
-    .expect("a fresh PFS has room for the dataset");
+    hdf5::H5Layout::new(&[("d", &[1 << 20, 1, 1], 2, Some(64 * KIB))])
+        .materialize(w.storage.pfs_mut().store_mut(), "/p/gpfs1/c.h5", 9)
+        .expect("a fresh PFS has room for the dataset");
     let r = RankId(0);
     let opts = H5Options {
         use_mpiio: false,

@@ -324,8 +324,12 @@ fn stage_inputs(world: &mut IoWorld, p: &Cm1Params) {
     let store = world.storage.pfs_mut().store_mut();
     // CM1's atmospheric state variables are normally distributed (Table VI);
     // stage a value prefix the analyzer's distribution fitting can sample.
-    let prefix =
-        sim_core::stats::synth_bytes(sim_core::stats::DistributionFit::Normal, 0xC1, 16384);
+    // Every config file shares one copy of it.
+    let prefix = std::sync::Arc::new(sim_core::stats::synth_bytes(
+        sim_core::stats::DistributionFit::Normal,
+        0xC1,
+        16384,
+    ));
     for i in 0..p.n_config_files {
         let path = format!("/p/gpfs1/cm1/config/input_{i:04}.cfg");
         let key = store.create(&path, false).expect("stage config");
@@ -340,11 +344,7 @@ fn stage_inputs(world: &mut IoWorld, p: &Cm1Params) {
             )
             .expect("stage config body");
         store
-            .write(
-                key,
-                1024,
-                storage_sim::file::Segment::Bytes(std::sync::Arc::new(prefix.clone())),
-            )
+            .write(key, 1024, storage_sim::file::Segment::Bytes(prefix.clone()))
             .expect("stage config prefix");
     }
     store.mkdirs("/p/gpfs1/cm1/out").expect("mkdir out");

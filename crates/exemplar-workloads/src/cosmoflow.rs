@@ -122,23 +122,22 @@ impl CosmoflowParams {
 pub(crate) fn stage_dataset(world: &mut IoWorld, p: &CosmoflowParams) {
     let store = world.storage.pfs_mut().store_mut();
     let voxels = (p.file_bytes / 2).max(1); // int16 elements
-                                            // Dark-matter density voxels are gamma-distributed (Table VI).
-    let prefix = sim_core::stats::synth_bytes(sim_core::stats::DistributionFit::Gamma, 0xC0, 16384);
+
+    // Dark-matter density voxels are gamma-distributed (Table VI). Every
+    // file shares one copy of this value prefix, its header and superblock.
+    let prefix = std::sync::Arc::new(sim_core::stats::synth_bytes(
+        sim_core::stats::DistributionFit::Gamma,
+        0xC0,
+        16384,
+    ));
+    let layout = hdf5::H5Layout::new(&[("universe", &[voxels, 1, 1], 2, None)]);
     for i in 0..p.n_files {
-        hdf5::materialize(
-            store,
-            &p.pfs_file_path(i),
-            &[("universe", &[voxels, 1, 1], 2, None)],
-            0xC0 + i as u64,
-        )
-        .expect("stage cosmoflow file");
+        layout
+            .materialize(store, &p.pfs_file_path(i), 0xC0 + i as u64)
+            .expect("stage cosmoflow file");
         let key = store.lookup(&p.pfs_file_path(i)).expect("just staged");
         store
-            .write(
-                key,
-                1024,
-                storage_sim::file::Segment::Bytes(std::sync::Arc::new(prefix.clone())),
-            )
+            .write(key, 1024, storage_sim::file::Segment::Bytes(prefix.clone()))
             .expect("stage value prefix");
     }
 }

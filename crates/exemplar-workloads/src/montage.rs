@@ -126,14 +126,15 @@ pub(crate) fn stage_inputs(world: &mut IoWorld, p: &MontageParams) {
         bitpix: 16,
         naxes: vec![p.image_axes.0, p.image_axes.1],
     };
-    let enc = header.encode();
+    // Every input shares one copy of the header.
+    let enc = std::sync::Arc::new(header.encode());
     let store = world.storage.pfs_mut().store_mut();
     for node in 0..p.nodes {
         for i in 0..p.inputs_per_node {
             let path = p.input_path(node, i);
             let key = store.create(&path, false).expect("stage fits");
             store
-                .write(key, 0, Segment::Bytes(std::sync::Arc::new(enc.clone())))
+                .write(key, 0, Segment::Bytes(enc.clone()))
                 .expect("stage fits header");
             store
                 .write(

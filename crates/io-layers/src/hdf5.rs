@@ -20,6 +20,7 @@ use hpc_cluster::topology::RankId;
 use recorder_sim::record::{Layer, OpKind};
 use sim_core::SimTime;
 use std::collections::HashMap;
+use std::sync::Arc;
 use storage_sim::IoErr;
 use vani_rt::{Json, JsonError};
 
@@ -169,53 +170,79 @@ fn parse_header(bytes: &[u8]) -> Result<Vec<DatasetInfo>, JsonError> {
         .collect()
 }
 
-/// Materialize a complete H5SIM file directly into a file store, without
-/// simulating the producer. Used to stage input datasets (the paper's
-/// CosmoFlow corpus pre-exists the job). Dataset bodies are synthetic
-/// pattern segments, so a 32 MiB file costs a few hundred bytes of memory.
-pub fn materialize(
-    store: &mut storage_sim::file::FileStore,
-    path: &str,
-    specs: &[(&str, &[u64], u32, Option<u64>)],
-    seed: u64,
-) -> Result<(), IoErr> {
-    use storage_sim::file::Segment;
-    let key = store.create(path, false)?;
-    let mut eof = SUPERBLOCK;
-    let mut datasets = Vec::new();
-    for (name, shape, dtype_size, chunk_bytes) in specs {
-        let nbytes = shape.iter().product::<u64>() * *dtype_size as u64;
-        store.write(
-            key,
-            eof,
-            Segment::Pattern {
-                seed: seed ^ eof,
-                len: nbytes.max(1),
-            },
-        )?;
-        datasets.push(DatasetInfo {
-            name: name.to_string(),
-            shape: shape.to_vec(),
-            dtype_size: *dtype_size,
-            layout: match chunk_bytes {
-                None => DsLayout::Contiguous { offset: eof },
-                Some(cb) => DsLayout::Chunked {
-                    offset: eof,
-                    chunk_bytes: (*cb).max(1),
+/// The layout of an H5SIM file with a given dataset list, for staging
+/// files directly into a file store without simulating the producer (the
+/// paper's CosmoFlow corpus pre-exists the job). The superblock and object
+/// header depend on the spec list alone, so they are rendered once and
+/// every file staged from one layout shares them. Dataset bodies are
+/// synthetic pattern segments, so a 32 MiB file costs a few hundred bytes
+/// of memory.
+pub struct H5Layout {
+    datasets: Vec<DatasetInfo>,
+    header: Arc<Vec<u8>>,
+    superblock: Arc<Vec<u8>>,
+}
+
+impl H5Layout {
+    /// Lay out `(name, shape, dtype_size, chunk_bytes)` datasets back to
+    /// back after the superblock, the object header after them.
+    pub fn new(specs: &[(&str, &[u64], u32, Option<u64>)]) -> H5Layout {
+        let mut eof = SUPERBLOCK;
+        let mut datasets = Vec::new();
+        for (name, shape, dtype_size, chunk_bytes) in specs {
+            datasets.push(DatasetInfo {
+                name: name.to_string(),
+                shape: shape.to_vec(),
+                dtype_size: *dtype_size,
+                layout: match chunk_bytes {
+                    None => DsLayout::Contiguous { offset: eof },
+                    Some(cb) => DsLayout::Chunked {
+                        offset: eof,
+                        chunk_bytes: (*cb).max(1),
+                    },
                 },
-            },
-        });
-        eof += nbytes;
+            });
+            eof += shape.iter().product::<u64>() * *dtype_size as u64;
+        }
+        let header = header_bytes(&datasets);
+        let mut sb = vec![0u8; SUPERBLOCK as usize];
+        sb[..8].copy_from_slice(MAGIC);
+        sb[8..16].copy_from_slice(&eof.to_le_bytes());
+        sb[16..24].copy_from_slice(&(header.len() as u64).to_le_bytes());
+        H5Layout {
+            datasets,
+            header: Arc::new(header),
+            superblock: Arc::new(sb),
+        }
     }
-    let header = header_bytes(&datasets);
-    let hlen = header.len() as u64;
-    store.write(key, eof, Segment::Bytes(std::sync::Arc::new(header)))?;
-    let mut sb = vec![0u8; SUPERBLOCK as usize];
-    sb[..8].copy_from_slice(MAGIC);
-    sb[8..16].copy_from_slice(&eof.to_le_bytes());
-    sb[16..24].copy_from_slice(&hlen.to_le_bytes());
-    store.write(key, 0, Segment::Bytes(std::sync::Arc::new(sb)))?;
-    Ok(())
+
+    /// Stage a complete file at `path`: each dataset body is the pattern
+    /// fill of `seed` xor its offset, the header and superblock are the
+    /// layout's shared bytes.
+    pub fn materialize(
+        &self,
+        store: &mut storage_sim::file::FileStore,
+        path: &str,
+        seed: u64,
+    ) -> Result<(), IoErr> {
+        use storage_sim::file::Segment;
+        let key = store.create(path, false)?;
+        let mut eof = SUPERBLOCK;
+        for d in &self.datasets {
+            store.write(
+                key,
+                eof,
+                Segment::Pattern {
+                    seed: seed ^ eof,
+                    len: d.nbytes().max(1),
+                },
+            )?;
+            eof += d.nbytes();
+        }
+        store.write(key, eof, Segment::Bytes(self.header.clone()))?;
+        store.write(key, 0, Segment::Bytes(self.superblock.clone()))?;
+        Ok(())
+    }
 }
 
 /// A chunk-cache entry key.
@@ -225,15 +252,17 @@ type ChunkIdx = u64;
 pub struct H5File {
     fd: Fd,
     opts: H5Options,
-    datasets: Vec<DatasetInfo>,
+    datasets: Arc<[DatasetInfo]>,
     header_offset: u64,
     cache: HashMap<(usize, ChunkIdx), u64>,
     cache_bytes: u64,
     cache_order: Vec<(usize, ChunkIdx)>,
 }
 
-/// Open an existing file: superblock read, header read, JSON parse. Every
-/// one of those is a real small read in the trace.
+/// Open an existing file: superblock read, header read, JSON parse. Both
+/// reads are real small reads in the trace. The parse is not simulated
+/// work, so a header whose exact bytes the world has parsed before reuses
+/// that parse; a malformed header is parsed, and refused, every time.
 pub fn open(
     w: &mut IoWorld,
     rank: RankId,
@@ -311,8 +340,16 @@ pub fn open(
         header_offset,
         header.len() as u64,
     );
-    let Ok(datasets) = parse_header(&header) else {
-        return (Err(IoErr::Invalid), t);
+    let datasets = match w.h5_headers.get(&header) {
+        Some(d) => d.clone(),
+        None => {
+            let Ok(d) = parse_header(&header) else {
+                return (Err(IoErr::Invalid), t);
+            };
+            let d: Arc<[DatasetInfo]> = d.into();
+            w.h5_headers.insert(header, d.clone());
+            d
+        }
     };
     let end = w.trace_io(
         rank,
@@ -478,7 +515,9 @@ mod tests {
 
     fn make_file(w: &mut IoWorld, path: &str, chunk: Option<u64>) -> SimTime {
         let store = w.storage.pfs_mut().store_mut();
-        materialize(store, path, &[("full", &[512, 512, 4], 2, chunk)], 7).unwrap();
+        H5Layout::new(&[("full", &[512, 512, 4], 2, chunk)])
+            .materialize(store, path, 7)
+            .unwrap();
         SimTime::ZERO
     }
 
@@ -643,7 +682,9 @@ mod tests {
             ("full", &[512, 512, 4], 2, None),
             ("chunked \"x\"", &[64, 3], 4, Some(4096)),
         ];
-        materialize(store, "/p/gpfs1/pin.h5", specs, 7).unwrap();
+        H5Layout::new(specs)
+            .materialize(store, "/p/gpfs1/pin.h5", 7)
+            .unwrap();
         let key = store.lookup("/p/gpfs1/pin.h5").unwrap();
         let sb = store.read(key, 0, 24).unwrap();
         assert_eq!(&sb[..8], MAGIC);
@@ -663,8 +704,39 @@ mod tests {
             H5Options::default(),
             SimTime::ZERO,
         );
-        let names: Vec<_> = f.unwrap().datasets.into_iter().map(|d| d.name).collect();
+        let names: Vec<_> = f.unwrap().datasets.iter().map(|d| d.name.clone()).collect();
         assert_eq!(names, ["full", "chunked \"x\""]);
+    }
+
+    #[test]
+    fn header_parses_are_shared_by_exact_bytes_and_failures_are_not_kept() {
+        let mut w = world();
+        let r = RankId(0);
+        let layout = H5Layout::new(&[("d", &[64], 4, None)]);
+        let paths = ["/p/gpfs1/a.h5", "/p/gpfs1/b.h5"];
+        for (i, path) in paths.iter().enumerate() {
+            let store = w.storage.pfs_mut().store_mut();
+            layout.materialize(store, path, i as u64).unwrap();
+        }
+        let mut opened = Vec::new();
+        for path in paths {
+            let (f, _) = open(&mut w, r, path, H5Options::default(), SimTime::ZERO);
+            opened.push(f.unwrap().datasets);
+        }
+        assert!(Arc::ptr_eq(&opened[0], &opened[1]), "one parse serves both");
+        assert_eq!(w.h5_headers.len(), 1);
+        stage_with_header(&mut w, "/p/gpfs1/bad.h5", b"not json");
+        for _ in 0..2 {
+            let (res, _) = open(
+                &mut w,
+                r,
+                "/p/gpfs1/bad.h5",
+                H5Options::default(),
+                SimTime::ZERO,
+            );
+            assert_eq!(res.err(), Some(IoErr::Invalid));
+        }
+        assert_eq!(w.h5_headers.len(), 1, "a failed parse is not kept");
     }
 
     #[test]

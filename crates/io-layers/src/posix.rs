@@ -10,8 +10,7 @@ use crate::world::{IoWorld, OpenFile};
 use hpc_cluster::topology::RankId;
 use recorder_sim::record::{Layer, OpKind};
 use sim_core::SimTime;
-use std::sync::Arc;
-use storage_sim::file::Segment;
+use storage_sim::file::{Segment, Window};
 use storage_sim::IoErr;
 
 /// A POSIX file descriptor.
@@ -189,26 +188,22 @@ pub fn write_pattern(
     seed: u64,
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    write_seg(w, rank, fd, None, Segment::Pattern { seed, len }, now)
+    let run = [Segment::Pattern { seed, len }.into()];
+    write_run(w, rank, fd, None, &run, now)
 }
 
-/// `pwrite`: write at an explicit offset without moving the position.
+/// `pwrite` of a run of windows laid end to end from `offset`, without
+/// moving the position: one POSIX write of their total length. The
+/// windows are the caller's, handed to the store as they are.
 pub(crate) fn write_at(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
     offset: u64,
-    data: &[u8],
+    run: &[Window],
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    write_seg(
-        w,
-        rank,
-        fd,
-        Some(offset),
-        Segment::Bytes(Arc::new(data.to_vec())),
-        now,
-    )
+    write_run(w, rank, fd, Some(offset), run, now)
 }
 
 /// `pwrite` of a synthetic pattern.
@@ -221,22 +216,16 @@ pub(crate) fn write_pattern_at(
     seed: u64,
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    write_seg(
-        w,
-        rank,
-        fd,
-        Some(offset),
-        Segment::Pattern { seed, len },
-        now,
-    )
+    let run = [Segment::Pattern { seed, len }.into()];
+    write_run(w, rank, fd, Some(offset), &run, now)
 }
 
-fn write_seg(
+fn write_run(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,
     offset: Option<u64>,
-    seg: Segment,
+    run: &[Window],
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
     let node = w.node_of(rank);
@@ -250,12 +239,12 @@ fn write_seg(
         let pos = offset.unwrap_or_else(|| resolve_write_pos(of));
         (of.handle, of.path_id, pos, offset.is_none())
     };
-    // The segment is cloned per attempt: a transiently-failed write never
-    // reaches the store, so the retry must re-submit the same payload.
-    let bytes = seg.len();
+    // A transiently-failed write never reaches the store, so every attempt
+    // submits the same run.
+    let bytes = run.iter().map(Window::len).sum();
     let (res, t_settle) =
         crate::resilience::with_retries(w, rank, Some(path_id), pos, bytes, now, |w, t| {
-            w.storage.write(node, handle, pos, seg.clone(), t)
+            w.storage.write(node, handle, pos, run, t)
         });
     match res.map(|n| (n, t_settle)) {
         Ok((n, t)) => {
@@ -725,7 +714,8 @@ mod tests {
             SimTime::ZERO,
         );
         let fd = fd.unwrap();
-        let (_, t) = write_at(&mut w, r, fd, 10, b"zz", t);
+        let zz = [Segment::Bytes(std::sync::Arc::new(b"zz".to_vec())).into()];
+        let (_, t) = write_at(&mut w, r, fd, 10, &zz, t);
         let (n, t) = read_at(&mut w, r, fd, 10, 2, t);
         assert_eq!(n.unwrap(), 2);
         // Position still 0.

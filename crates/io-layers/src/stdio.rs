@@ -8,7 +8,11 @@
 //! Buffer hits cost a memcpy; misses flush/fill through [`crate::posix`],
 //! whose records appear beneath the `Stdio` records in the trace. The read
 //! buffer is a zero-copy [`ContentView`] of the file, so only the bytes a
-//! materializing `fread_data` takes are ever copied.
+//! materializing `fread_data` takes are ever copied. The write buffer holds
+//! pieces, not bytes: an `fwrite_pattern` stays a pattern descriptor and an
+//! `fwrite` keeps its own copy of the caller's bytes, and a flush hands the
+//! pieces to the store as one run of windows. Fills, flush points, sizes
+//! and costs are those of a byte buffer of the same capacity.
 
 use crate::posix::{self, Fd, OpenFlags, Whence};
 use crate::world::IoWorld;
@@ -16,7 +20,8 @@ use hpc_cluster::topology::RankId;
 use recorder_sim::record::{Layer, OpKind};
 use sim_core::units::GIB;
 use sim_core::{Dur, SimTime};
-use storage_sim::file::{pattern_byte, ContentView};
+use std::sync::Arc;
+use storage_sim::file::{ContentView, Segment, Window};
 use storage_sim::IoErr;
 
 /// Default stream buffer size (glibc's `BUFSIZ`).
@@ -39,9 +44,11 @@ pub(crate) struct Stream {
     bufsize: u64,
     /// Logical stream position.
     pos: u64,
-    /// Pending write buffer: file offset of its first byte + contents.
+    /// Pending write buffer: file offset of its first byte, its pieces in
+    /// file order, and their total length.
     wbuf_start: u64,
-    wbuf: Vec<u8>,
+    wbuf: Vec<Piece>,
+    wbuf_len: u64,
     /// Read cache: file offset of its first byte + the view of the file
     /// taken at refill. Segments are immutable, so the view keeps the
     /// bytes of refill time even if another rank overwrites the file,
@@ -49,6 +56,68 @@ pub(crate) struct Stream {
     /// it.
     rbuf_start: u64,
     rbuf: ContentView,
+}
+
+/// One piece of a stream's pending write buffer.
+#[derive(Debug)]
+enum Piece {
+    /// Bytes from `fwrite`; bytes buffered back to back share one vector.
+    Bytes(Vec<u8>),
+    /// Bytes `[skip, skip + len)` of the pattern fill of `seed`.
+    Pattern { seed: u64, skip: u64, len: u64 },
+}
+
+impl Piece {
+    fn into_window(self) -> Window {
+        match self {
+            Piece::Bytes(mut b) => {
+                b.shrink_to_fit();
+                Segment::Bytes(Arc::new(b)).into()
+            }
+            Piece::Pattern { seed, skip, len } => Window::pattern(seed, skip, len),
+        }
+    }
+}
+
+/// The content one `fwrite` call hands the stream.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Bytes(&'a [u8]),
+    /// The first `len` bytes of the pattern fill of `seed`.
+    Pattern {
+        seed: u64,
+        len: u64,
+    },
+}
+
+impl Src<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            Src::Bytes(d) => d.len() as u64,
+            Src::Pattern { len, .. } => *len,
+        }
+    }
+}
+
+impl Stream {
+    /// Append bytes `[from, from + take)` of `src` to the write buffer.
+    fn buffer(&mut self, src: Src, from: u64, take: u64) {
+        match src {
+            Src::Bytes(d) => {
+                let bytes = &d[from as usize..(from + take) as usize];
+                match self.wbuf.last_mut() {
+                    Some(Piece::Bytes(v)) => v.extend_from_slice(bytes),
+                    _ => self.wbuf.push(Piece::Bytes(bytes.to_vec())),
+                }
+            }
+            Src::Pattern { seed, .. } => self.wbuf.push(Piece::Pattern {
+                seed,
+                skip: from,
+                len: take,
+            }),
+        }
+        self.wbuf_len += take;
+    }
 }
 
 /// Per-process stream tables live in the world, keyed by rank.
@@ -131,6 +200,7 @@ pub fn fopen_buffered(
         pos: 0,
         wbuf_start: 0,
         wbuf: Vec::new(),
+        wbuf_len: 0,
         rbuf_start: 0,
         rbuf: ContentView::default(),
     };
@@ -151,15 +221,16 @@ fn flush_wbuf(
     h: FileStream,
     now: SimTime,
 ) -> Result<SimTime, IoErr> {
-    let (fd, start, buf) = {
+    let (fd, start, run) = {
         let s = tables(w)[rank.0 as usize].get(h)?;
         if s.wbuf.is_empty() {
             return Ok(now);
         }
-        let buf = std::mem::take(&mut s.wbuf);
-        (s.fd, s.wbuf_start, buf)
+        s.wbuf_len = 0;
+        let run: Vec<Window> = s.wbuf.drain(..).map(Piece::into_window).collect();
+        (s.fd, s.wbuf_start, run)
     };
-    let (res, t) = posix::write_at(w, rank, fd, start, &buf, now);
+    let (res, t) = posix::write_at(w, rank, fd, start, &run, now);
     res?;
     Ok(t)
 }
@@ -172,12 +243,12 @@ pub fn fwrite(
     data: &[u8],
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    fwrite_inner(w, rank, h, data, now)
+    fwrite_inner(w, rank, h, Src::Bytes(data), now)
 }
 
-/// Write a synthetic pattern through the stream buffer. Patterns small
-/// enough to buffer are materialized (the buffer is at most `bufsize`);
-/// larger ones bypass the buffer as a direct POSIX pattern write.
+/// Write a synthetic pattern through the stream buffer. Patterns no longer
+/// than the buffer are buffered as pattern pieces, exactly as their bytes
+/// would be; larger ones bypass the buffer as a direct POSIX pattern write.
 pub fn fwrite_pattern(
     w: &mut IoWorld,
     rank: RankId,
@@ -191,8 +262,7 @@ pub fn fwrite_pattern(
         Err(e) => return (Err(e), now),
     };
     if len <= bufsize {
-        let data: Vec<u8> = (0..len).map(|i| pattern_byte(seed, i)).collect();
-        return fwrite_inner(w, rank, h, &data, now);
+        return fwrite_inner(w, rank, h, Src::Pattern { seed, len }, now);
     }
     // Large write: flush pending buffer, then write directly.
     let t0 = now;
@@ -230,7 +300,7 @@ fn fwrite_inner(
     w: &mut IoWorld,
     rank: RankId,
     h: FileStream,
-    data: &[u8],
+    src: Src,
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
     let t0 = now;
@@ -240,18 +310,16 @@ fn fwrite_inner(
     };
     let mut t = now;
     let mut written = 0u64;
-    let mut remaining = data;
-    while !remaining.is_empty() {
+    while written < src.len() {
         // Check buffer adjacency and capacity.
         let (needs_flush, take) = {
             let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-            let buf_end = s.wbuf_start + s.wbuf.len() as u64;
+            let buf_end = s.wbuf_start + s.wbuf_len;
             let adjacent = s.wbuf.is_empty() || buf_end == s.pos;
-            if !adjacent || s.wbuf.len() as u64 >= s.bufsize {
-                (true, 0usize)
+            if !adjacent || s.wbuf_len >= s.bufsize {
+                (true, 0)
             } else {
-                let space = (s.bufsize - s.wbuf.len() as u64) as usize;
-                (false, space.min(remaining.len()))
+                (false, (s.bufsize - s.wbuf_len).min(src.len() - written))
             }
         };
         if needs_flush {
@@ -267,11 +335,10 @@ fn fwrite_inner(
         if s.wbuf.is_empty() {
             s.wbuf_start = s.pos;
         }
-        s.wbuf.extend_from_slice(&remaining[..take]);
-        s.pos += take as u64;
-        written += take as u64;
-        remaining = &remaining[take..];
-        t = t + memcpy_cost(take as u64);
+        s.buffer(src, written, take);
+        s.pos += take;
+        written += take;
+        t = t + memcpy_cost(take);
     }
     // Invalidate the read cache on writes.
     tables(w)[rank.0 as usize].get(h).expect("checked").rbuf = ContentView::default();

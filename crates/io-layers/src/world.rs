@@ -7,6 +7,8 @@ use hpc_cluster::topology::{ClusterSpec, NodeId, RankId};
 use recorder_sim::record::{AppId, Layer, OpKind};
 use recorder_sim::Tracer;
 use sim_core::{Dur, SimTime};
+use std::collections::HashMap;
+use std::sync::Arc;
 use storage_sim::mounts::{FileHandle, StorageSystem};
 use vani_rt::Rng;
 
@@ -78,6 +80,9 @@ pub struct IoWorld {
     pub stdio_streams: Vec<crate::stdio::StreamTable>,
     /// Retry/backoff interceptor the layers route storage calls through.
     pub resilience: crate::resilience::Resilience,
+    /// Dataset lists of the H5SIM object headers parsed so far, keyed on
+    /// the exact header bytes (successful parses only).
+    pub(crate) h5_headers: HashMap<Vec<u8>, Arc<[crate::hdf5::DatasetInfo]>>,
 }
 
 impl IoWorld {
@@ -101,6 +106,7 @@ impl IoWorld {
             tracer,
             rng: Rng::for_component(seed, "workload"),
             resilience: crate::resilience::Resilience::new(seed),
+            h5_headers: HashMap::new(),
         }
     }
 

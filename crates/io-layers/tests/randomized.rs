@@ -261,3 +261,129 @@ fn randomized_time_is_monotonic_through_the_stack() {
         }
     }
 }
+
+/// One step of a pattern-versus-bytes script.
+#[derive(Debug, Clone)]
+enum PieceOp {
+    /// `len` synthetic bytes from `seed`, at most the buffer size.
+    Pattern { len: u64, seed: u64 },
+    /// Real bytes, the same in both runs.
+    Bytes(Vec<u8>),
+    /// Absolute seek (flushes the buffer).
+    Seek(u64),
+    /// Seek to the current position: flushes the buffer without moving.
+    Flush,
+}
+
+/// Draw a script for a stream with buffer size `bufsize`. The draw tracks
+/// how full the buffer is, so pattern lengths land on and around both the
+/// buffer size and the space left in the buffer, where pieces straddle a
+/// flush.
+fn piece_script(r: &mut Rng, bufsize: u64) -> Vec<PieceOp> {
+    let mut fill = 0u64;
+    let mut ops = Vec::new();
+    for _ in 0..r.uniform_u64(1, 40) {
+        let op = match r.uniform_u64(0, 8) {
+            0..=3 => {
+                let space = bufsize - fill;
+                let near = [
+                    space.saturating_sub(1),
+                    space,
+                    space + 1,
+                    bufsize - 1,
+                    bufsize,
+                    r.uniform_u64(1, bufsize + 1),
+                ];
+                let len = near[r.uniform_u64(0, near.len() as u64) as usize].clamp(1, bufsize);
+                PieceOp::Pattern {
+                    len,
+                    seed: r.next_u64(),
+                }
+            }
+            4 | 5 => {
+                let len = r.uniform_u64(1, 2 * bufsize + 2);
+                PieceOp::Bytes((0..len).map(|_| r.uniform_u64(0, 256) as u8).collect())
+            }
+            6 => PieceOp::Seek(r.uniform_u64(0, 3 * bufsize)),
+            _ => PieceOp::Flush,
+        };
+        // The buffer's fill after the op, as the stream loop computes it.
+        match &op {
+            PieceOp::Pattern { len, .. } => fill = buffered_fill(fill, *len, bufsize),
+            PieceOp::Bytes(d) => fill = buffered_fill(fill, d.len() as u64, bufsize),
+            PieceOp::Seek(_) | PieceOp::Flush => fill = 0,
+        }
+        ops.push(op);
+    }
+    ops
+}
+
+/// The buffer fill after buffering `len` more bytes: a full buffer flushes
+/// before taking more.
+fn buffered_fill(mut fill: u64, mut len: u64, bufsize: u64) -> u64 {
+    while len > 0 {
+        if fill >= bufsize {
+            fill = 0;
+        }
+        let take = (bufsize - fill).min(len);
+        fill += take;
+        len -= take;
+    }
+    fill
+}
+
+/// Run a script on a fresh world; pattern ops go through `fwrite_pattern`
+/// when `as_pattern` holds and through `fwrite` of their materialized
+/// bytes otherwise. Returns the file's bytes and the trace.
+fn run_piece_script(
+    ops: &[PieceOp],
+    bufsize: u64,
+    as_pattern: bool,
+) -> (Vec<u8>, Vec<recorder_sim::record::TraceRecord>) {
+    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 1);
+    let r = RankId(0);
+    let path = "/p/gpfs1/pieces.bin";
+    let (h, mut t) = stdio::fopen_buffered(&mut w, r, path, "w+", bufsize, SimTime::ZERO);
+    let h = h.unwrap();
+    for op in ops {
+        t = match op {
+            PieceOp::Pattern { len, seed } if as_pattern => {
+                stdio::fwrite_pattern(&mut w, r, h, *len, *seed, t).1
+            }
+            PieceOp::Pattern { len, seed } => {
+                let data: Vec<u8> = (0..*len).map(|i| pattern_byte(*seed, i)).collect();
+                stdio::fwrite(&mut w, r, h, &data, t).1
+            }
+            PieceOp::Bytes(d) => stdio::fwrite(&mut w, r, h, d, t).1,
+            PieceOp::Seek(to) => stdio::fseek(&mut w, r, h, *to as i64, Whence::Set, t).1,
+            PieceOp::Flush => stdio::fseek(&mut w, r, h, 0, Whence::Cur, t).1,
+        };
+    }
+    stdio::fclose(&mut w, r, h, t).0.unwrap();
+    let store = w.storage.pfs().store();
+    let key = store.lookup(path).unwrap();
+    let bytes = store.read(key, 0, store.size_of(key).unwrap()).unwrap();
+    (bytes, w.tracer.columnar().to_records())
+}
+
+/// Buffering a pattern as a pattern piece is invisible: against `fwrite`
+/// of the same materialized bytes, the file holds the same bytes and every
+/// trace record (layer, op, offset, bytes, start and end) is the same, at
+/// buffer sizes from one byte to twice `BUFSIZ`.
+#[test]
+fn pattern_pieces_match_materialized_writes_in_bytes_and_timing() {
+    let mut r = Rng::new(0x10_1a_0006);
+    for bufsize in [1, 7, 4096, 8192] {
+        for case in 0..24 {
+            let ops = piece_script(&mut r, bufsize);
+            let (pat_bytes, pat_trace) = run_piece_script(&ops, bufsize, true);
+            let (raw_bytes, raw_trace) = run_piece_script(&ops, bufsize, false);
+            let at = format!("bufsize {bufsize}, case {case}");
+            assert!(pat_bytes == raw_bytes, "file bytes differ, {at}");
+            assert_eq!(pat_trace.len(), raw_trace.len(), "{at}");
+            for (a, b) in pat_trace.iter().zip(&raw_trace) {
+                assert_eq!(a, b, "{at}");
+            }
+        }
+    }
+}

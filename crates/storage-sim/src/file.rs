@@ -9,6 +9,13 @@
 //! the windows that keep its surviving head and tail, so a split costs two
 //! `Arc` or pattern clones and every surviving byte keeps its value.
 //!
+//! Every byte is held once. Staging shares one `Arc` buffer among all the
+//! files that carry the same header or value prefix, and a buffered STDIO
+//! stream flushes its pending pieces as one run of [`Window`]s
+//! ([`FileStore::write_run`]): its pattern pieces stay pattern windows and
+//! its byte pieces are moved, not copied, into the store.
+//! [`FileStore::held_bytes`] counts what the byte-backed segments hold.
+//!
 //! Reads hand out a [`ContentView`]: the windows overlapping the range,
 //! clipped to end of file. The view is the only place bytes are copied,
 //! and only when a caller asks for them ([`ContentView::copy_to`],
@@ -55,18 +62,40 @@ pub fn pattern_byte(seed: u64, off: u64) -> u8 {
     (x >> 56) as u8
 }
 
-/// Bytes `[skip, skip + len)` of one immutable segment.
+/// Bytes `[skip, skip + len)` of one immutable segment: the unit of a
+/// file's content map, and of a run write.
 #[derive(Debug, Clone)]
-struct Window {
+pub struct Window {
     seg: Segment,
     skip: u64,
     len: u64,
 }
 
-impl Window {
-    fn whole(seg: Segment) -> Window {
+impl From<Segment> for Window {
+    /// The whole segment.
+    fn from(seg: Segment) -> Window {
         let len = seg.len();
         Window { seg, skip: 0, len }
+    }
+}
+
+impl Window {
+    /// Bytes `[skip, skip + len)` of the pattern fill of `seed`: byte `i`
+    /// of the window is `pattern_byte(seed, skip + i)`.
+    pub fn pattern(seed: u64, skip: u64, len: u64) -> Window {
+        Window {
+            seg: Segment::Pattern {
+                seed,
+                len: skip + len,
+            },
+            skip,
+            len,
+        }
+    }
+
+    /// Length of the window in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
     }
 
     /// The sub-window `[from, to)`, relative to this window's first byte.
@@ -167,9 +196,9 @@ impl SegmentMap {
         self.size
     }
 
-    /// Write a segment at `offset`, narrowing whatever windows overlap it.
-    pub(crate) fn write(&mut self, offset: u64, seg: Segment) {
-        let len = seg.len();
+    /// Write a window at `offset`, narrowing whatever windows overlap it.
+    fn write(&mut self, offset: u64, win: Window) {
+        let len = win.len;
         if len == 0 {
             return;
         }
@@ -193,7 +222,7 @@ impl SegmentMap {
                 self.segs.insert(end, w.sub(end - o, w.len));
             }
         }
-        self.segs.insert(offset, Window::whole(seg));
+        self.segs.insert(offset, win);
         self.size = self.size.max(end);
     }
 
@@ -364,24 +393,52 @@ impl FileStore {
 
     /// Write a segment; enforces capacity on growth.
     pub fn write(&mut self, key: FileKey, offset: u64, seg: Segment) -> Result<u64, IoErr> {
+        self.write_run(key, offset, &[seg.into()])
+    }
+
+    /// Write windows end to end from `offset` as one write: capacity is
+    /// checked once for the whole run, which lands entirely or not at all.
+    /// Returns the bytes written (the run's total length).
+    pub fn write_run(&mut self, key: FileKey, offset: u64, run: &[Window]) -> Result<u64, IoErr> {
         let cap = self.capacity;
         let stored = self.bytes_stored;
         let node = self.get_mut(key)?;
         if node.is_dir {
             return Err(IoErr::IsDir);
         }
-        let old = node.data.size();
-        let new_end = offset + seg.len();
-        let growth = new_end.saturating_sub(old);
+        let n: u64 = run.iter().map(Window::len).sum();
+        let growth = (offset + n).saturating_sub(node.data.size());
         if let Some(c) = cap {
             if stored + growth > c {
                 return Err(IoErr::NoSpace);
             }
         }
-        let n = seg.len();
-        node.data.write(offset, seg);
+        let mut at = offset;
+        for win in run {
+            node.data.write(at, win.clone());
+            at += win.len;
+        }
         self.bytes_stored += growth;
         Ok(n)
+    }
+
+    /// Bytes held by byte-backed segments across every file, counting each
+    /// distinct buffer once (by `Arc` pointer) and whole, however many
+    /// windows and files share it. Pattern segments hold no bytes. A
+    /// deterministic measure of what the store keeps in memory.
+    pub fn held_bytes(&self) -> u64 {
+        let mut seen = std::collections::HashSet::new();
+        let windows = self
+            .nodes
+            .iter()
+            .flatten()
+            .flat_map(|n| n.data.segs.values());
+        windows
+            .filter_map(|w| match &w.seg {
+                Segment::Bytes(b) if seen.insert(Arc::as_ptr(b)) => Some(b.len() as u64),
+                _ => None,
+            })
+            .sum()
     }
 
     /// Zero-copy read: a view of the range, clipped to end of file.
@@ -577,6 +634,44 @@ mod tests {
         assert_eq!(fs.read(k, 0, 10).unwrap(), &[b'a', b'b', b'c', 0, 0, 0]);
     }
 
+    /// A run write lays its windows end to end: a pattern window reads as
+    /// the fill from its skip on, capacity is checked once for the whole
+    /// run, and a run that does not fit lands nothing.
+    #[test]
+    fn run_writes_lay_windows_end_to_end() {
+        let mut fs = FileStore::with_capacity(64);
+        let k = fs.create("/run", false).unwrap();
+        let run = [
+            Segment::Bytes(Arc::new(vec![9; 4])).into(),
+            Window::pattern(5, 10, 6),
+        ];
+        assert_eq!(fs.write_run(k, 2, &run), Ok(10));
+        let mut want = vec![0, 0, 9, 9, 9, 9];
+        want.extend((10..16).map(|i| pattern_byte(5, i)));
+        assert_eq!(fs.read(k, 0, 64).unwrap(), want);
+        let too_big = [Window::pattern(1, 0, 40), Window::pattern(2, 0, 20)];
+        assert_eq!(fs.write_run(k, 12, &too_big), Err(IoErr::NoSpace));
+        assert_eq!(fs.read(k, 0, 64).unwrap(), want);
+    }
+
+    /// `held_bytes` counts each distinct byte buffer once and whole, however
+    /// many files and windows share it; pattern content holds nothing.
+    #[test]
+    fn held_bytes_counts_each_shared_buffer_once() {
+        let mut fs = FileStore::default();
+        let shared = Arc::new(vec![1u8; 100]);
+        for path in ["/a", "/b"] {
+            let k = fs.create(path, false).unwrap();
+            fs.write(k, 0, Segment::Pattern { seed: 1, len: 1000 })
+                .unwrap();
+            fs.write(k, 10, Segment::Bytes(shared.clone())).unwrap();
+            // Splits the shared window into a head and a tail.
+            fs.write(k, 50, Segment::Bytes(Arc::new(vec![2; 8])))
+                .unwrap();
+        }
+        assert_eq!(fs.held_bytes(), 100 + 8 + 8);
+    }
+
     // Deterministic randomized sweeps (seeded `vani_rt::Rng`) — converted
     // from the original proptest suites.
 
@@ -616,7 +711,7 @@ mod tests {
                     model.resize(end, 0);
                 }
                 model[off as usize..end].copy_from_slice(&segment_bytes(&seg));
-                sm.write(off, seg);
+                sm.write(off, seg.into());
             }
             assert_eq!(sm.size(), model.len() as u64);
             assert_eq!(sm.view(0, model.len() as u64 + 32).to_vec(), model);
@@ -650,7 +745,7 @@ mod tests {
             let size = r.uniform_u64(0, 10_000);
             let mut sm = SegmentMap::default();
             if size > 0 {
-                sm.write(0, Segment::Pattern { seed: 3, len: size });
+                sm.write(0, Segment::Pattern { seed: 3, len: size }.into());
             }
             let rl = sm.readable_len(off, len);
             assert!(rl <= len);

@@ -7,7 +7,7 @@
 //! table would.
 
 use crate::err::IoErr;
-use crate::file::{ContentView, FileKey, Segment};
+use crate::file::{ContentView, FileKey, Window};
 use crate::node_local::{NodeLocalConfig, NodeLocalFs};
 use crate::path as vpath;
 use crate::pfs::{GpfsConfig, GpfsSim};
@@ -129,18 +129,19 @@ impl StorageSystem {
         }
     }
 
-    /// Write a segment through a handle.
+    /// Write a run of windows, end to end from `offset`, through a handle
+    /// as one operation.
     pub fn write(
         &mut self,
         node: NodeId,
         h: FileHandle,
         offset: u64,
-        seg: Segment,
+        run: &[Window],
         now: SimTime,
     ) -> Result<(u64, SimTime), IoErr> {
         match h.tier {
-            Tier::Pfs => self.pfs.write(node, h.key, offset, seg, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].write(node, h.key, offset, seg, now),
+            Tier::Pfs => self.pfs.write(node, h.key, offset, run, now),
+            Tier::NodeLocal(i) => self.locals[i as usize].write(node, h.key, offset, run, now),
         }
     }
 
@@ -208,6 +209,7 @@ impl StorageSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::Window;
 
     fn system() -> StorageSystem {
         StorageSystem::lassen(4, 11)
@@ -231,7 +233,7 @@ mod tests {
         assert_eq!(h.tier, Tier::NodeLocal(0));
         let meta_before = s.pfs().stats().meta_ops;
         let (_, t2) = s
-            .write(NodeId(0), h, 0, Segment::Pattern { seed: 1, len: 4096 }, t)
+            .write(NodeId(0), h, 0, &[Window::pattern(1, 0, 4096)], t)
             .unwrap();
         s.close(NodeId(0), h, t2);
         assert_eq!(s.pfs().stats().meta_ops, meta_before);
@@ -245,7 +247,7 @@ mod tests {
             .unwrap();
         let (hs, t2) = s.open(NodeId(0), "/dev/shm/f.bin", true, false, t).unwrap();
         let (_, t3) = s
-            .write(NodeId(0), hp, 0, Segment::Pattern { seed: 1, len: 100 }, t2)
+            .write(NodeId(0), hp, 0, &[Window::pattern(1, 0, 100)], t2)
             .unwrap();
         let (got_shm, _) = s.read_len(NodeId(0), hs, 0, 100, t3).unwrap();
         assert_eq!(got_shm, 0, "shm file must be empty");
@@ -259,28 +261,10 @@ mod tests {
             .unwrap();
         let (hs, t1) = s.open(NodeId(0), "/dev/shm/f", true, false, t).unwrap();
         let (_, t2) = s
-            .write(
-                NodeId(0),
-                hp,
-                0,
-                Segment::Pattern {
-                    seed: 1,
-                    len: 1 << 20,
-                },
-                t1,
-            )
+            .write(NodeId(0), hp, 0, &[Window::pattern(1, 0, 1 << 20)], t1)
             .unwrap();
         let (_, t3) = s
-            .write(
-                NodeId(0),
-                hs,
-                0,
-                Segment::Pattern {
-                    seed: 1,
-                    len: 1 << 20,
-                },
-                t2,
-            )
+            .write(NodeId(0), hs, 0, &[Window::pattern(1, 0, 1 << 20)], t2)
             .unwrap();
         let pfs_sync = s.fsync(NodeId(0), hp, t3).since(t3);
         let shm_sync = s.fsync(NodeId(0), hs, t3).since(t3);

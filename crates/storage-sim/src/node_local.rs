@@ -11,7 +11,7 @@
 //! so dramatically in Figures 7 and 8.
 
 use crate::err::IoErr;
-use crate::file::{ContentView, FileKey, FileStore, Segment};
+use crate::file::{ContentView, FileKey, FileStore, Window};
 use hpc_cluster::topology::NodeId;
 use sim_core::units::GIB;
 use sim_core::{BandwidthChannel, Dur, SimTime};
@@ -159,19 +159,18 @@ impl NodeLocalFs {
         Ok(end)
     }
 
-    /// Write a segment.
+    /// Write a run of windows end to end as one operation.
     pub(crate) fn write(
         &mut self,
         node: NodeId,
         key: FileKey,
         offset: u64,
-        seg: Segment,
+        run: &[Window],
         now: SimTime,
     ) -> Result<(u64, SimTime), IoErr> {
-        let bytes = seg.len();
-        let n = self.stores[node.0 as usize].write(key, offset, seg)?;
-        self.bytes_written += bytes;
-        let end = self.charge(node, bytes, now);
+        let n = self.stores[node.0 as usize].write_run(key, offset, run)?;
+        self.bytes_written += n;
+        let end = self.charge(node, n, now);
         Ok((n, end))
     }
 
@@ -209,6 +208,7 @@ impl NodeLocalFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::Segment;
     use sim_core::units::{KIB, MIB};
 
     fn shm() -> NodeLocalFs {
@@ -239,13 +239,7 @@ mod tests {
         let start = t;
         for i in 0..1000u64 {
             let (_, e) = fs
-                .write(
-                    NodeId(0),
-                    k,
-                    i * 4096,
-                    Segment::Pattern { seed: 1, len: 4096 },
-                    t,
-                )
+                .write(NodeId(0), k, i * 4096, &[Window::pattern(1, 0, 4096)], t)
                 .unwrap();
             t = e;
         }
@@ -264,32 +258,14 @@ mod tests {
             .open(NodeId(0), "/dev/shm/f", true, false, SimTime::ZERO)
             .unwrap();
         assert_eq!(
-            fs.write(
-                NodeId(0),
-                k,
-                0,
-                Segment::Pattern {
-                    seed: 1,
-                    len: 2 * MIB
-                },
-                t
-            )
-            .unwrap_err(),
+            fs.write(NodeId(0), k, 0, &[Window::pattern(1, 0, 2 * MIB)], t)
+                .unwrap_err(),
             IoErr::NoSpace
         );
         // Node 1 has its own budget.
         let (k1, t1) = fs.open(NodeId(1), "/dev/shm/f", true, false, t).unwrap();
         assert!(fs
-            .write(
-                NodeId(1),
-                k1,
-                0,
-                Segment::Pattern {
-                    seed: 1,
-                    len: 512 * KIB
-                },
-                t1
-            )
+            .write(NodeId(1), k1, 0, &[Window::pattern(1, 0, 512 * KIB)], t1)
             .is_ok());
     }
 
@@ -304,7 +280,7 @@ mod tests {
                 NodeId(0),
                 k,
                 0,
-                Segment::Bytes(std::sync::Arc::new(b"payload".to_vec())),
+                &[Segment::Bytes(std::sync::Arc::new(b"payload".to_vec())).into()],
                 t,
             )
             .unwrap();
@@ -319,7 +295,7 @@ mod tests {
             .open(NodeId(0), "/dev/shm/s", true, false, SimTime::ZERO)
             .unwrap();
         let (_, t2) = fs
-            .write(NodeId(0), k, 0, Segment::Pattern { seed: 9, len: 123 }, t)
+            .write(NodeId(0), k, 0, &[Window::pattern(9, 0, 123)], t)
             .unwrap();
         let (sz, t3) = fs.stat(NodeId(0), "/dev/shm/s", t2).unwrap();
         assert_eq!(sz, 123);

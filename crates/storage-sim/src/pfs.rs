@@ -23,7 +23,7 @@
 
 use crate::err::IoErr;
 use crate::faults::FaultPlan;
-use crate::file::{ContentView, FileKey, FileStore, Segment};
+use crate::file::{ContentView, FileKey, FileStore, Segment, Window};
 use crate::tenancy::InterferenceSchedule;
 use hpc_cluster::topology::NodeId;
 use sim_core::units::{GIB, MIB, TIB};
@@ -578,20 +578,20 @@ impl GpfsSim {
         Ok(end)
     }
 
-    /// Write a segment. Small writes absorb into the node's write-behind
-    /// cache (memory speed) and drain asynchronously; writes larger than the
-    /// cache go straight to the servers.
+    /// Write a run of windows end to end as one operation. Small writes
+    /// absorb into the node's write-behind cache (memory speed) and drain
+    /// asynchronously; writes larger than the cache go straight to the
+    /// servers.
     pub(crate) fn write(
         &mut self,
         node: NodeId,
         key: FileKey,
         offset: u64,
-        seg: Segment,
+        run: &[Window],
         now: SimTime,
     ) -> Result<(u64, SimTime), IoErr> {
         self.transient_data_fault()?;
-        let bytes = seg.len();
-        let n = self.store.write(key, offset, seg)?;
+        let bytes = self.store.write_run(key, offset, run)?;
         self.stats.bytes_written += bytes;
         self.stats.data_ops += 1;
         let t0 = now + self.cfg.client_overhead;
@@ -620,10 +620,10 @@ impl GpfsSim {
             self.pending_flush[ni].push_back((flush_end, bytes));
             self.pending_bytes[ni] += bytes;
             self.caches[node.0 as usize].insert(key, bytes, self.cfg.client_cache_bytes);
-            Ok((n, absorb_end))
+            Ok((bytes, absorb_end))
         } else {
             let end = self.stripe_transfer(node, key, offset, bytes, locked)?;
-            Ok((n, end))
+            Ok((bytes, end))
         }
     }
 
@@ -637,7 +637,13 @@ impl GpfsSim {
         seed: u64,
         now: SimTime,
     ) -> Result<(u64, SimTime), IoErr> {
-        self.write(node, key, offset, Segment::Pattern { seed, len }, now)
+        self.write(
+            node,
+            key,
+            offset,
+            &[Segment::Pattern { seed, len }.into()],
+            now,
+        )
     }
 
     fn read_timing(
