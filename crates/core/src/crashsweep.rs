@@ -8,14 +8,14 @@
 //! the work a crash can destroy — the classic tradeoff this sweep's
 //! figure renders, surfaced via `repro -- crash-sweep`.
 //!
-//! Determinism: scenario seeds are drawn at registration, crash times
-//! are anchored to the *healthy* baseline makespan of the same
-//! checkpoint configuration (computed in wave 1), and the grid is
-//! assembled in registration order — the report is byte-identical at
-//! any worker count with either driver.
+//! Determinism: every cell runs at the caller's seed, crash times are
+//! anchored to the *healthy* baseline makespan of the same checkpoint
+//! configuration (computed in wave 1), and the grid is assembled in
+//! cell order — the report is byte-identical at any worker count with
+//! either driver.
 
 use crate::analyzer::Analysis;
-use crate::sweep::{Driver, ScenarioSet, SweepReport};
+use crate::sweep::Driver;
 use exemplar_workloads::cosmoflow;
 use sim_core::SimTime;
 use storage_sim::FaultPlan;
@@ -83,18 +83,18 @@ fn point(n_ckpts: u32, crashes: u32, a: &Analysis) -> CrashPoint {
     }
 }
 
-/// The full grid plus the supervision manifest (empty when every
-/// scenario succeeded, which the tests require).
+/// The full grid plus the failure manifest (absent when every cell
+/// succeeded, which the tests require).
 #[derive(Debug, Clone)]
 pub struct CrashSweepReport {
-    /// Grid cells in `(n_ckpts, crashes)` registration order.
+    /// Grid cells in `(n_ckpts, crashes)` order.
     pub points: Vec<CrashPoint>,
-    /// Failure manifest from the supervised wave, if any scenario died.
+    /// One line per crashed cell that panicked, if any did.
     pub manifest: Option<String>,
 }
 
 impl CrashSweepReport {
-    /// The cell for `(n_ckpts, crashes)`, if it survived supervision.
+    /// The cell for `(n_ckpts, crashes)`, unless it panicked.
     pub(crate) fn cell(&self, n_ckpts: u32, crashes: u32) -> Option<&CrashPoint> {
         self.points
             .iter()
@@ -148,48 +148,65 @@ impl CrashSweepReport {
 }
 
 /// Run the sweep: wave 1 measures the healthy baseline per checkpoint
-/// count, wave 2 injects crashes anchored to those baselines. Wave 2
-/// runs supervised so one pathological cell cannot poison the grid.
+/// count, wave 2 injects crashes anchored to those baselines. Each wave-2
+/// cell runs under panic isolation, so one pathological cell becomes a
+/// manifest line and the rest of the grid still renders.
 pub fn crash_sweep(scale: f64, seed: u64, driver: Driver) -> CrashSweepReport {
-    // Wave 1: healthy baselines (the crashes = 0 column).
-    let mut w1 = ScenarioSet::new(seed);
-    for n in CKPT_COUNTS {
-        w1.add(format!("cosmo/ckpts-{n}/healthy"), move |_| {
-            Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, FaultPlan::none()))
-        });
-    }
-    let healthy = w1.run(driver);
+    // Wave 1: healthy baselines (the crashes = 0 column) and their
+    // makespans, which anchor wave 2's kills.
+    let healthy = driver.map(CKPT_COUNTS.to_vec(), |n| {
+        let a = Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, FaultPlan::none()));
+        (a.job_time, point(n, 0, &a))
+    });
 
-    // Wave 2: the crashed cells, anchored to wave 1's makespans.
-    let mut w2 = ScenarioSet::new(seed ^ 2);
+    // Wave 2: the crashed cells.
     let mut cells = Vec::new();
-    for (i, n) in CKPT_COUNTS.into_iter().enumerate() {
-        let healthy_ns = healthy[i].job_time.as_nanos();
+    for (n, (makespan, _)) in CKPT_COUNTS.into_iter().zip(&healthy) {
         for r in CRASH_COUNTS.into_iter().filter(|&r| r > 0) {
-            cells.push((n, r));
-            let plan = crash_plan(r, healthy_ns);
-            w2.add(format!("cosmo/ckpts-{n}/crashes-{r}"), move |_| {
-                Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, plan.clone()))
-            });
+            cells.push((n, r, crash_plan(r, makespan.as_nanos())));
         }
     }
-    let report: SweepReport<Analysis> = w2.run_supervised(driver, 2);
+    let crashed = driver.try_map(
+        cells,
+        |(n, r, _)| format!("ckpts {n}, crashes {r}"),
+        |(n, r, plan)| {
+            point(
+                n,
+                r,
+                &Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, plan)),
+            )
+        },
+    );
+    assemble(healthy.into_iter().map(|(_, p)| p).collect(), crashed)
+}
 
+/// The grid in `(n_ckpts, crashes)` order from the healthy column and the
+/// crashed cells in the same order; a cell that panicked leaves its slot
+/// empty and adds its error, which names it, as a manifest line.
+fn assemble(
+    healthy: Vec<CrashPoint>,
+    crashed: Vec<Result<CrashPoint, String>>,
+) -> CrashSweepReport {
+    let n_crashed = crashed.len();
     let mut points = Vec::new();
-    let mut crashed = report.results.iter();
-    for (i, n) in CKPT_COUNTS.into_iter().enumerate() {
-        points.push(point(n, 0, &healthy[i]));
-        for r in CRASH_COUNTS.into_iter().filter(|&r| r > 0) {
-            if let Ok(a) = crashed.next().expect("grid arity") {
-                points.push(point(n, r, a));
+    let mut failures = Vec::new();
+    let mut crashed = crashed.into_iter();
+    for h in healthy {
+        points.push(h);
+        for _ in CRASH_COUNTS.iter().filter(|&&r| r > 0) {
+            match crashed.next().expect("grid arity") {
+                Ok(p) => points.push(p),
+                Err(e) => failures.push(format!("  - {e}\n")),
             }
         }
     }
-    let manifest = if report.is_clean() {
-        None
-    } else {
-        Some(report.manifest())
-    };
+    let manifest = (!failures.is_empty()).then(|| {
+        format!(
+            "{} of {n_crashed} crash cells failed:\n{}",
+            failures.len(),
+            failures.concat()
+        )
+    });
     CrashSweepReport { points, manifest }
 }
 
@@ -246,6 +263,35 @@ mod tests {
         assert!(s.contains("checkpoint interval vs time-to-solution"));
         assert!(s.contains("time to solution with 2 crash(es):"));
         assert!(s.contains("8 ckpts |"));
+    }
+
+    #[test]
+    fn a_panicked_cell_is_a_manifest_line_and_the_grid_still_renders() {
+        let cell = |n_ckpts, crashes| CrashPoint {
+            n_ckpts,
+            crashes,
+            makespan: 10.0 + crashes as f64,
+            restarts: crashes as u64,
+            lost: 0.0,
+            ckpt_overhead: 0.0,
+            recovery: 0.0,
+        };
+        let r = assemble(
+            vec![cell(1, 0)],
+            vec![
+                Err("ckpts 1, crashes 1: synthetic cell failure".to_string()),
+                Ok(cell(1, 2)),
+            ],
+        );
+        assert_eq!(r.points.len(), 2);
+        assert!(r.cell(1, 1).is_none() && r.cell(1, 2).is_some());
+        let s = r.render();
+        assert!(s.contains("1 of 2 crash cells failed"), "{s}");
+        assert!(
+            s.contains("ckpts 1, crashes 1: synthetic cell failure"),
+            "{s}"
+        );
+        assert!(s.contains("time to solution with 2 crash(es):"), "{s}");
     }
 
     #[test]

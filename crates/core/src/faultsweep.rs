@@ -108,21 +108,49 @@ impl FaultImpact {
     }
 }
 
-/// Build a [`FaultImpact`] from already-computed analyses. The sweep
-/// driver analyzes each scenario exactly once and shares baselines across
+/// What the fault sweep reads from one analyzed run. A sweep cell keeps
+/// these scalars and drops its run and analysis before the next cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunScalars {
+    /// Mean per-rank I/O time, seconds.
+    pub io_time: f64,
+    /// Engine makespan.
+    pub job_time: Dur,
+    /// Transient-fault events absorbed by the retry middleware.
+    pub faults: u64,
+    /// Retry records emitted by the middleware.
+    pub retries: u64,
+    /// Wall time lost to faults and backoff, seconds.
+    pub time_lost: f64,
+}
+
+impl RunScalars {
+    pub(crate) fn of(a: &Analysis) -> Self {
+        RunScalars {
+            io_time: a.io_time(),
+            job_time: a.job_time,
+            faults: a.fault_events,
+            retries: a.retry_events,
+            time_lost: a.time_lost_to_faults(),
+        }
+    }
+}
+
+/// Build a [`FaultImpact`] from a healthy and a faulted run's scalars. The
+/// sweep simulates each distinct run once and shares baselines across
 /// experiments, so impacts are assembled from references.
 pub(crate) fn impact_from(
     workload: &'static str,
-    healthy: &Analysis,
-    faulted: &Analysis,
+    healthy: &RunScalars,
+    faulted: &RunScalars,
 ) -> FaultImpact {
     FaultImpact {
         workload,
-        healthy_io: healthy.io_time(),
-        faulted_io: faulted.io_time(),
-        faults: faulted.fault_events,
-        retries: faulted.retry_events,
-        time_lost: faulted.time_lost_to_faults(),
+        healthy_io: healthy.io_time,
+        faulted_io: faulted.io_time,
+        faults: faulted.faults,
+        retries: faulted.retries,
+        time_lost: faulted.time_lost,
     }
 }
 

@@ -33,12 +33,12 @@
 //!   a mean-field shared-PFS contention model, and the fleet sweep that
 //!   renders IO500-style distribution/correlation/noisy-neighbor
 //!   statistics over thousands of jobs (`repro -- fleet-sweep`),
-//! * [`sweep`] — the scenario-parallel simulation driver: fans independent
-//!   simulations (paper six, fault scenarios, reconfiguration search
-//!   points) across `rt::par` workers with split RNG streams and stable
-//!   scenario ids, merging results in registration order so every table,
-//!   YAML document, and figure is byte-identical to a sequential run at
-//!   any worker count.
+//! * [`sweep`] — the fan-out driver: every sweep (paper six, fault
+//!   scenarios, reconfiguration points, crash grid, fleet waves) is a list
+//!   of cells mapped through one [`sweep::Driver`], sequentially or across
+//!   `rt::par` workers, with results in list order, so every table, YAML
+//!   document, and figure is byte-identical to a sequential run at any
+//!   worker count.
 
 pub mod analyzer;
 pub mod crashsweep;

@@ -7,7 +7,7 @@
 //! recommends: repoint the data path at the node-local tier.
 
 use crate::analyzer::Analysis;
-use crate::sweep::{Driver, ScenarioSet};
+use crate::sweep::Driver;
 use exemplar_workloads::{cosmoflow, montage};
 
 /// One point of a Figure 7/8 sweep.
@@ -36,6 +36,9 @@ impl SweepPoint {
     }
 }
 
+/// Mean per-rank I/O time and runtime of a run, in seconds. Callers pass
+/// a temporary, so the run's world is dropped before the next one
+/// simulates: a worker holds one world at a time.
 fn io_time_of(run: &exemplar_workloads::WorkloadRun) -> (f64, f64) {
     let a = Analysis::from_run(run);
     (a.io_time(), a.job_time.as_secs_f64())
@@ -44,67 +47,52 @@ fn io_time_of(run: &exemplar_workloads::WorkloadRun) -> (f64, f64) {
 /// Figure 7: CosmoFlow baseline (GPFS, cross-node MPI-IO groups) vs
 /// optimized (preload to shm, node-local reads), strong-scaled over
 /// `node_counts`. Sweep points are independent simulations and run in
-/// parallel.
+/// parallel, and each runs its baseline to completion before the
+/// optimized variant simulates.
 pub fn figure7(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
-    let mut set = ScenarioSet::new(seed);
-    for &nodes in node_counts {
-        set.add(format!("fig7/nodes-{nodes}"), move |_| {
-            let mut p = cosmoflow::CosmoflowParams::scaled(scale);
-            p.nodes = nodes;
-            let base = cosmoflow::run_with(p.clone(), scale, seed);
-            let mut po = p.clone();
-            po.preload_to_shm = true;
-            let opt = cosmoflow::run_with(po, scale, seed);
-            let (bio, brt) = io_time_of(&base);
-            let (oio, ort) = io_time_of(&opt);
-            SweepPoint {
-                nodes,
-                baseline_io: bio,
-                optimized_io: oio,
-                baseline_runtime: brt,
-                optimized_runtime: ort,
-            }
-        });
-    }
-    set.run(Driver::Parallel)
+    Driver::Parallel.map(node_counts.to_vec(), |nodes| {
+        let mut p = cosmoflow::CosmoflowParams::scaled(scale);
+        p.nodes = nodes;
+        let (bio, brt) = io_time_of(&cosmoflow::run_with(p.clone(), scale, seed));
+        p.preload_to_shm = true;
+        let (oio, ort) = io_time_of(&cosmoflow::run_with(p, scale, seed));
+        SweepPoint {
+            nodes,
+            baseline_io: bio,
+            optimized_io: oio,
+            baseline_runtime: brt,
+            optimized_runtime: ort,
+        }
+    })
 }
 
 /// Figure 8: Montage-MPI baseline (intermediates on GPFS) vs optimized
 /// (intermediates in `/dev/shm`), strong-scaled over `node_counts`:
 /// total work fixed at the `scale`-sized workload, divided per node.
-/// Sweep points are independent simulations and run in parallel.
+/// Sweep points are independent simulations and run in parallel, one
+/// world per worker at a time, as in [`figure7`].
 pub fn figure8(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
     let base_p = montage::MontageParams::scaled(scale);
-    let mut set = ScenarioSet::new(seed);
-    for &nodes in node_counts {
-        let base_p = base_p.clone();
-        set.add(format!("fig8/nodes-{nodes}"), move |_| {
-            let f = base_p.nodes as f64 / nodes as f64;
-            let mut p = base_p.clone();
-            p.nodes = nodes;
-            p.inputs_per_node = ((base_p.inputs_per_node as f64 * f).round() as u32).max(1);
-            p.proj_bytes_per_node = (((base_p.proj_bytes_per_node as f64) * f) as u64).max(1 << 20);
-            p.madd_read_per_rank = (((base_p.madd_read_per_rank as f64) * f) as u64).max(64 << 10);
-            p.madd_write_per_rank =
-                (((base_p.madd_write_per_rank as f64) * f) as u64).max(128 << 10);
-            p.mviewer_read_per_node =
-                (((base_p.mviewer_read_per_node as f64) * f) as u64).max(1 << 20);
-            let base = montage::run_with(p.clone(), scale, seed);
-            let mut po = p.clone();
-            po.workdir = "/dev/shm/montage".to_string();
-            let opt = montage::run_with(po, scale, seed);
-            let (bio, brt) = io_time_of(&base);
-            let (oio, ort) = io_time_of(&opt);
-            SweepPoint {
-                nodes,
-                baseline_io: bio,
-                optimized_io: oio,
-                baseline_runtime: brt,
-                optimized_runtime: ort,
-            }
-        });
-    }
-    set.run(Driver::Parallel)
+    Driver::Parallel.map(node_counts.to_vec(), |nodes| {
+        let f = base_p.nodes as f64 / nodes as f64;
+        let mut p = base_p.clone();
+        p.nodes = nodes;
+        p.inputs_per_node = ((base_p.inputs_per_node as f64 * f).round() as u32).max(1);
+        p.proj_bytes_per_node = (((base_p.proj_bytes_per_node as f64) * f) as u64).max(1 << 20);
+        p.madd_read_per_rank = (((base_p.madd_read_per_rank as f64) * f) as u64).max(64 << 10);
+        p.madd_write_per_rank = (((base_p.madd_write_per_rank as f64) * f) as u64).max(128 << 10);
+        p.mviewer_read_per_node = (((base_p.mviewer_read_per_node as f64) * f) as u64).max(1 << 20);
+        let (bio, brt) = io_time_of(&montage::run_with(p.clone(), scale, seed));
+        p.workdir = "/dev/shm/montage".to_string();
+        let (oio, ort) = io_time_of(&montage::run_with(p, scale, seed));
+        SweepPoint {
+            nodes,
+            baseline_io: bio,
+            optimized_io: oio,
+            baseline_runtime: brt,
+            optimized_runtime: ort,
+        }
+    })
 }
 
 /// Render a sweep as the repro harness prints it.

@@ -7,26 +7,27 @@
 //!    and its submission time. The manifest exists before any simulation
 //!    starts, so it cannot depend on worker count or scheduling order.
 //! 2. **Profiles** — every distinct `(workload, variant)` combination in
-//!    the mix runs once on a dedicated machine through the
-//!    scenario-parallel driver. Profiles provide the scheduler's runtime
+//!    the mix runs once on a dedicated machine, one [`Driver::map`] over
+//!    the combinations. Profiles provide the scheduler's runtime
 //!    estimates, the contention model's demand fractions, and the
 //!    noisy-neighbor table's dedicated baselines. Crashy profiles run in a
-//!    second wave because their crash instant is anchored to the baseline
+//!    second map because their crash instant is anchored to the baseline
 //!    profile's makespan (the [`crate::crashsweep`] idiom).
 //! 3. **Schedule** — FCFS placement of the whole manifest onto the shared
-//!    cluster (requeueing jobs killed by node outages), then per-job
-//!    interference schedules from the overlapping attempts.
-//! 4. **Jobs** — every job simulates independently (scenario-parallel),
-//!    launched through [`WorkloadKind::run`] with its variant's fault
-//!    plan and its interference schedule, returning a compact
+//!    cluster (requeueing jobs killed by node outages).
+//! 4. **Jobs** — one [`Driver::map`] over the completed jobs' indices:
+//!    each job builds its interference schedule from the overlapping
+//!    attempts, simulates through [`WorkloadKind::run`] with its
+//!    variant's fault plan at its manifest seed (re-derived by
+//!    [`retry_seed`] for requeued jobs), and returns a compact
 //!    [`JobRecord`]. Without a [`SpillSpec`] the record's trace fields
 //!    come from [`TraceProfile::fused`] over the columns the job's tracer
 //!    captured, borrowed in place: no copy, no sealed chunks, no decode
 //!    buffer, so the trace gauge is never charged. The trace is dropped
-//!    inside the closure, so a 1000-job fleet does not hold 1000 traces.
+//!    with the job, so a 1000-job fleet does not hold 1000 traces.
 //!
-//! Every wave merges results in registration order and every reduction is
-//! a sequential pass in job-id order — see the module docs of
+//! Every wave returns results in list order and every reduction is a
+//! sequential pass in job-id order — see the module docs of
 //! [`super`] for the full determinism argument.
 
 use super::arrival::ArrivalProcess;
@@ -38,7 +39,7 @@ use super::scheduler::{
 use super::stats::{FleetReport, ProfileSummary};
 use super::FleetError;
 use crate::analyzer::TraceProfile;
-use crate::sweep::{retry_seed, Driver, ScenarioSet};
+use crate::sweep::{retry_seed, Driver};
 use exemplar_workloads::{WorkloadKind, WorkloadRun};
 use recorder_sim::spill::{spill_columnar, SpillError, SpillFaultPlan, SpillSource};
 use recorder_sim::{ColumnarTrace, FsckReport, DEFAULT_CHUNK_ROWS};
@@ -533,26 +534,27 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
     }
 
     // Wave 1: baseline + faulted profiles on a dedicated machine.
-    let mut w1 = ScenarioSet::new(cfg.seed);
-    let mut w1_combos = Vec::new();
-    for &(kind, v) in combos.iter().filter(|(_, v)| *v != JobVariant::Crashy) {
-        w1_combos.push((kind, v));
-        let (scale, seed, cap) = (cfg.scale, cfg.seed, cfg.pfs_capacity_scale);
+    let (scale, seed, cap) = (cfg.scale, cfg.seed, cfg.pfs_capacity_scale);
+    let profile = |kind: WorkloadKind, plan| {
+        profile_of(
+            &kind.run(scale, seed, plan, InterferenceSchedule::none()),
+            cap,
+        )
+    };
+    let w1_combos: Vec<(WorkloadKind, JobVariant)> = combos
+        .iter()
+        .copied()
+        .filter(|(_, v)| *v != JobVariant::Crashy)
+        .collect();
+    let w1_profiles = driver.map(w1_combos.clone(), |(kind, v)| {
         let plan = match v {
-            JobVariant::Baseline => FaultPlan::none(),
             JobVariant::Faulted => faulted_plan(),
-            JobVariant::Crashy => unreachable!("filtered"),
+            _ => FaultPlan::none(),
         };
-        w1.add(format!("profile/{}/{}", kind.id(), v.name()), move |_| {
-            profile_of(
-                &kind.run(scale, seed, plan.clone(), InterferenceSchedule::none()),
-                cap,
-            )
-        });
-    }
-    let w1_profiles = w1.run(driver);
+        profile(kind, plan)
+    });
     let mut profiles: Vec<((WorkloadKind, JobVariant), Profile)> =
-        w1_combos.iter().copied().zip(w1_profiles).collect();
+        w1_combos.into_iter().zip(w1_profiles).collect();
 
     let baseline_runtime = |profiles: &[((WorkloadKind, JobVariant), Profile)], kind| {
         profiles
@@ -568,26 +570,15 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
         .filter(|(_, v)| *v == JobVariant::Crashy)
         .map(|(k, _)| *k)
         .collect();
-    if !crashy_combos.is_empty() {
-        let mut w1b = ScenarioSet::new(cfg.seed ^ 0xB);
-        for &kind in &crashy_combos {
-            let (scale, seed, cap) = (cfg.scale, cfg.seed, cfg.pfs_capacity_scale);
-            let plan = crashy_plan(baseline_runtime(&profiles, kind));
-            w1b.add(format!("profile/{}/crashy", kind.id()), move |_| {
-                profile_of(
-                    &kind.run(scale, seed, plan.clone(), InterferenceSchedule::none()),
-                    cap,
-                )
-            });
-        }
-        let w1b_profiles = w1b.run(driver);
-        profiles.extend(
-            crashy_combos
-                .iter()
-                .map(|&k| (k, JobVariant::Crashy))
-                .zip(w1b_profiles),
-        );
-    }
+    let w1b_profiles = driver.map(crashy_combos.clone(), |kind| {
+        profile(kind, crashy_plan(baseline_runtime(&profiles, kind)))
+    });
+    profiles.extend(
+        crashy_combos
+            .iter()
+            .map(|&k| (k, JobVariant::Crashy))
+            .zip(w1b_profiles),
+    );
 
     let profile_for = |workload: &str, v: JobVariant| -> Profile {
         let kind = parse_workload(workload).expect("validated");
@@ -644,17 +635,14 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
     // Wave 2: the fleet itself. Abandoned jobs never produced a result,
     // so they are not simulated — their cost shows up in the schedules
     // (lost work, outcome counts), not the records. Killed-then-retried
-    // jobs re-enter with deterministically re-derived seeds, the
-    // supervised-retry idiom.
-    let mut w2 = ScenarioSet::new(cfg.seed ^ 0x2);
-    let mut simulated: Vec<usize> = Vec::with_capacity(manifest.jobs.len());
-    for (i, j) in manifest.jobs.iter().enumerate() {
-        if !schedules[i].outcome.completed() {
-            continue;
-        }
-        simulated.push(i);
-        let kind = parse_workload(&j.workload).expect("validated");
-        let plan = match j.variant {
+    // jobs re-enter with deterministically re-derived seeds.
+    let simulated: Vec<usize> = (0..manifest.jobs.len())
+        .filter(|&i| schedules[i].outcome.completed())
+        .collect();
+    let records = driver.map(simulated, |i| {
+        let job = &manifest.jobs[i];
+        let kind = parse_workload(&job.workload).expect("validated");
+        let plan = match job.variant {
             JobVariant::Baseline => FaultPlan::none(),
             JobVariant::Faulted => faulted_plan(),
             JobVariant::Crashy => crashy_plan(baseline_runtime(&profiles, kind)),
@@ -666,93 +654,78 @@ pub fn fleet_sweep(cfg: &FleetConfig, driver: Driver) -> Result<FleetReport, Fle
             &manifest.node_faults,
             cfg.cluster_nodes,
         );
-        let placement = placements[i];
         let retries = schedules[i].outcome.retries();
-        let lost_work = schedules[i].lost_node_secs(j.nodes);
-        let outcome = schedules[i].outcome;
-        let sim_seed = retry_seed(j.seed, retries);
-        let dedicated = profile_for(&j.workload, j.variant).runtime.as_secs_f64();
-        let job = j.clone();
-        let scale = cfg.scale;
-        let spill = cfg.spill.clone();
-        let id = if retries > 0 {
-            format!(
-                "job/{:05}/{}/{}/retry{}",
-                j.id,
-                j.workload,
-                j.variant.name(),
-                retries
-            )
-        } else {
-            format!("job/{:05}/{}/{}", j.id, j.workload, j.variant.name())
-        };
-        w2.add(id, move |_| {
-            let run = kind.run(scale, sim_seed, plan.clone(), schedule.clone());
-            // The job's trace is folded where the tracer holds it: the
-            // captured columns go to the analyzer as one borrowed batch,
-            // with no copy, seal or decode, and are dropped with `run` at
-            // the end of the closure, so a 10⁴-job fleet holds at most one
-            // trace per worker. Every JobRecord field is profile-level or
-            // read from the allocation, and the fused profile equals the
-            // streaming one bit for bit. With a spill spec the columns
-            // detour through an on-disk segment log and the profile
-            // covers whatever prefix recovery salvaged; an environmental
-            // spill failure (ENOSPC, unwritable dir) falls back to the
-            // in-place fold with the trace marked fully non-durable.
-            let c = run.columnar_view();
-            let captured = c.len() as u64;
-            let (p, trace_complete_frac, trace_lost_records) = match &spill {
-                Some(spec) => {
-                    let path = spec.dir.join(format!("job-{:05}.vsp3", job.id));
-                    match spilled_profile(c, run.runtime(), &path, spec.fault) {
-                        Ok((p, fsck)) => {
-                            let durable = fsck.committed_records.min(captured);
-                            let frac = if captured == 0 {
-                                1.0
-                            } else {
-                                durable as f64 / captured as f64
-                            };
-                            (p, frac, captured - durable)
-                        }
-                        Err(_) => (TraceProfile::fused(c, run.runtime()), 0.0, captured),
+        let run = kind.run(
+            cfg.scale,
+            retry_seed(job.seed, retries),
+            plan,
+            schedule.clone(),
+        );
+        // The job's trace is folded where the tracer holds it: the
+        // captured columns go to the analyzer as one borrowed batch, with
+        // no copy, seal or decode, and are dropped with `run` at the end
+        // of the job, so a 10⁴-job fleet holds at most one trace per
+        // worker. Every JobRecord field is profile-level or read from the
+        // allocation, and the fused profile equals the streaming one bit
+        // for bit. With a spill spec the columns detour through an
+        // on-disk segment log and the profile covers whatever prefix
+        // recovery salvaged; an environmental spill failure (ENOSPC,
+        // unwritable dir) falls back to the in-place fold with the trace
+        // marked fully non-durable.
+        let c = run.columnar_view();
+        let captured = c.len() as u64;
+        let (p, trace_complete_frac, trace_lost_records) = match &cfg.spill {
+            Some(spec) => {
+                let path = spec.dir.join(format!("job-{:05}.vsp3", job.id));
+                match spilled_profile(c, run.runtime(), &path, spec.fault) {
+                    Ok((p, fsck)) => {
+                        let durable = fsck.committed_records.min(captured);
+                        let frac = if captured == 0 {
+                            1.0
+                        } else {
+                            durable as f64 / captured as f64
+                        };
+                        (p, frac, captured - durable)
                     }
+                    Err(_) => (TraceProfile::fused(c, run.runtime()), 0.0, captured),
                 }
-                None => (TraceProfile::fused(c, run.runtime()), 1.0, 0),
-            };
-            let s = run.world.storage.pfs().stats();
-            let rt = run.runtime().as_secs_f64();
-            JobRecord {
-                job_id: job.id,
-                workload: job.workload.clone(),
-                variant: job.variant,
-                submit: placement.submit,
-                start: placement.start,
-                nodes: run.world.alloc.spec.nodes,
-                n_ranks: run.world.alloc.total_ranks(),
-                runtime: rt,
-                io_time_frac: p.io_time_frac,
-                read_bytes: p.read_bytes,
-                write_bytes: p.write_bytes,
-                data_ops: p.data_ops,
-                meta_ops: p.meta_ops,
-                agg_bw: (p.read_bytes + p.write_bytes) as f64 / rt.max(1e-9),
-                mean_neighbor_load: schedule
-                    .mean_data_load(SimTime::from_nanos(run.runtime().as_nanos())),
-                tenant_delay_secs: s.tenant_delay_nanos as f64 / 1e9,
-                contended_ops: s.contended_data_ops + s.contended_meta_ops,
-                fault_events: p.fault_events,
-                restart_events: p.restart_events,
-                slowdown: rt / dedicated.max(1e-9),
-                outcome,
-                retries,
-                lost_work_node_secs: lost_work,
-                trace_complete_frac,
-                trace_lost_records,
             }
-        });
-    }
-    let records = w2.run(driver);
-    debug_assert_eq!(records.len(), simulated.len());
+            None => (TraceProfile::fused(c, run.runtime()), 1.0, 0),
+        };
+        let s = run.world.storage.pfs().stats();
+        let rt = run.runtime().as_secs_f64();
+        let dedicated = profile_for(&job.workload, job.variant)
+            .runtime
+            .as_secs_f64();
+        JobRecord {
+            job_id: job.id,
+            workload: job.workload.clone(),
+            variant: job.variant,
+            submit: placements[i].submit,
+            start: placements[i].start,
+            nodes: run.world.alloc.spec.nodes,
+            n_ranks: run.world.alloc.total_ranks(),
+            runtime: rt,
+            io_time_frac: p.io_time_frac,
+            read_bytes: p.read_bytes,
+            write_bytes: p.write_bytes,
+            data_ops: p.data_ops,
+            meta_ops: p.meta_ops,
+            agg_bw: (p.read_bytes + p.write_bytes) as f64 / rt.max(1e-9),
+            mean_neighbor_load: schedule
+                .mean_data_load(SimTime::from_nanos(run.runtime().as_nanos())),
+            tenant_delay_secs: s.tenant_delay_nanos as f64 / 1e9,
+            contended_ops: s.contended_data_ops + s.contended_meta_ops,
+            fault_events: p.fault_events,
+            restart_events: p.restart_events,
+            slowdown: rt / dedicated.max(1e-9),
+            outcome: schedules[i].outcome,
+            retries,
+            lost_work_node_secs: schedules[i].lost_node_secs(job.nodes),
+            trace_complete_frac,
+            trace_lost_records,
+        }
+    });
 
     let profile_summaries: Vec<ProfileSummary> = profiles
         .iter()

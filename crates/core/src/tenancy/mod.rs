@@ -23,8 +23,8 @@
 //!   installed into the job's own PFS simulation;
 //! * [`fleet`] — the fleet sweep: manifest generation (workload mix,
 //!   variants, seeds, arrivals), dedicated profile runs, scheduling,
-//!   interference construction, and the job fan-out through the
-//!   scenario-parallel [`crate::sweep`] driver;
+//!   interference construction, and the job fan-out through
+//!   [`crate::sweep::Driver::map`];
 //! * [`stats`] — IO500-style fleet reports: per-attribute p50/p90/p99
 //!   distributions, cross-attribute Pearson correlations, and the
 //!   noisy-neighbor slowdown-vs-dedicated table.
@@ -32,9 +32,10 @@
 //! # Determinism contract
 //!
 //! The fleet manifest is generated sequentially from the fleet seed before
-//! any simulation starts; profile and job fan-outs go through
-//! [`crate::sweep::ScenarioSet`], which merges results in registration
-//! order; scheduling is a sequential fold over events in a fixed order;
+//! any simulation starts, and each job runs at its manifest seed (or its
+//! [`crate::sweep::retry_seed`] when requeued); profile and job fan-outs
+//! go through [`crate::sweep::Driver::map`], which returns results in
+//! list order; scheduling is a sequential fold over events in a fixed order;
 //! and every other post-processing reduction (interference windows,
 //! quantiles, correlations) is a sequential pass in job-id order.
 //! The rendered report is therefore **byte-identical at any worker

@@ -3,14 +3,15 @@
 //! Recorder logs are row-major; the paper converts them to parquet and runs
 //! DASK over the columns because filtering and aggregation are hopelessly
 //! slow row-by-row. [`ColumnarTrace`] is that conversion: a struct-of-arrays
-//! copy of the trace with parallel filter and group-by kernels (built on
-//! [`vani_rt::par`]) the analyzer builds everything else out of.
+//! copy of the trace. The analyzer folds the columns in one pass
+//! (`vani_core::streaming`); the selection, sum and group-by helpers
+//! below are plain sequential scans, kept for tests that check a
+//! statistic one column scan at a time.
 
 use crate::record::{AppId, FileId, Layer, OpKind, TraceRecord};
 use crate::tracer::Tracer;
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
-use vani_rt::par;
 
 /// Sentinel for "no file" in the file column.
 pub(crate) const NO_FILE: u32 = u32::MAX;
@@ -216,13 +217,15 @@ impl ColumnarTrace {
         Dur(self.end[i].saturating_sub(self.start[i]))
     }
 
-    /// Indices matching a predicate, in record order (parallel scan with a
-    /// sequential fast path below `rt::par::SEQ_THRESHOLD` records).
+    /// Indices matching a predicate, in record order.
     pub fn select<P>(&self, pred: P) -> Vec<u32>
     where
-        P: Fn(usize) -> bool + Sync,
+        P: Fn(usize) -> bool,
     {
-        par::par_filter_indices(self.len(), pred)
+        (0..self.len())
+            .filter(|&i| pred(i))
+            .map(|i| i as u32)
+            .collect()
     }
 
     /// Indices of all I/O operations (data + metadata).
@@ -242,22 +245,15 @@ impl ColumnarTrace {
 
     /// Sum of `bytes` over a selection.
     pub fn sum_bytes(&self, sel: &[u32]) -> u64 {
-        par::par_reduce(
-            sel,
-            || 0u64,
-            |acc, &i| acc + self.bytes[i as usize],
-            |a, b| a + b,
-        )
+        sel.iter().map(|&i| self.bytes[i as usize]).sum()
     }
 
     /// Sum of durations over a selection.
     pub fn sum_time(&self, sel: &[u32]) -> Dur {
-        Dur(par::par_reduce(
-            sel,
-            || 0u64,
-            |acc, &i| acc + (self.end[i as usize] - self.start[i as usize]),
-            |a, b| a + b,
-        ))
+        Dur(sel
+            .iter()
+            .map(|&i| self.end[i as usize] - self.start[i as usize])
+            .sum())
     }
 
     /// Group a selection by file id.
@@ -278,34 +274,23 @@ impl ColumnarTrace {
     /// Generic group-by over a selection.
     pub(crate) fn group_by<K, F>(&self, sel: &[u32], key: F) -> HashMap<K, GroupAgg>
     where
-        K: std::hash::Hash + Eq + Send,
-        F: Fn(usize) -> K + Sync,
+        K: std::hash::Hash + Eq,
+        F: Fn(usize) -> K,
     {
-        par::par_group_by(
-            sel,
-            |&i| key(i as usize),
-            |agg: &mut GroupAgg, &i| {
-                let i = i as usize;
-                agg.ops += 1;
-                agg.bytes += self.bytes[i];
-                agg.time += Dur(self.end[i] - self.start[i]);
-            },
-            |a, b| {
-                a.ops += b.ops;
-                a.bytes += b.bytes;
-                a.time += b.time;
-            },
-        )
+        let mut out: HashMap<K, GroupAgg> = HashMap::new();
+        for &i in sel {
+            let i = i as usize;
+            let agg = out.entry(key(i)).or_default();
+            agg.ops += 1;
+            agg.bytes += self.bytes[i];
+            agg.time += Dur(self.end[i] - self.start[i]);
+        }
+        out
     }
 
     /// Latest end over the whole trace.
     pub fn t_max(&self) -> SimTime {
-        SimTime(par::par_reduce(
-            &self.end,
-            || 0u64,
-            |acc, &t| acc.max(t),
-            |a, b| a.max(b),
-        ))
+        SimTime(self.end.iter().copied().max().unwrap_or(0))
     }
 }
 

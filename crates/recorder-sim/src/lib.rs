@@ -12,8 +12,9 @@
 //!   file, offset, byte count, and the simulated start/end instants,
 //! * [`tracer`] — the capture sink the layers write into during a run,
 //! * [`columnar`] — the row-major → column-major conversion that mirrors the
-//!   paper's Recorder-log → parquet step, with the filter/group-by kernels
-//!   the Vani analyzer runs over the columns (parallel via `vani_rt::par`),
+//!   paper's Recorder-log → parquet step; the Vani analyzer folds these
+//!   columns in one pass, and the sequential filter/group-by helpers here
+//!   serve the tests that check one statistic at a time,
 //! * [`codec`] — delta/RLE/raw column codecs for sealed row groups,
 //! * [`chunk`] — chunked capture: fixed-size row groups sealed and
 //!   compressed as the run emits records, so peak uncompressed trace bytes

@@ -3,9 +3,10 @@
 //! Everything the workspace used to pull from crates.io for its hot paths
 //! lives here, hermetically:
 //!
-//! * [`par`] — a scoped-thread parallel executor (`par_map_owned`,
-//!   `par_reduce`, `par_fold_shards_sized`, `par_group_by`) with
-//!   deterministic, thread-count-independent chunking, replacing `rayon`.
+//! * [`par`] — a scoped-thread parallel executor with deterministic,
+//!   thread-count-independent chunking, replacing `rayon`: `par_map_owned`
+//!   fans out the sweeps' independent simulations and
+//!   `par_fold_shards_sized` runs the analyzer's morsel fold.
 //! * [`rng`] — a splittable xoshiro256++ deterministic RNG with uniform,
 //!   normal, gamma, and exponential samplers and component-labelled seeding
 //!   ([`Rng::for_component`], over the FNV-1a [`fnv1a64`]), replacing

@@ -1,21 +1,20 @@
 //! Scoped-thread data parallelism with deterministic results.
 //!
-//! The executor replaces `rayon` for the suite's analysis kernels. Work is
-//! split into chunks whose boundaries depend only on the input length —
-//! never on the worker count — and per-chunk results are combined in chunk
-//! order on the calling thread. Consequently every entry point returns
-//! **bit-identical** results whether it runs on one thread or many, which
-//! is what lets the determinism suite compare a parallel run against the
-//! sequential fallback.
+//! Two entry points, the two the pipeline runs: [`par_map_owned`] fans a
+//! list of independent simulations across workers (every sweep's
+//! `Driver::Parallel`), and [`par_fold_shards_sized`] is the analyzer's
+//! morsel fold. Work is split into chunks whose boundaries depend only on
+//! the input — never on the worker count — and per-chunk results are
+//! combined in chunk order on the calling thread. Consequently both
+//! return **bit-identical** results whether they run on one thread or
+//! many.
 //!
 //! Worker count resolution, in priority order:
-//! 1. compiled out entirely under `--cfg single_thread` (always sequential),
-//! 2. [`set_threads`] (process-wide, mainly for tests),
-//! 3. the `VANI_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 1. [`set_threads`] (process-wide, mainly for tests),
+//! 2. the `VANI_THREADS` environment variable (`VANI_THREADS=1` runs
+//!    everything on the calling thread),
+//! 3. [`std::thread::available_parallelism`].
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -29,7 +28,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WorkerPanic {
     /// Index of the worker thread the panic fired on (0 on the sequential
-    /// and small-input paths, which run on the calling thread).
+    /// path and for the calling thread, which works as worker 0).
     pub worker: usize,
     /// Index of the chunk whose task panicked. When several chunks panic in
     /// one run, the lowest-indexed one observed is reported.
@@ -76,9 +75,6 @@ pub fn set_threads(n: usize) {
 
 /// The number of worker threads parallel calls will use.
 pub(crate) fn num_threads() -> usize {
-    if cfg!(single_thread) {
-        return 1;
-    }
     let over = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if over > 0 {
         return over;
@@ -93,38 +89,6 @@ pub(crate) fn num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Inputs at or below this length are processed as a single chunk on the
-/// calling thread by the auto-chunked entry points. Spawning scoped threads
-/// costs on the order of tens of microseconds; at ~10 ns of work per item a
-/// few thousand items don't amortize it, and small unit-test traces were
-/// paying that overhead on every query. Chunk boundaries still depend only
-/// on the input length, so results stay deterministic.
-pub(crate) const SEQ_THRESHOLD: usize = 4096;
-
-/// Chunk size used for an input of `len` items: small enough to balance
-/// load across many workers, large enough to amortize dispatch. Depends
-/// only on `len`, which is what makes results thread-count-independent.
-fn chunk_size(len: usize) -> usize {
-    (len / 64).clamp(256, 16_384).min(len.max(1))
-}
-
-/// [`run_chunked`] with automatic chunk sizing and the small-input
-/// sequential fast path: inputs of at most [`SEQ_THRESHOLD`] items run as
-/// one chunk on the calling thread, skipping thread spawn entirely.
-fn run_chunked_auto<R, F>(len: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    if len <= SEQ_THRESHOLD {
-        return vec![run_caught(0, 0, 0..len, &work)];
-    }
-    run_chunked(len, chunk_size(len), work)
 }
 
 /// Run one chunk's task, converting a panic into a [`WorkerPanic`] unwind
@@ -144,7 +108,7 @@ where
 
 /// Run `work(chunk_index, start..end)` over every chunk of `csize` items
 /// of `0..len` and return the per-chunk outputs in chunk order. The
-/// scheduling backbone of every entry point below.
+/// scheduling backbone of both entry points below.
 fn run_chunked<R, F>(len: usize, csize: usize, work: F) -> Vec<R>
 where
     R: Send,
@@ -245,29 +209,6 @@ where
     out
 }
 
-/// Parallel fold-then-combine. Each deterministic chunk is folded
-/// left-to-right from `identity()`, and chunk accumulators are combined
-/// left-to-right in chunk order, so the full reduction tree is a pure
-/// function of `items.len()` — bit-identical on any worker count, even for
-/// non-associative floating-point folds.
-pub fn par_reduce<T, A, F, C>(
-    items: &[T],
-    identity: impl Fn() -> A + Sync,
-    fold: F,
-    combine: C,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    let per_chunk = run_chunked_auto(items.len(), |_, range| {
-        items[range].iter().fold(identity(), &fold)
-    });
-    per_chunk.into_iter().fold(identity(), combine)
-}
-
 /// Morsel-driven parallel fold over the index space `0..len`, cut into
 /// morsels of `morsel` indices.
 ///
@@ -309,60 +250,6 @@ where
     out
 }
 
-/// Parallel filter over indices `0..len`: the sorted list of indices for
-/// which `pred` holds. Output order equals sequential order because chunks
-/// are concatenated in chunk order.
-pub fn par_filter_indices<P>(len: usize, pred: P) -> Vec<u32>
-where
-    P: Fn(usize) -> bool + Sync,
-{
-    let per_chunk = run_chunked_auto(len, |_, range| {
-        range
-            .filter(|&i| pred(i))
-            .map(|i| i as u32)
-            .collect::<Vec<u32>>()
-    });
-    let mut out = Vec::new();
-    for chunk in per_chunk {
-        out.extend(chunk);
-    }
-    out
-}
-
-/// Parallel group-by kernel: classify every item with `key`, fold items of
-/// equal key with `fold`, merge per-chunk tables with `merge`. The merge
-/// order is chunk order, so any non-commutative `merge` still produces
-/// deterministic values.
-pub fn par_group_by<T, K, A, KF, FF, MF>(items: &[T], key: KF, fold: FF, merge: MF) -> HashMap<K, A>
-where
-    T: Sync,
-    K: Hash + Eq + Send,
-    A: Default + Send,
-    KF: Fn(&T) -> K + Sync,
-    FF: Fn(&mut A, &T) + Sync,
-    MF: Fn(&mut A, A),
-{
-    let per_chunk = run_chunked_auto(items.len(), |_, range| {
-        let mut table: HashMap<K, A> = HashMap::new();
-        for item in &items[range] {
-            fold(table.entry(key(item)).or_default(), item);
-        }
-        table
-    });
-    let mut out: HashMap<K, A> = HashMap::new();
-    for table in per_chunk {
-        for (k, v) in table {
-            match out.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => merge(e.get_mut(), v),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,50 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_floats_bit_identical_across_thread_counts() {
-        // Sums of many varied floats: the chunked tree must give the exact
-        // same bits for 1 worker and 8 workers.
-        let xs: Vec<f64> = (0..100_000)
-            .map(|i| ((i * 2654435761u64) % 1000) as f64 * 0.1)
-            .collect();
-        let one = with_threads(1, || {
-            par_reduce(&xs, || 0.0f64, |a, &x| a + x, |a, b| a + b)
-        });
-        let eight = with_threads(8, || {
-            par_reduce(&xs, || 0.0f64, |a, &x| a + x, |a, b| a + b)
-        });
-        assert_eq!(one.to_bits(), eight.to_bits());
-    }
-
-    #[test]
-    fn par_filter_indices_matches_sequential() {
-        let seq: Vec<u32> = (0..50_000u32).filter(|i| i % 7 == 0).collect();
-        let par = with_threads(5, || par_filter_indices(50_000, |i| i % 7 == 0));
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_group_by_totals_match() {
-        let xs: Vec<u64> = (0..30_000).collect();
-        let groups = with_threads(4, || {
-            par_group_by(
-                &xs,
-                |&x| (x % 13) as u32,
-                |acc: &mut u64, &x| *acc += x,
-                |acc, v| *acc += v,
-            )
-        });
-        assert_eq!(groups.len(), 13);
-        let total: u64 = groups.values().sum();
-        assert_eq!(total, xs.iter().sum::<u64>());
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
-        let xs: Vec<u64> = Vec::new();
-        assert!(par_filter_indices(0, |_| true).is_empty());
-        assert_eq!(par_reduce(&xs, || 7u64, |a, _| a, |a, _| a), 7);
-        assert!(par_group_by(&xs, |&x| x, |_: &mut u64, _| {}, |_, _| {}).is_empty());
+        assert!(par_map_owned(Vec::<u64>::new(), |x| x).is_empty());
     }
 
     #[test]
@@ -437,29 +282,33 @@ mod tests {
 
     #[test]
     fn par_fold_shards_matches_sequential_fold() {
-        // Wide accumulator: (sum, count, min) folded over ranges.
+        // Wide accumulator: (sum, count, min) folded over ranges, plus a
+        // non-associative float sum whose bits depend on the merge tree.
         let n = 100_000usize;
         let run = || {
             par_fold_shards_sized(
                 n,
                 4096,
-                || (0u64, 0u64, u64::MAX),
+                || (0u64, 0u64, u64::MAX, 0.0f64),
                 |acc, range| {
                     for i in range {
                         acc.0 += i as u64 * 3;
                         acc.1 += 1;
                         acc.2 = acc.2.min(i as u64 ^ 0x5a5a);
+                        acc.3 += ((i as u64 * 2654435761) % 1000) as f64 * 0.1;
                     }
                 },
                 |a, b| {
                     a.0 += b.0;
                     a.1 += b.1;
                     a.2 = a.2.min(b.2);
+                    a.3 += b.3;
                 },
             )
         };
         let seq = with_threads(1, run);
         let par8 = with_threads(8, run);
+        assert_eq!(seq.3.to_bits(), par8.3.to_bits());
         assert_eq!(seq, par8);
         assert_eq!(seq.1, n as u64);
         assert_eq!(seq.0, (0..n as u64).map(|i| i * 3).sum());
@@ -527,61 +376,45 @@ mod tests {
     }
 
     #[test]
-    fn threaded_kernels_unwind_with_worker_panic_payload() {
-        // A panic inside a large auto-chunked kernel (threaded path) must
-        // carry the typed payload, not a bare unwind.
+    fn threaded_folds_unwind_with_worker_panic_payload() {
+        // A panic in the last morsel of a many-morsel fold (threaded path)
+        // must carry the typed payload, not a bare unwind.
         let payload = with_threads(4, || {
             catch_unwind(AssertUnwindSafe(|| {
-                par_filter_indices(10_000, |i| {
-                    if i == 9_999 {
-                        panic!("late failure")
-                    }
-                    true
-                })
+                par_fold_shards_sized(
+                    10_000,
+                    256,
+                    || 0usize,
+                    |acc, range| {
+                        if range.contains(&9_999) {
+                            panic!("late failure")
+                        }
+                        *acc += range.len();
+                    },
+                    |a, b| *a += b,
+                )
             }))
             .unwrap_err()
         });
         let wp = payload
             .downcast::<WorkerPanic>()
             .expect("typed WorkerPanic payload");
+        assert_eq!(wp.chunk, 10_000 / 256);
         assert!(wp.message.contains("late failure"), "{}", wp.message);
     }
 
     #[test]
-    fn sequential_paths_also_type_their_panics() {
-        // Small input → calling-thread fast path; worker is 0 by definition.
+    fn calling_thread_path_also_types_its_panics() {
+        // One morsel → one chunk, which runs on the calling thread at any
+        // worker count; the worker is 0 by definition.
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            par_filter_indices(3, |i| if i == 2 { panic!("tiny") } else { true })
+            par_fold_shards_sized(3, 64, || 0usize, |_, _| panic!("tiny"), |a, b| *a += b)
         }))
         .unwrap_err();
         let wp = payload
             .downcast::<WorkerPanic>()
-            .expect("typed payload on fast path");
-        assert_eq!(wp.worker, 0);
+            .expect("typed payload on the calling thread");
+        assert_eq!((wp.worker, wp.chunk), (0, 0));
         assert!(wp.message.contains("tiny"));
-    }
-
-    #[test]
-    fn small_inputs_run_on_calling_thread() {
-        // Below SEQ_THRESHOLD the auto-chunked entry points must not spawn:
-        // every closure call observes the caller's thread id.
-        let caller = std::thread::current().id();
-        let xs: Vec<u64> = (0..SEQ_THRESHOLD as u64).collect();
-        let ids = with_threads(8, || {
-            par_reduce(
-                &xs,
-                Vec::new,
-                |mut acc, _| {
-                    acc.push(std::thread::current().id());
-                    acc
-                },
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-        });
-        assert_eq!(ids.len(), xs.len());
-        assert!(ids.iter().all(|&id| id == caller));
     }
 }

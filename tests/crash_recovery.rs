@@ -4,9 +4,11 @@
 //! scheduling substrate: analyses of crashed-and-recovered runs — with and
 //! without an additional fault-plan degradation active — are byte-identical
 //! between `Driver::Sequential` and `Driver::Parallel` at 1, 2, and 8
-//! workers, and so is the full crash-sweep report. A supervised sweep
-//! containing a deliberately panicking scenario still completes, returning
-//! the healthy results plus a failure manifest.
+//! workers, and so is the full crash-sweep report. A fan-out under panic
+//! isolation (`Driver::try_map`, which the crash sweep runs its crashed
+//! cells through) that contains a deliberately panicking cell still
+//! completes, returning the healthy results plus an error naming the cell
+//! and its panic message.
 //!
 //! One `#[test]` on purpose: `rt::par::set_threads` is process-global, so
 //! the worker-count sweep must not interleave with itself.
@@ -19,7 +21,7 @@ use vani_suite::recorder::tracer::Tracer;
 use vani_suite::recorder::SpillFaultPlan;
 use vani_suite::vani::analyzer::Analysis;
 use vani_suite::vani::crashsweep;
-use vani_suite::vani::sweep::{Driver, ScenarioSet};
+use vani_suite::vani::sweep::Driver;
 use vani_suite::vani::{figures, tables, yaml};
 use vani_suite::workloads as wl;
 use vani_suite::workloads::WorkloadKind::{Cm1, Cosmoflow};
@@ -28,24 +30,29 @@ const CM1_SCALE: f64 = 0.01;
 const CF_SCALE: f64 = 0.02;
 const SEED: u64 = 9;
 
-/// Two crash-recovering workloads as a scenario fan-out, rendered over
-/// the full output surface (attribute table, entity YAML, figure panel):
-/// CM1 killed mid-run *while an MDS brownout is active* (crash plus
+/// Two crash-recovering workloads as one fan-out, rendered over the full
+/// output surface (attribute table, entity YAML, figure panel): CM1
+/// killed mid-run *while an MDS brownout is active* (crash plus
 /// degradation in one plan), and CosmoFlow killed by a node crash with no
 /// other faults.
 fn crashed_pair(driver: Driver, cm1_at: SimTime, cf_at: SimTime) -> String {
-    let mut set = ScenarioSet::new(31);
-    set.add("cm1/crash+brownout", move |_| {
-        let plan = FaultPlan::none()
-            .with_mds_brownout(SimTime::ZERO, SimTime::from_secs(1_000_000_000), 4.0)
-            .with_rank_crash(1, cm1_at);
-        Analysis::from_run(&Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none()))
+    let cells = vec![
+        (
+            Cm1,
+            CM1_SCALE,
+            FaultPlan::none()
+                .with_mds_brownout(SimTime::ZERO, SimTime::from_secs(1_000_000_000), 4.0)
+                .with_rank_crash(1, cm1_at),
+        ),
+        (
+            Cosmoflow,
+            CF_SCALE,
+            FaultPlan::none().with_node_crash(0, cf_at),
+        ),
+    ];
+    let analyses = driver.map(cells, |(kind, scale, plan)| {
+        Analysis::from_run(&kind.run(scale, SEED, plan, InterferenceSchedule::none()))
     });
-    set.add("cosmoflow/node-crash", move |_| {
-        let plan = FaultPlan::none().with_node_crash(0, cf_at);
-        Analysis::from_run(&Cosmoflow.run(CF_SCALE, SEED, plan, InterferenceSchedule::none()))
-    });
-    let analyses = set.run(driver);
     let cols: Vec<&Analysis> = analyses.iter().collect();
     let mut out = tables::table1(&cols).render();
     for a in &cols {
@@ -128,32 +135,28 @@ fn crash_recovery_is_deterministic_and_supervised() {
     }
     std::fs::remove_file(&crashed_capture).unwrap();
 
-    // A supervised sweep mixing a panicking scenario with a
+    // A fan-out under panic isolation mixing a panicking cell with a
     // crash-recovering workload completes: the healthy result comes back,
-    // the panic becomes a typed failure in the manifest.
-    let mut set = ScenarioSet::new(23);
-    set.add("boom", |_| -> String {
-        panic!("synthetic scenario failure")
-    });
-    set.add("cm1/crash", move |_| {
-        let plan = FaultPlan::none().with_rank_crash(0, cm1_at);
-        let a = Analysis::from_run(&Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none()));
-        yaml::emit(&tables::entities_for(&a))
-    });
-    let report = set.run_supervised(Driver::Parallel, 2);
-    assert_eq!(report.results.len(), 2);
-    let err = report.results[0].as_ref().expect_err("boom must fail");
-    assert_eq!(err.id, "boom");
-    assert_eq!(err.attempts, 2);
-    assert!(err.message.contains("synthetic scenario failure"));
-    let ok = report.results[1]
+    // the panic becomes an error naming the cell and its message, the
+    // crash sweep's manifest line.
+    let results = Driver::Parallel.try_map(
+        vec!["boom", "cm1/crash"],
+        |cell| cell.to_string(),
+        |cell| {
+            if cell == "boom" {
+                panic!("synthetic cell failure");
+            }
+            let plan = FaultPlan::none().with_rank_crash(0, cm1_at);
+            let a =
+                Analysis::from_run(&Cm1.run(CM1_SCALE, SEED, plan, InterferenceSchedule::none()));
+            yaml::emit(&tables::entities_for(&a))
+        },
+    );
+    assert_eq!(results.len(), 2);
+    let err = results[0].as_ref().expect_err("boom must fail");
+    assert_eq!(err, "boom: synthetic cell failure");
+    let ok = results[1]
         .as_ref()
         .expect("the crashed CM1 run must recover");
     assert!(ok.contains("restart_count"));
-    assert!(!report.is_clean());
-    let manifest = report.manifest();
-    assert!(
-        manifest.contains("boom"),
-        "manifest must name the failure:\n{manifest}"
-    );
 }

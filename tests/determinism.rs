@@ -28,10 +28,11 @@ fn all_workloads_are_deterministic() {
     }
 }
 
-/// The `vani_rt::par` kernels must be bit-identical to their sequential
-/// fallback: chunk boundaries depend only on input length and chunk results
-/// combine in chunk order, so the worker count must never change a result —
-/// not even the floating-point rounding of a non-associative reduction.
+/// The `vani_rt::par` entry points must be bit-identical to their
+/// sequential path: chunk boundaries depend only on the input and chunk
+/// results combine in chunk order, so the worker count must never change a
+/// result — not even the floating-point rounding of a non-associative
+/// reduction.
 #[test]
 fn parallel_kernels_match_sequential_bit_for_bit() {
     use vani_rt::par;
@@ -40,23 +41,26 @@ fn parallel_kernels_match_sequential_bit_for_bit() {
     let c = run.columnar();
     let sel = c.data_ops(None);
 
+    // (bytes, a non-associative f64 bandwidth sum) folded over 64-record
+    // morsels: the merge tree decides the float's rounding.
     let compute = || {
-        let bytes = c.sum_bytes(&sel);
-        let time = c.sum_time(&sel);
-        let mut by_rank: Vec<(u32, u64)> = c
-            .group_by_rank(&sel)
-            .into_iter()
-            .map(|(k, g)| (k, g.bytes))
-            .collect();
-        by_rank.sort_unstable();
-        // A non-associative f64 fold: parallel summation order matters.
-        let mean_bw: f64 = par::par_reduce(
-            &sel,
-            || 0.0f64,
-            |acc, &i| acc + c.dur(i as usize).bandwidth(c.bytes[i as usize]),
-            |a, b| a + b,
+        let (bytes, bw) = par::par_fold_shards_sized(
+            sel.len(),
+            64,
+            || (0u64, 0.0f64),
+            |acc, range| {
+                for &i in &sel[range] {
+                    let i = i as usize;
+                    acc.0 += c.bytes[i];
+                    acc.1 += c.dur(i).bandwidth(c.bytes[i]);
+                }
+            },
+            |a, b| {
+                a.0 += b.0;
+                a.1 += b.1;
+            },
         );
-        (bytes, time, by_rank, mean_bw.to_bits())
+        (bytes, bw.to_bits())
     };
 
     par::set_threads(1);
@@ -64,7 +68,9 @@ fn parallel_kernels_match_sequential_bit_for_bit() {
     par::set_threads(8);
     let par8 = compute();
     par::set_threads(0); // back to auto
+    assert!(sel.len() > 64, "the fold must span several morsels");
     assert_eq!(seq, par8, "parallel results diverged from sequential");
+    assert_eq!(seq.0, c.sum_bytes(&sel));
 }
 
 #[test]

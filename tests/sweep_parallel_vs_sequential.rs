@@ -3,7 +3,8 @@
 //! Everything the repro harness renders — paper-six attribute tables,
 //! entity YAML, the fault-sweep report — must be byte-identical between
 //! `Driver::Sequential` and `Driver::Parallel` at 1, 2, and 8 workers,
-//! with and without an active `FaultPlan`.
+//! with and without an active `FaultPlan`. Figures 7 and 8, which always
+//! fan out in parallel, must render the same at 2 and 8 workers as at 1.
 //!
 //! One `#[test]` on purpose: `rt::par::set_threads` is process-global, so
 //! the worker-count sweep must not interleave with itself.
@@ -11,8 +12,8 @@
 use sim_core::SimTime;
 use storage_sim::{FaultPlan, InterferenceSchedule};
 use vani_suite::vani::analyzer::Analysis;
-use vani_suite::vani::sweep::{self, Driver, ScenarioSet};
-use vani_suite::vani::{tables, yaml};
+use vani_suite::vani::sweep::{self, Driver};
+use vani_suite::vani::{reconfig, tables, yaml};
 use vani_suite::workloads::WorkloadKind::{Cm1, Cosmoflow};
 
 const SCALE: f64 = 0.01;
@@ -33,29 +34,24 @@ fn render_six(analyses: &[Analysis]) -> String {
     out
 }
 
-/// A faulted pair of workloads as a custom scenario set: covers the
-/// "active FaultPlan" half outside the built-in fault sweep.
+/// A faulted pair of workloads as a custom fan-out: covers the "active
+/// FaultPlan" half outside the built-in fault sweep.
 fn faulted_pair(driver: Driver) -> String {
     let plan = FaultPlan::none()
         .with_mds_brownout(SimTime::ZERO, SimTime::from_secs(1_000_000_000), 8.0)
         .with_error_rates(0.01, 0.0);
-    let mut set = ScenarioSet::new(17);
-    {
-        let plan = plan.clone();
-        set.add("cm1/faulted", move |_| {
-            Analysis::from_run(&Cm1.run(SCALE, SEED, plan.clone(), InterferenceSchedule::none()))
-        });
-    }
-    set.add("cosmoflow/faulted", move |_| {
-        let run = Cosmoflow.run(
-            FAULT_SCALE,
-            SEED,
-            plan.clone(),
-            InterferenceSchedule::none(),
-        );
-        Analysis::from_run(&run)
-    });
-    set.run(driver)
+    driver
+        .map(
+            vec![(Cm1, SCALE), (Cosmoflow, FAULT_SCALE)],
+            |(kind, scale)| {
+                Analysis::from_run(&kind.run(
+                    scale,
+                    SEED,
+                    plan.clone(),
+                    InterferenceSchedule::none(),
+                ))
+            },
+        )
         .iter()
         .map(|a| yaml::emit(&tables::entities_for(a)))
         .collect()
@@ -70,6 +66,16 @@ fn parallel_driver_is_byte_identical_to_sequential() {
     assert!(six_ref.contains("CM1"), "tables must render something");
     assert!(sweep_ref.contains("MDS brownout"));
     assert!(faulted_ref.contains("osmoflow"));
+
+    // Figures 7 and 8 have no sequential driver: the 1-worker render is
+    // the reference.
+    let figures = || {
+        reconfig::render_sweep("Figure 7", &reconfig::figure7(0.01, &[2, 4, 8], 7))
+            + &reconfig::render_sweep("Figure 8", &reconfig::figure8(0.02, &[2, 4, 8], 7))
+    };
+    vani_rt::par::set_threads(1);
+    let figures_ref = figures();
+    assert!(figures_ref.contains("Figure 8"));
 
     for workers in [1usize, 2, 8] {
         vani_rt::par::set_threads(workers);
@@ -88,6 +94,13 @@ fn parallel_driver_is_byte_identical_to_sequential() {
             faulted, faulted_ref,
             "faulted-pair YAML diverged at {workers} workers"
         );
+        if workers > 1 {
+            assert_eq!(
+                figures(),
+                figures_ref,
+                "Figure 7/8 render diverged at {workers} workers"
+            );
+        }
         vani_rt::par::set_threads(0);
     }
 }
