@@ -9,13 +9,13 @@ use io_layers::mpiio::{self, MpiIoHints};
 use io_layers::posix::{self, OpenFlags};
 use io_layers::world::IoWorld;
 use sim_core::units::{KIB, MIB};
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 use vani_core::tables::Table;
 
 /// Stripe-size sweep (§IV-D3): a 64 MiB sequential write under a PFS
 /// block size of `block` bytes, client cache off.
 fn stripe_size(block: u64) -> SimTime {
-    let mut w = IoWorld::lassen(2, 2, Dur::from_secs(600), 3);
+    let mut w = IoWorld::lassen(2, 2, 3);
     let mut cfg = w.storage.pfs().config().clone();
     cfg.block_size = block;
     cfg.client_cache_bytes = 0;
@@ -42,7 +42,7 @@ fn stripe_size(block: u64) -> SimTime {
 /// HDF5 dataset with a `cache`-byte chunk cache; the second pass hits (or
 /// misses) the cache.
 fn chunk_cache(cache: u64) -> SimTime {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(600), 3);
+    let mut w = IoWorld::lassen(1, 1, 3);
     hdf5::H5Layout::new(&[("d", &[1 << 20, 1, 1], 2, Some(64 * KIB))])
         .materialize(w.storage.pfs_mut().store_mut(), "/p/gpfs1/c.h5", 9)
         .expect("a fresh PFS has room for the dataset");
@@ -64,7 +64,7 @@ fn chunk_cache(cache: u64) -> SimTime {
 /// Tier comparison (§V): 256 writes of 4 KiB to `path`, the PFS or
 /// node-local shm, client cache off.
 fn small_op_tier(path: &str) -> SimTime {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(600), 3);
+    let mut w = IoWorld::lassen(1, 1, 3);
     let mut cfg = w.storage.pfs().config().clone();
     cfg.client_cache_bytes = 0;
     w.storage
@@ -83,7 +83,7 @@ fn small_op_tier(path: &str) -> SimTime {
 /// Collective-buffering sweep (§IV-D1): 16 ranks on 4 nodes read a shared
 /// 64 MiB extent collectively through `cb` aggregators.
 fn cb_nodes(cb: u32) -> SimTime {
-    let mut w = IoWorld::lassen(4, 4, Dur::from_secs(600), 3);
+    let mut w = IoWorld::lassen(4, 4, 3);
     let r = RankId(0);
     let (fd, t) = mpiio::open(
         &mut w,

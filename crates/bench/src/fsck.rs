@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn clean_log_renders_a_clean_verdict() {
-        use recorder_sim::{ColumnarTrace, Layer, OpKind, SpillFaultPlan, Tracer};
+        use recorder_sim::{Layer, OpKind, SpillFaultPlan, Tracer};
         use sim_core::SimTime;
 
         let mut t = Tracer::new();
@@ -108,7 +108,7 @@ mod tests {
                 64 + i,
             );
         }
-        let c = ColumnarTrace::from_tracer(&t);
+        let c = t.to_columnar();
         let path = std::env::temp_dir().join("vani-fsck-clean.vsp3");
         recorder_sim::spill::spill_columnar(&c, 64, &path, SpillFaultPlan::none())
             .expect("clean spill");

@@ -49,7 +49,6 @@ pub fn ior_peak() -> f64 {
         ranks_per_node: 4,
         bytes_per_rank: 64 << 20,
         xfer: 16 << 20,
-        read_back: false,
         ..exemplar_workloads::ior::IorParams::paper()
     };
     let run = exemplar_workloads::ior::run(p, 1);

@@ -182,7 +182,8 @@ pub struct TraceProfile {
     pub recovery_time: Dur,
 }
 
-/// The complete analysis of one workload run.
+/// The complete analysis of one workload run: the run-level attributes
+/// from the job's allocation and storage state plus its [`TraceProfile`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Which workload.
@@ -191,66 +192,20 @@ pub struct Analysis {
     pub scale: f64,
     /// Job runtime (engine makespan).
     pub job_time: Dur,
-    /// Mean per-rank time spent inside I/O calls, as a fraction of runtime.
-    pub io_time_frac: f64,
     /// Nodes / ranks-per-node / total ranks.
     pub nodes: u32,
     /// Ranks per node.
     pub ranks_per_node: u32,
     /// Total ranks.
     pub n_ranks: u32,
-    /// Bytes read at the interface layer.
-    pub read_bytes: u64,
-    /// Bytes written at the interface layer.
-    pub write_bytes: u64,
-    /// Interface-layer data / metadata op counts.
-    pub data_ops: u64,
-    /// Metadata ops at the interface layer.
-    pub meta_ops: u64,
-    /// Detected interface ("POSIX", "STDIO", "HDF5-MPI-IO").
-    pub interface: String,
-    /// "Seq" / "Mixed" access pattern.
-    pub access_pattern: String,
-    /// Request-size histogram (Figures 1a–6a, left panel).
-    pub req_sizes: Histogram,
-    /// Per-request bandwidth histogram, bytes/s buckets (right panel).
-    pub req_bandwidth: Histogram,
-    /// Read-bytes timeline (Figures 1c–6c).
-    pub read_timeline: TimeSeries,
-    /// Write-bytes timeline.
-    pub write_timeline: TimeSeries,
-    /// Per-file profiles.
-    pub files: Vec<FileProfile>,
-    /// Detected I/O phases.
-    pub phases: Vec<PhaseInfo>,
-    /// Per-application profiles (workflows have several).
-    pub apps: Vec<AppProfile>,
-    /// App-level data dependencies (producer → consumer).
-    pub app_deps: Vec<(String, String)>,
-    /// Failed attempts absorbed or surfaced by the resilience middleware.
-    pub fault_events: u64,
-    /// Backoff waits before re-submission.
-    pub retry_events: u64,
-    /// Payload bytes re-submitted by retries.
-    pub retried_bytes: u64,
-    /// Wall time inside fault detection and backoff waits.
-    pub fault_time: Dur,
-    /// Durable checkpoints written.
-    pub ckpt_events: u64,
-    /// Wall time inside checkpoint write sequences.
-    pub ckpt_time: Dur,
-    /// Job restarts after fatal crashes.
-    pub restart_events: u64,
-    /// Work thrown away by crashes (re-run after restarting).
-    pub crash_lost_time: Dur,
-    /// Scheduler requeue + relaunch latency across all restarts.
-    pub recovery_time: Dur,
     /// Bytes each *failed* NSD server's stripes rerouted onto survivors,
     /// indexed by the home server (from the PFS service model; all zeros
     /// when no outage was injected).
     pub rerouted_by_server: Vec<u64>,
     /// Dataset value-distribution fit (Table VI "Data dist").
     pub data_dist: DistributionFit,
+    /// Every trace-derived attribute.
+    pub profile: TraceProfile,
     /// A copy of the run's captured columns. No table, figure or YAML
     /// renderer reads it; perfbench's `paper-six` pass counts its
     /// capacity as `peak_trace_bytes`.
@@ -260,51 +215,29 @@ pub struct Analysis {
 impl Analysis {
     /// Analyze a completed run: [`TraceProfile::fused`] over its trace.
     pub fn from_run(run: &WorkloadRun) -> Analysis {
-        let c = run.columnar();
-        let p = TraceProfile::fused(&c, run.runtime());
-        let data_dist = fit_data_distribution(run, &p.files);
+        let trace = run.columnar();
+        let profile = TraceProfile::fused(&trace, run.runtime());
         Analysis {
             kind: run.kind,
             scale: run.scale,
             job_time: run.runtime(),
-            io_time_frac: p.io_time_frac,
             nodes: run.world.alloc.spec.nodes,
             ranks_per_node: run.world.alloc.spec.ranks_per_node,
             n_ranks: run.world.alloc.total_ranks(),
-            read_bytes: p.read_bytes,
-            write_bytes: p.write_bytes,
-            data_ops: p.data_ops,
-            meta_ops: p.meta_ops,
-            interface: p.interface,
-            access_pattern: p.access_pattern,
-            req_sizes: p.req_sizes,
-            req_bandwidth: p.req_bandwidth,
-            read_timeline: p.read_timeline,
-            write_timeline: p.write_timeline,
-            files: p.files,
-            phases: p.phases,
-            apps: p.apps,
-            app_deps: p.app_deps,
-            fault_events: p.fault_events,
-            retry_events: p.retry_events,
-            retried_bytes: p.retried_bytes,
-            fault_time: p.fault_time,
-            ckpt_events: p.ckpt_events,
-            ckpt_time: p.ckpt_time,
-            restart_events: p.restart_events,
-            crash_lost_time: p.crash_lost_time,
-            recovery_time: p.recovery_time,
             rerouted_by_server: run.world.storage.pfs().rerouted_by_server().to_vec(),
-            data_dist,
-            trace: c,
+            data_dist: fit_data_distribution(run, &profile.files),
+            profile,
+            trace,
         }
     }
 
-    /// Number of distinct files used.
-    pub fn n_files(&self) -> usize {
-        self.files.len()
+    /// Mean per-rank I/O time in seconds.
+    pub fn io_time(&self) -> f64 {
+        self.profile.io_time_frac * self.job_time.as_secs_f64()
     }
+}
 
+impl TraceProfile {
     /// Files touched by more than one rank.
     pub fn shared_files(&self) -> usize {
         self.files.iter().filter(|f| f.is_shared()).count()
@@ -335,11 +268,6 @@ impl Analysis {
         self.files.iter().map(|f| f.size).sum()
     }
 
-    /// Mean per-rank I/O time in seconds.
-    pub fn io_time(&self) -> f64 {
-        self.io_time_frac * self.job_time.as_secs_f64()
-    }
-
     /// Faults per interface-layer I/O op (Table VI-style "Error rate").
     pub fn error_rate(&self) -> f64 {
         let ops = self.data_ops + self.meta_ops;
@@ -359,35 +287,6 @@ impl Analysis {
         } else {
             self.retried_bytes as f64 / logical as f64
         }
-    }
-
-    /// Seconds of simulated wall time lost inside fault detection and
-    /// backoff waits.
-    pub fn time_lost_to_faults(&self) -> f64 {
-        self.fault_time.as_secs_f64()
-    }
-
-    /// Times the job restarted after a fatal crash.
-    pub fn restart_count(&self) -> u64 {
-        self.restart_events
-    }
-
-    /// Seconds of completed work thrown away by crashes (everything since
-    /// the last durable checkpoint, re-run after restarting).
-    pub(crate) fn time_lost_to_crashes(&self) -> f64 {
-        self.crash_lost_time.as_secs_f64()
-    }
-
-    /// Seconds spent writing durable checkpoints — the insurance premium
-    /// the checkpoint-interval sweep trades against work lost.
-    pub(crate) fn checkpoint_overhead(&self) -> f64 {
-        self.ckpt_time.as_secs_f64()
-    }
-
-    /// Seconds between crashes and the relaunched job's first event
-    /// (scheduler requeue + relaunch), across all restarts.
-    pub(crate) fn recovery_seconds(&self) -> f64 {
-        self.recovery_time.as_secs_f64()
     }
 
     /// The request-size range covering the bulk of data ops (granularity
@@ -985,14 +884,17 @@ mod tests {
     fn hacc_analysis_matches_expected_shape() {
         let run = hacc::run(0.02, 1);
         let a = Analysis::from_run(&run);
-        assert_eq!(a.interface, "POSIX");
-        assert_eq!(a.shared_files(), 0, "HACC is strict FPP");
-        assert_eq!(a.fpp_files(), run.world.alloc.total_ranks() as usize);
-        assert_eq!(a.read_bytes, a.write_bytes);
-        assert_eq!(a.access_pattern, "Seq");
+        assert_eq!(a.profile.interface, "POSIX");
+        assert_eq!(a.profile.shared_files(), 0, "HACC is strict FPP");
+        assert_eq!(
+            a.profile.fpp_files(),
+            run.world.alloc.total_ranks() as usize
+        );
+        assert_eq!(a.profile.read_bytes, a.profile.write_bytes);
+        assert_eq!(a.profile.access_pattern, "Seq");
         assert_eq!(a.data_dist, DistributionFit::Uniform);
         // Metadata around half of ops.
-        assert!((0.3..=0.85).contains(&(1.0 - a.data_frac())));
+        assert!((0.3..=0.85).contains(&(1.0 - a.profile.data_frac())));
     }
 
     #[test]
@@ -1002,9 +904,10 @@ mod tests {
         p.nodes = 4;
         let run = cm1::run_with(p, 0.02, 42);
         let a = Analysis::from_run(&run);
-        assert_eq!(a.interface, "POSIX");
+        assert_eq!(a.profile.interface, "POSIX");
         // Output files are shared (opened by leaders) but written by rank 0.
         let out_files: Vec<&FileProfile> = a
+            .profile
             .files
             .iter()
             .filter(|f| f.path.contains("/out/"))
@@ -1015,7 +918,11 @@ mod tests {
             assert!(f.is_shared(), "leaders open the step files");
         }
         // Multiple I/O phases: config read then per-step writes.
-        assert!(a.phases.len() >= 2, "phases: {}", a.phases.len());
+        assert!(
+            a.profile.phases.len() >= 2,
+            "phases: {}",
+            a.profile.phases.len()
+        );
         assert_eq!(a.data_dist, DistributionFit::Normal);
     }
 
@@ -1023,22 +930,23 @@ mod tests {
     fn cosmoflow_analysis_detects_hdf5_and_metadata_storm() {
         let run = cosmoflow::run(0.002, 5);
         let a = Analysis::from_run(&run);
-        assert_eq!(a.interface, "HDF5-MPI-IO");
-        assert!(a.shared_files() > 0);
+        assert_eq!(a.profile.interface, "HDF5-MPI-IO");
+        assert!(a.profile.shared_files() > 0);
         // The dataset itself is fully shared; only rank-0's checkpoint
         // files register as FPP through the POSIX fallback.
         assert!(
-            a.files
+            a.profile
+                .files
                 .iter()
                 .filter(|f| f.path.contains("univ_"))
                 .all(|f| f.is_shared()),
             "every dataset file is shared"
         );
         assert!(
-            a.meta_ops > a.data_ops,
+            a.profile.meta_ops > a.profile.data_ops,
             "metadata ops {} must exceed data ops {}",
-            a.meta_ops,
-            a.data_ops
+            a.profile.meta_ops,
+            a.profile.data_ops
         );
         assert_eq!(a.data_dist, DistributionFit::Gamma);
     }
@@ -1047,8 +955,8 @@ mod tests {
     fn jag_analysis_is_stdio_small_access() {
         let run = jag::run(0.02, 9);
         let a = Analysis::from_run(&run);
-        assert_eq!(a.interface, "STDIO");
-        let (_, hi) = a.granularity();
+        assert_eq!(a.profile.interface, "STDIO");
+        let (_, hi) = a.profile.granularity();
         assert!(hi <= 4 * KIB, "JAG granularity {hi} stays under 4 KiB");
         assert_eq!(a.data_dist, DistributionFit::Normal);
     }
@@ -1057,31 +965,35 @@ mod tests {
     fn montage_analysis_sees_workflow_apps_and_deps() {
         let run = montage::run(0.02, 2);
         let a = Analysis::from_run(&run);
-        assert_eq!(a.interface, "STDIO");
+        assert_eq!(a.profile.interface, "STDIO");
         assert!(
-            a.apps.len() >= 5,
+            a.profile.apps.len() >= 5,
             "apps: {:?}",
-            a.apps.iter().map(|x| &x.name).collect::<Vec<_>>()
+            a.profile.apps.iter().map(|x| &x.name).collect::<Vec<_>>()
         );
         // mProject produces what mAddMPI consumes.
         assert!(
-            a.app_deps
+            a.profile
+                .app_deps
                 .iter()
                 .any(|(from, to)| from == "mProject" && to == "mAddMPI"),
             "deps: {:?}",
-            a.app_deps
+            a.profile.app_deps
         );
-        assert!(a.data_frac() > 0.5, "Montage is data-op dominated");
+        assert!(a.profile.data_frac() > 0.5, "Montage is data-op dominated");
     }
 
     #[test]
     fn histograms_and_timelines_conserve_bytes() {
         let run = hacc::run(0.02, 1);
         let a = Analysis::from_run(&run);
-        let hist_bytes: u128 = a.req_sizes.sum();
-        assert_eq!(hist_bytes, (a.read_bytes + a.write_bytes) as u128);
-        let tl_total = a.read_timeline.total() + a.write_timeline.total();
-        let expect = (a.read_bytes + a.write_bytes) as f64;
+        let hist_bytes: u128 = a.profile.req_sizes.sum();
+        assert_eq!(
+            hist_bytes,
+            (a.profile.read_bytes + a.profile.write_bytes) as u128
+        );
+        let tl_total = a.profile.read_timeline.total() + a.profile.write_timeline.total();
+        let expect = (a.profile.read_bytes + a.profile.write_bytes) as f64;
         assert!((tl_total - expect).abs() < 1e-6 * expect);
     }
 
@@ -1089,8 +1001,8 @@ mod tests {
     fn phase_one_of_hacc_is_the_checkpoint() {
         let run = hacc::run(0.02, 1);
         let a = Analysis::from_run(&run);
-        assert!(!a.phases.is_empty());
-        let p0 = &a.phases[0];
+        assert!(!a.profile.phases.is_empty());
+        let p0 = &a.profile.phases[0];
         // First phase writes the checkpoint: data-dominated, large xfers.
         assert!(p0.bytes > 0);
         assert!(p0.data_ops > 0);

@@ -14,8 +14,7 @@
 //! cell order — the report is byte-identical at any worker count with
 //! either driver.
 
-use crate::analyzer::Analysis;
-use crate::sweep::Driver;
+use crate::sweep::{Driver, RunScalars};
 use exemplar_workloads::cosmoflow;
 use sim_core::SimTime;
 use storage_sim::FaultPlan;
@@ -71,15 +70,15 @@ pub struct CrashPoint {
     pub recovery: f64,
 }
 
-fn point(n_ckpts: u32, crashes: u32, a: &Analysis) -> CrashPoint {
+fn point(n_ckpts: u32, crashes: u32, s: &RunScalars) -> CrashPoint {
     CrashPoint {
         n_ckpts,
         crashes,
-        makespan: a.job_time.as_secs_f64(),
-        restarts: a.restart_count(),
-        lost: a.time_lost_to_crashes(),
-        ckpt_overhead: a.checkpoint_overhead(),
-        recovery: a.recovery_seconds(),
+        makespan: s.job_time.as_secs_f64(),
+        restarts: s.restarts,
+        lost: s.work_lost,
+        ckpt_overhead: s.ckpt_overhead,
+        recovery: s.recovery,
     }
 }
 
@@ -155,8 +154,8 @@ pub fn crash_sweep(scale: f64, seed: u64, driver: Driver) -> CrashSweepReport {
     // Wave 1: healthy baselines (the crashes = 0 column) and their
     // makespans, which anchor wave 2's kills.
     let healthy = driver.map(CKPT_COUNTS.to_vec(), |n| {
-        let a = Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, FaultPlan::none()));
-        (a.job_time, point(n, 0, &a))
+        let s = RunScalars::of(&run_cosmo_ckpt(scale, seed, n, FaultPlan::none()));
+        (s.job_time, point(n, 0, &s))
     });
 
     // Wave 2: the crashed cells.
@@ -169,13 +168,7 @@ pub fn crash_sweep(scale: f64, seed: u64, driver: Driver) -> CrashSweepReport {
     let crashed = driver.try_map(
         cells,
         |(n, r, _)| format!("ckpts {n}, crashes {r}"),
-        |(n, r, plan)| {
-            point(
-                n,
-                r,
-                &Analysis::from_run(&run_cosmo_ckpt(scale, seed, n, plan)),
-            )
-        },
+        |(n, r, plan)| point(n, r, &RunScalars::of(&run_cosmo_ckpt(scale, seed, n, plan))),
     );
     assemble(healthy.into_iter().map(|(_, p)| p).collect(), crashed)
 }

@@ -19,7 +19,7 @@
 //!    no longer touch the faulted PFS, so the reconfiguration that wins
 //!    Figure 7 also buys fault isolation.
 
-use crate::analyzer::Analysis;
+use crate::sweep::RunScalars;
 use exemplar_workloads::cosmoflow;
 use hpc_cluster::topology::NodeId;
 use sim_core::units::{GIB, MIB};
@@ -104,34 +104,6 @@ impl FaultImpact {
             f64::INFINITY
         } else {
             self.faulted_io / self.healthy_io
-        }
-    }
-}
-
-/// What the fault sweep reads from one analyzed run. A sweep cell keeps
-/// these scalars and drops its run and analysis before the next cell.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunScalars {
-    /// Mean per-rank I/O time, seconds.
-    pub io_time: f64,
-    /// Engine makespan.
-    pub job_time: Dur,
-    /// Transient-fault events absorbed by the retry middleware.
-    pub faults: u64,
-    /// Retry records emitted by the middleware.
-    pub retries: u64,
-    /// Wall time lost to faults and backoff, seconds.
-    pub time_lost: f64,
-}
-
-impl RunScalars {
-    pub(crate) fn of(a: &Analysis) -> Self {
-        RunScalars {
-            io_time: a.io_time(),
-            job_time: a.job_time,
-            faults: a.fault_events,
-            retries: a.retry_events,
-            time_lost: a.time_lost_to_faults(),
         }
     }
 }

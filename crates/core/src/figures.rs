@@ -11,11 +11,12 @@ use sim_core::units::{fmt_bw, fmt_bytes, fmt_count};
 
 /// Render panel (a): request-size histogram + bandwidth histogram.
 pub(crate) fn panel_a(a: &Analysis) -> String {
+    let p = &a.profile;
     let mut out = String::new();
     out.push_str(&format!("(a) {} — request sizes:\n", a.kind.name()));
-    out.push_str(&hist_text(&a.req_sizes, |v| fmt_bytes(v)));
+    out.push_str(&hist_text(&p.req_sizes, |v| fmt_bytes(v)));
     out.push_str("    per-request bandwidth:\n");
-    out.push_str(&hist_text(&a.req_bandwidth, |v| fmt_bw(v as f64)));
+    out.push_str(&hist_text(&p.req_bandwidth, |v| fmt_bw(v as f64)));
     out
 }
 
@@ -37,12 +38,13 @@ fn hist_text(h: &sim_core::Histogram, label: impl Fn(u64) -> String) -> String {
 /// Render panel (b): dependency summary — top files with reader/writer
 /// rank counts, plus app-level producer → consumer edges for workflows.
 pub(crate) fn panel_b(a: &Analysis) -> String {
+    let p = &a.profile;
     let mut out = String::new();
     out.push_str(&format!(
         "(b) {} — process/data dependency:\n",
         a.kind.name()
     ));
-    for f in a.files.iter().take(6) {
+    for f in p.files.iter().take(6) {
         out.push_str(&format!(
             "    {:50} size={:>10} readers={:>5} writers={:>4} {}\n",
             truncate(&f.path, 50),
@@ -52,12 +54,12 @@ pub(crate) fn panel_b(a: &Analysis) -> String {
             if f.is_shared() { "[shared]" } else { "[fpp]" },
         ));
     }
-    if a.files.len() > 6 {
-        out.push_str(&format!("    ... and {} more files\n", a.files.len() - 6));
+    if p.files.len() > 6 {
+        out.push_str(&format!("    ... and {} more files\n", p.files.len() - 6));
     }
-    if !a.app_deps.is_empty() {
+    if !p.app_deps.is_empty() {
         out.push_str("    app dependencies:\n");
-        for (from, to) in &a.app_deps {
+        for (from, to) in &p.app_deps {
             out.push_str(&format!("      {from} -> {to}\n"));
         }
     }
@@ -66,33 +68,34 @@ pub(crate) fn panel_b(a: &Analysis) -> String {
 
 /// Render panel (c): read/write timeline as bytes-per-bin bars.
 pub(crate) fn panel_c(a: &Analysis) -> String {
+    let p = &a.profile;
     let mut out = String::new();
     out.push_str(&format!(
         "(c) {} — I/O timeline ({} bins over {:.1}s):\n",
         a.kind.name(),
-        a.read_timeline
+        p.read_timeline
             .bins()
             .len()
-            .max(a.write_timeline.bins().len()),
+            .max(p.write_timeline.bins().len()),
         a.job_time.as_secs_f64()
     ));
-    let peak = a.read_timeline.peak().max(a.write_timeline.peak()).max(1.0);
-    let bins = a
+    let peak = p.read_timeline.peak().max(p.write_timeline.peak()).max(1.0);
+    let bins = p
         .read_timeline
         .bins()
         .len()
-        .max(a.write_timeline.bins().len());
+        .max(p.write_timeline.bins().len());
     // Downsample to at most 32 printed rows.
     let step = (bins / 32).max(1);
     for b in (0..bins).step_by(step) {
-        let r: f64 = a.read_timeline.bins().get(b).copied().unwrap_or(0.0);
-        let w: f64 = a.write_timeline.bins().get(b).copied().unwrap_or(0.0);
+        let r: f64 = p.read_timeline.bins().get(b).copied().unwrap_or(0.0);
+        let w: f64 = p.write_timeline.bins().get(b).copied().unwrap_or(0.0);
         if r == 0.0 && w == 0.0 {
             continue;
         }
         let rbar = "R".repeat(((r / peak) * 30.0).ceil() as usize);
         let wbar = "W".repeat(((w / peak) * 30.0).ceil() as usize);
-        let t = b as f64 * a.read_timeline.bin_width().as_secs_f64();
+        let t = b as f64 * p.read_timeline.bin_width().as_secs_f64();
         out.push_str(&format!("    t={t:>8.2}s |{rbar}{wbar}\n"));
     }
     out

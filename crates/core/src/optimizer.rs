@@ -86,18 +86,19 @@ const NODE_SHM_BYTES: u64 = 128 * GIB;
 
 /// Run the §IV-D rules over an analysis.
 pub fn recommend(a: &Analysis) -> Vec<Advice> {
+    let p = &a.profile;
     let mut out = Vec::new();
-    let meta_frac = 1.0 - a.data_frac();
-    let (lo_gran, hi_gran) = a.granularity();
-    let per_node_dataset = a.dataset_bytes() / a.nodes.max(1) as u64;
+    let meta_frac = 1.0 - p.data_frac();
+    let (lo_gran, hi_gran) = p.granularity();
+    let per_node_dataset = p.dataset_bytes() / a.nodes.max(1) as u64;
 
     // §V-A rule: shared small files + metadata-dominated + dataset fits in
     // per-node shm after partitioning.
-    if a.shared_files() > 0
+    if p.shared_files() > 0
         && meta_frac > 0.5
-        && a.dataset_bytes() > 0
+        && p.dataset_bytes() > 0
         && per_node_dataset <= NODE_SHM_BYTES
-        && a.read_bytes > a.write_bytes
+        && p.read_bytes > p.write_bytes
     {
         out.push(Advice {
             recommendation: Recommendation::PreloadDatasetToShm {
@@ -105,9 +106,9 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
             },
             rationale: format!(
                 "shared file access ({} files), I/O ops dist {}% metadata, dataset {} fits 1/{} per node in shm",
-                a.shared_files(),
+                p.shared_files(),
                 (meta_frac * 100.0).round(),
-                sim_core::units::fmt_bytes(a.dataset_bytes()),
+                sim_core::units::fmt_bytes(p.dataset_bytes()),
                 a.nodes
             ),
         });
@@ -115,13 +116,13 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
 
     // §V-B rule: workflow whose intermediate files are produced and
     // consumed locally with small transfers.
-    let intermediates: u64 = a
+    let intermediates: u64 = p
         .files
         .iter()
         .filter(|f| !f.writers.is_empty() && !f.readers.is_empty())
         .map(|f| f.size)
         .sum();
-    if a.apps.len() > 1 && intermediates > 0 && lo_gran <= 4 * KIB {
+    if p.apps.len() > 1 && intermediates > 0 && lo_gran <= 4 * KIB {
         let per_node = intermediates / a.nodes.max(1) as u64;
         if per_node <= NODE_SHM_BYTES {
             out.push(Advice {
@@ -130,7 +131,7 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
                 },
                 rationale: format!(
                     "app data dependency ({} edges), intermediate files {} produced+consumed, transfer granularity ≤4KiB",
-                    a.app_deps.len(),
+                    p.app_deps.len(),
                     sim_core::units::fmt_bytes(intermediates)
                 ),
             });
@@ -149,7 +150,7 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
     }
 
     // Locking rule: pure FPP → no data dependency between processes.
-    if a.shared_files() == 0 && a.n_files() > 0 {
+    if p.shared_files() == 0 && !p.files.is_empty() {
         out.push(Advice {
             recommendation: Recommendation::DisableLocking,
             rationale: "no data dependency in apps and processes (strict FPP)".to_string(),
@@ -157,7 +158,7 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
     }
 
     // Collective buffering: shared-file MPI-IO access.
-    if a.interface == "HDF5-MPI-IO" && a.shared_files() > 0 {
+    if p.interface == "HDF5-MPI-IO" && p.shared_files() > 0 {
         out.push(Advice {
             recommendation: Recommendation::CollectiveBuffering { cb_nodes: a.nodes },
             rationale: format!(
@@ -168,7 +169,7 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
     }
 
     // Chunking: HDF5 + small accesses on large files.
-    if a.interface == "HDF5-MPI-IO" && lo_gran <= 1 * MIB {
+    if p.interface == "HDF5-MPI-IO" && lo_gran <= 1 * MIB {
         out.push(Advice {
             recommendation: Recommendation::EnableChunking {
                 chunk_bytes: lo_gran.max(64 * KIB),
@@ -200,12 +201,12 @@ pub fn recommend(a: &Analysis) -> Vec<Advice> {
     }
 
     // Async I/O: distinct compute and I/O phases.
-    if a.phases.len() >= 2 && a.io_time_frac < 0.5 {
+    if p.phases.len() >= 2 && p.io_time_frac < 0.5 {
         out.push(Advice {
             recommendation: Recommendation::AsyncIo,
             rationale: format!(
                 "{} distinct I/O phases with compute between them; overlap I/O with compute",
-                a.phases.len()
+                p.phases.len()
             ),
         });
     }

@@ -6,8 +6,7 @@
 //! 4.6×/8×"). The reconfiguration is exactly what the optimizer's rule
 //! recommends: repoint the data path at the node-local tier.
 
-use crate::analyzer::Analysis;
-use crate::sweep::Driver;
+use crate::sweep::{Driver, RunScalars};
 use exemplar_workloads::{cosmoflow, montage};
 
 /// One point of a Figure 7/8 sweep.
@@ -36,14 +35,6 @@ impl SweepPoint {
     }
 }
 
-/// Mean per-rank I/O time and runtime of a run, in seconds. Callers pass
-/// a temporary, so the run's world is dropped before the next one
-/// simulates: a worker holds one world at a time.
-fn io_time_of(run: &exemplar_workloads::WorkloadRun) -> (f64, f64) {
-    let a = Analysis::from_run(run);
-    (a.io_time(), a.job_time.as_secs_f64())
-}
-
 /// Figure 7: CosmoFlow baseline (GPFS, cross-node MPI-IO groups) vs
 /// optimized (preload to shm, node-local reads), strong-scaled over
 /// `node_counts`. Sweep points are independent simulations and run in
@@ -53,15 +44,17 @@ pub fn figure7(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
     Driver::Parallel.map(node_counts.to_vec(), |nodes| {
         let mut p = cosmoflow::CosmoflowParams::scaled(scale);
         p.nodes = nodes;
-        let (bio, brt) = io_time_of(&cosmoflow::run_with(p.clone(), scale, seed));
+        // The baseline run is a temporary, dropped before the optimized
+        // run simulates: a worker holds one world at a time.
+        let base = RunScalars::of(&cosmoflow::run_with(p.clone(), scale, seed));
         p.preload_to_shm = true;
-        let (oio, ort) = io_time_of(&cosmoflow::run_with(p, scale, seed));
+        let opt = RunScalars::of(&cosmoflow::run_with(p, scale, seed));
         SweepPoint {
             nodes,
-            baseline_io: bio,
-            optimized_io: oio,
-            baseline_runtime: brt,
-            optimized_runtime: ort,
+            baseline_io: base.io_time,
+            optimized_io: opt.io_time,
+            baseline_runtime: base.job_time.as_secs_f64(),
+            optimized_runtime: opt.job_time.as_secs_f64(),
         }
     })
 }
@@ -82,15 +75,15 @@ pub fn figure8(scale: f64, node_counts: &[u32], seed: u64) -> Vec<SweepPoint> {
         p.madd_read_per_rank = (((base_p.madd_read_per_rank as f64) * f) as u64).max(64 << 10);
         p.madd_write_per_rank = (((base_p.madd_write_per_rank as f64) * f) as u64).max(128 << 10);
         p.mviewer_read_per_node = (((base_p.mviewer_read_per_node as f64) * f) as u64).max(1 << 20);
-        let (bio, brt) = io_time_of(&montage::run_with(p.clone(), scale, seed));
+        let base = RunScalars::of(&montage::run_with(p.clone(), scale, seed));
         p.workdir = "/dev/shm/montage".to_string();
-        let (oio, ort) = io_time_of(&montage::run_with(p, scale, seed));
+        let opt = RunScalars::of(&montage::run_with(p, scale, seed));
         SweepPoint {
             nodes,
-            baseline_io: bio,
-            optimized_io: oio,
-            baseline_runtime: brt,
-            optimized_runtime: ort,
+            baseline_io: base.io_time,
+            optimized_io: opt.io_time,
+            baseline_runtime: base.job_time.as_secs_f64(),
+            optimized_runtime: opt.job_time.as_secs_f64(),
         }
     })
 }

@@ -21,14 +21,14 @@
 //! baselines: the fault sweep needs the healthy CosmoFlow run for both the
 //! MDS-brownout and the shm-shielding experiment, and simulates it once.
 
-use crate::analyzer::Analysis;
+use crate::analyzer::{Analysis, TraceProfile};
 use crate::faultsweep::{
     self, impact_from, mds_plan, nsd_bw, nsd_config, shield_plan, whole_run, FaultImpact,
-    OutageBench, RunScalars, ShieldResult,
+    OutageBench, ShieldResult,
 };
 use exemplar_workloads::WorkloadKind::{self, Cosmoflow, Hacc};
 use exemplar_workloads::WorkloadRun;
-use sim_core::SimTime;
+use sim_core::{Dur, SimTime};
 use storage_sim::{FaultPlan, InterferenceSchedule};
 
 /// How a sweep runs its cells.
@@ -91,6 +91,51 @@ pub fn retry_seed(seed: u64, attempt: u32) -> u64 {
     }
 }
 
+/// What a what-if cell (a Figure 7/8 point, a fault-sweep or crash-sweep
+/// cell) reads from one run. [`RunScalars::of`] folds the run's captured
+/// columns in place, as a fleet job does, so a cell copies no trace and
+/// keeps only these scalars once its run is dropped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunScalars {
+    /// Mean per-rank I/O time, seconds.
+    pub io_time: f64,
+    /// Engine makespan.
+    pub job_time: Dur,
+    /// Transient-fault events absorbed by the retry middleware.
+    pub faults: u64,
+    /// Retry records emitted by the middleware.
+    pub retries: u64,
+    /// Wall time lost to fault detection and backoff, seconds.
+    pub time_lost: f64,
+    /// Restart epochs after fatal crashes.
+    pub restarts: u64,
+    /// Work thrown away by crashes (rollback to the last checkpoint),
+    /// seconds.
+    pub work_lost: f64,
+    /// Wall time spent writing checkpoints, seconds.
+    pub ckpt_overhead: f64,
+    /// Scheduler requeue + relaunch latency across all restarts, seconds.
+    pub recovery: f64,
+}
+
+impl RunScalars {
+    pub(crate) fn of(run: &WorkloadRun) -> RunScalars {
+        let job_time = run.runtime();
+        let p = TraceProfile::fused(run.columnar_view(), job_time);
+        RunScalars {
+            io_time: p.io_time_frac * job_time.as_secs_f64(),
+            job_time,
+            faults: p.fault_events,
+            retries: p.retry_events,
+            time_lost: p.fault_time.as_secs_f64(),
+            restarts: p.restart_events,
+            work_lost: p.crash_lost_time.as_secs_f64(),
+            ckpt_overhead: p.ckpt_time.as_secs_f64(),
+            recovery: p.recovery_time.as_secs_f64(),
+        }
+    }
+}
+
 /// Run the six paper workloads as one fan-out and analyze them, in the
 /// tables' column order. Byte-identical between drivers and at any worker
 /// count: every workload keeps its caller-supplied seed.
@@ -137,9 +182,7 @@ pub fn fault_sweep(scale: f64, seed: u64, slowdown: f64, driver: Driver) -> Faul
     let cosmo: Launch = |s, seed, plan| Cosmoflow.run(s, seed, plan, InterferenceSchedule::none());
     let hacc: Launch = |s, seed, plan| Hacc.run(s, seed, plan, InterferenceSchedule::none());
     let preload: Launch = faultsweep::run_cosmo_preload;
-    let measure = |(launch, plan): (Launch, FaultPlan)| {
-        RunScalars::of(&Analysis::from_run(&launch(scale, seed, plan)))
-    };
+    let measure = |(launch, plan): (Launch, FaultPlan)| RunScalars::of(&launch(scale, seed, plan));
 
     // Wave 1: everything that does not depend on another cell.
     let w1 = driver.map(

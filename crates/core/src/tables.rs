@@ -5,7 +5,7 @@
 //! whose rows mirror the paper's attribute rows. The pretty-printer renders
 //! aligned plain text for the `repro` harness.
 
-use crate::analyzer::Analysis;
+use crate::analyzer::{Analysis, FileProfile, PhaseInfo, TraceProfile};
 use crate::entities::{AttrValue, Entity, EntityType};
 use exemplar_workloads::WorkloadKind;
 use sim_core::units::{fmt_bytes, fmt_count};
@@ -74,6 +74,54 @@ fn col<F: Fn(&Analysis) -> String>(analyses: &[&Analysis], f: F) -> Vec<String> 
     analyses.iter().map(|a| f(a)).collect()
 }
 
+/// `col` over each analysis's trace profile.
+fn pcol<F: Fn(&TraceProfile) -> String>(analyses: &[&Analysis], f: F) -> Vec<String> {
+    analyses.iter().map(|a| f(&a.profile)).collect()
+}
+
+/// A column read from each analysis's first I/O phase ("NA" without one).
+fn phase_col<F: Fn(&PhaseInfo) -> String>(analyses: &[&Analysis], f: F) -> Vec<String> {
+    pcol(analyses, |p| {
+        p.phases.first().map(&f).unwrap_or_else(|| "NA".into())
+    })
+}
+
+/// A column read from each analysis's top data file ("NA" without one).
+fn file_col<F: Fn(&FileProfile) -> String>(analyses: &[&Analysis], f: F) -> Vec<String> {
+    pcol(analyses, |p| {
+        p.files.first().map(&f).unwrap_or_else(|| "NA".into())
+    })
+}
+
+/// Data / metadata op shares in percent ("0%, 0%" with no ops).
+fn op_split(data: u64, meta: u64) -> String {
+    let total = (data + meta).max(1);
+    format!(
+        "{:.0}%, {:.0}%",
+        data as f64 / total as f64 * 100.0,
+        meta as f64 / total as f64 * 100.0
+    )
+}
+
+/// The data / metadata split of interface-layer ops, in percent.
+fn ops_dist(p: &TraceProfile) -> String {
+    format!(
+        "{:.0}%, {:.0}%",
+        p.data_frac() * 100.0,
+        (1.0 - p.data_frac()) * 100.0
+    )
+}
+
+/// The data-op granularity range, one size when both ends agree.
+fn granularity(p: &TraceProfile) -> String {
+    let (lo, hi) = p.granularity();
+    if lo == hi {
+        fmt_bytes(lo)
+    } else {
+        format!("{}-{}", fmt_bytes(lo), fmt_bytes(hi))
+    }
+}
+
 /// Table I: high-level I/O behavior.
 pub fn table1(analyses: &[&Analysis]) -> Table {
     let mut t = Table::new("Table I: High-Level I/O behavior of applications", analyses);
@@ -83,31 +131,31 @@ pub fn table1(analyses: &[&Analysis]) -> Table {
     );
     t.row(
         "% of I/O time",
-        col(analyses, |a| format!("{:.0}%", a.io_time_frac * 100.0)),
+        pcol(analyses, |p| format!("{:.0}%", p.io_time_frac * 100.0)),
     );
-    t.row("Write I/O", col(analyses, |a| fmt_bytes(a.write_bytes)));
-    t.row("Read I/O", col(analyses, |a| fmt_bytes(a.read_bytes)));
+    t.row("Write I/O", pcol(analyses, |p| fmt_bytes(p.write_bytes)));
+    t.row("Read I/O", pcol(analyses, |p| fmt_bytes(p.read_bytes)));
     t.row(
         "CPU Cores/node",
         col(analyses, |a| a.ranks_per_node.to_string()),
     );
     t.row(
         "# files used",
-        col(analyses, |a| fmt_count(a.n_files() as u64)),
+        pcol(analyses, |p| fmt_count(p.files.len() as u64)),
     );
     t.row(
         "Shared File access",
-        col(analyses, |a| fmt_count(a.shared_files() as u64)),
+        pcol(analyses, |p| fmt_count(p.shared_files() as u64)),
     );
     t.row(
         "File per process (FPP) access",
-        col(analyses, |a| fmt_count(a.fpp_files() as u64)),
+        pcol(analyses, |p| fmt_count(p.fpp_files() as u64)),
     );
     t.row(
         "Access Pattern",
-        col(analyses, |a| a.access_pattern.clone()),
+        pcol(analyses, |p| p.access_pattern.clone()),
     );
-    t.row("I/O Interface", col(analyses, |a| a.interface.clone()));
+    t.row("I/O Interface", pcol(analyses, |p| p.interface.clone()));
     t
 }
 
@@ -147,34 +195,25 @@ pub fn table3(analyses: &[&Analysis]) -> Table {
             _ => "0".to_string(),
         }),
     );
-    t.row("# apps", col(analyses, |a| a.apps.len().to_string()));
+    t.row("# apps", pcol(analyses, |p| p.apps.len().to_string()));
     t.row(
         "App data dependency",
-        col(analyses, |a| {
-            if a.app_deps.is_empty() {
+        pcol(analyses, |p| {
+            if p.app_deps.is_empty() {
                 "NA".to_string()
             } else {
-                format!("{} edges", a.app_deps.len())
+                format!("{} edges", p.app_deps.len())
             }
         }),
     );
     t.row(
         "FPP/shared file access",
-        col(analyses, |a| {
-            format!("{}/{}", a.fpp_files(), a.shared_files())
+        pcol(analyses, |p| {
+            format!("{}/{}", p.fpp_files(), p.shared_files())
         }),
     );
-    t.row("I/O amount", col(analyses, |a| fmt_bytes(a.io_bytes())));
-    t.row(
-        "I/O ops dist (data, meta)",
-        col(analyses, |a| {
-            format!(
-                "{:.0}%, {:.0}%",
-                a.data_frac() * 100.0,
-                (1.0 - a.data_frac()) * 100.0
-            )
-        }),
-    );
+    t.row("I/O amount", pcol(analyses, |p| fmt_bytes(p.io_bytes())));
+    t.row("I/O ops dist (data, meta)", pcol(analyses, ops_dist));
     t.row(
         "Runtime (sec)",
         col(analyses, |a| format!("{:.0}", a.job_time.as_secs_f64())),
@@ -191,8 +230,8 @@ pub fn table4(analyses: &[&Analysis]) -> Table {
     );
     t.row(
         "Process data dependency",
-        col(analyses, |a| {
-            let shared = a.shared_files();
+        pcol(analyses, |p| {
+            let shared = p.shared_files();
             if shared > 0 {
                 format!("{shared} shared files")
             } else {
@@ -202,22 +241,13 @@ pub fn table4(analyses: &[&Analysis]) -> Table {
     );
     t.row(
         "FPP/shared file access",
-        col(analyses, |a| {
-            format!("{}/{}", a.fpp_files(), a.shared_files())
+        pcol(analyses, |p| {
+            format!("{}/{}", p.fpp_files(), p.shared_files())
         }),
     );
-    t.row("I/O amount", col(analyses, |a| fmt_bytes(a.io_bytes())));
-    t.row(
-        "I/O ops dist (data, meta)",
-        col(analyses, |a| {
-            format!(
-                "{:.0}%, {:.0}%",
-                a.data_frac() * 100.0,
-                (1.0 - a.data_frac()) * 100.0
-            )
-        }),
-    );
-    t.row("Interface", col(analyses, |a| a.interface.clone()));
+    t.row("I/O amount", pcol(analyses, |p| fmt_bytes(p.io_bytes())));
+    t.row("I/O ops dist (data, meta)", pcol(analyses, ops_dist));
+    t.row("Interface", pcol(analyses, |p| p.interface.clone()));
     t.row(
         "Runtime",
         col(analyses, |a| format!("{:.0}sec", a.job_time.as_secs_f64())),
@@ -231,53 +261,25 @@ pub fn table5(analyses: &[&Analysis]) -> Table {
         "Table V: Attributes for I/O Phase Entity Type (first phase)",
         analyses,
     );
-    t.row(
-        "I/O amount",
-        col(analyses, |a| {
-            a.phases
-                .first()
-                .map(|p| fmt_bytes(p.bytes))
-                .unwrap_or_else(|| "NA".into())
-        }),
-    );
+    t.row("I/O amount", phase_col(analyses, |ph| fmt_bytes(ph.bytes)));
     t.row(
         "I/O ops dist (data, meta)",
-        col(analyses, |a| {
-            a.phases
-                .first()
-                .map(|p| {
-                    let total = (p.data_ops + p.meta_ops).max(1);
-                    format!(
-                        "{:.0}%, {:.0}%",
-                        p.data_ops as f64 / total as f64 * 100.0,
-                        p.meta_ops as f64 / total as f64 * 100.0
-                    )
-                })
-                .unwrap_or_else(|| "NA".into())
-        }),
+        phase_col(analyses, |ph| op_split(ph.data_ops, ph.meta_ops)),
     );
     t.row(
         "Frequency",
-        col(analyses, |a| {
-            a.phases
-                .first()
-                .map(|p| {
-                    format!(
-                        "{} ops ({})",
-                        fmt_count(p.data_ops),
-                        fmt_bytes(p.dominant_xfer)
-                    )
-                })
-                .unwrap_or_else(|| "NA".into())
+        phase_col(analyses, |ph| {
+            format!(
+                "{} ops ({})",
+                fmt_count(ph.data_ops),
+                fmt_bytes(ph.dominant_xfer)
+            )
         }),
     );
     t.row(
         "Runtime",
-        col(analyses, |a| {
-            a.phases
-                .first()
-                .map(|p| format!("{:.2}sec", p.runtime().as_secs_f64()))
-                .unwrap_or_else(|| "NA".into())
+        phase_col(analyses, |ph| {
+            format!("{:.2}sec", ph.runtime().as_secs_f64())
         }),
     );
     t
@@ -297,20 +299,10 @@ pub fn table6(analyses: &[&Analysis]) -> Table {
             _ => "2D".to_string(),
         }),
     );
-    t.row(
-        "Granularity (data)",
-        col(analyses, |a| {
-            let (lo, hi) = a.granularity();
-            if lo == hi {
-                fmt_bytes(lo)
-            } else {
-                format!("{}-{}", fmt_bytes(lo), fmt_bytes(hi))
-            }
-        }),
-    );
+    t.row("Granularity (data)", pcol(analyses, granularity));
     t.row(
         "Access pattern",
-        col(analyses, |a| a.access_pattern.clone()),
+        pcol(analyses, |p| p.access_pattern.clone()),
     );
     t.row(
         "Data dist",
@@ -331,21 +323,11 @@ pub fn table7(analyses: &[&Analysis]) -> Table {
             (40u32.saturating_sub(a.ranks_per_node)).to_string()
         }),
     );
-    t.row(
-        "Granularity (data)",
-        col(analyses, |a| {
-            let (lo, hi) = a.granularity();
-            if lo == hi {
-                fmt_bytes(lo)
-            } else {
-                format!("{}-{}", fmt_bytes(lo), fmt_bytes(hi))
-            }
-        }),
-    );
+    t.row("Granularity (data)", pcol(analyses, granularity));
     t.row("Memory/node", col(analyses, |_| "256GiB".to_string()));
     t.row(
         "Access pattern",
-        col(analyses, |a| a.access_pattern.clone()),
+        pcol(analyses, |p| p.access_pattern.clone()),
     );
     t
 }
@@ -401,26 +383,17 @@ pub fn table10(analyses: &[&Analysis]) -> Table {
             _ => "bin".to_string(),
         }),
     );
-    t.row("Size", col(analyses, |a| fmt_bytes(a.dataset_bytes())));
+    t.row("Size", pcol(analyses, |p| fmt_bytes(p.dataset_bytes())));
     t.row(
         "# of files",
-        col(analyses, |a| fmt_count(a.n_files() as u64)),
+        pcol(analyses, |p| fmt_count(p.files.len() as u64)),
     );
-    t.row("I/O", col(analyses, |a| fmt_bytes(a.io_bytes())));
+    t.row("I/O", pcol(analyses, |p| fmt_bytes(p.io_bytes())));
     t.row(
         "Time (sec)",
         col(analyses, |a| format!("{:.1}", a.io_time())),
     );
-    t.row(
-        "I/O ops dist (data, meta)",
-        col(analyses, |a| {
-            format!(
-                "{:.0}%, {:.0}%",
-                a.data_frac() * 100.0,
-                (1.0 - a.data_frac()) * 100.0
-            )
-        }),
-    );
+    t.row("I/O ops dist (data, meta)", pcol(analyses, ops_dist));
     t
 }
 
@@ -430,56 +403,23 @@ pub fn table11(analyses: &[&Analysis]) -> Table {
         "Table XI: Attributes for File Entity Type (top data file)",
         analyses,
     );
-    t.row(
-        "Size",
-        col(analyses, |a| {
-            a.files
-                .first()
-                .map(|f| fmt_bytes(f.size))
-                .unwrap_or_else(|| "NA".into())
-        }),
-    );
+    t.row("Size", file_col(analyses, |f| fmt_bytes(f.size)));
     t.row(
         "I/O",
-        col(analyses, |a| {
-            a.files
-                .first()
-                .map(|f| fmt_bytes(f.read_bytes + f.write_bytes))
-                .unwrap_or_else(|| "NA".into())
-        }),
+        file_col(analyses, |f| fmt_bytes(f.read_bytes + f.write_bytes)),
     );
     t.row(
         "Time (sec)",
-        col(analyses, |a| {
-            a.files
-                .first()
-                .map(|f| format!("{:.3}", f.time.as_secs_f64()))
-                .unwrap_or_else(|| "NA".into())
-        }),
+        file_col(analyses, |f| format!("{:.3}", f.time.as_secs_f64())),
     );
     t.row(
         "I/O ops dist (data, meta)",
-        col(analyses, |a| {
-            a.files
-                .first()
-                .map(|f| {
-                    let total = (f.data_ops + f.meta_ops).max(1);
-                    format!(
-                        "{:.0}%, {:.0}%",
-                        f.data_ops as f64 / total as f64 * 100.0,
-                        f.meta_ops as f64 / total as f64 * 100.0
-                    )
-                })
-                .unwrap_or_else(|| "NA".into())
-        }),
+        file_col(analyses, |f| op_split(f.data_ops, f.meta_ops)),
     );
     t.row(
         "# readers/#writers",
-        col(analyses, |a| {
-            a.files
-                .first()
-                .map(|f| format!("{}/{}", f.readers.len(), f.writers.len()))
-                .unwrap_or_else(|| "NA".into())
+        file_col(analyses, |f| {
+            format!("{}/{}", f.readers.len(), f.writers.len())
         }),
     );
     t
@@ -498,6 +438,7 @@ pub fn entities_with_completeness(
     a: &Analysis,
     completeness: Option<&recorder_sim::spill::TraceCompleteness>,
 ) -> Vec<Entity> {
+    let p = &a.profile;
     let mut out = Vec::new();
     out.push(
         Entity::new(EntityType::JobConfiguration, a.kind.name())
@@ -511,48 +452,51 @@ pub fn entities_with_completeness(
     );
     out.push(
         Entity::new(EntityType::Workflow, a.kind.name())
-            .with("#apps", AttrValue::Count(a.apps.len() as u64))
-            .with("io_amount", AttrValue::Bytes(a.io_bytes()))
+            .with("#apps", AttrValue::Count(p.apps.len() as u64))
+            .with("io_amount", AttrValue::Bytes(p.io_bytes()))
             .with(
                 "ops_dist_data_meta",
-                AttrValue::Split(a.data_frac(), 1.0 - a.data_frac()),
+                AttrValue::Split(p.data_frac(), 1.0 - p.data_frac()),
             )
             .with("runtime", AttrValue::Seconds(a.job_time.as_secs_f64())),
     );
     let mut app = Entity::new(EntityType::Application, a.kind.name())
         .with("#processes", AttrValue::Count(a.n_ranks as u64))
-        .with("fpp_files", AttrValue::Count(a.fpp_files() as u64))
-        .with("shared_files", AttrValue::Count(a.shared_files() as u64))
-        .with("interface", AttrValue::Str(a.interface.clone()))
-        .with("io_time_frac", AttrValue::Fraction(a.io_time_frac));
+        .with("fpp_files", AttrValue::Count(p.fpp_files() as u64))
+        .with("shared_files", AttrValue::Count(p.shared_files() as u64))
+        .with("interface", AttrValue::Str(p.interface.clone()))
+        .with("io_time_frac", AttrValue::Fraction(p.io_time_frac));
     // Resilience attributes: only present when the run saw injected faults,
     // so fault-free emissions stay byte-identical to earlier versions.
-    if a.fault_events > 0 || a.retry_events > 0 {
+    if p.fault_events > 0 || p.retry_events > 0 {
         app = app
-            .with("error_rate", AttrValue::Fraction(a.error_rate()))
+            .with("error_rate", AttrValue::Fraction(p.error_rate()))
             .with(
                 "retry_amplification",
-                AttrValue::Fraction(a.retry_amplification()),
+                AttrValue::Fraction(p.retry_amplification()),
             )
             .with(
                 "time_lost_to_faults",
-                AttrValue::Seconds(a.time_lost_to_faults()),
+                AttrValue::Seconds(p.fault_time.as_secs_f64()),
             );
     }
     // Crash-recovery attributes: only present when the job actually
     // restarted, so crash-free emissions stay byte-identical too.
-    if a.restart_events > 0 {
+    if p.restart_events > 0 {
         app = app
-            .with("restart_count", AttrValue::Count(a.restart_count()))
+            .with("restart_count", AttrValue::Count(p.restart_events))
             .with(
                 "time_lost_to_crashes",
-                AttrValue::Seconds(a.time_lost_to_crashes()),
+                AttrValue::Seconds(p.crash_lost_time.as_secs_f64()),
             )
             .with(
                 "checkpoint_overhead",
-                AttrValue::Seconds(a.checkpoint_overhead()),
+                AttrValue::Seconds(p.ckpt_time.as_secs_f64()),
             )
-            .with("recovery_time", AttrValue::Seconds(a.recovery_seconds()));
+            .with(
+                "recovery_time",
+                AttrValue::Seconds(p.recovery_time.as_secs_f64()),
+            );
     }
     // Trace-integrity annotation for analyses built from salvaged captures.
     if let Some(tc) = completeness {
@@ -576,26 +520,26 @@ pub fn entities_with_completeness(
         }
         out.push(imp);
     }
-    if let Some(p) = a.phases.first() {
+    if let Some(phase) = p.phases.first() {
         out.push(
             Entity::new(EntityType::IoPhase, "phase0")
-                .with("io_amount", AttrValue::Bytes(p.bytes))
-                .with("runtime", AttrValue::Seconds(p.runtime().as_secs_f64()))
-                .with("dominant_xfer", AttrValue::Bytes(p.dominant_xfer)),
+                .with("io_amount", AttrValue::Bytes(phase.bytes))
+                .with("runtime", AttrValue::Seconds(phase.runtime().as_secs_f64()))
+                .with("dominant_xfer", AttrValue::Bytes(phase.dominant_xfer)),
         );
     }
-    let (lo, hi) = a.granularity();
+    let (lo, hi) = p.granularity();
     out.push(
         Entity::new(EntityType::HighLevelIo, a.kind.name())
             .with("granularity", AttrValue::Range(lo, hi))
-            .with("access_pattern", AttrValue::Str(a.access_pattern.clone()))
+            .with("access_pattern", AttrValue::Str(p.access_pattern.clone()))
             .with("data_dist", AttrValue::Str(a.data_dist.label().into())),
     );
     out.push(
         Entity::new(EntityType::Dataset, a.kind.name())
-            .with("size", AttrValue::Bytes(a.dataset_bytes()))
-            .with("#files", AttrValue::Count(a.n_files() as u64))
-            .with("io", AttrValue::Bytes(a.io_bytes())),
+            .with("size", AttrValue::Bytes(p.dataset_bytes()))
+            .with("#files", AttrValue::Count(p.files.len() as u64))
+            .with("io", AttrValue::Bytes(p.io_bytes())),
     );
     out
 }

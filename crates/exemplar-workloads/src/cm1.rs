@@ -358,7 +358,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 
 /// Run CM1 with explicit parameters.
 pub fn run_with(p: Cm1Params, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(7200), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: every rank opens/reads/closes one
     // config file, rank 0 streams write_total in write_xfer chunks across
     // the shared output files, plus one collective per step.

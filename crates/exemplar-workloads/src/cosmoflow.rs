@@ -267,11 +267,12 @@ impl RankScript<IoWorld> for CfScript {
                         store.snapshot(key).expect("snapshot")
                     };
                     let bytes = snap.size();
-                    w.storage.locals_mut()[0]
+                    w.storage
+                        .shm_mut()
                         .store_mut(node)
                         .insert_snapshot(&dst, snap)
                         .expect("shm capacity fits 1/N of the dataset");
-                    let t2 = w.storage.locals_mut()[0].touch(node, bytes, t);
+                    let t2 = w.storage.shm_mut().touch(node, bytes, t);
                     let dst_id = w.tracer.file_id(&dst);
                     let t3 = w.trace_io(
                         rank,
@@ -493,7 +494,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 /// Run with explicit parameters (the Figure 7 harness sets
 /// `preload_to_shm`).
 pub fn run_with(p: CosmoflowParams, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(6 * 3600), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: every sample file is opened by its
     // rank group (header + validation metadata per reader) and streamed in
     // xfer-sized pieces; rank 0 adds periodic checkpoints. Preload runs

@@ -213,7 +213,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 
 /// Run HACC-IO with explicit parameters.
 pub fn run_with(p: HaccParams, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(7200), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: file-per-process checkpoint — each rank
     // opens its file, streams bytes_per_rank in xfer-sized writes across
     // n_vars variables, syncs, and closes.

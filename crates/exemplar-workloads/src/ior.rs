@@ -10,7 +10,7 @@ use hpc_cluster::topology::RankId;
 use io_layers::posix::{self, Fd, OpenFlags};
 use io_layers::world::IoWorld;
 use sim_core::units::MIB;
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 use storage_sim::{FaultPlan, InterferenceSchedule};
 
 /// IOR parameters.
@@ -20,12 +20,10 @@ pub struct IorParams {
     pub nodes: u32,
     /// Ranks per node.
     pub ranks_per_node: u32,
-    /// Bytes each rank writes/reads.
+    /// Bytes each rank writes.
     pub bytes_per_rank: u64,
     /// Transfer size (large, to hit the bandwidth ceiling).
     pub xfer: u64,
-    /// Whether to read the data back after writing.
-    pub read_back: bool,
     /// Fault-injection plan applied to the PFS for this run (empty = none).
     pub faults: FaultPlan,
     /// Competing-tenant load on the shared PFS (empty = dedicated machine).
@@ -42,7 +40,6 @@ impl IorParams {
             ranks_per_node: 8,
             bytes_per_rank: 512 * MIB,
             xfer: 16 * MIB,
-            read_back: false,
         }
     }
 
@@ -60,7 +57,6 @@ impl IorParams {
                 .min(scaled(p.ranks_per_node as u64, scale.max(0.25), 2) as u32),
             bytes_per_rank: scaled(p.bytes_per_rank, scale, 2 * MIB),
             xfer: p.xfer.min(scaled(p.bytes_per_rank, scale, 2 * MIB)),
-            read_back: p.read_back,
         }
     }
 }
@@ -69,7 +65,6 @@ enum Phase {
     Open,
     Write { fd: Fd, off: u64 },
     Sync { fd: Fd },
-    Read { fd: Fd, off: u64 },
     Close { fd: Fd },
     Done,
 }
@@ -111,24 +106,7 @@ impl RankScript<IoWorld> for IorScript {
                 Phase::Sync { fd } => {
                     let (res, t) = posix::fsync(w, rank, fd, now);
                     res.expect("ior fsync");
-                    self.phase = if self.p.read_back {
-                        Phase::Read { fd, off: 0 }
-                    } else {
-                        Phase::Close { fd }
-                    };
-                    return StepEffect::busy_until(t);
-                }
-                Phase::Read { fd, off } => {
-                    if off >= self.p.bytes_per_rank {
-                        self.phase = Phase::Close { fd };
-                        continue;
-                    }
-                    let (res, t) = posix::read_at(w, rank, fd, off, self.p.xfer, now);
-                    res.expect("ior read");
-                    self.phase = Phase::Read {
-                        fd,
-                        off: off + self.p.xfer,
-                    };
+                    self.phase = Phase::Close { fd };
                     return StepEffect::busy_until(t);
                 }
                 Phase::Close { fd } => {
@@ -145,14 +123,13 @@ impl RankScript<IoWorld> for IorScript {
 /// Run IOR and return the run (aggregate write bandwidth =
 /// total bytes / makespan).
 pub fn run(p: IorParams, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(3600), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: each rank opens, streams bytes_per_rank
-    // in xfer-sized transfers (twice with read-back), syncs, and closes.
+    // in xfer-sized transfers, syncs, and closes.
     let ranks = (p.nodes * p.ranks_per_node) as u64;
-    let passes = if p.read_back { 2 } else { 1 };
     world
         .tracer
-        .reserve((ranks * (4 + passes * (p.bytes_per_rank / p.xfer.max(1)))) as usize);
+        .reserve((ranks * (4 + p.bytes_per_rank / p.xfer.max(1))) as usize);
     let n = world.alloc.total_ranks();
     // No checkpoint markers: a relaunch starts over from the first write.
     execute(
@@ -194,7 +171,6 @@ mod tests {
             ranks_per_node: 4,
             bytes_per_rank: 64 * MIB,
             xfer: 16 * MIB,
-            read_back: false,
             ..IorParams::paper()
         };
         let run = run(p, 1);
@@ -218,7 +194,6 @@ mod tests {
             ranks_per_node: 1,
             bytes_per_rank: 64 * MIB,
             xfer: 16 * MIB,
-            read_back: false,
             ..IorParams::paper()
         };
         let run = run(p, 1);

@@ -242,7 +242,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 
 /// Run JAG with explicit parameters.
 pub fn run_with(p: JagParams, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(6 * 3600), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: the first epoch reads every sample in
     // sub-4 KiB stdio accesses, each epoch checkpoints per rank, and the
     // validation pass re-reads a sample slice per rank.

@@ -542,7 +542,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 /// Run with explicit parameters (the Figure 8 harness varies `nodes` and
 /// `workdir`).
 pub fn run_with(p: MontageParams, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(7200), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: projection reads the per-node inputs,
     // intermediates stream in sub-4 KiB transfers, mAddMPI and mViewer add
     // per-rank/per-node streams.
@@ -692,7 +692,7 @@ mod tests {
         // intermediate churn.
         let pfs_written = run.world.storage.pfs().stats().bytes_written;
         assert_eq!(pfs_written, 0, "no intermediate bytes on the PFS");
-        let (shm_r, shm_w) = run.world.storage.locals()[0].bytes_moved();
+        let (shm_r, shm_w) = run.world.storage.shm().bytes_moved();
         assert!(shm_w > 0 && shm_r > 0, "intermediates moved through shm");
     }
 }

@@ -560,7 +560,7 @@ pub fn run(scale: f64, seed: u64) -> WorkloadRun {
 
 /// Run with explicit parameters.
 pub fn run_with(p: PegasusParams, scale: f64, seed: u64) -> WorkloadRun {
-    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, Dur::from_secs(12 * 3600), seed);
+    let mut world = IoWorld::lassen(p.nodes, p.ranks_per_node, seed);
     // Pre-size the capture columns: each DAG task opens/reads/writes/closes
     // its staged files — mProject consumes inputs_per_image raw files,
     // mDiff touches two projected images, mAdd/mViewer stream per tile.

@@ -1,42 +1,29 @@
 //! Job allocations: the scheduler-facing view of a workload.
 //!
-//! A [`JobSpec`] is what the user submits (node count, processes per node,
-//! wall-time request, storage directories); a [`JobAlloc`] is the concrete
+//! A [`JobSpec`] is what the user submits (node count, processes per
+//! node); a [`JobAlloc`] is the concrete
 //! placement the scheduler grants, providing the rank-to-node map every
 //! other layer uses.
 
 use crate::topology::{ClusterSpec, NodeId, RankId};
-use sim_core::Dur;
 
-/// A job submission: resources requested and storage locations used.
-/// Mirrors the paper's job-configuration entity (Table II).
+/// A job submission: the resources requested. The storage directories of
+/// the paper's job-configuration entity (Table II) are Lassen's fixed
+/// mounts, `/dev/shm` and `/p/gpfs1`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Nodes requested.
     pub nodes: u32,
     /// Processes (ranks) per node.
     pub ranks_per_node: u32,
-    /// Requested wall time.
-    pub walltime: Dur,
-    /// Node-local burst-buffer directory (e.g. "/dev/shm"), if any.
-    pub node_local_bb_dir: Option<String>,
-    /// Shared burst-buffer directory, if any (Lassen has none).
-    pub shared_bb_dir: Option<String>,
-    /// Parallel-file-system directory (e.g. "/p/gpfs1").
-    pub pfs_dir: String,
 }
 
 impl JobSpec {
-    /// A Lassen-style job: `/dev/shm` node-local, no shared BB, GPFS at
-    /// `/p/gpfs1` (Table II).
-    pub fn lassen(nodes: u32, ranks_per_node: u32, walltime: Dur) -> Self {
+    /// A Lassen job of `nodes` × `ranks_per_node` ranks.
+    pub fn lassen(nodes: u32, ranks_per_node: u32) -> Self {
         JobSpec {
             nodes,
             ranks_per_node,
-            walltime,
-            node_local_bb_dir: Some("/dev/shm".to_string()),
-            shared_bb_dir: None,
-            pfs_dir: "/p/gpfs1".to_string(),
         }
     }
 
@@ -128,10 +115,7 @@ mod tests {
     use super::*;
 
     fn alloc_32x40() -> JobAlloc {
-        JobAlloc::allocate(
-            &ClusterSpec::lassen(),
-            JobSpec::lassen(32, 40, Dur::from_secs(7200)),
-        )
+        JobAlloc::allocate(&ClusterSpec::lassen(), JobSpec::lassen(32, 40))
     }
 
     #[test]
@@ -159,15 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn lassen_job_spec_dirs() {
-        let s = JobSpec::lassen(4, 2, Dur::from_secs(60));
-        assert_eq!(s.node_local_bb_dir.as_deref(), Some("/dev/shm"));
-        assert_eq!(s.shared_bb_dir, None);
-        assert_eq!(s.pfs_dir, "/p/gpfs1");
-        assert_eq!(s.total_ranks(), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "job wants")]
     fn oversubscribed_cores_panic() {
         JobAlloc::allocate(
@@ -178,7 +153,7 @@ mod tests {
                 },
                 ..ClusterSpec::lassen()
             },
-            JobSpec::lassen(2, 8, Dur::from_secs(1)),
+            JobSpec::lassen(2, 8),
         );
     }
 }

@@ -249,7 +249,6 @@ impl FitsFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::Dur;
 
     #[test]
     fn header_encode_parse_round_trip() {
@@ -279,7 +278,7 @@ mod tests {
 
     #[test]
     fn save_open_read_cycle_uses_64k_buffers() {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 2);
+        let mut w = IoWorld::lassen(1, 1, 2);
         let r = RankId(0);
         let h = FitsHeader {
             bitpix: 16,

@@ -507,10 +507,9 @@ impl H5File {
 mod tests {
     use super::*;
     use sim_core::units::MIB;
-    use sim_core::Dur;
 
     fn world() -> IoWorld {
-        IoWorld::lassen(1, 2, Dur::from_secs(3600), 4)
+        IoWorld::lassen(1, 2, 4)
     }
 
     fn make_file(w: &mut IoWorld, path: &str, chunk: Option<u64>) -> SimTime {

@@ -170,7 +170,6 @@ pub fn collective_read_part(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::Dur;
 
     #[test]
     fn plan_assigns_disjoint_covering_ranges() {
@@ -222,7 +221,7 @@ mod tests {
 
     #[test]
     fn collective_read_moves_the_assigned_bytes() {
-        let mut w = IoWorld::lassen(2, 2, Dur::from_secs(3600), 3);
+        let mut w = IoWorld::lassen(2, 2, 3);
         let r = RankId(0);
         // Create a 4 MiB file first.
         let (fd, t) = open(
@@ -252,7 +251,7 @@ mod tests {
 
     #[test]
     fn mpiio_layer_records_are_captured() {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 3);
+        let mut w = IoWorld::lassen(1, 1, 3);
         let r = RankId(0);
         let (fd, t) = open(
             &mut w,

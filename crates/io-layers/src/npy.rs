@@ -230,7 +230,6 @@ impl NpyFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::Dur;
 
     #[test]
     fn header_encode_parse_round_trip() {
@@ -259,7 +258,7 @@ mod tests {
 
     #[test]
     fn write_open_read_cycle() {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 8);
+        let mut w = IoWorld::lassen(1, 1, 8);
         let r = RankId(0);
         let h = NpyHeader {
             descr: "<f4".to_string(),
@@ -297,7 +296,7 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 8);
+        let mut w = IoWorld::lassen(1, 1, 8);
         let r = RankId(0);
         let (h, t) = stdio::fopen(&mut w, r, "/p/gpfs1/junk.npy", "w", SimTime::ZERO);
         let (_, t) = stdio::fwrite(&mut w, r, h.unwrap(), b"garbage bytes here", t);

@@ -100,26 +100,9 @@ pub fn open(
     match res.map(|h| (h, t_settle)) {
         Ok((handle, t_open)) => {
             let mut end = t_open;
-            let mut size = match handle.tier {
-                storage_sim::mounts::Tier::Pfs => {
-                    w.storage.pfs().store().size_of(handle.key).unwrap_or(0)
-                }
-                storage_sim::mounts::Tier::NodeLocal(i) => w.storage.locals()[i as usize]
-                    .store(node)
-                    .size_of(handle.key)
-                    .unwrap_or(0),
-            };
+            let mut size = w.storage.size_of(node, handle);
             if flags.truncate && flags.write && size > 0 {
-                match handle.tier {
-                    storage_sim::mounts::Tier::Pfs => {
-                        let _ = w.storage.pfs_mut().store_mut().truncate(handle.key, 0);
-                    }
-                    storage_sim::mounts::Tier::NodeLocal(i) => {
-                        let _ = w.storage.locals_mut()[i as usize]
-                            .store_mut(node)
-                            .truncate(handle.key, 0);
-                    }
-                }
+                w.storage.truncate(node, handle);
                 size = 0;
             }
             let slot = match w.proc_mut(rank).alloc_fd() {
@@ -444,10 +427,7 @@ pub(crate) fn fstat(
         };
         (of.handle, of.path_id, of.known_size)
     };
-    let t = match handle.tier {
-        storage_sim::mounts::Tier::Pfs => w.storage.pfs_mut().meta_op(now),
-        storage_sim::mounts::Tier::NodeLocal(_) => now + sim_core::Dur::from_nanos(400),
-    };
+    let t = w.storage.fstat(handle, now);
     let end = w.trace_io(
         rank,
         Layer::Posix,
@@ -510,7 +490,7 @@ mod tests {
     use sim_core::Dur;
 
     fn world() -> IoWorld {
-        IoWorld::lassen(2, 2, Dur::from_secs(3600), 5)
+        IoWorld::lassen(2, 2, 5)
     }
 
     #[test]

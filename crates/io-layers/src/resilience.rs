@@ -174,7 +174,7 @@ mod tests {
     use std::cell::Cell;
 
     fn world() -> IoWorld {
-        IoWorld::lassen(1, 1, Dur::from_secs(60), 9)
+        IoWorld::lassen(1, 1, 9)
     }
 
     #[test]
@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn retry_timing_is_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), seed);
+            let mut w = IoWorld::lassen(1, 1, seed);
             let failures = Cell::new(3u32);
             let (_, end) = with_retries(&mut w, RankId(0), None, 0, 512, SimTime::ZERO, |_w, t| {
                 if failures.get() > 0 {

@@ -634,7 +634,7 @@ mod tests {
     use recorder_sim::record::Layer as L;
 
     fn world() -> IoWorld {
-        IoWorld::lassen(1, 2, Dur::from_secs(3600), 9)
+        IoWorld::lassen(1, 2, 9)
     }
 
     #[test]

@@ -111,9 +111,9 @@ impl IoWorld {
     }
 
     /// A Lassen world: standard storage system and an enabled tracer.
-    pub fn lassen(nodes: u32, ranks_per_node: u32, walltime: Dur, seed: u64) -> Self {
+    pub fn lassen(nodes: u32, ranks_per_node: u32, seed: u64) -> Self {
         let cluster = ClusterSpec::lassen();
-        let spec = hpc_cluster::job::JobSpec::lassen(nodes, ranks_per_node, walltime);
+        let spec = hpc_cluster::job::JobSpec::lassen(nodes, ranks_per_node);
         let alloc = JobAlloc::allocate(&cluster, spec);
         let storage = StorageSystem::lassen(nodes as usize, seed);
         IoWorld::new(&cluster, alloc, storage, Tracer::new(), seed)
@@ -223,14 +223,14 @@ mod tests {
 
     #[test]
     fn world_setup_places_ranks() {
-        let w = IoWorld::lassen(2, 4, Dur::from_secs(60), 1);
+        let w = IoWorld::lassen(2, 4, 1);
         assert_eq!(w.procs.len(), 8);
         assert_eq!(w.node_of(RankId(5)).0, 1);
     }
 
     #[test]
     fn compute_records_land_in_trace() {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 1);
+        let mut w = IoWorld::lassen(1, 1, 1);
         w.set_app(RankId(0), "test-app");
         let end = w.compute(RankId(0), Dur::from_secs(2), SimTime::ZERO);
         assert_eq!(end, SimTime::from_secs(2));

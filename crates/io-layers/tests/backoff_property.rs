@@ -18,7 +18,7 @@ use hpc_cluster::topology::RankId;
 use io_layers::resilience::with_retries;
 use io_layers::world::IoWorld;
 use recorder_sim::record::{Layer, OpKind};
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 use storage_sim::IoErr;
 
 /// Exhaust the full retry budget against an always-transient fault and
@@ -39,7 +39,7 @@ fn charged_waits(w: &mut IoWorld) -> Vec<f64> {
 #[test]
 fn backoff_waits_respect_envelope_monotonicity_and_budget() {
     for seed in 0..64u64 {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), seed);
+        let mut w = IoWorld::lassen(1, 1, seed);
         let policy = w.resilience.policy.clone();
         let j = policy.jitter;
         assert!(
@@ -88,7 +88,7 @@ fn capped_backoff_stays_inside_the_cap_envelope() {
     // Stretch the budget so the exponential actually reaches the cap:
     // 2ms * 2^(k-1) crosses 250ms at the 9th retry.
     for seed in [3u64, 11, 29] {
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), seed);
+        let mut w = IoWorld::lassen(1, 1, seed);
         w.resilience.policy.max_attempts = 12;
         let policy = w.resilience.policy.clone();
         let waits = charged_waits(&mut w);
@@ -119,7 +119,7 @@ fn capped_backoff_stays_inside_the_cap_envelope() {
 
 #[test]
 fn zero_jitter_reproduces_the_exact_exponential_ladder() {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 7);
+    let mut w = IoWorld::lassen(1, 1, 7);
     w.resilience.policy.jitter = 0.0;
     let waits = charged_waits(&mut w);
     let expected: Vec<f64> = (0..waits.len())

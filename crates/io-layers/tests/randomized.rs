@@ -12,7 +12,7 @@ use hpc_cluster::topology::RankId;
 use io_layers::posix::Whence;
 use io_layers::world::IoWorld;
 use io_layers::{fits, npy, stdio};
-use sim_core::{Dur, SimTime};
+use sim_core::SimTime;
 use storage_sim::file::pattern_byte;
 use vani_rt::Rng;
 
@@ -63,7 +63,7 @@ fn random_mixed_op(r: &mut Rng) -> Op {
 /// model, asserting observational equivalence after every step and after a
 /// close + full re-read.
 fn check_stdio_matches_vec_model(ops: &[Op]) {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 1);
+    let mut w = IoWorld::lassen(1, 1, 1);
     let r = RankId(0);
     // Small buffer to force plenty of flush/fill boundary cases.
     let (h, mut t) =
@@ -243,7 +243,7 @@ fn randomized_time_is_monotonic_through_the_stack() {
     for _ in 0..48 {
         let n = rng.uniform_u64(1, 30) as usize;
         let ops: Vec<Op> = (0..n).map(|_| random_op(&mut rng)).collect();
-        let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 1);
+        let mut w = IoWorld::lassen(1, 1, 1);
         let r = RankId(0);
         let (h, mut t) = stdio::fopen(&mut w, r, "/p/gpfs1/mono.bin", "w+", SimTime::ZERO);
         let h = h.unwrap();
@@ -340,7 +340,7 @@ fn run_piece_script(
     bufsize: u64,
     as_pattern: bool,
 ) -> (Vec<u8>, Vec<recorder_sim::record::TraceRecord>) {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(3600), 1);
+    let mut w = IoWorld::lassen(1, 1, 1);
     let r = RankId(0);
     let path = "/p/gpfs1/pieces.bin";
     let (h, mut t) = stdio::fopen_buffered(&mut w, r, path, "w+", bufsize, SimTime::ZERO);

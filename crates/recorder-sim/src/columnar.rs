@@ -9,7 +9,6 @@
 //! statistic one column scan at a time.
 
 use crate::record::{AppId, FileId, Layer, OpKind, TraceRecord};
-use crate::tracer::Tracer;
 use sim_core::{Dur, SimTime};
 use std::collections::HashMap;
 
@@ -57,16 +56,6 @@ pub struct GroupAgg {
 }
 
 impl ColumnarTrace {
-    /// Columnar view of a captured trace.
-    ///
-    /// Since the tracer captures straight into columns this is a plain
-    /// clone of the column vectors (one memcpy per column) — the historical
-    /// row → column transpose is gone. Kept as a compat shim; prefer
-    /// [`Tracer::columnar`] for a borrowed view that copies nothing.
-    pub fn from_tracer(t: &Tracer) -> Self {
-        t.to_columnar()
-    }
-
     /// Empty trace with all ten columns pre-sized for `n` records.
     pub fn with_capacity(n: usize) -> Self {
         ColumnarTrace {
@@ -297,6 +286,7 @@ impl ColumnarTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracer::Tracer;
 
     fn sample_trace() -> Tracer {
         let mut t = Tracer::new();
@@ -371,7 +361,7 @@ mod tests {
     #[test]
     fn conversion_round_trips() {
         let t = sample_trace();
-        let c = ColumnarTrace::from_tracer(&t);
+        let c = t.to_columnar();
         assert_eq!(c.len(), 5);
         let back = c.to_records();
         assert_eq!(back.len(), 5);
@@ -382,7 +372,7 @@ mod tests {
 
     #[test]
     fn selections_split_data_and_meta() {
-        let c = ColumnarTrace::from_tracer(&sample_trace());
+        let c = sample_trace().to_columnar();
         assert_eq!(c.data_ops(None).len(), 2);
         assert_eq!(c.meta_ops(None).len(), 2);
         assert_eq!(c.io_ops().len(), 4);
@@ -392,7 +382,7 @@ mod tests {
 
     #[test]
     fn aggregates_are_correct() {
-        let c = ColumnarTrace::from_tracer(&sample_trace());
+        let c = sample_trace().to_columnar();
         let data = c.data_ops(None);
         assert_eq!(c.sum_bytes(&data), 150);
         let by_file = c.group_by_file(&data);
@@ -405,7 +395,7 @@ mod tests {
 
     #[test]
     fn t_max_is_the_latest_end() {
-        let c = ColumnarTrace::from_tracer(&sample_trace());
+        let c = sample_trace().to_columnar();
         assert_eq!(c.t_max(), SimTime(1_000_000_020));
     }
 

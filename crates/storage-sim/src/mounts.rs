@@ -1,10 +1,9 @@
 //! The per-job storage system: a mount table routing paths to tiers.
 //!
 //! A compute node sees the shared parallel file system (every path not
-//! claimed by a node-local mount) plus zero or more node-local tiers
-//! (`/dev/shm`, `/tmp`). [`StorageSystem`] owns all tier simulators and
-//! routes timed operations to the right one, the way the kernel's mount
-//! table would.
+//! under `/dev/shm`) plus one node-local tier, tmpfs at `/dev/shm`.
+//! [`StorageSystem`] owns both tier simulators and routes timed
+//! operations to the right one, the way the kernel's mount table would.
 
 use crate::err::IoErr;
 use crate::file::{ContentView, FileKey, Window};
@@ -19,8 +18,8 @@ use sim_core::{Dur, SimTime};
 pub enum Tier {
     /// The shared parallel file system.
     Pfs,
-    /// The `i`-th node-local tier in mount order.
-    NodeLocal(u8),
+    /// The node-local tmpfs at `/dev/shm`.
+    Shm,
 }
 
 /// A file handle valid across the whole system: tier plus per-tier key.
@@ -35,7 +34,7 @@ pub struct FileHandle {
 /// The complete storage system visible to a job.
 pub struct StorageSystem {
     pfs: GpfsSim,
-    locals: Vec<NodeLocalFs>,
+    shm: NodeLocalFs,
 }
 
 impl StorageSystem {
@@ -51,20 +50,16 @@ impl StorageSystem {
             seed,
         );
         let shm = NodeLocalFs::new(NodeLocalConfig::lassen_shm(node.memory_bytes), n_nodes);
-        StorageSystem {
-            pfs,
-            locals: vec![shm],
-        }
+        StorageSystem { pfs, shm }
     }
 
     /// Resolve which tier a path belongs to.
     pub(crate) fn resolve(&self, path: &str) -> Tier {
-        for (i, l) in self.locals.iter().enumerate() {
-            if vpath::starts_with_dir(path, &l.config().mount) {
-                return Tier::NodeLocal(i as u8);
-            }
+        if vpath::starts_with_dir(path, &self.shm.config().mount) {
+            Tier::Shm
+        } else {
+            Tier::Pfs
         }
-        Tier::Pfs
     }
 
     /// Access the PFS simulator.
@@ -77,14 +72,43 @@ impl StorageSystem {
         &mut self.pfs
     }
 
-    /// Node-local tiers in mount order.
-    pub fn locals(&self) -> &[NodeLocalFs] {
-        &self.locals
+    /// The node-local `/dev/shm` tier.
+    pub fn shm(&self) -> &NodeLocalFs {
+        &self.shm
     }
 
-    /// Mutable node-local access.
-    pub fn locals_mut(&mut self) -> &mut [NodeLocalFs] {
-        &mut self.locals
+    /// Mutable `/dev/shm` access (preloading).
+    pub fn shm_mut(&mut self) -> &mut NodeLocalFs {
+        &mut self.shm
+    }
+
+    /// Current size of the file behind a handle, as `node` sees it (0 when
+    /// the key is gone).
+    pub fn size_of(&self, node: NodeId, h: FileHandle) -> u64 {
+        let store = match h.tier {
+            Tier::Pfs => self.pfs.store(),
+            Tier::Shm => self.shm.store(node),
+        };
+        store.size_of(h.key).unwrap_or(0)
+    }
+
+    /// Truncate the file behind a handle to zero bytes (`O_TRUNC`). A key
+    /// that is already gone is left alone.
+    pub fn truncate(&mut self, node: NodeId, h: FileHandle) {
+        let store = match h.tier {
+            Tier::Pfs => self.pfs.store_mut(),
+            Tier::Shm => self.shm.store_mut(node),
+        };
+        let _ = store.truncate(h.key, 0);
+    }
+
+    /// Charge an `fstat` on an open handle: a metadata-server round trip
+    /// on the PFS, a memory operation on shm.
+    pub fn fstat(&mut self, h: FileHandle, now: SimTime) -> SimTime {
+        match h.tier {
+            Tier::Pfs => self.pfs.meta_op(now),
+            Tier::Shm => now + Dur::from_nanos(400),
+        }
     }
 
     /// Open (optionally create) `path` from `node`.
@@ -107,12 +131,11 @@ impl StorageSystem {
                     end,
                 ))
             }
-            Tier::NodeLocal(i) => {
-                let (key, end) =
-                    self.locals[i as usize].open(node, path, create, exclusive, now)?;
+            Tier::Shm => {
+                let (key, end) = self.shm.open(node, path, create, exclusive, now)?;
                 Ok((
                     FileHandle {
-                        tier: Tier::NodeLocal(i),
+                        tier: Tier::Shm,
                         key,
                     },
                     end,
@@ -125,7 +148,7 @@ impl StorageSystem {
     pub fn close(&mut self, node: NodeId, h: FileHandle, now: SimTime) -> SimTime {
         match h.tier {
             Tier::Pfs => self.pfs.close(node, h.key, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].close(node, h.key, now),
+            Tier::Shm => self.shm.close(node, h.key, now),
         }
     }
 
@@ -141,7 +164,7 @@ impl StorageSystem {
     ) -> Result<(u64, SimTime), IoErr> {
         match h.tier {
             Tier::Pfs => self.pfs.write(node, h.key, offset, run, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].write(node, h.key, offset, run, now),
+            Tier::Shm => self.shm.write(node, h.key, offset, run, now),
         }
     }
 
@@ -156,7 +179,7 @@ impl StorageSystem {
     ) -> Result<(u64, SimTime), IoErr> {
         match h.tier {
             Tier::Pfs => self.pfs.read_len(node, h.key, offset, len, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].read_len(node, h.key, offset, len, now),
+            Tier::Shm => self.shm.read_len(node, h.key, offset, len, now),
         }
     }
 
@@ -171,7 +194,7 @@ impl StorageSystem {
     ) -> Result<(ContentView, SimTime), IoErr> {
         match h.tier {
             Tier::Pfs => self.pfs.read_view(node, h.key, offset, len, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].read_view(node, h.key, offset, len, now),
+            Tier::Shm => self.shm.read_view(node, h.key, offset, len, now),
         }
     }
 
@@ -184,7 +207,7 @@ impl StorageSystem {
     ) -> Result<(u64, SimTime), IoErr> {
         match self.resolve(path) {
             Tier::Pfs => self.pfs.stat(path, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].stat(node, path, now),
+            Tier::Shm => self.shm.stat(node, path, now),
         }
     }
 
@@ -192,7 +215,7 @@ impl StorageSystem {
     pub fn unlink(&mut self, node: NodeId, path: &str, now: SimTime) -> Result<SimTime, IoErr> {
         match self.resolve(path) {
             Tier::Pfs => self.pfs.unlink(path, now),
-            Tier::NodeLocal(i) => self.locals[i as usize].unlink(node, path, now),
+            Tier::Shm => self.shm.unlink(node, path, now),
         }
     }
 
@@ -201,7 +224,7 @@ impl StorageSystem {
         match h.tier {
             Tier::Pfs => self.pfs.fsync(h.key, now),
             // Node-local tmpfs has nothing to sync.
-            Tier::NodeLocal(_) => now + Dur::from_nanos(200),
+            Tier::Shm => now + Dur::from_nanos(200),
         }
     }
 }
@@ -219,7 +242,7 @@ mod tests {
     fn paths_route_to_the_right_tier() {
         let s = system();
         assert_eq!(s.resolve("/p/gpfs1/data/x.h5"), Tier::Pfs);
-        assert_eq!(s.resolve("/dev/shm/x"), Tier::NodeLocal(0));
+        assert_eq!(s.resolve("/dev/shm/x"), Tier::Shm);
         assert_eq!(s.resolve("/home/user/file"), Tier::Pfs);
         assert_eq!(s.resolve("/dev/shmmy"), Tier::Pfs); // component-wise match
     }
@@ -230,7 +253,7 @@ mod tests {
         let (h, t) = s
             .open(NodeId(0), "/dev/shm/tmp.dat", true, false, SimTime::ZERO)
             .unwrap();
-        assert_eq!(h.tier, Tier::NodeLocal(0));
+        assert_eq!(h.tier, Tier::Shm);
         let meta_before = s.pfs().stats().meta_ops;
         let (_, t2) = s
             .write(NodeId(0), h, 0, &[Window::pattern(1, 0, 4096)], t)

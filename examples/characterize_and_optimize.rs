@@ -23,8 +23,8 @@ fn main() {
         "baseline: runtime {:.1}s, per-rank I/O time {:.2}s, metadata ops {} vs data ops {}",
         base.job_time.as_secs_f64(),
         base.io_time(),
-        base.meta_ops,
-        base.data_ops
+        base.profile.meta_ops,
+        base.profile.data_ops
     );
 
     // Characterize → recommend.

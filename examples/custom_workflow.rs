@@ -114,7 +114,7 @@ fn main() {
         dag.app_names().len(),
         dag.critical_path_len()
     );
-    let world = IoWorld::lassen(2, 4, Dur::from_secs(600), 11);
+    let world = IoWorld::lassen(2, 4, 11);
     let q = Rc::new(RefCell::new(WorkQueue::new(dag, 1 << 40)));
     let scripts: Vec<Box<dyn RankScript<IoWorld>>> = (0..8)
         .map(|_| {

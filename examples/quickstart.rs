@@ -20,15 +20,16 @@ fn main() {
 
     // 2. Characterize: extract the paper's entities and attributes.
     let analysis = Analysis::from_run(&run);
+    let p = &analysis.profile;
     println!(
         "interface={}  files={} (shared {}, fpp {})  read={}  write={}  meta-op share={:.0}%",
-        analysis.interface,
-        analysis.n_files(),
-        analysis.shared_files(),
-        analysis.fpp_files(),
-        sim_core::units::fmt_bytes(analysis.read_bytes),
-        sim_core::units::fmt_bytes(analysis.write_bytes),
-        (1.0 - analysis.data_frac()) * 100.0
+        p.interface,
+        p.files.len(),
+        p.shared_files(),
+        p.fpp_files(),
+        sim_core::units::fmt_bytes(p.read_bytes),
+        sim_core::units::fmt_bytes(p.write_bytes),
+        (1.0 - p.data_frac()) * 100.0
     );
 
     // 3. Emit the machine-readable characterization (what a workload-aware

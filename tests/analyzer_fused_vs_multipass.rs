@@ -58,7 +58,7 @@ fn fused_matches_multipass_on_all_workloads_and_worker_counts() {
     assert!(
         runs.iter().any(|(n, r)| n.ends_with("+faults") && {
             let a = Analysis::from_run(r);
-            a.fault_events > 0 && a.retry_events > 0
+            a.profile.fault_events > 0 && a.profile.retry_events > 0
         }),
         "stress_plan produced no absorbed faults on any workload"
     );

@@ -22,13 +22,13 @@ fn histograms_and_timelines_conserve_bytes_for_all_workloads() {
         let name = a.kind.name();
         // Request-size histogram mass == interface-layer bytes moved.
         assert_eq!(
-            a.req_sizes.sum(),
-            (a.read_bytes + a.write_bytes) as u128,
+            a.profile.req_sizes.sum(),
+            (a.profile.read_bytes + a.profile.write_bytes) as u128,
             "{name}: histogram mass"
         );
         // Timeline integral == bytes moved (within float tolerance).
-        let tl = a.read_timeline.total() + a.write_timeline.total();
-        let expect = (a.read_bytes + a.write_bytes) as f64;
+        let tl = a.profile.read_timeline.total() + a.profile.write_timeline.total();
+        let expect = (a.profile.read_bytes + a.profile.write_bytes) as f64;
         assert!(
             (tl - expect).abs() <= 1e-6 * expect.max(1.0),
             "{name}: timeline {tl} vs {expect}"
@@ -42,20 +42,20 @@ fn phases_are_ordered_and_cover_all_interface_ops() {
         let a = Analysis::from_run(&run);
         let name = a.kind.name();
         // Phases sorted by start and non-empty.
-        for w in a.phases.windows(2) {
+        for w in a.profile.phases.windows(2) {
             assert!(w[0].start <= w[1].start, "{name}: phases out of order");
         }
         // Every interface-layer data op is inside some phase:
         // total data ops across phases == analyzer's data op count.
-        let phase_data: u64 = a.phases.iter().map(|p| p.data_ops).sum();
-        assert_eq!(phase_data, a.data_ops, "{name}: phase data ops");
-        let phase_meta: u64 = a.phases.iter().map(|p| p.meta_ops).sum();
-        assert_eq!(phase_meta, a.meta_ops, "{name}: phase meta ops");
+        let phase_data: u64 = a.profile.phases.iter().map(|p| p.data_ops).sum();
+        assert_eq!(phase_data, a.profile.data_ops, "{name}: phase data ops");
+        let phase_meta: u64 = a.profile.phases.iter().map(|p| p.meta_ops).sum();
+        assert_eq!(phase_meta, a.profile.meta_ops, "{name}: phase meta ops");
         // Phase byte totals match too.
-        let phase_bytes: u64 = a.phases.iter().map(|p| p.bytes).sum();
+        let phase_bytes: u64 = a.profile.phases.iter().map(|p| p.bytes).sum();
         assert_eq!(
             phase_bytes,
-            a.read_bytes + a.write_bytes,
+            a.profile.read_bytes + a.profile.write_bytes,
             "{name}: phase bytes"
         );
     }
@@ -66,14 +66,14 @@ fn file_profiles_partition_interface_bytes() {
     for run in all_runs() {
         let a = Analysis::from_run(&run);
         let name = a.kind.name();
-        let file_read: u64 = a.files.iter().map(|f| f.read_bytes).sum();
-        let file_write: u64 = a.files.iter().map(|f| f.write_bytes).sum();
-        assert_eq!(file_read, a.read_bytes, "{name}: per-file reads");
-        assert_eq!(file_write, a.write_bytes, "{name}: per-file writes");
+        let file_read: u64 = a.profile.files.iter().map(|f| f.read_bytes).sum();
+        let file_write: u64 = a.profile.files.iter().map(|f| f.write_bytes).sum();
+        assert_eq!(file_read, a.profile.read_bytes, "{name}: per-file reads");
+        assert_eq!(file_write, a.profile.write_bytes, "{name}: per-file writes");
         // FPP + shared partition the file set.
         assert_eq!(
-            a.fpp_files() + a.shared_files(),
-            a.n_files(),
+            a.profile.fpp_files() + a.profile.shared_files(),
+            a.profile.files.len(),
             "{name}: partition"
         );
     }
@@ -98,11 +98,11 @@ fn yaml_characterization_round_trips_for_all_workloads() {
 fn granularity_brackets_every_histogram_bucket_mass() {
     for run in all_runs() {
         let a = Analysis::from_run(&run);
-        let (lo, hi) = a.granularity();
+        let (lo, hi) = a.profile.granularity();
         assert!(lo <= hi, "{}: granularity order", a.kind.name());
         // The granularity bracket stays within the observed bucket range.
-        if a.req_sizes.total() > 0 {
-            let buckets: Vec<u64> = a.req_sizes.iter().map(|(b, _)| b).collect();
+        if a.profile.req_sizes.total() > 0 {
+            let buckets: Vec<u64> = a.profile.req_sizes.iter().map(|(b, _)| b).collect();
             let min_b = *buckets.first().expect("non-empty");
             let max_b = *buckets.last().expect("non-empty");
             assert!(

@@ -61,7 +61,7 @@ impl RankScript<IoWorld> for SynScript {
 }
 
 fn run_script(ops: Vec<SynOp>) -> Analysis {
-    let world = IoWorld::lassen(1, 1, Dur::from_secs(3600), 3);
+    let world = IoWorld::lassen(1, 1, 3);
     let run = execute(
         WorkloadKind::Ior,
         1.0,
@@ -90,10 +90,10 @@ fn two_bursts_separated_by_a_long_idle_are_two_phases() {
     ops.push(SynOp::Seek(0));
     ops.extend(vec![SynOp::Read(1 << 20); 10]);
     let a = run_script(ops);
-    assert_eq!(a.phases.len(), 2, "expected exactly two phases");
-    assert!(a.phases[0].data_ops >= 10);
-    assert!(a.phases[1].data_ops >= 10);
-    assert!(a.phases[1].start > a.phases[0].end);
+    assert_eq!(a.profile.phases.len(), 2, "expected exactly two phases");
+    assert!(a.profile.phases[0].data_ops >= 10);
+    assert!(a.profile.phases[1].data_ops >= 10);
+    assert!(a.profile.phases[1].start > a.profile.phases[0].end);
 }
 
 #[test]
@@ -102,13 +102,13 @@ fn back_to_back_bursts_are_one_phase() {
     ops.push(SynOp::Seek(0));
     ops.extend(vec![SynOp::Read(1 << 20); 10]);
     let a = run_script(ops);
-    assert_eq!(a.phases.len(), 1, "no gap → one phase");
+    assert_eq!(a.profile.phases.len(), 1, "no gap → one phase");
 }
 
 #[test]
 fn monotone_offsets_classify_sequential() {
     let a = run_script(vec![SynOp::Write(4096); 50]);
-    assert_eq!(a.access_pattern, "Seq");
+    assert_eq!(a.profile.access_pattern, "Seq");
 }
 
 #[test]
@@ -125,16 +125,16 @@ fn shuffled_offsets_classify_mixed() {
         ops.push(SynOp::Write(4096));
     }
     let a = run_script(ops);
-    assert_eq!(a.access_pattern, "Mixed");
+    assert_eq!(a.profile.access_pattern, "Mixed");
 }
 
 #[test]
 fn pure_posix_run_detects_posix_interface() {
     let a = run_script(vec![SynOp::Write(4096); 4]);
-    assert_eq!(a.interface, "POSIX");
-    assert_eq!(a.n_files(), 1);
-    assert_eq!(a.fpp_files(), 1);
-    assert_eq!(a.shared_files(), 0);
+    assert_eq!(a.profile.interface, "POSIX");
+    assert_eq!(a.profile.files.len(), 1);
+    assert_eq!(a.profile.fpp_files(), 1);
+    assert_eq!(a.profile.shared_files(), 0);
 }
 
 #[test]
@@ -144,16 +144,24 @@ fn dominant_transfer_size_reported_per_phase() {
     let mut ops = vec![SynOp::Write(4096); 20];
     ops.extend(vec![SynOp::Write(1 << 20); 2]);
     let a = run_script(ops);
-    assert_eq!(a.phases.len(), 1);
-    assert_eq!(a.phases[0].dominant_xfer, 4096);
+    assert_eq!(a.profile.phases.len(), 1);
+    assert_eq!(a.profile.phases[0].dominant_xfer, 4096);
 }
 
 #[test]
 fn io_time_fraction_reflects_idle_share() {
     // One tiny write and a huge idle: I/O fraction must be near zero.
     let a = run_script(vec![SynOp::Write(4096), SynOp::Idle(Dur::from_secs(100))]);
-    assert!(a.io_time_frac < 0.01, "io frac {}", a.io_time_frac);
+    assert!(
+        a.profile.io_time_frac < 0.01,
+        "io frac {}",
+        a.profile.io_time_frac
+    );
     // All I/O and no idle: fraction should be large.
     let b = run_script(vec![SynOp::Write(8 << 20); 30]);
-    assert!(b.io_time_frac > 0.5, "io frac {}", b.io_time_frac);
+    assert!(
+        b.profile.io_time_frac > 0.5,
+        "io frac {}",
+        b.profile.io_time_frac
+    );
 }

@@ -5,11 +5,11 @@ use vani_suite::cluster::topology::RankId;
 use vani_suite::layers::posix::{self, OpenFlags};
 use vani_suite::layers::stdio;
 use vani_suite::layers::world::IoWorld;
-use vani_suite::sim::{Dur, SimTime};
+use vani_suite::sim::SimTime;
 
 #[test]
 fn enospc_surfaces_through_posix_and_stdio() {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 1);
+    let mut w = IoWorld::lassen(1, 1, 1);
     let mut cfg = w.storage.pfs().config().clone();
     cfg.capacity = 1 << 20; // 1 MiB file system
     w.storage.pfs_mut().set_config(cfg).unwrap();
@@ -55,7 +55,7 @@ fn enospc_surfaces_through_posix_and_stdio() {
 
 #[test]
 fn fd_exhaustion_and_recovery() {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 1);
+    let mut w = IoWorld::lassen(1, 1, 1);
     let r = RankId(0);
     w.proc_mut(r).max_fds = 4;
     let mut t = SimTime::ZERO;
@@ -80,7 +80,7 @@ fn fd_exhaustion_and_recovery() {
 
 #[test]
 fn missing_files_fail_cleanly_at_every_layer() {
-    let mut w = IoWorld::lassen(1, 1, Dur::from_secs(60), 1);
+    let mut w = IoWorld::lassen(1, 1, 1);
     let r = RankId(0);
     let (e1, t) = posix::open(
         &mut w,

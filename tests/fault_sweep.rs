@@ -90,24 +90,24 @@ fn injected_faults_never_panic_and_surface_as_attributes() {
         let run = kind.run(scale, 13, plan.clone(), InterferenceSchedule::none());
         let a = Analysis::from_run(&run);
         assert!(
-            a.fault_events > 0,
+            a.profile.fault_events > 0,
             "{}: the 5% error rate must fire",
             run.kind.name()
         );
         assert_eq!(
-            a.fault_events,
-            a.retry_events,
+            a.profile.fault_events,
+            a.profile.retry_events,
             "{}: every absorbed fault is followed by exactly one retry",
             run.kind.name()
         );
         assert!(
-            a.retried_bytes > 0,
+            a.profile.retried_bytes > 0,
             "{}: retried data ops re-submit their payload",
             run.kind.name()
         );
-        assert!(a.time_lost_to_faults() > 0.0);
-        assert!(a.error_rate() > 0.0 && a.error_rate() < 1.0);
-        assert!(a.retry_amplification() > 0.0);
+        assert!(a.profile.fault_time.as_secs_f64() > 0.0);
+        assert!(a.profile.error_rate() > 0.0 && a.profile.error_rate() < 1.0);
+        assert!(a.profile.retry_amplification() > 0.0);
         // A faulted run's YAML carries the resilience attributes ...
         let y = yaml::emit(&tables::entities_for(&a));
         assert!(

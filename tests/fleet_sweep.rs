@@ -178,16 +178,19 @@ fn single_tenant_fleet_reproduces_the_dedicated_run_byte_equal() {
             dedicated.job_time.as_secs_f64(),
             "{workload}: runtime must be byte-equal"
         );
-        assert_eq!(r.io_time_frac, dedicated.io_time_frac, "{workload}");
-        assert_eq!(r.read_bytes, dedicated.read_bytes, "{workload}");
-        assert_eq!(r.write_bytes, dedicated.write_bytes, "{workload}");
-        assert_eq!(r.data_ops, dedicated.data_ops, "{workload}");
-        assert_eq!(r.meta_ops, dedicated.meta_ops, "{workload}");
+        assert_eq!(r.io_time_frac, dedicated.profile.io_time_frac, "{workload}");
+        assert_eq!(r.read_bytes, dedicated.profile.read_bytes, "{workload}");
+        assert_eq!(r.write_bytes, dedicated.profile.write_bytes, "{workload}");
+        assert_eq!(r.data_ops, dedicated.profile.data_ops, "{workload}");
+        assert_eq!(r.meta_ops, dedicated.profile.meta_ops, "{workload}");
         assert_eq!(r.nodes, dedicated.nodes, "{workload}");
         assert_eq!(r.n_ranks, dedicated.n_ranks, "{workload}");
-        assert_eq!(r.fault_events, dedicated.fault_events, "{workload}");
-        assert_eq!(r.restart_events, dedicated.restart_events, "{workload}");
-        interfaces.push(dedicated.interface);
+        assert_eq!(r.fault_events, dedicated.profile.fault_events, "{workload}");
+        assert_eq!(
+            r.restart_events, dedicated.profile.restart_events,
+            "{workload}"
+        );
+        interfaces.push(dedicated.profile.interface);
     }
     for interface in ["POSIX", "STDIO", "HDF5-MPI-IO"] {
         assert!(

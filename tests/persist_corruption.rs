@@ -78,7 +78,7 @@ fn sample_trace() -> ColumnarTrace {
             4096 * i,
         );
     }
-    ColumnarTrace::from_tracer(&t)
+    t.to_columnar()
 }
 
 /// Assert `got` is a verified prefix of `want`: same records, in order,

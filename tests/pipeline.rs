@@ -3,7 +3,7 @@
 //! columnar capture sink equals the row-major capture it replaced.
 
 use recorder_sim::ColumnarTrace;
-use vani_suite::vani::analyzer::Analysis;
+use vani_suite::vani::analyzer::{Analysis, TraceProfile};
 use vani_suite::workloads as wl;
 
 #[test]
@@ -29,46 +29,50 @@ fn table1_shape_invariants_hold_across_all_six() {
     let by_name = |n: &str| analyses.iter().find(|a| a.kind.name() == n).unwrap();
 
     // Interfaces (Table I's bottom row).
-    assert_eq!(by_name("CM1").interface, "POSIX");
-    assert_eq!(by_name("HACC (FPP)").interface, "POSIX");
-    assert_eq!(by_name("Cosmoflow").interface, "HDF5-MPI-IO");
-    assert_eq!(by_name("JAG").interface, "STDIO");
-    assert_eq!(by_name("Montage MPI").interface, "STDIO");
-    assert_eq!(by_name("Montage Pegasus").interface, "STDIO");
+    assert_eq!(by_name("CM1").profile.interface, "POSIX");
+    assert_eq!(by_name("HACC (FPP)").profile.interface, "POSIX");
+    assert_eq!(by_name("Cosmoflow").profile.interface, "HDF5-MPI-IO");
+    assert_eq!(by_name("JAG").profile.interface, "STDIO");
+    assert_eq!(by_name("Montage MPI").profile.interface, "STDIO");
+    assert_eq!(by_name("Montage Pegasus").profile.interface, "STDIO");
 
     // Sharing classification.
-    assert_eq!(by_name("HACC (FPP)").shared_files(), 0);
+    assert_eq!(by_name("HACC (FPP)").profile.shared_files(), 0);
     // The dataset itself is fully shared; only rank-0's few checkpoint
     // files register as FPP via the POSIX fallback.
     let cf0 = by_name("Cosmoflow");
-    assert!(cf0.shared_files() > 10 * cf0.fpp_files().max(1));
-    assert!(by_name("Montage Pegasus").shared_files() > 0);
-    assert!(by_name("Montage Pegasus").fpp_files() > 0);
+    assert!(cf0.profile.shared_files() > 10 * cf0.profile.fpp_files().max(1));
+    assert!(by_name("Montage Pegasus").profile.shared_files() > 0);
+    assert!(by_name("Montage Pegasus").profile.fpp_files() > 0);
 
     // Byte-direction shapes.
     let cm1 = by_name("CM1");
-    assert!(cm1.read_bytes > cm1.write_bytes);
+    assert!(cm1.profile.read_bytes > cm1.profile.write_bytes);
     let hacc = by_name("HACC (FPP)");
-    assert_eq!(hacc.read_bytes, hacc.write_bytes);
+    assert_eq!(hacc.profile.read_bytes, hacc.profile.write_bytes);
     let cf = by_name("Cosmoflow");
-    assert!(cf.read_bytes > 100 * cf.write_bytes.max(1));
+    assert!(cf.profile.read_bytes > 100 * cf.profile.write_bytes.max(1));
 
     // Metadata-heavy vs data-heavy op mixes.
     assert!(
-        by_name("Cosmoflow").data_frac() < 0.5,
+        by_name("Cosmoflow").profile.data_frac() < 0.5,
         "CosmoFlow is metadata-bound"
     );
     assert!(
-        by_name("Montage MPI").data_frac() > 0.5,
+        by_name("Montage MPI").profile.data_frac() > 0.5,
         "Montage is data-bound"
     );
 
     // Every workload detected at least one I/O phase and one app.
     for a in &analyses {
-        assert!(!a.phases.is_empty(), "{} has no phases", a.kind.name());
-        assert!(!a.apps.is_empty(), "{} has no apps", a.kind.name());
+        assert!(
+            !a.profile.phases.is_empty(),
+            "{} has no phases",
+            a.kind.name()
+        );
+        assert!(!a.profile.apps.is_empty(), "{} has no apps", a.kind.name());
         assert_eq!(
-            a.access_pattern == "Seq",
+            a.profile.access_pattern == "Seq",
             a.kind.name() != "Montage Pegasus"
         );
     }
@@ -100,6 +104,12 @@ fn trace_round_trips_through_disk_and_reanalyzes() {
     assert_eq!(loaded.app_names(), run.world.tracer.app_names());
 
     let direct = Analysis::from_run(&run);
+    // What-if sweep cells fold the captured columns in place instead of
+    // analysing a copy: the same profile.
+    assert_eq!(
+        direct.profile,
+        TraceProfile::fused(run.columnar_view(), run.runtime())
+    );
     run.world.tracer = loaded;
     assert_eq!(Analysis::from_run(&run), direct);
 }

@@ -212,7 +212,7 @@ fn crashed_run_trace_round_trips_with_resilience_attributes() {
     run.world.tracer = Tracer::from_columnar(reloaded);
     let roundtripped = Analysis::from_run(&run);
     assert_eq!(direct, roundtripped);
-    assert!(direct.restart_count() > 0);
+    assert!(direct.profile.restart_events > 0);
     let y = yaml::emit(&tables::entities_for(&roundtripped));
     assert!(y.contains("restart_count"));
     assert!(y.contains("recovery_time"));
