@@ -25,8 +25,6 @@ pub enum IoErr {
     TooManyOpenFiles,
     /// `EROFS` / permission: write to a read-only open.
     ReadOnly,
-    /// `ENODEV`: path resolves to no mounted tier on this node.
-    NoSuchTier,
     /// `EIO`: a transient device/network error injected by a fault plan.
     /// Retrying the operation may succeed.
     TransientIo,
@@ -56,7 +54,6 @@ impl fmt::Display for IoErr {
             IoErr::Invalid => "invalid argument",
             IoErr::TooManyOpenFiles => "too many open files",
             IoErr::ReadOnly => "read-only file",
-            IoErr::NoSuchTier => "no such device",
             IoErr::TransientIo => "input/output error (transient)",
             IoErr::ServerUnavailable => "storage server unavailable",
         };

@@ -85,7 +85,7 @@ impl NodeLocalFs {
     }
 
     /// The namespace of one node.
-    pub fn store(&self, node: NodeId) -> &FileStore {
+    pub(crate) fn store(&self, node: NodeId) -> &FileStore {
         &self.stores[node.0 as usize]
     }
 
