@@ -22,28 +22,27 @@ cargo fmt --check
 # many layers, and an unused field or import is usually a wiring mistake.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 
-# Bounded-memory smoke: Figure 8 (Montage) at scale 0.15 under an 832 MiB
+# Bounded-memory smoke: Figure 8 (Montage) at scale 0.15 under a 368 MiB
 # address-space cap. The simulated store holds each byte once (staged
 # headers and prefixes are shared, STDIO buffers keep synthetic writes as
 # pattern pieces), each sweep point drops its baseline run before the
 # optimized run simulates, and each run's captured columns are folded in
-# place instead of copied into an analysis. On two workers the uncapped
-# run peaks at 0.75-0.79 GiB of virtual memory (0.51-0.58 GiB resident)
-# and completes under caps down to about 770 MiB; a sweep that analyses a
-# copy of every run's trace needs about 870 MiB and mostly aborts here.
-# The cap applies to the built binary in a subshell, not to cargo. The
-# worker count is pinned because each worker holds one job's world at a
-# time.
-( ulimit -v 851968; VANI_THREADS=2 VANI_SCALE=0.15 target/release/repro fig8 > /dev/null )
+# place instead of copied into an analysis. The run is pinned to one
+# worker (`VANI_THREADS=1` keeps all work on the calling thread), so no
+# two sweep points overlap and no worker thread reserves a glibc arena of
+# its own; with two workers the need moved by tens of MiB with timing.
+# Bisected to 4 MiB over three runs, it completes under caps down to
+# 334-337 MiB; the cap is 1.09x the largest. The cap applies to the built
+# binary in a subshell, not to cargo.
+( ulimit -v 376832; VANI_THREADS=1 VANI_SCALE=0.15 target/release/repro fig8 > /dev/null )
 
-# Bounded-memory smoke: the crash sweep at scale 0.25 under a 640 MiB
-# address-space cap. Each grid cell folds its run's captured columns in
-# place, keeps only its `CrashPoint` (and wave 1 its makespan) and drops
-# the run. On two workers the uncapped run peaks at 0.6-0.67 GiB of
-# virtual memory (0.4 GiB resident) and completes under caps down to
-# about 580 MiB; a cell that copies its trace into a full analysis needs
-# about 670 MiB and mostly aborts here.
-( ulimit -v 655360; VANI_THREADS=2 VANI_SCALE=0.25 target/release/repro crash-sweep > /dev/null )
+# Bounded-memory smoke: the crash sweep at scale 0.25 under a 276 MiB
+# address-space cap, on one worker for the same reason. Each grid cell
+# folds its run's captured columns in place, keeps only its `CrashPoint`
+# (and wave 1 its makespan) and drops the run. Bisected to 4 MiB over
+# three runs, it completes under caps down to 236-253 MiB; the cap is
+# 1.09x the largest.
+( ulimit -v 282624; VANI_THREADS=1 VANI_SCALE=0.25 target/release/repro crash-sweep > /dev/null )
 
 # Clippy's correctness, suspicious and perf groups are errors: each flags
 # code that is wrong, probably wrong or needlessly slow, never style.

@@ -295,7 +295,7 @@ pub fn execute(
         if let Some((victim, at)) = armed {
             engine.set_crash(victim, at);
         }
-        match engine.run_checked() {
+        match engine.run() {
             Ok(report) => {
                 return WorkloadRun {
                     kind,

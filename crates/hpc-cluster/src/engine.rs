@@ -139,7 +139,7 @@ impl std::fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
-/// Why a checked run ([`Engine::run_checked`]) stopped before completion.
+/// Why a run ([`Engine::run`]) stopped before completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunHalt {
     /// The event queue drained with ranks still blocked.
@@ -206,7 +206,7 @@ pub struct Engine<W> {
     steps: u64,
     max_steps: u64,
     /// Earliest scheduled crash, as `(instant, victim)`; checked by
-    /// [`Engine::run_checked`] before each dispatch.
+    /// [`Engine::run`] before each dispatch.
     kill: Option<(SimTime, RankId)>,
 }
 
@@ -289,28 +289,17 @@ impl<W> Engine<W> {
     /// Run until every rank is done. Returns the run report.
     ///
     /// # Errors
-    /// Returns [`DeadlockError`] when the event queue drains while some rank
-    /// is still waiting on a gate or collective that can no longer complete;
-    /// the error names each blocked rank and what it waits on.
+    /// Returns [`RunHalt::Deadlock`] when the event queue drains while some
+    /// rank is still waiting on a gate or collective that can no longer
+    /// complete (the error names each blocked rank and what it waits on),
+    /// and [`RunHalt::Crashed`] when a crash scheduled via
+    /// [`Engine::set_crash`] fires, leaving the world (traces, durable
+    /// storage) intact for a restart.
     ///
     /// # Panics
     /// Panics when the step cap set via [`Engine::set_max_steps`] is
-    /// exceeded (livelocked scripts), or when a crash scheduled via
-    /// [`Engine::set_crash`] fires (use [`Engine::run_checked`] to handle
-    /// crashes as values).
-    pub fn run(&mut self) -> Result<EngineReport, DeadlockError> {
-        self.run_checked().map_err(|halt| match halt {
-            RunHalt::Deadlock(d) => d,
-            RunHalt::Crashed { .. } => {
-                panic!("{halt}; use run_checked() to recover from crash events")
-            }
-        })
-    }
-
-    /// [`Engine::run`] with crash events surfaced as values: a scheduled
-    /// crash halts the run with [`RunHalt::Crashed`] instead of panicking,
-    /// leaving the world (traces, durable storage) intact for a restart.
-    pub fn run_checked(&mut self) -> Result<EngineReport, RunHalt> {
+    /// exceeded (livelocked scripts).
+    pub fn run(&mut self) -> Result<EngineReport, RunHalt> {
         while let Some(ev) = self.queue.pop() {
             if let Some((t_kill, victim)) = self.kill {
                 if ev.time >= t_kill {
@@ -523,7 +512,7 @@ mod tests {
             .collect();
         let mut e = Engine::new(world, scripts, model());
         e.set_crash(RankId(1), SimTime::from_secs(4));
-        let halt = e.run_checked().unwrap_err();
+        let halt = e.run().unwrap_err();
         assert_eq!(
             halt,
             RunHalt::Crashed {
@@ -546,7 +535,7 @@ mod tests {
         e.set_crash(RankId(0), SimTime::from_secs(9));
         e.set_crash(RankId(1), SimTime::from_secs(2));
         e.set_crash(RankId(0), SimTime::from_secs(5));
-        let halt = e.run_checked().unwrap_err();
+        let halt = e.run().unwrap_err();
         assert_eq!(
             halt,
             RunHalt::Crashed {
@@ -769,7 +758,9 @@ mod tests {
         }
         let world = CounterWorld { work: vec![0; 1] };
         let mut e = Engine::new(world, vec![Box::new(Stuck) as Box<_>], model());
-        let err = e.run().unwrap_err();
+        let RunHalt::Deadlock(err) = e.run().unwrap_err() else {
+            panic!("expected a deadlock");
+        };
         assert_eq!(err.blocked, vec![(RankId(0), Blocker::Gate(GateId(99)))]);
         let msg = err.to_string();
         assert!(
@@ -805,7 +796,9 @@ mod tests {
         let scripts: Vec<Box<dyn RankScript<CounterWorld>>> =
             vec![Box::new(Joins), Box::new(Bails)];
         let mut e = Engine::new(world, scripts, model());
-        let err = e.run().unwrap_err();
+        let RunHalt::Deadlock(err) = e.run().unwrap_err() else {
+            panic!("expected a deadlock");
+        };
         assert_eq!(
             err.blocked,
             vec![(RankId(0), Blocker::Collective(CommId::WORLD))]

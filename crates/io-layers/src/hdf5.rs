@@ -21,6 +21,7 @@ use recorder_sim::record::{Layer, OpKind};
 use sim_core::SimTime;
 use std::collections::HashMap;
 use std::sync::Arc;
+use storage_sim::file::ContentView;
 use storage_sim::IoErr;
 use vani_rt::{Json, JsonError};
 
@@ -281,7 +282,10 @@ pub fn open(
         Ok(f) => f,
         Err(e) => return (Err(e), t),
     };
-    // Superblock.
+    // Superblock. Unlike every other POSIX record, this read's record
+    // starts at the open's start `t0`, so it spans the open too. Figure 7's
+    // preload runs count that span as POSIX read time, and starting it at
+    // `t` (as `posix::call` would) moves Figure 7's pinned I/O times.
     let node = w.node_of(rank);
     let (handle, path_id) = {
         let of = w.fd(rank, fd).expect("just opened");
@@ -291,20 +295,21 @@ pub fn open(
         crate::resilience::with_retries(w, rank, Some(path_id), 0, SUPERBLOCK, t, |w, t| {
             w.storage.read_view(node, handle, 0, SUPERBLOCK, t)
         });
-    let (sb, t) = match res {
-        Ok(sb) => (sb.to_vec(), t_sb),
-        Err(e) => return (Err(e), t_sb),
-    };
+    let got = res.as_ref().map_or(0, ContentView::len);
     let t = w.trace_io(
         rank,
         Layer::Posix,
         OpKind::Read,
         t0,
-        t,
+        t_sb,
         Some(path_id),
         0,
-        sb.len() as u64,
+        got,
     );
+    let sb = match res {
+        Ok(sb) => sb.to_vec(),
+        Err(e) => return (Err(e), t),
+    };
     if sb.len() < 24 || &sb[..8] != MAGIC {
         return (Err(IoErr::Invalid), t);
     }
@@ -314,32 +319,11 @@ pub fn open(
         return (Err(IoErr::Invalid), t); // file never closed properly
     }
     // Object header.
-    let (res, t_hdr) = crate::resilience::with_retries(
-        w,
-        rank,
-        Some(path_id),
-        header_offset,
-        header_len,
-        t,
-        |w, t| {
-            w.storage
-                .read_view(node, handle, header_offset, header_len, t)
-        },
-    );
-    let (header, t2) = match res {
-        Ok(h) => (h.to_vec(), t_hdr),
-        Err(e) => return (Err(e), t_hdr),
+    let (res, t) = posix::pread_view(w, rank, fd, header_offset, header_len, t);
+    let header = match res {
+        Ok(h) => h.to_vec(),
+        Err(e) => return (Err(e), t),
     };
-    let t = w.trace_io(
-        rank,
-        Layer::Posix,
-        OpKind::Read,
-        t,
-        t2,
-        Some(path_id),
-        header_offset,
-        header.len() as u64,
-    );
     let datasets = match w.h5_headers.get(&header) {
         Some(d) => d.clone(),
         None => {

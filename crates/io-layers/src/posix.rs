@@ -1,16 +1,20 @@
 //! The POSIX interface: timed syscalls over the storage system with a
 //! per-process descriptor table.
 //!
-//! Every call appends a `Posix`-layer trace record. Data can be written as
-//! real bytes (format layers need round-trips) or as synthetic pattern fills
-//! (bulk checkpoint bodies), and reads can either materialize bytes or just
-//! account for them — see `storage-sim`'s segment model.
+//! Every call appends a `Posix`-layer trace record. Every storage call,
+//! these and STDIO's and HDF5's reads, goes through one path, `call`,
+//! which runs it under the retry policy and writes its record, also when
+//! it fails. Data can be written as real bytes (format layers need
+//! round-trips) or as synthetic pattern fills (bulk checkpoint bodies),
+//! and reads can either materialize bytes or just account for them — see
+//! `storage-sim`'s segment model.
 
+use crate::resilience::with_retries;
 use crate::world::{IoWorld, OpenFile};
 use hpc_cluster::topology::RankId;
-use recorder_sim::record::{Layer, OpKind};
+use recorder_sim::record::{FileId, Layer, OpKind};
 use sim_core::SimTime;
-use storage_sim::file::{Segment, Window};
+use storage_sim::file::{ContentView, Segment, Window};
 use storage_sim::IoErr;
 
 /// A POSIX file descriptor.
@@ -78,6 +82,38 @@ pub enum Whence {
     End,
 }
 
+/// Run one storage call from `now` under the world's retry policy, then
+/// write its one `Posix`-layer record from `now` to the settle time. The
+/// record carries `moved(&value)` bytes on success and 0 on failure; the
+/// `Fault`/`Retry` records of absorbed faults carry the requested `bytes`.
+/// Every POSIX-level storage call in this crate goes through here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn call<T>(
+    w: &mut IoWorld,
+    rank: RankId,
+    op: OpKind,
+    file: FileId,
+    offset: u64,
+    bytes: u64,
+    now: SimTime,
+    attempt: impl FnMut(&mut IoWorld, SimTime) -> Result<(T, SimTime), IoErr>,
+    moved: impl FnOnce(&T) -> u64,
+) -> (Result<T, IoErr>, SimTime) {
+    let (res, settle) = with_retries(w, rank, Some(file), offset, bytes, now, attempt);
+    let moved = res.as_ref().map_or(0, moved);
+    let end = w.trace_io(
+        rank,
+        Layer::Posix,
+        op,
+        now,
+        settle,
+        Some(file),
+        offset,
+        moved,
+    );
+    (res, end)
+}
+
 /// Open a file. Returns the descriptor and the completion time.
 pub fn open(
     w: &mut IoWorld,
@@ -93,41 +129,38 @@ pub fn open(
     } else {
         OpKind::Open
     };
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), 0, 0, now, |w, t| {
-            w.storage.open(node, path, flags.create, flags.exclusive, t)
-        });
-    match res.map(|h| (h, t_settle)) {
-        Ok((handle, t_open)) => {
-            let mut end = t_open;
-            let mut size = w.storage.size_of(node, handle);
-            if flags.truncate && flags.write && size > 0 {
-                w.storage.truncate(node, handle);
-                size = 0;
-            }
-            let slot = match w.proc_mut(rank).alloc_fd() {
-                Some(s) => s,
-                None => {
-                    let end = w.trace_io(rank, Layer::Posix, op, now, end, Some(path_id), 0, 0);
-                    return (Err(IoErr::TooManyOpenFiles), end);
-                }
-            };
-            w.proc_mut(rank).fds[slot] = Some(OpenFile {
-                handle,
-                pos: 0,
-                path_id,
-                writable: flags.write,
-                append: flags.append,
-                known_size: size,
-            });
-            end = w.trace_io(rank, Layer::Posix, op, now, end, Some(path_id), 0, 0);
-            (Ok(Fd(slot as u32)), end)
-        }
-        Err(e) => {
-            let end = w.trace_io(rank, Layer::Posix, op, now, t_settle, Some(path_id), 0, 0);
-            (Err(e), end)
-        }
+    let (res, end) = call(
+        w,
+        rank,
+        op,
+        path_id,
+        0,
+        0,
+        now,
+        |w, t| w.storage.open(node, path, flags.create, flags.exclusive, t),
+        |_| 0,
+    );
+    let handle = match res {
+        Ok(h) => h,
+        Err(e) => return (Err(e), end),
+    };
+    let mut size = w.storage.size_of(node, handle);
+    if flags.truncate && flags.write && size > 0 {
+        w.storage.truncate(node, handle);
+        size = 0;
     }
+    let Some(slot) = w.proc_mut(rank).alloc_fd() else {
+        return (Err(IoErr::TooManyOpenFiles), end);
+    };
+    w.proc_mut(rank).fds[slot] = Some(OpenFile {
+        handle,
+        pos: 0,
+        path_id,
+        writable: flags.write,
+        append: flags.append,
+        known_size: size,
+    });
+    (Ok(Fd(slot as u32)), end)
 }
 
 /// Close a descriptor.
@@ -225,47 +258,27 @@ fn write_run(
     // A transiently-failed write never reaches the store, so every attempt
     // submits the same run.
     let bytes = run.iter().map(Window::len).sum();
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), pos, bytes, now, |w, t| {
-            w.storage.write(node, handle, pos, run, t)
-        });
-    match res.map(|n| (n, t_settle)) {
-        Ok((n, t)) => {
-            {
-                let of = w.procs[rank.0 as usize].fds[fd.0 as usize]
-                    .as_mut()
-                    .expect("fd checked above");
-                if advance {
-                    of.pos = pos + n;
-                }
-                of.known_size = of.known_size.max(pos + n);
-            }
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Write,
-                now,
-                t,
-                Some(path_id),
-                pos,
-                n,
-            );
-            (Ok(n), end)
+    let (res, end) = call(
+        w,
+        rank,
+        OpKind::Write,
+        path_id,
+        pos,
+        bytes,
+        now,
+        |w, t| w.storage.write(node, handle, pos, run, t),
+        |&n| n,
+    );
+    if let Ok(n) = res {
+        let of = w.procs[rank.0 as usize].fds[fd.0 as usize]
+            .as_mut()
+            .expect("fd checked above");
+        if advance {
+            of.pos = pos + n;
         }
-        Err(e) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Write,
-                now,
-                t_settle,
-                Some(path_id),
-                pos,
-                0,
-            );
-            (Err(e), end)
-        }
+        of.known_size = of.known_size.max(pos + n);
     }
+    (res, end)
 }
 
 /// Timing-only read of `len` bytes at the current position; returns bytes
@@ -307,44 +320,55 @@ fn read_common(
         };
         (of.handle, of.path_id, offset.unwrap_or(of.pos))
     };
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), pos, len, now, |w, t| {
-            w.storage.read_len(node, handle, pos, len, t)
-        });
-    match res.map(|n| (n, t_settle)) {
-        Ok((n, t)) => {
-            if offset.is_none() {
-                let of = w.procs[rank.0 as usize].fds[fd.0 as usize]
-                    .as_mut()
-                    .expect("fd checked above");
-                of.pos = pos + n;
-            }
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t,
-                Some(path_id),
-                pos,
-                n,
-            );
-            (Ok(n), end)
-        }
-        Err(e) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t_settle,
-                Some(path_id),
-                pos,
-                0,
-            );
-            (Err(e), end)
-        }
+    let (res, end) = call(
+        w,
+        rank,
+        OpKind::Read,
+        path_id,
+        pos,
+        len,
+        now,
+        |w, t| w.storage.read_len(node, handle, pos, len, t),
+        |&n| n,
+    );
+    if let (Ok(n), None) = (res, offset) {
+        w.procs[rank.0 as usize].fds[fd.0 as usize]
+            .as_mut()
+            .expect("fd checked above")
+            .pos = pos + n;
     }
+    (res, end)
+}
+
+/// `pread` of `len` bytes at `pos` that hands back a view of the content:
+/// STDIO buffer refills, STDIO's large materializing read and the HDF5
+/// object-header read.
+pub(crate) fn pread_view(
+    w: &mut IoWorld,
+    rank: RankId,
+    fd: Fd,
+    pos: u64,
+    len: u64,
+    now: SimTime,
+) -> (Result<ContentView, IoErr>, SimTime) {
+    let node = w.node_of(rank);
+    let (handle, path_id) = {
+        let Ok(of) = w.fd(rank, fd) else {
+            return (Err(IoErr::BadFd), now);
+        };
+        (of.handle, of.path_id)
+    };
+    call(
+        w,
+        rank,
+        OpKind::Read,
+        path_id,
+        pos,
+        len,
+        now,
+        |w, t| w.storage.read_view(node, handle, pos, len, t),
+        ContentView::len,
+    )
 }
 
 /// Reposition a descriptor; returns the new absolute position. Traced as a
@@ -450,38 +474,17 @@ pub fn stat(
 ) -> (Result<u64, IoErr>, SimTime) {
     let node = w.node_of(rank);
     let path_id = w.tracer.file_id(path);
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), 0, 0, now, |w, t| {
-            w.storage.stat(node, path, t)
-        });
-    match res {
-        Ok(size) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Stat,
-                now,
-                t_settle,
-                Some(path_id),
-                0,
-                0,
-            );
-            (Ok(size), end)
-        }
-        Err(e) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Stat,
-                now,
-                t_settle,
-                Some(path_id),
-                0,
-                0,
-            );
-            (Err(e), end)
-        }
-    }
+    call(
+        w,
+        rank,
+        OpKind::Stat,
+        path_id,
+        0,
+        0,
+        now,
+        |w, t| w.storage.stat(node, path, t),
+        |_| 0,
+    )
 }
 
 #[cfg(test)]
@@ -701,6 +704,58 @@ mod tests {
         // Position still 0.
         let (pos, _) = lseek(&mut w, r, fd, 0, Whence::Cur, t);
         assert_eq!(pos.unwrap(), 0);
+    }
+
+    /// With every data-path attempt failing, a read spends its whole retry
+    /// budget and still leaves exactly one 0-byte POSIX `Read` record,
+    /// whichever layer issued it: a POSIX read, a STDIO buffer refill or an
+    /// HDF5 superblock read.
+    #[test]
+    fn failed_reads_leave_one_zero_byte_posix_read_record() {
+        let mut w = world();
+        let store = w.storage.pfs_mut().store_mut();
+        let key = store.create("/p/gpfs1/plain", false).unwrap();
+        store
+            .write(
+                key,
+                0,
+                Segment::Pattern {
+                    seed: 1,
+                    len: 1 << 16,
+                },
+            )
+            .unwrap();
+        crate::hdf5::H5Layout::new(&[("d", &[64], 4, None)])
+            .materialize(store, "/p/gpfs1/c.h5", 7)
+            .unwrap();
+        let plan = storage_sim::FaultPlan::none().with_error_rates(1.0, 0.0);
+        w.storage.pfs_mut().set_fault_plan(plan);
+        let posix_reads = |w: &IoWorld| -> Vec<u64> {
+            let c = w.tracer.columnar();
+            (0..c.len())
+                .filter(|&i| c.layer[i] == Layer::Posix && c.op[i] == OpKind::Read)
+                .map(|i| c.bytes[i])
+                .collect()
+        };
+        let r = RankId(0);
+        let (fd, t) = open(
+            &mut w,
+            r,
+            "/p/gpfs1/plain",
+            OpenFlags::read_only(),
+            SimTime::ZERO,
+        );
+        let (res, t) = read(&mut w, r, fd.unwrap(), 4096, t);
+        assert_eq!(res.unwrap_err(), IoErr::TransientIo);
+        assert_eq!(posix_reads(&w), [0]);
+        let (h, t) = crate::stdio::fopen(&mut w, r, "/p/gpfs1/plain", "r", t);
+        let (res, t) = crate::stdio::fread(&mut w, r, h.unwrap(), 16, t);
+        assert_eq!(res.unwrap_err(), IoErr::TransientIo);
+        assert_eq!(posix_reads(&w), [0, 0]);
+        let opts = crate::hdf5::H5Options::default();
+        let (res, _) = crate::hdf5::open(&mut w, r, "/p/gpfs1/c.h5", opts, t);
+        assert_eq!(res.err(), Some(IoErr::TransientIo));
+        assert_eq!(posix_reads(&w), [0, 0, 0]);
     }
 
     #[test]

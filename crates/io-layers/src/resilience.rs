@@ -1,5 +1,6 @@
 //! Retry/backoff middleware: the resilience interceptor every interface
-//! layer's storage calls route through.
+//! layer's storage calls route through, by way of `posix::call` (the HDF5
+//! superblock read calls [`with_retries`] itself).
 //!
 //! Real HPC middleware (MPI-IO hints, GPFS client recovery, HDF5 retry
 //! plumbing) absorbs transient storage failures by retrying with backoff;
@@ -55,27 +56,11 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Counters the interceptor accumulates across a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ResilienceStats {
-    /// Failed attempts observed (each produced a `Fault` trace record).
-    pub faults: u64,
-    /// Re-attempts issued after backoff.
-    pub retries: u64,
-    /// Payload bytes re-submitted by retries.
-    pub retried_bytes: u64,
-    /// Operations whose attempt budget was exhausted (the transient error
-    /// surfaced to the caller as a typed `IoErr`).
-    pub exhausted: u64,
-}
-
 /// The per-world resilience interceptor state.
 #[derive(Debug)]
 pub struct Resilience {
     /// Active policy.
     pub policy: RetryPolicy,
-    /// Accumulated counters.
-    pub stats: ResilienceStats,
     /// Jitter stream — only advanced when a fault is actually absorbed.
     rng: vani_rt::Rng,
 }
@@ -85,7 +70,6 @@ impl Resilience {
     pub(crate) fn new(seed: u64) -> Self {
         Resilience {
             policy: RetryPolicy::default(),
-            stats: ResilienceStats::default(),
             // Domain-separate from every other consumer of the run seed.
             rng: vani_rt::Rng::new(seed ^ 0x7265_7472_795f_6a69), // "retry_ji"
         }
@@ -131,7 +115,6 @@ pub fn with_retries<T>(
             Ok((value, end)) => return (Ok(value), end),
             Err(e) if e.is_transient() => {
                 attempts += 1;
-                w.resilience.stats.faults += 1;
                 let detect = t + w.resilience.policy.fault_latency;
                 let detect = w.trace_io(
                     rank,
@@ -144,7 +127,6 @@ pub fn with_retries<T>(
                     bytes,
                 );
                 if attempts >= w.resilience.policy.max_attempts {
-                    w.resilience.stats.exhausted += 1;
                     return (Err(e), detect);
                 }
                 let wait = w.resilience.backoff(attempts);
@@ -159,8 +141,6 @@ pub fn with_retries<T>(
                     offset,
                     bytes,
                 );
-                w.resilience.stats.retries += 1;
-                w.resilience.stats.retried_bytes += bytes;
                 t = resume;
             }
             Err(e) => return (Err(e), t),
@@ -175,6 +155,11 @@ mod tests {
 
     fn world() -> IoWorld {
         IoWorld::lassen(1, 1, 9)
+    }
+
+    /// Trace records of kind `op`.
+    fn count(w: &IoWorld, op: OpKind) -> usize {
+        w.tracer.columnar().op.iter().filter(|&&o| o == op).count()
     }
 
     #[test]
@@ -206,9 +191,14 @@ mod tests {
             end > SimTime::ZERO + Dur::from_millis(2),
             "backoff must cost time"
         );
-        assert_eq!(w.resilience.stats.faults, 2);
-        assert_eq!(w.resilience.stats.retries, 2);
-        assert_eq!(w.resilience.stats.retried_bytes, 2 * 4096);
+        assert_eq!(count(&w, OpKind::Fault), 2);
+        assert_eq!(count(&w, OpKind::Retry), 2);
+        let c = w.tracer.columnar();
+        let retried_bytes: u64 = (0..c.len())
+            .filter(|&i| c.op[i] == OpKind::Retry)
+            .map(|i| c.bytes[i])
+            .sum();
+        assert_eq!(retried_bytes, 2 * 4096);
         let ops: Vec<OpKind> = w.tracer.columnar().op.clone();
         assert_eq!(
             ops,
@@ -230,9 +220,13 @@ mod tests {
             Err::<((), SimTime), _>(IoErr::ServerUnavailable)
         });
         assert_eq!(res.unwrap_err(), IoErr::ServerUnavailable);
-        assert_eq!(w.resilience.stats.faults, 3);
-        assert_eq!(w.resilience.stats.retries, 2);
-        assert_eq!(w.resilience.stats.exhausted, 1);
+        assert_eq!(count(&w, OpKind::Fault), 3);
+        assert_eq!(count(&w, OpKind::Retry), 2);
+        assert_eq!(
+            w.tracer.columnar().op.last(),
+            Some(&OpKind::Fault),
+            "the budget ran out on a fault, not a retry"
+        );
     }
 
     #[test]
@@ -245,7 +239,7 @@ mod tests {
         assert_eq!(res.unwrap_err(), IoErr::NoSpace);
         assert_eq!(end, SimTime::ZERO);
         assert_eq!(w.tracer.len(), before);
-        assert_eq!(w.resilience.stats.faults, 0);
+        assert_eq!(count(&w, OpKind::Fault), 0);
     }
 
     #[test]

@@ -430,59 +430,36 @@ fn fread_impl(
             t = t + memcpy_cost(take);
             continue;
         }
-        if remaining >= bufsize && !materialize {
-            // Large timing-only read: bypass the buffer and account bytes
-            // without materializing them.
-            let (res, t2) = posix::read_at(w, rank, fd, pos, remaining, t);
-            match res {
-                Ok(0) => {
-                    t = t2;
-                    break;
-                }
-                Ok(n) => {
-                    count += n;
-                    let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-                    s.pos += n;
-                    remaining -= n;
-                    t = t2;
-                    if n < remaining + n {
-                        // Short read = EOF.
-                        if n < bufsize {
-                            break;
-                        }
-                    }
-                }
+        if remaining >= bufsize {
+            // Large read: bypass the buffer for the exact range. A
+            // timing-only read accounts its bytes without materializing
+            // them; a short read is EOF.
+            let (res, t2) = if materialize {
+                let (res, t2) = posix::pread_view(w, rank, fd, pos, remaining, t);
+                let res = res.map(|view| {
+                    append_view(&mut out, &view, 0, view.len());
+                    view.len()
+                });
+                (res, t2)
+            } else {
+                posix::read_at(w, rank, fd, pos, remaining, t)
+            };
+            let n = match res {
+                Ok(n) => n,
                 Err(e) => return (Err(e), t2),
-            }
-            continue;
-        }
-        if remaining >= bufsize && materialize {
-            // Large materializing read: fetch the exact range.
-            let (res, t2) = pread_view(w, rank, fd, pos, remaining, t);
-            match res {
-                Ok(view) => {
-                    if view.is_empty() {
-                        t = t2;
-                        break;
-                    }
-                    let n = view.len();
-                    append_view(&mut out, &view, 0, n);
-                    count += n;
-                    let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-                    s.pos += n;
-                    remaining -= n;
-                    t = t2;
-                    if n < bufsize {
-                        break; // EOF
-                    }
-                }
-                Err(e) => return (Err(e), t2),
+            };
+            count += n;
+            tables(w)[rank.0 as usize].get(h).expect("checked").pos += n;
+            remaining -= n;
+            t = t2;
+            if n < bufsize {
+                break;
             }
             continue;
         }
         // Fill the read cache with one buffer-sized POSIX read.
         let (view, t2) = {
-            let (res, t2) = pread_view(w, rank, fd, pos, bufsize, t);
+            let (res, t2) = posix::pread_view(w, rank, fd, pos, bufsize, t);
             match res {
                 Ok(v) => (v, t2),
                 Err(e) => return (Err(e), t2),
@@ -514,46 +491,6 @@ fn append_view(out: &mut Vec<u8>, view: &ContentView, from: u64, n: u64) {
     let at = out.len();
     out.resize(at + n as usize, 0);
     view.copy_to(from, &mut out[at..]);
-}
-
-/// pread of `len` bytes at `pos` that hands back a view of the content
-/// (buffer refills and the large `fread_data` path), traced at the POSIX
-/// layer.
-fn pread_view(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    pos: u64,
-    len: u64,
-    now: SimTime,
-) -> (Result<ContentView, IoErr>, SimTime) {
-    let node = w.node_of(rank);
-    let (handle, path_id) = {
-        let Ok(of) = w.fd(rank, fd) else {
-            return (Err(IoErr::BadFd), now);
-        };
-        (of.handle, of.path_id)
-    };
-    let (res, t_settle) =
-        crate::resilience::with_retries(w, rank, Some(path_id), pos, len, now, |w, t| {
-            w.storage.read_view(node, handle, pos, len, t)
-        });
-    match res {
-        Ok(view) => {
-            let end = w.trace_io(
-                rank,
-                Layer::Posix,
-                OpKind::Read,
-                now,
-                t_settle,
-                Some(path_id),
-                pos,
-                view.len(),
-            );
-            (Ok(view), end)
-        }
-        Err(e) => (Err(e), t_settle),
-    }
 }
 
 /// Reposition the stream (flushes pending writes, drops the read cache).

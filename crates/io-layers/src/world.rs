@@ -137,42 +137,30 @@ impl IoWorld {
 
     /// Record a CPU compute span for a rank and return its end time.
     pub fn compute(&mut self, rank: RankId, dur: Dur, now: SimTime) -> SimTime {
-        let end = now + dur;
-        let node = self.node_of(rank).0;
-        let app = self.app_of(rank);
-        self.tracer.record(
-            rank.0,
-            node,
-            app,
+        self.trace_io(
+            rank,
             Layer::App,
             OpKind::Compute,
             now,
-            end,
+            now + dur,
             None,
             0,
             0,
-        );
-        end
+        )
     }
 
     /// Record a GPU compute span for a rank and return its end time.
     pub fn gpu_compute(&mut self, rank: RankId, dur: Dur, now: SimTime) -> SimTime {
-        let end = now + dur;
-        let node = self.node_of(rank).0;
-        let app = self.app_of(rank);
-        self.tracer.record(
-            rank.0,
-            node,
-            app,
+        self.trace_io(
+            rank,
             Layer::App,
             OpKind::GpuCompute,
             now,
-            end,
+            now + dur,
             None,
             0,
             0,
-        );
-        end
+        )
     }
 
     /// Shorthand: capture an I/O record; returns its end time. Public so

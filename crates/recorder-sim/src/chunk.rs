@@ -98,14 +98,6 @@ impl GaugeCharge {
     }
 }
 
-impl Clone for GaugeCharge {
-    /// Cloning a charged buffer duplicates the memory, so the clone takes
-    /// out its own charge of the same size.
-    fn clone(&self) -> GaugeCharge {
-        GaugeCharge::new(self.bytes)
-    }
-}
-
 impl Drop for GaugeCharge {
     fn drop(&mut self) {
         trace_gauge().sub(self.bytes);
@@ -441,7 +433,7 @@ pub struct ChunkedTrace {
 impl ChunkedTrace {
     /// Seal an existing columnar trace into `chunk_rows`-row chunks. This
     /// is the post-hoc entry (fleet jobs, benches); live capture goes
-    /// through `Tracer::with_chunked`.
+    /// through `Tracer::with_chunked` into a spill log.
     pub fn from_columnar(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         let mut chunks = Vec::with_capacity(c.len().div_ceil(chunk_rows));

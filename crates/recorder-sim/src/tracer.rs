@@ -10,7 +10,7 @@
 //! The tracer also interns file paths and application names — lookups are
 //! borrowed (`&str`), a `String` is allocated only on the first insert.
 
-use crate::chunk::{columnar_capacity_bytes, ChunkedTrace, CompressedChunk, GaugeCharge};
+use crate::chunk::{columnar_capacity_bytes, CompressedChunk, GaugeCharge};
 use crate::columnar::ColumnarTrace;
 use crate::record::{AppId, FileId, Layer, OpKind};
 use crate::spill::{SpillError, SpillFaultPlan, SpillSummary, SpillWriter};
@@ -18,14 +18,12 @@ use sim_core::SimTime;
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Chunked-capture state: sealed chunks so far and the gauge charge
-/// covering the live buffer. With a spill writer attached, sealed chunks
-/// stream to disk instead of accumulating in `chunks` — the larger-than-RAM
-/// capture path.
+/// Chunked-capture state: the gauge charge covering the live buffer and
+/// the spill writer that sealed chunks stream to — the larger-than-RAM
+/// capture path. No sealed chunk stays in memory.
 #[derive(Debug)]
 struct ChunkState {
     chunk_rows: usize,
-    chunks: Vec<CompressedChunk>,
     charge: GaugeCharge,
     writer: Option<SpillWriter>,
     /// First spill failure, surfaced at [`Tracer::into_spill`] — `record`
@@ -37,23 +35,8 @@ struct ChunkState {
     spill_error: Option<SpillError>,
 }
 
-impl Clone for ChunkState {
-    /// A cloned tracer is a fresh in-memory capture: the spill writer
-    /// holds an open file handle and an exclusive temp path, so it (and
-    /// any stored spill error) stays with the original.
-    fn clone(&self) -> ChunkState {
-        ChunkState {
-            chunk_rows: self.chunk_rows,
-            chunks: self.chunks.clone(),
-            charge: self.charge.clone(),
-            writer: None,
-            spill_error: None,
-        }
-    }
-}
-
 /// The trace capture sink for one workload run.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Tracer {
     /// Column-major storage, including the interned path/name tables
     /// (`cols.file_paths[id]` is the path of `FileId(id)`).
@@ -83,17 +66,16 @@ impl Tracer {
         t
     }
 
-    /// Attach a spill writer: from now on sealed chunks stream to the
-    /// append-only log at `path` instead of accumulating in memory, so
-    /// capture handles traces larger than RAM. Requires chunked mode and
-    /// must be called before any chunk seals.
+    /// Attach a spill writer: sealed chunks stream to the append-only log
+    /// at `path`, so capture handles traces larger than RAM. Requires
+    /// chunked mode and must be called before any chunk seals.
     pub fn enable_spill(&mut self, path: &Path, fault: SpillFaultPlan) -> Result<(), SpillError> {
         let cs = self
             .chunked
             .as_mut()
             .expect("enable_spill requires a chunked tracer");
         assert!(
-            cs.chunks.is_empty() && cs.writer.is_none(),
+            cs.writer.is_none() && cs.spill_error.is_none(),
             "enable_spill before any chunk seals"
         );
         cs.writer = Some(SpillWriter::create(path, cs.chunk_rows, fault)?);
@@ -123,52 +105,25 @@ impl Tracer {
 
     /// New chunked tracer: whenever the live columns reach `chunk_rows`
     /// records they are sealed into a compressed chunk (see
-    /// [`crate::chunk`]) and recycled, so the live buffer is the first
-    /// chunk.
+    /// [`crate::chunk`]), appended to the spill log that
+    /// [`enable_spill`](Self::enable_spill) attaches, and recycled, so the
+    /// live buffer is the first chunk. Sealing with no log attached
+    /// panics.
     ///
     /// In chunked mode [`columnar`](Self::columnar) and friends expose
-    /// only the unsealed tail; consume the full trace with
-    /// [`into_chunked`](Self::into_chunked).
+    /// only the unsealed tail; finish the capture with
+    /// [`into_spill`](Self::into_spill).
     pub fn with_chunked(chunk_rows: usize) -> Self {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
         let mut t = Tracer::new();
         t.cols.reserve(chunk_rows);
         t.chunked = Some(ChunkState {
             chunk_rows,
-            chunks: Vec::new(),
             charge: GaugeCharge::new(columnar_capacity_bytes(&t.cols)),
             writer: None,
             spill_error: None,
         });
         t
-    }
-
-    /// Finish chunked capture: seal the tail and yield the compressed
-    /// trace. Panics unless the tracer was built by
-    /// [`with_chunked`](Self::with_chunked) — a batch tracer's columns
-    /// convert via [`crate::chunk::ChunkedTrace::from_columnar`] instead —
-    /// and panics on a tracer that spilled: its sealed front is on disk
-    /// (or lost), not in memory; finish it with
-    /// [`into_spill`](Self::into_spill).
-    pub fn into_chunked(mut self) -> ChunkedTrace {
-        let mut cs = self
-            .chunked
-            .take()
-            .expect("into_chunked requires a chunked tracer");
-        assert!(
-            cs.writer.is_none() && cs.spill_error.is_none(),
-            "into_chunked on a spilling tracer; use into_spill"
-        );
-        if !self.cols.is_empty() {
-            cs.chunks
-                .push(CompressedChunk::seal_rows(&self.cols, 0..self.cols.len()));
-        }
-        ChunkedTrace {
-            chunk_rows: cs.chunk_rows,
-            chunks: std::mem::take(&mut cs.chunks),
-            file_paths: std::mem::take(&mut self.cols.file_paths),
-            app_names: std::mem::take(&mut self.cols.app_names),
-        }
     }
 
     /// Reserve room for at least `additional` more records. Workloads call
@@ -248,19 +203,16 @@ impl Tracer {
             if self.cols.len() >= cs.chunk_rows {
                 // After a spill failure the rows are dropped unsealed.
                 if cs.spill_error.is_none() {
+                    let w = cs
+                        .writer
+                        .as_mut()
+                        .expect("enable_spill before any chunk seals");
                     let chunk = CompressedChunk::seal_rows(&self.cols, 0..self.cols.len());
-                    match &mut cs.writer {
-                        Some(w) => {
-                            if let Err(e) =
-                                w.append(&chunk, &self.cols.file_paths, &self.cols.app_names)
-                            {
-                                // `record` returns nothing, so stash the
-                                // typed failure for `into_spill`.
-                                cs.spill_error = Some(e);
-                                cs.writer = None;
-                            }
-                        }
-                        None => cs.chunks.push(chunk),
+                    if let Err(e) = w.append(&chunk, &self.cols.file_paths, &self.cols.app_names) {
+                        // `record` returns nothing, so stash the typed
+                        // failure for `into_spill`.
+                        cs.spill_error = Some(e);
+                        cs.writer = None;
                     }
                 }
                 self.cols.clear_rows();
@@ -311,6 +263,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkedTrace;
     use crate::spill::SpillFaultKind;
 
     #[test]
@@ -402,9 +355,14 @@ mod tests {
         assert_eq!(t.len(), 0);
     }
 
-    /// Chunks sealed so far, excluding the live tail in the capture buffer.
-    fn sealed_chunks(t: &Tracer) -> usize {
-        t.chunked.as_ref().map_or(0, |cs| cs.chunks.len())
+    /// A chunked tracer spilling to a per-process log named `name` in the
+    /// temp directory; returns the tracer and the log's path.
+    fn spilling(chunk_rows: usize, name: &str) -> (Tracer, std::path::PathBuf) {
+        let path = std::env::temp_dir().join(format!("vani-tracer-{}-{name}", std::process::id()));
+        let mut t = Tracer::with_chunked(chunk_rows);
+        t.enable_spill(&path, SpillFaultPlan::none())
+            .expect("spill on");
+        (t, path)
     }
 
     /// Drive `n` records through a tracer via the shared synthetic stream.
@@ -441,10 +399,12 @@ mod tests {
         let mut batch = Tracer::new();
         feed(&mut batch, 10_000);
         for chunk_rows in [64usize, 1024, 65536] {
-            let mut chunked = Tracer::with_chunked(chunk_rows);
+            let (mut chunked, path) = spilling(chunk_rows, &format!("batch-{chunk_rows}.vsp4"));
             feed(&mut chunked, 10_000);
-            assert!(sealed_chunks(&chunked) >= 10_000 / chunk_rows);
-            let ct = chunked.into_chunked();
+            let sum = chunked.into_spill().expect("seals");
+            assert!(sum.chunks as usize >= 10_000 / chunk_rows);
+            let ct = crate::spill::load_spill(&path).expect("loads");
+            let _ = std::fs::remove_file(&path);
             assert_eq!(ct.len(), 10_000);
             assert_eq!(
                 ct.to_columnar().expect("decodes"),
@@ -479,33 +439,36 @@ mod tests {
 
     #[test]
     fn chunked_capture_keeps_live_buffer_bounded() {
-        let mut t = Tracer::with_chunked(256);
+        let (mut t, path) = spilling(256, "bounded.vsp4");
         feed(&mut t, 5_000);
         assert!(t.cols.len() < 256, "live tail only: {}", t.cols.len());
         assert!(
             t.cols.rank.capacity() <= 512,
             "buffer recycled, not regrown"
         );
-        assert_eq!(sealed_chunks(&t), 5_000 / 256);
+        let sum = t.into_spill().expect("seals");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(sum.chunks as usize - 1, 5_000 / 256, "+1: the tail");
+    }
+
+    #[test]
+    #[should_panic(expected = "enable_spill before any chunk seals")]
+    fn sealing_without_a_spill_log_panics() {
+        let mut t = Tracer::with_chunked(16);
+        feed(&mut t, 16);
     }
 
     #[test]
     fn spill_capture_round_trips_through_the_log() {
-        let dir = std::env::temp_dir().join(format!("vani-tracer-spill-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live.vsp3");
-        let mut mem = Tracer::with_chunked(256);
+        let mut mem = Tracer::new();
         feed(&mut mem, 5_000);
-        let mut sp = Tracer::with_chunked(256);
-        sp.enable_spill(&path, SpillFaultPlan::none())
-            .expect("spill on");
+        let (mut sp, path) = spilling(256, "live.vsp4");
         feed(&mut sp, 5_000);
-        assert_eq!(sealed_chunks(&sp), 0, "sealed chunks stream to disk");
         let sum = sp.into_spill().expect("seals");
         assert_eq!(sum.records, 5_000);
         let loaded = crate::spill::load_spill(&path).expect("loads");
-        assert_eq!(loaded, mem.into_chunked());
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded, ChunkedTrace::from_columnar(mem.columnar(), 256));
     }
 
     /// A failed append keeps the first error and holds no sealed chunk
@@ -521,7 +484,7 @@ mod tests {
         t.enable_spill(&path, plan).expect("spill on");
         for block in 0..20 {
             feed(&mut t, 250);
-            assert_eq!(sealed_chunks(&t), 0, "block {block} left a chunk in memory");
+            assert!(t.cols.len() < 256, "block {block} grew the live buffer");
         }
         let err = t.into_spill().expect_err("the third append fails");
         assert!(matches!(err, SpillError::Enospc { .. }), "{err}");

@@ -99,7 +99,7 @@ fn missing_files_fail_cleanly_at_every_layer() {
 #[test]
 fn deadlock_detection_catches_missing_gate() {
     use vani_suite::cluster::engine::{
-        Blocker, Engine, FnScript, GateId, Outcome, RankScript, StepEffect,
+        Blocker, Engine, FnScript, GateId, Outcome, RankScript, RunHalt, StepEffect,
     };
     use vani_suite::cluster::mpi::MpiCostModel;
     let world = ();
@@ -115,7 +115,9 @@ fn deadlock_detection_catches_missing_gate() {
     let mut e = Engine::new(world, scripts, cost);
     // The engine reports the deadlock as a typed error naming the exact
     // rank and gate — no panic, no unwinding.
-    let err = e.run().unwrap_err();
+    let RunHalt::Deadlock(err) = e.run().unwrap_err() else {
+        panic!("expected a deadlock");
+    };
     assert_eq!(err.blocked.len(), 1);
     assert_eq!(err.blocked[0].1, Blocker::Gate(GateId(1)));
     let msg = err.to_string();

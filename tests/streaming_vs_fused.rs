@@ -3,11 +3,11 @@
 //! the paper's corpus (six applications plus IOR) — at 1, 2, and 8
 //! workers, with and without an active fault plan, across chunk sizes.
 //!
-//! Also pinned here: chunked capture (sealing during the run) produces
-//! exactly the same compressed trace as batch capture followed by
-//! `ChunkedTrace::from_columnar`; the streaming path's resident trace
-//! memory stays under the ring bound while profiling a trace far larger
-//! than one chunk.
+//! Also pinned here: chunked capture (sealing into a spill log during the
+//! run) produces exactly the same compressed trace as batch capture
+//! followed by `ChunkedTrace::from_columnar`; the streaming path's
+//! resident trace memory stays under the ring bound while profiling a
+//! trace far larger than one chunk.
 //!
 //! One worker-sweep `#[test]` on purpose: `rt::par::set_threads` is
 //! process-global, so the sweep must not interleave with itself.
@@ -22,6 +22,7 @@ use common::serial;
 use vani_suite::recorder::chunk::{
     resident_bound, trace_gauge, ChunkedTrace, DEFAULT_CHUNK_ROWS, RING_SLOTS,
 };
+use vani_suite::recorder::spill::{load_spill, SpillFaultPlan};
 use vani_suite::recorder::tracer::Tracer;
 use vani_suite::recorder::ColumnarTrace;
 use vani_suite::rt::par;
@@ -66,12 +67,18 @@ fn streaming_profile_matches_fused_on_all_workloads_and_worker_counts() {
     par::set_threads(0); // back to auto
 }
 
-/// Replay a batch capture through a second tracer in chunked mode. The
-/// intern tables are seeded in original order first, so every replayed
-/// record keeps its original `FileId`/`AppId` and the two traces are
-/// comparable cell for cell.
+/// Replay a batch capture through a second tracer in chunked mode,
+/// spilling to a log, and load the log back. The intern tables are seeded
+/// in original order first, so every replayed record keeps its original
+/// `FileId`/`AppId` and the two traces are comparable cell for cell.
 fn replay_chunked(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
+    let path = std::env::temp_dir().join(format!(
+        "vani_replay_chunked_{chunk_rows}_{}.vsp4",
+        std::process::id()
+    ));
     let mut t = Tracer::with_chunked(chunk_rows);
+    t.enable_spill(&path, SpillFaultPlan::none())
+        .expect("spill on");
     for p in &c.file_paths {
         t.file_id(p);
     }
@@ -92,11 +99,14 @@ fn replay_chunked(c: &ColumnarTrace, chunk_rows: usize) -> ChunkedTrace {
             c.bytes[i],
         );
     }
-    t.into_chunked()
+    t.into_spill().expect("seals");
+    let live = load_spill(&path).expect("loads");
+    let _ = std::fs::remove_file(&path);
+    live
 }
 
 /// Sealing during capture and sealing after the fact are the same
-/// operation: a tracer in chunked mode yields chunk-for-chunk,
+/// operation: a tracer in chunked mode spills chunk-for-chunk,
 /// byte-for-byte the trace that `ChunkedTrace::from_columnar` builds from
 /// the equivalent batch capture — so every streaming guarantee proved on
 /// converted traces transfers to live chunked capture.
