@@ -140,10 +140,20 @@ cargo run --release --offline -p bench --bin repro -- fleet-sweep --short --node
 # fleet-sweep spill smoke: the short fleet with every per-job trace
 # staged through an on-disk spill log. The report gains the spill
 # durability section (all records durable on a clean run) and the job
-# logs land in the scratch directory; checked by its exit code.
+# logs land in the scratch directory; checked by its exit code. Then the
+# binary's own recovery check walks one of those logs and must find it
+# clean (sealed, fully committed, nothing quarantined).
 spill_dir="$(mktemp -d)"
+trap 'rm -rf "$spill_dir"' EXIT
 cargo run --release --offline -p bench --bin repro -- fleet-sweep --short --spill "$spill_dir" > /dev/null
-rm -rf "$spill_dir"
+spill_logs=("$spill_dir"/job-*.vsp3)
+fsck_out="$(target/release/repro trace-fsck "${spill_logs[0]}")"
+case "$fsck_out" in
+    *'verdict : clean'*) ;;
+    *) echo "ci: trace-fsck found ${spill_logs[0]} unclean:" >&2
+       echo "$fsck_out" >&2
+       exit 1 ;;
+esac
 
 tree_after="$(git status --porcelain)"
 if [ "$tree_after" != "$tree_before" ]; then

@@ -861,7 +861,10 @@ fn fit_data_distribution(run: &WorkloadRun, files: &[FileProfile]) -> Distributi
     let mut sampled = 0;
     for f in files.iter().filter(|f| f.read_bytes > 0).take(4) {
         if let Some(key) = store.lookup(&f.path) {
-            let bytes = store.read(key, 1024, 8192).unwrap_or_default();
+            let bytes = store
+                .view(key, 1024, 8192)
+                .map(|v| v.to_vec())
+                .unwrap_or_default();
             for &b in &bytes {
                 summary.record(b as f64);
             }

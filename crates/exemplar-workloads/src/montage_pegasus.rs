@@ -51,13 +51,14 @@ pub struct PegasusParams {
     pub image_out_bytes: u64,
     /// CPU time per task.
     pub task_compute: Dur,
-    /// Where intermediates live (PFS baseline).
-    pub workdir: String,
     /// Fault-injection plan applied to the PFS for this run (empty = none).
     pub faults: FaultPlan,
     /// Competing-tenant load on the shared PFS (empty = dedicated machine).
     pub interference: InterferenceSchedule,
 }
+
+/// Where the workflow's inputs, intermediates and outputs live (the PFS).
+const WORKDIR: &str = "/p/gpfs1/pegasus/work";
 
 impl PegasusParams {
     /// Paper configuration: 1038 s job, 21 % I/O, 138 GB moved, 6039 tasks.
@@ -77,7 +78,6 @@ impl PegasusParams {
             mosaic_bytes: 1024 * MIB,
             image_out_bytes: 1536 * MIB,
             task_compute: Dur::from_secs_f64(1.5),
-            workdir: "/p/gpfs1/pegasus/work".to_string(),
         }
     }
 
@@ -104,7 +104,6 @@ impl PegasusParams {
             mosaic_bytes: scaled(p.mosaic_bytes, scale, 1 * MIB),
             image_out_bytes: scaled(p.image_out_bytes, scale, 1 * MIB),
             task_compute: Dur::from_secs_f64(p.task_compute.as_secs_f64() * scale.max(0.05)),
-            workdir: p.workdir,
         }
     }
 }
@@ -112,7 +111,7 @@ impl PegasusParams {
 /// Build the nine-kernel DAG with file-inferred dependencies.
 pub(crate) fn build_dag(p: &PegasusParams) -> Dag {
     let mut g = Dag::new();
-    let wd = &p.workdir;
+    let wd = WORKDIR;
     let t = |name: String, app: &str, inputs: Vec<String>, outputs: Vec<String>| Task {
         name,
         app: app.to_string(),
@@ -230,7 +229,7 @@ fn stage_inputs(world: &mut IoWorld, p: &PegasusParams) {
     let store = world.storage.pfs_mut().store_mut();
     for i in 0..p.n_images {
         for k in 0..p.inputs_per_image {
-            let path = format!("{}/raw/raw_{i:04}_{k}.fits", p.workdir);
+            let path = format!("{WORKDIR}/raw/raw_{i:04}_{k}.fits");
             let key = store.create(&path, false).expect("stage raw");
             store
                 .write(
@@ -271,7 +270,7 @@ impl PegasusWorker {
         };
         w.set_app(rank, &app);
         let p = &self.p;
-        let wd = &p.workdir;
+        let wd = WORKDIR;
         let t = now;
         match app.as_str() {
             "mProject" => {
@@ -632,7 +631,7 @@ mod tests {
         let run = tiny();
         // The final outputs exist on the PFS.
         for tile in 0..p.n_tiles {
-            let path = format!("{}/image_{tile}.png", p.workdir);
+            let path = format!("{WORKDIR}/image_{tile}.png");
             assert!(
                 run.world.storage.pfs().store().lookup(&path).is_some(),
                 "final image {path} missing ({n_tasks} tasks)"

@@ -669,12 +669,12 @@ mod tests {
             .materialize(store, "/p/gpfs1/pin.h5", 7)
             .unwrap();
         let key = store.lookup("/p/gpfs1/pin.h5").unwrap();
-        let sb = store.read(key, 0, 24).unwrap();
+        let sb = store.view(key, 0, 24).unwrap().to_vec();
         assert_eq!(&sb[..8], MAGIC);
         let off = u64::from_le_bytes(sb[8..16].try_into().unwrap());
         let len = u64::from_le_bytes(sb[16..24].try_into().unwrap());
         assert_eq!((off, len), (2_098_432, 218));
-        let header = String::from_utf8(store.read(key, off, len).unwrap()).unwrap();
+        let header = String::from_utf8(store.view(key, off, len).unwrap().to_vec()).unwrap();
         assert_eq!(
             header,
             r#"{"datasets":[{"name":"full","shape":[512,512,4],"dtype_size":2,"layout":{"Contiguous":{"offset":512}}},{"name":"chunked \"x\"","shape":[64,3],"dtype_size":4,"layout":{"Chunked":{"offset":2097664,"chunk_bytes":4096}}}]}"#

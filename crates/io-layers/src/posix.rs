@@ -5,9 +5,10 @@
 //! these and STDIO's and HDF5's reads, goes through one path, `call`,
 //! which runs it under the retry policy and writes its record, also when
 //! it fails. Data can be written as real bytes (format layers need
-//! round-trips) or as synthetic pattern fills (bulk checkpoint bodies),
-//! and reads can either materialize bytes or just account for them — see
-//! `storage-sim`'s segment model.
+//! round-trips) or as synthetic pattern fills (bulk checkpoint bodies).
+//! Every read is one `pread_view`: it hands back a zero-copy view of the
+//! content, which the caller copies out or drops — see `storage-sim`'s
+//! segment model.
 
 use crate::resilience::with_retries;
 use crate::world::{IoWorld, OpenFile};
@@ -281,8 +282,8 @@ fn write_run(
     (res, end)
 }
 
-/// Timing-only read of `len` bytes at the current position; returns bytes
-/// actually read (0 at EOF) and advances the position.
+/// Read `len` bytes at the current position; returns bytes actually read
+/// (0 at EOF) and advances the position. The bytes are not kept.
 pub fn read(
     w: &mut IoWorld,
     rank: RankId,
@@ -290,48 +291,11 @@ pub fn read(
     len: u64,
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    read_common(w, rank, fd, None, len, now)
-}
-
-/// `pread`: timing-only read at an explicit offset.
-pub fn read_at(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    offset: u64,
-    len: u64,
-    now: SimTime,
-) -> (Result<u64, IoErr>, SimTime) {
-    read_common(w, rank, fd, Some(offset), len, now)
-}
-
-fn read_common(
-    w: &mut IoWorld,
-    rank: RankId,
-    fd: Fd,
-    offset: Option<u64>,
-    len: u64,
-    now: SimTime,
-) -> (Result<u64, IoErr>, SimTime) {
-    let node = w.node_of(rank);
-    let (handle, path_id, pos) = {
-        let Ok(of) = w.fd(rank, fd) else {
-            return (Err(IoErr::BadFd), now);
-        };
-        (of.handle, of.path_id, offset.unwrap_or(of.pos))
+    let Ok(pos) = w.fd(rank, fd).map(|of| of.pos) else {
+        return (Err(IoErr::BadFd), now);
     };
-    let (res, end) = call(
-        w,
-        rank,
-        OpKind::Read,
-        path_id,
-        pos,
-        len,
-        now,
-        |w, t| w.storage.read_len(node, handle, pos, len, t),
-        |&n| n,
-    );
-    if let (Ok(n), None) = (res, offset) {
+    let (res, end) = read_at(w, rank, fd, pos, len, now);
+    if let Ok(n) = res {
         w.procs[rank.0 as usize].fds[fd.0 as usize]
             .as_mut()
             .expect("fd checked above")
@@ -340,10 +304,25 @@ fn read_common(
     (res, end)
 }
 
-/// `pread` of `len` bytes at `pos` that hands back a view of the content:
-/// STDIO buffer refills, STDIO's large materializing read and the HDF5
-/// object-header read.
-pub(crate) fn pread_view(
+/// `pread` at an explicit offset; returns bytes actually read. The bytes
+/// are not kept.
+pub fn read_at(
+    w: &mut IoWorld,
+    rank: RankId,
+    fd: Fd,
+    offset: u64,
+    len: u64,
+    now: SimTime,
+) -> (Result<u64, IoErr>, SimTime) {
+    let (res, end) = pread_view(w, rank, fd, offset, len, now);
+    (res.map(|view| view.len()), end)
+}
+
+/// `pread` of `len` bytes at `pos` that hands back a zero-copy view of the
+/// content read: the one storage read, under `read`, `read_at`, STDIO and
+/// HDF5. The caller keeps the bytes by copying them out of the view, or
+/// drops it.
+pub fn pread_view(
     w: &mut IoWorld,
     rank: RankId,
     fd: Fd,

@@ -355,9 +355,9 @@ fn fwrite_inner(
     (Ok(written), end)
 }
 
-/// Read `len` bytes through the stream buffer (timing + count only; bulk
-/// reads larger than the buffer are accounted without materializing, so a
-/// 750 MiB FITS sweep costs no memory).
+/// Read `len` bytes through the stream buffer and keep none of them: the
+/// count only. Reads larger than the buffer take a zero-copy view of the
+/// file and drop it, so a 750 MiB FITS sweep copies no bytes.
 pub fn fread(
     w: &mut IoWorld,
     rank: RankId,
@@ -365,10 +365,8 @@ pub fn fread(
     len: u64,
     now: SimTime,
 ) -> (Result<u64, IoErr>, SimTime) {
-    match fread_impl(w, rank, h, len, now, false) {
-        (Ok((n, _)), t) => (Ok(n), t),
-        (Err(e), t) => (Err(e), t),
-    }
+    let (res, t) = fread_impl(w, rank, h, len, now, false);
+    (res.map(|(n, _)| n), t)
 }
 
 /// Read and materialize `len` bytes through the stream buffer.
@@ -379,10 +377,8 @@ pub fn fread_data(
     len: u64,
     now: SimTime,
 ) -> (Result<Vec<u8>, IoErr>, SimTime) {
-    match fread_impl(w, rank, h, len, now, true) {
-        (Ok((_, d)), t) => (Ok(d), t),
-        (Err(e), t) => (Err(e), t),
-    }
+    let (res, t) = fread_impl(w, rank, h, len, now, true);
+    (res.map(|(_, d)| d), t)
 }
 
 fn fread_impl(
@@ -411,15 +407,10 @@ fn fread_impl(
     let mut count = 0u64;
     let mut remaining = len;
     while remaining > 0 {
-        let (fd, pos, bufsize, hit) = {
-            let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-            let rb_end = s.rbuf_start + s.rbuf.len();
-            let hit = s.pos >= s.rbuf_start && s.pos < rb_end;
-            (s.fd, s.pos, s.bufsize, hit)
-        };
-        if hit {
-            let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-            let off_in = s.pos - s.rbuf_start;
+        let s = tables(w)[rank.0 as usize].get(h).expect("checked");
+        let (fd, pos, bufsize) = (s.fd, s.pos, s.bufsize);
+        if pos >= s.rbuf_start && pos < s.rbuf_start + s.rbuf.len() {
+            let off_in = pos - s.rbuf_start;
             let take = (s.rbuf.len() - off_in).min(remaining);
             if materialize {
                 append_view(&mut out, &s.rbuf, off_in, take);
@@ -430,48 +421,35 @@ fn fread_impl(
             t = t + memcpy_cost(take);
             continue;
         }
-        if remaining >= bufsize {
-            // Large read: bypass the buffer for the exact range. A
-            // timing-only read accounts its bytes without materializing
-            // them; a short read is EOF.
-            let (res, t2) = if materialize {
-                let (res, t2) = posix::pread_view(w, rank, fd, pos, remaining, t);
-                let res = res.map(|view| {
-                    append_view(&mut out, &view, 0, view.len());
-                    view.len()
-                });
-                (res, t2)
-            } else {
-                posix::read_at(w, rank, fd, pos, remaining, t)
-            };
-            let n = match res {
-                Ok(n) => n,
-                Err(e) => return (Err(e), t2),
-            };
-            count += n;
-            tables(w)[rank.0 as usize].get(h).expect("checked").pos += n;
-            remaining -= n;
-            t = t2;
-            if n < bufsize {
-                break;
+        // One POSIX read: a read of at least a buffer bypasses the buffer
+        // for the exact range, a smaller one refills the buffer.
+        let (res, t2) = posix::pread_view(w, rank, fd, pos, remaining.max(bufsize), t);
+        t = t2;
+        let view = match res {
+            Ok(view) => view,
+            Err(e) => return (Err(e), t2),
+        };
+        let s = tables(w)[rank.0 as usize].get(h).expect("checked");
+        if remaining < bufsize {
+            if view.is_empty() {
+                break; // EOF
             }
+            s.rbuf_start = pos;
+            s.rbuf = view;
             continue;
         }
-        // Fill the read cache with one buffer-sized POSIX read.
-        let (view, t2) = {
-            let (res, t2) = posix::pread_view(w, rank, fd, pos, bufsize, t);
-            match res {
-                Ok(v) => (v, t2),
-                Err(e) => return (Err(e), t2),
-            }
-        };
-        t = t2;
-        if view.is_empty() {
-            break; // EOF
+        // Only a materializing read copies the bytes out of the view; a
+        // short read is EOF.
+        let n = view.len();
+        if materialize {
+            append_view(&mut out, &view, 0, n);
         }
-        let s = tables(w)[rank.0 as usize].get(h).expect("checked");
-        s.rbuf_start = pos;
-        s.rbuf = view;
+        count += n;
+        s.pos += n;
+        remaining -= n;
+        if n < bufsize {
+            break;
+        }
     }
     let end = w.trace_io(
         rank,

@@ -1,6 +1,8 @@
 //! Randomized model tests across the interface layers: the buffered stdio
 //! layer must be observationally equivalent to a plain byte-vector file
-//! model, and format layers must round-trip arbitrary metadata.
+//! model, reads that drop their bytes must be indistinguishable below the
+//! caller from reads that keep them, and format layers must round-trip
+//! arbitrary metadata.
 //!
 //! These were originally proptest properties; they are now deterministic
 //! sweeps driven by the seeded [`vani_rt::Rng`], so the exact same cases run
@@ -9,9 +11,9 @@
 //! `.proptest-regressions` sidecar.
 
 use hpc_cluster::topology::RankId;
-use io_layers::posix::Whence;
+use io_layers::posix::{OpenFlags, Whence};
 use io_layers::world::IoWorld;
-use io_layers::{fits, npy, stdio};
+use io_layers::{fits, npy, posix, stdio};
 use sim_core::SimTime;
 use storage_sim::file::pattern_byte;
 use vani_rt::Rng;
@@ -362,7 +364,10 @@ fn run_piece_script(
     stdio::fclose(&mut w, r, h, t).0.unwrap();
     let store = w.storage.pfs().store();
     let key = store.lookup(path).unwrap();
-    let bytes = store.read(key, 0, store.size_of(key).unwrap()).unwrap();
+    let bytes = store
+        .view(key, 0, store.size_of(key).unwrap())
+        .unwrap()
+        .to_vec();
     (bytes, w.tracer.columnar().to_records())
 }
 
@@ -382,6 +387,142 @@ fn pattern_pieces_match_materialized_writes_in_bytes_and_timing() {
             assert!(pat_bytes == raw_bytes, "file bytes differ, {at}");
             assert_eq!(pat_trace.len(), raw_trace.len(), "{at}");
             for (a, b) in pat_trace.iter().zip(&raw_trace) {
+                assert_eq!(a, b, "{at}");
+            }
+        }
+    }
+}
+
+/// One step over a finished file: `fread` vs `fread_data` of a length at
+/// the stream position, an absolute `fseek` (it may land past EOF), or
+/// `posix::read_at` vs `posix::pread_view` of `(offset, len)` on a second
+/// descriptor.
+#[derive(Debug, Clone, Copy)]
+enum ReadOp {
+    Stream(u64),
+    Seek(u64),
+    Pread(u64, u64),
+}
+
+/// Pattern pieces `(offset, len, seed)` separated by holes, the last a
+/// tail shorter than the buffer (when it holds more than a byte), and the
+/// file's bytes, holes read as zeros.
+fn holey_file(r: &mut Rng, bufsize: u64) -> (Vec<(u64, u64, u64)>, Vec<u8>) {
+    let unit = bufsize.max(16);
+    let (mut pieces, mut model) = (Vec::new(), Vec::new());
+    for left in (0..r.uniform_u64(1, 5)).rev() {
+        let offset = model.len() as u64 + r.uniform_u64(0, unit);
+        let len = r.uniform_u64(1, if left == 0 { bufsize.max(2) } else { 3 * unit });
+        let seed = r.next_u64();
+        model.resize(offset as usize, 0);
+        model.extend((0..len).map(|i| pattern_byte(seed, i)));
+        pieces.push((offset, len, seed));
+    }
+    (pieces, model)
+}
+
+/// Draw a read script over a file of `size` bytes. Offsets land inside the
+/// file, on its last byte, on EOF and past it; lengths (zero included)
+/// land around the buffer size and up to, across and past EOF from where
+/// they start (the script tracks the stream position).
+fn read_script(r: &mut Rng, bufsize: u64, size: u64) -> Vec<ReadOp> {
+    let offset = |r: &mut Rng| match r.uniform_u64(0, 4) {
+        0 => r.uniform_u64(0, size),
+        k => size + k - 2, // the last byte, EOF, one past EOF
+    };
+    let len = |r: &mut Rng, from: u64| {
+        let to_eof = size.saturating_sub(from);
+        match r.uniform_u64(0, 6) {
+            0 => r.uniform_u64(0, 3 * bufsize + 2),
+            k @ 1..=3 => bufsize + k - 2, // one under, on and one over the buffer
+            4 => to_eof,
+            _ => to_eof + r.uniform_u64(1, bufsize + 2),
+        }
+    };
+    let mut pos = 0;
+    (0..r.uniform_u64(1, 24))
+        .map(|_| match r.uniform_u64(0, 5) {
+            0 | 1 => {
+                let n = len(r, pos);
+                pos += n.min(size.saturating_sub(pos));
+                ReadOp::Stream(n)
+            }
+            2 => {
+                pos = offset(r);
+                ReadOp::Seek(pos)
+            }
+            _ => {
+                let at = offset(r);
+                ReadOp::Pread(at, len(r, at))
+            }
+        })
+        .collect()
+}
+
+/// Keeping a read's bytes is invisible below the caller. Twin worlds write
+/// the same file with holes and a short tail, then run the same script:
+/// one through `fread` and `posix::read_at`, the other through
+/// `fread_data` and `posix::pread_view`. Every step reads the same count
+/// and finishes at the same time, the kept bytes are the file's, and
+/// every trace record (layer, op, offset, bytes, start and end) is the
+/// same, at buffer sizes from one byte to twice `BUFSIZ`, on the PFS and
+/// on `/dev/shm`.
+#[test]
+fn timing_reads_match_materializing_reads_in_counts_and_timing() {
+    let mut rng = Rng::new(0x10_1a_0007);
+    let r = RankId(0);
+    for bufsize in [1, 7, 4096, 8192] {
+        for case in 0..24 {
+            let path = ["/p/gpfs1/holes.bin", "/dev/shm/holes.bin"][case % 2];
+            let (pieces, model) = holey_file(&mut rng, bufsize);
+            let ops = read_script(&mut rng, bufsize, model.len() as u64);
+            let at = format!("bufsize {bufsize}, case {case}, {path}");
+            let (mut timing, mut data) = (IoWorld::lassen(1, 1, 1), IoWorld::lassen(1, 1, 1));
+            let [(h, fd, mut t), opened] = [&mut timing, &mut data].map(|w| {
+                let (fd, mut t) = posix::open(w, r, path, OpenFlags::write_create(), SimTime::ZERO);
+                let fd = fd.unwrap();
+                for &(offset, len, seed) in &pieces {
+                    t = posix::lseek(w, r, fd, offset as i64, Whence::Set, t).1;
+                    t = posix::write_pattern(w, r, fd, len, seed, t).1;
+                }
+                t = posix::close(w, r, fd, t).1;
+                let (h, t) = stdio::fopen_buffered(w, r, path, "r", bufsize, t);
+                let (fd, t) = posix::open(w, r, path, OpenFlags::read_only(), t);
+                (h.unwrap(), fd.unwrap(), t)
+            });
+            assert_eq!((h, fd, t), opened, "{at}");
+            let mut pos = 0;
+            for &op in &ops {
+                let (from, len, (n, t1), (kept, t2)) = match op {
+                    ReadOp::Stream(len) => {
+                        let n = stdio::fread(&mut timing, r, h, len, t);
+                        (pos, len, n, stdio::fread_data(&mut data, r, h, len, t))
+                    }
+                    ReadOp::Seek(to) => {
+                        let moved = stdio::fseek(&mut timing, r, h, to as i64, Whence::Set, t);
+                        let kept = stdio::fseek(&mut data, r, h, to as i64, Whence::Set, t);
+                        assert_eq!(moved, kept, "{at}, {op:?}");
+                        (pos, t) = (to, moved.1);
+                        continue;
+                    }
+                    ReadOp::Pread(offset, len) => {
+                        let n = posix::read_at(&mut timing, r, fd, offset, len, t);
+                        let (view, t2) = posix::pread_view(&mut data, r, fd, offset, len, t);
+                        (offset, len, n, (view.map(|v| v.to_vec()), t2))
+                    }
+                };
+                let (n, kept) = (n.unwrap(), kept.unwrap());
+                assert_eq!((n, t1), (kept.len() as u64, t2), "{at}, {op:?}");
+                let tail = model.get(from as usize..).unwrap_or_default();
+                assert_eq!(kept, tail[..tail.len().min(len as usize)], "{at}, {op:?}");
+                if let ReadOp::Stream(_) = op {
+                    pos += n;
+                }
+                t = t1;
+            }
+            let [trace, kept_trace] = [timing, data].map(|w| w.tracer.columnar().to_records());
+            assert_eq!(trace.len(), kept_trace.len(), "{at}");
+            for (a, b) in trace.iter().zip(&kept_trace) {
                 assert_eq!(a, b, "{at}");
             }
         }

@@ -61,7 +61,7 @@ impl Dur {
     }
 
     /// Construct from whole microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         Dur(us * 1_000)
     }
 

@@ -16,10 +16,11 @@
 //! its byte pieces are moved, not copied, into the store.
 //! [`FileStore::held_bytes`] counts what the byte-backed segments hold.
 //!
-//! Reads hand out a [`ContentView`]: the windows overlapping the range,
-//! clipped to end of file. The view is the only place bytes are copied,
-//! and only when a caller asks for them ([`ContentView::copy_to`],
-//! [`ContentView::to_vec`]); timing-only reads never touch content.
+//! Every read hands out a [`ContentView`]: the windows overlapping the
+//! range, clipped to end of file, so its length is the bytes read. The
+//! view is the only place bytes are copied, and only when a caller asks
+//! for them ([`ContentView::copy_to`], [`ContentView::to_vec`]); a caller
+//! that needs only the length drops the view without touching content.
 
 use crate::err::IoErr;
 use crate::path as vpath;
@@ -130,9 +131,19 @@ impl Window {
 /// after the file is overwritten, truncated or unlinked.
 #[derive(Debug, Clone, Default)]
 pub struct ContentView {
-    /// Windows in ascending order, each with its offset within the view.
-    parts: Vec<(u64, Window)>,
+    parts: Parts,
     len: u64,
+}
+
+/// A view's windows in ascending order, each with its offset within the
+/// view. Most reads overlap one window, which is held inline, so taking
+/// and dropping such a view allocates nothing.
+#[derive(Debug, Clone, Default)]
+enum Parts {
+    #[default]
+    None,
+    One([(u64, Window); 1]),
+    Many(Vec<(u64, Window)>),
 }
 
 impl ContentView {
@@ -156,8 +167,13 @@ impl ContentView {
         assert!(end <= self.len, "copy past the end of a content view");
         // `filled` is the next view offset not yet written to `dst`.
         let mut filled = from;
-        let first = self.parts.partition_point(|(o, w)| o + w.len <= from);
-        for (w_off, w) in &self.parts[first..] {
+        let parts: &[(u64, Window)] = match &self.parts {
+            Parts::None => &[],
+            Parts::One(one) => one,
+            Parts::Many(many) => many,
+        };
+        let first = parts.partition_point(|(o, w)| o + w.len <= from);
+        for (w_off, w) in &parts[first..] {
             if *w_off >= end {
                 break;
             }
@@ -232,32 +248,31 @@ impl SegmentMap {
         if end <= offset {
             return ContentView::default();
         }
-        let first = self
+        // Windows do not overlap, so those that end past `offset` are the
+        // last ones that start before `end`.
+        let mut rev = self
             .segs
-            .range(..=offset)
-            .next_back()
-            .map_or(offset, |(&o, _)| o);
-        let parts = self
-            .segs
-            .range(first..end)
-            .filter(|(&w_off, w)| w_off + w.len > offset)
+            .range(..end)
+            .rev()
+            .take_while(|(&w_off, w)| w_off + w.len > offset)
             .map(|(&w_off, w)| {
                 let lo = w_off.max(offset);
                 let hi = (w_off + w.len).min(end);
                 (lo - offset, w.sub(lo - w_off, hi - w_off))
-            })
-            .collect();
+            });
+        let parts = match (rev.next(), rev.next()) {
+            (None, _) => Parts::None,
+            (Some(only), None) => Parts::One([only]),
+            (Some(last), Some(prev)) => {
+                let mut many: Vec<_> = [last, prev].into_iter().chain(rev).collect();
+                many.reverse();
+                Parts::Many(many)
+            }
+        };
         ContentView {
             parts,
             len: end - offset,
         }
-    }
-
-    /// How many bytes of `[offset, offset+len)` lie within the file —
-    /// the timing-only read used for bulk synthetic data.
-    pub(crate) fn readable_len(&self, offset: u64, len: u64) -> u64 {
-        let end = (offset + len).min(self.size);
-        end.saturating_sub(offset)
     }
 
     /// Truncate to `new_size`.
@@ -441,27 +456,13 @@ impl FileStore {
             .sum()
     }
 
-    /// Zero-copy read: a view of the range, clipped to end of file.
-    pub(crate) fn view(&self, key: FileKey, offset: u64, len: u64) -> Result<ContentView, IoErr> {
+    /// Untimed zero-copy read: a view of the range, clipped to end of file.
+    pub fn view(&self, key: FileKey, offset: u64, len: u64) -> Result<ContentView, IoErr> {
         let node = self.get(key)?;
         if node.is_dir {
             return Err(IoErr::IsDir);
         }
         Ok(node.data.view(offset, len))
-    }
-
-    /// Materializing read.
-    pub fn read(&self, key: FileKey, offset: u64, len: u64) -> Result<Vec<u8>, IoErr> {
-        Ok(self.view(key, offset, len)?.to_vec())
-    }
-
-    /// Timing-only read: bytes available in the range.
-    pub(crate) fn readable_len(&self, key: FileKey, offset: u64, len: u64) -> Result<u64, IoErr> {
-        let node = self.get(key)?;
-        if node.is_dir {
-            return Err(IoErr::IsDir);
-        }
-        Ok(node.data.readable_len(offset, len))
     }
 
     /// Truncate a file.
@@ -524,8 +525,8 @@ mod tests {
         let k = fs.create("/p/gpfs1/data.bin", false).unwrap();
         fs.write(k, 0, Segment::Bytes(Arc::new(b"hello world".to_vec())))
             .unwrap();
-        assert_eq!(fs.read(k, 0, 5).unwrap(), b"hello");
-        assert_eq!(fs.read(k, 6, 100).unwrap(), b"world");
+        assert_eq!(fs.view(k, 0, 5).unwrap().to_vec(), b"hello");
+        assert_eq!(fs.view(k, 6, 100).unwrap().to_vec(), b"world");
         assert_eq!(fs.size_of(k).unwrap(), 11);
     }
 
@@ -537,7 +538,7 @@ mod tests {
             .unwrap();
         fs.write(k, 3, Segment::Bytes(Arc::new(vec![b'b'; 4])))
             .unwrap();
-        assert_eq!(fs.read(k, 0, 10).unwrap(), b"aaabbbbaaa");
+        assert_eq!(fs.view(k, 0, 10).unwrap().to_vec(), b"aaabbbbaaa");
     }
 
     #[test]
@@ -546,7 +547,7 @@ mod tests {
         let k = fs.create("/f", false).unwrap();
         fs.write(k, 8, Segment::Bytes(Arc::new(vec![1, 2])))
             .unwrap();
-        let data = fs.read(k, 0, 10).unwrap();
+        let data = fs.view(k, 0, 10).unwrap().to_vec();
         assert_eq!(&data[..8], &[0u8; 8]);
         assert_eq!(&data[8..], &[1, 2]);
     }
@@ -564,10 +565,10 @@ mod tests {
             },
         )
         .unwrap();
-        let a = fs.read(k, 1000, 64).unwrap();
-        let b = fs.read(k, 1000, 64).unwrap();
+        let a = fs.view(k, 1000, 64).unwrap().to_vec();
+        let b = fs.view(k, 1000, 64).unwrap().to_vec();
         assert_eq!(a, b);
-        assert_eq!(fs.readable_len(k, 0, 2 << 20).unwrap(), 1 << 20);
+        assert_eq!(fs.view(k, 0, 2 << 20).unwrap().len(), 1 << 20);
         // Not all zero — the pattern has content.
         assert!(a.iter().any(|&x| x != 0));
     }
@@ -629,9 +630,12 @@ mod tests {
             .unwrap();
         fs.truncate(k, 3).unwrap();
         assert_eq!(fs.size_of(k).unwrap(), 3);
-        assert_eq!(fs.read(k, 0, 10).unwrap(), b"abc");
+        assert_eq!(fs.view(k, 0, 10).unwrap().to_vec(), b"abc");
         fs.truncate(k, 6).unwrap();
-        assert_eq!(fs.read(k, 0, 10).unwrap(), &[b'a', b'b', b'c', 0, 0, 0]);
+        assert_eq!(
+            fs.view(k, 0, 10).unwrap().to_vec(),
+            &[b'a', b'b', b'c', 0, 0, 0]
+        );
     }
 
     /// A run write lays its windows end to end: a pattern window reads as
@@ -648,10 +652,10 @@ mod tests {
         assert_eq!(fs.write_run(k, 2, &run), Ok(10));
         let mut want = vec![0, 0, 9, 9, 9, 9];
         want.extend((10..16).map(|i| pattern_byte(5, i)));
-        assert_eq!(fs.read(k, 0, 64).unwrap(), want);
+        assert_eq!(fs.view(k, 0, 64).unwrap().to_vec(), want);
         let too_big = [Window::pattern(1, 0, 40), Window::pattern(2, 0, 20)];
         assert_eq!(fs.write_run(k, 12, &too_big), Err(IoErr::NoSpace));
-        assert_eq!(fs.read(k, 0, 64).unwrap(), want);
+        assert_eq!(fs.view(k, 0, 64).unwrap().to_vec(), want);
     }
 
     /// `held_bytes` counts each distinct byte buffer once and whole, however
@@ -735,9 +739,9 @@ mod tests {
         }
     }
 
-    /// readable_len never exceeds the requested length or the file size.
+    /// A view's length never exceeds the requested length or the file size.
     #[test]
-    fn randomized_readable_len_bounds() {
+    fn randomized_view_len_bounds() {
         let mut r = vani_rt::Rng::new(0xf11e_0002);
         for _ in 0..256 {
             let off = r.uniform_u64(0, 10_000);
@@ -747,7 +751,7 @@ mod tests {
             if size > 0 {
                 sm.write(0, Segment::Pattern { seed: 3, len: size }.into());
             }
-            let rl = sm.readable_len(off, len);
+            let rl = sm.view(off, len).len();
             assert!(rl <= len);
             assert!(off + rl <= size.max(off));
         }
@@ -764,10 +768,10 @@ mod tests {
             let mut fs = FileStore::default();
             let k = fs.create("/split", false).unwrap();
             fs.write(k, 0, seg).unwrap();
-            let before = fs.read(k, 0, 100).unwrap();
+            let before = fs.view(k, 0, 100).unwrap().to_vec();
             fs.write(k, 10, Segment::Bytes(Arc::new(vec![0xEE; 10])))
                 .unwrap();
-            let after = fs.read(k, 0, 100).unwrap();
+            let after = fs.view(k, 0, 100).unwrap().to_vec();
             assert_eq!(after[..10], before[..10], "head");
             assert_eq!(after[10..20], [0xEE; 10]);
             assert_eq!(after[20..], before[20..], "tail");

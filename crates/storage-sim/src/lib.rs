@@ -16,7 +16,7 @@
 //! * [`tenancy`] — competing-tenant load schedules the multi-tenant fleet
 //!   plane installs so concurrent jobs contend for the shared NSD/MDS
 //!   servers,
-//! * [`node_local`] — node-local tiers (tmpfs `/dev/shm`, burst buffers),
+//! * [`node_local`] — the node-local tier, tmpfs at `/dev/shm`,
 //! * [`mounts`] — the [`mounts::StorageSystem`] that routes paths to tiers
 //!   exactly as a compute node's mount table would.
 //!
@@ -39,6 +39,6 @@ pub use err::IoErr;
 pub use faults::FaultPlan;
 pub use file::{ContentView, FileKey, FileStore, Segment};
 pub use mounts::{StorageSystem, Tier};
-pub use node_local::{NodeLocalConfig, NodeLocalFs};
+pub use node_local::NodeLocalFs;
 pub use pfs::{GpfsConfig, GpfsSim};
 pub use tenancy::{InterferenceSchedule, LoadWindow};

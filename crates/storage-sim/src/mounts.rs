@@ -7,7 +7,7 @@
 
 use crate::err::IoErr;
 use crate::file::{ContentView, FileKey, Window};
-use crate::node_local::{NodeLocalConfig, NodeLocalFs};
+use crate::node_local::{self, NodeLocalFs};
 use crate::path as vpath;
 use crate::pfs::{GpfsConfig, GpfsSim};
 use hpc_cluster::topology::NodeId;
@@ -49,13 +49,13 @@ impl StorageSystem {
             node.nic_latency,
             seed,
         );
-        let shm = NodeLocalFs::new(NodeLocalConfig::lassen_shm(node.memory_bytes), n_nodes);
+        let shm = NodeLocalFs::new(n_nodes, node.memory_bytes);
         StorageSystem { pfs, shm }
     }
 
     /// Resolve which tier a path belongs to.
     pub(crate) fn resolve(&self, path: &str) -> Tier {
-        if vpath::starts_with_dir(path, &self.shm.config().mount) {
+        if vpath::starts_with_dir(path, node_local::MOUNT) {
             Tier::Shm
         } else {
             Tier::Pfs
@@ -120,35 +120,20 @@ impl StorageSystem {
         exclusive: bool,
         now: SimTime,
     ) -> Result<(FileHandle, SimTime), IoErr> {
-        match self.resolve(path) {
-            Tier::Pfs => {
-                let (key, end) = self.pfs.open(node, path, create, exclusive, now)?;
-                Ok((
-                    FileHandle {
-                        tier: Tier::Pfs,
-                        key,
-                    },
-                    end,
-                ))
-            }
-            Tier::Shm => {
-                let (key, end) = self.shm.open(node, path, create, exclusive, now)?;
-                Ok((
-                    FileHandle {
-                        tier: Tier::Shm,
-                        key,
-                    },
-                    end,
-                ))
-            }
-        }
+        let tier = self.resolve(path);
+        let (key, end) = match tier {
+            Tier::Pfs => self.pfs.open(node, path, create, exclusive, now)?,
+            Tier::Shm => self.shm.open(node, path, create, exclusive, now)?,
+        };
+        Ok((FileHandle { tier, key }, end))
     }
 
     /// Close a handle.
     pub fn close(&mut self, node: NodeId, h: FileHandle, now: SimTime) -> SimTime {
         match h.tier {
             Tier::Pfs => self.pfs.close(node, h.key, now),
-            Tier::Shm => self.shm.close(node, h.key, now),
+            // Closing a tmpfs file is free.
+            Tier::Shm => now,
         }
     }
 
@@ -168,22 +153,7 @@ impl StorageSystem {
         }
     }
 
-    /// Timing-only read through a handle.
-    pub fn read_len(
-        &mut self,
-        node: NodeId,
-        h: FileHandle,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<(u64, SimTime), IoErr> {
-        match h.tier {
-            Tier::Pfs => self.pfs.read_len(node, h.key, offset, len, now),
-            Tier::Shm => self.shm.read_len(node, h.key, offset, len, now),
-        }
-    }
-
-    /// Content read through a handle: a zero-copy view of the bytes read.
+    /// Read through a handle: a zero-copy view of the bytes read.
     pub fn read_view(
         &mut self,
         node: NodeId,
@@ -272,8 +242,8 @@ mod tests {
         let (_, t3) = s
             .write(NodeId(0), hp, 0, &[Window::pattern(1, 0, 100)], t2)
             .unwrap();
-        let (got_shm, _) = s.read_len(NodeId(0), hs, 0, 100, t3).unwrap();
-        assert_eq!(got_shm, 0, "shm file must be empty");
+        let (got_shm, _) = s.read_view(NodeId(0), hs, 0, 100, t3).unwrap();
+        assert_eq!(got_shm.len(), 0, "shm file must be empty");
     }
 
     #[test]

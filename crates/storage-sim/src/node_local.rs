@@ -1,4 +1,4 @@
-//! Node-local storage tiers: tmpfs (`/dev/shm`) and burst buffers.
+//! The node-local storage tier: tmpfs at `/dev/shm`.
 //!
 //! Each node owns an independent namespace — a file written to `/dev/shm`
 //! on node 3 is invisible on node 5, exactly the property the paper's
@@ -16,42 +16,19 @@ use hpc_cluster::topology::NodeId;
 use sim_core::units::GIB;
 use sim_core::{BandwidthChannel, Dur, SimTime};
 
-/// Parameters of a node-local tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeLocalConfig {
-    /// Mount point, e.g. "/dev/shm" or "/tmp".
-    pub mount: String,
-    /// Aggregate per-node bandwidth, bytes/second.
-    pub bw: u64,
-    /// Per-operation latency.
-    pub latency: Dur,
-    /// Per-node capacity in bytes.
-    pub capacity: u64,
-    /// Concurrent operations the controller sustains (reported in the
-    /// node-local storage entity, Table VIII).
-    pub parallel_ops: u32,
-}
+/// Mount point of the tier.
+pub(crate) const MOUNT: &str = "/dev/shm";
 
-impl NodeLocalConfig {
-    /// Lassen `/dev/shm`: 32 GiB/s, sub-µs latency, memory-backed
-    /// (capacity bounded by node memory; Table VIII).
-    pub(crate) fn lassen_shm(memory_bytes: u64) -> Self {
-        NodeLocalConfig {
-            mount: "/dev/shm".to_string(),
-            bw: 32 * GIB,
-            // Realistic VFS + tmpfs syscall path with first-touch page faults,
-            // not raw memcpy: ~8 µs/op.
-            latency: Dur::from_micros(8),
-            capacity: memory_bytes / 2, // tmpfs default: half of RAM
-            parallel_ops: 64,
-        }
-    }
-}
+/// Per-node bandwidth, bytes/second (Lassen `/dev/shm`, Table VIII).
+const BW: u64 = 32 * GIB;
+
+/// Per-operation latency: the VFS + tmpfs syscall path with first-touch
+/// page faults, not a raw memcpy.
+const LATENCY: Dur = Dur::from_micros(8);
 
 /// One node's local file system instance.
 #[derive(Debug)]
 pub struct NodeLocalFs {
-    cfg: NodeLocalConfig,
     stores: Vec<FileStore>,
     channels: Vec<BandwidthChannel>,
     bytes_read: u64,
@@ -59,24 +36,19 @@ pub struct NodeLocalFs {
 }
 
 impl NodeLocalFs {
-    /// Build the tier across `n_nodes` nodes.
-    pub(crate) fn new(cfg: NodeLocalConfig, n_nodes: usize) -> Self {
+    /// Build the tier across `n_nodes` nodes with `memory_bytes` of RAM
+    /// each; like tmpfs by default, each node's capacity is half of it.
+    pub(crate) fn new(n_nodes: usize, memory_bytes: u64) -> Self {
         NodeLocalFs {
             stores: (0..n_nodes)
-                .map(|_| FileStore::with_capacity(cfg.capacity))
+                .map(|_| FileStore::with_capacity(memory_bytes / 2))
                 .collect(),
             channels: (0..n_nodes)
-                .map(|_| BandwidthChannel::new(cfg.bw, cfg.latency))
+                .map(|_| BandwidthChannel::new(BW, LATENCY))
                 .collect(),
             bytes_read: 0,
             bytes_written: 0,
-            cfg,
         }
-    }
-
-    /// The tier's configuration.
-    pub(crate) fn config(&self) -> &NodeLocalConfig {
-        &self.cfg
     }
 
     /// Bytes read / written across nodes.
@@ -129,11 +101,6 @@ impl NodeLocalFs {
         Ok((key, end))
     }
 
-    /// Close: free.
-    pub(crate) fn close(&mut self, _node: NodeId, _key: FileKey, now: SimTime) -> SimTime {
-        now
-    }
-
     /// Stat.
     pub(crate) fn stat(
         &mut self,
@@ -174,22 +141,7 @@ impl NodeLocalFs {
         Ok((n, end))
     }
 
-    /// Timing-only read.
-    pub(crate) fn read_len(
-        &mut self,
-        node: NodeId,
-        key: FileKey,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<(u64, SimTime), IoErr> {
-        let got = self.stores[node.0 as usize].readable_len(key, offset, len)?;
-        self.bytes_read += got;
-        let end = self.charge(node, got, now);
-        Ok((got, end))
-    }
-
-    /// Content read: a zero-copy view of the bytes read.
+    /// Read: a zero-copy view of the bytes read and the completion time.
     pub(crate) fn read_view(
         &mut self,
         node: NodeId,
@@ -212,7 +164,7 @@ mod tests {
     use sim_core::units::{KIB, MIB};
 
     fn shm() -> NodeLocalFs {
-        NodeLocalFs::new(NodeLocalConfig::lassen_shm(256 * GIB), 2)
+        NodeLocalFs::new(2, 256 * GIB)
     }
 
     #[test]
@@ -251,9 +203,7 @@ mod tests {
 
     #[test]
     fn capacity_is_per_node() {
-        let mut cfg = NodeLocalConfig::lassen_shm(256 * GIB);
-        cfg.capacity = 1 * MIB;
-        let mut fs = NodeLocalFs::new(cfg, 2);
+        let mut fs = NodeLocalFs::new(2, 2 * MIB);
         let (k, t) = fs
             .open(NodeId(0), "/dev/shm/f", true, false, SimTime::ZERO)
             .unwrap();

@@ -646,46 +646,8 @@ impl GpfsSim {
         )
     }
 
-    fn read_timing(
-        &mut self,
-        node: NodeId,
-        key: FileKey,
-        offset: u64,
-        got: u64,
-        now: SimTime,
-    ) -> Result<SimTime, IoErr> {
-        self.stats.data_ops += 1;
-        let t0 = now + self.cfg.client_overhead;
-        if got == 0 {
-            return Ok(t0);
-        }
-        if self.caches[node.0 as usize].holds(key, got) {
-            // Client cache hit: memory speed, no server involvement.
-            self.stats.cache_hits += 1;
-            return Ok(t0 + Dur::for_transfer(got, self.cfg.client_mem_bw));
-        }
-        self.stats.bytes_read += got;
-        let locked = self.acquire_token(node, key, offset, got, false, t0);
-        self.stripe_transfer(node, key, offset, got, locked)
-    }
-
-    /// Timing-only read: returns bytes available and completion time.
-    pub(crate) fn read_len(
-        &mut self,
-        node: NodeId,
-        key: FileKey,
-        offset: u64,
-        len: u64,
-        now: SimTime,
-    ) -> Result<(u64, SimTime), IoErr> {
-        self.transient_data_fault()?;
-        let got = self.store.readable_len(key, offset, len)?;
-        let end = self.read_timing(node, key, offset, got, now)?;
-        Ok((got, end))
-    }
-
-    /// Content read: a zero-copy view of the bytes read, timed like
-    /// [`read_len`](Self::read_len).
+    /// Read: a zero-copy view of the bytes in the range, whose length is
+    /// the count read, and the completion time.
     pub(crate) fn read_view(
         &mut self,
         node: NodeId,
@@ -696,7 +658,20 @@ impl GpfsSim {
     ) -> Result<(ContentView, SimTime), IoErr> {
         self.transient_data_fault()?;
         let view = self.store.view(key, offset, len)?;
-        let end = self.read_timing(node, key, offset, view.len(), now)?;
+        let got = view.len();
+        self.stats.data_ops += 1;
+        let t0 = now + self.cfg.client_overhead;
+        let end = if got == 0 {
+            t0
+        } else if self.caches[node.0 as usize].holds(key, got) {
+            // Client cache hit: memory speed, no server involvement.
+            self.stats.cache_hits += 1;
+            t0 + Dur::for_transfer(got, self.cfg.client_mem_bw)
+        } else {
+            self.stats.bytes_read += got;
+            let locked = self.acquire_token(node, key, offset, got, false, t0);
+            self.stripe_transfer(node, key, offset, got, locked)?
+        };
         Ok((view, end))
     }
 
@@ -763,11 +738,11 @@ mod tests {
         assert!(absorb < Dur::from_micros(200), "absorb took {absorb}");
         // Same-node read hits the cache.
         let hits_before = fs.stats().cache_hits;
-        let (_, rend) = fs.read_len(NodeId(0), k, 0, 64 * KIB, wend).unwrap();
+        let (_, rend) = fs.read_view(NodeId(0), k, 0, 64 * KIB, wend).unwrap();
         assert_eq!(fs.stats().cache_hits, hits_before + 1);
         assert!(rend.since(wend) < Dur::from_micros(100));
         // Remote read misses it and pays the server path.
-        let (_, rend2) = fs.read_len(NodeId(1), k, 0, 64 * KIB, wend).unwrap();
+        let (_, rend2) = fs.read_view(NodeId(1), k, 0, 64 * KIB, wend).unwrap();
         assert!(rend2.since(wend) > Dur::from_micros(100));
     }
 
@@ -822,11 +797,11 @@ mod tests {
         let (_, t3) = fs.write_pattern(NodeId(0), k, 4096, 4096, 1, t2).unwrap();
         assert_eq!(fs.stats().token_transfers, 1);
         // Node 1 touches it: token moves.
-        let (_, t4) = fs.read_len(NodeId(1), k, 0, 4096, t3).unwrap();
+        let (_, t4) = fs.read_view(NodeId(1), k, 0, 4096, t3).unwrap();
         assert_eq!(fs.stats().token_transfers, 2);
         // Ping-pong: every alternation transfers.
         let (_, t5) = fs.write_pattern(NodeId(0), k, 0, 4096, 1, t4).unwrap();
-        let _ = fs.read_len(NodeId(1), k, 0, 4096, t5).unwrap();
+        let _ = fs.read_view(NodeId(1), k, 0, 4096, t5).unwrap();
         assert_eq!(fs.stats().token_transfers, 4);
     }
 
@@ -1089,7 +1064,7 @@ mod tests {
                 .open(NodeId(0), "/f", true, false, SimTime::ZERO)
                 .unwrap();
             let (_, e1) = fs.write_pattern(NodeId(0), k, 0, 32 * MIB, 1, t).unwrap();
-            let (_, e2) = fs.read_len(NodeId(1), k, 0, 32 * MIB, e1).unwrap();
+            let (_, e2) = fs.read_view(NodeId(1), k, 0, 32 * MIB, e1).unwrap();
             (e1, e2, fs.stats().clone())
         };
         assert_eq!(run(false), run(true));
@@ -1178,7 +1153,7 @@ mod tests {
                 .open(NodeId(0), "/f", true, false, SimTime::ZERO)
                 .unwrap();
             let (_, e1) = fs.write_pattern(NodeId(0), k, 0, 32 * MIB, 1, t).unwrap();
-            let (_, e2) = fs.read_len(NodeId(1), k, 0, 32 * MIB, e1).unwrap();
+            let (_, e2) = fs.read_view(NodeId(1), k, 0, 32 * MIB, e1).unwrap();
             (e1, e2, fs.stats().clone())
         };
         assert_eq!(run(false), run(true));
